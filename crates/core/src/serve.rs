@@ -39,12 +39,9 @@
 //! shard counts.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Read as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use tbd_distrib::{BackwardProfile, DataParallelSim, EventConfig, StragglerSpec};
 use tbd_frameworks::Framework;
@@ -52,8 +49,8 @@ use tbd_gpusim::GpuSpec;
 use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_graph::trace::TraceRecorder;
 use tbd_models::ModelKind;
+use tbd_profiler::http::{self, HttpFront, Response};
 use tbd_profiler::json::Value;
-use tbd_profiler::live::{parse_request_line, write_response, MAX_REQUEST_LINE};
 use tbd_profiler::pool::WorkerPool;
 use tbd_profiler::trace::fnv1a;
 use tbd_profiler::{capture, TraceOptions};
@@ -556,21 +553,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// The `tbd serve` runtime: a [`ServeEngine`] behind a std-only HTTP
-/// front (`GET /query`, `/health`, `/`), connections dispatched through a
-/// bounded [`WorkerPool`].
+/// The `tbd serve` runtime: a [`ServeEngine`] behind the shared std-only
+/// HTTP front ([`tbd_profiler::http`]) routing `GET /query`, `/health` and
+/// `/`, connections dispatched through a bounded [`WorkerPool`].
+#[derive(Debug)]
 pub struct ServeServer {
     engine: Arc<ServeEngine>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl std::fmt::Debug for ServeServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeServer").field("addr", &self.addr).finish()
-    }
+    front: HttpFront,
 }
 
 const SERVE_INDEX: &str = "tbd serve — capacity-planning query service\n\
@@ -591,22 +580,15 @@ impl ServeServer {
         config: ServeConfig,
     ) -> std::io::Result<ServeServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(WorkerPool::new(config.workers, config.queue));
-        let acceptor = {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || serve_accept_loop(&listener, &engine, &stop, &pool))
-        };
-        Ok(ServeServer { engine, addr, stop, acceptor: Some(acceptor), pool: Some(pool) })
+        let pool = WorkerPool::new(config.workers, config.queue);
+        let router_engine = Arc::clone(&engine);
+        let front = http::serve(listener, pool, move |path| route(&router_engine, path))?;
+        Ok(ServeServer { engine, front })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// The engine behind the HTTP front (shared: loadgen can drive it
@@ -615,140 +597,18 @@ impl ServeServer {
         &self.engine
     }
 
-    /// Graceful shutdown: stop accepting, join the acceptor, then drain
-    /// the pool — every accepted query is answered before the last worker
-    /// exits. Idempotent.
+    /// Graceful shutdown: stop accepting, then drain the pool — every
+    /// accepted query is answered before the last worker exits.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        self.front.shutdown();
     }
 }
 
-impl Drop for ServeServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_accept_loop(
-    listener: &TcpListener,
-    engine: &Arc<ServeEngine>,
-    stop: &AtomicBool,
-    pool: &Arc<WorkerPool>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let job_engine = Arc::clone(engine);
-                let rejected = match stream.try_clone() {
-                    Ok(handler_stream) => pool
-                        .submit(move || {
-                            let _ = handle_serve_connection(handler_stream, &job_engine);
-                        })
-                        .is_err(),
-                    Err(_) => true,
-                };
-                if rejected {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                    let _ = write_response(
-                        &mut stream,
-                        503,
-                        "text/plain; charset=utf-8",
-                        "server overloaded\n",
-                    );
-                    shed_drain(&mut stream);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// Cap on request bytes drained after a 503 shed. Large enough to absorb
-/// any in-flight request body a well-behaved client already wrote, small
-/// enough that a hostile streaming client cannot pin the acceptor thread.
-const SHED_DRAIN_CAP: usize = 64 * 1024;
-
-/// Drains pending request bytes after the 503 was written so the close
-/// sends FIN, not RST — an RST would discard the 503 still sitting in the
-/// client's receive buffer. A single fixed-size read is not enough when
-/// the client is mid-way through a large body: the unread remainder would
-/// still trigger the reset path. The loop is bounded twice over — by
-/// [`SHED_DRAIN_CAP`] total bytes and by the 50 ms read timeout per read
-/// (a timeout surfaces as `Err`, ending the drain).
-fn shed_drain(stream: &mut TcpStream) {
-    let mut drained = 0usize;
-    let mut scratch = [0u8; 4096];
-    while drained < SHED_DRAIN_CAP {
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained += n,
-        }
-    }
-}
-
-fn handle_serve_connection(
-    mut stream: TcpStream,
-    engine: &ServeEngine,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_nonblocking(false)?;
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    let line = loop {
-        if buf.len() > MAX_REQUEST_LINE {
-            return write_response(
-                &mut stream,
-                414,
-                "text/plain; charset=utf-8",
-                "request line too long\n",
-            );
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    if pos > MAX_REQUEST_LINE {
-                        return write_response(
-                            &mut stream,
-                            414,
-                            "text/plain; charset=utf-8",
-                            "request line too long\n",
-                        );
-                    }
-                    break String::from_utf8_lossy(&buf[..pos]).trim_end().to_string();
-                }
-            }
-            Err(_) => return Ok(()),
-        }
-    };
-    let (method, path) = match parse_request_line(&line) {
-        Ok(parsed) => parsed,
-        Err(code) => {
-            return write_response(&mut stream, code, "text/plain; charset=utf-8", "bad request\n")
-        }
-    };
-    if method != "GET" {
-        return write_response(
-            &mut stream,
-            405,
-            "text/plain; charset=utf-8",
-            "only GET is supported\n",
-        );
-    }
+fn route(engine: &ServeEngine, path: &str) -> Response {
     let (route, query_string) = path.split_once('?').unwrap_or((path, ""));
     match route {
-        "/" => write_response(&mut stream, 200, "text/plain; charset=utf-8", SERVE_INDEX),
+        "/" => Response::text(200, SERVE_INDEX),
         "/health" => {
             // Stats live here, never in /query bytes — worker and shard
             // counts must stay unobservable in responses.
@@ -760,23 +620,13 @@ fn handle_serve_connection(
                 engine.computes(),
                 engine.profile_computes(),
             );
-            write_response(&mut stream, 200, "application/json; charset=utf-8", &body)
+            Response::new(200, http::JSON, body)
         }
         "/query" => match parse_query(query_string).and_then(|q| engine.query(&q)) {
-            Ok(response) => write_response(
-                &mut stream,
-                200,
-                "application/json; charset=utf-8",
-                response.as_str(),
-            ),
-            Err(message) => write_response(
-                &mut stream,
-                400,
-                "text/plain; charset=utf-8",
-                &format!("{message}\n"),
-            ),
+            Ok(response) => Response::new(200, http::JSON, response),
+            Err(message) => Response::text(400, format!("{message}\n")),
         },
-        _ => write_response(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        _ => Response::text(404, "not found\n"),
     }
 }
 

@@ -12,6 +12,8 @@
 //!   and keeps answering afterwards;
 //! * graceful shutdown drains in-flight connections before the last
 //!   worker exits.
+//! * shutdown is prompt for any bind address, even when the acceptor has
+//!   sat blocked in `accept()` on an idle listener.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -209,4 +211,29 @@ fn shutdown_drains_in_flight_connections() {
         assert!(buf.is_empty(), "no handler should answer after shutdown: {buf}");
     }
     drop(server);
+}
+
+#[test]
+fn shutdown_of_an_idle_wildcard_bound_server_is_prompt() {
+    // Bound to the unspecified address, the acceptor has sat blocked in
+    // `accept()` for a second when shutdown has to wake it.
+    let mut server = ServeServer::start(
+        Arc::new(ServeEngine::new(GpuSpec::quadro_p4000())),
+        "0.0.0.0:0",
+        ServeConfig { workers: 1, queue: 1, shards: 1 },
+    )
+    .expect("server");
+    let port = server.local_addr().port();
+    std::thread::sleep(Duration::from_secs(1));
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(2), "shutdown took {:?}", started.elapsed());
+    // After shutdown a new connection is refused or never answered.
+    if let Ok(mut post) = TcpStream::connect(("127.0.0.1", port)) {
+        post.set_read_timeout(Some(Duration::from_millis(500))).expect("timeout");
+        let _ = write!(post, "GET / HTTP/1.1\r\nHost: test\r\n\r\n");
+        let mut buf = String::new();
+        let _ = post.read_to_string(&mut buf);
+        assert!(buf.is_empty(), "no handler should answer after shutdown: {buf}");
+    }
 }

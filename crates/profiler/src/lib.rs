@@ -38,6 +38,7 @@
 
 pub mod agg;
 pub mod diagnose;
+pub mod http;
 pub mod json;
 pub mod kernels;
 pub mod live;

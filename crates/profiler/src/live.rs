@@ -15,30 +15,30 @@
 //!
 //! # Server shape
 //!
-//! [`LiveServer`] is deliberately boring: a nonblocking [`TcpListener`]
-//! polled by one acceptor thread, plus one worker thread running
-//! captures. Accepted connections are dispatched to a small
-//! [`WorkerPool`] — a slow or stalled reader occupies one pool worker,
-//! never the accept loop, so concurrent `/metrics` scrapes don't
-//! head-of-line block each other; when the pool's bounded queue is full
-//! the acceptor sheds load inline with `503`. The capture worker
-//! publishes each finished capture as an immutable [`Snapshot`] behind a
-//! mutex, so a `GET /metrics` racing an in-flight capture always sees
-//! the last *completed* capture — never a torn one. Shutdown sets an
-//! atomic flag, joins both threads, then drains the pool; the snapshot
+//! [`LiveServer`] is deliberately boring: one worker thread running
+//! captures, plus the shared HTTP front of [`crate::http`] — a blocking
+//! acceptor dispatching to a small [`WorkerPool`], shedding with a
+//! drained `503` when the pool's queue is full — to which this module
+//! supplies only its router. The capture worker publishes each finished
+//! capture as an immutable [`Snapshot`] behind a mutex, so a
+//! `GET /metrics` racing an in-flight capture always sees the last
+//! *completed* capture — never a torn one. Between captures the worker
+//! waits on a condvar that shutdown notifies, so a long `--interval-ms`
+//! never delays shutdown. Shutdown stops and joins the worker, then the
+//! front (which wakes its acceptor and drains the pool); the snapshot
 //! mutex is only ever locked for a clone or a replace, so a dropped
 //! connection or a mid-request shutdown cannot poison it.
 
 use crate::agg::{series, MetricsRegistry, StreamingAggregator};
 use crate::diagnose::diagnose_events;
+use crate::http::{self, HttpFront, Response};
 use crate::pool::WorkerPool;
 use crate::report::{overhead_health_json, ReportContext};
 use crate::sampling::synthesize_run;
 use crate::trace::{capture_into, Capture, TraceOptions};
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tbd_frameworks::Framework;
@@ -49,9 +49,7 @@ use tbd_graph::trace::{
 use tbd_graph::GraphError;
 use tbd_models::ModelKind;
 
-/// Longest request line the server accepts; anything larger is answered
-/// with `414 URI Too Long` before the connection is dropped.
-pub const MAX_REQUEST_LINE: usize = 8 * 1024;
+pub use crate::http::{parse_request_line, write_response, MAX_REQUEST_LINE};
 
 /// Connection-handling threads behind the watch HTTP front.
 pub const HTTP_POOL_WORKERS: usize = 4;
@@ -257,11 +255,14 @@ impl WatchConfig {
 
 #[derive(Debug)]
 struct Shared {
+    /// Set under the `captures` lock, so a waiter cannot miss it.
     stop: AtomicBool,
-    captures: AtomicU64,
+    captures: Mutex<u64>,
+    /// Notified on every capture and on stop.
+    progress: Condvar,
     capture_errors: AtomicU64,
     epoch: Instant,
-    snapshot: Mutex<Option<Snapshot>>,
+    snapshot: Mutex<Option<Arc<Snapshot>>>,
 }
 
 impl Shared {
@@ -279,22 +280,20 @@ impl Shared {
              \"last_report_digest\":\"{report_digest}\",\
              \"last_trace_digest\":\"{trace_digest}\",\"overhead\":{overhead}}}",
             self.epoch.elapsed().as_secs_f64(),
-            self.captures.load(Ordering::Relaxed),
+            *self.captures.lock().expect("captures lock"),
             self.capture_errors.load(Ordering::Relaxed),
         )
     }
 }
 
-/// The `tbd watch` runtime: a capture worker plus a single-threaded-accept
-/// HTTP server bound to one address, serving `GET /metrics`, `/health`,
+/// The `tbd watch` runtime: a capture worker plus the shared HTTP front
+/// bound to one address, serving `GET /metrics`, `/health`,
 /// `/trace.json` and `/report`.
 #[derive(Debug)]
 pub struct LiveServer {
     shared: Arc<Shared>,
-    addr: SocketAddr,
     worker: Option<JoinHandle<()>>,
-    acceptor: Option<JoinHandle<()>>,
-    pool: Option<Arc<WorkerPool>>,
+    front: HttpFront,
 }
 
 impl LiveServer {
@@ -305,43 +304,40 @@ impl LiveServer {
     ///
     /// Returns the bind error when the address is unavailable.
     pub fn start(config: WatchConfig, addr: &str) -> std::io::Result<LiveServer> {
+        Self::start_with_pool(config, addr, WorkerPool::new(HTTP_POOL_WORKERS, HTTP_POOL_QUEUE))
+    }
+
+    pub(crate) fn start_with_pool(
+        config: WatchConfig,
+        addr: &str,
+        pool: WorkerPool,
+    ) -> std::io::Result<LiveServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
-            captures: AtomicU64::new(0),
+            captures: Mutex::new(0),
+            progress: Condvar::new(),
             capture_errors: AtomicU64::new(0),
             epoch: Instant::now(),
             snapshot: Mutex::new(None),
         });
-        let pool = Arc::new(WorkerPool::new(HTTP_POOL_WORKERS, HTTP_POOL_QUEUE));
+        let router_shared = Arc::clone(&shared);
+        let front = http::serve(listener, pool, move |path| route(&router_shared, path))?;
         let worker = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || capture_worker(&config, &shared))
         };
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || accept_loop(&listener, &shared, &pool))
-        };
-        Ok(LiveServer {
-            shared,
-            addr,
-            worker: Some(worker),
-            acceptor: Some(acceptor),
-            pool: Some(pool),
-        })
+        Ok(LiveServer { shared, worker: Some(worker), front })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Captures completed so far.
     pub fn captures_completed(&self) -> u64 {
-        self.shared.captures.load(Ordering::Relaxed)
+        *self.shared.captures.lock().expect("captures lock")
     }
 
     /// Capture attempts that errored.
@@ -352,19 +348,14 @@ impl LiveServer {
     /// Blocks until at least `n` captures completed or `timeout` elapsed;
     /// returns whether the target was reached.
     pub fn wait_for_captures(&self, n: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.captures_completed() < n {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        true
+        let done = self.shared.captures.lock().expect("captures lock");
+        let waited = self.shared.progress.wait_timeout_while(done, timeout, |done| *done < n);
+        *waited.expect("captures lock").0 >= n
     }
 
     /// Clone of the last completed snapshot, if any capture finished.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.shared.snapshot.lock().expect("snapshot lock").clone()
+        self.shared.snapshot.lock().expect("snapshot lock").as_deref().cloned()
     }
 
     /// `true` once the capture worker finished (hit `max_captures` or was
@@ -373,21 +364,20 @@ impl LiveServer {
         self.worker.as_ref().is_none_or(|w| w.is_finished())
     }
 
-    /// Signals both threads to stop and joins them — the SIGINT-equivalent
-    /// graceful path. Idempotent; the snapshot survives for inspection.
-    /// The connection pool is drained last, so every accepted request is
-    /// still answered.
+    /// Stops and joins the capture worker, then the HTTP front — the
+    /// SIGINT-equivalent graceful path. Idempotent; the snapshot survives
+    /// for inspection. The connection pool is drained last, so every
+    /// accepted request is still answered.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        {
+            let _captures = self.shared.captures.lock().expect("captures lock");
+            self.shared.stop.store(true, Ordering::Relaxed);
+        }
+        self.shared.progress.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        self.front.shutdown();
     }
 }
 
@@ -410,9 +400,10 @@ fn capture_worker(config: &WatchConfig, shared: &Shared) {
         ) {
             Ok(obs) => {
                 let snapshot = snapshot_of(&obs, done + 1);
-                *shared.snapshot.lock().expect("snapshot lock") = Some(snapshot);
+                *shared.snapshot.lock().expect("snapshot lock") = Some(Arc::new(snapshot));
                 done += 1;
-                shared.captures.store(done, Ordering::Relaxed);
+                *shared.captures.lock().expect("captures lock") = done;
+                shared.progress.notify_all();
             }
             Err(_) => {
                 shared.capture_errors.fetch_add(1, Ordering::Relaxed);
@@ -421,102 +412,10 @@ fn capture_worker(config: &WatchConfig, shared: &Shared) {
         if config.max_captures > 0 && done >= config.max_captures {
             break;
         }
-        // Interval sleep in short slices so shutdown stays responsive.
-        let deadline = Instant::now() + config.interval;
-        while Instant::now() < deadline {
-            if shared.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let captures = shared.captures.lock().expect("captures lock");
+        let running = |_: &mut u64| !shared.stop.load(Ordering::Relaxed);
+        let _ = shared.progress.wait_timeout_while(captures, config.interval, running);
     }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, pool: &Arc<WorkerPool>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // Dispatch to the pool: a slow reader parks one pool
-                // worker, never the accept loop, so concurrent scrapes
-                // proceed in parallel. The handler gets a dup of the
-                // socket so a rejected submission can still answer 503
-                // on the original before it drops.
-                let job_shared = Arc::clone(shared);
-                let rejected = match stream.try_clone() {
-                    Ok(handler_stream) => pool
-                        .submit(move || {
-                            let _ = handle_connection(handler_stream, &job_shared);
-                        })
-                        .is_err(),
-                    Err(_) => true,
-                };
-                if rejected {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = write_response(
-                        &mut stream,
-                        503,
-                        "text/plain; charset=utf-8",
-                        "server overloaded\n",
-                    );
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-/// Splits an HTTP request line into `(method, path)`, rejecting anything
-/// that is not `METHOD SP PATH SP HTTP/x.y`.
-pub fn parse_request_line(line: &str) -> Result<(&str, &str), u16> {
-    let mut parts = line.split_ascii_whitespace();
-    let (Some(method), Some(path), Some(version), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(400);
-    };
-    if !version.starts_with("HTTP/") {
-        return Err(400);
-    }
-    Ok((method, path))
-}
-
-fn status_reason(code: u16) -> &'static str {
-    match code {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        414 => "URI Too Long",
-        503 => "Service Unavailable",
-        _ => "Error",
-    }
-}
-
-/// Writes a minimal `HTTP/1.1` response (`Connection: close`) — shared by
-/// the watch front and the `tbd serve` query front.
-///
-/// # Errors
-///
-/// Propagates socket write errors; callers on best-effort paths ignore
-/// them.
-pub fn write_response(
-    stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        status_reason(code),
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
 }
 
 const INDEX_HTML: &str = "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\
@@ -527,89 +426,76 @@ const INDEX_HTML: &str = "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\
 <li><a href=\"/report\">/report</a> — latest HTML run report</li>\
 </ul></body></html>";
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_nonblocking(false)?;
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    let line = loop {
-        if buf.len() > MAX_REQUEST_LINE {
-            return write_response(&mut stream, 414, "text/plain; charset=utf-8", "request line too long\n");
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // peer went away before sending a line
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                    if pos > MAX_REQUEST_LINE {
-                        return write_response(
-                            &mut stream,
-                            414,
-                            "text/plain; charset=utf-8",
-                            "request line too long\n",
-                        );
-                    }
-                    break String::from_utf8_lossy(&buf[..pos]).trim_end().to_string();
-                }
-            }
-            Err(_) => return Ok(()), // timeout / reset: nothing to answer
-        }
-    };
-    let (method, path) = match parse_request_line(&line) {
-        Ok(parsed) => parsed,
-        Err(code) => {
-            return write_response(&mut stream, code, "text/plain; charset=utf-8", "bad request\n")
-        }
-    };
-    if method != "GET" {
-        return write_response(
-            &mut stream,
-            405,
-            "text/plain; charset=utf-8",
-            "only GET is supported\n",
-        );
-    }
+fn route(shared: &Shared, path: &str) -> Response {
+    const HTML: &str = "text/html; charset=utf-8";
     match path {
-        "/" => write_response(&mut stream, 200, "text/html; charset=utf-8", INDEX_HTML),
-        "/health" => write_response(
-            &mut stream,
-            200,
-            "application/json; charset=utf-8",
-            &shared.health_json(),
-        ),
+        "/" => Response::new(200, HTML, INDEX_HTML.to_string()),
+        "/health" => Response::new(200, http::JSON, shared.health_json()),
         "/metrics" | "/trace.json" | "/report" => {
             let snapshot = shared.snapshot.lock().expect("snapshot lock").clone();
-            match snapshot {
-                None => write_response(
-                    &mut stream,
-                    503,
-                    "text/plain; charset=utf-8",
-                    "no capture completed yet\n",
+            let Some(snap) = snapshot else {
+                return Response::text(503, "no capture completed yet\n");
+            };
+            match path {
+                "/metrics" => Response::new(
+                    200,
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    snap.prometheus.clone(),
                 ),
-                Some(snap) => match path {
-                    "/metrics" => write_response(
-                        &mut stream,
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        &snap.prometheus,
-                    ),
-                    "/trace.json" => write_response(
-                        &mut stream,
-                        200,
-                        "application/json; charset=utf-8",
-                        &snap.trace_json,
-                    ),
-                    _ => write_response(&mut stream, 200, "text/html; charset=utf-8", &snap.html),
-                },
+                "/trace.json" => Response::new(200, http::JSON, snap.trace_json.clone()),
+                _ => Response::new(200, HTML, snap.html.clone()),
             }
         }
-        _ => write_response(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        _ => Response::text(404, "not found\n"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Overload shedding under a large request body: the 503 must reach
+    /// the client even when its request is far bigger than one socket
+    /// read, so the shed path drains the body before closing (FIN, not
+    /// RST). Mirrors the `tbd serve` test in `tests/serve.rs`.
+    #[test]
+    fn overload_shed_survives_a_large_request_body() {
+        use std::io::{Read as _, Write as _};
+        use std::net::TcpStream;
+        use std::sync::mpsc;
+
+        // Saturate a 1-worker, 1-slot pool before the server gets it: a
+        // job parks the worker and a second fills the queue slot.
+        let pool = WorkerPool::new(1, 1);
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        pool.submit(move || {
+            started_tx.send(()).expect("test alive");
+            release_rx.recv().expect("released");
+        })
+        .expect("worker job");
+        started_rx.recv().expect("worker parked");
+        pool.submit(|| {}).expect("queue slot");
+        let mut config =
+            WatchConfig::new(ModelKind::A3c, Framework::mxnet(), 4, GpuSpec::quadro_p4000());
+        config.max_captures = 1;
+        let mut server = LiveServer::start_with_pool(config, "127.0.0.1:0", pool).expect("bind");
+
+        let mut probe = TcpStream::connect(server.local_addr()).expect("connect");
+        probe.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        probe
+            .write_all(b"POST /metrics HTTP/1.1\r\nContent-Length: 49152\r\n\r\n")
+            .and_then(|()| probe.write_all(&[b'x'; 48 * 1024]))
+            .expect("request with large body");
+        probe.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut response = String::new();
+        probe.read_to_string(&mut response).expect("read full 503 (FIN, not RST)");
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.contains("server overloaded"), "{response}");
+
+        release_tx.send(()).expect("worker alive");
+        server.shutdown();
+    }
 
     #[test]
     fn request_lines_parse_or_reject() {

@@ -232,3 +232,35 @@ fn shutdown_is_graceful_and_releases_the_port() {
     // Shutdown is idempotent.
     server.shutdown();
 }
+
+#[test]
+fn shutdown_of_an_idle_wildcard_bound_server_is_prompt() {
+    // Bound to the unspecified address, the acceptor has sat blocked in
+    // `accept()` for a second when shutdown has to wake it.
+    let mut server = LiveServer::start(small_watch(1), "0.0.0.0:0").expect("bind");
+    let port = server.local_addr().port();
+    assert!(server.wait_for_captures(1, Duration::from_secs(120)), "first capture");
+    std::thread::sleep(Duration::from_secs(1));
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(2), "shutdown took {:?}", started.elapsed());
+    // After shutdown a new connection is refused or never answered.
+    if let Ok(mut post) = TcpStream::connect(("127.0.0.1", port)) {
+        post.set_read_timeout(Some(Duration::from_millis(500))).expect("timeout");
+        let _ = post.write_all(b"GET /health HTTP/1.1\r\n\r\n");
+        let mut buf = Vec::new();
+        let _ = post.read_to_end(&mut buf);
+        assert!(buf.is_empty(), "answered after shutdown: {}", String::from_utf8_lossy(&buf));
+    }
+}
+
+#[test]
+fn a_long_capture_interval_does_not_delay_shutdown() {
+    let mut config = small_watch(0);
+    config.interval = Duration::from_secs(60);
+    let mut server = LiveServer::start(config, "127.0.0.1:0").expect("bind");
+    assert!(server.wait_for_captures(1, Duration::from_secs(120)), "first capture");
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(1), "shutdown took {:?}", started.elapsed());
+}
