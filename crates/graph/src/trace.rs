@@ -21,6 +21,7 @@
 //! never serialises kernel execution.
 
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -78,18 +79,23 @@ impl TraceLayer {
     pub fn index(self) -> usize {
         self.pid() as usize - 1
     }
-}
 
-impl std::fmt::Display for TraceLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// Short lowercase label (the `Display` form and the canonical-line
+    /// field).
+    pub fn as_str(self) -> &'static str {
+        match self {
             TraceLayer::Executor => "executor",
             TraceLayer::GpuSim => "gpusim",
             TraceLayer::Framework => "framework",
             TraceLayer::Distrib => "distrib",
             TraceLayer::Profiler => "profiler",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TraceLayer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -137,9 +143,11 @@ pub enum EventKind {
     Rejoin,
 }
 
-impl std::fmt::Display for EventKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl EventKind {
+    /// Short lowercase label (the `Display` form, the canonical-line field
+    /// and the Chrome-trace `kind` arg).
+    pub fn as_str(self) -> &'static str {
+        match self {
             EventKind::NodeExec => "node",
             EventKind::KernelExec => "kernel",
             EventKind::KernelLaunch => "launch",
@@ -157,8 +165,13 @@ impl std::fmt::Display for EventKind {
             EventKind::Membership => "membership",
             EventKind::Eviction => "eviction",
             EventKind::Rejoin => "rejoin",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for EventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -179,27 +192,51 @@ pub enum ArgValue {
 impl ArgValue {
     /// JSON rendering of the value.
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the JSON rendering of the value to `out`: strings quoted
+    /// and escaped, floats with six decimals, non-finite floats as `null`.
+    pub fn write_json(&self, out: &mut String) {
         match self {
-            ArgValue::Str(s) => format!("\"{}\"", escape_json(s)),
-            ArgValue::F64(v) => {
-                if v.is_finite() {
-                    format!("{v:.6}")
-                } else {
-                    "null".to_string()
-                }
+            ArgValue::Str(s) => {
+                out.push('"');
+                escape_into(out, s);
+                out.push('"');
             }
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::Bool(b) => b.to_string(),
+            ArgValue::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v:.6}");
+            }
+            ArgValue::F64(_) => out.push_str("null"),
+            ArgValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 
     /// Canonical text used by the digest: exact, platform-independent.
     pub fn canonical(&self) -> String {
+        let mut out = String::new();
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// Writes the canonical text ([`ArgValue::canonical`]) to `out`.
+    fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            ArgValue::Str(s) => format!("s:{s}"),
-            ArgValue::F64(v) => format!("f:{:016x}", v.to_bits()),
-            ArgValue::U64(v) => format!("u:{v}"),
-            ArgValue::Bool(b) => format!("b:{b}"),
+            ArgValue::Str(s) => {
+                out.write_str("s:")?;
+                out.write_str(s)
+            }
+            ArgValue::F64(v) => {
+                out.write_str("f:")?;
+                write_hex16(out, v.to_bits())
+            }
+            ArgValue::U64(v) => write!(out, "u:{v}"),
+            ArgValue::Bool(b) => out.write_str(if *b { "b:true" } else { "b:false" }),
         }
     }
 }
@@ -240,19 +277,47 @@ impl From<bool> for ArgValue {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `s` to `out` escaped for inclusion inside JSON quotes: `"`,
+/// `\\`, `\n`, `\r` and `\t` get their short escapes, every other C0 control
+/// character a `\u00XX` escape; all other text is copied unchanged. The
+/// one JSON string escaper of the workspace (`tbd_profiler::json::escape`
+/// wraps it).
+pub fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` ends on a char boundary.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
+}
+
+/// Writes `v` as 16 lowercase hex digits, exactly like `{v:016x}`.
+fn write_hex16(out: &mut impl fmt::Write, v: u64) -> fmt::Result {
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX[((v >> (60 - 4 * i)) & 0xf) as usize];
+    }
+    out.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
 }
 
 /// One structured trace event: a span (`dur_us > 0`) or an instant.
@@ -343,22 +408,38 @@ impl TraceEvent {
     /// settings while still asserting bitwise-identical *results* via
     /// value-hash args.
     pub fn canonical(&self) -> String {
-        use std::fmt::Write;
         let mut line = String::with_capacity(64);
-        let _ = write!(line, "{}|{}|{}", self.layer, self.kind, self.name);
+        let _ = self.write_canonical(&mut line);
+        line
+    }
+
+    /// Writes the canonical line ([`TraceEvent::canonical`]) to `out`
+    /// without building it first — the digest streams every event through
+    /// an [`Fnv1a`] hasher this way.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the writer's error.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(self.layer.as_str())?;
+        out.write_char('|')?;
+        out.write_str(self.kind.as_str())?;
+        out.write_char('|')?;
+        out.write_str(&self.name)?;
         if self.deterministic {
-            let _ = write!(
-                line,
-                "|t:{:016x}+{:016x}@{}",
-                self.start_us.to_bits(),
-                self.dur_us.to_bits(),
-                self.track
-            );
+            out.write_str("|t:")?;
+            write_hex16(out, self.start_us.to_bits())?;
+            out.write_char('+')?;
+            write_hex16(out, self.dur_us.to_bits())?;
+            write!(out, "@{}", self.track)?;
         }
         for (key, value) in &self.args {
-            let _ = write!(line, "|{key}={}", value.canonical());
+            out.write_char('|')?;
+            out.write_str(key)?;
+            out.write_char('=')?;
+            value.write_canonical(out)?;
         }
-        line
+        Ok(())
     }
 }
 
@@ -650,17 +731,57 @@ impl TraceRecorder {
     }
 }
 
-/// FNV-1a 64-bit hash — the digest primitive used for both tensor value
-/// hashes and the golden-trace digest (stable, dependency-free and
-/// platform-independent).
+/// Streaming FNV-1a 64-bit hasher — the digest primitive of the trace,
+/// report and checkpoint digests (stable, dependency-free and
+/// platform-independent; [`value_hash`] inlines the same fold). FNV-1a
+/// folds one byte at a time, so feeding a text in pieces gives exactly the
+/// hash of the concatenation; as an [`fmt::Write`] it digests formatted
+/// output without materialising it.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher over the empty input.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        self.0 = h;
+        self
+    }
+
+    /// The hash of everything folded in so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a 64-bit hash of `bytes` (see [`Fnv1a`]).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    Fnv1a::new().update(bytes).finish()
 }
 
 /// Bitwise hash of an `f32` slice: equal exactly when the tensors are

@@ -250,22 +250,12 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-/// Escapes a string for inclusion inside JSON quotes.
+pub use tbd_graph::trace::escape_into;
+
+/// Escapes a string for inclusion inside JSON quotes (see [`escape_into`]).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 

@@ -179,7 +179,8 @@ pub struct RenderedReport {
 
 /// Renders the HTML report for an observation. `timestamp` is display-only
 /// (pass [`crate::DIGEST_TIMESTAMP`] for a reproducible page); the digest always
-/// covers the timestamp-free render.
+/// covers the timestamp-free render. The page is rendered once: the digest
+/// is taken from the same bytes ([`ReportContext::render_and_digest`]).
 pub fn render_report(obs: &Observation, timestamp: &str) -> RenderedReport {
     let trace = &obs.capture.trace;
     let diagnosis =
@@ -196,7 +197,8 @@ pub fn render_report(obs: &Observation, timestamp: &str) -> RenderedReport {
         diagnosis: &diagnosis,
         overhead: obs.overhead.clone(),
     };
-    RenderedReport { html: ctx.render(timestamp), digest_hex: ctx.digest_hex() }
+    let (html, digest_hex) = ctx.render_and_digest(timestamp);
+    RenderedReport { html, digest_hex }
 }
 
 fn snapshot_of(obs: &Observation, capture_index: u64) -> Snapshot {

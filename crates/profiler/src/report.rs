@@ -30,8 +30,9 @@
 use crate::agg::MetricsRegistry;
 use crate::diagnose::DiagnosisReport;
 use std::fmt::Write as _;
+use std::ops::Range;
 use tbd_graph::trace::{
-    fnv1a, EventKind, RecorderOverhead, TraceEvent, TraceLayer, SINK_LATENCY_BUCKETS,
+    EventKind, Fnv1a, RecorderOverhead, TraceEvent, TraceLayer, SINK_LATENCY_BUCKETS,
 };
 
 /// Timestamp placeholder used when computing the digest: the one part of
@@ -152,6 +153,32 @@ impl ReportContext<'_> {
     /// non-deterministic content allowed on the page; pass
     /// [`DIGEST_TIMESTAMP`] to reproduce the digested body.
     pub fn render(&self, timestamp: &str) -> String {
+        self.render_with_stamp_slot(timestamp).0
+    }
+
+    /// FNV-1a digest (16 hex digits) of the body rendered with the fixed
+    /// timestamp placeholder.
+    pub fn digest_hex(&self) -> String {
+        self.render_and_digest(DIGEST_TIMESTAMP).1
+    }
+
+    /// Renders the page once with `timestamp` and returns it together with
+    /// [`ReportContext::digest_hex`], computed from the same bytes: the
+    /// timestamp is the only varying text on the page, so hashing the
+    /// render with its escaped-timestamp slot replaced by the escaped
+    /// [`DIGEST_TIMESTAMP`] equals hashing the placeholder render.
+    pub fn render_and_digest(&self, timestamp: &str) -> (String, String) {
+        let (html, slot) = self.render_with_stamp_slot(timestamp);
+        let digest = Fnv1a::new()
+            .update(&html.as_bytes()[..slot.start])
+            .update(esc(DIGEST_TIMESTAMP).as_bytes())
+            .update(&html.as_bytes()[slot.end..])
+            .finish();
+        (html, format!("{digest:016x}"))
+    }
+
+    /// The page plus the byte range its escaped timestamp occupies.
+    fn render_with_stamp_slot(&self, timestamp: &str) -> (String, Range<usize>) {
         let mut out = String::with_capacity(64 * 1024);
         out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
         let _ = writeln!(
@@ -163,7 +190,7 @@ impl ReportContext<'_> {
         out.push_str("<style>\n");
         out.push_str(STYLE);
         out.push_str("</style>\n</head>\n<body>\n");
-        self.render_header(&mut out, timestamp);
+        let slot = self.render_header(&mut out, timestamp);
         self.render_swimlanes(&mut out);
         self.render_memory_curve(&mut out);
         self.render_overlap(&mut out);
@@ -173,23 +200,23 @@ impl ReportContext<'_> {
         out.push_str("<script>\n");
         out.push_str(SCRIPT);
         out.push_str("</script>\n</body>\n</html>\n");
-        out
+        (out, slot)
     }
 
-    /// FNV-1a digest (16 hex digits) of the body rendered with the fixed
-    /// timestamp placeholder.
-    pub fn digest_hex(&self) -> String {
-        format!("{:016x}", fnv1a(self.render(DIGEST_TIMESTAMP).as_bytes()))
-    }
-
-    fn render_header(&self, out: &mut String, timestamp: &str) {
+    /// Writes the title, timestamp and run table; returns the byte range
+    /// of the escaped timestamp in `out`.
+    fn render_header(&self, out: &mut String, timestamp: &str) -> Range<usize> {
         let _ = writeln!(
             out,
             "<h1>TBD run report — {} × {}</h1>",
             esc(self.model),
             esc(self.framework)
         );
-        let _ = writeln!(out, "<div class=\"stamp\">{}</div>", esc(timestamp));
+        out.push_str("<div class=\"stamp\">");
+        let start = out.len();
+        out.push_str(&esc(timestamp));
+        let slot = start..out.len();
+        out.push_str("</div>\n");
         out.push_str("<table class=\"meta\"><tbody>\n");
         let rows: [(&str, String); 6] = [
             ("model", self.model.to_string()),
@@ -203,6 +230,7 @@ impl ReportContext<'_> {
             let _ = writeln!(out, "<tr><th>{}</th><td>{}</td></tr>", esc(key), esc(&value));
         }
         out.push_str("</tbody></table>\n");
+        slot
     }
 
     fn render_swimlanes(&self, out: &mut String) {
@@ -629,6 +657,7 @@ mod tests {
     use super::*;
     use crate::agg::{series, StreamingAggregator};
     use crate::diagnose::diagnose_events;
+    use tbd_graph::trace::fnv1a;
 
     fn tiny_events() -> Vec<TraceEvent> {
         vec![

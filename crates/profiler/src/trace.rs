@@ -28,7 +28,7 @@ use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
-    fnv1a, value_hash, ArgValue, EventKind, TraceEvent, TraceLayer, TraceRecorder,
+    fnv1a, value_hash, ArgValue, EventKind, Fnv1a, TraceEvent, TraceLayer, TraceRecorder,
 };
 
 /// A merged recording of one workload run across every layer.
@@ -76,25 +76,29 @@ pub struct SummaryRow {
 }
 
 impl Trace {
-    /// Header line identifying the run; participates in the digest.
-    fn header(&self) -> String {
-        format!("trace|{}|{}|batch={}", self.model.name(), self.framework, self.batch)
-    }
-
     /// Deterministic 64-bit digest of the trace.
     ///
-    /// Hashes the header plus every event's canonical line. Simulated
+    /// FNV-1a over the header line `trace|<model>|<framework>|batch=<n>`
+    /// followed by `'\n'` + the canonical line of every event, streamed
+    /// through the hasher without materialising the text. Simulated
     /// timestamps participate bit-exactly; wall-clock (executor) events
     /// contribute identity and args only — including the output-value
     /// hashes — so the digest is stable across `intra_op_threads` while
     /// still asserting bitwise-identical computation.
     pub fn digest(&self) -> u64 {
-        let mut text = self.header();
+        let mut hasher = Fnv1a::new();
+        let _ = write!(
+            hasher,
+            "trace|{}|{}|batch={}",
+            self.model.name(),
+            self.framework,
+            self.batch
+        );
         for event in &self.events {
-            text.push('\n');
-            text.push_str(&event.canonical());
+            hasher.update(b"\n");
+            let _ = event.write_canonical(&mut hasher);
         }
-        fnv1a(text.as_bytes())
+        hasher.finish()
     }
 
     /// The digest as a fixed-width hex string (golden-file format).
@@ -133,67 +137,67 @@ impl Trace {
     /// `chrome://tracing` and Perfetto. Each [`TraceLayer`] becomes a
     /// process with a metadata name; spans are `ph:"X"` duration events
     /// and zero-duration events become `ph:"i"` instants.
+    ///
+    /// Every record is written straight into the output buffer; a
+    /// non-finite `ts`/`dur` is written as `null` (JSON has no NaN or
+    /// infinity), like a non-finite float arg.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.events.len() * 128);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
-        let mut emit = |line: String, first: &mut bool| {
-            if !*first {
+        // Every record opens with its `name` key; the caller writes the value.
+        let mut open_record = |out: &mut String| {
+            if !first {
                 out.push(',');
             }
-            out.push_str(&line);
-            *first = false;
+            first = false;
+            out.push_str("{\"name\":\"");
         };
         for layer in TraceLayer::ALL {
             if self.events.iter().any(|e| e.layer == layer) {
-                emit(
-                    format!(
-                        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                        layer.pid(),
-                        json::escape(layer.process_name())
-                    ),
-                    &mut first,
+                open_record(&mut out);
+                let _ = write!(
+                    out,
+                    "process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"",
+                    layer.pid()
                 );
+                json::escape_into(&mut out, layer.process_name());
+                out.push_str("\"}}");
             }
         }
         for event in &self.events {
-            let mut args = String::new();
-            let _ = write!(args, "\"kind\":\"{}\"", event.kind);
-            for (key, value) in &event.args {
-                let _ = write!(args, ",\"{}\":{}", json::escape(key), value.to_json());
-            }
-            let line = if event.dur_us > 0.0 {
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                     \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                    json::escape(&event.name),
-                    event.start_us,
-                    event.dur_us,
-                    event.layer.pid(),
-                    event.track,
-                )
+            open_record(&mut out);
+            json::escape_into(&mut out, &event.name);
+            if event.dur_us > 0.0 {
+                out.push_str("\",\"ph\":\"X\",\"ts\":");
+                write_us(&mut out, event.start_us);
+                out.push_str(",\"dur\":");
+                write_us(&mut out, event.dur_us);
             } else {
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{:.3},\"s\":\"t\",\
-                     \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                    json::escape(&event.name),
-                    event.start_us,
-                    event.layer.pid(),
-                    event.track,
-                )
-            };
-            emit(line, &mut first);
+                out.push_str("\",\"ph\":\"i\",\"ts\":");
+                write_us(&mut out, event.start_us);
+                out.push_str(",\"s\":\"t\"");
+            }
+            let _ = write!(
+                out,
+                ",\"pid\":{},\"tid\":{},\"args\":{{\"kind\":\"{}\"",
+                event.layer.pid(),
+                event.track,
+                event.kind.as_str()
+            );
+            for (key, value) in &event.args {
+                out.push_str(",\"");
+                json::escape_into(&mut out, key);
+                out.push_str("\":");
+                value.write_json(&mut out);
+            }
+            out.push_str("}}");
         }
-        let _ = write!(
-            out,
-            "],\"otherData\":{{\"model\":\"{}\",\"framework\":\"{}\",\"batch\":{},\
-             \"digest\":\"{}\"}}}}",
-            json::escape(self.model.name()),
-            json::escape(self.framework),
-            self.batch,
-            self.digest_hex()
-        );
+        out.push_str("],\"otherData\":{\"model\":\"");
+        json::escape_into(&mut out, self.model.name());
+        out.push_str("\",\"framework\":\"");
+        json::escape_into(&mut out, self.framework);
+        let _ = write!(out, "\",\"batch\":{},\"digest\":\"{}\"}}}}", self.batch, self.digest_hex());
         out
     }
 
@@ -279,6 +283,16 @@ impl Trace {
             let _ = writeln!(out, "  {layer:<10} {count}");
         }
         out
+    }
+}
+
+/// Writes a Chrome-trace microsecond timestamp: three decimals, or `null`
+/// when the value is not finite.
+fn write_us(out: &mut String, us: f64) {
+    if us.is_finite() {
+        let _ = write!(out, "{us:.3}");
+    } else {
+        out.push_str("null");
     }
 }
 
