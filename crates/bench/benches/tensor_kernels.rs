@@ -28,6 +28,35 @@ fn bench_conv2d(c: &mut Criterion) {
     });
 }
 
+/// Tiny Inception-v3's data-movement-bound shapes: the stride-2 stem conv
+/// (im2col/col2im dominate its tiny GEMMs), a factorised 1×7 conv with
+/// asymmetric padding, and the 3×3 stride-2 max pool.
+fn bench_inception_stem(c: &mut Criterion) {
+    let x = Tensor::from_fn([2, 3, 79, 79], |i| (i as f32 * 0.13).sin());
+    let w = Tensor::from_fn([2, 3, 3, 3], |i| (i as f32 * 0.29).cos());
+    let cfg = Conv2dConfig::new(2, 0);
+    let y = ops::conv2d_forward(&x, &w, cfg).unwrap();
+    let dy = Tensor::from_fn(y.shape().clone(), |i| (i as f32 * 0.07).cos());
+    c.bench_function("conv2d_stem_2x3x79x79_s2", |bench| {
+        bench.iter(|| ops::conv2d_forward(black_box(&x), black_box(&w), cfg).unwrap())
+    });
+    c.bench_function("conv2d_backward_stem_2x3x79x79_s2", |bench| {
+        bench.iter(|| {
+            ops::conv2d_backward(black_box(&x), black_box(&w), black_box(&dy), cfg).unwrap()
+        })
+    });
+    let x7 = Tensor::from_fn([2, 12, 9, 9], |i| (i as f32 * 0.17).sin());
+    let w7 = Tensor::from_fn([12, 12, 1, 7], |i| (i as f32 * 0.23).cos());
+    let cfg7 = Conv2dConfig::with_pads(1, 0, 3);
+    c.bench_function("conv2d_1x7_pad0x3_12to12", |bench| {
+        bench.iter(|| ops::conv2d_forward(black_box(&x7), black_box(&w7), cfg7).unwrap())
+    });
+    let xp = Tensor::from_fn([2, 4, 37, 37], |i| (i as f32 * 0.05).cos());
+    c.bench_function("max_pool_3x3_s2_2x4x37x37", |bench| {
+        bench.iter(|| ops::max_pool2d_forward(black_box(&xp), Pool2dConfig::new(3, 2, 0)).unwrap())
+    });
+}
+
 fn bench_batch_norm(c: &mut Criterion) {
     let x = Tensor::from_fn([8, 16, 16, 16], |i| (i as f32 * 0.07).sin());
     let gamma = Tensor::ones([16]);
@@ -82,6 +111,7 @@ fn bench_lowering(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_conv2d, bench_batch_norm, bench_softmax_ce, bench_pooling, bench_session_step, bench_lowering
+    targets = bench_matmul, bench_conv2d, bench_inception_stem, bench_batch_norm,
+        bench_softmax_ce, bench_pooling, bench_session_step, bench_lowering
 }
 criterion_main!(kernels);

@@ -833,11 +833,13 @@ impl Session {
         let pass_start = self.tracer.as_ref().map(|t| t.now_us());
         let mut traced_nodes = 0usize;
         for i in (0..=seed.index()).rev() {
-            let Some(dy) = grads[i].clone() else { continue };
             let node = self.graph.node(NodeId(i));
             if node.inputs.is_empty() {
                 continue;
             }
+            // Borrowed out of `grads` for the sweep (no deep copy); put back
+            // below, before any input gradient is accumulated.
+            let Some(dy) = grads[i].take() else { continue };
             let ins: Vec<&Tensor> = node
                 .inputs
                 .iter()
@@ -879,6 +881,7 @@ impl Session {
                     traced_nodes += 1;
                 }
             }
+            grads[i] = Some(dy);
             for (k, grad) in input_grads.into_iter().enumerate() {
                 let Some(grad) = grad else { continue };
                 let target = node.inputs[k].index();

@@ -92,22 +92,32 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
         return Vec::new();
     }
     BYTES_REQUESTED.fetch_add(4 * len as u64, Ordering::Relaxed);
-    if ENABLED.load(Ordering::Relaxed) && len >= MIN_POOL_LEN {
-        let bin = request_bin(len);
-        if bin < BINS {
-            let hit = POOL.with(|pool| pool.borrow_mut()[bin].pop());
-            if let Some(mut buf) = hit {
-                debug_assert!(buf.capacity() >= len);
-                buf.clear();
-                buf.resize(len, 0.0);
-                REUSES.fetch_add(1, Ordering::Relaxed);
-                BYTES_REUSED.fetch_add(4 * len as u64, Ordering::Relaxed);
-                return buf;
-            }
+    let bin = request_bin(len);
+    let pooled = ENABLED.load(Ordering::Relaxed) && len >= MIN_POOL_LEN && bin < BINS;
+    if pooled {
+        let hit = POOL.with(|pool| pool.borrow_mut()[bin].pop());
+        if let Some(mut buf) = hit {
+            debug_assert!(buf.capacity() >= len);
+            buf.clear();
+            buf.resize(len, 0.0);
+            REUSES.fetch_add(1, Ordering::Relaxed);
+            BYTES_REUSED.fetch_add(4 * len as u64, Ordering::Relaxed);
+            return buf;
         }
     }
     FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    vec![0.0f32; len]
+    if pooled && (4usize << bin) <= MAX_BIN_BYTES {
+        // The request class's full power-of-two capacity, so `recycle`
+        // files the buffer under the very class it is requested from (a
+        // `len`-capacity buffer retires one class lower and would never
+        // serve this length again). Zero-allocated: a large tail past `len`
+        // is not paged in until a longer request of the class reuses it.
+        let mut buf = vec![0.0f32; 1 << bin];
+        buf.truncate(len);
+        buf
+    } else {
+        vec![0.0f32; len]
+    }
 }
 
 /// Retires a scratch buffer into this thread's pool for later reuse.
@@ -189,6 +199,23 @@ mod tests {
         let smaller = take_zeroed(3000);
         assert_eq!(smaller.len(), 3000);
         assert!(smaller.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn recurring_non_power_of_two_request_is_reused() {
+        let _g = ENABLE_GUARD.lock().unwrap();
+        clear();
+        // 41 067 floats: the stem convolution's unfold buffer. A fresh
+        // buffer must retire into the class it is requested from.
+        let len = 41_067;
+        let a = take_zeroed(len);
+        let ptr = a.as_ptr();
+        recycle(a);
+        assert_eq!(POOL.with(|pool| pool.borrow()[request_bin(len)].len()), 1);
+        let b = take_zeroed(len);
+        assert_eq!(b.as_ptr(), ptr, "the recycled buffer must come back");
+        assert_eq!(b.len(), len);
+        assert!(b.iter().all(|&v| v == 0.0));
     }
 
     #[test]

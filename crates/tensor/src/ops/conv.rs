@@ -10,7 +10,7 @@
 //! own images with the packed *serial* GEMM (the fan-out already happened at
 //! image granularity; nesting thread scopes would only oversubscribe).
 
-use super::linalg::{gemm_serial_into, GEMM_WORK_PER_THREAD};
+use super::linalg::{gemm_serial_into, gemm_serial_nt_into, GEMM_WORK_PER_THREAD};
 use crate::{arena, par};
 use crate::{Result, Tensor, TensorError};
 
@@ -63,8 +63,29 @@ pub fn conv2d_output_hw(
     Some(((ph - kh) / cfg.stride + 1, (pw - kw) / cfg.stride + 1))
 }
 
+/// The half-open range `[lo, hi)` of output positions `o < out` whose input
+/// coordinate `o·stride + k − pad` lands inside `[0, len)` — the row (or
+/// column) segment of one kernel tap that reads real input rather than
+/// padding. Empty (`lo == hi`) when the tap only ever sees padding.
+pub(crate) fn tap_range(
+    len: usize,
+    out: usize,
+    k: usize,
+    pad: usize,
+    stride: usize,
+) -> (usize, usize) {
+    let hi = if len + pad > k { (len + pad - k).div_ceil(stride).min(out) } else { 0 };
+    let lo = pad.saturating_sub(k).div_ceil(stride).min(hi);
+    (lo, hi)
+}
+
 /// Unfolds image patches into columns: input `[c, h, w]` becomes
 /// `[c*kh*kw, oh*ow]`.
+///
+/// Row-range lowering: each kernel tap `(ch, ky, kx)` resolves its valid
+/// output rows and columns once (`tap_range`), then copies one whole
+/// (strided) row segment per valid output row (`zip_strided`). Padding
+/// positions keep the zeroed buffer's `0.0`.
 pub fn im2col(
     input: &[f32],
     c: usize,
@@ -76,26 +97,26 @@ pub fn im2col(
 ) -> Vec<f32> {
     let (oh, ow) = conv2d_output_hw(h, w, kh, kw, cfg).expect("window must fit input");
     let cols_w = oh * ow;
+    let s = cfg.stride;
     // Arena-pooled: padding positions rely on the zeroed buffer, and the
     // same unfold shapes recur for every image of a batch.
     let mut cols = arena::take_zeroed(c * kh * kw * cols_w);
-    for ch in 0..c {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                for oy in 0..oh {
-                    let iy = (oy * cfg.stride + ky) as isize - cfg.pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * cfg.stride + kx) as isize - cfg.pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        cols[row * cols_w + oy * ow + ox] =
-                            input[(ch * h + iy as usize) * w + ix as usize];
-                    }
+    if cols.is_empty() || h * w == 0 {
+        return cols;
+    }
+    for (plane, taps) in input.chunks_exact(h * w).zip(cols.chunks_exact_mut(kh * kw * cols_w)) {
+        for (ky, rows) in taps.chunks_exact_mut(kw * cols_w).enumerate() {
+            let (oy0, oy1) = tap_range(h, oh, ky, cfg.pad_h, s);
+            for (kx, row) in rows.chunks_exact_mut(cols_w).enumerate() {
+                let (ox0, ox1) = tap_range(w, ow, kx, cfg.pad_w, s);
+                if ox0 == ox1 {
+                    continue;
+                }
+                let ix0 = ox0 * s + kx - cfg.pad_w;
+                for oy in oy0..oy1 {
+                    let src = &plane[(oy * s + ky - cfg.pad_h) * w + ix0..];
+                    let dst = &mut row[oy * ow + ox0..oy * ow + ox1];
+                    zip_strided(dst, src, s, |d, v| *d = *v);
                 }
             }
         }
@@ -105,6 +126,12 @@ pub fn im2col(
 
 /// Folds columns back into an image, accumulating overlaps — the adjoint of
 /// [`im2col`], used by the data-gradient path of the backward pass.
+///
+/// The same row-range walk as [`im2col`], as `+=` over row segments. The
+/// loop order stays `ch, ky, kx, oy`: one tap reaches an image element at
+/// most once, so every element still receives its contributions in
+/// ascending `(ky, kx)` order and the sums are bitwise those of a
+/// per-element loop.
 pub fn col2im(
     cols: &[f32],
     c: usize,
@@ -116,29 +143,85 @@ pub fn col2im(
 ) -> Vec<f32> {
     let (oh, ow) = conv2d_output_hw(h, w, kh, kw, cfg).expect("window must fit input");
     let cols_w = oh * ow;
+    let s = cfg.stride;
     let mut img = arena::take_zeroed(c * h * w);
-    for ch in 0..c {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ch * kh + ky) * kw + kx;
-                for oy in 0..oh {
-                    let iy = (oy * cfg.stride + ky) as isize - cfg.pad_h as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * cfg.stride + kx) as isize - cfg.pad_w as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        img[(ch * h + iy as usize) * w + ix as usize] +=
-                            cols[row * cols_w + oy * ow + ox];
-                    }
+    if img.is_empty() || cols.is_empty() {
+        return img;
+    }
+    for (plane, taps) in img.chunks_exact_mut(h * w).zip(cols.chunks_exact(kh * kw * cols_w)) {
+        for (ky, rows) in taps.chunks_exact(kw * cols_w).enumerate() {
+            let (oy0, oy1) = tap_range(h, oh, ky, cfg.pad_h, s);
+            for (kx, row) in rows.chunks_exact(cols_w).enumerate() {
+                let (ox0, ox1) = tap_range(w, ow, kx, cfg.pad_w, s);
+                if ox0 == ox1 {
+                    continue;
+                }
+                let ix0 = ox0 * s + kx - cfg.pad_w;
+                for oy in oy0..oy1 {
+                    let dst = &mut plane[(oy * s + ky - cfg.pad_h) * w + ix0..];
+                    let src = &row[oy * ow + ox0..oy * ow + ox1];
+                    zip_strided_mut(dst, src, s, |d, v| *d += v);
                 }
             }
         }
     }
     img
+}
+
+/// Calls `f(&mut dst[j], &src[j·stride])` for every `j < dst.len()`: the
+/// strided read of one row segment. `src` must hold index
+/// `(dst.len() − 1)·stride`.
+///
+/// `src` is walked as `chunks_exact(stride)` (the last element apart, whose
+/// chunk may run past the slice), which leaves the loop without bounds
+/// checks; strides 1 and 2 are dispatched as literals so their loops
+/// inline with a constant step and vectorise.
+#[inline(always)]
+pub(crate) fn zip_strided(
+    dst: &mut [f32],
+    src: &[f32],
+    stride: usize,
+    f: impl FnMut(&mut f32, &f32),
+) {
+    match stride {
+        1 => zip_chunks(dst, src, 1, f),
+        2 => zip_chunks(dst, src, 2, f),
+        s => zip_chunks(dst, src, s, f),
+    }
+}
+
+/// [`zip_strided`] with the stride on the written side: calls
+/// `f(&mut dst[j·stride], &src[j])` for every `j < src.len()`.
+#[inline(always)]
+pub(crate) fn zip_strided_mut(
+    dst: &mut [f32],
+    src: &[f32],
+    stride: usize,
+    f: impl FnMut(&mut f32, &f32),
+) {
+    match stride {
+        1 => zip_chunks_mut(dst, src, 1, f),
+        2 => zip_chunks_mut(dst, src, 2, f),
+        s => zip_chunks_mut(dst, src, s, f),
+    }
+}
+
+#[inline(always)]
+fn zip_chunks(dst: &mut [f32], src: &[f32], stride: usize, mut f: impl FnMut(&mut f32, &f32)) {
+    let Some((last, body)) = dst.split_last_mut() else { return };
+    for (d, chunk) in body.iter_mut().zip(src.chunks_exact(stride)) {
+        f(d, &chunk[0]);
+    }
+    f(last, &src[body.len() * stride]);
+}
+
+#[inline(always)]
+fn zip_chunks_mut(dst: &mut [f32], src: &[f32], stride: usize, mut f: impl FnMut(&mut f32, &f32)) {
+    let Some((last, body)) = src.split_last() else { return };
+    for (chunk, v) in dst.chunks_exact_mut(stride).zip(body) {
+        f(&mut chunk[0], v);
+    }
+    f(&mut dst[body.len() * stride], last);
 }
 
 /// `(n, c, h, w, oc, kh, kw, oh, ow)` resolved and validated by [`conv_dims`].
@@ -258,19 +341,11 @@ pub fn conv2d_backward(
                 let cols =
                     im2col(&xd[img * img_in..(img + 1) * img_in], c, h, w, kh, kw, cfg);
                 let dyi = &dyd[img * oc * cols_w..(img + 1) * oc * cols_w];
-                // colsᵀ ([cols_w, patch]) so both gradient products are
-                // plain row-major GEMMs.
-                let mut colst = arena::take_zeroed(cols_w * patch);
-                for p in 0..patch {
-                    for q in 0..cols_w {
-                        colst[q * patch + p] = cols[p * cols_w + q];
-                    }
-                }
-                arena::recycle(cols);
-                // dW_img = dY · colsᵀ  ([oc, cols_w] x [cols_w, patch])
+                // dW_img = dY · colsᵀ  ([oc, cols_w] x [cols_w, patch]), with
+                // colsᵀ read straight from `cols` by the GEMM's packing.
                 let mut dw_img = arena::take_zeroed(oc * patch);
-                gemm_serial_into(&mut dw_img, dyi, &colst, oc, cols_w, patch);
-                arena::recycle(colst);
+                gemm_serial_nt_into(&mut dw_img, dyi, &cols, oc, cols_w, patch);
+                arena::recycle(cols);
                 dws.push(dw_img);
                 // dcols = Wᵀ · dY  ([patch, oc] x [oc, cols_w]), then col2im.
                 let mut dcols = arena::take_zeroed(patch * cols_w);

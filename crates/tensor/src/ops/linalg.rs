@@ -111,7 +111,7 @@ pub(crate) fn gemm_into(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usiz
         return gemm_naive(c, ad, bd, m, k, n);
     }
     let threads = par::plan_threads(work, GEMM_WORK_PER_THREAD, m.div_ceil(MR));
-    let packed = pack_b(bd, k, n);
+    let packed = pack_b(bd, k, n, false);
     par::parallel_bands(c, MR * n, threads, |first_tile, band| {
         gemm_band(band, first_tile * MR, ad, &packed, k, n);
     });
@@ -122,14 +122,34 @@ pub(crate) fn gemm_into(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usiz
 /// kernels that already fan out at a coarser granularity (images, batch
 /// entries) and must not nest thread scopes.
 pub(crate) fn gemm_serial_into(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) {
+    gemm_serial(c, ad, bd, m, k, n, false);
+}
+
+/// [`gemm_serial_into`] with `B` supplied transposed: `C += A·Bᵀ` where
+/// `bt` is `[n, k]` row-major. The packed path builds the very panels
+/// [`gemm_serial_into`] would build from the materialised transpose and the
+/// small path keeps the per-element ascending-`k` order of
+/// [`gemm_naive`], so the result is bitwise that of transpose-then-GEMM.
+pub(crate) fn gemm_serial_nt_into(
+    c: &mut [f32],
+    ad: &[f32],
+    bt: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm_serial(c, ad, bt, m, k, n, true);
+}
+
+fn gemm_serial(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize, bt: bool) {
     let work = m * n * k;
     if work == 0 {
         return;
     }
     if work <= SMALL_GEMM_WORK {
-        return gemm_naive(c, ad, bd, m, k, n);
+        return if bt { gemm_naive_nt(c, ad, bd, m, k, n) } else { gemm_naive(c, ad, bd, m, k, n) };
     }
-    let packed = pack_b(bd, k, n);
+    let packed = pack_b(bd, k, n, bt);
     gemm_band(c, 0, ad, &packed, k, n);
     arena::recycle(packed);
 }
@@ -148,13 +168,29 @@ fn gemm_naive(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usize, n: usiz
     }
 }
 
-/// Packs `B[k,n]` into k-blocks of [`NR`]-wide column panels.
+/// [`gemm_naive`] against `bt = Bᵀ` (`[n, k]`): each element is a
+/// sequential ascending-`k` sum with separate multiply and add, exactly as
+/// the i-k-j loop accumulates it.
+fn gemm_naive_nt(c: &mut [f32], ad: &[f32], bt: &[f32], m: usize, k: usize, n: usize) {
+    for (crow, arow) in c.chunks_exact_mut(n).zip(ad.chunks_exact(k)).take(m) {
+        for (cv, bcol) in crow.iter_mut().zip(bt.chunks_exact(k)) {
+            let mut acc = *cv;
+            for (av, bv) in arow.iter().zip(bcol) {
+                acc += av * bv;
+            }
+            *cv = acc;
+        }
+    }
+}
+
+/// Packs `B[k,n]` into k-blocks of [`NR`]-wide column panels; with
+/// `transposed` the source is `Bᵀ` (`[n, k]`) and is read column-wise.
 ///
 /// Layout: block `kb` (depth `kl = min(KC, k - k0)`) starts at float offset
 /// `k0 · n_panels · NR`; within it, panel `p` is `kl · NR` floats with
 /// element `(kk, j)` at `kk · NR + j`, zero-padded when `n` is not a
 /// multiple of [`NR`]. The micro-kernel then streams both panels linearly.
-fn pack_b(bd: &[f32], k: usize, n: usize) -> Vec<f32> {
+fn pack_b(bd: &[f32], k: usize, n: usize, transposed: bool) -> Vec<f32> {
     let n_panels = n.div_ceil(NR);
     // Arena-pooled and pre-zeroed: the ragged last panel relies on the
     // zero padding, and the same panel shapes recur every iteration of the
@@ -167,9 +203,18 @@ fn pack_b(bd: &[f32], k: usize, n: usize) -> Vec<f32> {
             let j0 = p * NR;
             let width = NR.min(n - j0);
             let panel = &mut block[p * kl * NR..][..kl * NR];
-            for kk in 0..kl {
-                panel[kk * NR..kk * NR + width]
-                    .copy_from_slice(&bd[(k0 + kk) * n + j0..][..width]);
+            if transposed {
+                for j in 0..width {
+                    let bcol = &bd[(j0 + j) * k + k0..][..kl];
+                    for (dst, &v) in panel[j..].iter_mut().step_by(NR).zip(bcol) {
+                        *dst = v;
+                    }
+                }
+            } else {
+                for kk in 0..kl {
+                    panel[kk * NR..kk * NR + width]
+                        .copy_from_slice(&bd[(k0 + kk) * n + j0..][..width]);
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Spatial pooling kernels (max, average, global average).
 
-use super::conv::{conv2d_output_hw, Conv2dConfig};
+use super::conv::{conv2d_output_hw, tap_range, zip_strided, zip_strided_mut, Conv2dConfig};
 use crate::{Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// Window configuration for 2-D pooling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,11 +40,60 @@ fn pool_dims(x: &Tensor, cfg: Pool2dConfig) -> Result<(usize, usize, usize, usiz
     Ok((n, c, h, w, oh, ow))
 }
 
+/// Row-range walk shared by the windowed pooling kernels.
+///
+/// Window tap `(ky, kx)` of output row `oy` reads input row
+/// `iy = oy·stride + ky − padding` at the output columns [`tap_range`]
+/// marks valid: one (strided) row segment per tap, with no per-element
+/// bounds arithmetic. [`Taps::walk`] yields the segments with `ky`
+/// ascending per `oy` and `kx` ascending (descending with `rev_kx`) per
+/// `ky`, so every output still meets its window taps in `(ky, kx)` order,
+/// exactly as a per-element window loop visits them.
+struct Taps {
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    h: usize,
+    oh: usize,
+    /// Valid `[ox0, ox1)` output columns of each tap column `kx`.
+    cols: Vec<(usize, usize)>,
+}
+
+impl Taps {
+    fn new(cfg: Pool2dConfig, h: usize, w: usize, oh: usize, ow: usize) -> Self {
+        let (kernel, stride, padding) = (cfg.kernel, cfg.stride, cfg.padding);
+        let cols = (0..kernel).map(|kx| tap_range(w, ow, kx, padding, stride)).collect();
+        Taps { kernel, stride, padding, h, oh, cols }
+    }
+
+    /// Calls `visit(oy, iy, ox0..ox1, ix0)` for every non-empty segment;
+    /// `ix0` is the input column of output column `ox0`, and successive
+    /// output columns step `stride` input columns.
+    fn walk(&self, rev_kx: bool, mut visit: impl FnMut(usize, usize, Range<usize>, usize)) {
+        let (k, s, pad) = (self.kernel, self.stride, self.padding);
+        for oy in 0..self.oh {
+            let ky0 = pad.saturating_sub(oy * s);
+            let ky1 = (self.h + pad).saturating_sub(oy * s).min(k);
+            for ky in ky0..ky1 {
+                let iy = oy * s + ky - pad;
+                for j in 0..k {
+                    let kx = if rev_kx { k - 1 - j } else { j };
+                    let (ox0, ox1) = self.cols[kx];
+                    if ox0 < ox1 {
+                        visit(oy, iy, ox0..ox1, ox0 * s + kx - pad);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Max pooling forward pass over `[n, c, h, w]`.
 ///
 /// Returns `(output, argmax)`; `argmax` stores, for every output element, the
 /// flat input index of the winning element and feeds
-/// [`max_pool2d_backward`].
+/// [`max_pool2d_backward`]. Ties (and NaN, which never compares greater)
+/// keep the first element in window `(ky, kx)` order.
 ///
 /// # Errors
 ///
@@ -53,36 +103,32 @@ pub fn max_pool2d_forward(x: &Tensor, cfg: Pool2dConfig) -> Result<(Tensor, Vec<
     let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
     let mut arg = vec![0usize; n * c * oh * ow];
     let xd = x.data();
-    for img in 0..n {
-        for ch in 0..c {
-            let base = (img * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let oi = ((img * c + ch) * oh + oy) * ow + ox;
-                    for ky in 0..cfg.kernel {
-                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..cfg.kernel {
-                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let ii = base + iy as usize * w + ix as usize;
-                            if xd[ii] > out[oi] {
-                                out[oi] = xd[ii];
-                                arg[oi] = ii;
-                            }
-                        }
-                    }
-                    // Fully padded windows (possible with large padding) act as zero.
-                    if out[oi] == f32::NEG_INFINITY {
-                        out[oi] = 0.0;
-                        arg[oi] = usize::MAX;
-                    }
+    let taps = Taps::new(cfg, h, w, oh, ow);
+    for p in 0..n * c {
+        let base = p * h * w;
+        let plane = &xd[base..base + h * w];
+        let outp = &mut out[p * oh * ow..(p + 1) * oh * ow];
+        let argp = &mut arg[p * oh * ow..(p + 1) * oh * ow];
+        taps.walk(false, |oy, iy, ox, ix0| {
+            let (first, mut ii) = (oy * ow + ox.start, base + iy * w + ix0);
+            let argseg = &mut argp[first..oy * ow + ox.end];
+            let mut j = 0;
+            let src = &plane[iy * w + ix0..(iy + 1) * w];
+            zip_strided(&mut outp[first..oy * ow + ox.end], src, cfg.stride, |o, &v| {
+                if v > *o {
+                    *o = v;
+                    argseg[j] = ii;
                 }
-            }
+                j += 1;
+                ii += cfg.stride;
+            });
+        });
+    }
+    // Fully padded windows (possible with large padding) act as zero.
+    for (o, a) in out.iter_mut().zip(&mut arg) {
+        if *o == f32::NEG_INFINITY {
+            *o = 0.0;
+            *a = usize::MAX;
         }
     }
     Ok((Tensor::from_vec(out, [n, c, oh, ow])?, arg))
@@ -123,29 +169,17 @@ pub fn avg_pool2d_forward(x: &Tensor, cfg: Pool2dConfig) -> Result<Tensor> {
     let area = (cfg.kernel * cfg.kernel) as f32;
     let xd = x.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
-    for img in 0..n {
-        for ch in 0..c {
-            let base = (img * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..cfg.kernel {
-                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..cfg.kernel {
-                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += xd[base + iy as usize * w + ix as usize];
-                        }
-                    }
-                    out[((img * c + ch) * oh + oy) * ow + ox] = acc / area;
-                }
-            }
-        }
+    let taps = Taps::new(cfg, h, w, oh, ow);
+    for p in 0..n * c {
+        let plane = &xd[p * h * w..(p + 1) * h * w];
+        let outp = &mut out[p * oh * ow..(p + 1) * oh * ow];
+        taps.walk(false, |oy, iy, ox, ix0| {
+            let dst = &mut outp[oy * ow + ox.start..oy * ow + ox.end];
+            zip_strided(dst, &plane[iy * w + ix0..], cfg.stride, |o, v| *o += v);
+        });
+    }
+    for o in &mut out {
+        *o /= area;
     }
     Tensor::from_vec(out, [n, c, oh, ow])
 }
@@ -172,29 +206,19 @@ pub fn avg_pool2d_backward(
         (input_shape.dim(0), input_shape.dim(1), input_shape.dim(2), input_shape.dim(3));
     let (oh, ow) = (dy.shape().dim(2), dy.shape().dim(3));
     let area = (cfg.kernel * cfg.kernel) as f32;
+    let g: Vec<f32> = dy.data().iter().map(|v| v / area).collect();
     let mut dx = vec![0.0f32; input_shape.len()];
-    for img in 0..n {
-        for ch in 0..c {
-            let base = (img * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = dy.data()[((img * c + ch) * oh + oy) * ow + ox] / area;
-                    for ky in 0..cfg.kernel {
-                        let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..cfg.kernel {
-                            let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            dx[base + iy as usize * w + ix as usize] += g;
-                        }
-                    }
-                }
-            }
-        }
+    let taps = Taps::new(cfg, h, w, oh, ow);
+    for p in 0..n * c {
+        let gp = &g[p * oh * ow..(p + 1) * oh * ow];
+        let dxp = &mut dx[p * h * w..(p + 1) * h * w];
+        // Taps of one row run `kx` descending so that, within an output
+        // row, each input element receives its contributions in ascending
+        // `ox` — the (oy, ox) order of a per-output scatter loop.
+        taps.walk(true, |oy, iy, ox, ix0| {
+            let src = &gp[oy * ow + ox.start..oy * ow + ox.end];
+            zip_strided_mut(&mut dxp[iy * w + ix0..], src, cfg.stride, |d, g| *d += g);
+        });
     }
     Tensor::from_vec(dx, input_shape.clone())
 }
