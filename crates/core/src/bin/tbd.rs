@@ -5,7 +5,7 @@
 //! tbd sweep <model> [--framework <fw>]        batch sweep (Fig. 4 slice)
 //! tbd memory <model> [--framework <fw>]       memory breakdown (Fig. 9 slice)
 //! tbd kernels <model> <framework>             kernel table (Tables 5/6 style)
-//! tbd distributed                             Fig. 10 cluster sweep
+//! tbd distributed                             alias of tbd scale resnet50 (MXNet, b16)
 //! tbd scale <model> [--sweep] [--stragglers]  event-driven scaling report
 //! tbd diagnose <model> [--cluster <label>]    trace-mining bottleneck diagnosis
 //! tbd watch <model> [--port <p>] [--steps N]  live observability HTTP endpoint
@@ -15,14 +15,20 @@
 //! tbd json <model> <framework> <batch>        one profile as a JSON object
 //! tbd list                                    models, frameworks, devices
 //! ```
+//!
+//! Every subcommand parses its arguments through one [`Grammar`]: a table
+//! of positionals and flags (`"--batch <n>"` takes a value, `"--sweep"` is
+//! a switch). Unknown flags and flags missing their value are errors, flag
+//! values are never read as positionals, and `tbd help` prints the same
+//! tables.
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use tbd_core::{
-    kernel_table, paper_batches, Framework, GpuSpec, Interconnect, MemoryCategory, ModelKind,
-    Suite, WorkloadMetrics,
+    kernel_table, paper_batches, Framework, GpuSpec, MemoryCategory, ModelKind, Suite,
+    WorkloadMetrics,
 };
-use tbd_distrib::{ClusterConfig, DataParallelSim};
-use tbd_graph::lower::memory_footprint;
+use tbd_profiler::json::{self, Codec};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +40,9 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&rest),
         "memory" => cmd_memory(&rest),
         "kernels" => cmd_kernels(&rest),
-        "distributed" => cmd_distributed(),
+        "distributed" => DISTRIBUTED
+            .parse(&rest)
+            .and_then(|_| cmd_scale(&["resnet50", "--framework", "mxnet", "--batch", "16"])),
         "scale" => cmd_scale(&rest),
         "chaos" => cmd_chaos(&rest),
         "diagnose" => cmd_diagnose(&rest),
@@ -48,7 +56,7 @@ fn main() -> ExitCode {
         "bench" => cmd_bench(&rest),
         "dot" => cmd_dot(&rest),
         "analyze" => cmd_analyze(&rest),
-        "list" => cmd_list(),
+        "list" => cmd_list(&rest),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -64,6 +72,318 @@ fn main() -> ExitCode {
     }
 }
 
+/// One subcommand's command line, written as its usage line: the
+/// command, its positionals (`[<batch>]` is optional) and its flags in
+/// brackets — `[--batch <n>]` takes a value, `[--sweep]` is a switch, and
+/// a value `a|b|c` lists its choices ([`Opts::choice`] defaults to the
+/// first).
+struct Grammar {
+    usage: &'static str,
+    about: &'static str,
+}
+
+const SUITE: Grammar = Grammar {
+    usage: "suite [--gpu p4000|titanxp]",
+    about: "profile all Table-2 implementations",
+};
+const SWEEP: Grammar = Grammar {
+    usage: "sweep <model> [--framework <fw>] [--gpu p4000|titanxp]",
+    about: "throughput/utilisation batch sweep",
+};
+const MEMORY: Grammar = Grammar {
+    usage: "memory <model> [--framework <fw>] [--gpu p4000|titanxp]",
+    about: "Fig. 9-style memory breakdown",
+};
+const KERNELS: Grammar = Grammar {
+    usage: "kernels <model> <framework> [--gpu p4000|titanxp]",
+    about: "Tables 5/6-style kernel table",
+};
+const DISTRIBUTED: Grammar = Grammar {
+    usage: "distributed",
+    about: "Fig. 10 cluster sweep: alias of `tbd scale resnet50 --framework mxnet --batch 16`",
+};
+const SCALE: Grammar = Grammar {
+    usage: "scale <model> [--framework <fw>] [--batch <n>] [--sweep] [--stragglers] [--seed <n>] \
+            [--churn sweep|mild|heavy|<rate>] [--format md|json] [--out <f>] \
+            [--check <snapshot>] [--gpu p4000|titanxp]",
+    about: "event-driven Fig. 10/11 scaling report with derived overlap; --churn swaps in the \
+            elastic-membership sweep below",
+};
+const ELASTIC: Grammar = Grammar {
+    usage: "scale|chaos <model> [--churn sweep|mild|heavy|<rate>] [--framework <fw>] \
+            [--batch <n>] [--seed <n>] [--steps <n>] [--threads <n>] [--format md|json] \
+            [--out <f>] [--check <snapshot>] [--gpu p4000|titanxp]",
+    about: "elastic-membership sweep: evictions on missed collective deadlines, degraded \
+            all-reduce, rejoin catch-up",
+};
+const CHAOS: Grammar = Grammar {
+    usage: "chaos <model> [--framework <fw>] [--batch <n>] [--steps <n>] [--seed <n>] \
+            [--faults none|mild|heavy] [--policy replay-exact|default] [--threads <n>] \
+            [--churn sweep|mild|heavy|<rate>] [--format md|json] [--out <f>] \
+            [--check <snapshot>] [--gpu p4000|titanxp]",
+    about: "fault-injection run with recovery, goodput and bit-exactness verdict; --churn \
+            injects node loss instead of kernel faults (elastic sweep)",
+};
+const DIAGNOSE: Grammar = Grammar {
+    usage: "diagnose <model> [--framework <fw>] [--batch <n>] [--cluster <label>] [--stragglers] \
+            [--seed <n>] [--faults none|mild|heavy] [--steps <n>] [--threads <n>] [--fuse] \
+            [--no-fuse] [--precision f32|f16|bf16] [--format md|json] [--out <f>] \
+            [--check <snapshot>] [--gpu p4000|titanxp]",
+    about: "trace-mining diagnosis: ranked bottleneck classes with evidence",
+};
+const JSON: Grammar = Grammar {
+    usage: "json <model> <framework> <batch> [--gpu p4000|titanxp]",
+    about: "one profile as JSON",
+};
+const TRACE: Grammar = Grammar {
+    usage: "trace <model> [<framework>] [<batch>] [--framework <fw>] [--batch <n>] \
+            [--threads <n>] [--out <f>] [--summary] [--fuse] [--no-fuse] \
+            [--precision f32|f16|bf16] [--gpu p4000|titanxp]",
+    about: "full-spine Chrome trace JSON (--summary for an nvprof-style table)",
+};
+const METRICS: Grammar = Grammar {
+    usage: "metrics <model> [--framework <fw>] [--batch <n>] [--threads <n>] [--fuse] \
+            [--no-fuse] [--precision f32|f16|bf16] [--format prom|json|md] [--gpu p4000|titanxp]",
+    about: "streaming aggregation of a live trace into the metrics registry",
+};
+const WATCH: Grammar = Grammar {
+    usage: "watch <model> [--framework <fw>] [--batch <n>] [--port <p>] [--steps <n>] \
+            [--interval-ms <n>] [--retain-cap <n>] [--threads <n>] [--fuse] [--no-fuse] \
+            [--precision f32|f16|bf16] [--gpu p4000|titanxp]",
+    about: "live HTTP endpoint: /metrics /health /trace.json /report",
+};
+const SERVE: Grammar = Grammar {
+    usage: "serve [--port <p>] [--workers <n>] [--queue <n>] [--shards <n>] [--gpu p4000|titanxp]",
+    about: "capacity-planning HTTP service: GET /query?model=…&cluster=… answers iteration \
+            time, exposed comm, top-1 diagnosis and $/iteration from a sharded single-flight \
+            cache (deterministic responses; /health for stats)",
+};
+const LOADGEN: Grammar = Grammar {
+    usage: "loadgen [--mode closed|open] [--clients <n>] [--requests <n>] [--rate <qps>] \
+            [--gpu p4000|titanxp] [--format md|json] [--out <f>] [--check <golden>] [--bench <f>]",
+    about: "drive the serve engine in-process, report q/s and p50/p95/p99 latency; --check \
+            pins the golden query response, --bench attaches the summary to an existing \
+            BENCH_<date>.json",
+};
+const REPORT: Grammar = Grammar {
+    usage: "report <model> [--framework <fw>] [--batch <n>] [--out <f>] [--timestamp <t>] \
+            [--check <digest-file>] [--threads <n>] [--fuse] [--no-fuse] \
+            [--precision f32|f16|bf16] [--gpu p4000|titanxp]",
+    about: "self-contained HTML run report (flamegraph, memory, overlap, diagnosis)",
+};
+const BENCH: Grammar = Grammar {
+    usage: "bench [--matrix] [--out <dir>] [--check <snapshot>] [--fuse] [--no-fuse] \
+            [--precision f32|f16|bf16] [--gpu p4000|titanxp]",
+    about: "perf-trajectory run: writes schema-versioned BENCH_<date>.json",
+};
+const DOT: Grammar =
+    Grammar { usage: "dot <model>", about: "model graph in Graphviz DOT format" };
+const ANALYZE: Grammar = Grammar {
+    usage: "analyze <model> <framework> <batch> [--gpu p4000|titanxp]",
+    about: "full Fig. 3 analysis pipeline",
+};
+const LIST: Grammar = Grammar { usage: "list", about: "available models/frameworks/devices" };
+
+/// Every grammar, in `tbd help` order.
+const GRAMMARS: [&Grammar; 20] = [
+    &SUITE, &SWEEP, &MEMORY, &KERNELS, &DISTRIBUTED, &SCALE, &ELASTIC, &CHAOS, &DIAGNOSE, &JSON,
+    &TRACE, &METRICS, &WATCH, &SERVE, &LOADGEN, &REPORT, &BENCH, &DOT, &ANALYZE, &LIST,
+];
+
+/// The name of a flag spec (`"--batch <n>"` → `"--batch"`).
+fn flag_name(spec: &str) -> &str {
+    spec.split(' ').next().unwrap_or(spec)
+}
+
+impl Grammar {
+    /// The usage line's items: words, each bracketed group kept whole.
+    fn items(&self) -> Vec<&'static str> {
+        let mut items = Vec::new();
+        let mut rest = self.usage.trim_start();
+        while !rest.is_empty() {
+            let end = match rest.starts_with('[') {
+                true => rest.find(']').map_or(rest.len(), |i| i + 1),
+                false => rest.find(' ').unwrap_or(rest.len()),
+            };
+            items.push(&rest[..end]);
+            rest = rest[end..].trim_start();
+        }
+        items
+    }
+
+    fn command(&self) -> &'static str {
+        self.items()[0]
+    }
+
+    /// The flag specs, unbracketed (`"--batch <n>"`).
+    fn flags(&self) -> Vec<&'static str> {
+        let unbracket = |item: &'static str| item.strip_prefix('[')?.strip_suffix(']');
+        self.items().into_iter().filter_map(unbracket).filter(|f| f.starts_with("--")).collect()
+    }
+
+    /// How many positionals the command takes: (required, at most).
+    fn arity(&self) -> (usize, usize) {
+        let positional: Vec<&str> =
+            self.items().into_iter().skip(1).filter(|item| !item.starts_with("[--")).collect();
+        (positional.iter().filter(|item| !item.starts_with('[')).count(), positional.len())
+    }
+
+    /// Splits `args` into positionals and flags checked against the table.
+    fn parse<'a>(&'static self, args: &[&'a str]) -> Result<Opts<'a>, String> {
+        let flags = self.flags();
+        let mut opts = Opts { grammar: self, positional: Vec::new(), flags: Vec::new() };
+        let mut it = args.iter().copied();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                opts.positional.push(arg);
+                continue;
+            }
+            let spec = flags.iter().find(|spec| flag_name(spec) == arg).ok_or_else(|| {
+                let valid: Vec<&str> = flags.iter().map(|spec| flag_name(spec)).collect();
+                let valid = if valid.is_empty() { "none".into() } else { valid.join(", ") };
+                format!("unknown flag '{arg}' for `tbd {}` (valid: {valid})", self.command())
+            })?;
+            let value = match spec.split_once(' ') {
+                Some((_, placeholder)) => Some(
+                    it.next()
+                        .filter(|value| !value.starts_with("--"))
+                        .ok_or_else(|| format!("{arg} needs a value ({placeholder})"))?,
+                ),
+                None => None,
+            };
+            opts.flags.push((arg, value));
+        }
+        let (required, most) = self.arity();
+        if !(required..=most).contains(&opts.positional.len()) {
+            return Err(format!("usage: tbd {}", self.usage));
+        }
+        Ok(opts)
+    }
+}
+
+/// A parsed command line with typed getters. A repeated flag reads its
+/// first occurrence.
+struct Opts<'a> {
+    grammar: &'static Grammar,
+    positional: Vec<&'a str>,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Opts<'a> {
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| *flag == name)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(flag, _)| *flag == name).and_then(|(_, value)| *value)
+    }
+
+    /// The first positional (every grammar that calls this requires it).
+    fn model(&self) -> Result<ModelKind, String> {
+        parse_model(self.positional[0])
+    }
+
+    /// `--framework`, else the second positional, else the first framework
+    /// that supports `model`.
+    fn framework(&self, model: ModelKind) -> Result<Framework, String> {
+        match self.value("--framework").or(self.positional.get(1).copied()) {
+            Some(name) => parse_framework(name),
+            None => Framework::all()
+                .into_iter()
+                .find(|fw| fw.supports(model))
+                .ok_or_else(|| "no framework supports this model".to_string()),
+        }
+    }
+
+    /// `--batch`, else the third positional, else `default`.
+    fn batch(&self, default: usize) -> Result<usize, String> {
+        match self.value("--batch").or(self.positional.get(2).copied()) {
+            Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string()),
+            None => Ok(default),
+        }
+    }
+
+    /// Model, framework and batch (default: the model's smallest paper
+    /// batch).
+    fn workload(&self) -> Result<(ModelKind, Framework, usize), String> {
+        let model = self.model()?;
+        Ok((model, self.framework(model)?, self.batch(paper_batches(model)[0])?))
+    }
+
+    fn int<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
+            None => Ok(default),
+        }
+    }
+
+    /// A closed-choice flag (`--format md|json`): its value, or the first
+    /// choice when absent.
+    fn choice(&self, name: &str) -> Result<&'a str, String> {
+        let flags = self.grammar.flags();
+        let spec = flags.iter().find(|spec| flag_name(spec) == name).expect("a grammar flag");
+        let choices: Vec<&str> =
+            spec.split_once(' ').map_or(vec![], |(_, choices)| choices.split('|').collect());
+        match self.value(name) {
+            None => Ok(choices[0]),
+            Some(value) if choices.contains(&value) => Ok(value),
+            Some(other) => Err(format!(
+                "unknown {} '{other}' ({})",
+                name.trim_start_matches("--"),
+                choices.join(", ")
+            )),
+        }
+    }
+
+    fn gpu(&self) -> Result<GpuSpec, String> {
+        Ok(match self.choice("--gpu")? {
+            "titanxp" => GpuSpec::titan_xp(),
+            _ => GpuSpec::quadro_p4000(),
+        })
+    }
+
+    /// The shared speed-tier flags: fusion on unless `--no-fuse`, and
+    /// `--precision` (default f32).
+    fn speed(&self) -> Result<(bool, tbd_tensor::Precision), String> {
+        let precision = match self.value("--precision") {
+            Some(name) => name.parse()?,
+            None => tbd_tensor::Precision::F32,
+        };
+        Ok((!self.has("--no-fuse"), precision))
+    }
+
+    /// Writes `rendered` to `--out`, noting `wrote(path)` on stderr, or
+    /// prints it when there is no `--out`.
+    fn emit(&self, rendered: &str, wrote: impl FnOnce(&str) -> String) -> Result<(), String> {
+        match self.value("--out") {
+            Some(path) => {
+                std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))?;
+                eprintln!("{}", wrote(path));
+            }
+            None => print_all(rendered),
+        }
+        Ok(())
+    }
+
+    /// `--check <snapshot>`: decodes the pinned snapshot and gates
+    /// `drift(&baseline)`, failing as "`what` drift vs snapshot" and
+    /// noting `holds` on success. Returns the baseline when checked.
+    fn check<T: Codec>(
+        &self,
+        what: &str,
+        holds: &str,
+        drift: impl FnOnce(&T) -> Result<(), String>,
+    ) -> Result<Option<T>, String> {
+        let Some(snapshot) = self.value("--check") else { return Ok(None) };
+        let text =
+            std::fs::read_to_string(snapshot).map_err(|e| format!("reading {snapshot}: {e}"))?;
+        let baseline: T = json::decode_text(&text)?;
+        drift(&baseline).map_err(|failures| format!("{what} drift vs {snapshot}:\n{failures}"))?;
+        eprintln!("drift check vs {snapshot}: {holds}");
+        Ok(Some(baseline))
+    }
+}
+
 /// Writes large output without panicking when the consumer (e.g. `head`)
 /// closes the pipe early.
 fn print_all(text: &str) {
@@ -74,60 +394,33 @@ fn print_all(text: &str) {
 }
 
 fn print_help() {
-    println!("tbd — Training Benchmark for DNNs (Rust reproduction of IISWC 2018)");
-    println!();
-    println!("commands:");
-    println!("  suite [--gpu p4000|titanxp]        profile all Table-2 implementations");
-    println!("  sweep <model> [--framework <fw>]   throughput/utilisation batch sweep");
-    println!("  memory <model> [--framework <fw>]  Fig. 9-style memory breakdown");
-    println!("  kernels <model> <framework>        Tables 5/6-style kernel table");
-    println!("  distributed                        Fig. 10 cluster sweep");
-    println!("  scale <model> [--framework <fw>] [--batch <n>] [--sweep] [--stragglers]");
-    println!("        [--seed <n>] [--churn sweep|mild|heavy|<rate>] [--steps <n>]");
-    println!("        [--format md|json] [--out <f>] [--check <snapshot>]");
-    println!("        event-driven Fig. 10/11 scaling report with derived overlap;");
-    println!("        --churn swaps in the elastic-membership sweep (evictions on missed");
-    println!("        collective deadlines, degraded all-reduce, rejoin catch-up)");
-    println!("  chaos <model> [--framework <fw>] [--batch <n>] [--steps <n>] [--seed <n>]");
-    println!("        [--faults none|mild|heavy] [--policy replay-exact|default] [--threads <n>]");
-    println!("        [--churn sweep|mild|heavy|<rate>] [--format md|json] [--out <f>]");
-    println!("        [--check <snapshot>]");
-    println!("        fault-injection run with recovery, goodput and bit-exactness verdict;");
-    println!("        --churn injects node loss instead of kernel faults (elastic sweep)");
-    println!("  diagnose <model> [--framework <fw>] [--batch <n>] [--cluster <label>]");
-    println!("        [--stragglers] [--seed <n>] [--faults none|mild|heavy] [--steps <n>]");
-    println!("        [--threads <n>] [--no-fuse] [--precision f32|f16|bf16]");
-    println!("        [--format md|json] [--out <f>] [--check <snapshot>]");
-    println!("        trace-mining diagnosis: ranked bottleneck classes with evidence");
-    println!("  json <model> <framework> <batch>   one profile as JSON");
-    println!("  trace <model> [--framework <fw>] [--batch <n>] [--threads <n>] [--out <f>]");
-    println!("        [--no-fuse] [--precision f32|f16|bf16]");
-    println!("        full-spine Chrome trace JSON (--summary for an nvprof-style table)");
-    println!("  metrics <model> [--framework <fw>] [--batch <n>] [--threads <n>]");
-    println!("        [--no-fuse] [--precision f32|f16|bf16] [--format prom|json|md]");
-    println!("        streaming aggregation of a live trace into the metrics registry");
-    println!("  watch <model> [--framework <fw>] [--batch <n>] [--port <p>] [--steps <n>]");
-    println!("        [--interval-ms <n>] [--retain-cap <n>] [--threads <n>] [--no-fuse]");
-    println!("        [--precision f32|f16|bf16]");
-    println!("        live HTTP endpoint: /metrics /health /trace.json /report");
-    println!("  serve [--port <p>] [--workers <n>] [--queue <n>] [--shards <n>] [--gpu <g>]");
-    println!("        capacity-planning HTTP service: GET /query?model=…&cluster=… answers");
-    println!("        iteration time, exposed comm, top-1 diagnosis and $/iteration from a");
-    println!("        sharded single-flight cache (deterministic responses; /health for stats)");
-    println!("  loadgen [--mode closed|open] [--clients <n>] [--requests <n>] [--rate <qps>]");
-    println!("        [--gpu <g>] [--format md|json] [--out <f>] [--check <golden>] [--bench <f>]");
-    println!("        drive the serve engine in-process, report q/s and p50/p95/p99 latency;");
-    println!("        --check pins the golden query response, --bench attaches the summary");
-    println!("        to an existing BENCH_<date>.json");
-    println!("  report <model> [--framework <fw>] [--batch <n>] [--out <f>] [--timestamp <t>]");
-    println!("        [--check <digest-file>] [--threads <n>] [--no-fuse] [--precision f32|f16|bf16]");
-    println!("        self-contained HTML run report (flamegraph, memory, overlap, diagnosis)");
-    println!("  bench [--matrix] [--out <dir>] [--check <snapshot>]");
-    println!("        [--fuse|--no-fuse] [--precision f32|f16|bf16]");
-    println!("        perf-trajectory run: writes schema-versioned BENCH_<date>.json");
-    println!("  dot <model>                        model graph in Graphviz DOT format");
-    println!("  analyze <model> <framework> <batch>  full Fig. 3 analysis pipeline");
-    println!("  list                               available models/frameworks/devices");
+    let mut out = String::from(
+        "tbd — Training Benchmark for DNNs (Rust reproduction of IISWC 2018)\n\ncommands:\n",
+    );
+    for grammar in GRAMMARS {
+        wrap_into(&mut out, "  ", grammar.items().into_iter());
+        wrap_into(&mut out, "        ", grammar.about.split(' '));
+    }
+    print!("{out}");
+}
+
+/// Appends `words` wrapped at 88 columns, the first line indented by
+/// `first` and the rest by eight spaces.
+fn wrap_into<'w>(out: &mut String, first: &str, words: impl Iterator<Item = &'w str>) {
+    let mut indent = first;
+    let mut line = String::new();
+    for word in words {
+        if !line.is_empty() && indent.len() + line.chars().count() + 1 + word.chars().count() > 88 {
+            let _ = writeln!(out, "{indent}{line}");
+            line.clear();
+            indent = "        ";
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    let _ = writeln!(out, "{indent}{line}");
 }
 
 fn parse_model(name: &str) -> Result<ModelKind, String> {
@@ -155,39 +448,9 @@ fn parse_framework(name: &str) -> Result<Framework, String> {
     }
 }
 
-fn parse_gpu(args: &[&str]) -> GpuSpec {
-    match args.iter().position(|a| *a == "--gpu") {
-        Some(i) if args.get(i + 1) == Some(&"titanxp") => GpuSpec::titan_xp(),
-        _ => GpuSpec::quadro_p4000(),
-    }
-}
-
-/// Parses the shared speed-tier flags: `--fuse` (default) / `--no-fuse`
-/// and `--precision f32|f16|bf16` (default f32).
-fn speed_flags(args: &[&str]) -> Result<(bool, tbd_tensor::Precision), String> {
-    let fuse = !args.contains(&"--no-fuse");
-    let precision = match args.iter().position(|a| *a == "--precision") {
-        Some(i) => args.get(i + 1).ok_or("--precision needs a value")?.parse()?,
-        None => tbd_tensor::Precision::F32,
-    };
-    Ok((fuse, precision))
-}
-
-fn framework_flag(args: &[&str], kind: ModelKind) -> Result<Framework, String> {
-    match args.iter().position(|a| *a == "--framework") {
-        Some(i) => {
-            let name = args.get(i + 1).ok_or("--framework needs a value")?;
-            parse_framework(name)
-        }
-        None => Framework::all()
-            .into_iter()
-            .find(|fw| fw.supports(kind))
-            .ok_or_else(|| "no framework supports this model".to_string()),
-    }
-}
-
 fn cmd_suite(args: &[&str]) -> Result<(), String> {
-    let suite = Suite::new(parse_gpu(args));
+    let opts = SUITE.parse(args)?;
+    let suite = Suite::new(opts.gpu()?);
     println!("TBD suite on {}", suite.gpu().name);
     for (kind, framework) in Suite::supported_pairs() {
         let batch = *paper_batches(kind).last().expect("non-empty axis");
@@ -222,9 +485,10 @@ fn print_metrics_row(m: &WorkloadMetrics) {
 }
 
 fn cmd_sweep(args: &[&str]) -> Result<(), String> {
-    let model = parse_model(args.first().ok_or("usage: tbd sweep <model>")?)?;
-    let framework = framework_flag(args, model)?;
-    let suite = Suite::new(parse_gpu(args));
+    let opts = SWEEP.parse(args)?;
+    let model = opts.model()?;
+    let framework = opts.framework(model)?;
+    let suite = Suite::new(opts.gpu()?);
     println!("{} on {} ({})", model.name(), framework.name(), suite.gpu().name);
     for (batch, metrics) in suite.sweep(model, framework) {
         match metrics {
@@ -236,9 +500,10 @@ fn cmd_sweep(args: &[&str]) -> Result<(), String> {
 }
 
 fn cmd_memory(args: &[&str]) -> Result<(), String> {
-    let model = parse_model(args.first().ok_or("usage: tbd memory <model>")?)?;
-    let framework = framework_flag(args, model)?;
-    let suite = Suite::new(parse_gpu(args));
+    let opts = MEMORY.parse(args)?;
+    let model = opts.model()?;
+    let framework = opts.framework(model)?;
+    let suite = Suite::new(opts.gpu()?);
     println!("{} on {} — memory breakdown", model.name(), framework.name());
     for (batch, metrics) in suite.sweep(model, framework) {
         match metrics {
@@ -256,7 +521,7 @@ fn cmd_memory(args: &[&str]) -> Result<(), String> {
     // "where does the memory go" view).
     let batch = paper_batches(model)[0];
     let built = model.build_full(batch).map_err(|e| e.to_string())?;
-    let by_op = memory_footprint_by_op(&built);
+    let by_op = tbd_graph::lower::activation_bytes_by_op(&built.graph);
     println!("activation bytes by layer type (batch {batch}):");
     let mut rows: Vec<_> = by_op.into_iter().collect();
     rows.sort_by_key(|(_, b)| std::cmp::Reverse(*b));
@@ -266,16 +531,11 @@ fn cmd_memory(args: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-fn memory_footprint_by_op(
-    model: &tbd_core::BuiltModel,
-) -> std::collections::BTreeMap<&'static str, u64> {
-    tbd_graph::lower::activation_bytes_by_op(&model.graph)
-}
-
 fn cmd_kernels(args: &[&str]) -> Result<(), String> {
-    let model = parse_model(args.first().ok_or("usage: tbd kernels <model> <framework>")?)?;
-    let framework = parse_framework(args.get(1).ok_or("usage: tbd kernels <model> <framework>")?)?;
-    let suite = Suite::new(parse_gpu(args));
+    let opts = KERNELS.parse(args)?;
+    let model = opts.model()?;
+    let framework = opts.framework(model)?;
+    let suite = Suite::new(opts.gpu()?);
     let batch = *paper_batches(model).last().expect("non-empty");
     let m = suite
         .run(model, framework, batch)
@@ -299,72 +559,25 @@ fn cmd_kernels(args: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_distributed() -> Result<(), String> {
-    let suite = Suite::new(GpuSpec::quadro_p4000());
-    let m = suite
-        .run(ModelKind::ResNet50, Framework::mxnet(), 16)
-        .map_err(|e| e.to_string())?;
-    let model = ModelKind::ResNet50.build_full(16).map_err(|e| e.to_string())?;
-    let sim = DataParallelSim {
-        compute_iter_s: 16.0 / m.throughput,
-        gradient_bytes: memory_footprint(&model.graph).weight_grads as f64,
-        per_gpu_batch: 16,
-    };
-    println!("ResNet-50 / MXNet / per-GPU batch 16:");
-    for (label, config) in [
-        ("1M1G", ClusterConfig::single_machine(1)),
-        ("2M1G ethernet", ClusterConfig::multi_machine(2, Interconnect::ethernet_1g())),
-        ("2M1G infiniband", ClusterConfig::multi_machine(2, Interconnect::infiniband_100g())),
-        ("1M2G", ClusterConfig::single_machine(2)),
-        ("1M4G", ClusterConfig::single_machine(4)),
-    ] {
-        let p = sim.simulate(&config);
-        println!(
-            "  {:<16} {:>7.1}/s  (efficiency {:>3.0} %)",
-            label,
-            p.throughput,
-            100.0 * p.scaling_efficiency
-        );
-    }
-    Ok(())
-}
-
 /// `tbd scale` — replay one profiled worker through the event-driven
 /// data-parallel simulator across the Fig. 10 grid (or, with `--sweep`,
 /// the full 1M1G→4M4G grid), optionally with seeded straggler injection.
 fn cmd_scale(args: &[&str]) -> Result<(), String> {
     use tbd_core::{ScaleReport, SCALE_DRIFT_TOLERANCE};
-    const USAGE: &str = "usage: tbd scale <model> [--framework <fw>] [--batch <n>] [--sweep] \
-         [--stragglers] [--seed <n>] [--churn sweep|mild|heavy|<rate>] [--steps <n>] \
-         [--format md|json] [--out <file>] [--check <snapshot>]";
     // `--churn` swaps the straggler sweep for the elastic-membership one.
     if args.contains(&"--churn") {
         return cmd_elastic(args);
     }
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let sweep = args.contains(&"--sweep");
-    let seed: Option<u64> = if args.contains(&"--stragglers") || flag_value("--seed").is_some() {
-        Some(match flag_value("--seed") {
-            Some(text) => text.parse().map_err(|_| "--seed must be an integer".to_string())?,
-            None => 42,
-        })
+    let opts = SCALE.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let sweep = opts.has("--sweep");
+    let seed: Option<u64> = if opts.has("--stragglers") || opts.has("--seed") {
+        Some(opts.int("--seed", 42)?)
     } else {
         None
     };
-    let gpu = parse_gpu(args);
+    let gpu = opts.gpu()?;
+    let format = opts.choice("--format")?;
     eprintln!(
         "scaling {}/{} b{batch} across the {} grid{}...",
         model.name(),
@@ -376,38 +589,24 @@ fn cmd_scale(args: &[&str]) -> Result<(), String> {
         }
     );
     let report = ScaleReport::run(model, framework, batch, &gpu, sweep, seed)?;
-    let format = flag_value("--format").unwrap_or("md");
-    let rendered = match format {
-        "md" => report.to_markdown(),
-        "json" => report.to_json().to_string(),
-        other => return Err(format!("unknown format '{other}' (md, json)")),
-    };
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote {} cluster points to {path} — digest {}",
-                report.entries.len(),
-                report.digest_hex()
-            );
-        }
-        None => print_all(&rendered),
-    }
+    let rendered =
+        if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
+    opts.emit(&rendered, |path| {
+        format!(
+            "wrote {} cluster points to {path} — digest {}",
+            report.entries.len(),
+            report.digest_hex()
+        )
+    })?;
     // Healthy runs must land where the paper's Fig. 10/11 landed
     // (Observations 12/13); a straggler-injected run is allowed to sag.
     if seed.is_none() {
         report.observations()?;
         eprintln!("observations 12/13 hold (ethernet sub-single-GPU, infiniband \u{2265}90% scaling)");
     }
-    if let Some(snapshot) = flag_value("--check") {
-        let text = std::fs::read_to_string(snapshot)
-            .map_err(|e| format!("reading {snapshot}: {e}"))?;
-        let baseline = ScaleReport::from_json_text(&text)?;
-        report
-            .check_drift(&baseline, SCALE_DRIFT_TOLERANCE)
-            .map_err(|failures| format!("scale drift vs {snapshot}:\n{failures}"))?;
-        eprintln!("drift check vs {snapshot}: deterministic sweep matches the pinned snapshot");
-    }
+    opts.check("scale", "deterministic sweep matches the pinned snapshot", |baseline| {
+        report.check_drift(baseline, SCALE_DRIFT_TOLERANCE)
+    })?;
     Ok(())
 }
 
@@ -418,35 +617,14 @@ fn cmd_scale(args: &[&str]) -> Result<(), String> {
 /// goodput per (cluster × rate) point.
 fn cmd_elastic(args: &[&str]) -> Result<(), String> {
     use tbd_core::{ElasticReport, CHURN_RATE_LADDER, ELASTIC_DRIFT_TOLERANCE};
-    const USAGE: &str = "usage: tbd scale <model> --churn sweep|mild|heavy|<rate> [--framework <fw>] \
-         [--batch <n>] [--seed <n>] [--steps <n>] [--threads <n>] [--format md|json] \
-         [--out <file>] [--check <snapshot>]";
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(name) {
-            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
-            None => Ok(default),
-        }
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let seed = parse_u64("--seed", 42)?;
-    let steps = parse_u64("--steps", 32)?;
-    let threads = parse_u64("--threads", 1)? as usize;
+    let opts = ELASTIC.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let seed = opts.int("--seed", 42)?;
+    let steps = opts.int("--steps", 32)?;
+    let threads = opts.int("--threads", 1)?;
     // The spec: the full ladder, a preset, or a bare rate — presets and
     // rates keep the 0.0 control point so goodput retention is defined.
-    let spec = flag_value("--churn").ok_or(USAGE)?;
+    let spec = opts.value("--churn").ok_or_else(|| format!("usage: tbd {}", ELASTIC.usage))?;
     let rates: Vec<f64> = match spec {
         "sweep" | "ladder" => CHURN_RATE_LADDER.to_vec(),
         "mild" => vec![0.0, 0.3],
@@ -460,7 +638,8 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
             vec![0.0, rate]
         }
     };
-    let gpu = parse_gpu(args);
+    let gpu = opts.gpu()?;
+    let format = opts.choice("--format")?;
     eprintln!(
         "elastic sweep: {}/{} b{batch}, {steps} steps, churn '{spec}' seeded {seed} \
          across the Fig. 10 grid...",
@@ -469,36 +648,22 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
     );
     let report =
         ElasticReport::run_rates(model, framework, batch, &gpu, seed, steps, threads, &rates)?;
-    let format = flag_value("--format").unwrap_or("md");
-    let rendered = match format {
-        "md" => report.to_markdown(),
-        "json" => report.to_json().to_string(),
-        other => return Err(format!("unknown format '{other}' (md, json)")),
-    };
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote {} elastic points to {path} — digest {}",
-                report.entries.len(),
-                report.digest_hex()
-            );
-        }
-        None => print_all(&rendered),
-    }
+    let rendered =
+        if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
+    opts.emit(&rendered, |path| {
+        format!(
+            "wrote {} elastic points to {path} — digest {}",
+            report.entries.len(),
+            report.digest_hex()
+        )
+    })?;
     // The headline law: more churn never buys goodput, and the churn-free
     // control point retains the full healthy goodput.
     report.monotonicity()?;
     eprintln!("monotone-goodput law holds across {} points", report.entries.len());
-    if let Some(snapshot) = flag_value("--check") {
-        let text = std::fs::read_to_string(snapshot)
-            .map_err(|e| format!("reading {snapshot}: {e}"))?;
-        let baseline = ElasticReport::from_json_text(&text)?;
-        report
-            .check_drift(&baseline, ELASTIC_DRIFT_TOLERANCE)
-            .map_err(|failures| format!("elastic drift vs {snapshot}:\n{failures}"))?;
-        eprintln!("drift check vs {snapshot}: deterministic sweep matches the pinned snapshot");
-    }
+    opts.check("elastic", "deterministic sweep matches the pinned snapshot", |baseline| {
+        report.check_drift(baseline, ELASTIC_DRIFT_TOLERANCE)
+    })?;
     Ok(())
 }
 
@@ -508,51 +673,24 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
 /// replay-exact bit-exactness verdict.
 fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     use tbd_core::{ChaosReport, FaultPreset, CHAOS_DRIFT_TOLERANCE};
-    const USAGE: &str = "usage: tbd chaos <model> [--framework <fw>] [--batch <n>] [--steps <n>] \
-         [--seed <n>] [--faults none|mild|heavy] [--policy replay-exact|default] [--threads <n>] \
-         [--churn sweep|mild|heavy|<rate>] [--format md|json] [--out <file>] [--check <snapshot>]";
     // `--churn` swaps the fault-injection proxy for the elastic-membership
     // sweep: node loss instead of kernel faults.
     if args.contains(&"--churn") {
         return cmd_elastic(args);
     }
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(name) {
-            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
-            None => Ok(default),
-        }
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
+    let opts = CHAOS.parse(args)?;
+    let model = opts.model()?;
+    let framework = opts.framework(model)?;
     // Default to the largest paper batch: for several workloads it OOMs at
     // baseline on the P4000, so the degradation ladder gets exercised.
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => *paper_batches(model).last().expect("non-empty axis"),
-    };
-    let steps = parse_u64("--steps", 20)?;
-    let seed = parse_u64("--seed", 42)?;
-    let preset = match flag_value("--faults") {
-        Some(name) => FaultPreset::parse(name)?,
-        None => FaultPreset::Mild,
-    };
-    let replay_exact = match flag_value("--policy") {
-        Some("replay-exact") | None => true,
-        Some("default") => false,
-        Some(other) => {
-            return Err(format!("unknown policy '{other}' (replay-exact, default)"))
-        }
-    };
-    let threads = parse_u64("--threads", 1)? as usize;
-    let gpu = parse_gpu(args);
+    let batch = opts.batch(*paper_batches(model).last().expect("non-empty axis"))?;
+    let steps = opts.int("--steps", 20)?;
+    let seed = opts.int("--seed", 42)?;
+    let preset = FaultPreset::parse(opts.value("--faults").unwrap_or("mild"))?;
+    let replay_exact = opts.choice("--policy")? == "replay-exact";
+    let threads = opts.int("--threads", 1)?;
+    let gpu = opts.gpu()?;
+    let format = opts.choice("--format")?;
     eprintln!(
         "chaos run: {}/{} b{batch}, {steps} steps, '{}' faults seeded {seed}, {} policy...",
         model.name(),
@@ -563,24 +701,16 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     let report = ChaosReport::run(
         model, framework, batch, &gpu, seed, steps, preset, replay_exact, threads,
     )?;
-    let format = flag_value("--format").unwrap_or("md");
-    let rendered = match format {
-        "md" => report.to_markdown(),
-        "json" => report.to_json().to_string(),
-        other => return Err(format!("unknown format '{other}' (md, json)")),
-    };
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote chaos report to {path} — {} faults, {} recoveries, digest {}",
-                report.faults_injected,
-                report.recoveries,
-                report.digest_hex()
-            );
-        }
-        None => print_all(&rendered),
-    }
+    let rendered =
+        if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
+    opts.emit(&rendered, |path| {
+        format!(
+            "wrote chaos report to {path} — {} faults, {} recoveries, digest {}",
+            report.faults_injected,
+            report.recoveries,
+            report.digest_hex()
+        )
+    })?;
     // The headline invariant: under the replay-exact policy a faulted run
     // must finish bitwise identical to its fault-free twin.
     if replay_exact && !report.replay_exact {
@@ -595,117 +725,66 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
             report.param_hash
         );
     }
-    if let Some(snapshot) = flag_value("--check") {
-        let text = std::fs::read_to_string(snapshot)
-            .map_err(|e| format!("reading {snapshot}: {e}"))?;
-        let baseline = ChaosReport::from_json_text(&text)?;
-        report
-            .check_drift(&baseline, CHAOS_DRIFT_TOLERANCE)
-            .map_err(|failures| format!("chaos drift vs {snapshot}:\n{failures}"))?;
-        eprintln!("drift check vs {snapshot}: deterministic run matches the pinned snapshot");
-    }
+    opts.check("chaos", "deterministic run matches the pinned snapshot", |baseline| {
+        report.check_drift(baseline, CHAOS_DRIFT_TOLERANCE)
+    })?;
     Ok(())
 }
 
 fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
-    use tbd_core::{
-        run_diagnose, DiagnoseOptions, DiagnosisReport, FaultPreset, DIAGNOSE_DRIFT_TOLERANCE,
-    };
-    const USAGE: &str = "usage: tbd diagnose <model> [--framework <fw>] [--batch <n>] \
-         [--cluster <label>] [--stragglers] [--seed <n>] [--faults none|mild|heavy] \
-         [--steps <n>] [--threads <n>] [--no-fuse] [--precision f32|f16|bf16] \
-         [--format md|json] [--out <file>] [--check <snapshot>]";
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(name) {
-            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
-            None => Ok(default),
-        }
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let (fuse, precision) = speed_flags(args)?;
+    use tbd_core::{run_diagnose, DiagnoseOptions, FaultPreset, DIAGNOSE_DRIFT_TOLERANCE};
+    let opts = DIAGNOSE.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let (fuse, precision) = opts.speed()?;
     let defaults = DiagnoseOptions::default();
-    let opts = DiagnoseOptions {
-        cluster: flag_value("--cluster").map(str::to_string),
-        stragglers: args.contains(&"--stragglers"),
-        seed: parse_u64("--seed", defaults.seed)?,
-        faults: match flag_value("--faults") {
-            Some(name) => FaultPreset::parse(name)?,
-            None => FaultPreset::None,
-        },
-        steps: parse_u64("--steps", defaults.steps)?,
-        intra_op_threads: parse_u64("--threads", defaults.intra_op_threads as u64)? as usize,
+    let diagnose = DiagnoseOptions {
+        cluster: opts.value("--cluster").map(str::to_string),
+        stragglers: opts.has("--stragglers"),
+        seed: opts.int("--seed", defaults.seed)?,
+        faults: FaultPreset::parse(opts.value("--faults").unwrap_or("none"))?,
+        steps: opts.int("--steps", defaults.steps)?,
+        intra_op_threads: opts.int("--threads", defaults.intra_op_threads)?,
         fuse,
         precision,
     };
-    let gpu = parse_gpu(args);
+    let gpu = opts.gpu()?;
+    let format = opts.choice("--format")?;
     eprintln!(
         "diagnosing {}/{} b{batch} on {}{}{}{}...",
         model.name(),
         framework.name(),
         gpu.name,
-        match &opts.cluster {
+        match &diagnose.cluster {
             Some(label) => format!(", cluster '{label}'"),
             None => String::new(),
         },
-        if opts.stragglers { ", stragglers on" } else { "" },
-        if opts.faults == FaultPreset::None {
+        if diagnose.stragglers { ", stragglers on" } else { "" },
+        if diagnose.faults == FaultPreset::None {
             String::new()
         } else {
-            format!(", '{}' faults", opts.faults.name())
+            format!(", '{}' faults", diagnose.faults.name())
         },
     );
-    let report = run_diagnose(model, framework, batch, &gpu, &opts)?;
-    let format = flag_value("--format").unwrap_or("md");
-    let rendered = match format {
-        "md" => report.to_markdown(),
-        "json" => report.to_json().to_string(),
-        other => return Err(format!("unknown format '{other}' (md, json)")),
-    };
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote diagnosis to {path} — top-1 {}, digest {}",
-                report.top1().class.label(),
-                report.digest_hex()
-            );
-        }
-        None => print_all(&rendered),
-    }
-    if let Some(snapshot) = flag_value("--check") {
-        let text = std::fs::read_to_string(snapshot)
-            .map_err(|e| format!("reading {snapshot}: {e}"))?;
-        let baseline = DiagnosisReport::from_json_text(&text)?;
-        report
-            .check_drift(&baseline, DIAGNOSE_DRIFT_TOLERANCE)
-            .map_err(|failures| format!("diagnosis drift vs {snapshot}:\n{failures}"))?;
-        eprintln!("drift check vs {snapshot}: deterministic diagnosis matches the pinned snapshot");
-    }
+    let report = run_diagnose(model, framework, batch, &gpu, &diagnose)?;
+    let rendered =
+        if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
+    opts.emit(&rendered, |path| {
+        format!(
+            "wrote diagnosis to {path} — top-1 {}, digest {}",
+            report.top1().class.label(),
+            report.digest_hex()
+        )
+    })?;
+    opts.check("diagnosis", "deterministic diagnosis matches the pinned snapshot", |baseline| {
+        report.check_drift(baseline, DIAGNOSE_DRIFT_TOLERANCE)
+    })?;
     Ok(())
 }
 
 fn cmd_json(args: &[&str]) -> Result<(), String> {
-    let model = parse_model(args.first().ok_or("usage: tbd json <model> <framework> <batch>")?)?;
-    let framework = parse_framework(args.get(1).ok_or("usage: tbd json <model> <framework> <batch>")?)?;
-    let batch: usize = args
-        .get(2)
-        .ok_or("usage: tbd json <model> <framework> <batch>")?
-        .parse()
-        .map_err(|_| "batch must be an integer".to_string())?;
-    let suite = Suite::new(parse_gpu(args));
+    let opts = JSON.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let suite = Suite::new(opts.gpu()?);
     let m = suite.run(model, framework, batch).map_err(|e| e.to_string())?;
     print_all(&metrics_to_json(&m));
     Ok(())
@@ -748,77 +827,35 @@ fn metrics_to_json(m: &WorkloadMetrics) -> String {
 /// Accepts both the positional form (`tbd trace resnet50 tf 32`) and the
 /// flag form (`tbd trace resnet50 --framework tf --batch 32 --out t.json`).
 fn cmd_trace(args: &[&str]) -> Result<(), String> {
-    const USAGE: &str =
-        "usage: tbd trace <model> [--framework <fw>] [--batch <n>] [--threads <n>] \
-         [--out <file>] [--summary] [--no-fuse] [--precision f32|f16|bf16]";
-    let positional: Vec<&str> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.starts_with("--") {
-                    skip_next = matches!(
-                        **a,
-                        "--framework" | "--batch" | "--threads" | "--out" | "--gpu" | "--precision"
-                    );
-                    return false;
-                }
-                true
-            })
-            .copied()
-            .collect()
-    };
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let model = parse_model(positional.first().ok_or(USAGE)?)?;
-    let framework = match flag_value("--framework").or_else(|| positional.get(1).copied()) {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch").or_else(|| positional.get(2).copied()) {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let threads: usize = flag_value("--threads")
-        .map(|t| t.parse().map_err(|_| "--threads must be an integer".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let (fuse, precision) = speed_flags(args)?;
+    let opts = TRACE.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let (fuse, precision) = opts.speed()?;
     let options = tbd_profiler::TraceOptions {
-        intra_op_threads: threads,
+        intra_op_threads: opts.int("--threads", 1)?,
         fuse,
         precision,
         ..Default::default()
     };
-    let gpu = parse_gpu(args);
+    let gpu = opts.gpu()?;
     let cap = tbd_profiler::capture(model, framework, batch, &gpu, &options)
         .map_err(|e| e.to_string())?;
     if let Some(oom) = &cap.oom {
         eprintln!("note: paper-scale iteration hit OOM ({oom}); trace ends at the failing allocation");
     }
-    if args.contains(&"--summary") {
+    if opts.has("--summary") {
         print_all(&cap.trace.nvprof_summary());
         return Ok(());
     }
     let json = cap.trace.to_chrome_json();
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote {} events ({} bytes) to {path} — open in chrome://tracing or \
-                 https://ui.perfetto.dev (digest {})",
-                cap.trace.events.len(),
-                json.len(),
-                cap.trace.digest_hex()
-            );
-        }
-        None => print_all(&json),
-    }
-    Ok(())
+    opts.emit(&json, |path| {
+        format!(
+            "wrote {} events ({} bytes) to {path} — open in chrome://tracing or \
+             https://ui.perfetto.dev (digest {})",
+            cap.trace.events.len(),
+            json.len(),
+            cap.trace.digest_hex()
+        )
+    })
 }
 
 /// `tbd metrics` — capture one workload with a streaming aggregator
@@ -831,29 +868,12 @@ fn cmd_trace(args: &[&str]) -> Result<(), String> {
 /// `GET /metrics` for the same configuration.
 fn cmd_metrics(args: &[&str]) -> Result<(), String> {
     use tbd_profiler::{observe, TraceOptions};
-    const USAGE: &str = "usage: tbd metrics <model> [--framework <fw>] [--batch <n>] \
-         [--threads <n>] [--no-fuse] [--precision f32|f16|bf16] [--format prom|json|md]";
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let threads: usize = flag_value("--threads")
-        .map(|t| t.parse().map_err(|_| "--threads must be an integer".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let (fuse, precision) = speed_flags(args)?;
-    let format = flag_value("--format").unwrap_or("prom");
-    let gpu = parse_gpu(args);
+    let opts = METRICS.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let threads = opts.int("--threads", 1)?;
+    let (fuse, precision) = opts.speed()?;
+    let format = opts.choice("--format")?;
+    let gpu = opts.gpu()?;
     let options =
         TraceOptions { intra_op_threads: threads, fuse, precision, ..TraceOptions::default() };
     let obs = observe(model, framework, batch, &gpu, &options, None).map_err(|e| e.to_string())?;
@@ -863,8 +883,7 @@ fn cmd_metrics(args: &[&str]) -> Result<(), String> {
     match format {
         "prom" => print_all(&obs.registry.to_prometheus()),
         "json" => print_all(&obs.registry.to_json().to_string()),
-        "md" => print_all(&obs.markdown),
-        other => return Err(format!("unknown format '{other}' (prom, json, md)")),
+        _ => print_all(&obs.markdown),
     }
     Ok(())
 }
@@ -877,38 +896,15 @@ fn cmd_metrics(args: &[&str]) -> Result<(), String> {
 fn cmd_watch(args: &[&str]) -> Result<(), String> {
     use std::time::Duration;
     use tbd_profiler::{LiveServer, TraceOptions, WatchConfig};
-    const USAGE: &str = "usage: tbd watch <model> [--framework <fw>] [--batch <n>] [--port <p>] \
-         [--steps <n>] [--interval-ms <n>] [--retain-cap <n>] [--threads <n>] [--no-fuse] \
-         [--precision f32|f16|bf16]";
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(name) {
-            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
-            None => Ok(default),
-        }
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let port = parse_u64("--port", 9898)?;
-    let steps = parse_u64("--steps", 0)?;
-    let interval_ms = parse_u64("--interval-ms", 1000)?;
-    let threads = parse_u64("--threads", 1)? as usize;
-    let retain_cap: Option<usize> = flag_value("--retain-cap")
-        .map(|t| t.parse().map_err(|_| "--retain-cap must be an integer".to_string()))
-        .transpose()?;
-    let (fuse, precision) = speed_flags(args)?;
-    let gpu = parse_gpu(args);
+    let opts = WATCH.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let port: u64 = opts.int("--port", 9898)?;
+    let steps = opts.int("--steps", 0)?;
+    let interval_ms = opts.int("--interval-ms", 1000)?;
+    let threads = opts.int("--threads", 1)?;
+    let retain_cap = opts.has("--retain-cap").then(|| opts.int("--retain-cap", 0)).transpose()?;
+    let (fuse, precision) = opts.speed()?;
+    let gpu = opts.gpu()?;
     let config = WatchConfig {
         options: TraceOptions {
             intra_op_threads: threads,
@@ -950,23 +946,15 @@ fn cmd_watch(args: &[&str]) -> Result<(), String> {
 fn cmd_serve(args: &[&str]) -> Result<(), String> {
     use std::sync::Arc;
     use tbd_core::{ServeConfig, ServeEngine, ServeServer};
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(name) {
-            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
-            None => Ok(default),
-        }
-    };
+    let opts = SERVE.parse(args)?;
     let defaults = ServeConfig::default();
-    let port = parse_u64("--port", 7878)?;
+    let port: u64 = opts.int("--port", 7878)?;
     let config = ServeConfig {
-        workers: parse_u64("--workers", defaults.workers as u64)? as usize,
-        queue: parse_u64("--queue", defaults.queue as u64)? as usize,
-        shards: parse_u64("--shards", defaults.shards as u64)? as usize,
+        workers: opts.int("--workers", defaults.workers)?,
+        queue: opts.int("--queue", defaults.queue)?,
+        shards: opts.int("--shards", defaults.shards)?,
     };
-    let gpu = parse_gpu(args);
+    let gpu = opts.gpu()?;
     let engine = Arc::new(ServeEngine::with_shards(gpu, config.shards));
     let server = ServeServer::start(engine, &format!("127.0.0.1:{port}"), config)
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
@@ -994,21 +982,13 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
     use tbd_core::loadgen::{check_golden, golden_mix, run_loadgen, LoadgenConfig, LoadgenMode};
     use tbd_core::trajectory::BenchReport;
     use tbd_core::ServeEngine;
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flag_value(name) {
-            Some(text) => text.parse().map_err(|_| format!("{name} must be an integer")),
-            None => Ok(default),
-        }
-    };
-    let clients = parse_u64("--clients", 4)? as usize;
-    let requests = parse_u64("--requests", 10_000)?;
-    let mode = match flag_value("--mode").unwrap_or("closed") {
+    let opts = LOADGEN.parse(args)?;
+    let clients = opts.int("--clients", 4)?;
+    let requests = opts.int("--requests", 10_000)?;
+    let mode = match opts.choice("--mode")? {
         "closed" => LoadgenMode::Closed { clients },
-        "open" => LoadgenMode::Open {
-            rate_qps: match flag_value("--rate") {
+        _ => LoadgenMode::Open {
+            rate_qps: match opts.value("--rate") {
                 Some(text) => {
                     text.parse().map_err(|_| "--rate must be a number".to_string())?
                 }
@@ -1016,11 +996,11 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
             },
             workers: clients,
         },
-        other => return Err(format!("unknown mode '{other}' (closed, open)")),
     };
-    let gpu = parse_gpu(args);
+    let format = opts.choice("--format")?;
+    let gpu = opts.gpu()?;
     let engine = Arc::new(ServeEngine::new(gpu));
-    if let Some(golden) = flag_value("--check") {
+    if let Some(golden) = opts.value("--check") {
         check_golden(&engine, golden)?;
         eprintln!("golden check vs {golden}: serve response matches the pinned baseline");
     }
@@ -1032,23 +1012,15 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
         requests
     );
     let report = run_loadgen(&engine, &config)?;
-    let format = flag_value("--format").unwrap_or("md");
-    let rendered = match format {
-        "md" => report.to_markdown(),
-        "json" => report.to_json().to_string(),
-        other => return Err(format!("unknown format '{other}' (md, json)")),
-    };
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote loadgen report to {path} — {:.0} q/s, p99 {:.0} µs",
-                report.qps, report.p99_us
-            );
-        }
-        None => print_all(&rendered),
-    }
-    if let Some(path) = flag_value("--bench") {
+    let rendered =
+        if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
+    opts.emit(&rendered, |path| {
+        format!(
+            "wrote loadgen report to {path} — {:.0} q/s, p99 {:.0} µs",
+            report.qps, report.p99_us
+        )
+    })?;
+    if let Some(path) = opts.value("--bench") {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let mut bench = BenchReport::from_json_text(&text)?;
@@ -1066,50 +1038,28 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
 fn cmd_report(args: &[&str]) -> Result<(), String> {
     use tbd_core::report::{parse_digest_file, run_report, ReportOptions};
     use tbd_core::trajectory::iso_date_today;
-    const USAGE: &str = "usage: tbd report <model> [--framework <fw>] [--batch <n>] [--out <file>] \
-         [--timestamp <text>] [--check <digest-file>] [--threads <n>] [--no-fuse] \
-         [--precision f32|f16|bf16]";
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let model = parse_model(
-        args.iter().find(|a| !a.starts_with("--")).copied().ok_or(USAGE)?,
-    )?;
-    let framework = match flag_value("--framework") {
-        Some(name) => parse_framework(name)?,
-        None => framework_flag(args, model)?,
-    };
-    let batch = match flag_value("--batch") {
-        Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string())?,
-        None => paper_batches(model)[0],
-    };
-    let threads: usize = flag_value("--threads")
-        .map(|t| t.parse().map_err(|_| "--threads must be an integer".to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let (fuse, precision) = speed_flags(args)?;
-    let gpu = parse_gpu(args);
+    let opts = REPORT.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let threads = opts.int("--threads", 1)?;
+    let (fuse, precision) = opts.speed()?;
+    let gpu = opts.gpu()?;
     // The timestamp is display-only: the digest is computed over the
     // timestamp-free render, so `--timestamp` never perturbs `--check`.
     let timestamp =
-        flag_value("--timestamp").map(str::to_string).unwrap_or_else(iso_date_today);
-    let opts = ReportOptions { intra_op_threads: threads, fuse, precision, timestamp };
-    let out = run_report(model, framework, batch, &gpu, &opts)?;
+        opts.value("--timestamp").map(str::to_string).unwrap_or_else(iso_date_today);
+    let report_opts = ReportOptions { intra_op_threads: threads, fuse, precision, timestamp };
+    let out = run_report(model, framework, batch, &gpu, &report_opts)?;
     if let Some(oom) = &out.oom {
         eprintln!("note: paper-scale iteration hit OOM ({oom}); report covers the partial trace");
     }
-    match flag_value("--out") {
-        Some(path) => {
-            std::fs::write(path, &out.html).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote {} bytes to {path} — open in any browser (digest {})",
-                out.html.len(),
-                out.digest_hex
-            );
-        }
-        None => print_all(&out.html),
-    }
-    if let Some(snapshot) = flag_value("--check") {
+    opts.emit(&out.html, |path| {
+        format!(
+            "wrote {} bytes to {path} — open in any browser (digest {})",
+            out.html.len(),
+            out.digest_hex
+        )
+    })?;
+    if let Some(snapshot) = opts.value("--check") {
         let text = std::fs::read_to_string(snapshot)
             .map_err(|e| format!("reading {snapshot}: {e}"))?;
         let want = parse_digest_file(&text)?;
@@ -1129,12 +1079,10 @@ fn cmd_report(args: &[&str]) -> Result<(), String> {
 /// layer and write a schema-versioned `BENCH_<iso-date>.json`.
 fn cmd_bench(args: &[&str]) -> Result<(), String> {
     use tbd_core::trajectory::{iso_date_today, BenchReport, DRIFT_TOLERANCE, WALL_DRIFT_TOLERANCE};
-    let flag_value = |name: &str| {
-        args.iter().position(|a| *a == name).and_then(|i| args.get(i + 1)).copied()
-    };
-    let gpu = parse_gpu(args);
-    let matrix = args.contains(&"--matrix");
-    let (fuse, precision) = speed_flags(args)?;
+    let opts = BENCH.parse(args)?;
+    let gpu = opts.gpu()?;
+    let matrix = opts.has("--matrix");
+    let (fuse, precision) = opts.speed()?;
     eprintln!(
         "benching {} on {} through the streaming aggregator ({}, {precision})...",
         if matrix { "the full supported matrix" } else { "the six golden pairs" },
@@ -1162,7 +1110,7 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
             tier.speedup()
         );
     }
-    let dir = flag_value("--out").unwrap_or(".");
+    let dir = opts.value("--out").unwrap_or(".");
     let path = format!("{}/{}", dir.trim_end_matches('/'), report.file_name());
     let json = report.to_json().to_string();
     std::fs::write(&path, &json).map_err(|e| format!("writing {path}: {e}"))?;
@@ -1174,20 +1122,18 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
     );
     // The snapshot is written before the gate, so a drifting run still
     // leaves its BENCH file behind for inspection (CI uploads it).
-    if let Some(snapshot) = flag_value("--check") {
-        let text = std::fs::read_to_string(snapshot)
-            .map_err(|e| format!("reading {snapshot}: {e}"))?;
-        let baseline = BenchReport::from_json_text(&text)?;
-        report
-            .check_drift(&baseline, DRIFT_TOLERANCE)
-            .map_err(|failures| format!("throughput drift vs {snapshot}:\n{failures}"))?;
-        eprintln!(
-            "drift check vs {snapshot}: all {} overlapping entries within {:.0}%",
-            report.entries.len(),
-            100.0 * DRIFT_TOLERANCE
-        );
-        // Wall clock varies across machines, so its gate only warns.
+    let holds = format!(
+        "all {} overlapping entries within {:.0}%",
+        report.entries.len(),
+        100.0 * DRIFT_TOLERANCE
+    );
+    let checked = opts.check("throughput", &holds, |baseline: &BenchReport| {
+        report.check_drift(baseline, DRIFT_TOLERANCE)
+    })?;
+    // Wall clock varies across machines, so its gate only warns.
+    if let Some(baseline) = checked {
         if let Err(failures) = report.check_wall_drift(&baseline, WALL_DRIFT_TOLERANCE) {
+            let snapshot = opts.value("--check").unwrap_or_default();
             eprintln!("warning: capture wall drift vs {snapshot} (informational):\n{failures}");
         }
     }
@@ -1195,7 +1141,7 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
 }
 
 fn cmd_dot(args: &[&str]) -> Result<(), String> {
-    let model = parse_model(args.first().ok_or("usage: tbd dot <model>")?)?;
+    let model = DOT.parse(args)?.model()?;
     let batch = paper_batches(model)[0];
     let built = model.build_full(batch).map_err(|e| e.to_string())?;
     print_all(&tbd_graph::to_dot(&built.graph, 400));
@@ -1203,8 +1149,9 @@ fn cmd_dot(args: &[&str]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[&str]) -> Result<(), String> {
-    let (model, framework, batch) = three_args(args, "analyze")?;
-    let suite = Suite::new(parse_gpu(args));
+    let opts = ANALYZE.parse(args)?;
+    let (model, framework, batch) = opts.workload()?;
+    let suite = Suite::new(opts.gpu()?);
     let built = model.build_full(batch).map_err(|e| e.to_string())?;
     let report = tbd_profiler::analyze(
         model,
@@ -1244,16 +1191,8 @@ fn cmd_analyze(args: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-fn three_args(args: &[&str], cmd: &str) -> Result<(ModelKind, Framework, usize), String> {
-    let usage = format!("usage: tbd {cmd} <model> <framework> <batch>");
-    let model = parse_model(args.first().ok_or(&usage)?)?;
-    let framework = parse_framework(args.get(1).ok_or(&usage)?)?;
-    let batch: usize =
-        args.get(2).ok_or(&usage)?.parse().map_err(|_| "batch must be an integer".to_string())?;
-    Ok((model, framework, batch))
-}
-
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(args: &[&str]) -> Result<(), String> {
+    LIST.parse(args)?;
     println!("models (Table 2):");
     for kind in ModelKind::ALL {
         let frameworks: Vec<&str> = Framework::all()
@@ -1298,5 +1237,62 @@ mod tests {
         assert!(json.contains("\"model\": \"A3C\""));
         assert!(json.contains("\"feature_maps\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn flags_may_precede_the_positional_and_their_values_are_never_positional() {
+        let opts = SCALE.parse(&["--framework", "mxnet", "a3c", "--batch", "8"]).unwrap();
+        assert_eq!(opts.positional, ["a3c"]);
+        assert_eq!(opts.model().unwrap(), ModelKind::A3c);
+        assert_eq!(opts.framework(ModelKind::A3c).unwrap().name(), "MXNet");
+        assert_eq!(opts.batch(32).unwrap(), 8);
+        assert_eq!(opts.choice("--format").unwrap(), "md");
+        assert_eq!(opts.gpu().unwrap().name, GpuSpec::quadro_p4000().name);
+    }
+
+    #[test]
+    fn unknown_flags_missing_values_and_bad_choices_are_errors() {
+        let err = SCALE.parse(&["a3c", "--bach", "8"]).err().unwrap();
+        assert!(err.contains("'--bach'") && err.contains("--batch"), "{err}");
+        let err = SCALE.parse(&["a3c", "--batch"]).err().unwrap();
+        assert_eq!(err, "--batch needs a value (<n>)");
+        assert!(SCALE.parse(&["a3c", "--out", "--sweep"]).is_err());
+        let opts = SCALE.parse(&["a3c", "--gpu", "titan", "--format", "xml"]).unwrap();
+        assert_eq!(opts.gpu().err().unwrap(), "unknown gpu 'titan' (p4000, titanxp)");
+        assert_eq!(opts.choice("--format").err().unwrap(), "unknown format 'xml' (md, json)");
+        assert!(SCALE.parse(&["a3c", "resnet50"]).err().unwrap().starts_with("usage: tbd scale"));
+        assert!(SCALE.parse(&["--sweep"]).is_err(), "the model is required");
+        assert!(LIST.parse(&["--all"]).is_err());
+    }
+
+    #[test]
+    fn trace_takes_framework_and_batch_positionally_or_as_flags() {
+        let positional = TRACE.parse(&["resnet50", "tf", "32"]).unwrap();
+        let flags = TRACE.parse(&["resnet50", "--framework", "tf", "--batch", "32"]).unwrap();
+        for opts in [positional, flags] {
+            assert_eq!(opts.model().unwrap(), ModelKind::ResNet50);
+            assert_eq!(opts.framework(ModelKind::ResNet50).unwrap().name(), "TensorFlow");
+            assert_eq!(opts.batch(4).unwrap(), 32);
+        }
+        let args = ["--out", "t.json", "seq2seq", "--threads", "4", "--summary"];
+        let opts = TRACE.parse(&args).unwrap();
+        assert_eq!(opts.positional, ["seq2seq"]);
+        assert_eq!(opts.int("--threads", 1usize).unwrap(), 4);
+        assert!(opts.has("--summary"));
+        assert!(TRACE.parse(&["resnet50", "tf", "32", "extra"]).is_err());
+    }
+
+    #[test]
+    fn grammars_read_back_from_their_usage_lines() {
+        assert_eq!(TRACE.command(), "trace");
+        assert_eq!(TRACE.arity(), (1, 3));
+        assert_eq!(JSON.arity(), (3, 3));
+        assert_eq!(SERVE.arity(), (0, 0));
+        assert_eq!(SCALE.flags()[..3], ["--framework <fw>", "--batch <n>", "--sweep"]);
+        for grammar in GRAMMARS {
+            let bracketed = grammar.flags().iter().any(|flag| flag.contains(['[', ']']));
+            assert!(!bracketed, "{}", grammar.usage);
+            assert_eq!(grammar.items().join(" "), grammar.usage, "single spaces only");
+        }
     }
 }

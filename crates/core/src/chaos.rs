@@ -27,7 +27,7 @@ use tbd_graph::trace::{fnv1a, TraceRecorder};
 use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
 use tbd_memopt::Strategy;
 use tbd_models::ModelKind;
-use tbd_profiler::json::{self, Value};
+use tbd_profiler::json;
 use tbd_profiler::DiagnosisReport;
 use tbd_tensor::Tensor;
 use tbd_train::{
@@ -119,35 +119,10 @@ impl DegradationSummary {
             rungs_tried: out.rungs_tried,
         }
     }
-
-    fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("strategy".into(), Value::Str(self.strategy.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("total_bytes".into(), Value::Num(self.total_bytes as f64));
-        obj.insert("rungs_tried".into(), Value::Num(self.rungs_tried as f64));
-        Value::Obj(obj)
-    }
-
-    fn from_json(value: &Value) -> Result<DegradationSummary, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("degradation summary missing '{key}'"))
-        };
-        Ok(DegradationSummary {
-            strategy: value
-                .get("strategy")
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or("degradation summary missing 'strategy'")?,
-            batch: num("batch")? as usize,
-            total_bytes: num("total_bytes")? as u64,
-            rungs_tried: num("rungs_tried")? as u32,
-        })
-    }
 }
+
+tbd_profiler::json_record!(DegradationSummary, "degradation summary";
+    fields { strategy, batch, total_bytes, rungs_tried });
 
 /// A full `tbd chaos` report: one faulted run, its fault-free twin, and
 /// the bit-exactness verdict.
@@ -211,6 +186,16 @@ pub struct ChaosReport {
     /// and drift gate, so pinned chaos baselines stay valid.
     pub diagnosis: Option<DiagnosisReport>,
 }
+
+tbd_profiler::json_record!(ChaosReport, "chaos report", schema = CHAOS_SCHEMA_VERSION;
+    fields {
+        schema_version, model, framework, batch, seed, steps, preset, policy, iteration_s,
+        faults_injected, faults_by_kind, recoveries, replayed_steps, skipped_steps,
+        forced_through, checkpoints_written, checkpoint_bytes, recovery_time_s, sim_time_s,
+        throughput, goodput, param_hash, fault_free_hash, replay_exact, degradation,
+        trace_digest, diagnosis,
+    }
+    derived { digest = ChaosReport::digest_hex });
 
 /// The deterministic proxy workload: a tiny dropout MLP whose bitwise
 /// parameter trajectory depends on the session step counter — exactly the
@@ -398,140 +383,6 @@ impl ChaosReport {
         format!("{:016x}", fnv1a(self.canonical().as_bytes()))
     }
 
-    /// Serialises the report (round-trips through [`json::parse`]).
-    pub fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema_version".into(), Value::Num(self.schema_version as f64));
-        obj.insert("model".into(), Value::Str(self.model.clone()));
-        obj.insert("framework".into(), Value::Str(self.framework.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("seed".into(), Value::Num(self.seed as f64));
-        obj.insert("steps".into(), Value::Num(self.steps as f64));
-        obj.insert("preset".into(), Value::Str(self.preset.clone()));
-        obj.insert("policy".into(), Value::Str(self.policy.clone()));
-        obj.insert("iteration_s".into(), Value::Num(self.iteration_s));
-        obj.insert("faults_injected".into(), Value::Num(self.faults_injected as f64));
-        obj.insert(
-            "faults_by_kind".into(),
-            Value::Obj(
-                self.faults_by_kind
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Value::Num(v as f64)))
-                    .collect(),
-            ),
-        );
-        obj.insert("recoveries".into(), Value::Num(self.recoveries as f64));
-        obj.insert("replayed_steps".into(), Value::Num(self.replayed_steps as f64));
-        obj.insert("skipped_steps".into(), Value::Num(self.skipped_steps as f64));
-        obj.insert("forced_through".into(), Value::Num(self.forced_through as f64));
-        obj.insert("checkpoints_written".into(), Value::Num(self.checkpoints_written as f64));
-        obj.insert("checkpoint_bytes".into(), Value::Num(self.checkpoint_bytes as f64));
-        obj.insert("recovery_time_s".into(), Value::Num(self.recovery_time_s));
-        obj.insert("sim_time_s".into(), Value::Num(self.sim_time_s));
-        obj.insert("throughput".into(), Value::Num(self.throughput));
-        obj.insert("goodput".into(), Value::Num(self.goodput));
-        obj.insert("param_hash".into(), Value::Str(self.param_hash.clone()));
-        obj.insert("fault_free_hash".into(), Value::Str(self.fault_free_hash.clone()));
-        obj.insert("replay_exact".into(), Value::Bool(self.replay_exact));
-        obj.insert(
-            "degradation".into(),
-            match &self.degradation {
-                Some(d) => d.to_json(),
-                None => Value::Null,
-            },
-        );
-        obj.insert("trace_digest".into(), Value::Str(self.trace_digest.clone()));
-        obj.insert(
-            "diagnosis".into(),
-            match &self.diagnosis {
-                Some(d) => d.to_json(),
-                None => Value::Null,
-            },
-        );
-        obj.insert("digest".into(), Value::Str(self.digest_hex()));
-        Value::Obj(obj)
-    }
-
-    /// Parses a serialised report, verifying the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON, missing fields or an
-    /// unsupported schema version.
-    pub fn from_json_text(text: &str) -> Result<ChaosReport, String> {
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_f64)
-            .ok_or("chaos report missing 'schema_version'")? as u64;
-        if version != CHAOS_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported chaos schema version {version} (expected {CHAOS_SCHEMA_VERSION})"
-            ));
-        }
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("chaos report missing '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("chaos report missing '{key}'"))
-        };
-        let faults_by_kind = match value.get("faults_by_kind") {
-            Some(Value::Obj(map)) => map
-                .iter()
-                .map(|(k, v)| {
-                    v.as_f64()
-                        .map(|n| (k.clone(), n as u64))
-                        .ok_or_else(|| format!("fault count '{k}' is not a number"))
-                })
-                .collect::<Result<BTreeMap<_, _>, _>>()?,
-            _ => return Err("chaos report missing 'faults_by_kind'".into()),
-        };
-        let degradation = match value.get("degradation") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(DegradationSummary::from_json(v)?),
-        };
-        let diagnosis = match value.get("diagnosis") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(DiagnosisReport::from_json(v)?),
-        };
-        Ok(ChaosReport {
-            schema_version: version,
-            model: str_field("model")?,
-            framework: str_field("framework")?,
-            batch: num_field("batch")? as usize,
-            seed: num_field("seed")? as u64,
-            steps: num_field("steps")? as u64,
-            preset: str_field("preset")?,
-            policy: str_field("policy")?,
-            iteration_s: num_field("iteration_s")?,
-            faults_injected: num_field("faults_injected")? as u64,
-            faults_by_kind,
-            recoveries: num_field("recoveries")? as u64,
-            replayed_steps: num_field("replayed_steps")? as u64,
-            skipped_steps: num_field("skipped_steps")? as u64,
-            forced_through: num_field("forced_through")? as u64,
-            checkpoints_written: num_field("checkpoints_written")? as u64,
-            checkpoint_bytes: num_field("checkpoint_bytes")? as u64,
-            recovery_time_s: num_field("recovery_time_s")?,
-            sim_time_s: num_field("sim_time_s")?,
-            throughput: num_field("throughput")?,
-            goodput: num_field("goodput")?,
-            param_hash: str_field("param_hash")?,
-            fault_free_hash: str_field("fault_free_hash")?,
-            replay_exact: matches!(value.get("replay_exact"), Some(Value::Bool(true))),
-            degradation,
-            trace_digest: str_field("trace_digest")?,
-            diagnosis,
-        })
-    }
-
     /// Compares this report against a pinned snapshot: the fault schedule
     /// and parameter digests must match exactly, goodput within
     /// `tolerance` (the harness is deterministic, so the default is
@@ -584,11 +435,7 @@ impl ChaosReport {
                 self.goodput, drift, baseline.goodput
             ));
         }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("\n"))
-        }
+        json::verdict(failures)
     }
 
     /// Renders the report as markdown (the CI chaos artifact).

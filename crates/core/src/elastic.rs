@@ -18,7 +18,7 @@ use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_models::ModelKind;
-use tbd_profiler::json::{self, Value};
+use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
 use tbd_profiler::TraceOptions;
 
@@ -106,75 +106,14 @@ impl ElasticEntry {
             self.digest,
         )
     }
-
-    pub(crate) fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("label".into(), Value::Str(self.label.clone()));
-        obj.insert("sync".into(), Value::Str(self.sync.clone()));
-        obj.insert("workers".into(), Value::Num(self.workers as f64));
-        obj.insert("churn_rate".into(), Value::Num(self.churn_rate));
-        obj.insert("epochs".into(), Value::Num(self.epochs as f64));
-        obj.insert("evictions".into(), Value::Num(self.evictions as f64));
-        obj.insert("rejoins".into(), Value::Num(self.rejoins as f64));
-        obj.insert("degraded_steps".into(), Value::Num(self.degraded_steps as f64));
-        obj.insert("deadline_stall_s".into(), Value::Num(self.deadline_stall_s));
-        obj.insert("rejoin_catchup_s".into(), Value::Num(self.rejoin_catchup_s));
-        obj.insert("useful_samples".into(), Value::Num(self.useful_samples as f64));
-        obj.insert("goodput".into(), Value::Num(self.goodput));
-        obj.insert("healthy_goodput".into(), Value::Num(self.healthy_goodput));
-        obj.insert("goodput_fraction".into(), Value::Num(self.goodput_fraction));
-        obj.insert("digest".into(), Value::Str(self.digest.clone()));
-        obj.insert(
-            "diagnosis".into(),
-            match &self.diagnosis {
-                Some(label) => Value::Str(label.clone()),
-                None => Value::Null,
-            },
-        );
-        Value::Obj(obj)
-    }
-
-    pub(crate) fn from_json(value: &Value) -> Result<ElasticEntry, String> {
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("elastic entry missing string field '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("elastic entry missing number field '{key}'"))
-        };
-        Ok(ElasticEntry {
-            label: str_field("label")?,
-            sync: str_field("sync")?,
-            workers: num_field("workers")? as usize,
-            churn_rate: num_field("churn_rate")?,
-            epochs: num_field("epochs")? as u64,
-            evictions: num_field("evictions")? as u64,
-            rejoins: num_field("rejoins")? as u64,
-            degraded_steps: num_field("degraded_steps")? as u64,
-            deadline_stall_s: num_field("deadline_stall_s")?,
-            rejoin_catchup_s: num_field("rejoin_catchup_s")?,
-            useful_samples: num_field("useful_samples")? as u64,
-            goodput: num_field("goodput")?,
-            healthy_goodput: num_field("healthy_goodput")?,
-            goodput_fraction: num_field("goodput_fraction")?,
-            digest: str_field("digest")?,
-            diagnosis: match value.get("diagnosis") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or("elastic entry 'diagnosis' is not a string")?,
-                ),
-            },
-        })
-    }
 }
+
+tbd_profiler::json_record!(ElasticEntry, "elastic entry";
+    fields {
+        label, sync, workers, churn_rate, epochs, evictions, rejoins, degraded_steps,
+        deadline_stall_s, rejoin_catchup_s, useful_samples, goodput, healthy_goodput,
+        goodput_fraction, digest, diagnosis,
+    });
 
 /// A full elastic-membership report.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,6 +137,13 @@ pub struct ElasticReport {
     /// Simulated points, grid-major then ladder order.
     pub entries: Vec<ElasticEntry>,
 }
+
+tbd_profiler::json_record!(ElasticReport, "elastic report", schema = ELASTIC_SCHEMA_VERSION;
+    fields {
+        schema_version, model, framework, batch, seed, steps, compute_iter_s, gradient_bytes,
+        entries,
+    }
+    derived { digest = ElasticReport::digest_hex });
 
 impl ElasticReport {
     /// Profiles one worker of `kind`/`framework` at `batch` on `gpu`
@@ -338,74 +284,6 @@ impl ElasticReport {
         format!("{:016x}", fnv1a(text.as_bytes()))
     }
 
-    /// Serialises the report (round-trips through [`json::parse`]).
-    pub fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema_version".into(), Value::Num(self.schema_version as f64));
-        obj.insert("model".into(), Value::Str(self.model.clone()));
-        obj.insert("framework".into(), Value::Str(self.framework.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("seed".into(), Value::Num(self.seed as f64));
-        obj.insert("steps".into(), Value::Num(self.steps as f64));
-        obj.insert("compute_iter_s".into(), Value::Num(self.compute_iter_s));
-        obj.insert("gradient_bytes".into(), Value::Num(self.gradient_bytes));
-        obj.insert(
-            "entries".into(),
-            Value::Arr(self.entries.iter().map(ElasticEntry::to_json).collect()),
-        );
-        obj.insert("digest".into(), Value::Str(self.digest_hex()));
-        Value::Obj(obj)
-    }
-
-    /// Parses a serialised report, verifying the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON, missing fields or an
-    /// unsupported schema version.
-    pub fn from_json_text(text: &str) -> Result<ElasticReport, String> {
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_f64)
-            .ok_or("elastic report missing 'schema_version'")? as u64;
-        if version != ELASTIC_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported elastic schema version {version} (expected {ELASTIC_SCHEMA_VERSION})"
-            ));
-        }
-        let entries = match value.get("entries") {
-            Some(Value::Arr(items)) => {
-                items.iter().map(ElasticEntry::from_json).collect::<Result<Vec<_>, _>>()?
-            }
-            _ => return Err("elastic report missing 'entries'".into()),
-        };
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("elastic report missing '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("elastic report missing '{key}'"))
-        };
-        Ok(ElasticReport {
-            schema_version: version,
-            model: str_field("model")?,
-            framework: str_field("framework")?,
-            batch: num_field("batch")? as usize,
-            seed: num_field("seed")? as u64,
-            steps: num_field("steps")? as u64,
-            compute_iter_s: num_field("compute_iter_s")?,
-            gradient_bytes: num_field("gradient_bytes")?,
-            entries,
-        })
-    }
-
     /// Compares goodput against a pinned snapshot on overlapping
     /// (cluster × rate) keys. The sweep is deterministic, so the default
     /// tolerance is [`ELASTIC_DRIFT_TOLERANCE`].
@@ -415,32 +293,16 @@ impl ElasticReport {
     /// Returns one line per drifting entry, or a message when the reports
     /// share no keys.
     pub fn check_drift(&self, baseline: &ElasticReport, tolerance: f64) -> Result<(), String> {
-        let pinned: BTreeMap<String, f64> =
-            baseline.entries.iter().map(|e| (e.key(), e.goodput)).collect();
-        let mut compared = 0usize;
-        let mut failures = Vec::new();
-        for entry in &self.entries {
-            let Some(&expected) = pinned.get(&entry.key()) else { continue };
-            compared += 1;
-            let drift = (entry.goodput - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
-            if drift > tolerance {
-                failures.push(format!(
-                    "{}: goodput {:.3} drifted {:.2e} from pinned {:.3}",
-                    entry.key(),
-                    entry.goodput,
-                    drift,
-                    expected
-                ));
-            }
-        }
+        let by_key = |e: &ElasticEntry| Some((e.key(), e.goodput));
+        let line = |key: &String, goodput: f64, drift: f64, pinned: f64| {
+            format!("{key}: goodput {goodput:.3} drifted {drift:.2e} from pinned {pinned:.3}")
+        };
+        let (compared, failures) =
+            json::keyed_drift(&baseline.entries, &self.entries, by_key, tolerance, line);
         if compared == 0 {
             return Err("no overlapping entries between elastic report and baseline".into());
         }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("\n"))
-        }
+        json::verdict(failures)
     }
 
     /// Renders the report as a markdown table (the CI elastic artifact).

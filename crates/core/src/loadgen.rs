@@ -18,12 +18,10 @@
 //! ([`crate::trajectory::LoadgenSummary`]) and the CI latency-histogram
 //! artifact.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tbd_profiler::json::Value;
 use tbd_profiler::pool::WorkerPool;
 
 use crate::serve::{ServeEngine, ServeQuery};
@@ -137,6 +135,12 @@ pub struct LoadgenReport {
     pub histogram_us: Vec<u64>,
 }
 
+tbd_profiler::json_record!(LoadgenReport, "loadgen report", schema = LOADGEN_SCHEMA_VERSION;
+    fields {
+        schema_version, mode, clients, rate_qps, requests, completed, rejected, duration_s, qps,
+        p50_us, p95_us, p99_us, max_us, hits, misses, histogram_us,
+    });
+
 impl LoadgenReport {
     /// The compact record the `BENCH_*.json` trajectory embeds.
     pub fn summary(&self) -> LoadgenSummary {
@@ -149,31 +153,6 @@ impl LoadgenReport {
             p95_us: self.p95_us,
             p99_us: self.p99_us,
         }
-    }
-
-    /// Serialises the report (round-trips through `json::parse`).
-    pub fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema_version".into(), Value::Num(self.schema_version as f64));
-        obj.insert("mode".into(), Value::Str(self.mode.clone()));
-        obj.insert("clients".into(), Value::Num(self.clients as f64));
-        obj.insert("rate_qps".into(), self.rate_qps.map_or(Value::Null, Value::Num));
-        obj.insert("requests".into(), Value::Num(self.requests as f64));
-        obj.insert("completed".into(), Value::Num(self.completed as f64));
-        obj.insert("rejected".into(), Value::Num(self.rejected as f64));
-        obj.insert("duration_s".into(), Value::Num(self.duration_s));
-        obj.insert("qps".into(), Value::Num(self.qps));
-        obj.insert("p50_us".into(), Value::Num(self.p50_us));
-        obj.insert("p95_us".into(), Value::Num(self.p95_us));
-        obj.insert("p99_us".into(), Value::Num(self.p99_us));
-        obj.insert("max_us".into(), Value::Num(self.max_us));
-        obj.insert("hits".into(), Value::Num(self.hits as f64));
-        obj.insert("misses".into(), Value::Num(self.misses as f64));
-        obj.insert(
-            "histogram_us".into(),
-            Value::Arr(self.histogram_us.iter().map(|&c| Value::Num(c as f64)).collect()),
-        );
-        Value::Obj(obj)
     }
 
     /// Human-readable one-screen summary.

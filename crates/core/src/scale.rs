@@ -9,7 +9,6 @@
 //! serialise through the in-tree JSON model for the CI `distrib-sweep`
 //! job's `--check` gate, and render as a markdown table for humans.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tbd_distrib::{
     fig10_clusters, scale_grid, BackwardProfile, DataParallelSim, EventConfig, StragglerSpec,
@@ -18,7 +17,7 @@ use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_models::ModelKind;
-use tbd_profiler::json::{self, Value};
+use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
 
 use crate::suite::Suite;
@@ -104,79 +103,14 @@ impl ScaleEntry {
             self.digest,
         )
     }
-
-    pub(crate) fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("label".into(), Value::Str(self.label.clone()));
-        obj.insert("sync".into(), Value::Str(self.sync.clone()));
-        obj.insert("workers".into(), Value::Num(self.workers as f64));
-        obj.insert("buckets".into(), Value::Num(self.buckets as f64));
-        obj.insert("iteration_s".into(), Value::Num(self.iteration_s));
-        obj.insert("throughput".into(), Value::Num(self.throughput));
-        obj.insert("scaling_efficiency".into(), Value::Num(self.scaling_efficiency));
-        obj.insert("comm_s".into(), Value::Num(self.comm_s));
-        obj.insert("exposed_comm_s".into(), Value::Num(self.exposed_comm_s));
-        obj.insert("overlap".into(), Value::Num(self.overlap));
-        obj.insert("slowdown_factor".into(), Value::Num(self.slowdown_factor));
-        obj.insert("retries".into(), Value::Num(self.retries as f64));
-        obj.insert("digest".into(), Value::Str(self.digest.clone()));
-        obj.insert(
-            "diagnosis".into(),
-            match &self.diagnosis {
-                Some(label) => Value::Str(label.clone()),
-                None => Value::Null,
-            },
-        );
-        let opt_num = |v: Option<f64>| match v {
-            Some(n) => Value::Num(n),
-            None => Value::Null,
-        };
-        obj.insert("cost_per_iteration".into(), opt_num(self.cost_per_iteration));
-        obj.insert("cost_per_1k_samples".into(), opt_num(self.cost_per_1k_samples));
-        Value::Obj(obj)
-    }
-
-    pub(crate) fn from_json(value: &Value) -> Result<ScaleEntry, String> {
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("scale entry missing string field '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("scale entry missing number field '{key}'"))
-        };
-        Ok(ScaleEntry {
-            label: str_field("label")?,
-            sync: str_field("sync")?,
-            workers: num_field("workers")? as usize,
-            buckets: num_field("buckets")? as usize,
-            iteration_s: num_field("iteration_s")?,
-            throughput: num_field("throughput")?,
-            scaling_efficiency: num_field("scaling_efficiency")?,
-            comm_s: num_field("comm_s")?,
-            exposed_comm_s: num_field("exposed_comm_s")?,
-            overlap: num_field("overlap")?,
-            slowdown_factor: num_field("slowdown_factor")?,
-            retries: num_field("retries")? as u64,
-            digest: str_field("digest")?,
-            diagnosis: match value.get("diagnosis") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(
-                    v.as_str().map(str::to_string).ok_or("scale entry 'diagnosis' is not a string")?,
-                ),
-            },
-            // Tolerated-missing: baselines pinned before the TCO column
-            // existed parse as cost-free entries.
-            cost_per_iteration: value.get("cost_per_iteration").and_then(Value::as_f64),
-            cost_per_1k_samples: value.get("cost_per_1k_samples").and_then(Value::as_f64),
-        })
-    }
 }
+
+tbd_profiler::json_record!(ScaleEntry, "scale entry";
+    fields {
+        label, sync, workers, buckets, iteration_s, throughput, scaling_efficiency, comm_s,
+        exposed_comm_s, overlap, slowdown_factor, retries, digest, diagnosis,
+        cost_per_iteration, cost_per_1k_samples,
+    });
 
 /// A full `tbd scale` report.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,6 +137,13 @@ pub struct ScaleReport {
     /// Simulated cluster points, in grid order.
     pub entries: Vec<ScaleEntry>,
 }
+
+tbd_profiler::json_record!(ScaleReport, "scale report", schema = SCALE_SCHEMA_VERSION;
+    fields {
+        schema_version, model, framework, batch, sweep, straggler_seed, compute_iter_s,
+        gradient_bytes, price_per_hour, entries,
+    }
+    derived { digest = ScaleReport::digest_hex });
 
 impl ScaleReport {
     /// Profiles one worker of `kind`/`framework` at `batch` on `gpu`, then
@@ -333,89 +274,6 @@ impl ScaleReport {
         format!("{:016x}", fnv1a(text.as_bytes()))
     }
 
-    /// Serialises the report (round-trips through [`json::parse`]).
-    pub fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema_version".into(), Value::Num(self.schema_version as f64));
-        obj.insert("model".into(), Value::Str(self.model.clone()));
-        obj.insert("framework".into(), Value::Str(self.framework.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("sweep".into(), Value::Bool(self.sweep));
-        obj.insert(
-            "straggler_seed".into(),
-            match self.straggler_seed {
-                Some(seed) => Value::Num(seed as f64),
-                None => Value::Null,
-            },
-        );
-        obj.insert("compute_iter_s".into(), Value::Num(self.compute_iter_s));
-        obj.insert("gradient_bytes".into(), Value::Num(self.gradient_bytes));
-        obj.insert(
-            "price_per_hour".into(),
-            match self.price_per_hour {
-                Some(p) => Value::Num(p),
-                None => Value::Null,
-            },
-        );
-        obj.insert(
-            "entries".into(),
-            Value::Arr(self.entries.iter().map(ScaleEntry::to_json).collect()),
-        );
-        obj.insert("digest".into(), Value::Str(self.digest_hex()));
-        Value::Obj(obj)
-    }
-
-    /// Parses a serialised report, verifying the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON, missing fields or an
-    /// unsupported schema version.
-    pub fn from_json_text(text: &str) -> Result<ScaleReport, String> {
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_f64)
-            .ok_or("scale report missing 'schema_version'")? as u64;
-        if version != SCALE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported scale schema version {version} (expected {SCALE_SCHEMA_VERSION})"
-            ));
-        }
-        let entries = match value.get("entries") {
-            Some(Value::Arr(items)) => {
-                items.iter().map(ScaleEntry::from_json).collect::<Result<Vec<_>, _>>()?
-            }
-            _ => return Err("scale report missing 'entries'".into()),
-        };
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("scale report missing '{key}'"))
-        };
-        Ok(ScaleReport {
-            schema_version: version,
-            model: str_field("model")?,
-            framework: str_field("framework")?,
-            batch: value.get("batch").and_then(Value::as_f64).ok_or("scale report missing 'batch'")?
-                as usize,
-            sweep: matches!(value.get("sweep"), Some(Value::Bool(true))),
-            straggler_seed: value.get("straggler_seed").and_then(Value::as_f64).map(|v| v as u64),
-            compute_iter_s: value
-                .get("compute_iter_s")
-                .and_then(Value::as_f64)
-                .ok_or("scale report missing 'compute_iter_s'")?,
-            gradient_bytes: value
-                .get("gradient_bytes")
-                .and_then(Value::as_f64)
-                .ok_or("scale report missing 'gradient_bytes'")?,
-            price_per_hour: value.get("price_per_hour").and_then(Value::as_f64),
-            entries,
-        })
-    }
-
     /// Compares throughput against a pinned snapshot on overlapping
     /// labels. The sweep is deterministic, so the default tolerance is
     /// [`SCALE_DRIFT_TOLERANCE`].
@@ -425,29 +283,16 @@ impl ScaleReport {
     /// Returns one line per drifting entry, or a message when the reports
     /// share no labels.
     pub fn check_drift(&self, baseline: &ScaleReport, tolerance: f64) -> Result<(), String> {
-        let pinned: BTreeMap<&str, f64> =
-            baseline.entries.iter().map(|e| (e.key(), e.throughput)).collect();
-        let mut compared = 0usize;
-        let mut failures = Vec::new();
-        for entry in &self.entries {
-            let Some(&expected) = pinned.get(entry.key()) else { continue };
-            compared += 1;
-            let drift = (entry.throughput - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
-            if drift > tolerance {
-                failures.push(format!(
-                    "{}: throughput {:.3} drifted {:.2e} from pinned {:.3}",
-                    entry.label, entry.throughput, drift, expected
-                ));
-            }
-        }
+        let throughput = |e: &ScaleEntry| Some((e.label.clone(), e.throughput));
+        let line = |label: &String, tp: f64, drift: f64, pinned: f64| {
+            format!("{label}: throughput {tp:.3} drifted {drift:.2e} from pinned {pinned:.3}")
+        };
+        let (compared, failures) =
+            json::keyed_drift(&baseline.entries, &self.entries, throughput, tolerance, line);
         if compared == 0 {
             return Err("no overlapping entries between scale report and baseline".into());
         }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("\n"))
-        }
+        json::verdict(failures)
     }
 
     /// Renders the report as a markdown table (the CI sweep artifact).

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use tbd_frameworks::Framework;
 use tbd_gpusim::{GpuSpec, MemoryCategory};
 use tbd_models::ModelKind;
-use tbd_profiler::json::{self, Value};
+use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
 use tbd_profiler::{capture_into, sampled_throughput, SamplingConfig, StreamingAggregator, TraceOptions};
 use tbd_tensor::Precision;
@@ -120,97 +120,15 @@ impl BenchEntry {
         }
         line
     }
-
-    fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("model".into(), Value::Str(self.model.clone()));
-        obj.insert("framework".into(), Value::Str(self.framework.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("iteration_s".into(), Value::Num(self.iteration_s));
-        obj.insert("throughput".into(), Value::Num(self.throughput));
-        obj.insert(
-            "sampled_throughput".into(),
-            match self.sampled_throughput {
-                Some(v) => Value::Num(v),
-                None => Value::Null,
-            },
-        );
-        obj.insert("gpu_utilization".into(), Value::Num(self.gpu_utilization));
-        obj.insert("fp32_utilization".into(), Value::Num(self.fp32_utilization));
-        obj.insert("cpu_utilization".into(), Value::Num(self.cpu_utilization));
-        obj.insert(
-            "class_time_us".into(),
-            Value::Obj(self.class_time_us.iter().map(|(k, &v)| (k.clone(), Value::Num(v))).collect()),
-        );
-        obj.insert(
-            "memory_peak_bytes".into(),
-            Value::Obj(
-                self.memory_peak_bytes
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Value::Num(v as f64)))
-                    .collect(),
-            ),
-        );
-        obj.insert("dominant_memory".into(), Value::Str(self.dominant_memory.clone()));
-        obj.insert("feature_map_fraction".into(), Value::Num(self.feature_map_fraction));
-        obj.insert("digest".into(), Value::Str(self.digest.clone()));
-        let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Num);
-        obj.insert("capture_wall_s".into(), opt(self.capture_wall_s));
-        obj.insert("wall_exec_s".into(), opt(self.wall_exec_s));
-        obj.insert("wall_lower_sim_s".into(), opt(self.wall_lower_sim_s));
-        obj.insert("wall_distrib_s".into(), opt(self.wall_distrib_s));
-        Value::Obj(obj)
-    }
-
-    fn from_json(value: &Value) -> Result<BenchEntry, String> {
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry missing string field '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value.get(key).and_then(Value::as_f64).ok_or_else(|| format!("entry missing number field '{key}'"))
-        };
-        let map_field = |key: &str| -> Result<Vec<(String, f64)>, String> {
-            match value.get(key) {
-                Some(Value::Obj(map)) => map
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_f64()
-                            .map(|n| (k.clone(), n))
-                            .ok_or_else(|| format!("'{key}.{k}' is not a number"))
-                    })
-                    .collect(),
-                _ => Err(format!("entry missing object field '{key}'")),
-            }
-        };
-        Ok(BenchEntry {
-            model: str_field("model")?,
-            framework: str_field("framework")?,
-            batch: num_field("batch")? as usize,
-            iteration_s: num_field("iteration_s")?,
-            throughput: num_field("throughput")?,
-            sampled_throughput: value.get("sampled_throughput").and_then(Value::as_f64),
-            gpu_utilization: num_field("gpu_utilization")?,
-            fp32_utilization: num_field("fp32_utilization")?,
-            cpu_utilization: num_field("cpu_utilization")?,
-            class_time_us: map_field("class_time_us")?.into_iter().collect(),
-            memory_peak_bytes: map_field("memory_peak_bytes")?
-                .into_iter()
-                .map(|(k, v)| (k, v as u64))
-                .collect(),
-            dominant_memory: str_field("dominant_memory")?,
-            feature_map_fraction: num_field("feature_map_fraction")?,
-            digest: str_field("digest")?,
-            capture_wall_s: value.get("capture_wall_s").and_then(Value::as_f64),
-            wall_exec_s: value.get("wall_exec_s").and_then(Value::as_f64),
-            wall_lower_sim_s: value.get("wall_lower_sim_s").and_then(Value::as_f64),
-            wall_distrib_s: value.get("wall_distrib_s").and_then(Value::as_f64),
-        })
-    }
 }
+
+tbd_profiler::json_record!(BenchEntry, "bench entry";
+    fields {
+        model, framework, batch, iteration_s, throughput, sampled_throughput, gpu_utilization,
+        fp32_utilization, cpu_utilization, class_time_us, memory_peak_bytes, dominant_memory,
+        feature_map_fraction, digest, capture_wall_s, wall_exec_s, wall_lower_sim_s,
+        wall_distrib_s,
+    });
 
 /// The fused-vs-unfused speed-tier record of one report: the same capture
 /// (reference workload, f32) measured with the speed tier on (kernel
@@ -235,41 +153,11 @@ impl SpeedTier {
     pub fn speedup(&self) -> f64 {
         self.unfused_wall_s / self.fused_wall_s.max(f64::MIN_POSITIVE)
     }
-
-    fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("model".into(), Value::Str(self.model.clone()));
-        obj.insert("framework".into(), Value::Str(self.framework.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("fused_wall_s".into(), Value::Num(self.fused_wall_s));
-        obj.insert("unfused_wall_s".into(), Value::Num(self.unfused_wall_s));
-        obj.insert("speedup".into(), Value::Num(self.speedup()));
-        Value::Obj(obj)
-    }
-
-    fn from_json(value: &Value) -> Result<SpeedTier, String> {
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("speed_tier missing string field '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("speed_tier missing number field '{key}'"))
-        };
-        Ok(SpeedTier {
-            model: str_field("model")?,
-            framework: str_field("framework")?,
-            batch: num_field("batch")? as usize,
-            fused_wall_s: num_field("fused_wall_s")?,
-            unfused_wall_s: num_field("unfused_wall_s")?,
-        })
-    }
 }
+
+tbd_profiler::json_record!(SpeedTier, "speed tier";
+    fields { model, framework, batch, fused_wall_s, unfused_wall_s }
+    derived { speedup = SpeedTier::speedup });
 
 /// The serve-tier load record of one report: tail latency and throughput
 /// of a `tbd loadgen` pass over the cache-hot golden mix. Measured wall
@@ -292,41 +180,8 @@ pub struct LoadgenSummary {
     pub p99_us: f64,
 }
 
-impl LoadgenSummary {
-    fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("mode".into(), Value::Str(self.mode.clone()));
-        obj.insert("clients".into(), Value::Num(self.clients as f64));
-        obj.insert("requests".into(), Value::Num(self.requests as f64));
-        obj.insert("qps".into(), Value::Num(self.qps));
-        obj.insert("p50_us".into(), Value::Num(self.p50_us));
-        obj.insert("p95_us".into(), Value::Num(self.p95_us));
-        obj.insert("p99_us".into(), Value::Num(self.p99_us));
-        Value::Obj(obj)
-    }
-
-    fn from_json(value: &Value) -> Result<LoadgenSummary, String> {
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("loadgen missing number field '{key}'"))
-        };
-        Ok(LoadgenSummary {
-            mode: value
-                .get("mode")
-                .and_then(Value::as_str)
-                .ok_or("loadgen missing string field 'mode'")?
-                .to_string(),
-            clients: num_field("clients")? as usize,
-            requests: num_field("requests")? as u64,
-            qps: num_field("qps")?,
-            p50_us: num_field("p50_us")?,
-            p95_us: num_field("p95_us")?,
-            p99_us: num_field("p99_us")?,
-        })
-    }
-}
+tbd_profiler::json_record!(LoadgenSummary, "loadgen summary";
+    fields { mode, clients, requests, qps, p50_us, p95_us, p99_us });
 
 /// A full trajectory report: one entry per benched pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -355,6 +210,10 @@ pub struct BenchReport {
     /// existed).
     pub loadgen: Option<LoadgenSummary>,
 }
+
+tbd_profiler::json_record!(BenchReport, "BENCH report", schema = BENCH_SCHEMA_VERSION;
+    fields { schema_version, date, gpu, matrix, entries, scale, speed_tier, loadgen }
+    derived { digest = BenchReport::digest_hex });
 
 impl BenchReport {
     /// Benchmarks the golden pairs (default) or, with `matrix`, every
@@ -446,86 +305,6 @@ impl BenchReport {
         format!("BENCH_{}.json", self.date)
     }
 
-    /// Serialises the report (round-trips through [`json::parse`]).
-    pub fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema_version".into(), Value::Num(self.schema_version as f64));
-        obj.insert("date".into(), Value::Str(self.date.clone()));
-        obj.insert("gpu".into(), Value::Str(self.gpu.clone()));
-        obj.insert("matrix".into(), Value::Bool(self.matrix));
-        obj.insert("entries".into(), Value::Arr(self.entries.iter().map(BenchEntry::to_json).collect()));
-        obj.insert("scale".into(), Value::Arr(self.scale.iter().map(ScaleEntry::to_json).collect()));
-        obj.insert(
-            "speed_tier".into(),
-            self.speed_tier.as_ref().map_or(Value::Null, SpeedTier::to_json),
-        );
-        obj.insert(
-            "loadgen".into(),
-            self.loadgen.as_ref().map_or(Value::Null, LoadgenSummary::to_json),
-        );
-        obj.insert("digest".into(), Value::Str(self.digest_hex()));
-        Value::Obj(obj)
-    }
-
-    /// Parses a serialised report, verifying the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON, missing fields or an
-    /// unsupported schema version.
-    pub fn from_json_text(text: &str) -> Result<BenchReport, String> {
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_f64)
-            .ok_or("report missing 'schema_version'")? as u64;
-        if version != BENCH_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported BENCH schema version {version} (expected {BENCH_SCHEMA_VERSION})"
-            ));
-        }
-        let entries = match value.get("entries") {
-            Some(Value::Arr(items)) => {
-                items.iter().map(BenchEntry::from_json).collect::<Result<Vec<_>, _>>()?
-            }
-            _ => return Err("report missing 'entries'".into()),
-        };
-        // Baselines pinned before the scale grid existed have no 'scale'
-        // array; treat it as empty so old snapshots keep parsing.
-        let scale = match value.get("scale") {
-            Some(Value::Arr(items)) => {
-                items.iter().map(ScaleEntry::from_json).collect::<Result<Vec<_>, _>>()?
-            }
-            _ => Vec::new(),
-        };
-        let speed_tier = match value.get("speed_tier") {
-            Some(v @ Value::Obj(_)) => Some(SpeedTier::from_json(v)?),
-            _ => None,
-        };
-        let loadgen = match value.get("loadgen") {
-            Some(v @ Value::Obj(_)) => Some(LoadgenSummary::from_json(v)?),
-            _ => None,
-        };
-        Ok(BenchReport {
-            schema_version: version,
-            date: value
-                .get("date")
-                .and_then(Value::as_str)
-                .ok_or("report missing 'date'")?
-                .to_string(),
-            gpu: value
-                .get("gpu")
-                .and_then(Value::as_str)
-                .ok_or("report missing 'gpu'")?
-                .to_string(),
-            matrix: matches!(value.get("matrix"), Some(Value::Bool(true))),
-            entries,
-            scale,
-            speed_tier,
-            loadgen,
-        })
-    }
-
     /// Compares throughput against a pinned baseline: every entry present
     /// in both reports must be within `tolerance` relative drift. Scale
     /// entries are compared the same way on overlapping labels (a baseline
@@ -536,47 +315,21 @@ impl BenchReport {
     /// Returns one line per drifting entry, or a message when the reports
     /// share no entries at all.
     pub fn check_drift(&self, baseline: &BenchReport, tolerance: f64) -> Result<(), String> {
-        let pinned: BTreeMap<String, f64> =
-            baseline.entries.iter().map(|e| (e.key(), e.throughput)).collect();
-        let mut compared = 0usize;
-        let mut failures = Vec::new();
-        for entry in &self.entries {
-            let Some(&expected) = pinned.get(&entry.key()) else { continue };
-            compared += 1;
-            let drift = (entry.throughput - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
-            if drift > tolerance {
-                failures.push(format!(
-                    "{}: throughput {:.3} drifted {:.1}% from pinned {:.3}",
-                    entry.key(),
-                    entry.throughput,
-                    100.0 * drift,
-                    expected
-                ));
-            }
-        }
+        let throughput = |e: &BenchEntry| Some((e.key(), e.throughput));
+        let line = |key: &String, tp: f64, drift: f64, pinned: f64| {
+            let percent = 100.0 * drift;
+            format!("{key}: throughput {tp:.3} drifted {percent:.1}% from pinned {pinned:.3}")
+        };
+        let (compared, mut failures) =
+            json::keyed_drift(&baseline.entries, &self.entries, throughput, tolerance, line);
         if compared == 0 {
             return Err("no overlapping entries between report and baseline".into());
         }
-        let pinned_scale: BTreeMap<&str, f64> =
-            baseline.scale.iter().map(|e| (e.key(), e.throughput)).collect();
-        for entry in &self.scale {
-            let Some(&expected) = pinned_scale.get(entry.key()) else { continue };
-            let drift = (entry.throughput - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
-            if drift > tolerance {
-                failures.push(format!(
-                    "scale {}: throughput {:.3} drifted {:.1}% from pinned {:.3}",
-                    entry.key(),
-                    entry.throughput,
-                    100.0 * drift,
-                    expected
-                ));
-            }
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("\n"))
-        }
+        let throughput = |e: &ScaleEntry| Some((e.label.clone(), e.throughput));
+        let (_, scale) =
+            json::keyed_drift(&baseline.scale, &self.scale, throughput, tolerance, line);
+        failures.extend(scale.into_iter().map(|failure| format!("scale {failure}")));
+        json::verdict(failures)
     }
 
     /// Compares *measured* capture wall time against a pinned baseline:
@@ -590,33 +343,14 @@ impl BenchReport {
     ///
     /// Returns one line per drifting entry.
     pub fn check_wall_drift(&self, baseline: &BenchReport, tolerance: f64) -> Result<(), String> {
-        let pinned: BTreeMap<String, f64> = baseline
-            .entries
-            .iter()
-            .filter_map(|e| e.capture_wall_s.map(|w| (e.key(), w)))
-            .collect();
-        let mut failures = Vec::new();
-        for entry in &self.entries {
-            let (Some(wall), Some(&expected)) = (entry.capture_wall_s, pinned.get(&entry.key()))
-            else {
-                continue;
-            };
-            let drift = (wall - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
-            if drift > tolerance {
-                failures.push(format!(
-                    "{}: capture wall {:.3}s drifted {:.0}% from pinned {:.3}s",
-                    entry.key(),
-                    wall,
-                    100.0 * drift,
-                    expected
-                ));
-            }
-        }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("\n"))
-        }
+        let wall = |e: &BenchEntry| e.capture_wall_s.map(|w| (e.key(), w));
+        let line = |key: &String, wall: f64, drift: f64, pinned: f64| {
+            let percent = 100.0 * drift;
+            format!("{key}: capture wall {wall:.3}s drifted {percent:.0}% from pinned {pinned:.3}s")
+        };
+        let (_, failures) =
+            json::keyed_drift(&baseline.entries, &self.entries, wall, tolerance, line);
+        json::verdict(failures)
     }
 }
 

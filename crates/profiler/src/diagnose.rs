@@ -28,10 +28,9 @@
 //! and an "empty trace" evidence line — never NaN/Inf.
 
 use crate::agg::{aggregate, series, Log2Histogram, MetricsRegistry};
-use crate::json::{self, Value};
+use crate::json::{self, Codec, Value};
 use crate::sampling::SamplingConfig;
 use crate::trace::Trace;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tbd_graph::trace::{fnv1a, ArgValue, EventKind, TraceEvent, TraceLayer};
 
@@ -248,6 +247,22 @@ pub struct DiagnosisReport {
     /// Diagnoses ranked by confidence (ties broken by class rank).
     pub diagnoses: Vec<Diagnosis>,
 }
+
+impl Codec for BottleneckClass {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label().to_string())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, String> {
+        BottleneckClass::parse(&String::from_value(value)?)
+    }
+}
+
+crate::json_record!(Evidence, "evidence"; fields { metric, value, threshold, detail });
+crate::json_record!(Diagnosis, "diagnosis"; fields { class, confidence, evidence, remediation });
+crate::json_record!(DiagnosisReport, "diagnosis report", schema = DIAGNOSE_SCHEMA_VERSION;
+    fields { schema_version, model, framework, batch, events, iteration_us, diagnoses }
+    derived { digest = DiagnosisReport::digest_hex });
 
 /// `Some(num / den)` when `den` is positive and the quotient finite.
 fn ratio(num: f64, den: f64) -> Option<f64> {
@@ -794,143 +809,6 @@ impl DiagnosisReport {
         format!("{:016x}", fnv1a(self.canonical().as_bytes()))
     }
 
-    /// Serialises the report (round-trips through [`json::parse`]).
-    pub fn to_json(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema_version".into(), Value::Num(self.schema_version as f64));
-        obj.insert("model".into(), Value::Str(self.model.clone()));
-        obj.insert("framework".into(), Value::Str(self.framework.clone()));
-        obj.insert("batch".into(), Value::Num(self.batch as f64));
-        obj.insert("events".into(), Value::Num(self.events as f64));
-        obj.insert("iteration_us".into(), Value::Num(self.iteration_us));
-        let diagnoses = self
-            .diagnoses
-            .iter()
-            .map(|d| {
-                let mut o = BTreeMap::new();
-                o.insert("class".into(), Value::Str(d.class.label().to_string()));
-                o.insert("confidence".into(), Value::Num(d.confidence));
-                o.insert("remediation".into(), Value::Str(d.remediation.clone()));
-                let ev = d
-                    .evidence
-                    .iter()
-                    .map(|e| {
-                        let mut eo = BTreeMap::new();
-                        eo.insert("metric".into(), Value::Str(e.metric.clone()));
-                        eo.insert("value".into(), Value::Num(e.value));
-                        eo.insert("threshold".into(), Value::Num(e.threshold));
-                        eo.insert("detail".into(), Value::Str(e.detail.clone()));
-                        Value::Obj(eo)
-                    })
-                    .collect();
-                o.insert("evidence".into(), Value::Arr(ev));
-                Value::Obj(o)
-            })
-            .collect();
-        obj.insert("diagnoses".into(), Value::Arr(diagnoses));
-        obj.insert("digest".into(), Value::Str(self.digest_hex()));
-        Value::Obj(obj)
-    }
-
-    /// Parses a serialised report, verifying the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON, missing fields or an
-    /// unsupported schema version.
-    pub fn from_json_text(text: &str) -> Result<DiagnosisReport, String> {
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        Self::from_json(&value)
-    }
-
-    /// Parses an already-decoded JSON value (the embedded `diagnosis`
-    /// sections of chaos/scale reports reuse this).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for missing fields or an unsupported schema
-    /// version.
-    pub fn from_json(value: &Value) -> Result<DiagnosisReport, String> {
-        let version = value
-            .get("schema_version")
-            .and_then(Value::as_f64)
-            .ok_or("diagnosis report missing 'schema_version'")? as u64;
-        if version != DIAGNOSE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported diagnosis schema version {version} (expected {DIAGNOSE_SCHEMA_VERSION})"
-            ));
-        }
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("diagnosis report missing '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("diagnosis report missing '{key}'"))
-        };
-        let Some(Value::Arr(raw)) = value.get("diagnoses") else {
-            return Err("diagnosis report missing 'diagnoses'".into());
-        };
-        let mut diagnoses = Vec::with_capacity(raw.len());
-        for item in raw {
-            let class = item
-                .get("class")
-                .and_then(Value::as_str)
-                .ok_or("diagnosis missing 'class'")
-                .and_then(|l| BottleneckClass::parse(l).map_err(|_| "unknown class label"))
-                .map_err(str::to_string)?;
-            let confidence = item
-                .get("confidence")
-                .and_then(Value::as_f64)
-                .ok_or("diagnosis missing 'confidence'")?;
-            let remediation = item
-                .get("remediation")
-                .and_then(Value::as_str)
-                .unwrap_or(class.remediation())
-                .to_string();
-            let mut evidence = Vec::new();
-            if let Some(Value::Arr(evs)) = item.get("evidence") {
-                for e in evs {
-                    evidence.push(Evidence {
-                        metric: e
-                            .get("metric")
-                            .and_then(Value::as_str)
-                            .ok_or("evidence missing 'metric'")?
-                            .to_string(),
-                        value: e
-                            .get("value")
-                            .and_then(Value::as_f64)
-                            .ok_or("evidence missing 'value'")?,
-                        threshold: e
-                            .get("threshold")
-                            .and_then(Value::as_f64)
-                            .ok_or("evidence missing 'threshold'")?,
-                        detail: e
-                            .get("detail")
-                            .and_then(Value::as_str)
-                            .unwrap_or("")
-                            .to_string(),
-                    });
-                }
-            }
-            diagnoses.push(Diagnosis { class, confidence, evidence, remediation });
-        }
-        Ok(DiagnosisReport {
-            schema_version: version,
-            model: str_field("model")?,
-            framework: str_field("framework")?,
-            batch: num_field("batch")? as usize,
-            events: num_field("events")? as u64,
-            iteration_us: num_field("iteration_us")?,
-            diagnoses,
-        })
-    }
-
     /// Compares this report against a pinned snapshot: the ranked class
     /// sequence must match exactly, confidences within `tolerance`.
     ///
@@ -970,11 +848,7 @@ impl DiagnosisReport {
         if self.events != baseline.events {
             failures.push(format!("events {} != pinned {}", self.events, baseline.events));
         }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("\n"))
-        }
+        json::verdict(failures)
     }
 
     /// Renders the report as markdown (the CI diagnose artifact).

@@ -6,6 +6,11 @@
 //! `chrome://tracing` and Perfetto will do with it). This module is just
 //! big enough for that — objects, arrays, strings with escapes, finite
 //! numbers, booleans and null.
+//!
+//! It also holds the report codec ([`Codec`], [`json_record!`](crate::json_record)):
+//! every schema-versioned report converts to and from [`Value`] through
+//! it, so range checks, the schema gate and the keyed drift comparison
+//! live in one place.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -185,9 +190,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("bad utf8", *pos))?;
+            Some(&lead) => {
+                // Consume one UTF-8 scalar (multi-byte sequences included),
+                // validating only its own bytes.
+                let width = match lead {
+                    0x00..=0x7f => 1,
+                    0xc0..=0xdf => 2,
+                    0xe0..=0xef => 3,
+                    _ => 4,
+                };
+                let scalar = bytes.get(*pos..*pos + width).unwrap_or(&bytes[*pos..]);
+                let rest = std::str::from_utf8(scalar).map_err(|_| err("bad utf8", *pos))?;
                 let c = rest.chars().next().ok_or_else(|| err("unterminated string", *pos))?;
                 out.push(c);
                 *pos += c.len_utf8();
@@ -301,6 +314,281 @@ impl fmt::Display for Value {
     }
 }
 
+/// The largest integer a JSON number (an `f64`) holds exactly: 2^53.
+pub const MAX_EXACT_INTEGER: u64 = 1 << 53;
+
+/// A decoded JSON object.
+pub type Object = BTreeMap<String, Value>;
+
+/// Conversion between a report type and a JSON [`Value`] — the one codec
+/// every schema-versioned report reads and writes through.
+///
+/// Decoding never coerces: an integer must be a finite, integral,
+/// non-negative number no larger than the type's maximum or
+/// [`MAX_EXACT_INTEGER`]; a `bool` must be a JSON bool; an [`Option`] is the
+/// only way a key may be missing (missing or `null` is `None`). Records
+/// declare their fields once through [`json_record!`](crate::json_record).
+pub trait Codec: Sized {
+    /// Encodes the value.
+    fn to_value(&self) -> Value;
+
+    /// Decodes a value; the error names the offending field path and value.
+    fn from_value(value: &Value) -> Result<Self, String>;
+
+    /// The value of an absent object key: `"missing"` unless the type
+    /// tolerates absence.
+    fn absent() -> Result<Self, String> {
+        Err("missing".into())
+    }
+}
+
+/// The decode error for `got` where `what` was expected (containers are
+/// named, not printed).
+pub fn expected<T>(what: &str, got: &Value) -> Result<T, String> {
+    let got = match got {
+        Value::Arr(_) => "an array".to_string(),
+        Value::Obj(_) => "an object".to_string(),
+        scalar => scalar.to_string(),
+    };
+    Err(format!("expected {what}, got {got}"))
+}
+
+macro_rules! leaf_codec {
+    ($($t:ty => $variant:ident, $what:literal;)*) => {$(
+        impl Codec for $t {
+            fn to_value(&self) -> Value {
+                Value::$variant(self.to_owned())
+            }
+
+            fn from_value(value: &Value) -> Result<Self, String> {
+                match value {
+                    Value::$variant(v) => Ok(v.to_owned()),
+                    other => expected($what, other),
+                }
+            }
+        }
+    )*};
+}
+
+leaf_codec! {
+    String => Str, "a string";
+    f64 => Num, "a number";
+    bool => Bool, "true or false";
+}
+
+macro_rules! unsigned_codec {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn to_value(&self) -> Value {
+                Value::Num(*self as f64)
+            }
+
+            fn from_value(value: &Value) -> Result<Self, String> {
+                let max = (<$t>::MAX as u64).min(MAX_EXACT_INTEGER);
+                match value {
+                    Value::Num(n) if n.fract() == 0.0 && (0.0..=max as f64).contains(n) => {
+                        Ok(*n as $t)
+                    }
+                    other => expected(&format!("an integer in 0..={max}"), other),
+                }
+            }
+        }
+    )*};
+}
+
+unsigned_codec!(u32, u64, usize);
+
+impl<T: Codec> Codec for Option<T> {
+    fn to_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_value)
+    }
+
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Null => Ok(None),
+            other => T::from_value(other).map(Some),
+        }
+    }
+
+    fn absent() -> Result<Self, String> {
+        Ok(None)
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_value).collect())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let Value::Arr(items) = value else { return expected("an array", value) };
+        let item = |(i, v)| T::from_value(v).map_err(|e| format!("[{i}] {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+impl<T: Codec> Codec for BTreeMap<String, T> {
+    fn to_value(&self) -> Value {
+        Value::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+    }
+
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let Value::Obj(map) = value else { return expected("an object", value) };
+        let entry = |(k, v): (&String, _)| {
+            Ok((k.clone(), T::from_value(v).map_err(|e| format!("'{k}': {e}"))?))
+        };
+        map.iter().map(entry).collect()
+    }
+}
+
+/// Decodes field `key` of `object`, a `record`, naming both in any error.
+///
+/// # Errors
+///
+/// Returns the field's decode error, prefixed with the record and key.
+pub fn field<T: Codec>(object: &Object, record: &str, key: &str) -> Result<T, String> {
+    object
+        .get(key)
+        .map_or_else(T::absent, T::from_value)
+        .map_err(|e| format!("{record} field '{key}': {e}"))
+}
+
+/// The one schema-version gate: `object`'s `schema_version` must be
+/// exactly `expected`. Runs before any other field is decoded.
+///
+/// # Errors
+///
+/// Returns a message for a missing, malformed or different version.
+pub fn check_schema(object: &Object, record: &str, expected: u64) -> Result<(), String> {
+    let version: u64 = field(object, record, "schema_version")?;
+    if version == expected {
+        Ok(())
+    } else {
+        Err(format!("unsupported {record} schema version {version} (expected {expected})"))
+    }
+}
+
+/// Parses JSON text and decodes it as `T`.
+///
+/// # Errors
+///
+/// Returns the parse error or the decode error.
+pub fn decode_text<T: Codec>(text: &str) -> Result<T, String> {
+    T::from_value(&parse(text).map_err(|e| e.to_string())?)
+}
+
+/// Keyed relative drift of one metric: every `current` record whose
+/// `metric` key is also `pinned` is compared as `|value − pinned| /
+/// |pinned|` (records whose `metric` is `None` vouch for nothing). Returns
+/// how many keys overlapped and one `line(key, value, drift, pinned)` per
+/// drift above `tolerance`.
+pub fn keyed_drift<T, K: Ord>(
+    pinned: &[T],
+    current: &[T],
+    metric: impl Fn(&T) -> Option<(K, f64)>,
+    tolerance: f64,
+    line: impl Fn(&K, f64, f64, f64) -> String,
+) -> (usize, Vec<String>) {
+    let pinned: BTreeMap<K, f64> = pinned.iter().filter_map(&metric).collect();
+    let mut compared = 0;
+    let mut failures = Vec::new();
+    for (key, value) in current.iter().filter_map(&metric) {
+        let Some(&expected) = pinned.get(&key) else { continue };
+        compared += 1;
+        let drift = (value - expected).abs() / expected.abs().max(f64::MIN_POSITIVE);
+        if drift > tolerance {
+            failures.push(line(&key, value, drift, expected));
+        }
+    }
+    (compared, failures)
+}
+
+/// `Ok` when no failure line was collected.
+///
+/// # Errors
+///
+/// Returns the failure lines, one per line.
+pub fn verdict(failures: Vec<String>) -> Result<(), String> {
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("\n"))
+    }
+}
+
+/// Implements [`Codec`] for a record struct from one field table: each
+/// field is written and read under its own name, and `derived { key = f }`
+/// writes `f(&self)` as an extra output-only key (ignored when decoding).
+/// A report header adds `schema = V`: decoding first passes
+/// [`check_schema`], and the type gets `to_json` and `from_json_text`.
+///
+/// ```ignore
+/// json_record!(SpeedTier, "speed tier";
+///     fields { model, framework, batch, fused_wall_s, unfused_wall_s }
+///     derived { speedup = SpeedTier::speedup });
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    (
+        $ty:ty, $name:literal, schema = $schema:expr;
+        fields { $($field:ident),* $(,)? }
+        $(derived { $($key:ident = $derive:path),* $(,)? })?
+    ) => {
+        $crate::json_record!(@codec $ty, $name, ($schema); $($field),*; $($($key = $derive),*)?);
+
+        impl $ty {
+            /// Serialises the report (round-trips through `json::parse`).
+            pub fn to_json(&self) -> $crate::json::Value {
+                $crate::json::Codec::to_value(self)
+            }
+
+            /// Parses a serialised report, verifying the schema version.
+            ///
+            /// # Errors
+            ///
+            /// Returns a message for malformed JSON, a missing or malformed
+            /// field, or an unsupported schema version.
+            pub fn from_json_text(text: &str) -> ::std::result::Result<Self, String> {
+                $crate::json::decode_text(text)
+            }
+        }
+    };
+    (
+        $ty:ty, $name:literal;
+        fields { $($field:ident),* $(,)? }
+        $(derived { $($key:ident = $derive:path),* $(,)? })?
+    ) => {
+        $crate::json_record!(@codec $ty, $name, (); $($field),*; $($($key = $derive),*)?);
+    };
+    (
+        @codec $ty:ty, $name:literal, ($($schema:expr)?);
+        $($field:ident),*; $($key:ident = $derive:path),*
+    ) => {
+        impl $crate::json::Codec for $ty {
+            fn to_value(&self) -> $crate::json::Value {
+                let mut object = $crate::json::Object::new();
+                $(object.insert(
+                    stringify!($field).into(),
+                    $crate::json::Codec::to_value(&self.$field),
+                );)*
+                $(object.insert(
+                    stringify!($key).into(),
+                    $crate::json::Codec::to_value(&$derive(self)),
+                );)*
+                $crate::json::Value::Obj(object)
+            }
+
+            fn from_value(value: &$crate::json::Value) -> ::std::result::Result<Self, String> {
+                let $crate::json::Value::Obj(object) = value else {
+                    return $crate::json::expected(concat!("a ", $name), value);
+                };
+                $($crate::json::check_schema(object, $name, $schema)?;)?
+                Ok(Self { $($field: $crate::json::field(object, $name, stringify!($field))?),* })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,5 +621,73 @@ mod tests {
     fn unicode_escapes_parse() {
         let v = parse(r#""café""#).unwrap();
         assert_eq!(v.as_str(), Some("café"));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        schema_version: u64,
+        count: u32,
+        flag: bool,
+        note: Option<String>,
+        sizes: BTreeMap<String, usize>,
+        ratio: f64,
+    }
+
+    impl Probe {
+        fn doubled(&self) -> f64 {
+            2.0 * self.ratio
+        }
+    }
+
+    crate::json_record!(Probe, "probe", schema = 2;
+        fields { schema_version, count, flag, note, sizes, ratio }
+        derived { doubled = Probe::doubled });
+
+    #[test]
+    fn records_round_trip_and_tolerate_only_options_missing() {
+        let text = r#"{"schema_version":2,"count":3,"flag":true,"sizes":{"a":7},"ratio":0.5}"#;
+        let probe = Probe::from_json_text(text).unwrap();
+        assert_eq!(probe.note, None);
+        let encoded = probe.to_json().to_string();
+        assert!(encoded.contains("\"doubled\":1"), "{encoded}");
+        assert!(encoded.contains("\"note\":null"), "{encoded}");
+        assert_eq!(decode_text::<Probe>(&encoded).unwrap(), probe);
+        let without_count = text.replace("\"count\":3,", "");
+        let err = decode_text::<Probe>(&without_count).unwrap_err();
+        assert_eq!(err, "probe field 'count': missing");
+    }
+
+    #[test]
+    fn integers_and_bools_are_range_and_type_checked() {
+        let base = r#"{"schema_version":2,"count":3,"flag":true,"sizes":{"a":7},"ratio":0.5}"#;
+        for (from, to) in [
+            ("\"count\":3", "\"count\":-1"),
+            ("\"count\":3", "\"count\":0.5"),
+            ("\"count\":3", "\"count\":1e20"),
+            ("\"count\":3", "\"count\":4294967296"),
+            ("\"a\":7", "\"a\":9007199254740994"),
+            ("\"flag\":true", "\"flag\":\"true\""),
+            ("\"flag\":true", "\"flag\":1"),
+            ("\"schema_version\":2", "\"schema_version\":2.5"),
+            ("\"schema_version\":2", "\"schema_version\":3"),
+        ] {
+            let text = base.replace(from, to);
+            assert!(decode_text::<Probe>(&text).is_err(), "{text} decoded");
+        }
+        let err = decode_text::<Probe>(&base.replace("\"count\":3", "\"count\":-2")).unwrap_err();
+        assert_eq!(err, "probe field 'count': expected an integer in 0..=4294967295, got -2");
+        assert_eq!(u64::from_value(&Value::Num(9007199254740992.0)), Ok(MAX_EXACT_INTEGER));
+    }
+
+    #[test]
+    fn keyed_drift_compares_overlapping_keys_only() {
+        let line = |k: &&str, v: f64, d: f64, p: f64| format!("{k} {v} {d} {p}");
+        let pinned = [("a", 100.0), ("b", 1.0)];
+        let current = [("a", 102.0), ("c", 5.0)];
+        let (compared, failures) = keyed_drift(&pinned, &current, |&p| Some(p), 0.01, line);
+        assert_eq!(compared, 1);
+        assert_eq!(failures.len(), 1);
+        assert!(verdict(failures).is_err());
+        assert!(verdict(Vec::new()).is_ok());
     }
 }

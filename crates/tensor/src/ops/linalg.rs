@@ -282,27 +282,45 @@ fn pack_a_panel(
     }
 }
 
-/// Fused multiply-add `acc + a·b` on hardware that has it. Rust never
-/// contracts `acc + a * b` into an FMA on its own (fusing drops the
-/// intermediate rounding step, changing results), so the kernel opts in
-/// explicitly — but only when the `fma` target feature is compiled in;
-/// without it `mul_add` lowers to a libm call that is orders of magnitude
-/// slower than separate multiply and add.
+/// Fused multiply-add `acc + a·b`, rounded once. Rust never contracts
+/// `acc + a * b` into an FMA on its own, so the kernel asks for it
+/// explicitly — on every build, so the GEMM computes the same bits
+/// whatever `target-feature` set it was compiled with.
 #[inline(always)]
 fn fmadd(acc: f32, a: f32, b: f32) -> f32 {
-    if cfg!(target_feature = "fma") {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
+    a.mul_add(b, acc)
 }
 
 /// `MR`×`NR` register-tiled inner kernel: `acc += apanel ⊗ bpanel` over one
 /// k-block. Fixed-size accumulators and `chunks_exact` panels let LLVM keep
 /// the whole tile in vector registers with no bounds checks in the loop.
 ///
+/// Builds without `fma` compiled in would lower [`fmadd`] to a (correctly
+/// rounded, but slow) libm call, so on x86-64 they detect FMA at run time
+/// and run the same loop compiled with it enabled.
 #[inline]
 fn micro_kernel(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    #[cfg(all(target_arch = "x86_64", not(target_feature = "fma")))]
+    if std::is_x86_feature_detected!("fma") {
+        // SAFETY: the running CPU supports FMA, checked just above.
+        return unsafe { micro_kernel_fma(apanel, bpanel, acc) };
+    }
+    micro_kernel_body(apanel, bpanel, acc);
+}
+
+/// [`micro_kernel_body`] compiled with hardware FMA.
+///
+/// # Safety
+///
+/// The running CPU must support the `fma` target feature.
+#[cfg(all(target_arch = "x86_64", not(target_feature = "fma")))]
+#[target_feature(enable = "fma")]
+unsafe fn micro_kernel_fma(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+    micro_kernel_body(apanel, bpanel, acc);
+}
+
+#[inline(always)]
+fn micro_kernel_body(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ak, bk) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
         let bk: &[f32; NR] = bk.try_into().expect("bpanel is NR-aligned");
         for (i, acc_row) in acc.iter_mut().enumerate() {
