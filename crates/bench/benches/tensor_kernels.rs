@@ -58,12 +58,21 @@ fn bench_inception_stem(c: &mut Criterion) {
 }
 
 fn bench_batch_norm(c: &mut Criterion) {
-    let x = Tensor::from_fn([8, 16, 16, 16], |i| (i as f32 * 0.07).sin());
-    let gamma = Tensor::ones([16]);
-    let beta = Tensor::zeros([16]);
-    c.bench_function("batch_norm_8x16x16x16", |bench| {
-        bench.iter(|| ops::batch_norm_forward(black_box(&x), &gamma, &beta, 1e-5).unwrap())
-    });
+    // The paper's `bn_fw_tr`/`bn_bw` pair: a wide layer, and the 4-channel
+    // 37×37 shape of the tiny Inception-v3 trained by the `train` workload.
+    for (label, dims) in [("8x16x16x16", [8, 16, 16, 16]), ("2x4x37x37", [2, 4, 37, 37])] {
+        let x = Tensor::from_fn(dims, |i| (i as f32 * 0.07).sin());
+        let gamma = Tensor::ones([dims[1]]);
+        let beta = Tensor::zeros([dims[1]]);
+        c.bench_function(&format!("batch_norm_{label}"), |bench| {
+            bench.iter(|| ops::batch_norm_forward(black_box(&x), &gamma, &beta, 1e-5).unwrap())
+        });
+        let (_, state) = ops::batch_norm_forward(&x, &gamma, &beta, 1e-5).unwrap();
+        let dy = Tensor::from_fn(dims, |i| (i as f32 * 0.13).cos());
+        c.bench_function(&format!("batch_norm_backward_{label}"), |bench| {
+            bench.iter(|| ops::batch_norm_backward(black_box(&state), &gamma, &dy).unwrap())
+        });
+    }
 }
 
 fn bench_softmax_ce(c: &mut Criterion) {

@@ -889,10 +889,10 @@ impl Session {
                 {
                     continue;
                 }
-                grads[target] = Some(match grads[target].take() {
-                    Some(existing) => ops::add(&existing, &grad)?,
-                    None => grad,
-                });
+                match &mut grads[target] {
+                    Some(existing) => ops::add_assign(existing, &grad)?,
+                    slot @ None => *slot = Some(grad),
+                }
             }
         }
         self.record_pass_span("backward", self.step, traced_nodes, pass_start);

@@ -45,6 +45,18 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     zip_with(a, b, |x, y| x + y)
 }
 
+/// In-place element-wise sum `a ← a + b` (gradient accumulation); each
+/// element is the same `a + b` that [`add`] computes.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
+pub fn add_assign(a: &mut Tensor, b: &Tensor) -> Result<()> {
+    zip_check("add", a, b)?;
+    par::par_zip_inplace(a.data_mut(), b.data(), |x, y| x + y);
+    Ok(())
+}
+
 /// Element-wise difference `a - b`.
 ///
 /// # Errors
@@ -78,16 +90,6 @@ pub fn div(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Scalar multiple `s · a`.
 pub fn scale(a: &Tensor, s: f32) -> Tensor {
     map_with(a, |v| v * s)
-}
-
-/// AXPY-style update `a + s · b`, the core of SGD weight updates.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-pub fn add_scaled(a: &Tensor, b: &Tensor, s: f32) -> Result<Tensor> {
-    zip_check("add_scaled", a, b)?;
-    zip_with(a, b, |x, y| x + s * y)
 }
 
 /// Rectified linear unit `max(x, 0)`.
@@ -180,7 +182,9 @@ mod tests {
         assert_eq!(sub(&a, &b).unwrap().data(), &[-2.0, -3.0]);
         assert_eq!(mul(&a, &b).unwrap().data(), &[3.0, 10.0]);
         assert_eq!(div(&b, &a).unwrap().data(), &[3.0, 2.5]);
-        assert_eq!(add_scaled(&a, &b, 2.0).unwrap().data(), &[7.0, 12.0]);
+        let mut acc = a.clone();
+        add_assign(&mut acc, &b).unwrap();
+        assert_eq!(acc.data(), &[4.0, 7.0]);
     }
 
     #[test]
@@ -188,6 +192,11 @@ mod tests {
         let a = Tensor::ones([2]);
         let b = Tensor::ones([3]);
         assert!(matches!(add(&a, &b), Err(TensorError::ShapeMismatch { op: "add", .. })));
+        let mut acc = a.clone();
+        assert!(matches!(
+            add_assign(&mut acc, &b),
+            Err(TensorError::ShapeMismatch { op: "add", .. })
+        ));
     }
 
     #[test]

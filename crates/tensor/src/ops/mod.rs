@@ -29,7 +29,7 @@ pub use conv::{
     col2im, conv2d_backward, conv2d_forward, conv2d_output_hw, im2col, Conv2dConfig,
 };
 pub use elementwise::{
-    add, add_scaled, div, dropout_backward, dropout_forward, leaky_relu_backward,
+    add, add_assign, div, dropout_backward, dropout_forward, leaky_relu_backward,
     leaky_relu_forward, mul, relu_backward, relu_forward, scale, sigmoid_backward,
     sigmoid_forward, sub, tanh_backward, tanh_forward,
 };

@@ -46,49 +46,35 @@ pub fn batch_norm_forward(
         });
     }
     let count = (n * h * w) as f32;
+    let hw = h * w;
     let xd = x.data();
-    let mut mean = vec![0.0f32; c];
-    let mut var = vec![0.0f32; c];
-    for img in 0..n {
-        for (ch, m) in mean.iter_mut().enumerate() {
-            let base = (img * c + ch) * h * w;
-            for &v in &xd[base..base + h * w] {
-                *m += v;
-            }
-        }
-    }
+    let [mut mean] = channel_sums(n, c, hw, [xd], |_, [v]| [v]);
     for m in &mut mean {
         *m /= count;
     }
-    for img in 0..n {
-        for ch in 0..c {
-            let base = (img * c + ch) * h * w;
-            for &v in &xd[base..base + h * w] {
-                let d = v - mean[ch];
-                var[ch] += d * d;
-            }
-        }
-    }
+    let [var] = channel_sums(n, c, hw, [xd], |ch, [v]| {
+        let d = v - mean[ch];
+        [d * d]
+    });
     let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v / count + eps).sqrt()).collect();
     let mut norm = vec![0.0f32; xd.len()];
     let mut out = vec![0.0f32; xd.len()];
-    let hw = h * w;
     if hw > 0 {
-        // Per-plane (image, channel) rows are independent given the stats.
+        // Per-plane (image, channel) rows are independent given the stats;
+        // one pass writes both x̂ and the affine output from it.
         let threads = par::plan_threads(xd.len(), par::ELEMENTWISE_GRAIN, n * c);
-        par::par_rows(&mut norm, hw, threads, |row, plane| {
-            let ch = row % c;
-            let base = row * hw;
-            for (i, v) in plane.iter_mut().enumerate() {
-                *v = (xd[base + i] - mean[ch]) * inv_std[ch];
-            }
-        });
-        par::par_rows(&mut out, hw, threads, |row, plane| {
-            let ch = row % c;
-            let (g, bt) = (gamma.data()[ch], beta.data()[ch]);
-            let base = row * hw;
-            for (i, v) in plane.iter_mut().enumerate() {
-                *v = g * norm[base + i] + bt;
+        let mut planes: Vec<_> = norm.chunks_mut(hw).zip(out.chunks_mut(hw)).collect();
+        par::parallel_bands(&mut planes, 1, threads, |first, band| {
+            for (k, (nplane, oplane)) in band.iter_mut().enumerate() {
+                let row = first + k;
+                let ch = row % c;
+                let (m, s) = (mean[ch], inv_std[ch]);
+                let (g, bt) = (gamma.data()[ch], beta.data()[ch]);
+                let xs = &xd[row * hw..(row + 1) * hw];
+                for ((nv, ov), &v) in nplane.iter_mut().zip(oplane.iter_mut()).zip(xs) {
+                    *nv = (v - m) * s;
+                    *ov = g * *nv + bt;
+                }
             }
         });
     }
@@ -121,19 +107,9 @@ pub fn batch_norm_backward(
     let count = (n * h * w) as f32;
     let xh = state.normalized.data();
     let dyd = dy.data();
-    let mut dgamma = vec![0.0f32; c];
-    let mut dbeta = vec![0.0f32; c];
-    for img in 0..n {
-        for ch in 0..c {
-            let base = (img * c + ch) * h * w;
-            for i in base..base + h * w {
-                dgamma[ch] += dyd[i] * xh[i];
-                dbeta[ch] += dyd[i];
-            }
-        }
-    }
-    let mut dx = vec![0.0f32; dyd.len()];
     let hw = h * w;
+    let [dgamma, dbeta] = channel_sums(n, c, hw, [dyd, xh], |_, [g, x]| [g * x, g]);
+    let mut dx = vec![0.0f32; dyd.len()];
     if hw > 0 {
         let threads = par::plan_threads(dyd.len(), par::ELEMENTWISE_GRAIN, n * c);
         par::par_rows(&mut dx, hw, threads, |row, plane| {
@@ -150,6 +126,74 @@ pub fn batch_norm_backward(
         Tensor::from_vec(dgamma, [c])?,
         Tensor::from_vec(dbeta, [c])?,
     ))
+}
+
+/// Channels whose add chains [`channel_sums`] runs side by side.
+const LANES: usize = 8;
+
+/// Per-channel sums over `[n, c, hw]` inputs: for every channel `ch`, sum
+/// `s` is `Σ term(ch, [x[i] for x in inputs])[s]` over the channel's
+/// element indices `i`, image-major and ascending, accumulated from `0.0`
+/// — one serial add chain per channel and sum, exactly as a plain loop
+/// would run it.
+///
+/// Each chain is latency-bound, so blocks of up to [`LANES`]
+/// channels advance together: independent chains fill the adder pipeline
+/// while every chain keeps its own order, so the sums are bit-identical to
+/// one channel at a time.
+fn channel_sums<const A: usize, const S: usize>(
+    n: usize,
+    c: usize,
+    hw: usize,
+    inputs: [&[f32]; A],
+    term: impl Fn(usize, [f32; A]) -> [f32; S],
+) -> [Vec<f32>; S] {
+    let mut sums = std::array::from_fn(|_| vec![0.0f32; c]);
+    let mut ch0 = 0;
+    while ch0 < c {
+        let (t, s) = (&term, &mut sums);
+        ch0 += match c - ch0 {
+            r if r >= LANES => channel_block::<LANES, A, S>(n, c, hw, ch0, inputs, t, s),
+            r if r >= 4 => channel_block::<4, A, S>(n, c, hw, ch0, inputs, t, s),
+            r if r >= 2 => channel_block::<2, A, S>(n, c, hw, ch0, inputs, t, s),
+            _ => channel_block::<1, A, S>(n, c, hw, ch0, inputs, t, s),
+        };
+    }
+    sums
+}
+
+/// Accumulates channels `ch0..ch0 + K` of [`channel_sums`] in `K·S`
+/// register accumulators, reading each channel's plane of each input as one
+/// slice; returns `K`.
+fn channel_block<const K: usize, const A: usize, const S: usize>(
+    n: usize,
+    c: usize,
+    hw: usize,
+    ch0: usize,
+    inputs: [&[f32]; A],
+    term: &impl Fn(usize, [f32; A]) -> [f32; S],
+    sums: &mut [Vec<f32>; S],
+) -> usize {
+    let mut acc = [[0.0f32; S]; K];
+    for img in 0..n {
+        let base = (img * c + ch0) * hw;
+        let planes: [[&[f32]; A]; K] =
+            std::array::from_fn(|l| inputs.map(|x| &x[base + l * hw..][..hw]));
+        for i in 0..hw {
+            for (l, lane) in acc.iter_mut().enumerate() {
+                let t = term(ch0 + l, planes[l].map(|p| p[i]));
+                for (a, v) in lane.iter_mut().zip(t) {
+                    *a += v;
+                }
+            }
+        }
+    }
+    for (l, lane) in acc.iter().enumerate() {
+        for (sum, &a) in sums.iter_mut().zip(lane) {
+            sum[ch0 + l] = a;
+        }
+    }
+    K
 }
 
 /// Saved forward-pass statistics needed by [`layer_norm_backward`].

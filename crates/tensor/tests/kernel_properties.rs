@@ -570,3 +570,171 @@ fn row_range_edge_cases_match_reference_bitwise() {
     check_conv_dweight(22, [1, 12, 12, 12, 12, 7], Conv2dConfig::with_pads(1, 0, 3));
     check_conv_dweight(23, [2, 5, 9, 9, 7, 5], Conv2dConfig::new(1, 2));
 }
+
+// ---------------------------------------------------------------------------
+// Bitwise oracles for the channel-interleaved batch-norm reductions.
+//
+// The references are the batch-norm loops that summed one channel at a
+// time, kept verbatim as oracles (the elementwise passes run serially
+// here). The kernels now advance blocks of channels together; each
+// channel's add chain must be unchanged, so every output, statistic and
+// gradient must match bit for bit at any channel count and thread count.
+// Arithmetic on NaN leaves its sign and payload unspecified (the compiler
+// may commute an add), so these compare every NaN as one canonical NaN.
+
+fn arith_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+/// The one-channel-at-a-time forward: `(y, mean, inv_std, x̂)`.
+fn batch_norm_forward_reference(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (n, c, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2), x.shape().dim(3));
+    let count = (n * h * w) as f32;
+    let xd = x.data();
+    let mut mean = vec![0.0f32; c];
+    let mut var = vec![0.0f32; c];
+    for img in 0..n {
+        for (ch, m) in mean.iter_mut().enumerate() {
+            let base = (img * c + ch) * h * w;
+            for &v in &xd[base..base + h * w] {
+                *m += v;
+            }
+        }
+    }
+    for m in &mut mean {
+        *m /= count;
+    }
+    for img in 0..n {
+        for ch in 0..c {
+            let base = (img * c + ch) * h * w;
+            for &v in &xd[base..base + h * w] {
+                let d = v - mean[ch];
+                var[ch] += d * d;
+            }
+        }
+    }
+    let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v / count + eps).sqrt()).collect();
+    let mut norm = vec![0.0f32; xd.len()];
+    let mut out = vec![0.0f32; xd.len()];
+    let hw = h * w;
+    for (row, plane) in norm.chunks_mut(hw.max(1)).enumerate() {
+        let ch = row % c;
+        let base = row * hw;
+        for (i, v) in plane.iter_mut().enumerate() {
+            *v = (xd[base + i] - mean[ch]) * inv_std[ch];
+        }
+    }
+    for (row, plane) in out.chunks_mut(hw.max(1)).enumerate() {
+        let ch = row % c;
+        let (g, bt) = (gamma.data()[ch], beta.data()[ch]);
+        let base = row * hw;
+        for (i, v) in plane.iter_mut().enumerate() {
+            *v = g * norm[base + i] + bt;
+        }
+    }
+    (out, mean, inv_std, norm)
+}
+
+/// The one-channel-at-a-time backward: `(dx, dgamma, dbeta)`.
+fn batch_norm_backward_reference(
+    state: &ops::BatchNormState,
+    gamma: &Tensor,
+    dy: &Tensor,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let x_shape = state.normalized.shape().clone();
+    let (n, c, h, w) = (x_shape.dim(0), x_shape.dim(1), x_shape.dim(2), x_shape.dim(3));
+    let count = (n * h * w) as f32;
+    let xh = state.normalized.data();
+    let dyd = dy.data();
+    let mut dgamma = vec![0.0f32; c];
+    let mut dbeta = vec![0.0f32; c];
+    for img in 0..n {
+        for ch in 0..c {
+            let base = (img * c + ch) * h * w;
+            for i in base..base + h * w {
+                dgamma[ch] += dyd[i] * xh[i];
+                dbeta[ch] += dyd[i];
+            }
+        }
+    }
+    let mut dx = vec![0.0f32; dyd.len()];
+    let hw = h * w;
+    for (row, plane) in dx.chunks_mut(hw.max(1)).enumerate() {
+        let ch = row % c;
+        let g = gamma.data()[ch] * state.inv_std[ch] / count;
+        let base = row * hw;
+        for (i, v) in plane.iter_mut().enumerate() {
+            *v = g * (count * dyd[base + i] - dbeta[ch] - xh[base + i] * dgamma[ch]);
+        }
+    }
+    (dx, dgamma, dbeta)
+}
+
+/// Batch norm forward and backward over `[n, c, h, w]` against the
+/// references, at 1 and 4 intra-op threads; `data` makes the inputs.
+fn check_batch_norm(seed: u64, dims: [usize; 4], data: fn(u64, usize) -> Vec<f32>) {
+    let [n, c, h, w] = dims;
+    let x = Tensor::from_vec(data(seed, n * c * h * w), dims).unwrap();
+    let gamma = Tensor::from_vec(data(seed ^ 0x6a, c), [c]).unwrap();
+    let beta = Tensor::from_vec(data(seed ^ 0xbe, c), [c]).unwrap();
+    let dy = Tensor::from_vec(data(seed ^ 0xd7, x.len()), dims).unwrap();
+    let (y_ref, mean_ref, istd_ref, norm_ref) =
+        batch_norm_forward_reference(&x, &gamma, &beta, 1e-3);
+    for threads in [1, 4] {
+        tbd_tensor::par::set_max_threads(threads);
+        let (y, state) = ops::batch_norm_forward(&x, &gamma, &beta, 1e-3).unwrap();
+        let (dx, dgamma, dbeta) = ops::batch_norm_backward(&state, &gamma, &dy).unwrap();
+        tbd_tensor::par::set_max_threads(0);
+        let what = format!("{dims:?} at {threads} threads");
+        assert_eq!(arith_bits(y.data()), arith_bits(&y_ref), "bn y {what}");
+        assert_eq!(arith_bits(&state.mean), arith_bits(&mean_ref), "bn mean {what}");
+        assert_eq!(arith_bits(&state.inv_std), arith_bits(&istd_ref), "bn inv_std {what}");
+        assert_eq!(arith_bits(state.normalized.data()), arith_bits(&norm_ref), "bn x̂ {what}");
+        let (dx_ref, dgamma_ref, dbeta_ref) = batch_norm_backward_reference(&state, &gamma, &dy);
+        assert_eq!(arith_bits(dx.data()), arith_bits(&dx_ref), "bn dx {what}");
+        assert_eq!(arith_bits(dgamma.data()), arith_bits(&dgamma_ref), "bn dgamma {what}");
+        assert_eq!(arith_bits(dbeta.data()), arith_bits(&dbeta_ref), "bn dbeta {what}");
+    }
+}
+
+/// Every channel-block remainder (1, 2, 4 and 8-wide blocks and their
+/// mixes) at 1–3 images, with single-pixel planes (`hw = 1`) and odd
+/// plane sizes; NaN, `±0.0` and `-∞` inputs included.
+#[test]
+fn batch_norm_matches_reference_bitwise() {
+    let mut seed = 31;
+    for c in [1, 2, 3, 4, 5, 8, 9, 17] {
+        for n in [1, 2, 3] {
+            for (h, w) in [(1, 1), (1, 3), (5, 7)] {
+                seed += 1;
+                check_batch_norm(seed, [n, c, h, w], finite);
+                check_batch_norm(seed, [n, c, h, w], spiky);
+            }
+        }
+    }
+    // Inception's `[2, 4, 37, 37]`, and a tensor large enough that the
+    // elementwise passes band across all 4 threads.
+    check_batch_norm(90, [2, 4, 37, 37], finite);
+    check_batch_norm(91, [2, 17, 176, 176], finite);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Channel-interleaved batch norm is bitwise the per-channel loops.
+    #[test]
+    fn batch_norm_matches_reference_bitwise_sampled(
+        seed in 0u64..u64::MAX,
+        n in 1usize..4,
+        c in 1usize..20,
+        h in 1usize..6,
+        w in 1usize..6,
+    ) {
+        check_batch_norm(seed, [n, c, h, w], finite);
+    }
+}

@@ -94,7 +94,8 @@ fn apply_clipped(session: &mut Session, grads: &[(NodeId, Tensor)], lr: f32, cli
     let scale = if norm > clip { clip / norm } else { 1.0 };
     for (id, g) in grads {
         if let Some(w) = session.param_mut(*id) {
-            *w = ops::add_scaled(w, g, -lr * scale).expect("shapes match");
+            assert_eq!(w.shape(), g.shape(), "gradient shape must match its parameter");
+            crate::optim::axpy(w, g, -lr * scale);
         }
     }
 }

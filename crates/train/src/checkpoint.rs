@@ -98,41 +98,40 @@ pub struct LoadReport {
 }
 
 /// Serialises every parameter of `session` (plus its step counter) into a
-/// byte vector in checkpoint-v2 format.
+/// byte vector in checkpoint-v2 format. Tensors are read in place and the
+/// buffer is sized once up front.
 pub fn to_bytes(session: &Session) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&session.step_count().to_le_bytes());
-    let params: Vec<_> = session
+    let params: Vec<(&str, &Tensor)> = session
         .graph()
         .params()
         .iter()
-        .filter_map(|(id, _)| {
-            let name = match &session.graph().node(*id).op {
-                Op::Parameter { name } => name.clone(),
-                _ => return None,
-            };
-            session.param(*id).map(|t| (name, t.clone()))
+        .filter_map(|(id, _)| match &session.graph().node(*id).op {
+            Op::Parameter { name } => session.param(*id).map(|t| (name.as_str(), t)),
+            _ => None,
         })
         .collect();
-    body.extend_from_slice(&(params.len() as u64).to_le_bytes());
-    for (name, tensor) in params {
-        let name_bytes = name.as_bytes();
-        body.extend_from_slice(&(name_bytes.len() as u32).to_le_bytes());
-        body.extend_from_slice(name_bytes);
-        let dims = tensor.shape().dims();
-        body.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        for &d in dims {
-            body.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        for &v in tensor.data() {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    let checksum = fnv1a(&body);
-    let mut out = Vec::with_capacity(8 + body.len() + 8);
+    let records: usize = params
+        .iter()
+        .map(|(name, t)| 4 + name.len() + 4 + 8 * t.shape().rank() + 4 * t.len())
+        .sum();
+    let mut out = Vec::with_capacity(8 + 8 + 8 + records + 8);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&session.step_count().to_le_bytes());
+    out.extend_from_slice(&(params.len() as u64).to_le_bytes());
+    for (name, tensor) in params {
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        let dims = tensor.shape().dims();
+        out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
+        for &d in dims {
+            out.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        for &v in tensor.data() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let checksum = fnv1a(&out[MAGIC.len() + 1..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -283,10 +282,11 @@ fn from_verified_body(session: &mut Session, body: &[u8]) -> Result<LoadReport, 
         for _ in 0..rank {
             dims.push(read_u64(&mut cursor)? as usize);
         }
-        let len: usize = dims.iter().product();
-        if len > 1 << 30 {
-            return Err(CheckpointError::Malformed("implausible tensor size"));
-        }
+        let len = dims
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .filter(|&len| len <= 1 << 30)
+            .ok_or(CheckpointError::Malformed("implausible tensor size"))?;
         let raw = take(&mut cursor, len * 4)?;
         if let Some(&id) = by_name.get(&name) {
             let mut data = vec![0.0f32; len];
@@ -365,6 +365,39 @@ mod tests {
         for (a, b) in donor.snapshot().iter().zip(other.snapshot().iter()) {
             assert_eq!(a.1, b.1, "weights must round-trip bit-exactly");
         }
+    }
+
+    #[test]
+    fn serialised_bytes_are_pinned() {
+        let mut donor = session();
+        donor.set_step_count(17);
+        let hex: String = to_bytes(&donor).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "544244434b50543211000000000000000200000000000000070000006c617965722f7702000000\
+             03000000000000000200000000000000001327bf4288193f8081b8bce0f269bf7055a43e201636\
+             3d070000006c617965722f620100000002000000000000005e4b6d3f9818133ff8782437e19f4a0e"
+        );
+    }
+
+    #[test]
+    fn overflowing_dims_are_malformed_not_a_panic() {
+        // One record named "x" of dims [2^32, 2^32]: the product overflows
+        // usize, and the checksum is valid so parsing reaches the record.
+        let mut body = Vec::new();
+        body.extend_from_slice(&0u64.to_le_bytes());
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(b'x');
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        body.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        let mut bytes = b"TBDCKPT2".to_vec();
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        verify(&bytes).unwrap();
+        let err = load(&mut session(), bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed("implausible tensor size")), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use tbd_graph::{Gradients, NodeId, Session};
-use tbd_tensor::{ops, Tensor};
+use tbd_tensor::Tensor;
 
 /// An optimizer that applies parameter updates to a [`Session`].
 ///
@@ -24,26 +24,54 @@ pub trait Optimizer {
     );
 }
 
-fn param_name(session: &Session, id: NodeId) -> String {
+fn param_name(session: &Session, id: NodeId) -> &str {
     match &session.graph().node(id).op {
-        tbd_graph::Op::Parameter { name } => name.clone(),
-        _ => String::new(),
+        tbd_graph::Op::Parameter { name } => name,
+        _ => "",
     }
 }
 
-fn updatable_params(
-    session: &Session,
+/// Calls `update(id, weight, grad)` in place for every parameter that passes
+/// `filter` and has a gradient, in graph order. The gradient is borrowed
+/// from `grads`, never copied.
+///
+/// # Panics
+///
+/// Panics when a gradient's shape differs from its parameter's.
+fn update_params(
+    session: &mut Session,
     grads: &Gradients,
     filter: &dyn Fn(&str) -> bool,
-) -> Vec<(NodeId, Tensor)> {
-    session
-        .graph()
-        .params()
-        .iter()
-        .map(|(id, _)| *id)
-        .filter(|id| filter(&param_name(session, *id)))
-        .filter_map(|id| grads.param_grad(id).map(|g| (id, g.clone())))
-        .collect()
+    mut update: impl FnMut(NodeId, &mut Tensor, &Tensor),
+) {
+    for k in 0..session.graph().params().len() {
+        let id = session.graph().params()[k].0;
+        if !filter(param_name(session, id)) {
+            continue;
+        }
+        let Some(grad) = grads.param_grad(id) else { continue };
+        let w = session.param_mut(id).expect("every graph parameter holds a value");
+        assert_eq!(w.shape(), grad.shape(), "gradient shape must match its parameter");
+        update(id, w, grad);
+    }
+}
+
+/// The AXPY weight update `w ← w + s·g`, in place (`w` and `g` have equal
+/// shapes).
+pub(crate) fn axpy(w: &mut Tensor, g: &Tensor, s: f32) {
+    for (w, &g) in w.data_mut().iter_mut().zip(g.data()) {
+        *w += s * g;
+    }
+}
+
+/// Optimizer state of one parameter: a zero tensor of the gradient's shape
+/// on first use.
+fn state_for<'a>(
+    state: &'a mut HashMap<usize, Tensor>,
+    id: NodeId,
+    grad: &Tensor,
+) -> &'a mut [f32] {
+    state.entry(id.index()).or_insert_with(|| Tensor::zeros(grad.shape().clone())).data_mut()
 }
 
 /// Plain stochastic gradient descent: `w ← w − lr·g`.
@@ -67,11 +95,7 @@ impl Optimizer for Sgd {
         grads: &Gradients,
         filter: &dyn Fn(&str) -> bool,
     ) {
-        for (id, grad) in updatable_params(session, grads, filter) {
-            if let Some(w) = session.param_mut(id) {
-                *w = ops::add_scaled(w, &grad, -self.lr).expect("shapes match");
-            }
-        }
+        update_params(session, grads, filter, |_, w, grad| axpy(w, grad, -self.lr));
     }
 }
 
@@ -100,18 +124,14 @@ impl Optimizer for Momentum {
         grads: &Gradients,
         filter: &dyn Fn(&str) -> bool,
     ) {
-        for (id, grad) in updatable_params(session, grads, filter) {
-            let v = self
-                .velocity
-                .entry(id.index())
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            *v = ops::add_scaled(&ops::scale(v, self.momentum), &grad, 1.0)
-                .expect("shapes match");
-            let vc = v.clone();
-            if let Some(w) = session.param_mut(id) {
-                *w = ops::add_scaled(w, &vc, -self.lr).expect("shapes match");
+        let (lr, mu) = (self.lr, self.momentum);
+        update_params(session, grads, filter, |id, w, grad| {
+            let v = state_for(&mut self.velocity, id, grad);
+            for ((v, &g), w) in v.iter_mut().zip(grad.data()).zip(w.data_mut()) {
+                *v = *v * mu + 1.0 * g;
+                *w += -lr * *v;
             }
-        }
+        });
     }
 }
 
@@ -148,49 +168,36 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t);
         let bc2 = 1.0 - self.beta2.powi(self.t);
-        for (id, grad) in updatable_params(session, grads, filter) {
-            let m = self
-                .m
-                .entry(id.index())
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            *m = ops::add_scaled(&ops::scale(m, self.beta1), &grad, 1.0 - self.beta1)
-                .expect("shapes match");
-            let g2 = ops::mul(&grad, &grad).expect("same shape");
-            let v = self
-                .v
-                .entry(id.index())
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            *v = ops::add_scaled(&ops::scale(v, self.beta2), &g2, 1.0 - self.beta2)
-                .expect("shapes match");
-            let (mc, vc) = (m.clone(), v.clone());
-            let lr = self.lr;
-            let (eps, bc1, bc2) = (self.eps, bc1, bc2);
-            if let Some(w) = session.param_mut(id) {
-                let mut out = w.clone();
-                for i in 0..out.len() {
-                    let mhat = mc.data()[i] / bc1;
-                    let vhat = vc.data()[i] / bc2;
-                    out.data_mut()[i] -= lr * mhat / (vhat.sqrt() + eps);
-                }
-                *w = out;
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (m_state, v_state) = (&mut self.m, &mut self.v);
+        update_params(session, grads, filter, |id, w, grad| {
+            let m = state_for(m_state, id, grad);
+            let v = state_for(v_state, id, grad);
+            let terms = m.iter_mut().zip(v.iter_mut()).zip(grad.data()).zip(w.data_mut());
+            for (((m, v), &g), w) in terms {
+                *m = *m * beta1 + (1.0 - beta1) * g;
+                *v = *v * beta2 + (1.0 - beta2) * (g * g);
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
-        }
+        });
     }
 }
 
-/// Clamps every parameter passing `filter` into `[-c, c]` — the WGAN
-/// Lipschitz weight-clipping rule applied to the critic after each update.
+/// Clamps every parameter passing `filter` into `[-c, c]` in place — the
+/// WGAN Lipschitz weight-clipping rule applied to the critic after each
+/// update.
 pub fn clip_weights(session: &mut Session, c: f32, filter: &dyn Fn(&str) -> bool) {
-    let ids: Vec<NodeId> = session
-        .graph()
-        .params()
-        .iter()
-        .map(|(id, _)| *id)
-        .filter(|id| filter(&param_name(session, *id)))
-        .collect();
-    for id in ids {
+    for k in 0..session.graph().params().len() {
+        let id = session.graph().params()[k].0;
+        if !filter(param_name(session, id)) {
+            continue;
+        }
         if let Some(w) = session.param_mut(id) {
-            *w = w.map(|v| v.clamp(-c, c));
+            for v in w.data_mut() {
+                *v = v.clamp(-c, c);
+            }
         }
     }
 }

@@ -13,9 +13,9 @@ use tbd_models::deepspeech::DeepSpeechConfig;
 use tbd_models::resnet::ResNetConfig;
 use tbd_models::transformer::TransformerConfig;
 use tbd_models::wgan::WganConfig;
-use tbd_tensor::{ops, Tensor};
+use tbd_tensor::Tensor;
 use tbd_train::optim::clip_weights;
-use tbd_train::{Adam, Momentum, Trainer};
+use tbd_train::{Adam, Momentum, Optimizer, Sgd, Trainer};
 
 fn mean(v: &[f32]) -> f32 {
     v.iter().sum::<f32>() / v.len() as f32
@@ -229,15 +229,7 @@ fn gradient_descent_direction_is_correct_for_every_model_family() {
         let run = session.forward(&feeds).unwrap();
         let before = run.scalar(loss).unwrap();
         let grads = session.backward(&run, loss, Tensor::scalar(1.0)).unwrap();
-        let ids: Vec<_> = session.graph().params().iter().map(|(id, _)| *id).collect();
-        for id in ids {
-            if let Some(g) = grads.param_grad(id) {
-                let g = g.clone();
-                if let Some(w) = session.param_mut(id) {
-                    *w = ops::add_scaled(w, &g, -1e-3).unwrap();
-                }
-            }
-        }
+        Sgd::new(1e-3).step(&mut session, &grads);
         let after = session.forward(&feeds).unwrap().scalar(loss).unwrap();
         assert!(after <= before + 1e-4, "{name}: {before} -> {after}");
     }
