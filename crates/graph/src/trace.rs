@@ -206,13 +206,9 @@ impl ArgValue {
                 escape_into(out, s);
                 out.push('"');
             }
-            ArgValue::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v:.6}");
-            }
+            ArgValue::F64(v) if v.is_finite() => write_fixed(out, *v, 6),
             ArgValue::F64(_) => out.push_str("null"),
-            ArgValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            ArgValue::U64(v) => write_u64(out, *v),
             ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
@@ -318,6 +314,88 @@ fn write_hex16(out: &mut impl fmt::Write, v: u64) -> fmt::Result {
         *digit = HEX[((v >> (60 - 4 * i)) & 0xf) as usize];
     }
     out.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
+}
+
+/// Longest digit run [`write_fixed`] produces: `m·2^40·10^9 < 2^123`,
+/// which has at most 38 decimal digits.
+const DIGITS_CAP: usize = 40;
+
+/// `10^19`, the largest power of ten below `2^64`.
+const TEN_POW_19: u128 = 10_000_000_000_000_000_000;
+
+/// Writes the decimal digits of `x` so they end just before `buf[end]`,
+/// zero-padded to at least `min` digits; returns the index of the first.
+fn digits_before(buf: &mut [u8; DIGITS_CAP], mut end: usize, mut x: u64, min: usize) -> usize {
+    let stop = end - min;
+    while x > 0 || end > stop {
+        end -= 1;
+        buf[end] = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
+    end
+}
+
+fn push_ascii(out: &mut String, digits: &[u8]) {
+    out.push_str(std::str::from_utf8(digits).expect("decimal digits are ASCII"));
+}
+
+/// Appends `v` in decimal, exactly like `{v}`.
+pub fn write_u64(out: &mut String, v: u64) {
+    let mut buf = [0u8; DIGITS_CAP];
+    let start = digits_before(&mut buf, DIGITS_CAP, v, 1);
+    push_ascii(out, &buf[start..]);
+}
+
+/// Appends `v` with `decimals` fractional digits, byte-identical to
+/// `format!("{v:.decimals$}")`.
+///
+/// A finite `v` is `m·2^e` with an integer `m < 2^53`, so `v·10^d` is the
+/// exact rational `m·10^d·2^e`. For `e ≤ 40` and `d ≤ 9` it is rounded to
+/// the integer `n` in `u128` arithmetic, ties to even as std rounds, and
+/// `n` is printed with a point before its last `d` digits. The sign comes
+/// from the sign bit, so `-0.0` and negatives that round to zero keep
+/// their `-`. Everything else (larger exponents, more decimals, NaN and
+/// the infinities) goes through std's formatter.
+pub fn write_fixed(out: &mut String, v: f64, decimals: u32) {
+    let bits = v.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = if biased == 0 { (fraction, -1074) } else { (fraction | 1 << 52, biased - 1075) };
+    if biased == 0x7ff || e > 40 || decimals > 9 {
+        let _ = write!(out, "{v:.*}", decimals as usize);
+        return;
+    }
+    let scaled = u128::from(m) * u128::from(10u64.pow(decimals));
+    let n = if e >= 0 {
+        scaled << e
+    } else if e > -100 {
+        let shift = e.unsigned_abs();
+        let (q, r, half) = (scaled >> shift, scaled & ((1 << shift) - 1), 1u128 << (shift - 1));
+        q + u128::from(r > half || (r == half && q & 1 == 1))
+    } else {
+        // `scaled < 2^83` is below half of `2^-e`.
+        0
+    };
+    if bits >> 63 == 1 {
+        out.push('-');
+    }
+    let mut buf = [0u8; DIGITS_CAP];
+    let min = decimals as usize + 1;
+    let start = match u64::try_from(n) {
+        Ok(n) => digits_before(&mut buf, DIGITS_CAP, n, min),
+        Err(_) => {
+            // `n ≥ 2^64`: print the low 19 digits, then the (nonzero) rest,
+            // so the digit loop only ever divides a `u64`.
+            let low = digits_before(&mut buf, DIGITS_CAP, (n % TEN_POW_19) as u64, 19);
+            digits_before(&mut buf, low, (n / TEN_POW_19) as u64, 1)
+        }
+    };
+    let point = DIGITS_CAP - decimals as usize;
+    push_ascii(out, &buf[start..point]);
+    if decimals > 0 {
+        out.push('.');
+        push_ascii(out, &buf[point..]);
+    }
 }
 
 /// One structured trace event: a span (`dur_us > 0`) or an instant.

@@ -8,9 +8,10 @@
 //! bounded [`WorkerPool`], where a slow reader parks one worker, never the
 //! acceptor. When the pool's queue is full the acceptor answers `503`
 //! itself and drains the request so the close sends FIN. A worker reads
-//! the request line (2 s timeout, [`MAX_REQUEST_LINE`] cap: `414`),
-//! answers `400` for a malformed line and `405` for any method but `GET`,
-//! and otherwise writes what the router returns. [`HttpFront::shutdown`]
+//! the request line ([`REQUEST_LINE_DEADLINE`] for the whole line, however
+//! it trickles in; [`MAX_REQUEST_LINE`] cap: `414`), answers `400` for a
+//! malformed or non-UTF-8 line and `405` for any method but `GET`, and
+//! otherwise writes what the router returns. [`HttpFront::shutdown`]
 //! sets the stop flag and wakes the acceptor with a loopback connection,
 //! closes the listener, then drains the pool: every accepted connection
 //! is still answered.
@@ -20,13 +21,18 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::pool::WorkerPool;
 
 /// Longest request line the front accepts; anything larger is answered
 /// with `414 URI Too Long` before the connection is dropped.
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
+
+/// Time a client has to deliver its whole request line. It bounds the
+/// line, not each read, so a client trickling one byte at a time cannot
+/// hold a worker longer than this.
+pub const REQUEST_LINE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Cap on request bytes drained after a 503 shed. Large enough to absorb
 /// any in-flight request body a well-behaved client already wrote, small
@@ -191,18 +197,29 @@ pub fn parse_request_line(line: &str) -> Result<(&str, &str), u16> {
     Ok((method, path))
 }
 
-/// Reads the request line: `Ok(None)` when the peer went away or timed
-/// out before sending one, `Err(414)` past [`MAX_REQUEST_LINE`].
+/// Reads the request line: `Ok(None)` when the peer went away or
+/// [`REQUEST_LINE_DEADLINE`] passed before a whole line arrived,
+/// `Err(414)` past [`MAX_REQUEST_LINE`], `Err(400)` for a line that is
+/// not UTF-8 (never coerced).
 fn read_request_line(stream: &mut TcpStream) -> Result<Option<String>, u16> {
+    let deadline = Instant::now() + REQUEST_LINE_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
         if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&buf[..pos]).trim_end().to_string();
-            return if pos > MAX_REQUEST_LINE { Err(414) } else { Ok(Some(line)) };
+            if pos > MAX_REQUEST_LINE {
+                return Err(414);
+            }
+            let line = std::str::from_utf8(&buf[..pos]).map_err(|_| 400u16)?;
+            return Ok(Some(line.trim_end().to_string()));
         }
         if buf.len() > MAX_REQUEST_LINE {
             return Err(414);
+        }
+        // Each read may wait only for what is left of the line's deadline.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return Ok(None);
         }
         match stream.read(&mut chunk) {
             Ok(0) | Err(_) => return Ok(None),
@@ -212,10 +229,10 @@ fn read_request_line(stream: &mut TcpStream) -> Result<Option<String>, u16> {
 }
 
 fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let response = match read_request_line(&mut stream) {
         Ok(None) => return Ok(()),
-        Err(code) => Response::text(code, "request line too long\n"),
+        Err(414) => Response::text(414, "request line too long\n"),
+        Err(code) => Response::text(code, "bad request\n"),
         Ok(Some(line)) => match parse_request_line(&line) {
             Err(code) => Response::text(code, "bad request\n"),
             Ok((method, _)) if method != "GET" => Response::text(405, "only GET is supported\n"),

@@ -32,7 +32,8 @@ use crate::diagnose::DiagnosisReport;
 use std::fmt::Write as _;
 use std::ops::Range;
 use tbd_graph::trace::{
-    EventKind, Fnv1a, RecorderOverhead, TraceEvent, TraceLayer, SINK_LATENCY_BUCKETS,
+    write_fixed, write_u64, ArgValue, EventKind, Fnv1a, RecorderOverhead, TraceEvent, TraceLayer,
+    SINK_LATENCY_BUCKETS,
 };
 
 /// Timestamp placeholder used when computing the digest: the one part of
@@ -77,54 +78,64 @@ pub struct ReportContext<'a> {
     pub overhead: RecorderOverhead,
 }
 
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            c => out.push(c),
-        }
+/// Appends `text` HTML-escaped: `&`, `<`, `>`, `"` and `'` become
+/// entities, everything else is copied unchanged.
+fn esc_into(out: &mut String, text: &str) {
+    let mut run = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&#39;",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` ends on a char boundary.
+        out.push_str(&text[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
-    out
+    out.push_str(&text[run..]);
 }
 
-/// Deterministic number formatting: integers render bare, everything else
-/// with four decimals. Never locale- or platform-dependent.
-fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "∞".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.0}")
+/// Deterministic number formatting: integers render bare, other finite
+/// values with four decimals, non-finite ones as `NaN`, `∞` or `-∞`.
+/// Never locale- or platform-dependent.
+fn fmt_num_into(out: &mut String, v: f64) {
+    if v.is_nan() {
+        out.push_str("NaN");
+    } else if v.is_infinite() {
+        out.push_str(if v > 0.0 { "∞" } else { "-∞" });
     } else {
-        format!("{v:.4}")
+        write_fixed(out, v, if v == v.trunc() && v.abs() < 1e15 { 0 } else { 4 });
     }
 }
 
-fn fmt_us(us: f64) -> String {
-    if us >= 1e6 {
-        format!("{:.3} s", us / 1e6)
+fn fmt_us_into(out: &mut String, us: f64) {
+    let (value, decimals, unit) = if us >= 1e6 {
+        (us / 1e6, 3, " s")
     } else if us >= 1e3 {
-        format!("{:.3} ms", us / 1e3)
+        (us / 1e3, 3, " ms")
     } else {
-        format!("{us:.1} us")
-    }
+        (us, 1, " us")
+    };
+    write_fixed(out, value, decimals);
+    out.push_str(unit);
 }
 
-fn fmt_bytes(bytes: f64) -> String {
-    if bytes >= 1e9 {
-        format!("{:.2} GB", bytes / 1e9)
+fn fmt_bytes_into(out: &mut String, bytes: f64) {
+    let (value, decimals, unit) = if bytes >= 1e9 {
+        (bytes / 1e9, 2, " GB")
     } else if bytes >= 1e6 {
-        format!("{:.2} MB", bytes / 1e6)
+        (bytes / 1e6, 2, " MB")
     } else if bytes >= 1e3 {
-        format!("{:.1} kB", bytes / 1e3)
+        (bytes / 1e3, 1, " kB")
     } else {
-        format!("{bytes:.0} B")
-    }
+        (bytes, 0, " B")
+    };
+    write_fixed(out, value, decimals);
+    out.push_str(unit);
 }
 
 fn kind_class(kind: EventKind) -> &'static str {
@@ -169,25 +180,30 @@ impl ReportContext<'_> {
     /// [`DIGEST_TIMESTAMP`] equals hashing the placeholder render.
     pub fn render_and_digest(&self, timestamp: &str) -> (String, String) {
         let (html, slot) = self.render_with_stamp_slot(timestamp);
+        let mut placeholder = String::new();
+        esc_into(&mut placeholder, DIGEST_TIMESTAMP);
         let digest = Fnv1a::new()
             .update(&html.as_bytes()[..slot.start])
-            .update(esc(DIGEST_TIMESTAMP).as_bytes())
+            .update(placeholder.as_bytes())
             .update(&html.as_bytes()[slot.end..])
             .finish();
         (html, format!("{digest:016x}"))
+    }
+
+    /// `"{model} × {framework}"`, escaped (the title and the heading).
+    fn write_run_name(&self, out: &mut String) {
+        esc_into(out, self.model);
+        out.push_str(" × ");
+        esc_into(out, self.framework);
     }
 
     /// The page plus the byte range its escaped timestamp occupies.
     fn render_with_stamp_slot(&self, timestamp: &str) -> (String, Range<usize>) {
         let mut out = String::with_capacity(64 * 1024);
         out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-        let _ = writeln!(
-            out,
-            "<title>TBD run report — {} × {}</title>",
-            esc(self.model),
-            esc(self.framework)
-        );
-        out.push_str("<style>\n");
+        out.push_str("<title>TBD run report — ");
+        self.write_run_name(&mut out);
+        out.push_str("</title>\n<style>\n");
         out.push_str(STYLE);
         out.push_str("</style>\n</head>\n<body>\n");
         let slot = self.render_header(&mut out, timestamp);
@@ -206,15 +222,11 @@ impl ReportContext<'_> {
     /// Writes the title, timestamp and run table; returns the byte range
     /// of the escaped timestamp in `out`.
     fn render_header(&self, out: &mut String, timestamp: &str) -> Range<usize> {
-        let _ = writeln!(
-            out,
-            "<h1>TBD run report — {} × {}</h1>",
-            esc(self.model),
-            esc(self.framework)
-        );
-        out.push_str("<div class=\"stamp\">");
+        out.push_str("<h1>TBD run report — ");
+        self.write_run_name(out);
+        out.push_str("</h1>\n<div class=\"stamp\">");
         let start = out.len();
-        out.push_str(&esc(timestamp));
+        esc_into(out, timestamp);
         let slot = start..out.len();
         out.push_str("</div>\n");
         out.push_str("<table class=\"meta\"><tbody>\n");
@@ -227,7 +239,7 @@ impl ReportContext<'_> {
             ("trace digest", self.trace_digest.to_string()),
         ];
         for (key, value) in rows {
-            let _ = writeln!(out, "<tr><th>{}</th><td>{}</td></tr>", esc(key), esc(&value));
+            table_row(out, "th", key, |out| esc_into(out, &value));
         }
         out.push_str("</tbody></table>\n");
         slot
@@ -256,13 +268,11 @@ impl ReportContext<'_> {
             tracks.sort_unstable();
             tracks.dedup();
             let height = tracks.len() as f64 * LANE_H + 4.0;
-            let _ = writeln!(
-                out,
-                "<h3>{} <span class=\"sub\">({} span(s), {})</span></h3>",
-                esc(layer.process_name()),
-                spans.len(),
-                fmt_us(range)
-            );
+            out.push_str("<h3>");
+            esc_into(out, layer.process_name());
+            let _ = write!(out, " <span class=\"sub\">({} span(s), ", spans.len());
+            fmt_us_into(out, range);
+            out.push_str(")</span></h3>\n");
             let _ = writeln!(
                 out,
                 "<svg class=\"lanes\" viewBox=\"0 0 {SVG_W} {height}\" \
@@ -291,16 +301,23 @@ impl ReportContext<'_> {
                 for event in lane {
                     let x = (event.start_us - t0) / range * SVG_W;
                     let w = (event.dur_us / range * SVG_W).max(0.5);
-                    let _ = writeln!(
-                        out,
-                        "<rect class=\"{}\" x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" \
-                         height=\"{:.1}\"><title>{} — {} (track {})</title></rect>",
-                        kind_class(event.kind),
-                        LANE_H - 4.0,
-                        esc(&event.name),
-                        fmt_us(event.dur_us),
-                        event.track,
-                    );
+                    out.push_str("<rect class=\"");
+                    out.push_str(kind_class(event.kind));
+                    out.push_str("\" x=\"");
+                    write_fixed(out, x, 2);
+                    out.push_str("\" y=\"");
+                    write_fixed(out, y, 1);
+                    out.push_str("\" width=\"");
+                    write_fixed(out, w, 2);
+                    out.push_str("\" height=\"");
+                    write_fixed(out, LANE_H - 4.0, 1);
+                    out.push_str("\"><title>");
+                    esc_into(out, &event.name);
+                    out.push_str(" — ");
+                    fmt_us_into(out, event.dur_us);
+                    out.push_str(" (track ");
+                    write_u64(out, event.track.into());
+                    out.push_str(")</title></rect>\n");
                 }
             }
             out.push_str("</svg>\n");
@@ -324,8 +341,8 @@ impl ReportContext<'_> {
                 .iter()
                 .find(|(k, _)| *k == "bytes")
                 .and_then(|(_, v)| match v {
-                    tbd_graph::trace::ArgValue::U64(b) => Some(*b as f64),
-                    tbd_graph::trace::ArgValue::F64(b) => Some(*b),
+                    ArgValue::U64(b) => Some(*b as f64),
+                    ArgValue::F64(b) => Some(*b),
                     _ => None,
                 })
                 .unwrap_or(0.0);
@@ -350,34 +367,39 @@ impl ReportContext<'_> {
         }
         let peak = points.iter().copied().fold(0.0f64, f64::max).max(1.0);
         out.push_str("<h2>Memory footprint (Fig. 9)</h2>\n");
-        let _ = writeln!(
+        let _ = write!(
             out,
             "<p class=\"note\">Resident device memory folded from {} allocator event(s); \
-             peak {}.</p>",
-            points.len(),
-            fmt_bytes(peak)
+             peak ",
+            points.len()
         );
+        fmt_bytes_into(out, peak);
+        out.push_str(".</p>\n");
         let h = 160.0f64;
         let _ = writeln!(
             out,
             "<svg class=\"curve\" viewBox=\"0 0 {SVG_W} {h}\" width=\"100%\" role=\"img\">"
         );
         let step = SVG_W / points.len().max(1) as f64;
-        let mut path = String::new();
+        out.push_str("<polyline class=\"mem\" points=\"");
         for (i, &bytes) in points.iter().enumerate() {
-            let x = i as f64 * step;
-            let y = h - 6.0 - bytes / peak * (h - 16.0);
-            let _ = write!(path, "{}{x:.2},{y:.2}", if i == 0 { "" } else { " " });
+            if i > 0 {
+                out.push(' ');
+            }
+            write_fixed(out, i as f64 * step, 2);
+            out.push(',');
+            write_fixed(out, h - 6.0 - bytes / peak * (h - 16.0), 2);
         }
-        let _ = writeln!(out, "<polyline class=\"mem\" points=\"{path}\"/>");
+        out.push_str("\"/>\n");
         for fail in &fails {
             let x = *fail as f64 * step;
-            let _ = writeln!(
-                out,
-                "<line class=\"fail\" x1=\"{x:.2}\" y1=\"4\" x2=\"{x:.2}\" y2=\"{:.1}\">\
-                 <title>allocation failure</title></line>",
-                h - 4.0
-            );
+            out.push_str("<line class=\"fail\" x1=\"");
+            write_fixed(out, x, 2);
+            out.push_str("\" y1=\"4\" x2=\"");
+            write_fixed(out, x, 2);
+            out.push_str("\" y2=\"");
+            write_fixed(out, h - 4.0, 1);
+            out.push_str("\"><title>allocation failure</title></line>\n");
         }
         out.push_str("</svg>\n");
         // Per-category peaks from the registry (already folded).
@@ -395,12 +417,7 @@ impl ReportContext<'_> {
                     .nth(1)
                     .and_then(|s| s.strip_suffix("\"}"))
                     .unwrap_or(name);
-                let _ = writeln!(
-                    out,
-                    "<tr><td>{}</td><td>{}</td></tr>",
-                    esc(label),
-                    fmt_bytes(bytes)
-                );
+                table_row(out, "td", label, |out| fmt_bytes_into(out, bytes));
             }
             out.push_str("</tbody></table>\n");
         }
@@ -415,25 +432,26 @@ impl ReportContext<'_> {
         let iter =
             self.registry.gauge("cluster_iteration_us").unwrap_or(0.0).max(comm).max(1e-9);
         out.push_str("<h2>Communication overlap (Fig. 10)</h2>\n");
-        let _ = writeln!(
-            out,
-            "<p class=\"note\">Gradient exchange {} — {} exposed beyond the backward pass \
-             ({}% overlapped); cluster iteration {}.</p>",
-            fmt_us(comm),
-            fmt_us(exposed),
-            fmt_num(if comm > 0.0 { (1.0 - exposed / comm) * 100.0 } else { 0.0 }),
-            fmt_us(iter)
-        );
+        out.push_str("<p class=\"note\">Gradient exchange ");
+        fmt_us_into(out, comm);
+        out.push_str(" — ");
+        fmt_us_into(out, exposed);
+        out.push_str(" exposed beyond the backward pass (");
+        fmt_num_into(out, if comm > 0.0 { (1.0 - exposed / comm) * 100.0 } else { 0.0 });
+        out.push_str("% overlapped); cluster iteration ");
+        fmt_us_into(out, iter);
+        out.push_str(".</p>\n");
         let bar = |out: &mut String, label: &str, class: &str, us: f64| {
             let w = (us / iter * 100.0).clamp(0.0, 100.0);
-            let _ = writeln!(
+            out.push_str("<div class=\"barrow\"><span class=\"barlabel\">");
+            esc_into(out, label);
+            let _ = write!(
                 out,
-                "<div class=\"barrow\"><span class=\"barlabel\">{}</span>\
-                 <span class=\"bar\"><span class=\"{class}\" style=\"width:{w:.2}%\"></span>\
-                 </span><span class=\"barval\">{}</span></div>",
-                esc(label),
-                fmt_us(us)
+                "</span><span class=\"bar\"><span class=\"{class}\" style=\"width:{w:.2}%\">\
+                 </span></span><span class=\"barval\">"
             );
+            fmt_us_into(out, us);
+            out.push_str("</span></div>\n");
         };
         bar(out, "cluster iteration", "seg-iter", iter);
         let compute = self.registry.gauge("sim_iteration_us").unwrap_or(0.0);
@@ -459,19 +477,16 @@ impl ReportContext<'_> {
             !NONDETERMINISTIC_FAMILIES.contains(&family)
         };
         for (name, value) in self.registry.counters().filter(|(n, _)| keep(n)) {
-            let _ = writeln!(
-                out,
-                "<tr><td>{}</td><td>counter</td><td>{value}</td></tr>",
-                esc(name)
-            );
+            table_row(out, "td", name, |out| {
+                out.push_str("counter</td><td>");
+                write_u64(out, value);
+            });
         }
         for (name, value) in self.registry.gauges().filter(|(n, _)| keep(n)) {
-            let _ = writeln!(
-                out,
-                "<tr><td>{}</td><td>gauge</td><td>{}</td></tr>",
-                esc(name),
-                fmt_num(value)
-            );
+            table_row(out, "td", name, |out| {
+                out.push_str("gauge</td><td>");
+                fmt_num_into(out, value);
+            });
         }
         out.push_str("</tbody></table>\n");
     }
@@ -482,46 +497,43 @@ impl ReportContext<'_> {
             out.push_str("<p class=\"note\">No diagnosis produced.</p>\n");
             return;
         }
-        let _ = writeln!(
+        let _ = write!(
             out,
             "<p class=\"note\">Ranked bottleneck classes mined from {} event(s); \
-             iteration {}.</p>",
-            self.diagnosis.events,
-            fmt_us(self.diagnosis.iteration_us)
+             iteration ",
+            self.diagnosis.events
         );
+        fmt_us_into(out, self.diagnosis.iteration_us);
+        out.push_str(".</p>\n");
         for (rank, diag) in self.diagnosis.diagnoses.iter().enumerate() {
             let pct = (diag.confidence * 100.0).clamp(0.0, 100.0);
-            let _ = writeln!(
+            let _ = write!(out, "<div class=\"diag\"><div class=\"diaghead\">#{} ", rank + 1);
+            esc_into(out, diag.class.label());
+            let _ = write!(
                 out,
-                "<div class=\"diag\"><div class=\"diaghead\">#{} {} \
-                 <span class=\"conf\"><span style=\"width:{pct:.1}%\"></span></span> \
-                 {}%</div>",
-                rank + 1,
-                esc(diag.class.label()),
-                fmt_num(pct)
+                " <span class=\"conf\"><span style=\"width:{pct:.1}%\"></span></span> "
             );
+            fmt_num_into(out, pct);
+            out.push_str("%</div>\n");
             if !diag.evidence.is_empty() {
                 out.push_str(
                     "<table class=\"grid\"><thead><tr><th>metric</th><th>value</th>\
                      <th>threshold</th><th>detail</th></tr></thead><tbody>\n",
                 );
                 for ev in &diag.evidence {
-                    let _ = writeln!(
-                        out,
-                        "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                        esc(&ev.metric),
-                        fmt_num(ev.value),
-                        fmt_num(ev.threshold),
-                        esc(&ev.detail)
-                    );
+                    table_row(out, "td", &ev.metric, |out| {
+                        fmt_num_into(out, ev.value);
+                        out.push_str("</td><td>");
+                        fmt_num_into(out, ev.threshold);
+                        out.push_str("</td><td>");
+                        esc_into(out, &ev.detail);
+                    });
                 }
                 out.push_str("</tbody></table>\n");
             }
-            let _ = writeln!(
-                out,
-                "<p class=\"remedy\">{}</p></div>",
-                esc(&diag.remediation)
-            );
+            out.push_str("<p class=\"remedy\">");
+            esc_into(out, &diag.remediation);
+            out.push_str("</p></div>\n");
         }
     }
 
@@ -537,28 +549,47 @@ impl ReportContext<'_> {
              </thead><tbody>\n",
         );
         let oh = &self.overhead;
-        let mut row = |name: &str, value: String| {
-            let _ = writeln!(out, "<tr><td>{}</td><td>{value}</td></tr>", esc(name));
+        let count_row = |out: &mut String, name: &str, count: u64| {
+            table_row(out, "td", name, |out| write_u64(out, count));
         };
-        row("events recorded", oh.events_total().to_string());
+        count_row(out, "events recorded", oh.events_total());
         for layer in TraceLayer::ALL {
             let count = oh.events_by_layer[layer.index()];
             if count > 0 {
-                row(&format!("events recorded ({layer})"), count.to_string());
+                count_row(out, &format!("events recorded ({layer})"), count);
             }
         }
-        row("event bytes retained", fmt_bytes(oh.event_bytes_total as f64));
-        row("events dropped (retain cap)", oh.events_dropped_total.to_string());
-        row(
+        table_row(out, "td", "event bytes retained", |out| {
+            fmt_bytes_into(out, oh.event_bytes_total as f64);
+        });
+        count_row(out, "events dropped (retain cap)", oh.events_dropped_total);
+        count_row(
+            out,
             "aggregator kernel-series overflow",
-            self.registry.counter("agg_kernel_series_overflow_total").unwrap_or(0).to_string(),
+            self.registry.counter("agg_kernel_series_overflow_total").unwrap_or(0),
         );
-        row(
+        count_row(
+            out,
             "aggregator window evictions",
-            self.registry.counter("agg_window_dropped_total").unwrap_or(0).to_string(),
+            self.registry.counter("agg_window_dropped_total").unwrap_or(0),
         );
         out.push_str("</tbody></table>\n");
     }
+}
+
+/// Writes `<tr><{cell}>{escaped key}</{cell}><td>…</td></tr>`, the
+/// closure supplying everything inside the last cell (and any cells
+/// between).
+fn table_row(out: &mut String, cell: &str, key: &str, value: impl FnOnce(&mut String)) {
+    out.push_str("<tr><");
+    out.push_str(cell);
+    out.push('>');
+    esc_into(out, key);
+    out.push_str("</");
+    out.push_str(cell);
+    out.push_str("><td>");
+    value(out);
+    out.push_str("</td></tr>\n");
 }
 
 /// Health-endpoint JSON fragment of the wall-clock half of the overhead
@@ -798,6 +829,30 @@ mod tests {
         assert!(!html.contains("<rect class=\"k-node\""), "executor spans excluded");
         assert!(html.contains("<rect class=\"k-kernel\""));
         assert!(html.contains("<rect class=\"k-comm\""));
+    }
+
+    #[test]
+    fn numbers_render_non_finite_values_by_name() {
+        let render = |v: f64| {
+            let mut out = String::new();
+            fmt_num_into(&mut out, v);
+            out
+        };
+        assert_eq!(render(f64::NAN), "NaN");
+        assert_eq!(render(-f64::NAN), "NaN");
+        assert_eq!(render(f64::INFINITY), "∞");
+        assert_eq!(render(f64::NEG_INFINITY), "-∞");
+        assert_eq!(render(3.0), "3");
+        assert_eq!(render(-0.0), "-0");
+        assert_eq!(render(2.5), "2.5000");
+        assert_eq!(render(1e15), "1000000000000000.0000");
+    }
+
+    #[test]
+    fn html_escaping_covers_the_five_specials_and_keeps_other_text() {
+        let mut out = String::from("<p>");
+        esc_into(&mut out, "a&b<c>d\"e'f — ü🚀");
+        assert_eq!(out, "<p>a&amp;b&lt;c&gt;d&quot;e&#39;f — ü🚀");
     }
 
     #[test]

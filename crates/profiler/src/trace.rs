@@ -28,7 +28,8 @@ use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
-    fnv1a, value_hash, ArgValue, EventKind, Fnv1a, TraceEvent, TraceLayer, TraceRecorder,
+    fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, Fnv1a, TraceEvent, TraceLayer,
+    TraceRecorder,
 };
 
 /// A merged recording of one workload run across every layer.
@@ -178,13 +179,13 @@ impl Trace {
                 write_us(&mut out, event.start_us);
                 out.push_str(",\"s\":\"t\"");
             }
-            let _ = write!(
-                out,
-                ",\"pid\":{},\"tid\":{},\"args\":{{\"kind\":\"{}\"",
-                event.layer.pid(),
-                event.track,
-                event.kind.as_str()
-            );
+            out.push_str(",\"pid\":");
+            write_u64(&mut out, event.layer.pid().into());
+            out.push_str(",\"tid\":");
+            write_u64(&mut out, event.track.into());
+            out.push_str(",\"args\":{\"kind\":\"");
+            out.push_str(event.kind.as_str());
+            out.push('"');
             for (key, value) in &event.args {
                 out.push_str(",\"");
                 json::escape_into(&mut out, key);
@@ -290,7 +291,7 @@ impl Trace {
 /// when the value is not finite.
 fn write_us(out: &mut String, us: f64) {
     if us.is_finite() {
-        let _ = write!(out, "{us:.3}");
+        write_fixed(out, us, 3);
     } else {
         out.push_str("null");
     }

@@ -4,11 +4,15 @@
 //! straight into a hasher or the output buffer. Each is checked here
 //! against a materialising reference kept in this file: the digest
 //! against FNV-1a over the built `header + "\n" + canonical()` text, the
-//! Chrome export against the per-event `format!` exporter it replaced, and
-//! the single-render report digest against a hash of the placeholder
-//! render. Events are random: every `ArgValue` variant, wall-clock and
+//! Chrome export against the per-event `format!` exporter it replaced, the
+//! HTML report against the `format!` renderer it replaced, and the
+//! single-render report digest against a hash of the placeholder render.
+//! Events are random: every `ArgValue` variant, wall-clock and
 //! deterministic timing, and names with quotes, backslashes, control
-//! characters and non-ASCII text.
+//! characters and non-ASCII text. The one number writer under all of
+//! them, `write_fixed`/`write_u64`, is checked against std's `{:.d}` and
+//! `{}` directly: random bit patterns, exact ties, subnormals, signed
+//! zeros and the magnitudes around its std fallback.
 
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -17,20 +21,24 @@ use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
 use tbd_profiler::json::{self, Value};
-use tbd_profiler::trace::{fnv1a, ArgValue, EventKind, TraceEvent, TraceLayer};
+use tbd_profiler::report::{MAX_LANE_EVENTS, NONDETERMINISTIC_FAMILIES};
+use tbd_profiler::trace::{
+    fnv1a, write_fixed, write_u64, ArgValue, EventKind, TraceEvent, TraceLayer,
+};
 use tbd_profiler::{
-    capture, diagnose_events, ReportContext, StreamingAggregator, Trace, TraceOptions,
-    DIGEST_TIMESTAMP,
+    capture, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator, Trace,
+    TraceOptions, DIGEST_TIMESTAMP,
 };
 
 /// Arg keys must be `'static`; these cover the characters JSON escapes.
 const KEYS: [&str; 6] = ["bytes", "k\"q", "back\\slash", "ctl\u{1}\r\n\t", "ünï🚀", "value_hash"];
 
-const KINDS: [EventKind; 6] = [
+const KINDS: [EventKind; 7] = [
     EventKind::NodeExec,
     EventKind::KernelExec,
     EventKind::Memcpy,
     EventKind::Alloc,
+    EventKind::AllocFail,
     EventKind::Communication,
     EventKind::Phase,
 ];
@@ -227,6 +235,466 @@ fn reference_chrome_json(trace: &Trace) -> String {
     )
 }
 
+/// `format!("{v:.d$}")`, the oracle of [`write_fixed`].
+fn reference_fixed(v: f64, decimals: u32) -> String {
+    format!("{v:.*}", decimals as usize)
+}
+
+fn fixed(v: f64, decimals: u32) -> String {
+    let mut out = String::from("<");
+    write_fixed(&mut out, v, decimals);
+    out.remove(0);
+    out
+}
+
+/// Checks `write_fixed` against std at every precision the writer's fast
+/// path covers, plus two beyond it.
+fn assert_fixed_matches(v: f64) {
+    for decimals in 0..=11 {
+        assert_eq!(
+            fixed(v, decimals),
+            reference_fixed(v, decimals),
+            "{:#018x} at {decimals} decimals",
+            v.to_bits()
+        );
+    }
+}
+
+/// An f64 with the given sign, biased exponent and mantissa bits.
+fn f64_of(negative: bool, biased_exponent: u64, mantissa: u64) -> f64 {
+    f64::from_bits(u64::from(negative) << 63 | (biased_exponent & 0x7ff) << 52 | mantissa >> 12)
+}
+
+const SVG_W: f64 = 1100.0;
+const LANE_H: f64 = 18.0;
+
+/// The report's HTML escaper, character by character.
+fn reference_esc(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&#39;"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+fn reference_num(v: f64) -> String {
+    if v.is_nan() {
+        return "NaN".to_string();
+    }
+    if v.is_infinite() {
+        return if v > 0.0 { "∞" } else { "-∞" }.to_string();
+    }
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.4}")
+    }
+}
+
+fn reference_us(us: f64) -> String {
+    if us >= 1e6 {
+        format!("{:.3} s", us / 1e6)
+    } else if us >= 1e3 {
+        format!("{:.3} ms", us / 1e3)
+    } else {
+        format!("{us:.1} us")
+    }
+}
+
+fn reference_bytes(bytes: f64) -> String {
+    if bytes >= 1e9 {
+        format!("{:.2} GB", bytes / 1e9)
+    } else if bytes >= 1e6 {
+        format!("{:.2} MB", bytes / 1e6)
+    } else if bytes >= 1e3 {
+        format!("{:.1} kB", bytes / 1e3)
+    } else {
+        format!("{bytes:.0} B")
+    }
+}
+
+fn reference_kind_class(kind: EventKind) -> &'static str {
+    match kind {
+        EventKind::KernelExec => "k-kernel",
+        EventKind::KernelLaunch => "k-launch",
+        EventKind::Memcpy => "k-memcpy",
+        EventKind::Sync => "k-sync",
+        EventKind::Communication => "k-comm",
+        EventKind::Iteration => "k-iter",
+        EventKind::Phase => "k-phase",
+        EventKind::Alloc | EventKind::Free | EventKind::AllocFail => "k-mem",
+        EventKind::Fault => "k-fault",
+        EventKind::Recovery => "k-recovery",
+        EventKind::Checkpoint => "k-ckpt",
+        EventKind::Membership | EventKind::Eviction | EventKind::Rejoin => "k-membership",
+        EventKind::NodeExec => "k-node",
+    }
+}
+
+/// The `format!`-based report renderer the in-place writers replaced:
+/// everything between `<body>` and the inline script.
+fn reference_report_body(ctx: &ReportContext<'_>, timestamp: &str) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "<h1>TBD run report — {} × {}</h1>",
+        reference_esc(ctx.model),
+        reference_esc(ctx.framework)
+    );
+    let _ = writeln!(out, "<div class=\"stamp\">{}</div>", reference_esc(timestamp));
+    out.push_str("<table class=\"meta\"><tbody>\n");
+    let rows: [(&str, String); 6] = [
+        ("model", ctx.model.to_string()),
+        ("framework", ctx.framework.to_string()),
+        ("batch", ctx.batch.to_string()),
+        ("gpu", ctx.gpu.to_string()),
+        ("events", ctx.events.len().to_string()),
+        ("trace digest", ctx.trace_digest.to_string()),
+    ];
+    for (key, value) in rows {
+        let _ = writeln!(
+            out,
+            "<tr><th>{}</th><td>{}</td></tr>",
+            reference_esc(key),
+            reference_esc(&value)
+        );
+    }
+    out.push_str("</tbody></table>\n");
+    reference_swimlanes(ctx, &mut out);
+    reference_memory_curve(ctx, &mut out);
+    reference_overlap(ctx.registry, &mut out);
+    reference_metrics_table(ctx.registry, &mut out);
+    reference_diagnosis(ctx, &mut out);
+    reference_overhead(ctx, &mut out);
+    out
+}
+
+fn reference_swimlanes(ctx: &ReportContext<'_>, out: &mut String) {
+    out.push_str("<h2>Kernel timeline</h2>\n");
+    out.push_str(
+        "<p class=\"note\">Deterministic span events per layer and track \
+         (simulated/logical clocks). Host wall-clock executor spans are excluded \
+         by the determinism contract.</p>\n",
+    );
+    for layer in [TraceLayer::GpuSim, TraceLayer::Framework, TraceLayer::Distrib] {
+        let spans: Vec<&TraceEvent> = ctx
+            .events
+            .iter()
+            .filter(|e| e.layer == layer && e.deterministic && e.dur_us > 0.0)
+            .collect();
+        if spans.is_empty() {
+            continue;
+        }
+        let t0 = spans.iter().map(|e| e.start_us).fold(f64::INFINITY, f64::min);
+        let t1 = spans.iter().map(|e| e.end_us()).fold(f64::NEG_INFINITY, f64::max);
+        let range = (t1 - t0).max(1e-9);
+        let mut tracks: Vec<u32> = spans.iter().map(|e| e.track).collect();
+        tracks.sort_unstable();
+        tracks.dedup();
+        let height = tracks.len() as f64 * LANE_H + 4.0;
+        let _ = writeln!(
+            out,
+            "<h3>{} <span class=\"sub\">({} span(s), {})</span></h3>",
+            reference_esc(layer.process_name()),
+            spans.len(),
+            reference_us(range)
+        );
+        let _ = writeln!(
+            out,
+            "<svg class=\"lanes\" viewBox=\"0 0 {SVG_W} {height}\" width=\"100%\" role=\"img\">"
+        );
+        let mut elided = 0usize;
+        for (row, track) in tracks.iter().enumerate() {
+            let y = row as f64 * LANE_H + 2.0;
+            let mut lane: Vec<&&TraceEvent> = spans.iter().filter(|e| e.track == *track).collect();
+            if lane.len() > MAX_LANE_EVENTS {
+                lane.sort_by(|a, b| {
+                    b.dur_us
+                        .total_cmp(&a.dur_us)
+                        .then_with(|| a.start_us.total_cmp(&b.start_us))
+                        .then_with(|| a.name.cmp(&b.name))
+                });
+                elided += lane.len() - MAX_LANE_EVENTS;
+                lane.truncate(MAX_LANE_EVENTS);
+            }
+            lane.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then_with(|| a.name.cmp(&b.name)));
+            for event in lane {
+                let x = (event.start_us - t0) / range * SVG_W;
+                let w = (event.dur_us / range * SVG_W).max(0.5);
+                let _ = writeln!(
+                    out,
+                    "<rect class=\"{}\" x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" \
+                     height=\"{:.1}\"><title>{} — {} (track {})</title></rect>",
+                    reference_kind_class(event.kind),
+                    LANE_H - 4.0,
+                    reference_esc(&event.name),
+                    reference_us(event.dur_us),
+                    event.track,
+                );
+            }
+        }
+        out.push_str("</svg>\n");
+        if elided > 0 {
+            let _ = writeln!(
+                out,
+                "<p class=\"note\">{elided} shorter span(s) elided \
+                 (longest {MAX_LANE_EVENTS} shown per lane).</p>"
+            );
+        }
+    }
+}
+
+fn reference_memory_curve(ctx: &ReportContext<'_>, out: &mut String) {
+    let mut points: Vec<f64> = Vec::new();
+    let mut current = 0.0f64;
+    let mut fails: Vec<usize> = Vec::new();
+    for event in ctx.events.iter().filter(|e| e.layer == TraceLayer::GpuSim) {
+        let bytes = event
+            .args
+            .iter()
+            .find(|(k, _)| *k == "bytes")
+            .and_then(|(_, v)| match v {
+                ArgValue::U64(b) => Some(*b as f64),
+                ArgValue::F64(b) => Some(*b),
+                _ => None,
+            })
+            .unwrap_or(0.0);
+        match event.kind {
+            EventKind::Alloc => {
+                current += bytes;
+                points.push(current);
+            }
+            EventKind::Free => {
+                current = (current - bytes).max(0.0);
+                points.push(current);
+            }
+            EventKind::AllocFail => {
+                fails.push(points.len());
+                points.push(current);
+            }
+            _ => {}
+        }
+    }
+    if points.is_empty() {
+        return;
+    }
+    let peak = points.iter().copied().fold(0.0f64, f64::max).max(1.0);
+    out.push_str("<h2>Memory footprint (Fig. 9)</h2>\n");
+    let _ = writeln!(
+        out,
+        "<p class=\"note\">Resident device memory folded from {} allocator event(s); \
+         peak {}.</p>",
+        points.len(),
+        reference_bytes(peak)
+    );
+    let h = 160.0f64;
+    let _ =
+        writeln!(out, "<svg class=\"curve\" viewBox=\"0 0 {SVG_W} {h}\" width=\"100%\" role=\"img\">");
+    let step = SVG_W / points.len().max(1) as f64;
+    let mut path = String::new();
+    for (i, &bytes) in points.iter().enumerate() {
+        let x = i as f64 * step;
+        let y = h - 6.0 - bytes / peak * (h - 16.0);
+        let _ = write!(path, "{}{x:.2},{y:.2}", if i == 0 { "" } else { " " });
+    }
+    let _ = writeln!(out, "<polyline class=\"mem\" points=\"{path}\"/>");
+    for fail in &fails {
+        let x = *fail as f64 * step;
+        let _ = writeln!(
+            out,
+            "<line class=\"fail\" x1=\"{x:.2}\" y1=\"4\" x2=\"{x:.2}\" y2=\"{:.1}\">\
+             <title>allocation failure</title></line>",
+            h - 4.0
+        );
+    }
+    out.push_str("</svg>\n");
+    let cats: Vec<(&str, f64)> =
+        ctx.registry.gauges().filter(|(name, _)| name.starts_with("memory_peak_bytes{")).collect();
+    if !cats.is_empty() {
+        out.push_str("<table class=\"grid\"><thead><tr><th>category</th><th>peak</th></tr></thead><tbody>\n");
+        for (name, bytes) in cats {
+            let label = name
+                .split("category=\"")
+                .nth(1)
+                .and_then(|s| s.strip_suffix("\"}"))
+                .unwrap_or(name);
+            let _ = writeln!(
+                out,
+                "<tr><td>{}</td><td>{}</td></tr>",
+                reference_esc(label),
+                reference_bytes(bytes)
+            );
+        }
+        out.push_str("</tbody></table>\n");
+    }
+}
+
+fn reference_overlap(registry: &MetricsRegistry, out: &mut String) {
+    let comm = registry.gauge("comm_time_us").unwrap_or(0.0);
+    if comm <= 0.0 {
+        return;
+    }
+    let exposed = registry.gauge("comm_exposed_us").unwrap_or(0.0);
+    let iter = registry.gauge("cluster_iteration_us").unwrap_or(0.0).max(comm).max(1e-9);
+    out.push_str("<h2>Communication overlap (Fig. 10)</h2>\n");
+    let _ = writeln!(
+        out,
+        "<p class=\"note\">Gradient exchange {} — {} exposed beyond the backward pass \
+         ({}% overlapped); cluster iteration {}.</p>",
+        reference_us(comm),
+        reference_us(exposed),
+        reference_num(if comm > 0.0 { (1.0 - exposed / comm) * 100.0 } else { 0.0 }),
+        reference_us(iter)
+    );
+    let bar = |out: &mut String, label: &str, class: &str, us: f64| {
+        let w = (us / iter * 100.0).clamp(0.0, 100.0);
+        let _ = writeln!(
+            out,
+            "<div class=\"barrow\"><span class=\"barlabel\">{}</span>\
+             <span class=\"bar\"><span class=\"{class}\" style=\"width:{w:.2}%\"></span>\
+             </span><span class=\"barval\">{}</span></div>",
+            reference_esc(label),
+            reference_us(us)
+        );
+    };
+    bar(out, "cluster iteration", "seg-iter", iter);
+    let compute = registry.gauge("sim_iteration_us").unwrap_or(0.0);
+    if compute > 0.0 {
+        bar(out, "compute (1 GPU)", "seg-compute", compute);
+    }
+    bar(out, "comm total", "seg-comm", comm);
+    bar(out, "comm exposed", "seg-exposed", exposed);
+}
+
+fn reference_metrics_table(registry: &MetricsRegistry, out: &mut String) {
+    out.push_str("<h2>Metrics</h2>\n");
+    out.push_str(
+        "<input id=\"mfilter\" type=\"text\" placeholder=\"filter series…\" \
+         aria-label=\"filter metrics\">\n",
+    );
+    out.push_str(
+        "<table class=\"grid\" id=\"metrics\"><thead>\
+         <tr><th>series</th><th>kind</th><th>value</th></tr></thead><tbody>\n",
+    );
+    let keep = |name: &str| {
+        let family = name.split('{').next().unwrap_or(name);
+        !NONDETERMINISTIC_FAMILIES.contains(&family)
+    };
+    for (name, value) in registry.counters().filter(|(n, _)| keep(n)) {
+        let _ =
+            writeln!(out, "<tr><td>{}</td><td>counter</td><td>{value}</td></tr>", reference_esc(name));
+    }
+    for (name, value) in registry.gauges().filter(|(n, _)| keep(n)) {
+        let _ = writeln!(
+            out,
+            "<tr><td>{}</td><td>gauge</td><td>{}</td></tr>",
+            reference_esc(name),
+            reference_num(value)
+        );
+    }
+    out.push_str("</tbody></table>\n");
+}
+
+fn reference_diagnosis(ctx: &ReportContext<'_>, out: &mut String) {
+    out.push_str("<h2>Diagnosis</h2>\n");
+    if ctx.diagnosis.diagnoses.is_empty() {
+        out.push_str("<p class=\"note\">No diagnosis produced.</p>\n");
+        return;
+    }
+    let _ = writeln!(
+        out,
+        "<p class=\"note\">Ranked bottleneck classes mined from {} event(s); iteration {}.</p>",
+        ctx.diagnosis.events,
+        reference_us(ctx.diagnosis.iteration_us)
+    );
+    for (rank, diag) in ctx.diagnosis.diagnoses.iter().enumerate() {
+        let pct = (diag.confidence * 100.0).clamp(0.0, 100.0);
+        let _ = writeln!(
+            out,
+            "<div class=\"diag\"><div class=\"diaghead\">#{} {} \
+             <span class=\"conf\"><span style=\"width:{pct:.1}%\"></span></span> {}%</div>",
+            rank + 1,
+            reference_esc(diag.class.label()),
+            reference_num(pct)
+        );
+        if !diag.evidence.is_empty() {
+            out.push_str(
+                "<table class=\"grid\"><thead><tr><th>metric</th><th>value</th>\
+                 <th>threshold</th><th>detail</th></tr></thead><tbody>\n",
+            );
+            for ev in &diag.evidence {
+                let _ = writeln!(
+                    out,
+                    "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
+                    reference_esc(&ev.metric),
+                    reference_num(ev.value),
+                    reference_num(ev.threshold),
+                    reference_esc(&ev.detail)
+                );
+            }
+            out.push_str("</tbody></table>\n");
+        }
+        let _ = writeln!(out, "<p class=\"remedy\">{}</p></div>", reference_esc(&diag.remediation));
+    }
+}
+
+fn reference_overhead(ctx: &ReportContext<'_>, out: &mut String) {
+    out.push_str("<h2>Observer overhead (self-observability)</h2>\n");
+    out.push_str(
+        "<p class=\"note\">What the trace recorder itself cost, counted by the \
+         recorder. Deterministic counters only — wall-clock sink latency is \
+         served out-of-band on <code>/health</code>.</p>\n",
+    );
+    out.push_str(
+        "<table class=\"grid\"><thead><tr><th>counter</th><th>value</th></tr></thead><tbody>\n",
+    );
+    let oh = &ctx.overhead;
+    let mut row = |name: &str, value: String| {
+        let _ = writeln!(out, "<tr><td>{}</td><td>{value}</td></tr>", reference_esc(name));
+    };
+    row("events recorded", oh.events_total().to_string());
+    for layer in TraceLayer::ALL {
+        let count = oh.events_by_layer[layer.index()];
+        if count > 0 {
+            row(&format!("events recorded ({layer})"), count.to_string());
+        }
+    }
+    row("event bytes retained", reference_bytes(oh.event_bytes_total as f64));
+    row("events dropped (retain cap)", oh.events_dropped_total.to_string());
+    row(
+        "aggregator kernel-series overflow",
+        ctx.registry.counter("agg_kernel_series_overflow_total").unwrap_or(0).to_string(),
+    );
+    row(
+        "aggregator window evictions",
+        ctx.registry.counter("agg_window_dropped_total").unwrap_or(0).to_string(),
+    );
+    out.push_str("</tbody></table>\n");
+}
+
+/// Renders `ctx` and checks the page against the reference: the head up
+/// to the inline stylesheet, and the whole body before the inline script.
+fn assert_report_matches(ctx: &ReportContext<'_>, timestamp: &str) {
+    let html = ctx.render(timestamp);
+    let head = format!(
+        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
+         <title>TBD run report — {} × {}</title>\n<style>\n",
+        reference_esc(ctx.model),
+        reference_esc(ctx.framework)
+    );
+    assert!(html.starts_with(&head), "head differs: {:.300}", html);
+    let body_start = html.find("<body>\n").expect("body") + "<body>\n".len();
+    let body_end = html.rfind("<script>\n").expect("script");
+    assert_eq!(&html[body_start..body_end], reference_report_body(ctx, timestamp));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -269,36 +737,164 @@ proptest! {
         stamp in prop::collection::vec(0u8..255, 0..24),
     ) {
         let trace = trace_of(&words);
-        let timestamp: String = stamp
-            .iter()
-            .map(|&b| ['<', '&', '"', '\'', '>', 'é', '1', ' '][usize::from(b % 8)])
-            .collect();
-        let agg = StreamingAggregator::new();
-        agg.consume_all(&trace.events);
-        let registry = agg.registry();
-        let diagnosis = diagnose_events("toy", trace.framework, trace.batch, &trace.events);
-        let trace_digest = trace.digest_hex();
-        let ctx = ReportContext {
-            model: trace.model.name(),
-            framework: trace.framework,
-            batch: trace.batch,
-            gpu: "Quadro P4000",
-            trace_digest: &trace_digest,
-            events: &trace.events,
-            registry: &registry,
-            diagnosis: &diagnosis,
-            overhead: Default::default(),
-        };
-        let (html, digest) = ctx.render_and_digest(&timestamp);
-        let expected = format!("{:016x}", fnv1a(ctx.render(DIGEST_TIMESTAMP).as_bytes()));
-        prop_assert_eq!(&html, &ctx.render(&timestamp));
-        prop_assert_eq!(&digest, &expected);
-        prop_assert_eq!(&ctx.digest_hex(), &expected);
+        let timestamp = timestamp_of(&stamp);
+        with_report(&trace, |ctx| {
+            let (html, digest) = ctx.render_and_digest(&timestamp);
+            let expected = format!("{:016x}", fnv1a(ctx.render(DIGEST_TIMESTAMP).as_bytes()));
+            prop_assert_eq!(&html, &ctx.render(&timestamp));
+            prop_assert_eq!(&digest, &expected);
+            prop_assert_eq!(&ctx.digest_hex(), &expected);
+        });
+    }
+
+    /// The in-place report (swimlane rects, memory polyline, tables) is
+    /// byte-identical to the `format!` renderer it replaced.
+    #[test]
+    fn in_place_report_equals_format_renderer(
+        words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 6), 1..32),
+        stamp in prop::collection::vec(0u8..255, 0..24),
+    ) {
+        let trace = trace_of(&words);
+        with_report(&trace, |ctx| assert_report_matches(ctx, &timestamp_of(&stamp)));
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `write_fixed` equals `format!("{v:.d$}")` on any bit pattern: NaN,
+    /// the infinities and every exponent included.
+    #[test]
+    fn write_fixed_equals_std_on_random_bits(bits in 0u64..u64::MAX) {
+        assert_fixed_matches(f64::from_bits(bits));
+    }
+
+    /// The same over the exponents where the digits live: `e` from -110
+    /// (everything rounds to zero) past the `e = 40/41` fallback boundary,
+    /// through magnitudes beyond `2^64`.
+    #[test]
+    fn write_fixed_equals_std_around_the_fast_path_bounds(
+        sign in 0u8..2,
+        e in -110i64..49,
+        mantissa in 0u64..u64::MAX,
+    ) {
+        assert_fixed_matches(f64_of(sign == 1, (1075 + e) as u64, mantissa));
+    }
+
+    /// Exact ties `(2m+1)·5^d / 2^(d+1)` (their `v·10^d` is a half
+    /// integer) round half to even, as std does, for both signs.
+    #[test]
+    fn write_fixed_rounds_exact_ties_like_std(
+        m in 0u64..1 << 31,
+        d in 0u32..10,
+        sign in 0u8..2,
+    ) {
+        let tie = (2 * m + 1) as f64 * 5f64.powi(d as i32) / 2f64.powi(d as i32 + 1);
+        let v = if sign == 1 { -tie } else { tie };
+        prop_assert_eq!(fixed(v, d), reference_fixed(v, d));
+        assert_fixed_matches(v);
+    }
+
+    /// Subnormals and both zeros.
+    #[test]
+    fn write_fixed_equals_std_on_subnormals_and_zeros(
+        sign in 0u8..2,
+        mantissa in 0u64..u64::MAX,
+    ) {
+        assert_fixed_matches(f64_of(sign == 1, 0, mantissa));
+        assert_fixed_matches(if sign == 1 { -0.0 } else { 0.0 });
+    }
+
+    /// Negatives that round to zero keep their sign (`-0.000`), as in std.
+    #[test]
+    fn write_fixed_keeps_the_sign_of_negatives_rounding_to_zero(
+        fraction in 0.0f64..0.5,
+        d in 0u32..10,
+    ) {
+        let v = -fraction / 10f64.powi(d as i32);
+        prop_assert!(fixed(v, d).starts_with('-'));
+        assert_fixed_matches(v);
+    }
+
+    /// `write_u64` equals `{}`.
+    #[test]
+    fn write_u64_equals_display(v in 0u64..u64::MAX, shift in 0u32..64) {
+        for x in [v, v >> shift, 10u64.pow(shift % 20), 10u64.pow(shift % 20) - 1] {
+            let mut out = String::new();
+            write_u64(&mut out, x);
+            prop_assert_eq!(out, x.to_string());
+        }
+    }
+}
+
+/// The std formatter's edge values, one by one.
+#[test]
+fn write_fixed_and_write_u64_match_std_on_edge_values() {
+    let edges = [
+        0.0,
+        -0.0,
+        0.5,
+        1.5,
+        2.5,
+        -2.5,
+        0.125,
+        0.0625,
+        9.9999995,
+        999.9995,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::EPSILON,
+        u64::MAX as f64,
+        2f64.powi(92) * 1.999_999_999,
+        2f64.powi(93),
+        2f64.powi(94),
+        f64::MAX,
+        f64::MIN,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    for v in edges {
+        assert_fixed_matches(v);
+    }
+    for v in [0, 1, 9, 10, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+        let mut out = String::new();
+        write_u64(&mut out, v);
+        assert_eq!(out, v.to_string());
+    }
+}
+
+/// A timestamp of HTML-troublesome characters.
+fn timestamp_of(stamp: &[u8]) -> String {
+    stamp.iter().map(|&b| ['<', '&', '"', '\'', '>', 'é', '1', ' '][usize::from(b % 8)]).collect()
+}
+
+/// Calls `f` with a report context over `trace`: its registry, diagnosis
+/// and digest folded as the pipeline folds them.
+fn with_report<R>(trace: &Trace, f: impl FnOnce(&ReportContext<'_>) -> R) -> R {
+    let agg = StreamingAggregator::new();
+    agg.consume_all(&trace.events);
+    let registry = agg.registry();
+    let diagnosis = diagnose_events("toy", trace.framework, trace.batch, &trace.events);
+    let trace_digest = trace.digest_hex();
+    f(&ReportContext {
+        model: trace.model.name(),
+        framework: trace.framework,
+        batch: trace.batch,
+        gpu: "Quadro P4000",
+        trace_digest: &trace_digest,
+        events: &trace.events,
+        registry: &registry,
+        diagnosis: &diagnosis,
+        overhead: Default::default(),
+    })
+}
+
 /// A real capture (simulation only, so every time is deterministic)
-/// exports and digests exactly like the references.
+/// exports, digests and renders exactly like the references; Seq2Seq's
+/// kernel lane is long enough to elide spans.
 #[test]
 fn real_capture_matches_the_references() {
     let pairs = [(ModelKind::A3c, Framework::mxnet()), (ModelKind::Seq2Seq, Framework::tensorflow())];
@@ -313,6 +909,7 @@ fn real_capture_matches_the_references() {
         .expect("capture succeeds");
         assert_eq!(cap.trace.digest(), reference_digest(&cap.trace), "{kind:?}");
         assert_eq!(cap.trace.to_chrome_json(), reference_chrome_json(&cap.trace), "{kind:?}");
+        with_report(&cap.trace, |ctx| assert_report_matches(ctx, "2026-10-17 12:00"));
     }
 }
 

@@ -6,9 +6,9 @@
 //! consistency guarantees are exercised exactly as an external scraper
 //! would see them.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
@@ -209,6 +209,63 @@ fn slow_reader_does_not_block_concurrent_scrapes() {
         started.elapsed()
     );
     drop(parked);
+    server.shutdown();
+}
+
+#[test]
+fn trickled_request_line_is_cut_off_at_the_line_deadline() {
+    // Regression: the 2 s read timeout used to apply per `read()`, so a
+    // client sending one byte every 1.9 s held a worker for up to
+    // MAX_REQUEST_LINE reads (hours). The deadline now covers the whole
+    // request line, whatever the pace.
+    let mut server = LiveServer::start(small_watch(1), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    assert!(server.wait_for_captures(1, Duration::from_secs(120)), "first capture");
+
+    let mut slow = TcpStream::connect(&addr).expect("trickling connection");
+    let mut watch = slow.try_clone().expect("clone");
+    watch.set_read_timeout(Some(Duration::from_secs(8))).expect("timeout");
+    let started = Instant::now();
+    // One byte every 200 ms, never a newline: 8 s of trickle if nobody
+    // cuts it off.
+    let trickle = std::thread::spawn(move || {
+        for &byte in b"GET /metrics HTTP/1.1".iter().cycle().take(40) {
+            if slow.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+
+    // The trickle holds one worker; a concurrent scrape is still answered.
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(get(&addr, "/metrics").status, 200);
+
+    // The server closes the trickling connection without answering.
+    let mut buf = [0u8; 64];
+    let outcome = watch.read(&mut buf);
+    let elapsed = started.elapsed();
+    let closed = match &outcome {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted),
+    };
+    assert!(closed, "trickling connection not closed: {outcome:?} after {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(3), "closed only after {elapsed:?}");
+    trickle.join().expect("trickle thread");
+    server.shutdown();
+}
+
+#[test]
+fn non_utf8_request_line_is_a_bad_request() {
+    let mut server = LiveServer::start(small_watch(1), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    // Not coerced to `/\u{FFFD}` (which would reach the router as a 404).
+    let bad = send_raw(&addr, b"GET /\xff HTTP/1.1\r\n\r\n");
+    assert_eq!(bad.status, 400);
+    assert_eq!(bad.body, b"bad request\n");
+    assert_eq!(send_raw(&addr, b"GET /metr\xc3ics HTTP/1.1\r\n\r\n").status, 400, "truncated");
+    assert_eq!(get(&addr, "/health").status, 200, "valid UTF-8 still served");
     server.shutdown();
 }
 
