@@ -1,12 +1,14 @@
 //! Extension study: what fused RNN kernels would buy (the paper's
 //! Observations 5/7 recommendation, "further research should be done in how
 //! to optimize LSTM cells on GPUs"). Replays Sockeye's per-time-step kernel
-//! stream, then the same stream after pointwise fusion and after a
-//! cuDNN-style fused-RNN lowering.
+//! stream, then the same model lowered through the graph-level fusion pass
+//! and the stream after a cuDNN-style fused-RNN lowering.
 
 use tbd_core::{Framework, GpuSpec, ModelKind};
-use tbd_frameworks::fusion::{fuse_pointwise, fuse_rnn};
+use tbd_frameworks::fusion::fuse_rnn;
+use tbd_frameworks::SpeedOptions;
 use tbd_gpusim::{simulate_iteration, CpuSpec};
+use tbd_tensor::Precision;
 
 fn main() {
     let gpu = GpuSpec::quadro_p4000();
@@ -21,7 +23,7 @@ fn main() {
         .sum();
     let params = fw.execution_params(input_bytes);
     let baseline = fw.plan(&model);
-    let pointwise = fuse_pointwise(&baseline);
+    let graph_fused = fw.plan_with(&model, SpeedOptions::fused(Precision::F32));
     let fused = fuse_rnn(&baseline, 64);
     println!("RNN kernel-fusion study — Sockeye (Seq2Seq) at batch {batch} on P4000");
     println!(
@@ -30,7 +32,7 @@ fn main() {
     );
     for (label, stream) in [
         ("per-step (paper)", &baseline),
-        ("pointwise fusion", &pointwise),
+        ("graph fusion", &graph_fused),
         ("fused RNN (cuDNN)", &fused),
     ] {
         let p = simulate_iteration(stream, &gpu, &cpu, &params);

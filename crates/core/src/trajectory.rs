@@ -361,9 +361,10 @@ impl BenchReport {
 fn measure_speed_tier(gpu: &GpuSpec) -> Result<SpeedTier, String> {
     let (kind, framework) = (ModelKind::ResNet50, Framework::tensorflow());
     // One warmup capture then the minimum of five, per tier, on the default
-    // functional capture path — the same end-to-end `capture()` the ≥2×
-    // claim is about. Scheduler interference only ever adds time, so the
-    // minimum is the lowest-variance estimator of each tier's true cost.
+    // functional capture path — the same end-to-end `capture()` the
+    // README's ratio (1.02–1.18× on a 2-core x86-64 host) is about.
+    // Scheduler interference only ever adds time, so the minimum is the
+    // lowest-variance estimator of each tier's true cost.
     const REPS: usize = 5;
     let run = |fuse: bool| -> Result<f64, String> {
         tbd_tensor::arena::set_enabled(fuse);

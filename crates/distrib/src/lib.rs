@@ -41,7 +41,6 @@ pub use elastic::{
 pub use event::{BucketOutcome, EventConfig, EventOutcome};
 pub use fault::{mix64, unit, StragglerSpec};
 
-use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
 use tbd_gpusim::Interconnect;
 
 /// Gradient-synchronisation strategy.
@@ -197,74 +196,11 @@ pub struct ClusterProfile {
 impl DataParallelSim {
     /// Simulates one synchronous data-parallel iteration on `cluster`.
     pub fn simulate(&self, cluster: &ClusterConfig) -> ClusterProfile {
-        self.simulate_inner(cluster, None)
-    }
-
-    /// [`DataParallelSim::simulate`] with a trace sink: emits the compute
-    /// span and an [`EventKind::Communication`] span for the gradient
-    /// exchange, positioned so the overlapped fraction sits under the
-    /// backward pass and only the exposed tail extends the iteration —
-    /// making Fig. 10's Ethernet collapse directly visible in a trace.
-    pub fn simulate_traced(&self, cluster: &ClusterConfig, tracer: &TraceRecorder) -> ClusterProfile {
-        self.simulate_inner(cluster, Some(tracer))
-    }
-
-    fn simulate_inner(
-        &self,
-        cluster: &ClusterConfig,
-        tracer: Option<&TraceRecorder>,
-    ) -> ClusterProfile {
         let n = cluster.workers();
         let comm_s = if n <= 1 { 0.0 } else { self.comm_time(cluster) };
-        let exposed = comm_s * (1.0 - cluster.overlap);
-        let iteration_s = self.compute_iter_s + exposed;
+        let iteration_s = self.compute_iter_s + comm_s * (1.0 - cluster.overlap);
         let throughput = (n * self.per_gpu_batch) as f64 / iteration_s;
         let single = self.per_gpu_batch as f64 / self.compute_iter_s;
-        if let Some(tr) = tracer {
-            let mut events = vec![
-                TraceEvent::span(
-                    format!("{} iteration", cluster.label()),
-                    TraceLayer::Distrib,
-                    EventKind::Iteration,
-                    0.0,
-                    iteration_s * 1e6,
-                )
-                .with_arg("workers", n)
-                .with_arg("machines", cluster.machines)
-                .with_arg("throughput", throughput),
-                TraceEvent::span(
-                    "compute (fw+bw)",
-                    TraceLayer::Distrib,
-                    EventKind::Phase,
-                    0.0,
-                    self.compute_iter_s * 1e6,
-                )
-                .on_track(1),
-            ];
-            if comm_s > 0.0 {
-                let name = cluster.sync.name();
-                // The overlapped fraction hides under the backward pass and
-                // the exposed tail ends the iteration, so the span is
-                // anchored to the iteration end (clipped at zero when the
-                // exchange is longer than the whole compute phase).
-                let start_s = (iteration_s - comm_s).max(0.0);
-                events.push(
-                    TraceEvent::span(
-                        name,
-                        TraceLayer::Distrib,
-                        EventKind::Communication,
-                        start_s * 1e6,
-                        (iteration_s - start_s) * 1e6,
-                    )
-                    .on_track(2)
-                    .with_arg("bytes", self.gradient_bytes)
-                    .with_arg("exposed_us", exposed * 1e6)
-                    .with_arg("overlap", cluster.overlap)
-                    .with_arg("cluster", cluster.label()),
-                );
-            }
-            tr.record_batch(events);
-        }
         ClusterProfile {
             throughput,
             iteration_s,
@@ -469,31 +405,6 @@ mod tests {
         let t4 = sim.simulate(&base).comm_s;
         // 2(n−1)/n: 1.0× at n=2 → 1.5× at n=4.
         assert!((t4 / t2 - 1.5).abs() < 0.05, "ratio {}", t4 / t2);
-    }
-
-    #[test]
-    fn traced_cluster_iteration_emits_communication_span() {
-        let sim = resnet_like();
-        let tracer = TraceRecorder::shared();
-        let cfg = ClusterConfig::multi_machine(2, Interconnect::ethernet_1g());
-        let traced = sim.simulate_traced(&cfg, &tracer);
-        let plain = sim.simulate(&cfg);
-        assert_eq!(traced.iteration_s.to_bits(), plain.iteration_s.to_bits());
-        let events = tracer.drain();
-        let comm = events
-            .iter()
-            .find(|e| e.kind == EventKind::Communication)
-            .expect("gradient exchange must be traced");
-        assert_eq!(comm.layer, TraceLayer::Distrib);
-        assert!(comm.name.contains("parameter server"));
-        assert!(comm.deterministic);
-        // The span ends exactly at the end of the iteration.
-        let iter = events.iter().find(|e| e.kind == EventKind::Iteration).unwrap();
-        assert!((comm.end_us() - iter.end_us()).abs() < 1e-6);
-        // A single worker has nothing to exchange.
-        let t2 = TraceRecorder::shared();
-        sim.simulate_traced(&ClusterConfig::single_machine(1), &t2);
-        assert!(t2.drain().iter().all(|e| e.kind != EventKind::Communication));
     }
 
     #[test]

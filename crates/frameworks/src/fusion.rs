@@ -1,22 +1,18 @@
-//! Kernel fusion passes — the optimization direction behind the paper's
-//! RNN findings (Observations 5 and 7 recommend "further research … in how
-//! to optimize LSTM cells on GPUs"; cuDNN's fused RNN kernels are exactly
+//! RNN kernel fusion — the optimization direction behind the paper's RNN
+//! findings (Observations 5 and 7 recommend "further research … in how to
+//! optimize LSTM cells on GPUs"; cuDNN's fused RNN kernels are exactly
 //! that).
 //!
-//! A fusion pass rewrites a lowered kernel stream by merging adjacent
-//! launches into one (summing FLOPs and bytes): fewer launches means fewer
+//! The pass rewrites a lowered kernel stream by merging adjacent launches
+//! into one (summing FLOPs and bytes): fewer launches means fewer
 //! per-kernel setup costs and fewer scheduling gaps, which is where the
-//! per-time-step RNN formulation loses its time.
+//! per-time-step RNN formulation loses its time. Pointwise-chain fusion is
+//! the graph-level pass in `tbd_graph::fuse` (`Framework::plan_with`); this
+//! one stays separate because it merges GEMMs across time steps, which no
+//! contraction-headed `FUSION_RULES` chain expresses.
 
 use tbd_graph::lower::LoweredKernel;
 use tbd_graph::KernelClass;
-
-/// Merges runs of adjacent element-wise-family kernels (element-wise,
-/// activations, data movement, dropout) into single launches — the
-/// "pointwise fusion" every framework's graph compiler performs today.
-pub fn fuse_pointwise(kernels: &[LoweredKernel]) -> Vec<LoweredKernel> {
-    fuse_adjacent(kernels, |a, b| is_pointwise(a.spec.class) && is_pointwise(b.spec.class))
-}
 
 /// Simulates cuDNN's fused-RNN lowering: within each training phase, runs
 /// of small GEMMs *and* their surrounding pointwise kernels merge into
@@ -56,38 +52,16 @@ pub fn fuse_rnn(kernels: &[LoweredKernel], kernels_per_launch: usize) -> Vec<Low
     out
 }
 
-fn is_pointwise(class: KernelClass) -> bool {
+fn is_rnn_family(class: KernelClass) -> bool {
     matches!(
         class,
-        KernelClass::Elementwise
+        KernelClass::Gemm
+            | KernelClass::Elementwise
             | KernelClass::ActivationForward
             | KernelClass::ActivationBackward
             | KernelClass::DataMovement
             | KernelClass::Dropout
     )
-}
-
-fn is_rnn_family(class: KernelClass) -> bool {
-    is_pointwise(class) || matches!(class, KernelClass::Gemm)
-}
-
-fn fuse_adjacent(
-    kernels: &[LoweredKernel],
-    can_merge: impl Fn(&LoweredKernel, &LoweredKernel) -> bool,
-) -> Vec<LoweredKernel> {
-    let mut out: Vec<LoweredKernel> = Vec::with_capacity(kernels.len());
-    for k in kernels {
-        if let Some(last) = out.last_mut() {
-            if last.phase == k.phase && can_merge(last, k) {
-                last.spec.flops += k.spec.flops;
-                last.spec.bytes += k.spec.bytes;
-                last.spec.workspace_bytes = last.spec.workspace_bytes.max(k.spec.workspace_bytes);
-                continue;
-            }
-        }
-        out.push(k.clone());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -104,29 +78,12 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_runs_merge_and_costs_are_preserved() {
-        let stream = vec![
-            kern(KernelClass::Gemm, Phase::Forward, 100.0),
-            kern(KernelClass::Elementwise, Phase::Forward, 1.0),
-            kern(KernelClass::ActivationForward, Phase::Forward, 2.0),
-            kern(KernelClass::Elementwise, Phase::Forward, 3.0),
-            kern(KernelClass::Gemm, Phase::Forward, 100.0),
-        ];
-        let fused = fuse_pointwise(&stream);
-        assert_eq!(fused.len(), 3);
-        let total: f64 = stream.iter().map(|k| k.spec.flops).sum();
-        let total_fused: f64 = fused.iter().map(|k| k.spec.flops).sum();
-        assert_eq!(total, total_fused, "fusion must not lose work");
-        assert_eq!(fused[1].spec.flops, 6.0);
-    }
-
-    #[test]
     fn fusion_never_crosses_phases() {
         let stream = vec![
             kern(KernelClass::Elementwise, Phase::Forward, 1.0),
             kern(KernelClass::Elementwise, Phase::Backward, 1.0),
         ];
-        assert_eq!(fuse_pointwise(&stream).len(), 2);
+        assert_eq!(fuse_rnn(&stream, 100).len(), 2);
     }
 
     #[test]

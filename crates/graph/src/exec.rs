@@ -23,7 +23,7 @@ use tbd_tensor::{init, par, Precision, Shape, Tensor};
 /// `tbd-frameworks` exposes one profile per framework via
 /// `Framework::host_threading`.
 /// The default — `{intra_op_threads: 0, inter_op_parallel: false}` — is
-/// auto-sized kernels driven by a sequential node walk.
+/// auto-sized kernels run one scheduling unit at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecConfig {
     /// Cap on scoped threads *within* one kernel (the intra-op pool size);
@@ -31,7 +31,8 @@ pub struct ExecConfig {
     /// [`tbd_tensor::par::set_max_threads`] at the start of every pass.
     pub intra_op_threads: usize,
     /// Run independent ready nodes of the forward pass concurrently
-    /// (inter-op parallelism, wave-scheduled). Outputs are bitwise
+    /// (inter-op parallelism, wave-scheduled; a wave too small to amortise
+    /// its thread spawns runs inline). Outputs are bitwise
     /// identical to sequential execution: every kernel is deterministic
     /// across thread counts and dropout draws a per-node stream.
     pub inter_op_parallel: bool,
@@ -64,6 +65,18 @@ impl RunState {
     /// Scalar convenience accessor (first element of the node's value).
     pub fn scalar(&self, id: NodeId) -> Option<f32> {
         self.value(id).and_then(|t| t.data().first().copied())
+    }
+}
+
+impl RunState {
+    /// Publishes one unit's outputs: its interior members, then its node.
+    fn store(&mut self, i: usize, (interior, value, aux): UnitOutput) {
+        for (k, v, a) in interior {
+            self.values[k] = Some(v);
+            self.aux[k] = a;
+        }
+        self.values[i] = Some(value);
+        self.aux[i] = aux;
     }
 }
 
@@ -127,80 +140,87 @@ pub struct Session {
     /// runs in f32 — the loss-scaling-free regime the paper's frameworks
     /// default to.
     precision: Precision,
-    /// Cached inter-op wave schedule. The graph is immutable after
-    /// construction, so the dependency structure only changes when the
-    /// fusion plan does; `set_fusion`/`set_fusion_enabled` clear this.
-    schedule: Option<Arc<WaveSchedule>>,
+    /// Cached forward schedule. The graph is immutable after construction,
+    /// so the schedule only changes with the fusion plan or the inter-op
+    /// knob; `set_fusion_enabled`/`set_exec_config` clear this.
+    schedule: Option<Arc<[Wave]>>,
 }
 
-/// Minimum total output elements across a wave's units before the
-/// compiled (fused) tier fans the wave out over scoped threads; below
-/// this the kernels finish faster than the spawns, so the wave runs
-/// inline on the scheduling thread.
+/// What one scheduling unit computes: each interior fusion-group member's
+/// `(node, value, aux)` (none for a single node), then the value and aux
+/// of the unit's own node.
+type UnitOutput = (Vec<(usize, Tensor, Aux)>, Tensor, Aux);
+
+/// Minimum total non-leaf output elements across a wave's units before the
+/// wave fans out over scoped threads; below this the kernels finish faster
+/// than the spawns, so the wave runs inline on the scheduling thread.
 const PARALLEL_WAVE_MIN_ELEMS: usize = 1 << 18;
 
-/// Precomputed scheduling structure for the inter-op wave executor:
-/// which nodes are leaves (bound inline, no launch), which units start
-/// ready once the leaves are bound, and the dependency counts/edges
-/// between kernel units. Built once per (graph, fusion plan) and reused
-/// across passes — rebuilding this was a per-pass O(nodes + edges) cost
-/// paid identically by fused and unfused execution.
+/// One step of the forward schedule: units that may run concurrently.
 #[derive(Debug)]
-struct WaveSchedule {
-    /// Nodes with no graph inputs (placeholders, parameters, constants),
-    /// ascending. Binding one is a memory lookup, not a kernel launch.
-    leaves: Vec<usize>,
-    /// Kernel units whose external inputs are all leaves, ascending;
-    /// these form the first real wave.
-    initial_ready: Vec<usize>,
-    /// Unresolved non-leaf external-input count per unit (template,
-    /// cloned each pass).
-    pending: Vec<usize>,
-    /// Consumer units of each unit, kernel-launch edges only.
-    consumers: Vec<Vec<usize>>,
+struct Wave {
+    /// The `wave` arg of the units' spans: the wave's rank under inter-op
+    /// scheduling, the unit's node index under sequential scheduling.
+    label: usize,
+    /// Scheduling units in ascending order: a node, or a fusion group
+    /// named by its anchor. A unit's slot is its rank here.
+    units: Vec<usize>,
+    /// Fan the units out over scoped threads instead of running inline.
+    parallel: bool,
 }
 
-fn build_wave_schedule(graph: &Graph, fusion: Option<&FusionPlan>) -> WaveSchedule {
+/// Builds the forward schedule once per (graph, fusion plan, inter-op
+/// knob). Sequential scheduling runs one unit per wave in node order.
+/// Inter-op scheduling puts leaves (placeholders, parameters, constants)
+/// in wave 0 and every other unit one wave after its latest external
+/// input. One inline rule serves both: a wave fans out only when it has
+/// more than one unit and its non-leaf output volume reaches
+/// [`PARALLEL_WAVE_MIN_ELEMS`] — a leaf bind is a memory copy, not a
+/// kernel. The rule keys on static output sizes, so it is deterministic
+/// and thread-count independent.
+fn build_schedule(graph: &Graph, fusion: Option<&FusionPlan>, inter_op: bool) -> Arc<[Wave]> {
     let n = graph.len();
-    let unit_of = |i: usize| -> usize {
-        match fusion.and_then(|p| p.group_of(NodeId(i))) {
-            Some(g) => fusion.expect("plan present").groups()[g].anchor().index(),
-            None => i,
-        }
+    // A group member other than the anchor has exactly one consumer, the
+    // next member, so every external input is a unit with a smaller id.
+    let unit_of = |i: usize| {
+        fusion
+            .and_then(|p| p.group_of(NodeId(i)).map(|g| p.groups()[g].anchor().index()))
+            .unwrap_or(i)
     };
-    let mut is_unit = vec![true; n];
-    if let Some(plan) = fusion {
-        for (i, unit) in is_unit.iter_mut().enumerate() {
-            *unit = !plan.is_interior(NodeId(i));
-        }
-    }
-    // Every fusible op reads at least one input, so a leaf is always its
-    // own unit — it can be neither a group interior nor an anchor.
-    let is_leaf: Vec<bool> = (0..n)
-        .map(|i| graph.node(NodeId(i)).inputs.is_empty())
-        .collect();
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut pending: Vec<usize> = vec![0; n];
+    let mut level = vec![0usize; n];
+    let mut waves: Vec<Wave> = Vec::new();
     for i in 0..n {
-        let consumer_unit = unit_of(i);
+        let unit = unit_of(i);
         for input in &graph.node(NodeId(i)).inputs {
-            let producer = input.index();
-            if is_leaf[producer] {
-                continue; // satisfied by the inline bind wave
+            let producer = unit_of(input.index());
+            if producer != unit {
+                level[unit] = level[unit].max(level[producer] + 1);
             }
-            let producer_unit = unit_of(producer);
-            if producer_unit == consumer_unit {
-                continue; // intra-group edge
-            }
-            pending[consumer_unit] += 1;
-            consumers[producer_unit].push(consumer_unit);
         }
+        if unit != i {
+            continue; // evaluated inline at the group's anchor
+        }
+        if !inter_op {
+            waves.push(Wave { label: i, units: vec![i], parallel: false });
+            continue;
+        }
+        // A unit is at most one wave past every unit before it.
+        if level[i] == waves.len() {
+            waves.push(Wave { label: level[i], units: Vec::new(), parallel: false });
+        }
+        waves[level[i]].units.push(i);
     }
-    let leaves: Vec<usize> = (0..n).filter(|&i| is_leaf[i]).collect();
-    let initial_ready: Vec<usize> = (0..n)
-        .filter(|&i| is_unit[i] && !is_leaf[i] && pending[i] == 0)
-        .collect();
-    WaveSchedule { leaves, initial_ready, pending, consumers }
+    for wave in &mut waves {
+        let volume: usize = wave
+            .units
+            .iter()
+            .map(|&i| graph.node(NodeId(i)))
+            .filter(|node| !node.inputs.is_empty())
+            .map(|node| node.shape.len())
+            .sum();
+        wave.parallel = wave.units.len() > 1 && volume >= PARALLEL_WAVE_MIN_ELEMS;
+    }
+    waves.into()
 }
 
 impl Session {
@@ -254,13 +274,6 @@ impl Session {
         self.precision
     }
 
-    /// Installs (or clears, with `None`) a forward-pass fusion plan. The
-    /// plan must have been computed for this session's graph.
-    pub fn set_fusion(&mut self, plan: Option<Arc<FusionPlan>>) {
-        self.fusion = plan;
-        self.schedule = None;
-    }
-
     /// Analyses this session's graph and installs the resulting fusion
     /// plan (`true`), or clears fusion (`false`).
     pub fn set_fusion_enabled(&mut self, enabled: bool) {
@@ -295,6 +308,7 @@ impl Session {
     /// Replaces the host-side execution knobs (takes effect next pass).
     pub fn set_exec_config(&mut self, exec: ExecConfig) {
         self.exec = exec;
+        self.schedule = None;
     }
 
     /// A deterministic RNG for the dropout node at `node_index` during
@@ -373,214 +387,104 @@ impl Session {
         let feed_map: HashMap<usize, &Tensor> =
             feeds.iter().map(|(id, t)| (id.index(), t)).collect();
         let n = self.graph.len();
-        let mut values: Vec<Option<Tensor>> = vec![None; n];
-        let mut aux: Vec<Aux> = vec![Aux::None; n];
         let pass_start = self.tracer.as_ref().map(|t| t.now_us());
-        let fusion = self.fusion.clone();
-        if !self.exec.inter_op_parallel {
-            for i in 0..n {
-                if fusion.as_ref().is_some_and(|p| p.is_interior(NodeId(i))) {
-                    continue; // evaluated inline at the group's anchor
-                }
-                let t0 = self.tracer.as_ref().map(|t| t.now_us());
-                if let Some(group) = fusion.as_ref().and_then(|p| p.anchored_at(NodeId(i))) {
-                    let computed = self.compute_group(group, step, &values)?;
-                    if let Some(tracer) = &self.tracer {
-                        let t1 = tracer.now_us();
-                        let value = &computed.last().expect("groups are non-empty").1;
-                        tracer.record(self.group_span(
-                            group,
-                            step,
-                            (i, 0),
-                            (t0.unwrap_or(t1), t1),
-                            value,
-                        ));
-                    }
-                    for (k, value, a) in computed {
-                        values[k] = Some(value);
-                        aux[k] = a;
-                    }
-                } else {
-                    let (value, a) = self.compute_node(i, step, &feed_map, &values)?;
-                    if let Some(tracer) = &self.tracer {
-                        let t1 = tracer.now_us();
-                        tracer.record(self.node_span(i, step, (i, 0), (t0.unwrap_or(t1), t1), &value));
-                    }
-                    values[i] = Some(value);
-                    aux[i] = a;
-                }
-            }
-            self.record_pass_span("forward", step, n, pass_start);
-            return Ok(RunState { values, aux });
-        }
-        // Inter-op wave scheduling: repeatedly run every *unit* whose
-        // external inputs are all computed, fanning a wave's units out
-        // across scoped threads. A unit is either a single node or a whole
-        // fusion group (anchored at its last member, so every external
-        // input of every member is available when the unit runs — fewer
-        // units per wave means fewer join barriers). Waves and errors are
-        // processed in ascending unit order, so scheduling never changes
-        // results or error reporting.
-        // The two tiers schedule differently. The eager tier (no fusion
-        // plan) re-derives its dependency state every pass and schedules
-        // every node — leaves included — as a wave unit, modelling an
-        // eager framework's per-op dispatch. The speed tier (fusion plan
-        // installed) uses a schedule precompiled once per (graph, plan):
-        // leaves are bound inline before the first wave (a parameter
-        // lookup is a memory bind, not a kernel launch, so it spawns no
-        // thread and forms no join barrier) and each fusion group is one
-        // unit, modelling a graph compiler's ahead-of-time schedule.
-        let schedule_arc;
-        let dyn_consumers;
-        let consumers: &[Vec<usize>];
-        let mut pending: Vec<usize>;
-        let mut ready: Vec<usize>;
-        let mut wave_index: usize;
-        if fusion.is_some() {
-            schedule_arc = match &self.schedule {
-                Some(s) if s.pending.len() == n => Arc::clone(s),
-                _ => {
-                    let built = Arc::new(build_wave_schedule(&self.graph, fusion.as_deref()));
-                    self.schedule = Some(Arc::clone(&built));
-                    built
-                }
-            };
-            let mut leaf_events = Vec::new();
-            for (slot, &i) in schedule_arc.leaves.iter().enumerate() {
-                let t0 = self.tracer.as_ref().map(|t| t.now_us());
-                let (value, a) = self.compute_node(i, step, &feed_map, &values)?;
-                if let Some(tracer) = &self.tracer {
-                    let t1 = tracer.now_us();
-                    leaf_events.push(self.node_span(
-                        i,
-                        step,
-                        (0, slot),
-                        (t0.unwrap_or(t1), t1),
-                        &value,
-                    ));
-                }
-                values[i] = Some(value);
-                aux[i] = a;
-            }
-            if let Some(tracer) = &self.tracer {
-                tracer.record_batch(leaf_events);
-            }
-            consumers = &schedule_arc.consumers;
-            pending = schedule_arc.pending.clone();
-            ready = schedule_arc.initial_ready.clone();
-            wave_index = 1;
-        } else {
-            let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-            pending = vec![0; n];
-            for (i, count) in pending.iter_mut().enumerate() {
-                for input in &self.graph.node(NodeId(i)).inputs {
-                    *count += 1;
-                    edges[input.index()].push(i);
-                }
-            }
-            dyn_consumers = edges;
-            consumers = &dyn_consumers;
-            ready = (0..n).filter(|&i| pending[i] == 0).collect();
-            wave_index = 0;
-        }
-        while !ready.is_empty() {
-            let wave = std::mem::take(&mut ready);
-            // Each thread times its own unit locally; spans are published
-            // after the join, in ascending unit order, so the recorded
-            // event sequence is deterministic regardless of thread timing.
-            type Timed = (usize, Result<Vec<(usize, Tensor, Aux)>>, f64, f64);
-            // The compiled tier fans a wave out over threads only when it
-            // carries enough work to amortise the spawns — an ahead-of-time
-            // cost-model decision keyed on static output sizes, so it is
-            // deterministic and thread-count independent. The eager tier
-            // always fans out, modelling per-op dispatch.
-            let inline = wave.len() == 1
-                || (fusion.is_some()
-                    && wave
-                        .iter()
-                        .map(|&i| self.graph.node(NodeId(i)).shape.len())
-                        .sum::<usize>()
-                        < PARALLEL_WAVE_MIN_ELEMS);
-            let results: Vec<Timed> = if inline {
-                let mut out = Vec::with_capacity(wave.len());
-                for &i in &wave {
-                    let t0 = self.tracer.as_ref().map_or(0.0, |t| t.now_us());
-                    let r = self.compute_unit(i, step, &feed_map, &values);
-                    let t1 = self.tracer.as_ref().map_or(0.0, |t| t.now_us());
-                    out.push((i, r, t0, t1));
-                }
-                out
-            } else {
-                let (this, vals, fm) = (&*self, &values, &feed_map);
+        let (graph, fusion, inter_op) =
+            (&self.graph, self.fusion.as_deref(), self.exec.inter_op_parallel);
+        let schedule = Arc::clone(
+            self.schedule.get_or_insert_with(|| build_schedule(graph, fusion, inter_op)),
+        );
+        let mut state = RunState { values: vec![None; n], aux: vec![Aux::None; n] };
+        for wave in schedule.iter() {
+            // A parallel wave runs its units on scoped threads, each timing
+            // its own unit, and publishes them after the join; an inline wave
+            // publishes each unit as it finishes. Either way spans and errors
+            // surface in slot order, so neither depends on thread timing.
+            let mut joined = if wave.parallel {
+                let (this, feeds, values) = (&*self, &feed_map, &state.values);
+                let clock = move || this.tracer.as_ref().map_or(0.0, |t| t.now_us());
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = wave
+                        .units
                         .iter()
                         .map(|&i| {
                             scope.spawn(move || {
-                                let t0 = this.tracer.as_ref().map_or(0.0, |t| t.now_us());
-                                let r = this.compute_unit(i, step, fm, vals);
-                                let t1 = this.tracer.as_ref().map_or(0.0, |t| t.now_us());
-                                (i, r, t0, t1)
+                                let t0 = clock();
+                                let out = this.compute_unit(i, step, feeds, values);
+                                (out, (t0, clock()))
                             })
                         })
                         .collect();
                     handles
                         .into_iter()
                         .map(|h| h.join().expect("node evaluation must not panic"))
-                        .collect()
+                        .collect::<Vec<_>>()
                 })
-            };
-            let mut wave_events = Vec::new();
-            for (slot, (i, result, t0, t1)) in results.into_iter().enumerate() {
-                let computed = result?;
-                if self.tracer.is_some() {
-                    let value = &computed.last().expect("units compute at least one node").1;
-                    let span = match fusion.as_ref().and_then(|p| p.anchored_at(NodeId(i))) {
-                        Some(group) => {
-                            self.group_span(group, step, (wave_index, slot), (t0, t1), value)
-                        }
-                        None => self.node_span(i, step, (wave_index, slot), (t0, t1), value),
-                    };
-                    wave_events.push(span);
-                }
-                for (k, value, a) in computed {
-                    values[k] = Some(value);
-                    aux[k] = a;
+            } else {
+                Vec::new()
+            }
+            .into_iter();
+            let mut events = Vec::new();
+            for (slot, &i) in wave.units.iter().enumerate() {
+                let t0 = self.tracer.as_ref().map(|t| t.now_us());
+                let times = match joined.next() {
+                    Some((out, times)) => {
+                        state.store(i, out?);
+                        Some(times)
+                    }
+                    None => {
+                        self.compute_into(i, step, &feed_map, &mut state)?;
+                        None
+                    }
+                };
+                if let Some(tracer) = &self.tracer {
+                    let times = times.unwrap_or_else(|| (t0.unwrap_or(0.0), tracer.now_us()));
+                    let value = state.values[i].as_ref().expect("unit just stored");
+                    events.push(self.unit_span(i, step, (wave.label, slot), times, value));
                 }
             }
             if let Some(tracer) = &self.tracer {
-                tracer.record_batch(wave_events);
+                tracer.record_batch(events);
             }
-            for &i in &wave {
-                for &consumer in &consumers[i] {
-                    pending[consumer] -= 1;
-                    if pending[consumer] == 0 {
-                        ready.push(consumer);
-                    }
-                }
-            }
-            ready.sort_unstable();
-            wave_index += 1;
         }
         self.record_pass_span("forward", step, n, pass_start);
-        Ok(RunState { values, aux })
+        Ok(state)
+    }
+
+    /// [`Session::compute_unit`] publishing straight into `state` — the
+    /// inline path, which moves each value once.
+    fn compute_into(
+        &self,
+        i: usize,
+        step: u64,
+        feed_map: &HashMap<usize, &Tensor>,
+        state: &mut RunState,
+    ) -> Result<()> {
+        match self.fusion.as_ref().and_then(|p| p.anchored_at(NodeId(i))) {
+            Some(group) => {
+                let out = self.compute_group(group, step, &state.values)?;
+                state.store(i, out);
+            }
+            None => {
+                let (t, a) = self.compute_node(i, step, feed_map, &state.values)?;
+                state.values[i] = Some(t);
+                state.aux[i] = a;
+            }
+        }
+        Ok(())
     }
 
     /// Computes one scheduling unit: a single node, or — when `i` anchors a
-    /// fusion group — every member of the group in dataflow order. Returns
-    /// `(node_index, value, aux)` triples in evaluation order.
+    /// fusion group — every member of the group in dataflow order.
     fn compute_unit(
         &self,
         i: usize,
         step: u64,
         feed_map: &HashMap<usize, &Tensor>,
         values: &[Option<Tensor>],
-    ) -> Result<Vec<(usize, Tensor, Aux)>> {
+    ) -> Result<UnitOutput> {
         match self.fusion.as_ref().and_then(|p| p.anchored_at(NodeId(i))) {
             Some(group) => self.compute_group(group, step, values),
-            None => {
-                self.compute_node(i, step, feed_map, values).map(|(t, a)| vec![(i, t, a)])
-            }
+            None => self.compute_node(i, step, feed_map, values).map(|(t, a)| (Vec::new(), t, a)),
         }
     }
 
@@ -595,7 +499,7 @@ impl Session {
         group: &FusionGroup,
         step: u64,
         values: &[Option<Tensor>],
-    ) -> Result<Vec<(usize, Tensor, Aux)>> {
+    ) -> Result<UnitOutput> {
         let mut local: Vec<(usize, Tensor, Aux)> = Vec::with_capacity(group.len());
         for &m in group.nodes() {
             let node = self.graph.node(m);
@@ -615,17 +519,21 @@ impl Session {
             let (t, a) = self.eval(m.index(), step, &node.op, &ins, &node.shape)?;
             local.push((m.index(), t, a));
         }
-        Ok(local)
+        let (_, t, a) = local.pop().expect("groups are non-empty");
+        Ok((local, t, a))
     }
 
-    /// Builds the wall-clock span for one executed node. Wave and node
-    /// indices are deterministic (the wave schedule is a pure function of
-    /// graph topology); wall times and the thread slot are attribution-only
-    /// and excluded from golden digests. The `value_hash` arg pins the
-    /// node's output bit pattern, so two traces with equal digests computed
-    /// bitwise-identical tensors — the PR-1 invariance, asserted at the
-    /// trace level.
-    fn node_span(
+    /// Builds the wall-clock span for one executed unit. Wave and node
+    /// indices are deterministic (the schedule is a pure function of graph
+    /// topology); wall times and the thread slot are attribution-only and
+    /// excluded from golden digests. The `value_hash` arg pins the unit's
+    /// output bit pattern, so two traces with equal digests computed
+    /// bitwise-identical tensors — thread-count invariance, asserted at
+    /// the trace level. A fusion group is one span named after the fused
+    /// kernel, attributed to the group's root node, carrying the member
+    /// count and the hash of the group's *final* output (interior values
+    /// never leave the fused kernel, so only the escaping value is pinned).
+    fn unit_span(
         &self,
         i: usize,
         step: u64,
@@ -633,9 +541,13 @@ impl Session {
         (start_us, end_us): (f64, f64),
         value: &Tensor,
     ) -> TraceEvent {
-        let node = self.graph.node(NodeId(i));
-        TraceEvent::span(
-            node.op.mnemonic(),
+        let group = self.fusion.as_ref().and_then(|p| p.anchored_at(NodeId(i)));
+        let (name, node) = match group {
+            Some(g) => (g.name(), g.root().index()),
+            None => (self.graph.node(NodeId(i)).op.mnemonic(), i),
+        };
+        let span = TraceEvent::span(
+            name,
             TraceLayer::Executor,
             EventKind::NodeExec,
             start_us,
@@ -643,38 +555,13 @@ impl Session {
         )
         .wall_clock()
         .on_track(u32::try_from(slot).unwrap_or(u32::MAX))
-        .with_arg("node", i)
+        .with_arg("node", node)
         .with_arg("step", step)
-        .with_arg("wave", wave)
-        .with_arg("value_hash", value_hash(value.data()))
-    }
-
-    /// Builds the wall-clock span for one executed fusion group: a single
-    /// NodeExec span named after the fused kernel, attributed to the
-    /// group's root node, carrying the member count and the bitwise hash
-    /// of the group's *final* output (interior values never leave the
-    /// fused kernel, so only the escaping value is pinned).
-    fn group_span(
-        &self,
-        group: &FusionGroup,
-        step: u64,
-        (wave, slot): (usize, usize),
-        (start_us, end_us): (f64, f64),
-        value: &Tensor,
-    ) -> TraceEvent {
-        TraceEvent::span(
-            group.name(),
-            TraceLayer::Executor,
-            EventKind::NodeExec,
-            start_us,
-            (end_us - start_us).max(0.0),
-        )
-        .wall_clock()
-        .on_track(u32::try_from(slot).unwrap_or(u32::MAX))
-        .with_arg("node", group.root().index())
-        .with_arg("step", step)
-        .with_arg("wave", wave)
-        .with_arg("fused", group.len())
+        .with_arg("wave", wave);
+        match group {
+            Some(g) => span.with_arg("fused", g.len()),
+            None => span,
+        }
         .with_arg("value_hash", value_hash(value.data()))
     }
 
@@ -1120,40 +1007,48 @@ mod tests {
     fn inter_op_parallel_matches_sequential_execution() {
         // Diamond graph with two independent branches and a training-mode
         // dropout node: wave scheduling must be bitwise identical to the
-        // sequential walk (deterministic kernels + per-node dropout RNG).
-        let build = || {
-            let mut g = GraphBuilder::new();
-            let x = g.input("x", [8, 16]);
-            let w1 = g.parameter("w1", [16, 16], Init::Xavier { fan_in: 16, fan_out: 16 });
-            let w2 = g.parameter("w2", [16, 16], Init::Xavier { fan_in: 16, fan_out: 16 });
-            let a = g.matmul(x, w1).unwrap();
-            let a = g.relu(a).unwrap();
-            let b = g.matmul(x, w2).unwrap();
-            let b = g.tanh(b).unwrap();
-            let s = g.add(a, b).unwrap();
-            let d = g.dropout(s, 0.3).unwrap();
-            let out = g.sum_all(d).unwrap();
-            (g.finish(), x, d, out)
-        };
-        let xt = Tensor::from_fn([8, 16], |i| ((i * 7 % 23) as f32 - 11.0) * 0.1);
-        let (g1, x1, d1, out1) = build();
-        let mut serial = Session::new(g1, 42);
-        let (g2, x2, d2, out2) = build();
-        let mut parallel = Session::with_exec(
-            g2,
-            42,
-            ExecConfig { intra_op_threads: 3, inter_op_parallel: true },
-        );
-        let mut last_mask_value: Option<Tensor> = None;
-        for step in 0..3 {
-            let rs = serial.forward(&[(x1, xt.clone())]).unwrap();
-            let rp = parallel.forward(&[(x2, xt.clone())]).unwrap();
-            assert_eq!(rs.value(d1).unwrap(), rp.value(d2).unwrap(), "step {step}");
-            assert_eq!(rs.value(out1).unwrap(), rp.value(out2).unwrap(), "step {step}");
-            // Dropout must draw fresh masks every pass.
-            if let Some(prev) = last_mask_value.replace(rs.value(d1).unwrap().clone()) {
-                assert_ne!(&prev, rs.value(d1).unwrap());
+        // sequential schedule (deterministic kernels + per-node dropout
+        // RNG). At 8 rows every wave runs inline; at 8192 rows the two
+        // branches' waves carry 2^18 elements and fan out over threads.
+        for rows in [8, 8192] {
+            let build = || {
+                let mut g = GraphBuilder::new();
+                let x = g.input("x", [rows, 16]);
+                let w1 = g.parameter("w1", [16, 16], Init::Xavier { fan_in: 16, fan_out: 16 });
+                let w2 = g.parameter("w2", [16, 16], Init::Xavier { fan_in: 16, fan_out: 16 });
+                let a = g.matmul(x, w1).unwrap();
+                let a = g.relu(a).unwrap();
+                let b = g.matmul(x, w2).unwrap();
+                let b = g.tanh(b).unwrap();
+                let s = g.add(a, b).unwrap();
+                let d = g.dropout(s, 0.3).unwrap();
+                let out = g.sum_all(d).unwrap();
+                (g.finish(), x, d, out)
+            };
+            let xt = Tensor::from_fn([rows, 16], |i| ((i * 7 % 23) as f32 - 11.0) * 0.1);
+            let (g1, x1, d1, out1) = build();
+            let mut serial = Session::new(g1, 42);
+            let (g2, x2, d2, out2) = build();
+            let mut parallel = Session::with_exec(
+                g2,
+                42,
+                ExecConfig { intra_op_threads: 3, inter_op_parallel: true },
+            );
+            let mut last_mask_value: Option<Tensor> = None;
+            for step in 0..3 {
+                let rs = serial.forward(&[(x1, xt.clone())]).unwrap();
+                let rp = parallel.forward(&[(x2, xt.clone())]).unwrap();
+                let at = format!("rows {rows} step {step}");
+                assert_eq!(rs.value(d1).unwrap(), rp.value(d2).unwrap(), "{at}");
+                assert_eq!(rs.value(out1).unwrap(), rp.value(out2).unwrap(), "{at}");
+                // Dropout must draw fresh masks every pass.
+                if let Some(prev) = last_mask_value.replace(rs.value(d1).unwrap().clone()) {
+                    assert_ne!(&prev, rs.value(d1).unwrap());
+                }
             }
+            let schedule = parallel.schedule.as_ref().expect("schedule cached");
+            let fanned_out = schedule.iter().filter(|w| w.parallel).count();
+            assert_eq!(fanned_out, if rows > 8 { 2 } else { 0 }, "rows {rows}");
         }
         tbd_tensor::par::set_max_threads(0);
     }

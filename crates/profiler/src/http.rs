@@ -7,7 +7,8 @@
 //! moment it arrives — no poll interval sits on the request path — to a
 //! bounded [`WorkerPool`], where a slow reader parks one worker, never the
 //! acceptor. When the pool's queue is full the acceptor answers `503`
-//! itself and drains the request so the close sends FIN. A worker reads
+//! itself. After every response the front shuts down the write half and
+//! drains the unread request bytes, so the close sends FIN. A worker reads
 //! the request line ([`REQUEST_LINE_DEADLINE`] for the whole line, however
 //! it trickles in; [`MAX_REQUEST_LINE`] cap: `414`), answers `400` for a
 //! malformed or non-UTF-8 line and `405` for any method but `GET`, and
@@ -17,7 +18,7 @@
 //! is still answered.
 
 use std::io::{Read as _, Write as _};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,10 +35,14 @@ pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// hold a worker longer than this.
 pub const REQUEST_LINE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Cap on request bytes drained after a 503 shed. Large enough to absorb
-/// any in-flight request body a well-behaved client already wrote, small
-/// enough that a hostile streaming client cannot pin the acceptor thread.
-const SHED_DRAIN_CAP: usize = 64 * 1024;
+/// Cap on request bytes drained after a response. Large enough to absorb
+/// any in-flight request a well-behaved client already wrote, small
+/// enough that a hostile streaming client cannot pin the acceptor thread
+/// (after a 503 shed) or a worker.
+const DRAIN_CAP: usize = 64 * 1024;
+
+/// Time the front spends draining a connection after its response.
+const DRAIN_DEADLINE: Duration = Duration::from_millis(50);
 
 /// `Content-Type` of every plain-text response.
 const TEXT: &str = "text/plain; charset=utf-8";
@@ -165,16 +170,30 @@ fn accept_loop(listener: &TcpListener, pool: &WorkerPool, stop: &AtomicBool, rou
     }
 }
 
-/// Answers `503` on the accept thread, then drains pending request bytes
-/// so the close sends FIN, not RST — an RST would discard the 503 still
-/// sitting in the client's receive buffer. The drain is bounded twice
-/// over: by [`SHED_DRAIN_CAP`] bytes and by a 50 ms read timeout per read.
+/// Answers `503` on the accept thread, then closes like any other
+/// response.
 fn shed(stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let _ = write_response(stream, 503, TEXT, "server overloaded\n");
+    close_after_response(stream);
+}
+
+/// Ends a connection whose response is written: shuts down the write
+/// half, so the client sees EOF at once, then drains the request bytes
+/// nobody read (headers past the request line) so the close sends FIN,
+/// not RST — an RST would discard the response still sitting in the
+/// client's receive buffer. The drain is bounded twice over: by
+/// [`DRAIN_CAP`] bytes and by [`DRAIN_DEADLINE`] for all reads together,
+/// so a trickling client cannot hold the thread.
+fn close_after_response(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_DEADLINE;
     let mut drained = 0usize;
     let mut scratch = [0u8; 4096];
-    while drained < SHED_DRAIN_CAP {
+    while drained < DRAIN_CAP {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut scratch) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n,
@@ -239,7 +258,10 @@ fn handle_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<
             Ok((_, path)) => router(path),
         },
     };
-    write_response(&mut stream, response.status, response.content_type, &response.body)
+    let written =
+        write_response(&mut stream, response.status, response.content_type, &response.body);
+    close_after_response(&mut stream);
+    written
 }
 
 /// Writes a minimal `HTTP/1.1` response (`Connection: close`).

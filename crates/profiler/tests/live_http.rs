@@ -99,6 +99,35 @@ fn health_is_live_before_the_first_capture_and_report_may_503() {
 }
 
 #[test]
+fn a_long_request_header_still_receives_the_whole_response() {
+    // A browser-sized header leaves bytes the server never reads as part
+    // of the request line; closing over them must not reset the
+    // connection before the client has read the response.
+    let mut server = LiveServer::start(small_watch(1), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().to_string();
+    let padding = "p".repeat(4096);
+    let request = format!("GET /health HTTP/1.1\r\nHost: {addr}\r\nX-Padding: {padding}\r\n\r\n");
+    for attempt in 0..5 {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        stream.write_all(request.as_bytes()).expect("write request");
+        let mut text = String::new();
+        stream
+            .read_to_string(&mut text)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: response cut off by {e}"));
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "attempt {attempt}: {text}");
+        let (head, body) = text.split_once("\r\n\r\n").expect("header terminator");
+        let length = head
+            .lines()
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .and_then(|v| v.parse::<usize>().ok())
+            .expect("Content-Length header");
+        assert_eq!(body.len(), length, "attempt {attempt}: truncated body {body:?}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn metrics_reads_are_identical_and_match_the_snapshot() {
     let mut server = LiveServer::start(small_watch(1), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();

@@ -3,10 +3,12 @@
 //! and the training-vs-inference contrast.
 
 use tbd_core::{Framework, GpuSpec, ModelKind, WorkloadHints};
-use tbd_frameworks::fusion::{fuse_pointwise, fuse_rnn};
+use tbd_frameworks::fusion::fuse_rnn;
+use tbd_frameworks::SpeedOptions;
 use tbd_gpusim::{simulate_iteration, CpuSpec};
 use tbd_graph::lower::{inference_footprint, memory_footprint};
 use tbd_memopt::{max_feasible_batch, Strategy};
+use tbd_tensor::Precision;
 
 #[test]
 fn rnn_fusion_recovers_the_papers_headroom() {
@@ -27,8 +29,9 @@ fn rnn_fusion_recovers_the_papers_headroom() {
     assert!(p1.gpu_utilization > p0.gpu_utilization);
     // Total algorithmic work is conserved by fusion.
     assert!((p0.total_flops - p1.total_flops).abs() / p0.total_flops < 1e-9);
-    // Pointwise-only fusion sits between the two.
-    let mid = simulate_iteration(&fuse_pointwise(&baseline), &gpu, &cpu, &params);
+    // Graph-level fusion (pointwise chains only) sits between the two.
+    let graph_fused = fw.plan_with(&model, SpeedOptions::fused(Precision::F32));
+    let mid = simulate_iteration(&graph_fused, &gpu, &cpu, &params);
     assert!(mid.wall_time_s < p0.wall_time_s && mid.wall_time_s > p1.wall_time_s);
 }
 
