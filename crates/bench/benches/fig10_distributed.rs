@@ -1,46 +1,24 @@
 //! Regenerates Fig. 10: ResNet-50 on MXNet with multiple GPUs/machines —
-//! 1M1G, 2M1G over Ethernet and InfiniBand, 1M2G, 1M4G, per-GPU batches
-//! 8/16/32.
+//! 1M1G, 1M2G, 1M4G and 2M1G over Ethernet and InfiniBand, per-GPU
+//! batches 8/16/32, each point replayed through the event engine
+//! (`tbd scale`).
 
-use tbd_core::{Framework, GpuSpec, Interconnect, ModelKind, Suite};
-use tbd_distrib::{ClusterConfig, DataParallelSim};
-use tbd_graph::lower::memory_footprint;
+use tbd_core::{Framework, GpuSpec, ModelKind, ScaleReport};
 
 fn main() {
-    let suite = Suite::new(GpuSpec::quadro_p4000());
+    let gpu = GpuSpec::quadro_p4000();
     println!("Fig. 10 — ResNet-50 on MXNet, distributed data parallelism (samples/s)");
-    println!(
-        "{:<22} {:>8} {:>8} {:>8}",
-        "configuration", "b8", "b16", "b32"
-    );
-    let configs: Vec<(String, ClusterConfig)> = vec![
-        ("1M1G".into(), ClusterConfig::single_machine(1)),
-        (
-            "2M1G (ethernet)".into(),
-            ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()),
-        ),
-        (
-            "2M1G (infiniband)".into(),
-            ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()),
-        ),
-        ("1M2G".into(), ClusterConfig::single_machine(2)),
-        ("1M4G".into(), ClusterConfig::single_machine(4)),
-    ];
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for &batch in &[8usize, 16, 32] {
-        let metrics = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).unwrap();
-        let model = ModelKind::ResNet50.build_full(batch).unwrap();
-        let sim = DataParallelSim {
-            compute_iter_s: batch as f64 / metrics.throughput,
-            gradient_bytes: memory_footprint(&model.graph).weight_grads as f64,
-            per_gpu_batch: batch,
-        };
-        for (i, (_, config)) in configs.iter().enumerate() {
-            rows[i].push(sim.simulate(config).throughput);
-        }
-    }
-    for ((label, _), row) in configs.iter().zip(rows) {
-        println!("{:<22} {:>8.1} {:>8.1} {:>8.1}", label, row[0], row[1], row[2]);
+    println!("{:<22} {:>8} {:>8} {:>8}", "configuration", "b8", "b16", "b32");
+    let reports: Vec<ScaleReport> = [8usize, 16, 32]
+        .into_iter()
+        .map(|batch| {
+            ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), batch, &gpu, false, None)
+                .expect("ResNet-50 fits at b8-b32")
+        })
+        .collect();
+    for (i, entry) in reports[0].entries.iter().enumerate() {
+        let [b8, b16, b32] = [0, 1, 2].map(|r| reports[r].entries[i].throughput);
+        println!("{:<22} {b8:>8.1} {b16:>8.1} {b32:>8.1}", entry.label);
     }
     println!("\nObservation 13: Ethernet 2M1G falls below 1M1G; InfiniBand and PCIe scale.");
 }

@@ -298,7 +298,10 @@ impl<'a> Opts<'a> {
     /// `--batch`, else the third positional, else `default`.
     fn batch(&self, default: usize) -> Result<usize, String> {
         match self.value("--batch").or(self.positional.get(2).copied()) {
-            Some(text) => text.parse().map_err(|_| "batch must be an integer".to_string()),
+            Some(text) => text
+                .parse::<std::num::NonZeroUsize>()
+                .map(usize::from)
+                .map_err(|e| format!("batch must be a positive integer: '{text}' ({e})")),
             None => Ok(default),
         }
     }
@@ -1263,6 +1266,12 @@ mod tests {
         assert!(SCALE.parse(&["a3c", "resnet50"]).err().unwrap().starts_with("usage: tbd scale"));
         assert!(SCALE.parse(&["--sweep"]).is_err(), "the model is required");
         assert!(LIST.parse(&["--all"]).is_err());
+        for batch in ["0", "-1", "eight"] {
+            let err = SCALE.parse(&["a3c", "--batch", batch]).unwrap().batch(8).unwrap_err();
+            assert!(err.starts_with("batch must be a positive integer"), "{err}");
+        }
+        let err = JSON.parse(&["resnet50", "mxnet", "0"]).unwrap().workload().unwrap_err();
+        assert!(err.contains("'0'"), "{err}");
     }
 
     #[test]

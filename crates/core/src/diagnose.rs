@@ -20,13 +20,9 @@
 //! Everything is simulated time, so the resulting report digest is
 //! bitwise-stable across hosts and thread counts.
 
-use tbd_distrib::{
-    fig10_clusters, scale_grid, BackwardProfile, ClusterConfig, DataParallelSim, EventConfig,
-    StragglerSpec,
-};
+use tbd_distrib::{fig10_clusters, scale_grid, ClusterConfig, EventConfig, StragglerSpec};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_graph::trace::{TraceLayer, TraceRecorder};
 use tbd_graph::ExecConfig;
 use tbd_models::ModelKind;
@@ -144,7 +140,7 @@ pub fn run_diagnose(
         // the cluster iteration gauge is overwritten), so the requested
         // cluster replaces it wholesale.
         events.retain(|e| e.layer != TraceLayer::Distrib);
-        let profile = cap.profile.as_ref().ok_or_else(|| {
+        let sim = cap.worker.as_ref().ok_or_else(|| {
             format!(
                 "{} at batch {batch} does not fit {}; no iteration to replay on a cluster",
                 kind.name(),
@@ -155,25 +151,12 @@ pub fn run_diagnose(
             Some(label) => resolve_cluster(label)?,
             None => resolve_cluster(DEFAULT_STRAGGLER_CLUSTER)?,
         };
-        let model = kind.build_full(batch).map_err(|e| e.to_string())?;
-        let grad_map: Vec<(usize, f64)> = weight_grad_bytes_by_consumer(&model.graph)
-            .into_iter()
-            .map(|(id, bytes)| (id.index(), bytes as f64))
-            .collect();
-        let compute_iter_s = profile.iteration.wall_time_s;
-        let backward =
-            BackwardProfile::from_records(compute_iter_s, &profile.iteration.records, &grad_map);
-        let sim = DataParallelSim {
-            compute_iter_s,
-            gradient_bytes: backward.total_bytes().max(1.0),
-            per_gpu_batch: batch,
-        };
         let config = EventConfig {
             stragglers: opts.stragglers.then(|| StragglerSpec::with_seed(opts.seed)),
             ..EventConfig::default()
         };
         let tracer = TraceRecorder::shared();
-        let _ = sim.simulate_events_traced(&cluster, &backward, &config, &tracer);
+        let _ = sim.simulate_events_traced(&cluster, &config, &tracer);
         events.extend(tracer.drain());
     }
 

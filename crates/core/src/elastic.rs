@@ -11,12 +11,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tbd_distrib::{
-    fig10_clusters, BackwardProfile, ChurnSpec, DataParallelSim, ElasticConfig,
-};
+use tbd_distrib::{fig10_clusters, ChurnSpec, ElasticConfig};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_models::ModelKind;
 use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
@@ -190,27 +187,16 @@ impl ElasticReport {
         let options = TraceOptions { intra_op_threads, ..TraceOptions::default() };
         let cap = tbd_profiler::capture(kind, framework, batch, gpu, &options)
             .map_err(|e| e.to_string())?;
-        let profile = cap
-            .profile
-            .as_ref()
+        let sim = cap
+            .worker
             .ok_or_else(|| format!("{} batch {batch} does not fit {}", kind.name(), gpu.name))?;
-        let model = kind.build_full(batch).map_err(|e| e.to_string())?;
-        let grad_map: Vec<(usize, f64)> = weight_grad_bytes_by_consumer(&model.graph)
-            .into_iter()
-            .map(|(id, bytes)| (id.index(), bytes as f64))
-            .collect();
-        let compute_iter_s = profile.iteration.wall_time_s;
-        let backward =
-            BackwardProfile::from_records(compute_iter_s, &profile.iteration.records, &grad_map);
-        let gradient_bytes = backward.total_bytes().max(1.0);
-        let sim = DataParallelSim { compute_iter_s, gradient_bytes, per_gpu_batch: batch };
         let mut entries = Vec::new();
         for (label, cluster) in fig10_clusters() {
             for &rate in rates {
                 let churn = ChurnSpec::with_seed(seed).with_rate(rate);
                 let config = ElasticConfig::new(churn, steps);
                 let tracer = TraceRecorder::shared();
-                let out = sim.simulate_elastic_traced(&cluster, &backward, &config, &tracer);
+                let out = sim.simulate_elastic_traced(&cluster, &config, &tracer);
                 let events = tracer.drain();
                 let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
                 let diagnosis =
@@ -242,8 +228,8 @@ impl ElasticReport {
             batch,
             seed,
             steps,
-            compute_iter_s,
-            gradient_bytes,
+            compute_iter_s: sim.compute_iter_s(),
+            gradient_bytes: sim.gradient_bytes(),
             entries,
         })
     }

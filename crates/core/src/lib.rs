@@ -55,7 +55,7 @@ pub use scale::{ScaleEntry, ScaleReport, SCALE_DRIFT_TOLERANCE, SCALE_SCHEMA_VER
 pub use serve::{
     parse_query, ServeConfig, ServeEngine, ServeQuery, ServeServer, SERVE_SCHEMA_VERSION,
 };
-pub use suite::{paper_batches, Suite};
+pub use suite::{paper_batches, RunError, Suite};
 pub use survey::{table1, SurveyCell};
 pub use trajectory::{
     iso_date_today, BenchEntry, BenchReport, LoadgenSummary, SpeedTier, BENCH_SCHEMA_VERSION,

@@ -3,19 +3,16 @@
 //!
 //! One worker's iteration is profiled on the suite device, its per-layer
 //! backward finish times are lifted off the kernel timeline
-//! ([`BackwardProfile::from_records`]), and every cluster in the grid is
+//! ([`DataParallelSim::from_iteration`]), and every cluster in the grid is
 //! simulated event-by-event with DDP-style gradient bucketing — so the
 //! reported overlap is *derived* from the schedule, never assumed. Reports
 //! serialise through the in-tree JSON model for the CI `distrib-sweep`
 //! job's `--check` gate, and render as a markdown table for humans.
 
 use std::fmt::Write as _;
-use tbd_distrib::{
-    fig10_clusters, scale_grid, BackwardProfile, DataParallelSim, EventConfig, StragglerSpec,
-};
+use tbd_distrib::{fig10_clusters, scale_grid, DataParallelSim, EventConfig, StragglerSpec};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_models::ModelKind;
 use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
@@ -165,18 +162,7 @@ impl ScaleReport {
         let suite = Suite::new(gpu.clone());
         let metrics = suite.run(kind, framework, batch).map_err(|e| e.to_string())?;
         let model = kind.build_full(batch).map_err(|e| e.to_string())?;
-        let grad_map: Vec<(usize, f64)> = weight_grad_bytes_by_consumer(&model.graph)
-            .into_iter()
-            .map(|(id, bytes)| (id.index(), bytes as f64))
-            .collect();
-        let compute_iter_s = metrics.profile.iteration.wall_time_s;
-        let backward = BackwardProfile::from_records(
-            compute_iter_s,
-            &metrics.profile.iteration.records,
-            &grad_map,
-        );
-        let gradient_bytes = backward.total_bytes().max(1.0);
-        let sim = DataParallelSim { compute_iter_s, gradient_bytes, per_gpu_batch: batch };
+        let sim = DataParallelSim::from_iteration(&model.graph, &metrics.profile.iteration, batch);
         let config = EventConfig {
             stragglers: straggler_seed.map(StragglerSpec::with_seed),
             ..EventConfig::default()
@@ -186,7 +172,7 @@ impl ScaleReport {
             .into_iter()
             .map(|(label, cluster)| {
                 let tracer = TraceRecorder::shared();
-                let out = sim.simulate_events_traced(&cluster, &backward, &config, &tracer);
+                let out = sim.simulate_events_traced(&cluster, &config, &tracer);
                 let events = tracer.drain();
                 let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
                 let diagnosis = tbd_profiler::diagnose_events(
@@ -227,8 +213,8 @@ impl ScaleReport {
             batch,
             sweep,
             straggler_seed,
-            compute_iter_s,
-            gradient_bytes,
+            compute_iter_s: sim.compute_iter_s(),
+            gradient_bytes: sim.gradient_bytes(),
             price_per_hour: (gpu.price_per_hour > 0.0).then_some(gpu.price_per_hour),
             entries,
         })

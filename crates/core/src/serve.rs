@@ -19,9 +19,10 @@
 //! shard count, queue depth) ever reaches the response bytes — which is
 //! exactly what makes the three cache layers safe:
 //!
-//! * **profile/lowering cache** — one [`ProfileArtifact`] per
-//!   (model, framework, batch, fuse, precision): the captured iteration
-//!   time plus the per-layer backward profile every cluster replay needs.
+//! * **profile/lowering cache** — one captured worker model
+//!   ([`DataParallelSim`]: iteration time plus per-layer backward profile)
+//!   per (model, framework, batch, fuse, precision), which every cluster
+//!   replay reuses.
 //! * **memoized rooflines** — `tbd-gpusim` answers repeated per-kernel
 //!   timings from a thread-local table
 //!   ([`tbd_gpusim::kernel_timing_memoized`]), bit-identical to cold.
@@ -43,10 +44,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use tbd_distrib::{BackwardProfile, DataParallelSim, EventConfig, StragglerSpec};
+use tbd_distrib::{DataParallelSim, EventConfig, StragglerSpec};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::lower::weight_grad_bytes_by_consumer;
 use tbd_graph::trace::TraceRecorder;
 use tbd_models::ModelKind;
 use tbd_profiler::http::{self, HttpFront, Response};
@@ -158,7 +158,7 @@ impl ServeQuery {
 
     /// Digest of the profile-cache key: the capture-determining subset
     /// (model, framework, batch, fuse, precision). Queries differing only
-    /// in cluster or straggler seed share one [`ProfileArtifact`].
+    /// in cluster or straggler seed share one cached worker model.
     pub fn profile_digest(&self) -> u64 {
         fnv1a(
             format!(
@@ -217,7 +217,8 @@ pub fn url_decode(s: &str) -> String {
 /// # Errors
 ///
 /// Returns a client-facing message for a missing model, an unknown
-/// name, or an unparsable number.
+/// name, an unparsable number, a zero batch or a `fuse` value that is not
+/// a boolean.
 pub fn parse_query(query_string: &str) -> Result<ServeQuery, String> {
     let mut params: BTreeMap<String, String> = BTreeMap::new();
     for pair in query_string.split('&').filter(|p| !p.is_empty()) {
@@ -237,11 +238,19 @@ pub fn parse_query(query_string: &str) -> Result<ServeQuery, String> {
             .ok_or_else(|| format!("no framework supports {}", model.name()))?,
     };
     let batch = match params.get("batch") {
-        Some(v) => v.parse::<usize>().map_err(|_| format!("invalid batch '{v}'"))?,
+        Some(v) => v
+            .parse::<std::num::NonZeroUsize>()
+            .map_err(|e| format!("invalid batch '{v}' ({e})"))?
+            .get(),
         None => 4,
     };
-    let fuse =
-        !matches!(params.get("fuse").map(String::as_str), Some("0" | "false" | "no" | "off"));
+    let fuse = match params.get("fuse").map(String::as_str) {
+        None | Some("1" | "true" | "yes" | "on") => true,
+        Some("0" | "false" | "no" | "off") => false,
+        Some(other) => {
+            return Err(format!("invalid fuse '{other}' (0, 1, true, false, yes, no, on, off)"))
+        }
+    };
     let precision = match params.get("precision") {
         Some(v) => v.parse::<Precision>()?,
         None => Precision::F32,
@@ -252,17 +261,6 @@ pub fn parse_query(query_string: &str) -> Result<ServeQuery, String> {
         None => None,
     };
     Ok(ServeQuery { model, framework, batch, fuse, precision, cluster, straggler_seed })
-}
-
-/// The interned graph/lowering artifact of one (model, framework, batch,
-/// fuse, precision) point: everything a cluster replay needs, captured
-/// once and shared by every query over it.
-#[derive(Debug, Clone)]
-pub struct ProfileArtifact {
-    /// One worker's profiled iteration time, seconds.
-    pub compute_iter_s: f64,
-    /// Per-layer backward finish times and gradient bytes.
-    pub backward: BackwardProfile,
 }
 
 /// A single-flight slot: the leader computes while followers wait on the
@@ -302,7 +300,7 @@ enum Slot {
 pub struct ServeEngine {
     gpu: GpuSpec,
     shards: Vec<Mutex<HashMap<u64, Slot>>>,
-    profiles: Mutex<HashMap<u64, Arc<ProfileArtifact>>>,
+    profiles: Mutex<HashMap<u64, Arc<DataParallelSim>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     computes: AtomicU64,
@@ -428,11 +426,12 @@ impl ServeEngine {
     }
 
     /// The profile/lowering cache: captures (simulation-only) at most once
-    /// per (model, framework, batch, fuse, precision).
-    fn artifact(&self, query: &ServeQuery) -> Result<Arc<ProfileArtifact>, String> {
+    /// per (model, framework, batch, fuse, precision) and keeps the
+    /// capture's worker model.
+    fn worker(&self, query: &ServeQuery) -> Result<Arc<DataParallelSim>, String> {
         let key = query.profile_digest();
-        if let Some(artifact) = self.profiles.lock().expect("profile cache lock").get(&key) {
-            return Ok(Arc::clone(artifact));
+        if let Some(worker) = self.profiles.lock().expect("profile cache lock").get(&key) {
+            return Ok(Arc::clone(worker));
         }
         // Compute outside the lock: distinct queries racing on the same
         // cold profile may duplicate this work, but results are identical
@@ -447,7 +446,7 @@ impl ServeEngine {
         };
         let cap = capture(query.model, query.framework, query.batch, &self.gpu, &options)
             .map_err(|e| e.to_string())?;
-        let profile = cap.profile.as_ref().ok_or_else(|| {
+        let worker = cap.worker.ok_or_else(|| {
             format!(
                 "{} at batch {} does not fit {}",
                 query.model.name(),
@@ -455,38 +454,21 @@ impl ServeEngine {
                 self.gpu.name
             )
         })?;
-        let model = query.model.build_full(query.batch).map_err(|e| e.to_string())?;
-        let grad_map: Vec<(usize, f64)> = weight_grad_bytes_by_consumer(&model.graph)
-            .into_iter()
-            .map(|(id, bytes)| (id.index(), bytes as f64))
-            .collect();
-        let compute_iter_s = profile.iteration.wall_time_s;
-        let backward = BackwardProfile::from_records(
-            compute_iter_s,
-            &profile.iteration.records,
-            &grad_map,
-        );
-        let artifact = Arc::new(ProfileArtifact { compute_iter_s, backward });
         let mut cache = self.profiles.lock().expect("profile cache lock");
-        Ok(Arc::clone(cache.entry(key).or_insert(artifact)))
+        Ok(Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(worker))))
     }
 
     /// Cold compute of one query: cluster replay over the cached profile,
     /// diagnosis, TCO, rendered to the canonical response JSON.
     fn compute(&self, query: &ServeQuery, digest: u64) -> Result<Arc<String>, String> {
         let cluster = resolve_cluster(&query.cluster)?;
-        let artifact = self.artifact(query)?;
-        let sim = DataParallelSim {
-            compute_iter_s: artifact.compute_iter_s,
-            gradient_bytes: artifact.backward.total_bytes().max(1.0),
-            per_gpu_batch: query.batch,
-        };
+        let sim = self.worker(query)?;
         let config = EventConfig {
             stragglers: query.straggler_seed.map(StragglerSpec::with_seed),
             ..EventConfig::default()
         };
         let tracer = TraceRecorder::shared();
-        let out = sim.simulate_events_traced(&cluster, &artifact.backward, &config, &tracer);
+        let out = sim.simulate_events_traced(&cluster, &config, &tracer);
         let events = tracer.drain();
         let diagnosis = tbd_profiler::diagnose_events(
             query.model.name(),
@@ -660,6 +642,16 @@ mod tests {
         assert_eq!(q.straggler_seed, Some(7));
         assert!(parse_query("").is_err(), "model is required");
         assert!(parse_query("model=resnet50&batch=x").is_err());
+        let err = parse_query("model=resnet50&batch=0").unwrap_err();
+        assert!(err.starts_with("invalid batch '0'"), "{err}");
+        for (value, fuse) in [("1", true), ("on", true), ("yes", true), ("false", false), ("off", false)] {
+            let q = parse_query(&format!("model=resnet50&fuse={value}")).expect("parses");
+            assert_eq!(q.fuse, fuse, "fuse={value}");
+        }
+        for value in ["", "2", "maybe", "TRUE"] {
+            let err = parse_query(&format!("model=resnet50&fuse={value}")).unwrap_err();
+            assert!(err.starts_with("invalid fuse"), "fuse={value}: {err}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The benchmark-suite runner.
 
-use tbd_distrib::{ClusterConfig, ClusterProfile, DataParallelSim};
+use std::fmt;
+
 use tbd_frameworks::Framework;
 use tbd_gpusim::{GpuSpec, OutOfMemory};
-use tbd_graph::lower::memory_footprint;
+use tbd_graph::GraphError;
 use tbd_models::ModelKind;
 use tbd_profiler::{profile_workload, WorkloadMetrics};
 
@@ -22,6 +23,40 @@ pub fn paper_batches(kind: ModelKind) -> Vec<usize> {
         ModelKind::DeepSpeech2 => vec![1, 2, 3, 4, 5],
         ModelKind::A3c => vec![8, 16, 32, 64, 128],
         ModelKind::FasterRcnn => vec![1],
+    }
+}
+
+/// Why [`Suite::run`] produced no metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The paper-scale graph could not be built, e.g. a batch whose
+    /// tensors overflow `usize` bytes.
+    Graph(GraphError),
+    /// The mini-batch does not fit the device — the configurations the
+    /// paper's figures leave blank.
+    OutOfMemory(OutOfMemory),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Graph(e) => e.fmt(f),
+            RunError::OutOfMemory(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<GraphError> for RunError {
+    fn from(e: GraphError) -> Self {
+        RunError::Graph(e)
+    }
+}
+
+impl From<OutOfMemory> for RunError {
+    fn from(e: OutOfMemory) -> Self {
+        RunError::OutOfMemory(e)
     }
 }
 
@@ -47,21 +82,16 @@ impl Suite {
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfMemory`] for mini-batches that exceed the device —
-    /// the configurations the paper's figures leave blank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model graph fails to build (a bug in the model zoo,
-    /// covered by `tbd-models` tests).
+    /// Returns [`RunError::OutOfMemory`] for mini-batches that exceed the
+    /// device and [`RunError::Graph`] when the graph cannot be built.
     pub fn run(
         &self,
         kind: ModelKind,
         framework: Framework,
         batch: usize,
-    ) -> Result<WorkloadMetrics, OutOfMemory> {
-        let model = kind.build_full(batch).expect("paper-scale models build");
-        profile_workload(kind, framework, &model, &self.gpu)
+    ) -> Result<WorkloadMetrics, RunError> {
+        let model = kind.build_full(batch)?;
+        Ok(profile_workload(kind, framework, &model, &self.gpu)?)
     }
 
     /// Sweeps the paper's batch axis for `kind` under `framework`,
@@ -75,31 +105,6 @@ impl Suite {
             .into_iter()
             .map(|b| (b, self.run(kind, framework, b).ok()))
             .collect()
-    }
-
-    /// Profiles data-parallel training of `kind` on `cluster`: one worker's
-    /// iteration is simulated on this suite's device, then scaled through
-    /// the cluster model (§4.5 / Fig. 10).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] when the per-GPU batch does not fit one
-    /// device.
-    pub fn run_distributed(
-        &self,
-        kind: ModelKind,
-        framework: Framework,
-        per_gpu_batch: usize,
-        cluster: &ClusterConfig,
-    ) -> Result<ClusterProfile, OutOfMemory> {
-        let metrics = self.run(kind, framework, per_gpu_batch)?;
-        let model = kind.build_full(per_gpu_batch).expect("paper-scale models build");
-        let sim = DataParallelSim {
-            compute_iter_s: per_gpu_batch as f64 / metrics.throughput,
-            gradient_bytes: memory_footprint(&model.graph).weight_grads as f64,
-            per_gpu_batch,
-        };
-        Ok(sim.simulate(cluster))
     }
 
     /// All `(model, framework)` pairs the paper implements (Table 2).
@@ -136,15 +141,23 @@ mod tests {
 
     #[test]
     fn distributed_run_reproduces_fig10_ordering() {
+        use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
         let suite = Suite::new(GpuSpec::quadro_p4000());
-        let fw = Framework::mxnet();
-        let single = suite
-            .run_distributed(ModelKind::A3c, fw, 32, &tbd_distrib::ClusterConfig::single_machine(1))
-            .unwrap();
-        let quad = suite
-            .run_distributed(ModelKind::A3c, fw, 32, &tbd_distrib::ClusterConfig::single_machine(4))
-            .unwrap();
-        assert!(quad.throughput > 2.0 * single.throughput);
+        let m = suite.run(ModelKind::A3c, Framework::mxnet(), 32).unwrap();
+        let model = ModelKind::A3c.build_full(32).unwrap();
+        let worker = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, 32);
+        let throughput = |gpus| {
+            let cluster = ClusterConfig::single_machine(gpus);
+            worker.simulate_events(&cluster, &EventConfig::default()).profile.throughput
+        };
+        assert!(throughput(4) > 2.0 * throughput(1));
+    }
+
+    #[test]
+    fn overflowing_batch_is_an_error_not_a_panic() {
+        let suite = Suite::new(GpuSpec::quadro_p4000());
+        let err = suite.run(ModelKind::ResNet50, Framework::mxnet(), 1 << 62).unwrap_err();
+        assert!(matches!(err, RunError::Graph(GraphError::ShapeOverflow(_))), "{err:?}");
     }
 
     #[test]

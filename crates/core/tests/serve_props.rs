@@ -136,6 +136,11 @@ fn worker_and_shard_counts_are_unobservable_in_response_bytes() {
             "{path}"
         );
     }
+    // A zero batch or a non-boolean fuse is the client's error, not a plan.
+    for path in ["/query?model=resnet50&batch=0", "/query?model=resnet50&fuse=maybe"] {
+        let response = http_get(small.local_addr(), path);
+        assert!(response.starts_with("HTTP/1.1 400"), "{path}: {response}");
+    }
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! * [`BackwardProfile::from_records`] reads the finish times straight off
 //!   the `tbd-gpusim::timeline` kernel stream (the detailed path), using a
 //!   per-consumer weight-gradient byte map from
-//!   `tbd_graph::lower::weight_grad_bytes_by_consumer`.
+//!   `tbd_graph::lower::weight_grad_bytes_by_consumer`;
+//!   [`DataParallelSim::from_iteration`](crate::DataParallelSim::from_iteration)
+//!   wires the two together for one simulated iteration.
 //! * [`BackwardProfile::analytic`] spreads the gradient volume uniformly
 //!   over the backward two-thirds of the iteration (the fallback when only
 //!   the aggregate compute time is known).
@@ -15,6 +17,8 @@
 //! Buckets are then assembled greedily in gradient-ready order, so bucket
 //! ready times are monotone in bucket index and transfers can launch
 //! strictly in order — the semantics of DDP/NCCL gradient bucketing.
+
+use tbd_graph::NodeId;
 
 /// How per-layer gradients coalesce into transfer buckets.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +91,8 @@ impl BackwardProfile {
     }
 
     /// Detailed path: derive per-gradient finish times from a simulated
-    /// kernel stream. `grad_bytes_by_consumer` maps a graph node index to
-    /// the weight-gradient bytes its backward kernel completes (from
+    /// kernel stream. `grad_bytes_by_consumer` maps a graph node to the
+    /// weight-gradient bytes its backward kernel completes (from
     /// `tbd_graph::lower::weight_grad_bytes_by_consumer`); the finish time
     /// of a gradient is the device end time of the *last* backward kernel
     /// of its consumer node. Falls back to [`BackwardProfile::analytic`]
@@ -96,7 +100,7 @@ impl BackwardProfile {
     pub fn from_records(
         compute_iter_s: f64,
         records: &[tbd_gpusim::KernelRecord],
-        grad_bytes_by_consumer: &[(usize, f64)],
+        grad_bytes_by_consumer: &[(NodeId, u64)],
     ) -> Self {
         use std::collections::BTreeMap;
         let mut finish: BTreeMap<usize, (&'static str, f64)> = BTreeMap::new();
@@ -108,17 +112,17 @@ impl BackwardProfile {
         }
         let mut layers: Vec<LayerGrad> = grad_bytes_by_consumer
             .iter()
-            .filter(|(_, bytes)| *bytes > 0.0)
+            .filter(|(_, bytes)| *bytes > 0)
             .filter_map(|(node, bytes)| {
-                finish.get(node).map(|&(label, finish_s)| LayerGrad {
+                finish.get(&node.index()).map(|&(label, finish_s)| LayerGrad {
                     label,
-                    bytes: *bytes,
+                    bytes: *bytes as f64,
                     finish_s,
                 })
             })
             .collect();
         if layers.is_empty() {
-            let total: f64 = grad_bytes_by_consumer.iter().map(|(_, b)| b).sum();
+            let total: f64 = grad_bytes_by_consumer.iter().map(|&(_, b)| b as f64).sum();
             return BackwardProfile::analytic(compute_iter_s, total.max(1.0), 1);
         }
         layers.sort_by(|a, b| a.finish_s.total_cmp(&b.finish_s).then(a.label.cmp(b.label)));

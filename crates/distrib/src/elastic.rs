@@ -29,7 +29,6 @@ use std::collections::BTreeMap;
 
 use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
 
-use crate::bucket::BackwardProfile;
 use crate::event::{EventConfig, EventOutcome};
 use crate::fault::{unit, StragglerSpec};
 use crate::{ClusterConfig, DataParallelSim};
@@ -289,10 +288,9 @@ impl DataParallelSim {
     pub fn simulate_elastic(
         &self,
         cluster: &ClusterConfig,
-        profile: &BackwardProfile,
         config: &ElasticConfig,
     ) -> ElasticOutcome {
-        self.simulate_elastic_inner(cluster, profile, config, None)
+        self.simulate_elastic_inner(cluster, config, None)
     }
 
     /// [`DataParallelSim::simulate_elastic`] with a trace sink: emits one
@@ -303,17 +301,15 @@ impl DataParallelSim {
     pub fn simulate_elastic_traced(
         &self,
         cluster: &ClusterConfig,
-        profile: &BackwardProfile,
         config: &ElasticConfig,
         tracer: &TraceRecorder,
     ) -> ElasticOutcome {
-        self.simulate_elastic_inner(cluster, profile, config, Some(tracer))
+        self.simulate_elastic_inner(cluster, config, Some(tracer))
     }
 
     fn simulate_elastic_inner(
         &self,
         cluster: &ClusterConfig,
-        profile: &BackwardProfile,
         config: &ElasticConfig,
         tracer: Option<&TraceRecorder>,
     ) -> ElasticOutcome {
@@ -321,7 +317,7 @@ impl DataParallelSim {
         let batch = self.per_gpu_batch as u64;
         let deadline_s = config.deadline_s();
         let ckpt_bytes =
-            if config.checkpoint_bytes > 0.0 { config.checkpoint_bytes } else { self.gradient_bytes };
+            if config.checkpoint_bytes > 0.0 { config.checkpoint_bytes } else { self.gradient_bytes() };
         let restore_s = if config.restore_read_bps > 0.0 {
             ckpt_bytes / config.restore_read_bps
         } else {
@@ -357,13 +353,13 @@ impl DataParallelSim {
         // re-bucketed through the same BucketingConfig (the keystone
         // bitwise-equivalence property holds by construction).
         let mut worlds: BTreeMap<usize, EventOutcome> = BTreeMap::new();
-        worlds.insert(n, self.simulate_events(cluster, profile, &config.event));
+        worlds.insert(n, self.simulate_events(cluster, &config.event));
         let t_h = worlds[&n].profile.iteration_s;
         let mut iter_s = |k: usize| -> f64 {
             worlds
                 .entry(k)
                 .or_insert_with(|| {
-                    self.simulate_events(&survivor_cluster(cluster, k), profile, &config.event)
+                    self.simulate_events(&survivor_cluster(cluster, k), &config.event)
                 })
                 .profile
                 .iteration_s
@@ -446,7 +442,7 @@ impl DataParallelSim {
                 } else {
                     step
                 };
-                let catchup_s = restore_s + lag as f64 * self.compute_iter_s;
+                let catchup_s = restore_s + lag as f64 * self.compute_iter_s();
                 dt += catchup_s;
                 out.rejoin_catchup_s += catchup_s;
                 out.rejoins += rejoined.len() as u64;
@@ -540,15 +536,11 @@ impl DataParallelSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::BucketingConfig;
+    use crate::bucket::{BackwardProfile, BucketingConfig};
     use crate::{fig10_clusters, Interconnect, SyncStrategy};
 
     fn sim() -> DataParallelSim {
-        DataParallelSim { compute_iter_s: 0.36, gradient_bytes: 102e6, per_gpu_batch: 32 }
-    }
-
-    fn profile() -> BackwardProfile {
-        BackwardProfile::analytic(0.36, 102e6, 16)
+        DataParallelSim { backward: BackwardProfile::analytic(0.36, 102e6, 16), per_gpu_batch: 32 }
     }
 
     #[test]
@@ -599,17 +591,12 @@ mod tests {
     #[test]
     fn degraded_epochs_match_fresh_worlds_bitwise() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
-        let out = sim.simulate_elastic(&cluster, &profile, &config);
+        let out = sim.simulate_elastic(&cluster, &config);
         assert!(out.evictions > 0, "rate 0.9 on 4 workers must evict someone");
         for epoch in &out.epochs {
-            let fresh = sim.simulate_events(
-                &survivor_cluster(&cluster, epoch.survivors),
-                &profile,
-                &config.event,
-            );
+            let fresh = sim.simulate_events(&survivor_cluster(&cluster, epoch.survivors), &config.event);
             assert_eq!(
                 epoch.iteration_s.to_bits(),
                 fresh.profile.iteration_s.to_bits(),
@@ -623,14 +610,13 @@ mod tests {
     #[test]
     fn salt_is_unobservable() {
         let sim = sim();
-        let profile = profile();
         for (_, cluster) in fig10_clusters() {
             let mut a = ElasticConfig::new(ChurnSpec::with_seed(5).with_rate(0.6), 30);
             let mut b = a;
             a.event.tie_break_salt = 0;
             b.event.tie_break_salt = 0xdead_beef;
-            let oa = sim.simulate_elastic(&cluster, &profile, &a);
-            let ob = sim.simulate_elastic(&cluster, &profile, &b);
+            let oa = sim.simulate_elastic(&cluster, &a);
+            let ob = sim.simulate_elastic(&cluster, &b);
             assert_eq!(oa, ob, "salt leaked into elastic outcome on {}", cluster.label());
         }
     }
@@ -638,14 +624,13 @@ mod tests {
     #[test]
     fn goodput_is_monotone_in_churn_rate() {
         let sim = sim();
-        let profile = profile();
         for (name, cluster) in fig10_clusters() {
             for seed in [1u64, 7, 13] {
                 let mut prev = f64::INFINITY;
                 for rate in [0.0, 0.25, 0.5, 0.75, 1.0] {
                     let config =
                         ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(rate), 48);
-                    let out = sim.simulate_elastic(&cluster, &profile, &config);
+                    let out = sim.simulate_elastic(&cluster, &config);
                     assert!(
                         out.goodput <= prev + 1e-9,
                         "{name} seed {seed}: goodput rose {prev} -> {} at rate {rate}",
@@ -660,10 +645,9 @@ mod tests {
     #[test]
     fn zero_churn_matches_the_healthy_run() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::single_machine(2);
         let config = ElasticConfig::new(ChurnSpec::with_seed(1).with_rate(0.0), 20);
-        let out = sim.simulate_elastic(&cluster, &profile, &config);
+        let out = sim.simulate_elastic(&cluster, &config);
         assert_eq!(out.epoch_count(), 1);
         assert_eq!(out.evictions, 0);
         assert_eq!(out.degraded_steps, 0);
@@ -676,10 +660,9 @@ mod tests {
     #[test]
     fn single_worker_clusters_never_churn() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::single_machine(1);
         let config = ElasticConfig::new(ChurnSpec::with_seed(9).with_rate(1.0), 20);
-        let out = sim.simulate_elastic(&cluster, &profile, &config);
+        let out = sim.simulate_elastic(&cluster, &config);
         assert_eq!(out.evictions, 0);
         assert_eq!(out.epoch_count(), 1);
     }
@@ -687,10 +670,9 @@ mod tests {
     #[test]
     fn machine_granularity_eviction_on_multi_gpu_machines() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::hierarchical(2, 2, Interconnect::infiniband_100g());
         let config = ElasticConfig::new(ChurnSpec::with_seed(2).with_rate(1.0), 30);
-        let out = sim.simulate_elastic(&cluster, &profile, &config);
+        let out = sim.simulate_elastic(&cluster, &config);
         for epoch in &out.epochs {
             assert_eq!(epoch.survivors % 2, 0, "survivors {} not machine-aligned", epoch.survivors);
         }
@@ -699,10 +681,9 @@ mod tests {
     #[test]
     fn rescale_is_exact() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
-        let out = sim.simulate_elastic(&cluster, &profile, &config);
+        let out = sim.simulate_elastic(&cluster, &config);
         for epoch in &out.epochs {
             assert_eq!(
                 epoch.rescale.to_bits(),
@@ -716,12 +697,11 @@ mod tests {
     #[test]
     fn traced_run_emits_membership_events_and_matches_untraced() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
-        let plain = sim.simulate_elastic(&cluster, &profile, &config);
+        let plain = sim.simulate_elastic(&cluster, &config);
         let tracer = TraceRecorder::shared();
-        let traced = sim.simulate_elastic_traced(&cluster, &profile, &config, &tracer);
+        let traced = sim.simulate_elastic_traced(&cluster, &config, &tracer);
         assert_eq!(plain, traced);
         let events = tracer.drain();
         let count = |kind: EventKind| events.iter().filter(|e| e.kind == kind).count() as u64;
@@ -734,7 +714,6 @@ mod tests {
     #[test]
     fn re_bucketing_follows_the_epoch_bucketing_config() {
         let sim = sim();
-        let profile = profile();
         let cluster = ClusterConfig::custom(
             1,
             4,
@@ -743,13 +722,9 @@ mod tests {
         );
         let mut config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
         config.event.bucketing = BucketingConfig::PerLayer;
-        let out = sim.simulate_elastic(&cluster, &profile, &config);
+        let out = sim.simulate_elastic(&cluster, &config);
         for epoch in &out.epochs {
-            let fresh = sim.simulate_events(
-                &survivor_cluster(&cluster, epoch.survivors),
-                &profile,
-                &config.event,
-            );
+            let fresh = sim.simulate_events(&survivor_cluster(&cluster, epoch.survivors), &config.event);
             assert_eq!(epoch.iteration_s.to_bits(), fresh.profile.iteration_s.to_bits());
         }
     }

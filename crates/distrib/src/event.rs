@@ -19,7 +19,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::bucket::{build_buckets, BackwardProfile, Bucket, BucketingConfig};
+use crate::bucket::{build_buckets, Bucket, BucketingConfig};
 use crate::fault::StragglerSpec;
 use crate::{ClusterConfig, ClusterProfile, DataParallelSim, SyncStrategy};
 use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
@@ -63,7 +63,7 @@ pub struct BucketOutcome {
 /// Result of one event-driven iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventOutcome {
-    /// Headline numbers, comparable to the closed-form model's output.
+    /// Headline numbers.
     pub profile: ClusterProfile,
     /// End of the slowest worker's backward pass.
     pub compute_finish_s: f64,
@@ -178,7 +178,7 @@ pub(crate) fn bucket_comm_time(cluster: &ClusterConfig, bytes: f64) -> f64 {
     let link = if cluster.machines > 1 { cluster.network } else { cluster.intra };
     match cluster.sync {
         SyncStrategy::ParameterServer => {
-            let serialized = crate::ps_serialized_transfers(cluster);
+            let serialized = ps_serialized_transfers(cluster);
             link.latency_s + 2.0 * bytes * serialized / link.bandwidth_bytes
         }
         SyncStrategy::ShardedParameterServer => {
@@ -211,6 +211,22 @@ pub(crate) fn bucket_comm_time(cluster: &ClusterConfig, bytes: f64) -> f64 {
     }
 }
 
+/// Number of full push+pull transfers the (unsharded) parameter server's
+/// link serialises: every worker except the one co-located with the server.
+///
+/// Multi-machine: the server machine's own GPUs exchange over loopback, so
+/// `(machines − 1) × gpus_per_machine` remote workers queue on the NIC.
+/// Single machine: the server sits on one GPU and the other
+/// `workers − 1` replicas queue on the PCIe link.
+fn ps_serialized_transfers(cluster: &ClusterConfig) -> f64 {
+    if cluster.machines > 1 {
+        ((cluster.machines - 1) * cluster.gpus_per_machine) as f64
+    } else {
+        cluster.workers().saturating_sub(1) as f64
+    }
+    .max(1.0)
+}
+
 /// Internal per-bucket bookkeeping.
 struct BucketState {
     bucket: Bucket,
@@ -222,20 +238,11 @@ struct BucketState {
 }
 
 impl DataParallelSim {
-    /// Runs the event-driven simulation of one synchronous iteration.
-    ///
-    /// `profile` supplies per-layer gradient ready times (its byte total
-    /// should equal [`DataParallelSim::gradient_bytes`] for apples-to-apples
-    /// comparisons with the closed-form model, which this method does not
-    /// otherwise consult). `cluster.overlap` is ignored: overlap is derived
-    /// from the schedule and returned in [`EventOutcome::overlap`].
-    pub fn simulate_events(
-        &self,
-        cluster: &ClusterConfig,
-        profile: &BackwardProfile,
-        config: &EventConfig,
-    ) -> EventOutcome {
-        self.simulate_events_inner(cluster, profile, config, None)
+    /// Runs the event-driven simulation of one synchronous iteration of
+    /// this worker replicated over `cluster`. Overlap is derived from the
+    /// schedule and returned in [`EventOutcome::overlap`].
+    pub fn simulate_events(&self, cluster: &ClusterConfig, config: &EventConfig) -> EventOutcome {
+        self.simulate_events_inner(cluster, config, None)
     }
 
     /// [`DataParallelSim::simulate_events`] with a trace sink: emits the
@@ -245,20 +252,19 @@ impl DataParallelSim {
     pub fn simulate_events_traced(
         &self,
         cluster: &ClusterConfig,
-        profile: &BackwardProfile,
         config: &EventConfig,
         tracer: &TraceRecorder,
     ) -> EventOutcome {
-        self.simulate_events_inner(cluster, profile, config, Some(tracer))
+        self.simulate_events_inner(cluster, config, Some(tracer))
     }
 
     fn simulate_events_inner(
         &self,
         cluster: &ClusterConfig,
-        profile: &BackwardProfile,
         config: &EventConfig,
         tracer: Option<&TraceRecorder>,
     ) -> EventOutcome {
+        let compute_iter_s = self.compute_iter_s();
         let n = cluster.workers();
         // --- Fault injection: per-worker compute and link factors. -------
         let worker_compute_s: Vec<f64> = (0..n)
@@ -266,7 +272,7 @@ impl DataParallelSim {
                 let f = config
                     .stragglers
                     .map_or(1.0, |s| s.worker_compute_factor(w));
-                self.compute_iter_s * f
+                compute_iter_s * f
             })
             .collect();
         let (slowest_worker, compute_finish_s) = worker_compute_s
@@ -274,8 +280,8 @@ impl DataParallelSim {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(w, &t)| (w, t))
-            .unwrap_or((0, self.compute_iter_s));
-        let slowdown_factor = compute_finish_s / self.compute_iter_s;
+            .unwrap_or((0, compute_iter_s));
+        let slowdown_factor = compute_finish_s / compute_iter_s;
         let link_factor = (0..n)
             .map(|w| config.stragglers.map_or(1.0, |s| s.worker_link_factor(w)))
             .fold(1.0f64, f64::max);
@@ -283,7 +289,7 @@ impl DataParallelSim {
         // --- Bucket assembly. A synchronous collective launches when the
         // slowest worker has the bucket ready; uniform slowdown scales the
         // whole backward pass, so ready times scale by the slowest factor.
-        let buckets = if n <= 1 { Vec::new() } else { build_buckets(profile, config.bucketing) };
+        let buckets = if n <= 1 { Vec::new() } else { build_buckets(&self.backward, config.bucketing) };
         let mut states: Vec<BucketState> = buckets
             .into_iter()
             .map(|b| {
@@ -364,7 +370,7 @@ impl DataParallelSim {
         let exposed_comm_s: f64 = bucket_outcomes.iter().map(|b| b.exposed_s).sum::<f64>() + 0.0;
         let overlap = if total_comm_s > 0.0 { 1.0 - exposed_comm_s / total_comm_s } else { 0.0 };
         let throughput = (n * self.per_gpu_batch) as f64 / iteration_s;
-        let single = self.per_gpu_batch as f64 / self.compute_iter_s;
+        let single = self.per_gpu_batch as f64 / compute_iter_s;
         // A zero-worker cluster has no scaling story to tell; report 0
         // rather than the NaN the ratio would produce.
         let ideal = n as f64 * single;
@@ -485,38 +491,31 @@ impl DataParallelSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::BucketingConfig;
+    use crate::bucket::{BackwardProfile, BucketingConfig};
     use tbd_gpusim::Interconnect;
 
-    fn resnet_like() -> DataParallelSim {
-        DataParallelSim { compute_iter_s: 0.36, gradient_bytes: 102e6, per_gpu_batch: 32 }
+    /// ResNet-50-like: 360 ms at batch 32, 102 MB of gradients over `layers`.
+    fn resnet_like(layers: usize) -> DataParallelSim {
+        DataParallelSim { backward: BackwardProfile::analytic(0.36, 102e6, layers), per_gpu_batch: 32 }
     }
 
-    fn profile(sim: &DataParallelSim, layers: usize) -> BackwardProfile {
-        BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, layers)
+    fn bucketed(bucketing: BucketingConfig) -> EventConfig {
+        EventConfig { bucketing, ..Default::default() }
     }
 
     #[test]
     fn single_worker_exchanges_nothing() {
-        let sim = resnet_like();
-        let out = sim.simulate_events(
-            &ClusterConfig::single_machine(1),
-            &profile(&sim, 50),
-            &EventConfig::default(),
-        );
+        let sim = resnet_like(50);
+        let out = sim.simulate_events(&ClusterConfig::single_machine(1), &EventConfig::default());
         assert!(out.buckets.is_empty());
         assert_eq!(out.total_comm_s, 0.0);
-        assert_eq!(out.profile.iteration_s.to_bits(), sim.compute_iter_s.to_bits());
+        assert_eq!(out.profile.iteration_s.to_bits(), sim.compute_iter_s().to_bits());
     }
 
     #[test]
     fn zero_worker_cluster_yields_finite_metrics() {
-        let sim = resnet_like();
-        let out = sim.simulate_events(
-            &ClusterConfig::single_machine(0),
-            &profile(&sim, 50),
-            &EventConfig::default(),
-        );
+        let out = resnet_like(50)
+            .simulate_events(&ClusterConfig::single_machine(0), &EventConfig::default());
         assert!(out.buckets.is_empty());
         assert_eq!(out.profile.throughput, 0.0);
         assert!(
@@ -530,42 +529,32 @@ mod tests {
 
     #[test]
     fn zero_bucket_profile_does_not_panic_or_emit_nan() {
-        let sim = resnet_like();
         // A profile with no gradient volume: single-shot bucketing yields
         // zero buckets even on a multi-worker cluster.
-        let empty = BackwardProfile { compute_iter_s: sim.compute_iter_s, layers: Vec::new() };
+        let empty = DataParallelSim {
+            backward: BackwardProfile { compute_iter_s: 0.36, layers: Vec::new() },
+            per_gpu_batch: 32,
+        };
         for bucketing in [
             BucketingConfig::SingleShot,
             BucketingConfig::PerLayer,
             BucketingConfig::BucketBytes(25e6),
         ] {
-            let out = sim.simulate_events(
-                &ClusterConfig::single_machine(4),
-                &empty,
-                &EventConfig { bucketing, ..Default::default() },
-            );
+            let out = empty.simulate_events(&ClusterConfig::single_machine(4), &bucketed(bucketing));
             assert!(out.buckets.is_empty(), "{bucketing:?}");
             assert_eq!(out.total_comm_s.to_bits(), 0.0f64.to_bits(), "{bucketing:?}");
             assert_eq!(out.overlap, 0.0);
             assert!(out.profile.scaling_efficiency.is_finite());
-            assert_eq!(out.profile.iteration_s.to_bits(), sim.compute_iter_s.to_bits());
+            assert_eq!(out.profile.iteration_s.to_bits(), 0.36f64.to_bits());
         }
     }
 
     #[test]
     fn bucketed_transfers_overlap_the_backward_pass() {
-        let sim = resnet_like();
+        let sim = resnet_like(161);
         let cluster = ClusterConfig::single_machine(4);
-        let single = sim.simulate_events(
-            &cluster,
-            &profile(&sim, 161),
-            &EventConfig { bucketing: BucketingConfig::SingleShot, ..Default::default() },
-        );
-        let bucketed = sim.simulate_events(
-            &cluster,
-            &profile(&sim, 161),
-            &EventConfig { bucketing: BucketingConfig::BucketBytes(25e6), ..Default::default() },
-        );
+        let single = sim.simulate_events(&cluster, &bucketed(BucketingConfig::SingleShot));
+        let bucketed = sim.simulate_events(&cluster, &bucketed(BucketingConfig::BucketBytes(25e6)));
         // Single-shot can hide nothing (the exchange starts when compute
         // ends); bucketing hides the early buckets under later layers.
         assert_eq!(single.overlap, 0.0);
@@ -576,11 +565,9 @@ mod tests {
 
     #[test]
     fn buckets_transfer_in_order_on_one_link() {
-        let sim = resnet_like();
-        let out = sim.simulate_events(
+        let out = resnet_like(161).simulate_events(
             &ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()),
-            &profile(&sim, 161),
-            &EventConfig { bucketing: BucketingConfig::BucketBytes(10e6), ..Default::default() },
+            &bucketed(BucketingConfig::BucketBytes(10e6)),
         );
         assert!(out.buckets.len() > 2);
         for w in out.buckets.windows(2) {
@@ -593,28 +580,27 @@ mod tests {
 
     #[test]
     fn straggler_run_tracks_the_slowest_worker() {
-        let sim = resnet_like();
+        let sim = resnet_like(50);
         let spec = StragglerSpec::with_seed(11);
         let cfg = EventConfig { stragglers: Some(spec), ..Default::default() };
-        let out = sim.simulate_events(&ClusterConfig::single_machine(4), &profile(&sim, 50), &cfg);
+        let out = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg);
         let max_worker =
             out.worker_compute_s.iter().cloned().fold(0.0f64, f64::max);
         assert_eq!(out.compute_finish_s.to_bits(), max_worker.to_bits());
         assert!(out.profile.iteration_s >= out.compute_finish_s);
         // Same seed → bitwise identical outcome.
-        let again = sim.simulate_events(&ClusterConfig::single_machine(4), &profile(&sim, 50), &cfg);
+        let again = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg);
         assert_eq!(out, again);
     }
 
     #[test]
     fn traced_run_matches_untraced_and_emits_bucket_spans() {
-        let sim = resnet_like();
+        let sim = resnet_like(161);
         let cluster = ClusterConfig::multi_machine(2, Interconnect::infiniband_100g());
         let cfg = EventConfig::default();
-        let p = profile(&sim, 161);
         let tracer = TraceRecorder::shared();
-        let traced = sim.simulate_events_traced(&cluster, &p, &cfg, &tracer);
-        let plain = sim.simulate_events(&cluster, &p, &cfg);
+        let traced = sim.simulate_events_traced(&cluster, &cfg, &tracer);
+        let plain = sim.simulate_events(&cluster, &cfg);
         assert_eq!(traced, plain);
         let events = tracer.drain();
         let comm: Vec<_> =

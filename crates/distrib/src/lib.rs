@@ -10,22 +10,23 @@
 //! and on the slowest interconnect on the reduction path — which is how
 //! Gigabit Ethernet destroys two-machine scaling while 100 Gb InfiniBand
 //! and intra-machine PCIe 3.0 preserve it (Observation 13).
-
+//!
 //! # Examples
 //!
 //! ```
-//! use tbd_distrib::{ClusterConfig, DataParallelSim};
+//! use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
 //! use tbd_gpusim::Interconnect;
 //!
-//! // ResNet-50-like: 360 ms per iteration, 102 MB of gradients.
+//! // ResNet-50-like: 360 ms per iteration, 102 MB of gradients over 50 layers.
 //! let sim = DataParallelSim {
-//!     compute_iter_s: 0.36,
-//!     gradient_bytes: 102e6,
+//!     backward: BackwardProfile::analytic(0.36, 102e6, 50),
 //!     per_gpu_batch: 32,
 //! };
-//! let ethernet = sim.simulate(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()));
-//! let single = sim.simulate(&ClusterConfig::single_machine(1));
-//! assert!(ethernet.throughput < single.throughput, "Observation 13");
+//! let config = EventConfig::default();
+//! let ethernet =
+//!     sim.simulate_events(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()), &config);
+//! let single = sim.simulate_events(&ClusterConfig::single_machine(1), &config);
+//! assert!(ethernet.profile.throughput < single.profile.throughput, "Observation 13");
 //! ```
 
 pub mod bucket;
@@ -41,7 +42,9 @@ pub use elastic::{
 pub use event::{BucketOutcome, EventConfig, EventOutcome};
 pub use fault::{mix64, unit, StragglerSpec};
 
-use tbd_gpusim::Interconnect;
+use tbd_gpusim::{Interconnect, IterationProfile};
+use tbd_graph::lower::weight_grad_bytes_by_consumer;
+use tbd_graph::Graph;
 
 /// Gradient-synchronisation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +91,6 @@ pub struct ClusterConfig {
     pub intra: Interconnect,
     /// Synchronisation strategy.
     pub sync: SyncStrategy,
-    /// Fraction of communication hidden under the backward pass (gradient
-    /// buckets stream out as soon as layers finish).
-    pub overlap: f64,
 }
 
 impl ClusterConfig {
@@ -102,7 +102,6 @@ impl ClusterConfig {
             network: Interconnect::infiniband_100g(),
             intra: Interconnect::pcie3_x16(),
             sync: SyncStrategy::RingAllReduce,
-            overlap: 0.3,
         }
     }
 
@@ -115,7 +114,6 @@ impl ClusterConfig {
             network,
             intra: Interconnect::pcie3_x16(),
             sync: SyncStrategy::ParameterServer,
-            overlap: 0.3,
         }
     }
 
@@ -133,7 +131,6 @@ impl ClusterConfig {
             network,
             intra: Interconnect::pcie3_x16(),
             sync,
-            overlap: 0.3,
         }
     }
 
@@ -167,26 +164,26 @@ impl ClusterConfig {
     }
 }
 
-/// Inputs of the data-parallel model: the single-GPU compute time and the
-/// gradient volume to synchronise.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One data-parallel worker: its per-layer backward profile and the
+/// samples it processes per iteration. The event engine
+/// ([`DataParallelSim::simulate_events`]) replays it over any cluster.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataParallelSim {
-    /// Per-iteration compute time of one worker at its per-GPU batch.
-    pub compute_iter_s: f64,
-    /// Bytes of gradients/weights exchanged per iteration (model size).
-    pub gradient_bytes: f64,
+    /// Per-iteration compute time and per-layer gradient ready times of
+    /// one worker at its per-GPU batch.
+    pub backward: BackwardProfile,
     /// Samples processed per worker per iteration.
     pub per_gpu_batch: usize,
 }
 
-/// Result of simulating one cluster configuration.
+/// Headline numbers of one simulated cluster iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterProfile {
     /// Aggregate training throughput in samples per second.
     pub throughput: f64,
     /// Wall time of one synchronous iteration.
     pub iteration_s: f64,
-    /// Raw (un-overlapped) communication time.
+    /// Total link occupancy of the gradient exchange.
     pub comm_s: f64,
     /// Scaling efficiency versus a single worker: `throughput / (n ×
     /// single-GPU throughput)`.
@@ -194,80 +191,28 @@ pub struct ClusterProfile {
 }
 
 impl DataParallelSim {
-    /// Simulates one synchronous data-parallel iteration on `cluster`.
-    pub fn simulate(&self, cluster: &ClusterConfig) -> ClusterProfile {
-        let n = cluster.workers();
-        let comm_s = if n <= 1 { 0.0 } else { self.comm_time(cluster) };
-        let iteration_s = self.compute_iter_s + comm_s * (1.0 - cluster.overlap);
-        let throughput = (n * self.per_gpu_batch) as f64 / iteration_s;
-        let single = self.per_gpu_batch as f64 / self.compute_iter_s;
-        ClusterProfile {
-            throughput,
-            iteration_s,
-            comm_s,
-            scaling_efficiency: throughput / (n as f64 * single),
-        }
+    /// The worker of one simulated training iteration of `graph`: each
+    /// weight gradient becomes ready when the last backward kernel of the
+    /// node that consumes its parameter finishes on the iteration's kernel
+    /// timeline ([`BackwardProfile::from_records`]).
+    pub fn from_iteration(graph: &Graph, iteration: &IterationProfile, per_gpu_batch: usize) -> Self {
+        let backward = BackwardProfile::from_records(
+            iteration.wall_time_s,
+            &iteration.records,
+            &weight_grad_bytes_by_consumer(graph),
+        );
+        DataParallelSim { backward, per_gpu_batch }
     }
 
-    fn comm_time(&self, cluster: &ClusterConfig) -> f64 {
-        let n = cluster.workers() as f64;
-        // The reduction path crosses machines when there are several; the
-        // effective bandwidth is the slowest hop on the path.
-        let link = if cluster.machines > 1 { cluster.network } else { cluster.intra };
-        match cluster.sync {
-            SyncStrategy::ParameterServer => {
-                // Push the gradient, pull the weights: 2 full transfers per
-                // worker through the server's link, serialised across every
-                // worker that is not the server itself.
-                let volume = 2.0 * self.gradient_bytes;
-                link.latency_s + volume * ps_serialized_transfers(cluster) / link.bandwidth_bytes
-            }
-            SyncStrategy::ShardedParameterServer => {
-                // Sharding spreads the server across all workers: each link
-                // carries (n−1)/n of the volume per direction, in parallel.
-                2.0 * link.latency_s
-                    + 2.0 * (n - 1.0) / n * self.gradient_bytes / link.bandwidth_bytes
-            }
-            SyncStrategy::RingAllReduce => {
-                let volume = 2.0 * (n - 1.0) / n * self.gradient_bytes;
-                link.latency_s + volume / link.bandwidth_bytes
-            }
-            SyncStrategy::HierarchicalAllReduce => {
-                let g = cluster.gpus_per_machine as f64;
-                let m = cluster.machines as f64;
-                let mut t = 0.0;
-                if cluster.gpus_per_machine > 1 {
-                    t += 2.0 * (g - 1.0) * cluster.intra.latency_s
-                        + 2.0 * (g - 1.0) / g * self.gradient_bytes
-                            / cluster.intra.bandwidth_bytes;
-                }
-                if cluster.machines > 1 {
-                    t += 2.0 * (m - 1.0) * cluster.network.latency_s
-                        + 2.0 * (m - 1.0) / m * self.gradient_bytes
-                            / cluster.network.bandwidth_bytes;
-                }
-                t
-            }
-        }
+    /// Per-iteration compute time (forward + backward) of one worker.
+    pub fn compute_iter_s(&self) -> f64 {
+        self.backward.compute_iter_s
     }
-}
 
-/// Number of full push+pull transfers the (unsharded) parameter server's
-/// link serialises: every worker except the one co-located with the server.
-///
-/// Multi-machine: the server machine's own GPUs exchange over loopback, so
-/// `(machines − 1) × gpus_per_machine` remote workers queue on the NIC.
-/// Single machine: the server sits on one GPU and the other
-/// `workers − 1` replicas queue on the PCIe link — the previous model
-/// charged a 1M4G parameter server the same as 1M1G (nothing), which is the
-/// bug this function fixes.
-pub(crate) fn ps_serialized_transfers(cluster: &ClusterConfig) -> f64 {
-    if cluster.machines > 1 {
-        ((cluster.machines - 1) * cluster.gpus_per_machine) as f64
-    } else {
-        cluster.workers().saturating_sub(1) as f64
+    /// Bytes of gradients exchanged per iteration (at least one byte).
+    pub fn gradient_bytes(&self) -> f64 {
+        self.backward.total_bytes().max(1.0)
     }
-    .max(1.0)
 }
 
 /// The paper's Fig. 10 cluster sweep: single-machine PCIe scaling plus the
@@ -334,7 +279,18 @@ mod tests {
 
     /// ResNet-50-like: 360 ms compute at batch 32, 102 MB of gradients.
     fn resnet_like() -> DataParallelSim {
-        DataParallelSim { compute_iter_s: 0.36, gradient_bytes: 102e6, per_gpu_batch: 32 }
+        DataParallelSim { backward: BackwardProfile::analytic(0.36, 102e6, 50), per_gpu_batch: 32 }
+    }
+
+    fn run(cluster: &ClusterConfig) -> EventOutcome {
+        resnet_like().simulate_events(cluster, &EventConfig::default())
+    }
+
+    /// Link time of one unbucketed exchange: the whole gradient as one
+    /// transfer, so each strategy's latency is charged exactly once.
+    fn single_shot_comm_s(cluster: &ClusterConfig) -> f64 {
+        let config = EventConfig { bucketing: BucketingConfig::SingleShot, ..Default::default() };
+        resnet_like().simulate_events(cluster, &config).total_comm_s
     }
 
     #[test]
@@ -351,7 +307,7 @@ mod tests {
 
     #[test]
     fn single_worker_has_no_communication() {
-        let p = resnet_like().simulate(&ClusterConfig::single_machine(1));
+        let p = run(&ClusterConfig::single_machine(1)).profile;
         assert_eq!(p.comm_s, 0.0);
         assert!((p.scaling_efficiency - 1.0).abs() < 1e-9);
         assert!((p.throughput - 32.0 / 0.36).abs() < 1e-6);
@@ -360,27 +316,24 @@ mod tests {
     #[test]
     fn ethernet_destroys_two_machine_scaling() {
         // Observation 13: 2M1G over Ethernet performs *worse* than 1M1G.
-        let sim = resnet_like();
-        let single = sim.simulate(&ClusterConfig::single_machine(1));
-        let eth = sim.simulate(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()));
+        let single = run(&ClusterConfig::single_machine(1)).profile;
+        let eth = run(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g())).profile;
         assert!(eth.throughput < single.throughput, "{} vs {}", eth.throughput, single.throughput);
         assert!(eth.scaling_efficiency < 0.5);
     }
 
     #[test]
     fn infiniband_restores_two_machine_scaling() {
-        let sim = resnet_like();
-        let ib = sim.simulate(&ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()));
+        let ib = run(&ClusterConfig::multi_machine(2, Interconnect::infiniband_100g())).profile;
         assert!(ib.scaling_efficiency > 0.9, "eff {}", ib.scaling_efficiency);
-        let eth = sim.simulate(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()));
+        let eth = run(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g())).profile;
         assert!(ib.throughput > 3.0 * eth.throughput);
     }
 
     #[test]
     fn pcie_multi_gpu_scales_reasonably() {
-        let sim = resnet_like();
-        let g2 = sim.simulate(&ClusterConfig::single_machine(2));
-        let g4 = sim.simulate(&ClusterConfig::single_machine(4));
+        let g2 = run(&ClusterConfig::single_machine(2)).profile;
+        let g4 = run(&ClusterConfig::single_machine(4)).profile;
         assert!(g2.scaling_efficiency > 0.9);
         assert!(g4.scaling_efficiency > 0.85);
         assert!(g4.throughput > g2.throughput);
@@ -397,12 +350,8 @@ mod tests {
 
     #[test]
     fn ring_allreduce_volume_grows_sublinearly() {
-        let sim = resnet_like();
-        let mut base = ClusterConfig::single_machine(2);
-        base.overlap = 0.0;
-        let t2 = sim.simulate(&base).comm_s;
-        base.gpus_per_machine = 4;
-        let t4 = sim.simulate(&base).comm_s;
+        let t2 = single_shot_comm_s(&ClusterConfig::single_machine(2));
+        let t4 = single_shot_comm_s(&ClusterConfig::single_machine(4));
         // 2(n−1)/n: 1.0× at n=2 → 1.5× at n=4.
         assert!((t4 / t2 - 1.5).abs() < 0.05, "ratio {}", t4 / t2);
     }
@@ -410,69 +359,52 @@ mod tests {
     #[test]
     fn single_machine_parameter_server_serialises_its_workers() {
         // Regression: the server's PCIe link must serialise (workers − 1)
-        // push+pull exchanges; the old model charged 1M4G the same single
-        // transfer as 1M1G.
-        let sim = resnet_like();
+        // push+pull exchanges; an earlier model charged 1M4G the same
+        // single transfer as 1M1G.
         let mut cfg = ClusterConfig::single_machine(4);
         cfg.sync = SyncStrategy::ParameterServer;
-        cfg.overlap = 0.0;
-        let four = sim.simulate(&cfg);
+        let four = single_shot_comm_s(&cfg);
         cfg.gpus_per_machine = 2;
-        let two = sim.simulate(&cfg);
+        let two = single_shot_comm_s(&cfg);
         // 3 serialised transfers vs 1: the bandwidth term triples.
-        let bw = |p: &ClusterProfile| p.comm_s - Interconnect::pcie3_x16().latency_s;
+        let bw = |comm_s: f64| comm_s - Interconnect::pcie3_x16().latency_s;
         assert!(
-            (bw(&four) / bw(&two) - 3.0).abs() < 1e-9,
-            "1M4G must serialise 3 transfers vs 1M2G's 1: {} vs {}",
-            four.comm_s,
-            two.comm_s
+            (bw(four) / bw(two) - 3.0).abs() < 1e-9,
+            "1M4G must serialise 3 transfers vs 1M2G's 1: {four} vs {two}"
         );
         // And a 4-GPU PS pays strictly more than a 4-GPU ring.
-        let ring = sim.simulate(&ClusterConfig::single_machine(4));
-        assert!(four.comm_s > ring.comm_s);
+        assert!(four > single_shot_comm_s(&ClusterConfig::single_machine(4)));
     }
 
     #[test]
     fn hierarchical_beats_flat_ring_across_slow_networks() {
         // 2 machines × 4 GPUs over Ethernet: the flat ring drags 7/8 of the
         // volume through the slow link, the hierarchical reduction only 1/2.
-        let sim = resnet_like();
         let eth = Interconnect::ethernet_1g();
         let flat = ClusterConfig::custom(2, 4, eth, SyncStrategy::RingAllReduce);
         let hier = ClusterConfig::hierarchical(2, 4, eth);
-        let t_flat = sim.simulate(&flat).comm_s;
-        let t_hier = sim.simulate(&hier).comm_s;
+        let t_flat = run(&flat).total_comm_s;
+        let t_hier = run(&hier).total_comm_s;
         assert!(t_hier < t_flat, "hierarchical {t_hier} vs flat {t_flat}");
         // Single machine: hierarchy degenerates to the intra-machine term.
         let one = ClusterConfig::custom(1, 4, eth, SyncStrategy::HierarchicalAllReduce);
-        assert!(sim.simulate(&one).comm_s < t_hier);
+        assert!(run(&one).total_comm_s < t_hier);
     }
 
     #[test]
     fn sharded_parameter_server_parallelises_the_server_link() {
-        let sim = resnet_like();
-        let eth = Interconnect::ethernet_1g();
-        let mut central = ClusterConfig::multi_machine(4, eth);
-        central.overlap = 0.0;
-        let mut sharded = central;
-        sharded.sync = SyncStrategy::ShardedParameterServer;
-        let c = sim.simulate(&central);
-        let s = sim.simulate(&sharded);
+        let central = ClusterConfig::multi_machine(4, Interconnect::ethernet_1g());
+        let sharded = ClusterConfig { sync: SyncStrategy::ShardedParameterServer, ..central };
+        let c = run(&central);
+        let s = run(&sharded);
         // Central serialises 3 remote workers; shards move (n−1)/n in
         // parallel — roughly 4× less wire time at n = 4.
-        assert!(s.comm_s < c.comm_s / 3.0, "sharded {} vs central {}", s.comm_s, c.comm_s);
-        assert!(s.throughput > c.throughput);
-    }
-
-    #[test]
-    fn overlap_hides_communication() {
-        let sim = resnet_like();
-        let mut cfg = ClusterConfig::multi_machine(2, Interconnect::infiniband_100g());
-        cfg.overlap = 0.0;
-        let exposed = sim.simulate(&cfg);
-        cfg.overlap = 1.0;
-        let hidden = sim.simulate(&cfg);
-        assert!(hidden.throughput > exposed.throughput);
-        assert!((hidden.scaling_efficiency - 1.0).abs() < 1e-9);
+        assert!(
+            s.total_comm_s < c.total_comm_s / 3.0,
+            "sharded {} vs central {}",
+            s.total_comm_s,
+            c.total_comm_s
+        );
+        assert!(s.profile.throughput > c.profile.throughput);
     }
 }

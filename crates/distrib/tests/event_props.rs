@@ -36,6 +36,12 @@ fn fingerprint(out: &EventOutcome) -> Vec<u64> {
     bits
 }
 
+/// A worker computing for `compute_s` with `bytes` of gradients spread
+/// over `layers` evenly spaced layers.
+fn worker(compute_s: f64, bytes: f64, layers: usize) -> DataParallelSim {
+    DataParallelSim { backward: BackwardProfile::analytic(compute_s, bytes, layers), per_gpu_batch: 16 }
+}
+
 /// Picks a worker grid dimension from {1, 2, 4}.
 fn dim(choice: u8) -> usize {
     1 << (choice % 3)
@@ -56,22 +62,18 @@ proptest! {
         machines in 0u8..3,
         gpus in 0u8..3,
     ) {
-        let sim = DataParallelSim {
-            compute_iter_s: compute_ms / 1e3,
-            gradient_bytes: mb * 1e6,
-            per_gpu_batch: 16,
-        };
+        let (compute_s, bytes) = (compute_ms / 1e3, mb * 1e6);
         let cluster = ClusterConfig::hierarchical(
             dim(machines),
             dim(gpus),
             Interconnect::ethernet_1g(),
         );
-        let profile = BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, 16);
+        let sim = worker(compute_s, bytes, 16);
         let stragglers = Some(StragglerSpec::with_seed(seed));
         let base = EventConfig { stragglers, tie_break_salt: 0, ..EventConfig::default() };
         let salted = EventConfig { tie_break_salt: salt, ..base };
-        let a = sim.simulate_events(&cluster, &profile, &base);
-        let b = sim.simulate_events(&cluster, &profile, &salted);
+        let a = sim.simulate_events(&cluster, &base);
+        let b = sim.simulate_events(&cluster, &salted);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -84,23 +86,19 @@ proptest! {
         machines in 0u8..3,
         gpus in 0u8..3,
     ) {
-        let sim = DataParallelSim {
-            compute_iter_s: compute_ms / 1e3,
-            gradient_bytes: 64e6,
-            per_gpu_batch: 16,
-        };
+        let (compute_s, bytes) = (compute_ms / 1e3, 64e6);
         let cluster = ClusterConfig::hierarchical(
             dim(machines),
             dim(gpus),
             Interconnect::infiniband_100g(),
         );
-        let profile = BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, 24);
+        let sim = worker(compute_s, bytes, 24);
         let config = EventConfig {
             stragglers: Some(StragglerSpec::with_seed(seed)),
             ..EventConfig::default()
         };
-        let a = sim.simulate_events(&cluster, &profile, &config);
-        let b = sim.simulate_events(&cluster, &profile, &config);
+        let a = sim.simulate_events(&cluster, &config);
+        let b = sim.simulate_events(&cluster, &config);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -115,21 +113,17 @@ proptest! {
         ratio in 2.0f64..10.0,
         layers in 4usize..48,
     ) {
-        let sim = DataParallelSim {
-            compute_iter_s: compute_ms / 1e3,
-            gradient_bytes: mb * 1e6,
-            per_gpu_batch: 16,
-        };
+        let (compute_s, bytes) = (compute_ms / 1e3, mb * 1e6);
         let mut cluster = ClusterConfig::multi_machine(2, Interconnect::ethernet_1g());
         cluster.network.latency_s = 0.0;
         cluster.intra.latency_s = 0.0;
-        let profile = BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, layers);
+        let sim = worker(compute_s, bytes, layers);
         let run = |bucket_bytes: f64| {
             let config = EventConfig {
                 bucketing: BucketingConfig::BucketBytes(bucket_bytes),
                 ..EventConfig::default()
             };
-            sim.simulate_events(&cluster, &profile, &config)
+            sim.simulate_events(&cluster, &config)
         };
         let coarse = run(coarse_mb * 1e6);
         let fine = run(coarse_mb * 1e6 / ratio);
@@ -153,11 +147,7 @@ proptest! {
         growth in 1.0f64..4.0,
         layers in 4usize..48,
     ) {
-        let sim = DataParallelSim {
-            compute_iter_s: compute_ms / 1e3,
-            gradient_bytes: mb * 1e6,
-            per_gpu_batch: 16,
-        };
+        let (compute_s, bytes) = (compute_ms / 1e3, mb * 1e6);
         // Per-layer bucketing keeps the bucket structure identical across
         // the comparison (byte-targeted packing would re-draw boundaries).
         let config = EventConfig {
@@ -171,19 +161,17 @@ proptest! {
             c.intra.latency_s = 0.0;
             c
         };
-        let profile = BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, layers);
-        let slow = sim.simulate_events(&cluster_at(bw_gb * 1e9), &profile, &config);
-        let fast = sim.simulate_events(&cluster_at(bw_gb * 1e9 * speedup), &profile, &config);
+        let sim = worker(compute_s, bytes, layers);
+        let slow = sim.simulate_events(&cluster_at(bw_gb * 1e9), &config);
+        let fast = sim.simulate_events(&cluster_at(bw_gb * 1e9 * speedup), &config);
         prop_assert!(
             fast.exposed_comm_s <= slow.exposed_comm_s + 1e-12,
             "faster link exposed {} vs {}",
             fast.exposed_comm_s,
             slow.exposed_comm_s
         );
-        let bigger = DataParallelSim { gradient_bytes: sim.gradient_bytes * growth, ..sim };
-        let big_profile =
-            BackwardProfile::analytic(bigger.compute_iter_s, bigger.gradient_bytes, layers);
-        let big = bigger.simulate_events(&cluster_at(bw_gb * 1e9), &big_profile, &config);
+        let bigger = worker(compute_s, bytes * growth, layers);
+        let big = bigger.simulate_events(&cluster_at(bw_gb * 1e9), &config);
         prop_assert!(
             big.exposed_comm_s + 1e-12 >= slow.exposed_comm_s,
             "{growth}x gradients exposed {} vs {}",
@@ -207,21 +195,17 @@ proptest! {
     ) {
         let m = dim(machines);
         let g = dim(gpus);
-        let sim = DataParallelSim {
-            compute_iter_s: compute_ms / 1e3,
-            gradient_bytes: mb * 1e6,
-            per_gpu_batch: 16,
-        };
+        let (compute_s, bytes) = (compute_ms / 1e3, mb * 1e6);
         let net = Interconnect { bandwidth_bytes: net_gb * 1e9, latency_s: 0.0 };
         let mut flat = ClusterConfig::custom(m, g, net, SyncStrategy::RingAllReduce);
         flat.intra =
             Interconnect { bandwidth_bytes: net.bandwidth_bytes * m as f64 * headroom, latency_s: 0.0 };
         let mut hier = flat;
         hier.sync = SyncStrategy::HierarchicalAllReduce;
-        let profile = BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, 16);
+        let sim = worker(compute_s, bytes, 16);
         let config = EventConfig::default();
-        let t_flat = sim.simulate_events(&flat, &profile, &config).total_comm_s;
-        let t_hier = sim.simulate_events(&hier, &profile, &config).total_comm_s;
+        let t_flat = sim.simulate_events(&flat, &config).total_comm_s;
+        let t_hier = sim.simulate_events(&hier, &config).total_comm_s;
         prop_assert!(
             t_hier <= t_flat + 1e-12 * t_flat.abs(),
             "{m}M{g}G: hierarchical {t_hier} vs flat ring {t_flat}"

@@ -36,6 +36,9 @@ pub enum GraphError {
     },
     /// `backward` was asked to seed a node that was never computed.
     ValueNotComputed(usize),
+    /// A tensor extent whose `f32` byte length overflows `usize` (an
+    /// absurd batch size, for instance).
+    ShapeOverflow(Vec<usize>),
 }
 
 impl fmt::Display for GraphError {
@@ -52,6 +55,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::ValueNotComputed(id) => {
                 write!(f, "node {id} has no value in this run state")
+            }
+            GraphError::ShapeOverflow(dims) => {
+                write!(f, "shape {dims:?} has more f32 bytes than usize can count")
             }
         }
     }

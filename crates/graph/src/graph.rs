@@ -146,6 +146,18 @@ impl Graph {
     }
 }
 
+/// `Ok` when `shape`'s `f32` byte length fits `usize`.
+///
+/// # Errors
+///
+/// Returns [`GraphError::ShapeOverflow`] naming the extents otherwise.
+pub fn check_shape(shape: &Shape) -> Result<()> {
+    match shape.checked_byte_len() {
+        Some(_) => Ok(()),
+        None => Err(GraphError::ShapeOverflow(shape.dims().to_vec())),
+    }
+}
+
 /// Incremental builder for [`Graph`].
 ///
 /// Every op method performs shape inference eagerly, so a malformed model
@@ -168,7 +180,12 @@ impl GraphBuilder {
             }
         }
         let shapes: Vec<&Shape> = inputs.iter().map(|id| &self.graph.nodes[id.0].shape).collect();
+        // Shape inference multiplies extents; refuse any that would wrap.
+        for shape in &shapes {
+            check_shape(shape)?;
+        }
         let shape = op.infer_shape(&shapes)?;
+        check_shape(&shape)?;
         self.graph.nodes.push(Node { op, inputs, shape });
         Ok(NodeId(self.graph.nodes.len() - 1))
     }

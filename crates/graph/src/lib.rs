@@ -50,7 +50,7 @@ pub use dot::to_dot;
 pub use error::GraphError;
 pub use exec::{ExecConfig, Gradients, RunState, Session};
 pub use fuse::{fused_spec, fusion_family, FusionFamily, FusionGroup, FusionPlan, FUSION_RULES};
-pub use graph::{Graph, GraphBuilder, Init, Node, NodeId};
+pub use graph::{check_shape, Graph, GraphBuilder, Init, Node, NodeId};
 pub use kernel::{KernelClass, KernelSpec, Phase};
 pub use op::Op;
 pub use trace::{ArgValue, EventKind, TraceEvent, TraceLayer, TraceRecorder, TraceSink};

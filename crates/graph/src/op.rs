@@ -348,6 +348,7 @@ impl Op {
                 Ok(Shape::new(&[ids.len(), table.dim(1)]))
             }
             Op::Reshape(target) => {
+                crate::graph::check_shape(target)?;
                 if target.len() != inputs[0].len() {
                     return Err(mismatch(inputs[0], target));
                 }

@@ -9,7 +9,7 @@
 //! GPU-side cost structure (conv front-end, per-timestep recurrent GEMMs,
 //! vocabulary projection) is preserved exactly.
 
-use crate::nn::{gru_params, gru_step, rnn_params, rnn_step, NetBuilder};
+use crate::nn::{extent, gru_params, gru_step, rnn_params, rnn_step, NetBuilder};
 use crate::BuiltModel;
 use std::collections::BTreeMap;
 use tbd_graph::{NodeId, Result};
@@ -124,14 +124,14 @@ impl DeepSpeechConfig {
             let shape = nb.g.shape(c2).dims().to_vec();
             Ok((c2, shape[2], shape[3]))
         })?;
-        let labels = nb.g.input("labels", [t_rnn * b]);
+        let labels = nb.g.input("labels", [extent(t_rnn, b)?]);
 
         // Rearrange [b, c, t, f] so each time step is a contiguous row
         // block: → [t, b·c·f] rows in (time, batch) order.
         let feat = self.conv_channels * f_out;
-        let r3 = nb.g.reshape(conv_out, [b * self.conv_channels, t_rnn, f_out])?;
+        let r3 = nb.g.reshape(conv_out, [extent(b, self.conv_channels)?, t_rnn, f_out])?;
         let tm = nb.g.permute3(r3, [1, 0, 2])?; // [t, b·c, f]
-        let rows = nb.g.reshape(tm, [t_rnn, b * feat])?;
+        let rows = nb.g.reshape(tm, [t_rnn, extent(b, feat)?])?;
         let mut step_inputs: Vec<NodeId> = (0..t_rnn)
             .map(|t| -> Result<NodeId> {
                 let r = nb.g.slice_rows(rows, t, 1)?;

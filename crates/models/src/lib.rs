@@ -163,10 +163,12 @@ impl ModelKind {
     ///
     /// # Errors
     ///
-    /// Propagates graph-construction errors (which indicate a bug in the
-    /// model definition rather than a user error).
+    /// Returns [`GraphError::ShapeOverflow`](tbd_graph::GraphError) when
+    /// any node's `f32` byte length overflows `usize` (a batch far beyond
+    /// any device), and otherwise propagates graph-construction errors
+    /// (which indicate a bug in the model definition).
     pub fn build_full(self, batch: usize) -> tbd_graph::Result<BuiltModel> {
-        match self {
+        let model = match self {
             ModelKind::ResNet50 => resnet::ResNetConfig::resnet50().build(batch),
             ModelKind::InceptionV3 => inception::InceptionConfig::full().build(batch),
             ModelKind::Seq2Seq => seq2seq::Seq2SeqConfig::full().build(batch),
@@ -175,7 +177,12 @@ impl ModelKind {
             ModelKind::DeepSpeech2 => deepspeech::DeepSpeechConfig::full().build(batch),
             ModelKind::Wgan => wgan::WganConfig::full().build(batch),
             ModelKind::A3c => a3c::A3cConfig::full().build(batch),
+        }?;
+        // Nodes no op consumes escaped the builder's per-op check.
+        for node in model.graph.nodes() {
+            tbd_graph::check_shape(&node.shape)?;
         }
+        Ok(model)
     }
 }
 
@@ -222,5 +229,21 @@ mod scope_tests {
         let by_scope = param_count_by_scope(&model.graph);
         assert!(by_scope.contains_key("gen"));
         assert!(by_scope.contains_key("critic"));
+    }
+
+    #[test]
+    fn overflowing_batches_are_a_typed_error() {
+        // Faster R-CNN fixes its batch at 1; every other model scales with it.
+        for kind in ModelKind::ALL.into_iter().filter(|&k| k != ModelKind::FasterRcnn) {
+            match kind.build_full(1 << 62) {
+                Err(tbd_graph::GraphError::ShapeOverflow(dims)) => {
+                    let elems = dims.iter().try_fold(4usize, |n, &d| n.checked_mul(d));
+                    assert_eq!(elems, None, "{}: {dims:?} does fit", kind.name());
+                }
+                other => panic!("{}: expected ShapeOverflow, got {:?}", kind.name(), other.err()),
+            }
+            // The check refuses only what overflows.
+            assert!(kind.build_full(1).is_ok(), "{}", kind.name());
+        }
     }
 }

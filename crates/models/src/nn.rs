@@ -6,9 +6,19 @@
 //! per time step — exactly the kernel stream whose inefficiency the paper
 //! analyses), Luong attention and Transformer blocks.
 
-use tbd_graph::{GraphBuilder, Init, NodeId, Result};
+use tbd_graph::{GraphBuilder, GraphError, Init, NodeId, Result};
 use tbd_tensor::ops::{Conv2dConfig, Pool2dConfig};
 
+
+/// `a · b` as a tensor extent.
+///
+/// # Errors
+///
+/// Returns [`GraphError::ShapeOverflow`] when the product overflows
+/// `usize` (an absurd batch size).
+pub(crate) fn extent(a: usize, b: usize) -> Result<usize> {
+    a.checked_mul(b).ok_or(GraphError::ShapeOverflow(vec![a, b]))
+}
 /// A [`GraphBuilder`] wrapper that adds hierarchical parameter naming.
 #[derive(Debug, Default)]
 pub struct NetBuilder {
@@ -373,12 +383,13 @@ pub fn multi_head_attention(
         let vh = nb.g.reshape(vh, [batch, kv_steps, dh])?;
         let kt = nb.g.batch_transpose(kh)?;
         let scores = nb.g.batch_matmul(qh, kt)?; // [batch, q_steps, kv_steps]
-        let scores2 = nb.g.reshape(scores, [batch * q_steps, kv_steps])?;
+        let rows = extent(batch, q_steps)?;
+        let scores2 = nb.g.reshape(scores, [rows, kv_steps])?;
         let scaled = nb.g.scale(scores2, 1.0 / (dh as f32).sqrt())?;
         let attn = nb.g.softmax(scaled)?;
         let attn3 = nb.g.reshape(attn, [batch, q_steps, kv_steps])?;
         let ctx = nb.g.batch_matmul(attn3, vh)?; // [batch, q_steps, dh]
-        let ctx2 = nb.g.reshape(ctx, [batch * q_steps, dh])?;
+        let ctx2 = nb.g.reshape(ctx, [rows, dh])?;
         head_outputs.push(ctx2);
     }
     let merged = nb.g.concat(&head_outputs, 1)?;

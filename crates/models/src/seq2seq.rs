@@ -9,7 +9,7 @@
 //! plus a chain of element-wise kernels, the structure behind the paper's
 //! Observations 5 and 7.
 
-use crate::nn::{dot_attention, lstm_params, lstm_step, NetBuilder};
+use crate::nn::{dot_attention, extent, lstm_params, lstm_step, NetBuilder};
 use crate::BuiltModel;
 use std::collections::BTreeMap;
 use tbd_graph::{Init, NodeId, Result};
@@ -63,9 +63,10 @@ impl Seq2SeqConfig {
     pub fn build(&self, batch: usize) -> Result<BuiltModel> {
         let (cfg, b, t, h) = (self, batch, self.steps, self.hidden);
         let mut nb = NetBuilder::new();
-        let src = nb.g.input("src", [t * b]);
-        let tgt_in = nb.g.input("tgt_in", [t * b]);
-        let tgt_out = nb.g.input("tgt_out", [t * b]);
+        let rows = extent(t, b)?;
+        let src = nb.g.input("src", [rows]);
+        let tgt_in = nb.g.input("tgt_in", [rows]);
+        let tgt_out = nb.g.input("tgt_out", [rows]);
 
         let embed_name = nb.fresh("embed");
         let embedding = nb.g.parameter(

@@ -6,7 +6,7 @@
 //! Layout convention: token rows are in `(batch, time)` order so a sentence
 //! is a contiguous block reshapeable to `[batch, steps, d_model]`.
 
-use crate::nn::{transformer_block, NetBuilder};
+use crate::nn::{extent, transformer_block, NetBuilder};
 use crate::BuiltModel;
 use std::collections::BTreeMap;
 use tbd_graph::{Init, Result};
@@ -72,7 +72,7 @@ impl TransformerConfig {
     /// Propagates graph-construction errors.
     pub fn build(&self, batch: usize) -> Result<BuiltModel> {
         let (b, t, d) = (batch, self.steps, self.d_model);
-        let rows = b * t;
+        let rows = extent(b, t)?;
         let mut nb = NetBuilder::new();
         let src = nb.g.input("src", [rows]);
         let tgt_in = nb.g.input("tgt_in", [rows]);
@@ -121,7 +121,7 @@ impl TransformerConfig {
         let mut outputs = BTreeMap::new();
         outputs.insert("logits".to_string(), logits);
         outputs.insert("loss".to_string(), loss);
-        Ok(BuiltModel { graph, batch: b * t, inputs, outputs })
+        Ok(BuiltModel { graph, batch: rows, inputs, outputs })
     }
 }
 

@@ -921,6 +921,16 @@ pub mod scenarios {
         pub layers: usize,
     }
 
+    impl WorkloadShape {
+        /// One worker of this shape at per-GPU batch 32, its gradients
+        /// spread evenly over the backward pass.
+        pub fn worker(&self) -> DataParallelSim {
+            let backward =
+                BackwardProfile::analytic(self.compute_iter_s, self.gradient_bytes, self.layers);
+            DataParallelSim { backward, per_gpu_batch: 32 }
+        }
+    }
+
     /// ResNet-50: ~102 MB of gradients behind a 0.36 s iteration
     /// (paper Table 2 / Fig. 10 inputs).
     pub const RESNET50: WorkloadShape = WorkloadShape {
@@ -947,16 +957,9 @@ pub mod scenarios {
         cluster: &ClusterConfig,
         stragglers: Option<StragglerSpec>,
     ) -> (Vec<TraceEvent>, EventOutcome) {
-        let sim = DataParallelSim {
-            compute_iter_s: shape.compute_iter_s,
-            gradient_bytes: shape.gradient_bytes,
-            per_gpu_batch: 32,
-        };
-        let profile =
-            BackwardProfile::analytic(shape.compute_iter_s, shape.gradient_bytes, shape.layers);
         let config = EventConfig { stragglers, ..EventConfig::default() };
         let tracer = TraceRecorder::shared();
-        let outcome = sim.simulate_events_traced(cluster, &profile, &config, &tracer);
+        let outcome = shape.worker().simulate_events_traced(cluster, &config, &tracer);
         (tracer.drain(), outcome)
     }
 
@@ -1035,17 +1038,10 @@ pub mod scenarios {
     /// events and the elastic outcome (ground truth for the confusion
     /// matrix).
     pub fn membership_churn(shape: &WorkloadShape, seed: u64) -> (Vec<TraceEvent>, ElasticOutcome) {
-        let sim = DataParallelSim {
-            compute_iter_s: shape.compute_iter_s,
-            gradient_bytes: shape.gradient_bytes,
-            per_gpu_batch: 32,
-        };
-        let profile =
-            BackwardProfile::analytic(shape.compute_iter_s, shape.gradient_bytes, shape.layers);
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(0.9), 40);
         let tracer = TraceRecorder::shared();
-        let outcome = sim.simulate_elastic_traced(&cluster, &profile, &config, &tracer);
+        let outcome = shape.worker().simulate_elastic_traced(&cluster, &config, &tracer);
         (tracer.drain(), outcome)
     }
 

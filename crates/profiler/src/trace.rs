@@ -19,10 +19,10 @@ use crate::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
+use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
 use std::time::Instant;
 use tbd_frameworks::{Framework, SpeedOptions, WorkloadProfile};
-use tbd_gpusim::{GpuSpec, MemoryCategory, OutOfMemory};
+use tbd_gpusim::{GpuSpec, OutOfMemory};
 use tbd_graph::{GraphError, NodeId, Op, Session};
 use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
@@ -360,6 +360,10 @@ pub struct Capture {
     /// The failing allocation, when it did not (the trace then ends with
     /// the corresponding `AllocFail` event).
     pub oom: Option<OutOfMemory>,
+    /// One data-parallel worker of the simulated iteration (the model the
+    /// 1M2G stage replays), when the batch fit the device. Cluster replays
+    /// reuse it instead of rebuilding the graph.
+    pub worker: Option<DataParallelSim>,
     /// Measured wall-clock phase split of this capture.
     pub wall: CaptureWall,
 }
@@ -442,31 +446,17 @@ pub fn capture_into(
         Err(oom) => (None, Some(oom)),
     };
     wall.lower_sim_s = t0.elapsed().as_secs_f64();
-    if let Some(profile) = &profile {
+    let worker = profile.as_ref().map(|profile| {
         let t0 = Instant::now();
-        let sim = DataParallelSim {
-            compute_iter_s: profile.iteration.wall_time_s,
-            gradient_bytes: (profile.memory.peak(MemoryCategory::WeightGrads) as f64).max(1.0),
-            per_gpu_batch: batch,
-        };
-        let grad_map: Vec<(usize, f64)> =
-            tbd_graph::lower::weight_grad_bytes_by_consumer(&full.graph)
-                .into_iter()
-                .map(|(id, bytes)| (id.index(), bytes as f64))
-                .collect();
-        let backward = BackwardProfile::from_records(
-            profile.iteration.wall_time_s,
-            &profile.iteration.records,
-            &grad_map,
-        );
-        sim.simulate_events_traced(
+        let worker = DataParallelSim::from_iteration(&full.graph, &profile.iteration, batch);
+        worker.simulate_events_traced(
             &ClusterConfig::single_machine(2),
-            &backward,
             &EventConfig::default(),
             recorder,
         );
         wall.distrib_s = t0.elapsed().as_secs_f64();
-    }
+        worker
+    });
     recorder.record(
         TraceEvent::instant("analysis complete", TraceLayer::Profiler, EventKind::Phase, 1.0)
             .with_arg("oom", oom.is_some())
@@ -475,7 +465,7 @@ pub fn capture_into(
     let trace =
         Trace { model: kind, framework: framework.name(), batch, events: recorder.drain() };
     wall.total_s = capture_start.elapsed().as_secs_f64();
-    Ok(Capture { trace, profile, oom, wall })
+    Ok(Capture { trace, profile, oom, worker, wall })
 }
 
 /// Runs one miniature functional training step (forward + backward at tiny

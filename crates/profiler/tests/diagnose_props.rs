@@ -121,19 +121,9 @@ fn slow_interconnect_is_named_exposed_communication() {
     let cluster = ClusterConfig::multi_machine(2, Interconnect::ethernet_1g());
     for shape in SHAPES {
         for salt in 0u64..8 {
-            let sim = tbd_distrib::DataParallelSim {
-                compute_iter_s: shape.compute_iter_s,
-                gradient_bytes: shape.gradient_bytes,
-                per_gpu_batch: 32,
-            };
-            let profile = tbd_distrib::BackwardProfile::analytic(
-                shape.compute_iter_s,
-                shape.gradient_bytes,
-                shape.layers,
-            );
             let config = EventConfig { tie_break_salt: salt, ..EventConfig::default() };
             let tracer = TraceRecorder::shared();
-            sim.simulate_events_traced(&cluster, &profile, &config, &tracer);
+            shape.worker().simulate_events_traced(&cluster, &config, &tracer);
             let report = diagnose_events(shape.name, "sim", 32, &tracer.drain());
             assert_eq!(
                 report.top1().class,

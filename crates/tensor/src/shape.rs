@@ -74,6 +74,13 @@ impl Shape {
         strides
     }
 
+    /// Size in bytes assuming `f32` elements, or `None` when that count
+    /// overflows `usize` (so [`Shape::len`] and [`Shape::byte_len`] would
+    /// wrap).
+    pub fn checked_byte_len(&self) -> Option<usize> {
+        self.0.iter().try_fold(std::mem::size_of::<f32>(), |bytes, &d| bytes.checked_mul(d))
+    }
+
     /// Size in bytes assuming `f32` elements.
     pub fn byte_len(&self) -> usize {
         self.len() * std::mem::size_of::<f32>()
@@ -144,6 +151,15 @@ mod tests {
         assert_eq!(s.rank(), 0);
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn checked_byte_len_refuses_only_overflow() {
+        assert_eq!(Shape::new(&[2, 3]).checked_byte_len(), Some(24));
+        assert_eq!(Shape::scalar().checked_byte_len(), Some(4));
+        assert_eq!(Shape::new(&[1 << 62, 1]).checked_byte_len(), None);
+        assert_eq!(Shape::new(&[usize::MAX / 4, 1]).checked_byte_len(), Some(usize::MAX / 4 * 4));
+        assert_eq!(Shape::new(&[0, usize::MAX]).checked_byte_len(), Some(0));
     }
 
     #[test]

@@ -1,49 +1,30 @@
 //! Distributed data-parallel training (the paper's Fig. 10): ResNet-50 on
 //! MXNet across single-machine multi-GPU and two-machine configurations
-//! over Ethernet and InfiniBand.
+//! over Ethernet and InfiniBand, each replayed through the event engine.
 //!
 //! ```sh
 //! cargo run --release --example distributed_training
 //! ```
 
-use tbd_core::{Framework, GpuSpec, Interconnect, ModelKind, Suite};
-use tbd_distrib::{ClusterConfig, DataParallelSim};
-use tbd_graph::lower::memory_footprint;
+use tbd_core::{Framework, GpuSpec, ModelKind, ScaleReport};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let suite = Suite::new(GpuSpec::quadro_p4000());
-    let framework = Framework::mxnet();
+    let gpu = GpuSpec::quadro_p4000();
     println!("ResNet-50 on MXNet, data-parallel scaling (per-GPU batch sweep)");
     println!(
         "{:>6}  {:>18}  {:>12}  {:>12}  {:>10}",
         "batch", "configuration", "throughput", "comm (ms)", "efficiency"
     );
-    for &batch in &[8usize, 16, 32] {
-        let metrics = suite.run(ModelKind::ResNet50, framework, batch)?;
-        let model = ModelKind::ResNet50.build_full(batch)?;
-        let grads = memory_footprint(&model.graph).weight_grads as f64;
-        let sim = DataParallelSim {
-            compute_iter_s: batch as f64 / metrics.throughput,
-            gradient_bytes: grads,
-            per_gpu_batch: batch,
-        };
-        let configs = [
-            ClusterConfig::single_machine(1),
-            ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()),
-            ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()),
-            ClusterConfig::single_machine(2),
-            ClusterConfig::single_machine(4),
-        ];
-        let labels = ["1M1G", "2M1G (ethernet)", "2M1G (infiniband)", "1M2G", "1M4G"];
-        for (config, label) in configs.iter().zip(labels) {
-            let p = sim.simulate(config);
+    for batch in [8usize, 16, 32] {
+        let report = ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), batch, &gpu, false, None)?;
+        for e in &report.entries {
             println!(
                 "{:>6}  {:>18}  {:>8.1}/s  {:>12.1}  {:>9.0}%",
                 batch,
-                label,
-                p.throughput,
-                p.comm_s * 1e3,
-                100.0 * p.scaling_efficiency
+                e.label,
+                e.throughput,
+                e.comm_s * 1e3,
+                100.0 * e.scaling_efficiency
             );
         }
         println!();

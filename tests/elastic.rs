@@ -17,11 +17,7 @@ use tbd_distrib::{
 /// One worker shaped like the profiled ResNet-50 point: 360 ms iterations
 /// pushing ~102 MB of gradients (the shape the scenario builders use).
 fn sim() -> DataParallelSim {
-    DataParallelSim { compute_iter_s: 0.36, gradient_bytes: 102e6, per_gpu_batch: 32 }
-}
-
-fn profile() -> BackwardProfile {
-    BackwardProfile::analytic(0.36, 102e6, 16)
+    DataParallelSim { backward: BackwardProfile::analytic(0.36, 102e6, 16), per_gpu_batch: 32 }
 }
 
 const STRATEGIES: [SyncStrategy; 3] = [
@@ -37,21 +33,17 @@ const STRATEGIES: [SyncStrategy; 3] = [
 #[test]
 fn degraded_collectives_match_fresh_worlds_across_strategies() {
     let sim = sim();
-    let profile = profile();
     let mut evictions = 0u64;
     for strategy in STRATEGIES {
         for (label, mut cluster) in fig10_clusters() {
             cluster.sync = strategy;
             for seed in [3u64, 11, 29] {
                 let config = ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(0.9), 40);
-                let out = sim.simulate_elastic(&cluster, &profile, &config);
+                let out = sim.simulate_elastic(&cluster, &config);
                 evictions += out.evictions;
                 for epoch in &out.epochs {
-                    let fresh = sim.simulate_events(
-                        &survivor_cluster(&cluster, epoch.survivors),
-                        &profile,
-                        &config.event,
-                    );
+                    let fresh = sim
+                        .simulate_events(&survivor_cluster(&cluster, epoch.survivors), &config.event);
                     assert_eq!(
                         epoch.iteration_s.to_bits(),
                         fresh.profile.iteration_s.to_bits(),

@@ -217,28 +217,12 @@ fn distrib_golden_path(network: &str) -> PathBuf {
 #[test]
 fn golden_distrib_event_traces_match() {
     use tbd_core::Interconnect;
-    use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
+    use tbd_distrib::{ClusterConfig, EventConfig};
     use tbd_profiler::trace::{fnv1a, TraceRecorder};
 
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let cap = capture_at(ModelKind::ResNet50, Framework::mxnet(), 1);
-    let profile = cap.profile.as_ref().expect("golden batch fits");
-    let model = ModelKind::ResNet50.build_full(GOLDEN_BATCH).expect("builds");
-    let grad_map: Vec<(usize, f64)> =
-        tbd_graph::lower::weight_grad_bytes_by_consumer(&model.graph)
-            .into_iter()
-            .map(|(id, bytes)| (id.index(), bytes as f64))
-            .collect();
-    let backward = BackwardProfile::from_records(
-        profile.iteration.wall_time_s,
-        &profile.iteration.records,
-        &grad_map,
-    );
-    let sim = DataParallelSim {
-        compute_iter_s: profile.iteration.wall_time_s,
-        gradient_bytes: backward.total_bytes().max(1.0),
-        per_gpu_batch: GOLDEN_BATCH,
-    };
+    let sim = cap.worker.as_ref().expect("golden batch fits");
     let mut failures = String::new();
     for network in DISTRIB_NETWORKS {
         let link = match network {
@@ -247,7 +231,7 @@ fn golden_distrib_event_traces_match() {
         };
         let cluster = ClusterConfig::multi_machine(2, link);
         let tracer = TraceRecorder::shared();
-        let out = sim.simulate_events_traced(&cluster, &backward, &EventConfig::default(), &tracer);
+        let out = sim.simulate_events_traced(&cluster, &EventConfig::default(), &tracer);
         let events = tracer.drain();
         let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
         let digest = format!("{:016x}", fnv1a(canonical.as_bytes()));
@@ -296,4 +280,42 @@ fn golden_distrib_event_traces_match() {
         "distrib goldens drifted:\n{failures}\n\
          If the change is intentional: UPDATE_GOLDEN=1 cargo test --test golden_traces"
     );
+}
+
+/// Every cluster replay reuses the worker model the capture built for its
+/// own 1M2G stage instead of rebuilding the graph: for each of the 14
+/// supported pairs at its smallest paper batch, that worker must equal,
+/// bit for bit, one built from a freshly constructed graph and the
+/// capture's own simulated iteration.
+#[test]
+fn capture_worker_matches_a_fresh_graph() {
+    use tbd_core::{paper_batches, Suite};
+    use tbd_distrib::DataParallelSim;
+
+    let options = TraceOptions { functional: false, ..TraceOptions::default() };
+    for (kind, framework) in Suite::supported_pairs() {
+        let batch = paper_batches(kind)[0];
+        let point = format!("{} / {} b{batch}", kind.name(), framework.name());
+        let cap = capture(kind, framework, batch, &GpuSpec::quadro_p4000(), &options)
+            .unwrap_or_else(|e| panic!("{point}: {e}"));
+        let worker = cap.worker.as_ref().unwrap_or_else(|| panic!("{point}: no worker"));
+        let profile = cap.profile.as_ref().expect("a worker implies a profile");
+        let graph = kind.build_full(batch).expect("builds").graph;
+        let fresh = DataParallelSim::from_iteration(&graph, &profile.iteration, batch);
+        assert_eq!(worker.per_gpu_batch, fresh.per_gpu_batch, "{point}");
+        assert_eq!(
+            worker.compute_iter_s().to_bits(),
+            fresh.compute_iter_s().to_bits(),
+            "{point}: compute_iter_s"
+        );
+        let bits = |w: &DataParallelSim| -> Vec<(&'static str, u64, u64)> {
+            w.backward
+                .layers
+                .iter()
+                .map(|l| (l.label, l.bytes.to_bits(), l.finish_s.to_bits()))
+                .collect()
+        };
+        assert!(!worker.backward.layers.is_empty(), "{point}: no layers");
+        assert_eq!(bits(worker), bits(&fresh), "{point}: layers");
+    }
 }

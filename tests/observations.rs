@@ -3,7 +3,7 @@
 //! reproduces; `EXPERIMENTS.md` records the corresponding quantities.
 
 use tbd_core::{Framework, GpuSpec, MemoryCategory, ModelKind, Suite};
-use tbd_distrib::{ClusterConfig, DataParallelSim};
+use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
 use tbd_graph::lower::memory_footprint;
 use tbd_profiler::kernel_table;
 
@@ -239,20 +239,13 @@ fn obs12_workspace_autotuning_uses_leftover_memory() {
 fn obs13_network_bandwidth_gates_distributed_scaling() {
     let suite = suite();
     let single = suite.run(ModelKind::ResNet50, Framework::mxnet(), 16).unwrap();
-    let grads = {
-        let model = ModelKind::ResNet50.build_full(16).unwrap();
-        memory_footprint(&model.graph).weight_grads as f64
-    };
-    let sim = DataParallelSim {
-        compute_iter_s: 16.0 / single.throughput,
-        gradient_bytes: grads,
-        per_gpu_batch: 16,
-    };
-    let eth = sim.simulate(&ClusterConfig::multi_machine(2, tbd_core::Interconnect::ethernet_1g()));
-    let ib = sim
-        .simulate(&ClusterConfig::multi_machine(2, tbd_core::Interconnect::infiniband_100g()));
-    let g2 = sim.simulate(&ClusterConfig::single_machine(2));
-    let g4 = sim.simulate(&ClusterConfig::single_machine(4));
+    let model = ModelKind::ResNet50.build_full(16).unwrap();
+    let sim = DataParallelSim::from_iteration(&model.graph, &single.profile.iteration, 16);
+    let run = |cluster: ClusterConfig| sim.simulate_events(&cluster, &EventConfig::default()).profile;
+    let eth = run(ClusterConfig::multi_machine(2, tbd_core::Interconnect::ethernet_1g()));
+    let ib = run(ClusterConfig::multi_machine(2, tbd_core::Interconnect::infiniband_100g()));
+    let g2 = run(ClusterConfig::single_machine(2));
+    let g4 = run(ClusterConfig::single_machine(4));
     assert!(eth.throughput < single.throughput, "ethernet hurts");
     assert!(ib.throughput > 1.8 * single.throughput, "infiniband scales");
     assert!(g2.scaling_efficiency > 0.9 && g4.scaling_efficiency > 0.85, "PCIe scales");

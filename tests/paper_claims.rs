@@ -8,7 +8,7 @@
 //! individual quantity still looks plausible.
 
 use tbd_core::{Framework, GpuSpec, Interconnect, MemoryCategory, ModelKind, Suite};
-use tbd_distrib::{ClusterConfig, DataParallelSim};
+use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
 use tbd_graph::lower::memory_footprint;
 
 /// Fig. 5: at comparable batch sizes, RNN-based models keep the GPU far
@@ -67,15 +67,11 @@ fn fig10_ethernet_hurts_and_infiniband_recovers() {
     let batch = 16;
     let m = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).expect("resnet runs");
     let model = ModelKind::ResNet50.build_full(batch).expect("builds");
-    let sim = DataParallelSim {
-        compute_iter_s: batch as f64 / m.throughput,
-        gradient_bytes: memory_footprint(&model.graph).weight_grads as f64,
-        per_gpu_batch: batch,
-    };
-    let single = sim.simulate(&ClusterConfig::single_machine(1));
-    let ethernet = sim.simulate(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()));
-    let infiniband =
-        sim.simulate(&ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()));
+    let sim = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, batch);
+    let run = |cluster: ClusterConfig| sim.simulate_events(&cluster, &EventConfig::default()).profile;
+    let single = run(ClusterConfig::single_machine(1));
+    let ethernet = run(ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()));
+    let infiniband = run(ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()));
     assert!(
         ethernet.throughput < single.throughput,
         "2M1G over Ethernet ({:.1}/s) must fall below 1M1G ({:.1}/s)",
@@ -100,20 +96,20 @@ fn fig10_ethernet_hurts_and_infiniband_recovers() {
 /// used to hardcode.
 #[test]
 fn fig11_exposed_ratio_ranks_fabrics_and_bucketing_overlaps() {
-    use tbd_distrib::{BackwardProfile, EventConfig, SyncStrategy};
+    use tbd_distrib::SyncStrategy;
     let suite = Suite::new(GpuSpec::quadro_p4000());
     let batch = 16;
     let m = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).expect("resnet runs");
     let model = ModelKind::ResNet50.build_full(batch).expect("builds");
-    let sim = DataParallelSim {
-        compute_iter_s: batch as f64 / m.throughput,
-        gradient_bytes: memory_footprint(&model.graph).weight_grads as f64,
-        per_gpu_batch: batch,
-    };
-    let profile = BackwardProfile::analytic(sim.compute_iter_s, sim.gradient_bytes, 50);
+    let backward = BackwardProfile::analytic(
+        batch as f64 / m.throughput,
+        memory_footprint(&model.graph).weight_grads as f64,
+        50,
+    );
+    let sim = DataParallelSim { backward, per_gpu_batch: batch };
     let config = EventConfig::default();
     let ratio = |cluster: ClusterConfig| {
-        let out = sim.simulate_events(&cluster, &profile, &config);
+        let out = sim.simulate_events(&cluster, &config);
         out.exposed_comm_s / out.profile.iteration_s
     };
     let ethernet = ratio(ClusterConfig::custom(
@@ -136,7 +132,6 @@ fn fig11_exposed_ratio_ranks_fabrics_and_bucketing_overlaps() {
     );
     // Bucketing genuinely overlaps on the fast fabrics: the derived
     // overlap beats the fixed 0.3 the closed form assumed.
-    let overlap =
-        sim.simulate_events(&ClusterConfig::single_machine(4), &profile, &config).overlap;
+    let overlap = sim.simulate_events(&ClusterConfig::single_machine(4), &config).overlap;
     assert!(overlap >= 0.3, "bucketed PCIe overlap {overlap:.2} must clear the old 0.3 constant");
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tbd_core::GpuSpec;
-use tbd_distrib::{ClusterConfig, DataParallelSim};
+use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
 use tbd_gpusim::{kernel_timing, DeviceMemory, MemoryCategory};
 use tbd_graph::{KernelClass, KernelSpec};
 use tbd_profiler::{detect_stable_window, SamplingConfig};
@@ -148,11 +148,10 @@ proptest! {
         gpus in 1usize..8,
     ) {
         let sim = DataParallelSim {
-            compute_iter_s: compute,
-            gradient_bytes: grads,
+            backward: BackwardProfile::analytic(compute, grads, 16),
             per_gpu_batch: 16,
         };
-        let p = sim.simulate(&ClusterConfig::single_machine(gpus));
+        let p = sim.simulate_events(&ClusterConfig::single_machine(gpus), &EventConfig::default()).profile;
         prop_assert!(p.scaling_efficiency <= 1.0 + 1e-9);
         prop_assert!(p.throughput >= 16.0 / compute - 1e-9);
         prop_assert!(p.iteration_s >= compute);
