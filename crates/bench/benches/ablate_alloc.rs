@@ -3,6 +3,7 @@
 //! differences the paper reports (Sockeye 64 vs NMT 128).
 
 use tbd_core::{Framework, GpuSpec, ModelKind};
+use tbd_frameworks::SpeedOptions;
 use tbd_graph::lower::memory_footprint;
 
 fn main() {
@@ -18,7 +19,7 @@ fn main() {
         let raw = fp.total() as f64 / 1e9;
         let fits = |fw: Framework| {
             let hints = fw.hints(ModelKind::Seq2Seq, batch);
-            match fw.profile_with_hints(&model, &gpu, hints) {
+            match fw.profile(&model, &gpu, hints, SpeedOptions::default(), None) {
                 Ok(p) => format!("yes ({:.2} GB)", p.memory.total() as f64 / 1e9),
                 Err(_) => "OOM".to_string(),
             }

@@ -22,7 +22,7 @@ fn main() {
         .map(|&id| model.graph.node(id).shape.byte_len() as u64)
         .sum();
     let params = fw.execution_params(input_bytes);
-    let baseline = fw.plan(&model);
+    let baseline = fw.plan_with(&model, SpeedOptions::default());
     let graph_fused = fw.plan_with(&model, SpeedOptions::fused(Precision::F32));
     let fused = fuse_rnn(&baseline, 64);
     println!("RNN kernel-fusion study — Sockeye (Seq2Seq) at batch {batch} on P4000");

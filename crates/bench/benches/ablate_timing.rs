@@ -3,6 +3,7 @@
 //! batch-size effects the paper measures (Observations 4-7 disappear).
 
 use tbd_core::{Framework, GpuSpec, ModelKind, Suite};
+use tbd_frameworks::SpeedOptions;
 use tbd_graph::KernelClass;
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
         // Pure-FLOP alternative: total algorithmic FLOPs at a fixed 50 % of
         // peak, no memory roof, no setup, no launch gaps.
         let model = ModelKind::ResNet50.build_full(batch).unwrap();
-        let kernels = Framework::mxnet().plan(&model);
+        let kernels = Framework::mxnet().plan_with(&model, SpeedOptions::default());
         let flops: f64 = kernels.iter().map(|k| k.spec.flops).sum();
         let naive_iter = flops / (gpu.peak_flops() * 0.5);
         let naive_throughput = batch as f64 / naive_iter;

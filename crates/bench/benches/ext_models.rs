@@ -3,7 +3,7 @@
 //! profiled with the same toolchain as the core suite.
 
 use tbd_core::{Framework, GpuSpec};
-use tbd_frameworks::WorkloadHints;
+use tbd_frameworks::{SpeedOptions, WorkloadHints};
 use tbd_models::deepspeech::DeepSpeechConfig;
 use tbd_models::yolo::YoloConfig;
 use tbd_models::ModelKind;
@@ -15,10 +15,10 @@ fn main() {
     let yolo = YoloConfig::full().build(1).expect("builds");
     let hints = WorkloadHints { compute_derate: 0.8, ..WorkloadHints::default() };
     let fw = Framework::tensorflow();
-    let y = fw.profile_with_hints(&yolo, &gpu, hints).expect("fits");
+    let y = fw.profile(&yolo, &gpu, hints, SpeedOptions::default(), None).expect("fits");
     let rcnn_model = ModelKind::FasterRcnn.build_full(1).expect("builds");
     let r = fw
-        .profile_with_hints(&rcnn_model, &gpu, fw.hints(ModelKind::FasterRcnn, 1))
+        .profile(&rcnn_model, &gpu, fw.hints(ModelKind::FasterRcnn, 1), SpeedOptions::default(), None)
         .expect("fits");
     println!(
         "  YOLOv2        {:5.1} img/s | GPU {:4.1}% | mem {:.2} GB",
@@ -46,7 +46,7 @@ fn main() {
         for batch in [1usize, 2] {
             let hints = mx.hints(ModelKind::DeepSpeech2, batch);
             let model = cfg.build(batch).expect("builds");
-            match mx.profile_with_hints(&model, &gpu, hints) {
+            match mx.profile(&model, &gpu, hints, SpeedOptions::default(), None) {
                 Ok(p) => println!(
                     "  {:<12} b{batch} {:5.2} utt/s | GPU {:4.1}% | FP32 {:4.1}% | mem {:.2} GB | {} params",
                     label,

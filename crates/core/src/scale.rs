@@ -14,10 +14,8 @@ use tbd_distrib::{fig10_clusters, scale_grid, DataParallelSim, EventConfig, Stra
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
-
-use crate::suite::Suite;
+use tbd_profiler::{json, profile_workload};
 
 /// Version stamp of the scale-report JSON schema.
 pub const SCALE_SCHEMA_VERSION: u64 = 1;
@@ -159,9 +157,9 @@ impl ScaleReport {
         sweep: bool,
         straggler_seed: Option<u64>,
     ) -> Result<ScaleReport, String> {
-        let suite = Suite::new(gpu.clone());
-        let metrics = suite.run(kind, framework, batch).map_err(|e| e.to_string())?;
         let model = kind.build_full(batch).map_err(|e| e.to_string())?;
+        let metrics =
+            profile_workload(kind, framework, &model, gpu).map_err(|e| e.to_string())?;
         let sim = DataParallelSim::from_iteration(&model.graph, &metrics.profile.iteration, batch);
         let config = EventConfig {
             stragglers: straggler_seed.map(StragglerSpec::with_seed),

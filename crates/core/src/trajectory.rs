@@ -36,6 +36,11 @@ pub const DRIFT_TOLERANCE: f64 = 0.10;
 /// an accidental O(n²) in the spine), not scheduler noise.
 pub const WALL_DRIFT_TOLERANCE: f64 = 0.50;
 
+/// Absolute capture-wall change below which [`BenchReport::check_wall_drift`]
+/// flags nothing, whatever the relative drift: sub-millisecond captures
+/// double on scheduler noise alone.
+pub const WALL_DRIFT_FLOOR_S: f64 = 1e-3;
+
 /// The six golden model×framework pairs (same set the golden-trace
 /// harness pins), benched at batch 4.
 pub const GOLDEN_PAIRS: [(ModelKind, &str); 6] = [
@@ -335,21 +340,28 @@ impl BenchReport {
     /// Compares *measured* capture wall time against a pinned baseline:
     /// entries present in both reports with a recorded
     /// [`BenchEntry::capture_wall_s`] must be within `tolerance` relative
-    /// drift. Entries without the measurement (old baselines, or a report
-    /// produced before the speed tier) vouch for nothing. Use
-    /// [`WALL_DRIFT_TOLERANCE`] unless you control both machines.
+    /// drift and move by more than [`WALL_DRIFT_FLOOR_S`]. Entries without
+    /// the measurement (old baselines, or a report produced before the
+    /// speed tier) vouch for nothing. Use [`WALL_DRIFT_TOLERANCE`] unless
+    /// you control both machines.
     ///
     /// # Errors
     ///
     /// Returns one line per drifting entry.
     pub fn check_wall_drift(&self, baseline: &BenchReport, tolerance: f64) -> Result<(), String> {
         let wall = |e: &BenchEntry| e.capture_wall_s.map(|w| (e.key(), w));
+        // An entry inside the absolute floor yields an empty line, dropped
+        // below.
         let line = |key: &String, wall: f64, drift: f64, pinned: f64| {
-            let percent = 100.0 * drift;
-            format!("{key}: capture wall {wall:.3}s drifted {percent:.0}% from pinned {pinned:.3}s")
+            if (wall - pinned).abs() <= WALL_DRIFT_FLOOR_S {
+                return String::new();
+            }
+            let (wall_us, percent, pinned_us) = (wall * 1e6, 100.0 * drift, pinned * 1e6);
+            format!("{key}: capture wall {wall_us:.0}µs drifted {percent:.0}% from pinned {pinned_us:.0}µs")
         };
-        let (_, failures) =
+        let (_, mut failures) =
             json::keyed_drift(&baseline.entries, &self.entries, wall, tolerance, line);
+        failures.retain(|failure| !failure.is_empty());
         json::verdict(failures)
     }
 }
@@ -544,6 +556,17 @@ mod tests {
         assert!(slow.check_wall_drift(&base, WALL_DRIFT_TOLERANCE).is_ok());
         slow.entries[0].capture_wall_s = None;
         assert!(slow.check_wall_drift(&base, WALL_DRIFT_TOLERANCE).is_ok());
+        // Below the absolute floor a large relative drift is noise; above
+        // it, it is flagged.
+        let walls = |pinned: f64, measured: f64| {
+            let (mut base, mut now) = (report(100.0), report(100.0));
+            base.entries[0].capture_wall_s = Some(pinned);
+            now.entries[0].capture_wall_s = Some(measured);
+            now.check_wall_drift(&base, WALL_DRIFT_TOLERANCE)
+        };
+        assert!(walls(0.37e-3, 0.82e-3).is_ok());
+        let failure = walls(2.7e-3, 5.0e-3).unwrap_err();
+        assert!(failure.contains("5000µs") && failure.contains("2700µs"), "{failure}");
     }
 
     #[test]

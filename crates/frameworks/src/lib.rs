@@ -5,8 +5,8 @@
 //! differs is the *system* around them: per-op dispatch overhead, memory
 //! allocator strategy, workspace autotuning, input-pipeline overlap and the
 //! kernel libraries linked in. This crate encodes each framework as such a
-//! profile and provides [`Framework::profile`], which plans one training
-//! iteration of a [`BuiltModel`] on a [`GpuSpec`]: it places every
+//! profile and provides [`Framework::profile`], the one planner of a
+//! training iteration of a [`BuiltModel`] on a [`GpuSpec`]: it places every
 //! allocation category in device memory (failing with [`OutOfMemory`] for
 //! infeasible mini-batches, exactly where the paper reports memory limits),
 //! autotunes convolution workspace out of the leftover capacity
@@ -16,13 +16,17 @@
 //! # Examples
 //!
 //! ```
-//! use tbd_frameworks::Framework;
+//! use tbd_frameworks::{Framework, SpeedOptions, WorkloadHints};
 //! use tbd_gpusim::GpuSpec;
 //! use tbd_models::a3c::A3cConfig;
+//! use tbd_models::ModelKind;
 //!
 //! # fn main() -> Result<(), tbd_gpusim::OutOfMemory> {
 //! let model = A3cConfig::full().build(16).expect("builds");
-//! let profile = Framework::mxnet().profile(&model, &GpuSpec::quadro_p4000())?;
+//! let fw = Framework::mxnet();
+//! let hints = fw.hints(ModelKind::A3c, 16);
+//! let gpu = GpuSpec::quadro_p4000();
+//! let profile = fw.profile(&model, &gpu, hints, SpeedOptions::default(), None)?;
 //! assert!(profile.throughput > 0.0);
 //! # Ok(())
 //! # }
@@ -71,7 +75,9 @@ pub struct Framework {
 /// convolutions, WGAN's gradient-penalty pass).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadHints {
-    /// Multiplier on the feature-map footprint for bucket padding.
+    /// Multiplier on the feature-map footprint: bucket padding, times the
+    /// resident share a feature-map memory optimization leaves on the
+    /// device (`tbd-memopt` scales it per strategy).
     pub memory_padding: f64,
     /// Non-overlappable per-iteration input cost in seconds (on-policy
     /// environment stepping, proposal generation).
@@ -365,14 +371,9 @@ impl Framework {
     }
 
     /// Lowers one full training iteration, including this framework's
-    /// optimizer-update kernels.
-    pub fn plan(&self, model: &BuiltModel) -> Vec<LoweredKernel> {
-        self.plan_with(model, SpeedOptions::default())
-    }
-
-    /// Like [`Framework::plan`], honouring the speed tier's fusion knob:
-    /// with `speed.fuse` set, elementwise/activation/bias/norm chains lower
-    /// as single fused kernels (fewer launches, interior traffic dropped).
+    /// optimizer-update kernels. With `speed.fuse` set,
+    /// elementwise/activation/bias/norm chains lower as single fused
+    /// kernels (fewer launches, interior traffic dropped).
     pub fn plan_with(&self, model: &BuiltModel, speed: SpeedOptions) -> Vec<LoweredKernel> {
         let (f, b) = self.optimizer_cost();
         let mut kernels = if speed.fuse {
@@ -386,85 +387,21 @@ impl Framework {
     }
 
     /// Plans device memory and simulates one training iteration of `model`
-    /// on `gpu`.
+    /// on `gpu` under the model's [`WorkloadHints`] and the speed tier's
+    /// [`SpeedOptions`].
+    ///
+    /// With a `tracer`, the whole run is emitted into it: allocator events
+    /// (including a failing allocation on the OOM path), the simulated
+    /// launch/kernel/sync timeline, and framework-tagged spans that make
+    /// TF/MXNet/CNTK traces of the same model distinguishable
+    /// (per-framework launch overhead, sync gap and pipeline overlap — the
+    /// paper's §3.2 "same kernels, different system behaviour").
     ///
     /// # Errors
     ///
     /// Returns [`OutOfMemory`] when the mini-batch does not fit the device
     /// (the paper's infeasible configurations).
-    pub fn profile(&self, model: &BuiltModel, gpu: &GpuSpec) -> Result<WorkloadProfile, OutOfMemory> {
-        self.profile_with_hints(model, gpu, WorkloadHints::default())
-    }
-
-    /// Like [`Framework::profile`], with model-specific [`WorkloadHints`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] when the mini-batch does not fit the device.
-    pub fn profile_with_hints(
-        &self,
-        model: &BuiltModel,
-        gpu: &GpuSpec,
-        hints: WorkloadHints,
-    ) -> Result<WorkloadProfile, OutOfMemory> {
-        self.profile_inner(model, gpu, hints, SpeedOptions::default(), None)
-    }
-
-    /// Like [`Framework::profile_with_hints`], emitting the whole run into
-    /// `tracer`: allocator events (including a failing allocation on the
-    /// OOM path), the simulated launch/kernel/sync timeline, and
-    /// framework-tagged spans that make TF/MXNet/CNTK traces of the same
-    /// model distinguishable (per-framework launch overhead, sync gap and
-    /// pipeline overlap — the paper's §3.2 "same kernels, different system
-    /// behaviour").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] when the mini-batch does not fit the device.
-    pub fn profile_traced(
-        &self,
-        model: &BuiltModel,
-        gpu: &GpuSpec,
-        hints: WorkloadHints,
-        tracer: &Arc<TraceRecorder>,
-    ) -> Result<WorkloadProfile, OutOfMemory> {
-        self.profile_inner(model, gpu, hints, SpeedOptions::default(), Some(tracer))
-    }
-
-    /// Like [`Framework::profile_traced`], with explicit speed-tier options:
-    /// fused lowering and/or reduced-precision roofline timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] when the mini-batch does not fit the device.
-    pub fn profile_traced_with_speed(
-        &self,
-        model: &BuiltModel,
-        gpu: &GpuSpec,
-        hints: WorkloadHints,
-        speed: SpeedOptions,
-        tracer: &Arc<TraceRecorder>,
-    ) -> Result<WorkloadProfile, OutOfMemory> {
-        self.profile_inner(model, gpu, hints, speed, Some(tracer))
-    }
-
-    /// Like [`Framework::profile_with_hints`], with explicit speed-tier
-    /// options but no tracer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfMemory`] when the mini-batch does not fit the device.
-    pub fn profile_with_speed(
-        &self,
-        model: &BuiltModel,
-        gpu: &GpuSpec,
-        hints: WorkloadHints,
-        speed: SpeedOptions,
-    ) -> Result<WorkloadProfile, OutOfMemory> {
-        self.profile_inner(model, gpu, hints, speed, None)
-    }
-
-    fn profile_inner(
+    pub fn profile(
         &self,
         model: &BuiltModel,
         gpu: &GpuSpec,
@@ -671,7 +608,9 @@ mod tests {
     fn profile_of_tiny_resnet_produces_metrics() {
         let model = ResNetConfig::tiny().build(4).unwrap();
         let gpu = GpuSpec::quadro_p4000();
-        let p = Framework::mxnet().profile(&model, &gpu).unwrap();
+        let p = Framework::mxnet()
+            .profile(&model, &gpu, WorkloadHints::default(), SpeedOptions::default(), None)
+            .unwrap();
         assert!(p.throughput > 0.0);
         assert!(p.iteration.gpu_utilization > 0.0 && p.iteration.gpu_utilization <= 1.0);
         assert!(p.memory.total() > 0);
@@ -693,7 +632,9 @@ mod tests {
         // A paper-scale ResNet-50 at mini-batch 512 exceeds 8 GB.
         let model = ResNetConfig::resnet50().build(512).unwrap();
         let gpu = GpuSpec::quadro_p4000();
-        let err = Framework::tensorflow().profile(&model, &gpu).unwrap_err();
+        let err = Framework::tensorflow()
+            .profile(&model, &gpu, WorkloadHints::default(), SpeedOptions::default(), None)
+            .unwrap_err();
         assert!(err.requested > 0);
     }
 
@@ -724,9 +665,9 @@ mod tests {
         let gpu = GpuSpec::quadro_p4000();
         let fw = Framework::tensorflow();
         let tracer = TraceRecorder::shared();
-        let traced =
-            fw.profile_traced(&model, &gpu, WorkloadHints::default(), &tracer).unwrap();
-        let plain = fw.profile(&model, &gpu).unwrap();
+        let (hints, speed) = (WorkloadHints::default(), SpeedOptions::default());
+        let traced = fw.profile(&model, &gpu, hints, speed, Some(&tracer)).unwrap();
+        let plain = fw.profile(&model, &gpu, hints, speed, None).unwrap();
         assert_eq!(traced.iteration.wall_time_s.to_bits(), plain.iteration.wall_time_s.to_bits());
         let events = tracer.drain();
         assert!(events.iter().any(|e| e.layer == TraceLayer::GpuSim
@@ -743,7 +684,7 @@ mod tests {
         let gpu = GpuSpec::quadro_p4000();
         let tracer = TraceRecorder::shared();
         let err = Framework::tensorflow()
-            .profile_traced(&model, &gpu, WorkloadHints::default(), &tracer)
+            .profile(&model, &gpu, WorkloadHints::default(), SpeedOptions::default(), Some(&tracer))
             .unwrap_err();
         let events = tracer.drain();
         let fail = events
@@ -757,7 +698,7 @@ mod tests {
     #[test]
     fn planned_iteration_ends_with_optimizer_updates() {
         let model = ResNetConfig::tiny().build(2).unwrap();
-        let kernels = Framework::cntk().plan(&model);
+        let kernels = Framework::cntk().plan_with(&model, SpeedOptions::default());
         let last = kernels.last().unwrap();
         assert_eq!(last.spec.class, KernelClass::OptimizerUpdate);
         let updates =

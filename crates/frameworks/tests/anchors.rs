@@ -3,14 +3,14 @@
 //! device-model constants — if a retune moves a headline workload outside
 //! its band, this fails before `EXPERIMENTS.md` silently drifts.
 
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_models::{resnet::ResNetConfig, seq2seq::Seq2SeqConfig, ModelKind};
 
 fn throughput(fw: Framework, kind: ModelKind, batch: usize, gpu: &GpuSpec) -> f64 {
     let model = kind.build_full(batch).unwrap();
     let hints = fw.hints(kind, batch);
-    fw.profile_with_hints(&model, gpu, hints).unwrap().throughput
+    fw.profile(&model, gpu, hints, SpeedOptions::default(), None).unwrap().throughput
 }
 
 #[test]
@@ -61,7 +61,7 @@ fn memory_wall_anchors() {
     let gpu = GpuSpec::quadro_p4000();
     let profile = |fw: Framework, kind: ModelKind, batch: usize| {
         let model = kind.build_full(batch).unwrap();
-        fw.profile_with_hints(&model, &gpu, fw.hints(kind, batch)).is_ok()
+        fw.profile(&model, &gpu, fw.hints(kind, batch), SpeedOptions::default(), None).is_ok()
     };
     assert!(profile(Framework::tensorflow(), ModelKind::Seq2Seq, 128));
     assert!(!profile(Framework::mxnet(), ModelKind::Seq2Seq, 128));

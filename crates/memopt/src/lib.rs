@@ -38,10 +38,8 @@
 //! assert!(offload > base, "offloading unlocks larger mini-batches");
 //! ```
 
-use tbd_frameworks::{Framework, WorkloadHints};
-use tbd_gpusim::{
-    simulate_iteration, CpuSpec, DeviceMemory, GpuSpec, MemoryCategory, OutOfMemory,
-};
+use tbd_frameworks::{Framework, SpeedOptions, WorkloadHints};
+use tbd_gpusim::{GpuSpec, MemoryCategory, OutOfMemory};
 use tbd_graph::lower::memory_footprint;
 use tbd_models::{BuiltModel, ModelKind};
 
@@ -87,8 +85,12 @@ pub struct OptimizedProfile {
 
 /// Profiles one training iteration of `model` under `strategy`.
 ///
-/// Memory planning mirrors [`Framework::profile_with_hints`]; the strategy
-/// then shrinks the feature-map category and charges its time cost.
+/// The strategy is a what-if on [`Framework::profile`]: it scales the
+/// feature-map category by the share it leaves resident on the device
+/// (through [`WorkloadHints::memory_padding`]), so memory placement,
+/// workspace autotuning and timing are the profile's own, and then charges
+/// the time it exposes on top of that profile. [`Strategy::Baseline`] is
+/// the profile unchanged.
 ///
 /// # Errors
 ///
@@ -101,83 +103,55 @@ pub fn profile_with_strategy(
     hints: WorkloadHints,
     strategy: Strategy,
 ) -> Result<OptimizedProfile, OutOfMemory> {
-    let cpu = CpuSpec::xeon_e5_2680();
-    let fp = memory_footprint(&model.graph);
-    let full_fm =
-        (fp.feature_maps as f64 * framework.allocator_slack() * hints.memory_padding) as u64;
+    let resident_share = match strategy {
+        Strategy::Baseline => 1.0,
+        // Offloading activations also lets the planner reuse their
+        // gradient-map mirrors, so capacity shrinks by the fraction of the
+        // whole feature-map category.
+        Strategy::Offload { fraction } => 1.0 - fraction.clamp(0.0, 1.0),
+        Strategy::HalfPrecisionActivations => 0.5,
+        // k checkpoints plus one live segment of activations, in the
+        // deep-network regime (segments ≪ 64 layers).
+        Strategy::Checkpoint { segments } => {
+            let k = segments.max(2) as f64;
+            (k / 64.0 + 1.0 / k).min(1.0)
+        }
+    };
+    let scaled = WorkloadHints { memory_padding: hints.memory_padding * resident_share, ..hints };
+    let profile = framework.profile(model, gpu, scaled, SpeedOptions::default(), None)?;
+    let busy_s = profile.iteration.gpu_busy_s;
+    let activations = memory_footprint(&model.graph).activations as f64;
 
-    // Baseline iteration timing (compute side is unchanged by Offload; the
-    // strategy only adds exposed time).
-    let input_bytes: u64 = model
-        .inputs
-        .values()
-        .map(|&id| model.graph.node(id).shape.byte_len() as u64)
-        .sum();
-    let mut params = framework.execution_params(input_bytes);
-    params.compute_speedup *= hints.compute_derate;
-    params.input_pipeline_s += hints.serial_input_s;
-    if let Some(overlap) = hints.overlap_override {
-        params.pipeline_overlap = overlap;
-    }
-    let kernels = framework.plan(model);
-    let base = simulate_iteration(&kernels, gpu, &cpu, &params);
-
-    let (resident_fm, overhead_s) = match strategy {
-        Strategy::Baseline => (full_fm, 0.0),
+    let overhead_s = match strategy {
+        Strategy::Baseline => 0.0,
         Strategy::Offload { fraction } => {
-            let fraction = fraction.clamp(0.0, 1.0);
-            // Offloading activations also lets the planner reuse their
-            // gradient-map mirrors, so capacity shrinks by the fraction of
-            // the whole feature-map category...
-            let resident = (full_fm as f64 * (1.0 - fraction)) as u64;
-            // ...but only the raw activations actually cross PCIe (out
-            // during forward + back during backward); gradient maps are
-            // produced and consumed on-device.
-            let moved = fp.activations as f64
+            // Only the raw activations actually cross PCIe (out during
+            // forward + back during backward); gradient maps are produced
+            // and consumed on-device.
+            let moved = activations
                 * framework.allocator_slack()
                 * hints.memory_padding
-                * fraction;
+                * fraction.clamp(0.0, 1.0);
             let transfer_s = 2.0 * moved / gpu.bus.bandwidth_bytes;
             // PCIe DMA overlaps with compute; only the excess over the
             // hideable window extends the iteration (vDNN's "performance
             // loss grows once transfers outpace compute").
-            let hideable = base.gpu_busy_s * 0.85;
-            (resident, (transfer_s - hideable).max(0.0))
+            (transfer_s - busy_s * 0.85).max(0.0)
         }
-        Strategy::HalfPrecisionActivations => {
-            let resident = full_fm / 2;
-            // Cast kernels touch every activation once on store and once on
-            // load; they are bandwidth-bound and overlap poorly.
-            let cast_bytes = 2.0 * fp.activations as f64;
-            let cast_s = cast_bytes / (gpu.memory_bw_bytes() * 0.8);
-            (resident, cast_s)
-        }
+        // Cast kernels touch every activation once on store and once on
+        // load; they are bandwidth-bound and overlap poorly.
+        Strategy::HalfPrecisionActivations => 2.0 * activations / (gpu.memory_bw_bytes() * 0.8),
+        // Recomputation ≈ one extra forward pass of (1 − 1/k) of the
+        // network; forward is ~1/3 of a training iteration's compute.
         Strategy::Checkpoint { segments } => {
-            let k = segments.max(2) as f64;
-            // k checkpoints plus one live segment of activations.
-            let layers_equiv = 64.0f64; // deep-network regime; segments ≪ layers
-            let resident_frac = (k / layers_equiv + 1.0 / k).min(1.0);
-            let resident = (full_fm as f64 * resident_frac) as u64;
-            // Recomputation ≈ one extra forward pass of (1 − 1/k) of the
-            // network; forward is ~1/3 of a training iteration's compute.
-            let recompute = base.gpu_busy_s * (1.0 / 3.0) * (1.0 - 1.0 / k);
-            (resident, recompute)
+            busy_s * (1.0 / 3.0) * (1.0 - 1.0 / segments.max(2) as f64)
         }
     };
 
-    let mut mem = DeviceMemory::new(gpu.memory_bytes);
-    mem.alloc(MemoryCategory::Weights, fp.weights)?;
-    mem.alloc(MemoryCategory::WeightGrads, fp.weight_grads)?;
-    mem.alloc(MemoryCategory::FeatureMaps, resident_fm)?;
-    mem.alloc(MemoryCategory::Dynamic, framework.dynamic_bytes(fp.weights))?;
-    let ws = (fp.workspace_total as f64 * framework.workspace_appetite()) as u64;
-    let ws = ws.min((mem.available() as f64 * 0.8) as u64).max(fp.workspace);
-    mem.alloc(MemoryCategory::Workspace, ws)?;
-
-    let iteration_s = base.wall_time_s + overhead_s;
+    let iteration_s = profile.iteration.wall_time_s + overhead_s;
     Ok(OptimizedProfile {
-        feature_map_bytes: resident_fm,
-        total_bytes: mem.used(),
+        feature_map_bytes: profile.memory.peak(MemoryCategory::FeatureMaps),
+        total_bytes: profile.memory.total(),
         iteration_s,
         throughput: model.batch as f64 / iteration_s,
         overhead_s,
@@ -185,7 +159,7 @@ pub fn profile_with_strategy(
 }
 
 /// Largest batch in `candidates` that fits the device under `strategy`
-/// (`None` when even the smallest OOMs).
+/// (`None` when none fits).
 pub fn max_feasible_batch(
     kind: ModelKind,
     framework: Framework,
@@ -195,7 +169,9 @@ pub fn max_feasible_batch(
 ) -> Option<usize> {
     let mut best = None;
     for &batch in candidates {
-        let model = kind.build_full(batch).ok()?;
+        // A batch whose graph cannot be built (its tensors overflow
+        // `usize` bytes) does not fit either.
+        let Ok(model) = kind.build_full(batch) else { continue };
         let hints = framework.hints(kind, batch);
         if profile_with_strategy(framework, &model, gpu, hints, strategy).is_ok() {
             best = Some(batch);
@@ -217,14 +193,36 @@ mod tests {
     }
 
     #[test]
-    fn baseline_matches_framework_profile_memory() {
-        let (fw, model, gpu, hints) = setup(16);
-        let opt = profile_with_strategy(fw, &model, &gpu, hints, Strategy::Baseline).unwrap();
-        let reference = fw.profile_with_hints(&model, &gpu, hints).unwrap();
-        let rel = (opt.total_bytes as f64 - reference.memory.total() as f64).abs()
-            / reference.memory.total() as f64;
-        assert!(rel < 0.02, "baseline footprint {} vs {}", opt.total_bytes, reference.memory.total());
-        assert_eq!(opt.overhead_s, 0.0);
+    fn baseline_is_the_framework_profile() {
+        // Every supported pair at b4 and b16 that fits: the Baseline rung
+        // must be the measured profile itself, bit for bit.
+        let gpu = GpuSpec::quadro_p4000();
+        for kind in ModelKind::ALL {
+            for batch in [4, 16] {
+                let model = kind.build_full(batch).unwrap();
+                for fw in Framework::all().into_iter().filter(|fw| fw.supports(kind)) {
+                    let hints = fw.hints(kind, batch);
+                    let Ok(reference) =
+                        fw.profile(&model, &gpu, hints, SpeedOptions::default(), None)
+                    else {
+                        continue;
+                    };
+                    let opt = profile_with_strategy(fw, &model, &gpu, hints, Strategy::Baseline)
+                        .expect("the baseline fits wherever the profile does");
+                    let pair = format!("{} / {} b{batch}", kind.name(), fw.name());
+                    assert_eq!(
+                        opt.iteration_s.to_bits(),
+                        reference.iteration.wall_time_s.to_bits(),
+                        "{pair}: iteration {} vs {}",
+                        opt.iteration_s,
+                        reference.iteration.wall_time_s
+                    );
+                    assert_eq!(opt.throughput.to_bits(), reference.throughput.to_bits(), "{pair}");
+                    assert_eq!(opt.total_bytes, reference.memory.total(), "{pair}");
+                    assert_eq!(opt.overhead_s, 0.0, "{pair}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -256,9 +254,11 @@ mod tests {
     #[test]
     fn offload_unlocks_larger_batches() {
         // The paper's ResNet-50 tops out at 32 on the 8 GB card; offloading
-        // 60 % of the feature maps must unlock 64 and beyond.
+        // 60 % of the feature maps must unlock 64 and beyond. A batch whose
+        // tensors overflow `usize` bytes cannot be built and counts as not
+        // fitting, without voiding the rest of the list.
         let gpu = GpuSpec::quadro_p4000();
-        let candidates = [16, 32, 64, 128];
+        let candidates = [16, 32, 64, 128, 1 << 62];
         let base = max_feasible_batch(
             ModelKind::ResNet50,
             Framework::mxnet(),

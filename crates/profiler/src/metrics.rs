@@ -1,6 +1,6 @@
 //! Workload metric assembly (§3.4.3).
 
-use tbd_frameworks::{Framework, WorkloadProfile};
+use tbd_frameworks::{Framework, SpeedOptions, WorkloadProfile};
 use tbd_gpusim::{GpuSpec, MemoryBreakdown, OutOfMemory};
 use tbd_models::{BuiltModel, ModelKind};
 
@@ -43,7 +43,7 @@ pub fn profile_workload(
     gpu: &GpuSpec,
 ) -> Result<WorkloadMetrics, OutOfMemory> {
     let hints = framework.hints(kind, model.batch);
-    let profile = framework.profile_with_hints(model, gpu, hints)?;
+    let profile = framework.profile(model, gpu, hints, SpeedOptions::default(), None)?;
     Ok(WorkloadMetrics {
         model: kind,
         framework: framework.name(),
@@ -61,6 +61,7 @@ pub fn profile_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbd_frameworks::WorkloadHints;
     use tbd_gpusim::MemoryCategory;
     use tbd_models::resnet::ResNetConfig;
 
@@ -87,7 +88,7 @@ mod tests {
         let gpu = GpuSpec::quadro_p4000();
         let with_hints =
             profile_workload(ModelKind::A3c, Framework::mxnet(), &model, &gpu).unwrap();
-        let without = Framework::mxnet().profile(&model, &gpu).unwrap();
+        let without = Framework::mxnet().profile(&model, &gpu, WorkloadHints::default(), SpeedOptions::default(), None).unwrap();
         assert!(with_hints.throughput < without.throughput / 2.0);
     }
 }

@@ -375,8 +375,8 @@ pub struct Capture {
 ///    executor under the framework's host-threading profile — per-node
 ///    spans with wave/thread attribution and output-value hashes,
 /// 3. the paper-scale simulated training iteration through
-///    [`Framework::profile_traced`] — allocator events, launch/kernel/sync
-///    timeline and framework-tagged spans.
+///    [`Framework::profile`], with the recorder as its tracer — allocator
+///    events, launch/kernel/sync timeline and framework-tagged spans.
 ///
 /// Out-of-memory at paper scale is *not* an error here: the returned
 /// trace ends with the failing allocation and [`Capture::oom`] is set.
@@ -440,8 +440,7 @@ pub fn capture_into(
     let hints = framework.hints(kind, batch);
     let speed = SpeedOptions { fuse: options.fuse, precision: options.precision };
     let t0 = Instant::now();
-    let (profile, oom) = match framework.profile_traced_with_speed(&full, gpu, hints, speed, recorder)
-    {
+    let (profile, oom) = match framework.profile(&full, gpu, hints, speed, Some(recorder)) {
         Ok(profile) => (Some(profile), None),
         Err(oom) => (None, Some(oom)),
     };

@@ -19,7 +19,7 @@ fn rnn_fusion_recovers_the_papers_headroom() {
     let fw = Framework::mxnet();
     let model = ModelKind::Seq2Seq.build_full(64).unwrap();
     let params = fw.execution_params(0);
-    let baseline = fw.plan(&model);
+    let baseline = fw.plan_with(&model, SpeedOptions::default());
     let fused = fuse_rnn(&baseline, 64);
     assert!(fused.len() * 4 < baseline.len(), "{} -> {}", baseline.len(), fused.len());
     let p0 = simulate_iteration(&baseline, &gpu, &cpu, &params);
@@ -65,10 +65,10 @@ fn yolo_is_single_shot_faster_than_faster_rcnn() {
     let fw = Framework::tensorflow();
     let yolo = tbd_models::yolo::YoloConfig::full().build(1).unwrap();
     let y = fw
-        .profile_with_hints(&yolo, &gpu, WorkloadHints { compute_derate: 0.8, ..WorkloadHints::default() })
+        .profile(&yolo, &gpu, WorkloadHints { compute_derate: 0.8, ..WorkloadHints::default() }, SpeedOptions::default(), None)
         .unwrap();
     let rcnn = ModelKind::FasterRcnn.build_full(1).unwrap();
-    let r = fw.profile_with_hints(&rcnn, &gpu, fw.hints(ModelKind::FasterRcnn, 1)).unwrap();
+    let r = fw.profile(&rcnn, &gpu, fw.hints(ModelKind::FasterRcnn, 1), SpeedOptions::default(), None).unwrap();
     assert!(y.throughput > 3.0 * r.throughput, "YOLO {} vs R-CNN {}", y.throughput, r.throughput);
     assert!(y.memory.total() < r.memory.total());
 }
@@ -103,11 +103,11 @@ fn gru_deepspeech_pays_for_its_gates() {
     let hints = fw.hints(ModelKind::DeepSpeech2, 1);
     let vanilla = DeepSpeechConfig::full().build(1).unwrap();
     let gru = DeepSpeechConfig::full_gru().build(1).unwrap();
-    let pv = fw.profile_with_hints(&vanilla, &gpu, hints).unwrap();
-    let pg = fw.profile_with_hints(&gru, &gpu, hints).unwrap();
+    let pv = fw.profile(&vanilla, &gpu, hints, SpeedOptions::default(), None).unwrap();
+    let pg = fw.profile(&gru, &gpu, hints, SpeedOptions::default(), None).unwrap();
     assert!(pg.throughput < pv.throughput, "gates cost time");
     assert!(pg.memory.total() > pv.memory.total(), "gates cost memory");
     // And the GRU variant hits the memory wall a batch earlier.
     let gru2 = DeepSpeechConfig::full_gru().build(2).unwrap();
-    assert!(fw.profile_with_hints(&gru2, &gpu, fw.hints(ModelKind::DeepSpeech2, 2)).is_err());
+    assert!(fw.profile(&gru2, &gpu, fw.hints(ModelKind::DeepSpeech2, 2), SpeedOptions::default(), None).is_err());
 }

@@ -139,8 +139,9 @@ proptest! {
         prop_assert!((0.0..=100.0).contains(&low));
     }
 
-    /// Data-parallel scaling efficiency never exceeds 1 and aggregate
-    /// throughput never shrinks when communication is free.
+    /// Data-parallel scaling efficiency never exceeds 1, the iteration is
+    /// never shorter than one worker's compute, and aggregate throughput
+    /// never falls below one worker's when no communication is exposed.
     #[test]
     fn cluster_scaling_bounds(
         compute in 0.01f64..2.0,
@@ -151,11 +152,32 @@ proptest! {
             backward: BackwardProfile::analytic(compute, grads, 16),
             per_gpu_batch: 16,
         };
-        let p = sim.simulate_events(&ClusterConfig::single_machine(gpus), &EventConfig::default()).profile;
+        let out = sim.simulate_events(&ClusterConfig::single_machine(gpus), &EventConfig::default());
+        let p = out.profile;
         prop_assert!(p.scaling_efficiency <= 1.0 + 1e-9);
-        prop_assert!(p.throughput >= 16.0 / compute - 1e-9);
         prop_assert!(p.iteration_s >= compute);
+        if out.exposed_comm_s == 0.0 {
+            prop_assert!(p.throughput >= 16.0 / compute - 1e-9);
+        }
     }
+}
+
+/// The corner that disproves an unconditional throughput floor: a 10 ms
+/// step exchanging 500 MB of gradients between 2 GPUs over PCIe exposes
+/// far more than one step of communication, so the pair trains slower
+/// than a single worker would.
+#[test]
+fn exposed_exchange_can_drop_below_one_worker() {
+    let (compute, gpus) = (0.01, 2);
+    let sim = DataParallelSim {
+        backward: BackwardProfile::analytic(compute, 5e8, 16),
+        per_gpu_batch: 16,
+    };
+    let out = sim.simulate_events(&ClusterConfig::single_machine(gpus), &EventConfig::default());
+    assert!(out.exposed_comm_s > (gpus - 1) as f64 * compute, "exposed {}", out.exposed_comm_s);
+    assert!(out.profile.throughput < 16.0 / compute, "throughput {}", out.profile.throughput);
+    assert!(out.profile.scaling_efficiency <= 1.0);
+    assert!(out.profile.iteration_s >= compute);
 }
 
 mod suite_properties {

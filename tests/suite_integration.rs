@@ -2,6 +2,7 @@
 //! memory plumbing between models, frameworks, simulator and profiler.
 
 use tbd_core::{paper_batches, table1, table2, Framework, GpuSpec, ModelKind, Suite};
+use tbd_frameworks::SpeedOptions;
 use tbd_graph::lower::{lower_training_iteration, memory_footprint};
 use tbd_graph::Phase;
 
@@ -55,7 +56,7 @@ fn faster_rcnn_matches_paper_inline_numbers() {
 #[test]
 fn kernel_stream_covers_forward_backward_update() {
     let model = ModelKind::ResNet50.build_full(4).unwrap();
-    let kernels = Framework::mxnet().plan(&model);
+    let kernels = Framework::mxnet().plan_with(&model, SpeedOptions::default());
     let fwd = kernels.iter().filter(|k| k.phase == Phase::Forward).count();
     let bwd = kernels.iter().filter(|k| k.phase == Phase::Backward).count();
     let upd = kernels.iter().filter(|k| k.phase == Phase::Update).count();
@@ -79,8 +80,8 @@ fn memory_footprint_scales_linearly_with_batch_for_cnns() {
 #[test]
 fn seq2seq_kernel_count_dwarfs_cnn_kernel_count() {
     // The structural cause of Observation 5: thousands of small kernels.
-    let cnn = Framework::mxnet().plan(&ModelKind::ResNet50.build_full(16).unwrap());
-    let rnn = Framework::mxnet().plan(&ModelKind::Seq2Seq.build_full(16).unwrap());
+    let cnn = Framework::mxnet().plan_with(&ModelKind::ResNet50.build_full(16).unwrap(), SpeedOptions::default());
+    let rnn = Framework::mxnet().plan_with(&ModelKind::Seq2Seq.build_full(16).unwrap(), SpeedOptions::default());
     assert!(
         rnn.len() > 4 * cnn.len(),
         "Seq2Seq launches {} kernels vs ResNet-50 {}",
