@@ -24,6 +24,7 @@
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use tbd_core::serve::{parse_framework, parse_model};
 use tbd_core::{
     kernel_table, paper_batches, Framework, GpuSpec, MemoryCategory, ModelKind, Suite,
     WorkloadMetrics,
@@ -424,31 +425,6 @@ fn wrap_into<'w>(out: &mut String, first: &str, words: impl Iterator<Item = &'w 
         line.push_str(word);
     }
     let _ = writeln!(out, "{indent}{line}");
-}
-
-fn parse_model(name: &str) -> Result<ModelKind, String> {
-    let normalized = name.to_lowercase().replace(['-', '_', ' '], "");
-    ModelKind::ALL
-        .into_iter()
-        .find(|k| k.name().to_lowercase().replace(['-', ' '], "") == normalized)
-        .or(match normalized.as_str() {
-            "resnet" => Some(ModelKind::ResNet50),
-            "inception" => Some(ModelKind::InceptionV3),
-            "nmt" | "sockeye" => Some(ModelKind::Seq2Seq),
-            "rcnn" | "fasterrcnn" => Some(ModelKind::FasterRcnn),
-            "ds2" | "deepspeech" => Some(ModelKind::DeepSpeech2),
-            _ => None,
-        })
-        .ok_or_else(|| format!("unknown model '{name}' (try `tbd list`)"))
-}
-
-fn parse_framework(name: &str) -> Result<Framework, String> {
-    match name.to_lowercase().as_str() {
-        "tensorflow" | "tf" => Ok(Framework::tensorflow()),
-        "mxnet" | "mx" => Ok(Framework::mxnet()),
-        "cntk" => Ok(Framework::cntk()),
-        other => Err(format!("unknown framework '{other}' (TensorFlow, MXNet, CNTK)")),
-    }
 }
 
 fn cmd_suite(args: &[&str]) -> Result<(), String> {
@@ -1152,38 +1128,33 @@ fn cmd_dot(args: &[&str]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[&str]) -> Result<(), String> {
+    use tbd_profiler::{observe, TraceOptions};
     let opts = ANALYZE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let suite = Suite::new(opts.gpu()?);
-    let built = model.build_full(batch).map_err(|e| e.to_string())?;
-    let report = tbd_profiler::analyze(
-        model,
-        framework,
-        &built,
-        suite.gpu(),
-        &tbd_profiler::SamplingConfig::default(),
-        42,
-    )
-    .map_err(|e| e.to_string())?;
+    let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+    let obs = observe(model, framework, batch, &opts.gpu()?, &options, None)
+        .map_err(|e| e.to_string())?;
+    let (Some(profile), Some((start, end, sampled))) = (&obs.capture.profile, obs.stable_window())
+    else {
+        return Err(match &obs.capture.oom {
+            Some(oom) => oom.to_string(),
+            None => "training run never reached a stable throughput window".to_string(),
+        });
+    };
+    let iteration = &profile.iteration;
     println!("{} on {} (b{batch}) — Fig. 3 analysis pipeline", model.name(), framework.name());
-    println!(
-        "  stable window: iterations {}..{} (warm-up and autotuning excluded)",
-        report.stable_window.0, report.stable_window.1
-    );
-    println!(
-        "  throughput: sampled {:.1}/s vs simulator {:.1}/s",
-        report.sampled_throughput, report.metrics.throughput
-    );
+    println!("  stable window: iterations {start}..{end} (warm-up and autotuning excluded)");
+    println!("  throughput: sampled {sampled:.1}/s vs simulator {:.1}/s", profile.throughput);
     println!(
         "  GPU {:.1}%  FP32 {:.1}%  CPU {:.1}%  memory {:.2} GB (feature maps {:.0}%)",
-        100.0 * report.metrics.gpu_utilization,
-        100.0 * report.metrics.fp32_utilization,
-        100.0 * report.metrics.cpu_utilization,
-        report.metrics.memory.total() as f64 / 1e9,
-        100.0 * report.metrics.memory.feature_map_fraction()
+        100.0 * iteration.gpu_utilization,
+        100.0 * iteration.fp32_utilization,
+        100.0 * iteration.cpu_utilization,
+        profile.memory.total() as f64 / 1e9,
+        100.0 * profile.memory.feature_map_fraction()
     );
     println!("  below-average-FP32 kernels:");
-    for row in &report.kernel_table {
+    for row in kernel_table(&iteration.records, framework, 5) {
         println!(
             "    {:>6.2}%  {:>5.1}%  {}",
             100.0 * row.duration_share,
@@ -1229,6 +1200,12 @@ mod tests {
         assert!(parse_model("alexnet").is_err());
         assert_eq!(parse_framework("tf").unwrap().name(), "TensorFlow");
         assert!(parse_framework("theano").is_err());
+    }
+
+    #[test]
+    fn analyze_fails_with_the_out_of_memory_message() {
+        let err = cmd_analyze(&["resnet50", "tensorflow", "512"]).unwrap_err();
+        assert!(err.contains("out of device memory"), "{err}");
     }
 
     #[test]

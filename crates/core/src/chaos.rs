@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use tbd_distrib::unit;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::trace::{fnv1a, TraceRecorder};
+use tbd_graph::trace::{events_digest, fnv1a, TraceRecorder};
 use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
 use tbd_memopt::Strategy;
 use tbd_models::ModelKind;
@@ -291,7 +291,6 @@ impl ChaosReport {
         let tracer = TraceRecorder::shared();
         let faulted = run_once(preset.spec(seed), Some(&tracer))?;
         let events = tracer.drain();
-        let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
         let diagnosis =
             tbd_profiler::diagnose_events(kind.name(), framework.name(), batch, &events);
 
@@ -327,7 +326,7 @@ impl ChaosReport {
             fault_free_hash: format!("{:016x}", clean.param_hash),
             replay_exact: faulted.param_hash == clean.param_hash,
             degradation: faulted.degraded.as_ref().map(DegradationSummary::from_outcome),
-            trace_digest: format!("{:016x}", fnv1a(canonical.as_bytes())),
+            trace_digest: format!("{:016x}", events_digest(&events)),
             diagnosis: Some(diagnosis),
         })
     }

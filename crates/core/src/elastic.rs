@@ -16,7 +16,7 @@ use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
 use tbd_profiler::json;
-use tbd_profiler::trace::{fnv1a, TraceRecorder};
+use tbd_profiler::trace::{events_digest, fnv1a, TraceRecorder};
 use tbd_profiler::TraceOptions;
 
 /// Version stamp of the elastic-report JSON schema.
@@ -198,7 +198,6 @@ impl ElasticReport {
                 let tracer = TraceRecorder::shared();
                 let out = sim.simulate_elastic_traced(&cluster, &config, &tracer);
                 let events = tracer.drain();
-                let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
                 let diagnosis =
                     tbd_profiler::diagnose_events(kind.name(), framework.name(), batch, &events);
                 entries.push(ElasticEntry {
@@ -216,7 +215,7 @@ impl ElasticReport {
                     goodput: out.goodput,
                     healthy_goodput: out.healthy_goodput,
                     goodput_fraction: out.goodput_fraction(),
-                    digest: format!("{:016x}", fnv1a(canonical.as_bytes())),
+                    digest: format!("{:016x}", events_digest(&events)),
                     diagnosis: Some(diagnosis.top1().class.label().to_string()),
                 });
             }

@@ -14,7 +14,7 @@ use tbd_distrib::{fig10_clusters, scale_grid, DataParallelSim, EventConfig, Stra
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_profiler::trace::{fnv1a, TraceRecorder};
+use tbd_profiler::trace::{events_digest, fnv1a, TraceRecorder};
 use tbd_profiler::{json, profile_workload};
 
 /// Version stamp of the scale-report JSON schema.
@@ -172,7 +172,6 @@ impl ScaleReport {
                 let tracer = TraceRecorder::shared();
                 let out = sim.simulate_events_traced(&cluster, &config, &tracer);
                 let events = tracer.drain();
-                let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
                 let diagnosis = tbd_profiler::diagnose_events(
                     kind.name(),
                     framework.name(),
@@ -197,7 +196,7 @@ impl ScaleReport {
                     overlap: out.overlap,
                     slowdown_factor: out.slowdown_factor,
                     retries: u64::from(out.retries),
-                    digest: format!("{:016x}", fnv1a(canonical.as_bytes())),
+                    digest: format!("{:016x}", events_digest(&events)),
                     diagnosis: Some(diagnosis.top1().class.label().to_string()),
                     cost_per_iteration,
                     cost_per_1k_samples,

@@ -33,7 +33,6 @@ pub mod memory;
 pub mod spec;
 pub mod timeline;
 pub mod timing;
-pub mod trace;
 
 pub use memory::{DeviceMemory, MemoryBreakdown, MemoryCategory, OutOfMemory};
 pub use spec::{CpuSpec, GpuSpec, Interconnect};
@@ -44,4 +43,3 @@ pub use timing::{
     is_matrix_class, kernel_timing, kernel_timing_memoized, kernel_timing_mixed,
     kernel_timing_with_speedup, roofline_memo_stats, Bound, KernelTiming,
 };
-pub use trace::export_chrome_trace;

@@ -862,6 +862,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     Fnv1a::new().update(bytes).finish()
 }
 
+/// FNV-1a digest of an event list: each event's canonical line
+/// ([`TraceEvent::write_canonical`]) followed by `'\n'`, streamed through
+/// the hasher without building the text.
+#[must_use]
+pub fn events_digest(events: &[TraceEvent]) -> u64 {
+    let mut hasher = Fnv1a::new();
+    for event in events {
+        let _ = event.write_canonical(&mut hasher);
+        hasher.update(b"\n");
+    }
+    hasher.finish()
+}
+
 /// Bitwise hash of an `f32` slice: equal exactly when the tensors are
 /// bitwise identical. Attached to executor node spans so trace digests
 /// assert the thread-count-invariance guarantee at the trace level.
@@ -946,6 +959,18 @@ mod tests {
         assert_eq!(a.canonical(), b.canonical());
         b.start_us = 1.5 + 1e-12;
         assert_ne!(a.canonical(), b.canonical(), "sim times are digested bit-exactly");
+    }
+
+    #[test]
+    fn events_digest_hashes_the_newline_terminated_canonical_lines() {
+        let events = [
+            TraceEvent::span("sgemm", TraceLayer::GpuSim, EventKind::KernelExec, 1.5, 2.5),
+            TraceEvent::instant("b", TraceLayer::Executor, EventKind::NodeExec, 2.0)
+                .with_arg("node", 3usize),
+        ];
+        let text: String = events.iter().map(|e| e.canonical() + "\n").collect();
+        assert_eq!(events_digest(&events), fnv1a(text.as_bytes()));
+        assert_eq!(events_digest(&[]), fnv1a(b""));
     }
 
     #[test]

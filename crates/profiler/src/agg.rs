@@ -463,7 +463,8 @@ struct AggState {
     elastic_healthy_goodput: f64,
 }
 
-fn arg_f64(event: &TraceEvent, key: &str) -> Option<f64> {
+/// A numeric (`F64` or `U64`) argument of `event`.
+pub(crate) fn arg_f64(event: &TraceEvent, key: &str) -> Option<f64> {
     event.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
         ArgValue::F64(x) => Some(*x),
         ArgValue::U64(x) => Some(*x as f64),

@@ -27,12 +27,12 @@
 //! empty trace therefore diagnoses `compute-bound` with confidence `0.0`
 //! and an "empty trace" evidence line — never NaN/Inf.
 
-use crate::agg::{aggregate, series, Log2Histogram, MetricsRegistry};
+use crate::agg::{aggregate, arg_f64, series, Log2Histogram, MetricsRegistry};
 use crate::json::{self, Codec, Value};
 use crate::sampling::SamplingConfig;
 use crate::trace::Trace;
 use std::fmt::Write as _;
-use tbd_graph::trace::{fnv1a, ArgValue, EventKind, TraceEvent, TraceLayer};
+use tbd_graph::trace::{fnv1a, EventKind, TraceEvent, TraceLayer};
 
 /// Version stamp of the diagnosis-report JSON schema.
 pub const DIAGNOSE_SCHEMA_VERSION: u64 = 1;
@@ -271,14 +271,6 @@ fn ratio(num: f64, den: f64) -> Option<f64> {
     } else {
         None
     }
-}
-
-fn arg_f64(event: &TraceEvent, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        ArgValue::F64(x) => Some(*x),
-        ArgValue::U64(x) => Some(*x as f64),
-        _ => None,
-    })
 }
 
 /// Deterministic rule inputs mined from the registry and the raw spans.

@@ -9,31 +9,29 @@
 //!   breakdown) for a workload × framework × device combination;
 //! * [`kernels`] — nvprof-style per-kernel aggregation and the
 //!   "longest kernels with below-average FP32 utilisation" tables
-//!   (paper Tables 5 and 6).
+//!   (paper Tables 5 and 6);
+//! * [`trace`] and [`live`] — the one analysis path of the paper's
+//!   Fig. 3 toolchain: [`observe`] records a workload into a [`Trace`],
+//!   folds it into a [`MetricsRegistry`] (stable-window throughput
+//!   included) and exports the nvprof-style timeline as Chrome JSON.
 //!
 //! # Examples
 //!
 //! ```
-//! use tbd_profiler::{analyze, SamplingConfig};
+//! use tbd_profiler::{kernel_table, observe, TraceOptions};
 //! use tbd_frameworks::Framework;
 //! use tbd_gpusim::GpuSpec;
 //! use tbd_models::ModelKind;
 //!
-//! # fn main() -> Result<(), tbd_profiler::AnalysisError> {
-//! let model = ModelKind::A3c.build_full(8).expect("builds");
-//! let report = analyze(
-//!     ModelKind::A3c,
-//!     Framework::mxnet(),
-//!     &model,
-//!     &GpuSpec::quadro_p4000(),
-//!     &SamplingConfig::default(),
-//!     1,
-//! )?;
-//! let rel = (report.sampled_throughput - report.metrics.throughput).abs()
-//!     / report.metrics.throughput;
+//! let framework = Framework::mxnet();
+//! let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+//! let obs = observe(ModelKind::A3c, framework, 8, &GpuSpec::quadro_p4000(), &options, None)
+//!     .expect("builds");
+//! let profile = obs.capture.profile.as_ref().expect("batch 8 fits the device");
+//! let (_, _, sampled) = obs.stable_window().expect("the run stabilises");
+//! let rel = (sampled - profile.throughput).abs() / profile.throughput;
 //! assert!(rel < 0.05, "sampling recovers the steady state");
-//! # Ok(())
-//! # }
+//! assert!(!kernel_table(&profile.iteration.records, framework, 5).is_empty());
 //! ```
 
 pub mod agg;
@@ -43,7 +41,6 @@ pub mod json;
 pub mod kernels;
 pub mod live;
 pub mod metrics;
-pub mod pipeline;
 pub mod pool;
 pub mod report;
 pub mod sampling;
@@ -61,9 +58,8 @@ pub use diagnose::{
     Evidence, DIAGNOSE_DRIFT_TOLERANCE, DIAGNOSE_SCHEMA_VERSION,
 };
 pub use kernels::{kernel_table, KernelTableRow};
-pub use pipeline::{analyze, AnalysisError, AnalysisReport};
 pub use metrics::{profile_workload, WorkloadMetrics};
-pub use trace::{capture, capture_into, Capture, KernelRow, SummaryRow, Trace, TraceOptions};
+pub use trace::{capture, capture_into, Capture, SummaryRow, Trace, TraceOptions};
 pub use sampling::{
     detect_stable_window, sampled_throughput, synthesize_run, SamplingConfig, TrainingRun,
 };

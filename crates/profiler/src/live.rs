@@ -30,7 +30,7 @@
 //! connection or a mid-request shutdown cannot poison it.
 
 use crate::agg::{series, MetricsRegistry, StreamingAggregator};
-use crate::diagnose::diagnose_events;
+use crate::diagnose::diagnose;
 use crate::http::{self, HttpFront, Response};
 use crate::pool::WorkerPool;
 use crate::report::{overhead_health_json, ReportContext};
@@ -72,6 +72,18 @@ pub struct Observation {
     pub gpu: String,
     /// The aggregator's human-readable markdown summary.
     pub markdown: String,
+}
+
+impl Observation {
+    /// The stable window `(start, end)` of the streamed training run and
+    /// the throughput sampled over it (§3.4.2), read back from the
+    /// registry's `stable_*` gauges. `None` when the run never stabilised
+    /// or, after an out-of-memory capture, never ran.
+    pub fn stable_window(&self) -> Option<(usize, usize, f64)> {
+        let gauge = |name| self.registry.gauge(name);
+        let start = gauge("stable_window_start")? as usize;
+        Some((start, start + gauge("stable_window_len")? as usize, gauge("stable_throughput")?))
+    }
 }
 
 /// Captures `kind × framework × batch` on `gpu` with a live streaming
@@ -181,10 +193,11 @@ pub struct RenderedReport {
 /// (pass [`crate::DIGEST_TIMESTAMP`] for a reproducible page); the digest always
 /// covers the timestamp-free render. The page is rendered once: the digest
 /// is taken from the same bytes ([`ReportContext::render_and_digest`]).
+/// The diagnosis reads the observation's registry, the one the page's
+/// metric table shows, so the trace is not folded a second time.
 pub fn render_report(obs: &Observation, timestamp: &str) -> RenderedReport {
     let trace = &obs.capture.trace;
-    let diagnosis =
-        diagnose_events(trace.model.name(), trace.framework, trace.batch, &trace.events);
+    let diagnosis = diagnose(trace, &obs.registry);
     let trace_digest = trace.digest_hex();
     let ctx = ReportContext {
         model: trace.model.name(),
@@ -533,5 +546,68 @@ mod tests {
             !registry.canonical().contains("999999"),
             "wall-clock nanoseconds stay out of the registry"
         );
+    }
+
+    /// The simulation-only observation `tbd analyze` runs.
+    fn analyze_observation(kind: ModelKind, framework: Framework, batch: usize) -> Observation {
+        let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+        observe(kind, framework, batch, &GpuSpec::quadro_p4000(), &options, None).expect("builds")
+    }
+
+    #[test]
+    fn observe_recovers_simulated_throughput_via_sampling() {
+        let obs = analyze_observation(ModelKind::A3c, Framework::mxnet(), 16);
+        let truth = obs.capture.profile.as_ref().expect("batch 16 fits").throughput;
+        let (start, end, sampled) = obs.stable_window().expect("the run stabilises");
+        let rel = (sampled - truth).abs() / truth;
+        assert!(rel < 0.05, "sampled {sampled} vs simulated {truth}");
+        // The window starts after the streamed run's 150 warm-up and 200
+        // autotuning iterations.
+        let window = crate::SamplingConfig::default().window;
+        assert!(start + window >= 150 + 200 && end > start, "{start}..{end}");
+    }
+
+    #[test]
+    fn observe_reports_oom_without_a_stable_window() {
+        let obs = analyze_observation(ModelKind::ResNet50, Framework::tensorflow(), 512);
+        assert!(obs.capture.profile.is_none());
+        let oom = obs.capture.oom.as_ref().expect("batch 512 exceeds 8 GB");
+        assert!(oom.to_string().contains("out of device memory"), "{oom}");
+        assert_eq!(obs.stable_window(), None);
+    }
+
+    #[test]
+    fn report_diagnosis_equals_the_diagnosis_of_the_whole_trace() {
+        use crate::diagnose::diagnose_events;
+        let pairs = [
+            (ModelKind::A3c, Framework::mxnet(), 16),
+            (ModelKind::Seq2Seq, Framework::tensorflow(), 64),
+            (ModelKind::ResNet50, Framework::cntk(), 16),
+            (ModelKind::ResNet50, Framework::tensorflow(), 512),
+        ];
+        for (kind, framework, batch) in pairs {
+            let gpu = GpuSpec::quadro_p4000();
+            let obs = observe(kind, framework, batch, &gpu, &TraceOptions::default(), None)
+                .expect("builds");
+            let trace = &obs.capture.trace;
+            let whole =
+                diagnose_events(trace.model.name(), trace.framework, trace.batch, &trace.events);
+            assert_eq!(diagnose(trace, &obs.registry), whole, "{kind:?} b{batch}");
+            let trace_digest = trace.digest_hex();
+            let ctx = ReportContext {
+                model: trace.model.name(),
+                framework: trace.framework,
+                batch: trace.batch,
+                gpu: &obs.gpu,
+                trace_digest: &trace_digest,
+                events: &trace.events,
+                registry: &obs.registry,
+                diagnosis: &whole,
+                overhead: obs.overhead.clone(),
+            };
+            let rendered = render_report(&obs, crate::DIGEST_TIMESTAMP);
+            assert_eq!(rendered.digest_hex, ctx.render_and_digest(crate::DIGEST_TIMESTAMP).1);
+            assert_eq!(obs.capture.oom.is_some(), batch == 512, "only b512 runs out of memory");
+        }
     }
 }

@@ -28,8 +28,8 @@ use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
-    fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, Fnv1a, TraceEvent, TraceLayer,
-    TraceRecorder,
+    events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, Fnv1a,
+    TraceEvent, TraceLayer, TraceRecorder,
 };
 
 /// A merged recording of one workload run across every layer.
@@ -44,18 +44,6 @@ pub struct Trace {
     /// All recorded events, in recording order (deterministic: parallel
     /// executor waves publish in ascending node order).
     pub events: Vec<TraceEvent>,
-}
-
-/// One row of the kernel-level summary used by the golden-trace diff and
-/// the nvprof-style table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRow {
-    /// Event name (kernel label).
-    pub name: String,
-    /// Number of invocations.
-    pub count: usize,
-    /// Summed duration in microseconds.
-    pub total_us: f64,
 }
 
 /// One row of the full nvprof-style summary: kernels, memcpys and
@@ -110,27 +98,6 @@ impl Trace {
     /// Events emitted by `layer`.
     pub fn layer_events(&self, layer: TraceLayer) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.layer == layer)
-    }
-
-    /// Per-kernel aggregation of the simulated device stream (kernel and
-    /// memcpy spans), ordered by total time descending, then by name.
-    pub fn kernel_rows(&self) -> Vec<KernelRow> {
-        let mut by_name: BTreeMap<&str, (usize, f64)> = BTreeMap::new();
-        for event in &self.events {
-            if event.layer == TraceLayer::GpuSim
-                && matches!(event.kind, EventKind::KernelExec | EventKind::Memcpy)
-            {
-                let slot = by_name.entry(&event.name).or_insert((0, 0.0));
-                slot.0 += 1;
-                slot.1 += event.dur_us;
-            }
-        }
-        let mut rows: Vec<KernelRow> = by_name
-            .into_iter()
-            .map(|(name, (count, total_us))| KernelRow { name: name.to_string(), count, total_us })
-            .collect();
-        rows.sort_by(|a, b| b.total_us.total_cmp(&a.total_us).then_with(|| a.name.cmp(&b.name)));
-        rows
     }
 
     /// Exports the trace in Chrome trace-event JSON ("JSON object format":
@@ -568,7 +535,7 @@ mod tests {
                 "layer {layer} must contribute events"
             );
         }
-        assert!(!cap.trace.kernel_rows().is_empty());
+        assert!(cap.trace.summary_rows().iter().any(|r| r.category == "kernel"));
     }
 
     #[test]
@@ -609,6 +576,80 @@ mod tests {
         );
     }
 
+    /// The parsed `traceEvents` records on the simulated GPU stream.
+    fn gpu_track_records(trace: &Trace) -> Vec<json::Value> {
+        let value = json::parse(&trace.to_chrome_json()).expect("exporter must emit valid JSON");
+        let field = |e: &json::Value, key| e.get(key).and_then(json::Value::as_f64);
+        let gpu_pid = f64::from(TraceLayer::GpuSim.pid());
+        let events = value.get("traceEvents").unwrap().as_array().unwrap();
+        events
+            .iter()
+            .filter(|e| field(e, "pid") == Some(gpu_pid) && field(e, "tid") == Some(1.0))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn trace_is_json_array_with_one_event_per_kernel() {
+        let span = |name: &'static str, start_us| {
+            TraceEvent::span(name, TraceLayer::GpuSim, EventKind::KernelExec, start_us, 10.0)
+                .on_track(1)
+        };
+        let trace = Trace {
+            model: ModelKind::ResNet50,
+            framework: "TensorFlow",
+            batch: 4,
+            events: vec![span("conv2d", 0.0), span("conv \"3x3\" \\ fused", 12.0)],
+        };
+        let records = gpu_track_records(&trace);
+        assert_eq!(records.len(), 2);
+        let names: Vec<_> =
+            records.iter().map(|e| e.get("name").and_then(json::Value::as_str).unwrap()).collect();
+        assert_eq!(names, ["conv2d", "conv \"3x3\" \\ fused"], "names are JSON-escaped");
+        assert!(records.iter().all(|e| e.get("ph").and_then(json::Value::as_str) == Some("X")));
+    }
+
+    #[test]
+    fn events_do_not_overlap_on_the_gpu_track() {
+        let options = TraceOptions { functional: false, ..TraceOptions::default() };
+        let cap = capture(
+            ModelKind::ResNet50,
+            Framework::tensorflow(),
+            4,
+            &GpuSpec::quadro_p4000(),
+            &options,
+        )
+        .unwrap();
+        let records = gpu_track_records(&cap.trace);
+        let kind_in = |e: &&json::Value, kinds: &[&str]| {
+            let kind = e.get("args").and_then(|a| a.get("kind")).and_then(json::Value::as_str);
+            kind.is_some_and(|k| kinds.contains(&k))
+        };
+        let kernels = records.iter().filter(|e| kind_in(e, &["kernel", "memcpy"])).count();
+        let profile = cap.profile.expect("batch 4 fits");
+        assert_eq!(kernels, profile.iteration.records.len(), "one span per kernel");
+        // Kernels, memcpys and sync gaps tile the stream in order (the
+        // whole-iteration span and allocator instants share the track).
+        let mut last_end = 0.0f64;
+        for e in records.iter().filter(|e| kind_in(e, &["kernel", "memcpy", "sync"])) {
+            let ts = e.get("ts").and_then(json::Value::as_f64).unwrap();
+            let dur = e.get("dur").and_then(json::Value::as_f64).unwrap();
+            // Both fields are written to 1 ns, so allow two roundings.
+            assert!(ts >= last_end - 2e-3, "spans overlap: {ts} < {last_end}");
+            last_end = ts + dur;
+        }
+        assert!(last_end > 0.0);
+    }
+
+    #[test]
+    fn empty_trace_is_valid() {
+        let trace =
+            Trace { model: ModelKind::A3c, framework: "MXNet", batch: 1, events: Vec::new() };
+        let value = json::parse(&trace.to_chrome_json()).expect("valid JSON");
+        assert_eq!(value.get("traceEvents").unwrap().as_array().unwrap().len(), 0);
+        assert!(gpu_track_records(&trace).is_empty());
+    }
+
     #[test]
     fn nvprof_summary_lists_dominant_kernels() {
         let cap = quick_capture(1);
@@ -616,7 +657,7 @@ mod tests {
         assert!(summary.contains("GPU activities"));
         assert!(summary.contains("Time%"));
         assert!(summary.contains("Cum%"));
-        let rows = cap.trace.kernel_rows();
+        let rows = cap.trace.summary_rows();
         assert!(summary.contains(rows[0].name.as_str()));
         // Rows are sorted by total time descending.
         assert!(rows.windows(2).all(|w| w[0].total_us >= w[1].total_us));

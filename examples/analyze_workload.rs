@@ -1,14 +1,14 @@
 //! Runs the paper's full Fig. 3 analysis pipeline on one workload and
-//! writes an nvprof-style kernel timeline as a Chrome trace file:
-//! comparability check → simulate → synthesise the training run → detect the
-//! stable window → sample throughput → metrics + kernel table.
+//! writes its timeline as a Chrome trace file: comparability check →
+//! observe the simulated run (trace, metrics registry, streamed training
+//! run) → stable window and sampled throughput → metrics + kernel table.
 //!
 //! ```sh
 //! cargo run --release --example analyze_workload
 //! ```
 
-use tbd_core::{compare_models, Framework, GpuSpec, ModelKind};
-use tbd_profiler::{analyze, SamplingConfig};
+use tbd_core::{compare_models, kernel_table, Framework, GpuSpec, ModelKind};
+use tbd_profiler::{observe, TraceOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kind = ModelKind::ResNet50;
@@ -29,24 +29,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Steps 2-4 (§3.4.2-3.4.3): warm-up-aware sampling + the metric set.
-    let analysis = analyze(kind, framework, &model, &gpu, &SamplingConfig::default(), 7)?;
+    let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+    let obs = observe(kind, framework, batch, &gpu, &options, None)?;
+    let (Some(profile), Some((start, end, sampled))) = (&obs.capture.profile, obs.stable_window())
+    else {
+        return Err(match &obs.capture.oom {
+            Some(oom) => oom.to_string().into(),
+            None => "training run never reached a stable throughput window".into(),
+        });
+    };
     println!("\n{} on {} (batch {batch}, {}):", kind.name(), framework.name(), gpu.name);
     println!(
-        "  sampled over stable window {}..{}: {:.1} images/s (simulator: {:.1})",
-        analysis.stable_window.0,
-        analysis.stable_window.1,
-        analysis.sampled_throughput,
-        analysis.metrics.throughput
+        "  sampled over stable window {start}..{end}: {sampled:.1} images/s (simulator: {:.1})",
+        profile.throughput
     );
     println!(
         "  GPU {:.1} % | FP32 {:.1} % | CPU {:.1} % | memory {:.2} GB",
-        100.0 * analysis.metrics.gpu_utilization,
-        100.0 * analysis.metrics.fp32_utilization,
-        100.0 * analysis.metrics.cpu_utilization,
-        analysis.metrics.memory.total() as f64 / 1e9
+        100.0 * profile.iteration.gpu_utilization,
+        100.0 * profile.iteration.fp32_utilization,
+        100.0 * profile.iteration.cpu_utilization,
+        profile.memory.total() as f64 / 1e9
     );
     println!("  kernels with below-average FP32 utilisation:");
-    for row in &analysis.kernel_table {
+    for row in kernel_table(&profile.iteration.records, framework, 5) {
         println!(
             "    {:>6.2}%  {:>5.1}%  {}",
             100.0 * row.duration_share,
@@ -55,17 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Step 5: export the kernel timeline (load in chrome://tracing).
-    let input_bytes: u64 = model
-        .inputs
-        .values()
-        .map(|&id| model.graph.node(id).shape.byte_len() as u64)
-        .sum();
-    let params = framework.execution_params(input_bytes);
-    let trace =
-        tbd_gpusim::export_chrome_trace(&analysis.metrics.profile.iteration.records, &params);
+    // Step 5: export the timeline (load in chrome://tracing or Perfetto).
     let path = std::env::temp_dir().join("tbd_resnet50_trace.json");
-    std::fs::write(&path, trace)?;
-    println!("\nkernel timeline written to {} (open in chrome://tracing)", path.display());
+    std::fs::write(&path, obs.capture.trace.to_chrome_json())?;
+    println!("\ntimeline written to {} (open in chrome://tracing)", path.display());
     Ok(())
 }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use tbd_core::{Framework, GpuSpec, ModelKind};
-use tbd_profiler::{capture, Capture, KernelRow, TraceOptions};
+use tbd_profiler::{capture, Capture, SummaryRow, Trace, TraceOptions};
 
 /// The pinned workload × framework pairs (small batch keeps this fast).
 const GOLDEN_PAIRS: [(ModelKind, fn() -> Framework); 6] = [
@@ -53,6 +53,11 @@ fn capture_at(kind: ModelKind, framework: Framework, threads: usize) -> Capture 
         .unwrap_or_else(|e| panic!("{} capture failed: {e}", kind.name()))
 }
 
+/// The summary rows of the simulated device stream (kernels and memcpys).
+fn kernel_rows(trace: &Trace) -> Vec<SummaryRow> {
+    trace.summary_rows().into_iter().filter(|row| row.category != "comm").collect()
+}
+
 /// Renders the golden-file text for a capture.
 fn render_golden(cap: &Capture) -> String {
     let trace = &cap.trace;
@@ -66,7 +71,7 @@ fn render_golden(cap: &Capture) -> String {
     let _ = writeln!(out, "framework {}", trace.framework);
     let _ = writeln!(out, "batch {}", trace.batch);
     let _ = writeln!(out, "events {}", trace.events.len());
-    for row in trace.kernel_rows() {
+    for row in kernel_rows(trace) {
         let _ = writeln!(out, "kernel {} {:.3} {}", row.count, row.total_us, row.name);
     }
     out
@@ -93,9 +98,9 @@ fn golden_digest(text: &str) -> Option<&str> {
 }
 
 /// Human-readable kernel-level diff between a golden file and a capture.
-fn kernel_diff(golden: &BTreeMap<String, (usize, f64)>, actual: &[KernelRow]) -> String {
+fn kernel_diff(golden: &BTreeMap<String, (usize, f64)>, actual: &[SummaryRow]) -> String {
     let mut out = String::new();
-    let actual_by_name: BTreeMap<&str, &KernelRow> =
+    let actual_by_name: BTreeMap<&str, &SummaryRow> =
         actual.iter().map(|r| (r.name.as_str(), r)).collect();
     for (name, &(count, total)) in golden {
         match actual_by_name.get(name.as_str()) {
@@ -167,7 +172,8 @@ fn golden_traces_match_at_one_and_four_threads() {
         let got = cap1.trace.digest_hex();
         if expected != got {
             let _ = writeln!(failures, "{label}: digest {expected} -> {got}; kernel-level diff:");
-            failures.push_str(&kernel_diff(&parse_golden_kernels(&golden), &cap1.trace.kernel_rows()));
+            let golden_kernels = parse_golden_kernels(&golden);
+            failures.push_str(&kernel_diff(&golden_kernels, &kernel_rows(&cap1.trace)));
         }
     }
     assert!(
