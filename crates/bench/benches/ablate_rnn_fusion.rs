@@ -35,7 +35,7 @@ fn main() {
         ("graph fusion", &graph_fused),
         ("fused RNN (cuDNN)", &fused),
     ] {
-        let p = simulate_iteration(stream, &gpu, &cpu, &params);
+        let p = simulate_iteration(stream, &gpu, &cpu, &params, None);
         println!(
             "{:<22} {:>9} {:>9.1}/s {:>9.1}% {:>9.1}%",
             label,

@@ -20,7 +20,7 @@ fn main() {
     for (label, config) in configs {
         let [ps, ar] = [SyncStrategy::ParameterServer, SyncStrategy::RingAllReduce].map(|sync| {
             let cluster = ClusterConfig { sync, ..config };
-            sim.simulate_events(&cluster, &EventConfig::default()).profile.throughput
+            sim.simulate_events(&cluster, &EventConfig::default(), None).profile.throughput
         });
         println!("{:<22} {:>12.1}/s {:>14.1}/s", label, ps, ar);
     }

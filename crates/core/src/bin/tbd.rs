@@ -1062,6 +1062,9 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
     let gpu = opts.gpu()?;
     let matrix = opts.has("--matrix");
     let (fuse, precision) = opts.speed()?;
+    // An unusable `--out` fails here, not after the whole matrix has run.
+    let dir = opts.value("--out").unwrap_or(".");
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating output directory {dir}: {e}"))?;
     eprintln!(
         "benching {} on {} through the streaming aggregator ({}, {precision})...",
         if matrix { "the full supported matrix" } else { "the six golden pairs" },
@@ -1089,7 +1092,6 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
             tier.speedup()
         );
     }
-    let dir = opts.value("--out").unwrap_or(".");
     let path = format!("{}/{}", dir.trim_end_matches('/'), report.file_name());
     let json = report.to_json().to_string();
     std::fs::write(&path, &json).map_err(|e| format!("writing {path}: {e}"))?;
@@ -1206,6 +1208,17 @@ mod tests {
     fn analyze_fails_with_the_out_of_memory_message() {
         let err = cmd_analyze(&["resnet50", "tensorflow", "512"]).unwrap_err();
         assert!(err.contains("out of device memory"), "{err}");
+    }
+
+    #[test]
+    fn bench_out_under_a_regular_file_fails_before_the_matrix_runs() {
+        let file = std::env::temp_dir().join(format!("tbd-bench-out-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let dir = file.join("bench");
+        let dir = dir.to_str().unwrap();
+        let err = cmd_bench(&["--matrix", "--out", dir]).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(err.starts_with(&format!("creating output directory {dir}: ")), "{err}");
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub fn run_diagnose(
             ..EventConfig::default()
         };
         let tracer = TraceRecorder::shared();
-        let _ = sim.simulate_events_traced(&cluster, &config, &tracer);
+        let _ = sim.simulate_events(&cluster, &config, Some(&tracer));
         events.extend(tracer.drain());
     }
 

@@ -3,8 +3,9 @@
 //! One worker's iteration is profiled through the traced capture spine
 //! (so the report is provably invariant across `intra_op_threads` — the
 //! same bitwise guarantee the golden traces pin), then every Fig. 10
-//! cluster is replayed through [`DataParallelSim::simulate_elastic_traced`]
-//! at a ladder of churn rates, rate 0.0 included so the report itself
+//! cluster is replayed through
+//! [`tbd_distrib::DataParallelSim::simulate_elastic`] with a trace sink at
+//! a ladder of churn rates, rate 0.0 included so the report itself
 //! exhibits the monotone-goodput law: more churn never buys goodput.
 //! Reports serialise through the in-tree JSON model for the CI `elastic`
 //! job's `--check` gate, and render as a markdown table for humans.
@@ -196,7 +197,7 @@ impl ElasticReport {
                 let churn = ChurnSpec::with_seed(seed).with_rate(rate);
                 let config = ElasticConfig::new(churn, steps);
                 let tracer = TraceRecorder::shared();
-                let out = sim.simulate_elastic_traced(&cluster, &config, &tracer);
+                let out = sim.simulate_elastic(&cluster, &config, Some(&tracer));
                 let events = tracer.drain();
                 let diagnosis =
                     tbd_profiler::diagnose_events(kind.name(), framework.name(), batch, &events);

@@ -10,7 +10,9 @@
 //! job's `--check` gate, and render as a markdown table for humans.
 
 use std::fmt::Write as _;
-use tbd_distrib::{fig10_clusters, scale_grid, DataParallelSim, EventConfig, StragglerSpec};
+use tbd_distrib::{
+    fig10_clusters, scale_grid, ClusterConfig, DataParallelSim, EventConfig, StragglerSpec,
+};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
@@ -69,6 +71,61 @@ pub struct ScaleEntry {
 }
 
 impl ScaleEntry {
+    /// Evaluates one grid point: replays `sim` over `cluster` through the
+    /// event engine into a fresh [`TraceRecorder`] (stragglers seeded by
+    /// `straggler_seed`), digests the events, takes the top-1
+    /// trace-mining diagnosis, and prices the iteration at
+    /// [`GpuSpec::price_per_hour`]. `tbd scale` and `tbd serve` both
+    /// answer a cluster point through this one function.
+    pub fn replay(
+        sim: &DataParallelSim,
+        label: String,
+        cluster: &ClusterConfig,
+        straggler_seed: Option<u64>,
+        kind: ModelKind,
+        framework: Framework,
+        gpu: &GpuSpec,
+    ) -> ScaleEntry {
+        let batch = sim.per_gpu_batch;
+        let config = EventConfig {
+            stragglers: straggler_seed.map(StragglerSpec::with_seed),
+            ..EventConfig::default()
+        };
+        let tracer = TraceRecorder::shared();
+        let out = sim.simulate_events(cluster, &config, Some(&tracer));
+        let events = tracer.drain();
+        let diagnosis =
+            tbd_profiler::diagnose_events(kind.name(), framework.name(), batch, &events);
+        let cost_per_iteration = (gpu.price_per_hour > 0.0)
+            .then(|| cluster.cost_per_iteration(gpu.price_per_hour, out.profile.iteration_s));
+        ScaleEntry {
+            label,
+            sync: cluster.sync.name().to_string(),
+            workers: cluster.workers(),
+            buckets: out.buckets.len(),
+            iteration_s: out.profile.iteration_s,
+            throughput: out.profile.throughput,
+            scaling_efficiency: out.profile.scaling_efficiency,
+            comm_s: out.total_comm_s,
+            exposed_comm_s: out.exposed_comm_s,
+            overlap: out.overlap,
+            slowdown_factor: out.slowdown_factor,
+            retries: u64::from(out.retries),
+            digest: format!("{:016x}", events_digest(&events)),
+            diagnosis: Some(diagnosis.top1().class.label().to_string()),
+            cost_per_iteration,
+            cost_per_1k_samples: cost_per_iteration
+                .map(|c| c * 1000.0 / (cluster.workers() * batch) as f64),
+        }
+    }
+
+    /// Exposed-communication share of the iteration: `exposed_comm_s /
+    /// iteration_s`, or `None` for a zero-duration iteration.
+    pub fn exposed_comm_ratio(&self) -> Option<f64> {
+        (self.iteration_s > 0.0 && self.iteration_s.is_finite())
+            .then(|| self.exposed_comm_s / self.iteration_s)
+    }
+
     /// Stable identity within a report.
     pub fn key(&self) -> &str {
         &self.label
@@ -161,46 +218,11 @@ impl ScaleReport {
         let metrics =
             profile_workload(kind, framework, &model, gpu).map_err(|e| e.to_string())?;
         let sim = DataParallelSim::from_iteration(&model.graph, &metrics.profile.iteration, batch);
-        let config = EventConfig {
-            stragglers: straggler_seed.map(StragglerSpec::with_seed),
-            ..EventConfig::default()
-        };
         let grid = if sweep { scale_grid() } else { fig10_clusters() };
         let entries = grid
             .into_iter()
             .map(|(label, cluster)| {
-                let tracer = TraceRecorder::shared();
-                let out = sim.simulate_events_traced(&cluster, &config, &tracer);
-                let events = tracer.drain();
-                let diagnosis = tbd_profiler::diagnose_events(
-                    kind.name(),
-                    framework.name(),
-                    batch,
-                    &events,
-                );
-                let cost_per_iteration = (gpu.price_per_hour > 0.0).then(|| {
-                    cluster.cost_per_iteration(gpu.price_per_hour, out.profile.iteration_s)
-                });
-                let cost_per_1k_samples = cost_per_iteration
-                    .map(|c| c * 1000.0 / (cluster.workers() * batch) as f64);
-                ScaleEntry {
-                    label,
-                    sync: cluster.sync.name().to_string(),
-                    workers: cluster.workers(),
-                    buckets: out.buckets.len(),
-                    iteration_s: out.profile.iteration_s,
-                    throughput: out.profile.throughput,
-                    scaling_efficiency: out.profile.scaling_efficiency,
-                    comm_s: out.total_comm_s,
-                    exposed_comm_s: out.exposed_comm_s,
-                    overlap: out.overlap,
-                    slowdown_factor: out.slowdown_factor,
-                    retries: u64::from(out.retries),
-                    digest: format!("{:016x}", events_digest(&events)),
-                    diagnosis: Some(diagnosis.top1().class.label().to_string()),
-                    cost_per_iteration,
-                    cost_per_1k_samples,
-                }
+                ScaleEntry::replay(&sim, label, &cluster, straggler_seed, kind, framework, gpu)
             })
             .collect();
         Ok(ScaleReport {
@@ -353,6 +375,19 @@ mod tests {
         let mut moved = report.clone();
         moved.entries[0].throughput *= 1.01;
         assert!(moved.check_drift(&report, SCALE_DRIFT_TOLERANCE).is_err());
+    }
+
+    #[test]
+    fn exposed_comm_ratio_guards_a_zero_duration_iteration() {
+        let mut entry = tiny_report().entries.swap_remove(3);
+        assert_eq!(entry.label, "2M1G ethernet");
+        let ratio = entry.exposed_comm_ratio().expect("finite iteration");
+        assert_eq!(ratio.to_bits(), (entry.exposed_comm_s / entry.iteration_s).to_bits());
+        assert!((0.0..1.0).contains(&ratio), "{ratio}");
+        for iteration_s in [0.0, f64::INFINITY, f64::NAN] {
+            entry.iteration_s = iteration_s;
+            assert_eq!(entry.exposed_comm_ratio(), None, "{iteration_s}");
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! simulated verdict: iteration time, throughput, scaling efficiency,
 //! exposed-communication ratio, the top-1 trace-mining diagnosis, and the
 //! TCO columns ($/iteration, $/1k samples from
-//! [`GpuSpec::price_per_hour`]).
+//! [`GpuSpec::price_per_hour`]). A cold query is one
+//! [`ScaleEntry::replay`] — the grid-point evaluator `tbd scale` runs —
+//! over the cached worker model, so a `fuse=0` answer carries exactly the
+//! numbers of the scale report's entry of the same label and seed.
 //!
 //! # Why responses are deterministic
 //!
@@ -44,10 +47,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use tbd_distrib::{DataParallelSim, EventConfig, StragglerSpec};
+use tbd_distrib::DataParallelSim;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::trace::TraceRecorder;
 use tbd_models::ModelKind;
 use tbd_profiler::http::{self, HttpFront, Response};
 use tbd_profiler::json::Value;
@@ -57,6 +59,7 @@ use tbd_profiler::{capture, TraceOptions};
 use tbd_tensor::Precision;
 
 use crate::diagnose::resolve_cluster;
+use crate::scale::ScaleEntry;
 
 /// Version stamp of the serve-response JSON schema.
 pub const SERVE_SCHEMA_VERSION: u64 = 1;
@@ -458,29 +461,23 @@ impl ServeEngine {
         Ok(Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(worker))))
     }
 
-    /// Cold compute of one query: cluster replay over the cached profile,
-    /// diagnosis, TCO, rendered to the canonical response JSON.
+    /// Cold compute of one query: the [`ScaleEntry::replay`] of the
+    /// requested cluster over the cached profile, rendered to the
+    /// canonical response JSON.
     fn compute(&self, query: &ServeQuery, digest: u64) -> Result<Arc<String>, String> {
         let cluster = resolve_cluster(&query.cluster)?;
         let sim = self.worker(query)?;
-        let config = EventConfig {
-            stragglers: query.straggler_seed.map(StragglerSpec::with_seed),
-            ..EventConfig::default()
-        };
-        let tracer = TraceRecorder::shared();
-        let out = sim.simulate_events_traced(&cluster, &config, &tracer);
-        let events = tracer.drain();
-        let diagnosis = tbd_profiler::diagnose_events(
-            query.model.name(),
-            query.framework.name(),
-            query.batch,
-            &events,
+        let entry = ScaleEntry::replay(
+            &sim,
+            query.cluster.clone(),
+            &cluster,
+            query.straggler_seed,
+            query.model,
+            query.framework,
+            &self.gpu,
         );
         let price = self.gpu.price_per_hour;
-        let cost_per_iteration =
-            (price > 0.0).then(|| cluster.cost_per_iteration(price, out.profile.iteration_s));
-        let cost_per_1k_samples =
-            cost_per_iteration.map(|c| c * 1000.0 / (cluster.workers() * query.batch) as f64);
+        let exposed_comm_ratio = entry.exposed_comm_ratio();
         let opt_num = |v: Option<f64>| v.map_or(Value::Null, Value::Num);
         let mut obj = BTreeMap::new();
         obj.insert("schema_version".into(), Value::Num(SERVE_SCHEMA_VERSION as f64));
@@ -489,30 +486,27 @@ impl ServeEngine {
         obj.insert("batch".into(), Value::Num(query.batch as f64));
         obj.insert("fuse".into(), Value::Bool(query.fuse));
         obj.insert("precision".into(), Value::Str(query.precision.to_string()));
-        obj.insert("cluster".into(), Value::Str(query.cluster.clone()));
-        obj.insert("sync".into(), Value::Str(cluster.sync.name().to_string()));
+        obj.insert("cluster".into(), Value::Str(entry.label));
+        obj.insert("sync".into(), Value::Str(entry.sync));
         obj.insert(
             "straggler_seed".into(),
             query.straggler_seed.map_or(Value::Null, |s| Value::Num(s as f64)),
         );
         obj.insert("gpu".into(), Value::Str(self.gpu.name.clone()));
-        obj.insert("workers".into(), Value::Num(cluster.workers() as f64));
-        obj.insert("iteration_s".into(), Value::Num(out.profile.iteration_s));
-        obj.insert("throughput".into(), Value::Num(out.profile.throughput));
-        obj.insert("scaling_efficiency".into(), Value::Num(out.profile.scaling_efficiency));
-        obj.insert("comm_s".into(), Value::Num(out.total_comm_s));
-        obj.insert("exposed_comm_s".into(), Value::Num(out.exposed_comm_s));
-        obj.insert("exposed_comm_ratio".into(), opt_num(out.exposed_fraction()));
-        obj.insert("overlap".into(), Value::Num(out.overlap));
-        obj.insert("slowdown_factor".into(), Value::Num(out.slowdown_factor));
-        obj.insert("retries".into(), Value::Num(f64::from(out.retries)));
-        obj.insert(
-            "diagnosis".into(),
-            Value::Str(diagnosis.top1().class.label().to_string()),
-        );
+        obj.insert("workers".into(), Value::Num(entry.workers as f64));
+        obj.insert("iteration_s".into(), Value::Num(entry.iteration_s));
+        obj.insert("throughput".into(), Value::Num(entry.throughput));
+        obj.insert("scaling_efficiency".into(), Value::Num(entry.scaling_efficiency));
+        obj.insert("comm_s".into(), Value::Num(entry.comm_s));
+        obj.insert("exposed_comm_s".into(), Value::Num(entry.exposed_comm_s));
+        obj.insert("exposed_comm_ratio".into(), opt_num(exposed_comm_ratio));
+        obj.insert("overlap".into(), Value::Num(entry.overlap));
+        obj.insert("slowdown_factor".into(), Value::Num(entry.slowdown_factor));
+        obj.insert("retries".into(), Value::Num(entry.retries as f64));
+        obj.insert("diagnosis".into(), entry.diagnosis.map_or(Value::Null, Value::Str));
         obj.insert("price_per_hour".into(), opt_num((price > 0.0).then_some(price)));
-        obj.insert("cost_per_iteration".into(), opt_num(cost_per_iteration));
-        obj.insert("cost_per_1k_samples".into(), opt_num(cost_per_1k_samples));
+        obj.insert("cost_per_iteration".into(), opt_num(entry.cost_per_iteration));
+        obj.insert("cost_per_1k_samples".into(), opt_num(entry.cost_per_1k_samples));
         obj.insert("query_digest".into(), Value::Str(format!("{digest:016x}")));
         Ok(Arc::new(Value::Obj(obj).to_string()))
     }

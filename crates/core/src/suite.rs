@@ -148,7 +148,7 @@ mod tests {
         let worker = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, 32);
         let throughput = |gpus| {
             let cluster = ClusterConfig::single_machine(gpus);
-            worker.simulate_events(&cluster, &EventConfig::default()).profile.throughput
+            worker.simulate_events(&cluster, &EventConfig::default(), None).profile.throughput
         };
         assert!(throughput(4) > 2.0 * throughput(1));
     }

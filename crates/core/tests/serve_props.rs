@@ -14,6 +14,8 @@
 //!   worker exits.
 //! * shutdown is prompt for any bind address, even when the acceptor has
 //!   sat blocked in `accept()` on an idle listener.
+//! * an unfused query answers exactly the `tbd scale` entry of the same
+//!   grid label and straggler seed: both run `ScaleEntry::replay`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -21,7 +23,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use tbd_core::serve::ServeQuery;
-use tbd_core::{GpuSpec, ServeConfig, ServeEngine, ServeServer};
+use tbd_core::{Framework, GpuSpec, ModelKind, ScaleReport, ServeConfig, ServeEngine, ServeServer};
+use tbd_profiler::json::{self, Value};
 
 /// One whole HTTP exchange: send `GET <path>`, read to EOF, return the
 /// raw response bytes as text.
@@ -67,6 +70,53 @@ fn cache_hits_are_byte_identical_to_cold_computes_across_threads() {
             }
         }
         assert_eq!(engine.misses(), 1, "hits never recompute (shards={shards})");
+    }
+}
+
+#[test]
+fn unfused_queries_equal_the_scale_sweep_entries_bit_for_bit() {
+    let gpu = GpuSpec::quadro_p4000();
+    let engine = ServeEngine::new(gpu.clone());
+    for seed in [None, Some(42)] {
+        let report = ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), 16, &gpu, true, seed)
+            .expect("ResNet-50 b16 fits");
+        assert_eq!(report.entries.len(), 15, "full 1M1G→4M4G grid");
+        for entry in &report.entries {
+            let query = ServeQuery {
+                batch: 16,
+                fuse: false,
+                cluster: entry.label.clone(),
+                straggler_seed: seed,
+                ..ServeQuery::golden()
+            };
+            let response = engine.query(&query).expect("grid label resolves");
+            let answer = json::parse(&response).expect("response is JSON");
+            let num = |key: &str| answer.get(key).and_then(Value::as_f64);
+            let point = format!("{} seed {seed:?}", entry.label);
+            for (key, want) in [
+                ("throughput", entry.throughput),
+                ("iteration_s", entry.iteration_s),
+                ("comm_s", entry.comm_s),
+                ("exposed_comm_s", entry.exposed_comm_s),
+                ("overlap", entry.overlap),
+                ("scaling_efficiency", entry.scaling_efficiency),
+            ] {
+                assert_eq!(num(key).map(f64::to_bits), Some(want.to_bits()), "{point}: {key}");
+            }
+            for (key, want) in [
+                ("cost_per_iteration", entry.cost_per_iteration),
+                ("cost_per_1k_samples", entry.cost_per_1k_samples),
+                ("exposed_comm_ratio", entry.exposed_comm_ratio()),
+            ] {
+                assert!(want.is_some(), "{point}: {key} is priced");
+                assert_eq!(num(key).map(f64::to_bits), want.map(f64::to_bits), "{point}: {key}");
+            }
+            assert_eq!(
+                answer.get("diagnosis").and_then(Value::as_str),
+                entry.diagnosis.as_deref(),
+                "{point}: diagnosis"
+            );
+        }
     }
 }
 

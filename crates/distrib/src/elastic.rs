@@ -285,29 +285,13 @@ impl DataParallelSim {
     /// Simulates `config.steps` synchronous iterations on `cluster` under
     /// the churn schedule, degrading the collective to the surviving
     /// cohort on every eviction and re-forming it on every rejoin.
+    ///
+    /// With a `tracer`, the run also emits one [`EventKind::Membership`]
+    /// instant per epoch change, one [`EventKind::Eviction`] /
+    /// [`EventKind::Rejoin`] instant per worker transition, and a summary
+    /// `elastic/run` span carrying the goodput accounting; tracing never
+    /// changes the outcome.
     pub fn simulate_elastic(
-        &self,
-        cluster: &ClusterConfig,
-        config: &ElasticConfig,
-    ) -> ElasticOutcome {
-        self.simulate_elastic_inner(cluster, config, None)
-    }
-
-    /// [`DataParallelSim::simulate_elastic`] with a trace sink: emits one
-    /// [`EventKind::Membership`] instant per epoch change, one
-    /// [`EventKind::Eviction`] / [`EventKind::Rejoin`] instant per worker
-    /// transition, and a summary `elastic/run` span carrying the goodput
-    /// accounting.
-    pub fn simulate_elastic_traced(
-        &self,
-        cluster: &ClusterConfig,
-        config: &ElasticConfig,
-        tracer: &TraceRecorder,
-    ) -> ElasticOutcome {
-        self.simulate_elastic_inner(cluster, config, Some(tracer))
-    }
-
-    fn simulate_elastic_inner(
         &self,
         cluster: &ClusterConfig,
         config: &ElasticConfig,
@@ -353,13 +337,13 @@ impl DataParallelSim {
         // re-bucketed through the same BucketingConfig (the keystone
         // bitwise-equivalence property holds by construction).
         let mut worlds: BTreeMap<usize, EventOutcome> = BTreeMap::new();
-        worlds.insert(n, self.simulate_events(cluster, &config.event));
+        worlds.insert(n, self.simulate_events(cluster, &config.event, None));
         let t_h = worlds[&n].profile.iteration_s;
         let mut iter_s = |k: usize| -> f64 {
             worlds
                 .entry(k)
                 .or_insert_with(|| {
-                    self.simulate_events(&survivor_cluster(cluster, k), &config.event)
+                    self.simulate_events(&survivor_cluster(cluster, k), &config.event, None)
                 })
                 .profile
                 .iteration_s
@@ -593,10 +577,14 @@ mod tests {
         let sim = sim();
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
-        let out = sim.simulate_elastic(&cluster, &config);
+        let out = sim.simulate_elastic(&cluster, &config, None);
         assert!(out.evictions > 0, "rate 0.9 on 4 workers must evict someone");
         for epoch in &out.epochs {
-            let fresh = sim.simulate_events(&survivor_cluster(&cluster, epoch.survivors), &config.event);
+            let fresh = sim.simulate_events(
+                &survivor_cluster(&cluster, epoch.survivors),
+                &config.event,
+                None,
+            );
             assert_eq!(
                 epoch.iteration_s.to_bits(),
                 fresh.profile.iteration_s.to_bits(),
@@ -615,8 +603,8 @@ mod tests {
             let mut b = a;
             a.event.tie_break_salt = 0;
             b.event.tie_break_salt = 0xdead_beef;
-            let oa = sim.simulate_elastic(&cluster, &a);
-            let ob = sim.simulate_elastic(&cluster, &b);
+            let oa = sim.simulate_elastic(&cluster, &a, None);
+            let ob = sim.simulate_elastic(&cluster, &b, None);
             assert_eq!(oa, ob, "salt leaked into elastic outcome on {}", cluster.label());
         }
     }
@@ -630,7 +618,7 @@ mod tests {
                 for rate in [0.0, 0.25, 0.5, 0.75, 1.0] {
                     let config =
                         ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(rate), 48);
-                    let out = sim.simulate_elastic(&cluster, &config);
+                    let out = sim.simulate_elastic(&cluster, &config, None);
                     assert!(
                         out.goodput <= prev + 1e-9,
                         "{name} seed {seed}: goodput rose {prev} -> {} at rate {rate}",
@@ -647,7 +635,7 @@ mod tests {
         let sim = sim();
         let cluster = ClusterConfig::single_machine(2);
         let config = ElasticConfig::new(ChurnSpec::with_seed(1).with_rate(0.0), 20);
-        let out = sim.simulate_elastic(&cluster, &config);
+        let out = sim.simulate_elastic(&cluster, &config, None);
         assert_eq!(out.epoch_count(), 1);
         assert_eq!(out.evictions, 0);
         assert_eq!(out.degraded_steps, 0);
@@ -662,7 +650,7 @@ mod tests {
         let sim = sim();
         let cluster = ClusterConfig::single_machine(1);
         let config = ElasticConfig::new(ChurnSpec::with_seed(9).with_rate(1.0), 20);
-        let out = sim.simulate_elastic(&cluster, &config);
+        let out = sim.simulate_elastic(&cluster, &config, None);
         assert_eq!(out.evictions, 0);
         assert_eq!(out.epoch_count(), 1);
     }
@@ -672,7 +660,7 @@ mod tests {
         let sim = sim();
         let cluster = ClusterConfig::hierarchical(2, 2, Interconnect::infiniband_100g());
         let config = ElasticConfig::new(ChurnSpec::with_seed(2).with_rate(1.0), 30);
-        let out = sim.simulate_elastic(&cluster, &config);
+        let out = sim.simulate_elastic(&cluster, &config, None);
         for epoch in &out.epochs {
             assert_eq!(epoch.survivors % 2, 0, "survivors {} not machine-aligned", epoch.survivors);
         }
@@ -683,7 +671,7 @@ mod tests {
         let sim = sim();
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
-        let out = sim.simulate_elastic(&cluster, &config);
+        let out = sim.simulate_elastic(&cluster, &config, None);
         for epoch in &out.epochs {
             assert_eq!(
                 epoch.rescale.to_bits(),
@@ -699,9 +687,9 @@ mod tests {
         let sim = sim();
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
-        let plain = sim.simulate_elastic(&cluster, &config);
+        let plain = sim.simulate_elastic(&cluster, &config, None);
         let tracer = TraceRecorder::shared();
-        let traced = sim.simulate_elastic_traced(&cluster, &config, &tracer);
+        let traced = sim.simulate_elastic(&cluster, &config, Some(&tracer));
         assert_eq!(plain, traced);
         let events = tracer.drain();
         let count = |kind: EventKind| events.iter().filter(|e| e.kind == kind).count() as u64;
@@ -722,9 +710,13 @@ mod tests {
         );
         let mut config = ElasticConfig::new(ChurnSpec::with_seed(11).with_rate(0.9), 40);
         config.event.bucketing = BucketingConfig::PerLayer;
-        let out = sim.simulate_elastic(&cluster, &config);
+        let out = sim.simulate_elastic(&cluster, &config, None);
         for epoch in &out.epochs {
-            let fresh = sim.simulate_events(&survivor_cluster(&cluster, epoch.survivors), &config.event);
+            let fresh = sim.simulate_events(
+                &survivor_cluster(&cluster, epoch.survivors),
+                &config.event,
+                None,
+            );
             assert_eq!(epoch.iteration_s.to_bits(), fresh.profile.iteration_s.to_bits());
         }
     }

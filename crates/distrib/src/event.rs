@@ -87,36 +87,6 @@ pub struct EventOutcome {
     pub retries: u32,
 }
 
-impl EventOutcome {
-    /// Per-worker finish-time skew: slowest worker's compute time over the
-    /// mean, or `None` for an empty or zero-duration worker set. `1.0`
-    /// means perfectly balanced workers; straggler injection pushes it to
-    /// the injected slowdown factor.
-    pub fn worker_skew(&self) -> Option<f64> {
-        if self.worker_compute_s.is_empty() {
-            return None;
-        }
-        let mean =
-            self.worker_compute_s.iter().sum::<f64>() / self.worker_compute_s.len() as f64;
-        let max = self.worker_compute_s.iter().cloned().fold(0.0f64, f64::max);
-        if mean > 0.0 && mean.is_finite() {
-            Some(max / mean)
-        } else {
-            None
-        }
-    }
-
-    /// Exposed-communication share of the iteration: `exposed_comm_s /
-    /// iteration_s`, or `None` for a zero-duration iteration.
-    pub fn exposed_fraction(&self) -> Option<f64> {
-        if self.profile.iteration_s > 0.0 && self.profile.iteration_s.is_finite() {
-            Some(self.exposed_comm_s / self.profile.iteration_s)
-        } else {
-            None
-        }
-    }
-}
-
 /// Event kinds, ranked for canonical tie-breaking at equal times: link
 /// releases resolve before retry timers, which resolve before readiness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,24 +211,12 @@ impl DataParallelSim {
     /// Runs the event-driven simulation of one synchronous iteration of
     /// this worker replicated over `cluster`. Overlap is derived from the
     /// schedule and returned in [`EventOutcome::overlap`].
-    pub fn simulate_events(&self, cluster: &ClusterConfig, config: &EventConfig) -> EventOutcome {
-        self.simulate_events_inner(cluster, config, None)
-    }
-
-    /// [`DataParallelSim::simulate_events`] with a trace sink: emits the
-    /// iteration span, the slowest worker's compute span, and one
-    /// [`EventKind::Communication`] span per bucket carrying `bucket`,
-    /// `phase`, `bytes`, `exposed_us` and `attempts` args.
-    pub fn simulate_events_traced(
-        &self,
-        cluster: &ClusterConfig,
-        config: &EventConfig,
-        tracer: &TraceRecorder,
-    ) -> EventOutcome {
-        self.simulate_events_inner(cluster, config, Some(tracer))
-    }
-
-    fn simulate_events_inner(
+    ///
+    /// With a `tracer`, the run also emits the iteration span, the slowest
+    /// worker's compute span, and one [`EventKind::Communication`] span per
+    /// bucket carrying `bucket`, `phase`, `bytes`, `exposed_us` and
+    /// `attempts` args; tracing never changes the outcome.
+    pub fn simulate_events(
         &self,
         cluster: &ClusterConfig,
         config: &EventConfig,
@@ -394,7 +352,7 @@ impl DataParallelSim {
             retries,
         };
         if let Some(tr) = tracer {
-            self.record_events(cluster, config, &outcome, tr);
+            Self::record_events(cluster, &outcome, tr);
         }
         outcome
     }
@@ -426,13 +384,7 @@ impl DataParallelSim {
         queue.push(Ev { time_s: now + service, payload: Payload::TransferDone { bucket } });
     }
 
-    fn record_events(
-        &self,
-        cluster: &ClusterConfig,
-        config: &EventConfig,
-        outcome: &EventOutcome,
-        tracer: &TraceRecorder,
-    ) {
+    fn record_events(cluster: &ClusterConfig, outcome: &EventOutcome, tracer: &TraceRecorder) {
         let phase = match cluster.sync {
             SyncStrategy::ParameterServer => "push+pull",
             SyncStrategy::ShardedParameterServer => "sharded push+pull",
@@ -483,7 +435,6 @@ impl DataParallelSim {
                 .with_arg("cluster", cluster.label()),
             );
         }
-        let _ = config;
         tracer.record_batch(events);
     }
 }
@@ -506,7 +457,11 @@ mod tests {
     #[test]
     fn single_worker_exchanges_nothing() {
         let sim = resnet_like(50);
-        let out = sim.simulate_events(&ClusterConfig::single_machine(1), &EventConfig::default());
+        let out = sim.simulate_events(
+            &ClusterConfig::single_machine(1),
+            &EventConfig::default(),
+            None,
+        );
         assert!(out.buckets.is_empty());
         assert_eq!(out.total_comm_s, 0.0);
         assert_eq!(out.profile.iteration_s.to_bits(), sim.compute_iter_s().to_bits());
@@ -515,7 +470,7 @@ mod tests {
     #[test]
     fn zero_worker_cluster_yields_finite_metrics() {
         let out = resnet_like(50)
-            .simulate_events(&ClusterConfig::single_machine(0), &EventConfig::default());
+            .simulate_events(&ClusterConfig::single_machine(0), &EventConfig::default(), None);
         assert!(out.buckets.is_empty());
         assert_eq!(out.profile.throughput, 0.0);
         assert!(
@@ -540,7 +495,11 @@ mod tests {
             BucketingConfig::PerLayer,
             BucketingConfig::BucketBytes(25e6),
         ] {
-            let out = empty.simulate_events(&ClusterConfig::single_machine(4), &bucketed(bucketing));
+            let out = empty.simulate_events(
+                &ClusterConfig::single_machine(4),
+                &bucketed(bucketing),
+                None,
+            );
             assert!(out.buckets.is_empty(), "{bucketing:?}");
             assert_eq!(out.total_comm_s.to_bits(), 0.0f64.to_bits(), "{bucketing:?}");
             assert_eq!(out.overlap, 0.0);
@@ -553,8 +512,12 @@ mod tests {
     fn bucketed_transfers_overlap_the_backward_pass() {
         let sim = resnet_like(161);
         let cluster = ClusterConfig::single_machine(4);
-        let single = sim.simulate_events(&cluster, &bucketed(BucketingConfig::SingleShot));
-        let bucketed = sim.simulate_events(&cluster, &bucketed(BucketingConfig::BucketBytes(25e6)));
+        let single = sim.simulate_events(&cluster, &bucketed(BucketingConfig::SingleShot), None);
+        let bucketed = sim.simulate_events(
+            &cluster,
+            &bucketed(BucketingConfig::BucketBytes(25e6)),
+            None,
+        );
         // Single-shot can hide nothing (the exchange starts when compute
         // ends); bucketing hides the early buckets under later layers.
         assert_eq!(single.overlap, 0.0);
@@ -568,6 +531,7 @@ mod tests {
         let out = resnet_like(161).simulate_events(
             &ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()),
             &bucketed(BucketingConfig::BucketBytes(10e6)),
+            None,
         );
         assert!(out.buckets.len() > 2);
         for w in out.buckets.windows(2) {
@@ -583,13 +547,13 @@ mod tests {
         let sim = resnet_like(50);
         let spec = StragglerSpec::with_seed(11);
         let cfg = EventConfig { stragglers: Some(spec), ..Default::default() };
-        let out = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg);
+        let out = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg, None);
         let max_worker =
             out.worker_compute_s.iter().cloned().fold(0.0f64, f64::max);
         assert_eq!(out.compute_finish_s.to_bits(), max_worker.to_bits());
         assert!(out.profile.iteration_s >= out.compute_finish_s);
         // Same seed → bitwise identical outcome.
-        let again = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg);
+        let again = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg, None);
         assert_eq!(out, again);
     }
 
@@ -599,8 +563,8 @@ mod tests {
         let cluster = ClusterConfig::multi_machine(2, Interconnect::infiniband_100g());
         let cfg = EventConfig::default();
         let tracer = TraceRecorder::shared();
-        let traced = sim.simulate_events_traced(&cluster, &cfg, &tracer);
-        let plain = sim.simulate_events(&cluster, &cfg);
+        let traced = sim.simulate_events(&cluster, &cfg, Some(&tracer));
+        let plain = sim.simulate_events(&cluster, &cfg, None);
         assert_eq!(traced, plain);
         let events = tracer.drain();
         let comm: Vec<_> =

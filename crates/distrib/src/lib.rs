@@ -15,6 +15,7 @@
 //!
 //! ```
 //! use tbd_distrib::{BackwardProfile, ClusterConfig, DataParallelSim, EventConfig};
+//! use tbd_graph::trace::{EventKind, TraceRecorder};
 //! use tbd_gpusim::Interconnect;
 //!
 //! // ResNet-50-like: 360 ms per iteration, 102 MB of gradients over 50 layers.
@@ -23,10 +24,17 @@
 //!     per_gpu_batch: 32,
 //! };
 //! let config = EventConfig::default();
-//! let ethernet =
-//!     sim.simulate_events(&ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()), &config);
-//! let single = sim.simulate_events(&ClusterConfig::single_machine(1), &config);
-//! assert!(ethernet.profile.throughput < single.profile.throughput, "Observation 13");
+//! let ethernet = ClusterConfig::multi_machine(2, Interconnect::ethernet_1g());
+//! let single = sim.simulate_events(&ClusterConfig::single_machine(1), &config, None);
+//! // A trace sink records one communication span per gradient bucket and
+//! // leaves the outcome untouched.
+//! let tracer = TraceRecorder::shared();
+//! let traced = sim.simulate_events(&ethernet, &config, Some(&tracer));
+//! assert_eq!(traced, sim.simulate_events(&ethernet, &config, None));
+//! let spans = tracer.drain();
+//! let comm = spans.iter().filter(|e| e.kind == EventKind::Communication).count();
+//! assert_eq!(comm, traced.buckets.len());
+//! assert!(traced.profile.throughput < single.profile.throughput, "Observation 13");
 //! ```
 
 pub mod bucket;
@@ -283,14 +291,14 @@ mod tests {
     }
 
     fn run(cluster: &ClusterConfig) -> EventOutcome {
-        resnet_like().simulate_events(cluster, &EventConfig::default())
+        resnet_like().simulate_events(cluster, &EventConfig::default(), None)
     }
 
     /// Link time of one unbucketed exchange: the whole gradient as one
     /// transfer, so each strategy's latency is charged exactly once.
     fn single_shot_comm_s(cluster: &ClusterConfig) -> f64 {
         let config = EventConfig { bucketing: BucketingConfig::SingleShot, ..Default::default() };
-        resnet_like().simulate_events(cluster, &config).total_comm_s
+        resnet_like().simulate_events(cluster, &config, None).total_comm_s
     }
 
     #[test]

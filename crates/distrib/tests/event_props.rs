@@ -72,8 +72,8 @@ proptest! {
         let stragglers = Some(StragglerSpec::with_seed(seed));
         let base = EventConfig { stragglers, tie_break_salt: 0, ..EventConfig::default() };
         let salted = EventConfig { tie_break_salt: salt, ..base };
-        let a = sim.simulate_events(&cluster, &base);
-        let b = sim.simulate_events(&cluster, &salted);
+        let a = sim.simulate_events(&cluster, &base, None);
+        let b = sim.simulate_events(&cluster, &salted, None);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -97,8 +97,8 @@ proptest! {
             stragglers: Some(StragglerSpec::with_seed(seed)),
             ..EventConfig::default()
         };
-        let a = sim.simulate_events(&cluster, &config);
-        let b = sim.simulate_events(&cluster, &config);
+        let a = sim.simulate_events(&cluster, &config, None);
+        let b = sim.simulate_events(&cluster, &config, None);
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -123,7 +123,7 @@ proptest! {
                 bucketing: BucketingConfig::BucketBytes(bucket_bytes),
                 ..EventConfig::default()
             };
-            sim.simulate_events(&cluster, &config)
+            sim.simulate_events(&cluster, &config, None)
         };
         let coarse = run(coarse_mb * 1e6);
         let fine = run(coarse_mb * 1e6 / ratio);
@@ -162,8 +162,8 @@ proptest! {
             c
         };
         let sim = worker(compute_s, bytes, layers);
-        let slow = sim.simulate_events(&cluster_at(bw_gb * 1e9), &config);
-        let fast = sim.simulate_events(&cluster_at(bw_gb * 1e9 * speedup), &config);
+        let slow = sim.simulate_events(&cluster_at(bw_gb * 1e9), &config, None);
+        let fast = sim.simulate_events(&cluster_at(bw_gb * 1e9 * speedup), &config, None);
         prop_assert!(
             fast.exposed_comm_s <= slow.exposed_comm_s + 1e-12,
             "faster link exposed {} vs {}",
@@ -171,7 +171,7 @@ proptest! {
             slow.exposed_comm_s
         );
         let bigger = worker(compute_s, bytes * growth, layers);
-        let big = bigger.simulate_events(&cluster_at(bw_gb * 1e9), &config);
+        let big = bigger.simulate_events(&cluster_at(bw_gb * 1e9), &config, None);
         prop_assert!(
             big.exposed_comm_s + 1e-12 >= slow.exposed_comm_s,
             "{growth}x gradients exposed {} vs {}",
@@ -204,8 +204,8 @@ proptest! {
         hier.sync = SyncStrategy::HierarchicalAllReduce;
         let sim = worker(compute_s, bytes, 16);
         let config = EventConfig::default();
-        let t_flat = sim.simulate_events(&flat, &config).total_comm_s;
-        let t_hier = sim.simulate_events(&hier, &config).total_comm_s;
+        let t_flat = sim.simulate_events(&flat, &config, None).total_comm_s;
+        let t_hier = sim.simulate_events(&hier, &config, None).total_comm_s;
         prop_assert!(
             t_hier <= t_flat + 1e-12 * t_flat.abs(),
             "{m}M{g}G: hierarchical {t_hier} vs flat ring {t_flat}"

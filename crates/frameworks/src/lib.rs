@@ -43,7 +43,7 @@ use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
 use tbd_graph::{FusionPlan, KernelClass};
 use tbd_tensor::Precision;
 use tbd_gpusim::{
-    simulate_iteration_traced, CpuSpec, DeviceMemory, ExecutionParams, GpuSpec, IterationProfile,
+    simulate_iteration, CpuSpec, DeviceMemory, ExecutionParams, GpuSpec, IterationProfile,
     MemoryBreakdown, MemoryCategory, OutOfMemory,
 };
 use tbd_models::{BuiltModel, ModelKind};
@@ -451,7 +451,7 @@ impl Framework {
 
         let kernels = self.plan_with(model, speed);
         let iteration =
-            simulate_iteration_traced(&kernels, gpu, &cpu, &params, tracer.map(|t| &**t));
+            simulate_iteration(&kernels, gpu, &cpu, &params, tracer.map(|t| &**t));
         let throughput = iteration.throughput(model.batch);
         if let Some(tr) = tracer {
             // Framework-tagged spans: same kernel stream, framework-specific

@@ -36,10 +36,8 @@ pub mod timing;
 
 pub use memory::{DeviceMemory, MemoryBreakdown, MemoryCategory, OutOfMemory};
 pub use spec::{CpuSpec, GpuSpec, Interconnect};
-pub use timeline::{
-    simulate_iteration, simulate_iteration_traced, ExecutionParams, IterationProfile, KernelRecord,
-};
+pub use timeline::{simulate_iteration, ExecutionParams, IterationProfile, KernelRecord};
 pub use timing::{
     is_matrix_class, kernel_timing, kernel_timing_memoized, kernel_timing_mixed,
-    kernel_timing_with_speedup, roofline_memo_stats, Bound, KernelTiming,
+    roofline_memo_stats, Bound, KernelTiming,
 };

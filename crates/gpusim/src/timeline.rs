@@ -126,53 +126,19 @@ impl IterationProfile {
     pub fn throughput(&self, batch: usize) -> f64 {
         batch as f64 / self.wall_time_s
     }
-
-    /// Device time split by roofline verdict: `(compute_bound_s,
-    /// memory_bound_s)` summed over all kernel records.
-    pub fn roofline_split(&self) -> (f64, f64) {
-        let mut compute = 0.0;
-        let mut memory = 0.0;
-        for r in &self.records {
-            match r.bound {
-                Bound::Compute => compute += r.duration_s,
-                Bound::Memory => memory += r.duration_s,
-            }
-        }
-        (compute, memory)
-    }
-
-    /// Fraction of device-busy time spent in bandwidth-bound kernels, or
-    /// `None` when no kernel ran (the guard the diagnosis engine relies on
-    /// to never divide by a zero-duration stream).
-    pub fn memory_bound_fraction(&self) -> Option<f64> {
-        let (compute, memory) = self.roofline_split();
-        let total = compute + memory;
-        if total > 0.0 && total.is_finite() {
-            Some(memory / total)
-        } else {
-            None
-        }
-    }
 }
 
 /// Simulates one training iteration of `kernels` on `gpu` under the given
 /// execution parameters, with `cpu` as the host.
-pub fn simulate_iteration(
-    kernels: &[LoweredKernel],
-    gpu: &GpuSpec,
-    cpu: &CpuSpec,
-    params: &ExecutionParams,
-) -> IterationProfile {
-    simulate_iteration_traced(kernels, gpu, cpu, params, None)
-}
-
-/// [`simulate_iteration`] with an optional trace sink: each kernel emits a
-/// CPU-side [`EventKind::KernelLaunch`] span, a device-resident
+///
+/// With a `tracer`, each kernel also emits a CPU-side
+/// [`EventKind::KernelLaunch`] span, a device-resident
 /// [`EventKind::KernelExec`] (or [`EventKind::Memcpy`]) span, and a
 /// [`EventKind::Sync`] span whenever the device sat idle between kernels —
 /// the launch-starvation gaps behind the paper's Observation 5. Simulated
-/// times are deterministic and participate bit-exactly in golden digests.
-pub fn simulate_iteration_traced(
+/// times are deterministic and participate bit-exactly in golden digests;
+/// tracing never changes the returned profile.
+pub fn simulate_iteration(
     kernels: &[LoweredKernel],
     gpu: &GpuSpec,
     cpu: &CpuSpec,
@@ -352,7 +318,7 @@ mod tests {
     fn long_kernels_keep_gpu_busy() {
         let (gpu, cpu, params) = setup();
         let kernels: Vec<_> = (0..100).map(|_| kern(KernelClass::Gemm, 1e10, 1e8)).collect();
-        let p = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert!(p.gpu_utilization > 0.9, "util {}", p.gpu_utilization);
         assert!(p.fp32_utilization > 0.3, "fp32 {}", p.fp32_utilization);
     }
@@ -364,7 +330,7 @@ mod tests {
         // 5 µs launch overhead each.
         let kernels: Vec<_> =
             (0..2000).map(|_| kern(KernelClass::Elementwise, 3e4, 4e5)).collect();
-        let p = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert!(p.gpu_utilization < 0.75, "util {}", p.gpu_utilization);
     }
 
@@ -375,7 +341,7 @@ mod tests {
         params.input_pipeline_s = 0.5;
         params.iteration_overhead_s = 0.25;
         let kernels = vec![kern(KernelClass::Gemm, 1e9, 1e7)];
-        let p = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert!(p.wall_time_s > 0.75);
         assert!(p.gpu_utilization < 0.01);
     }
@@ -384,7 +350,7 @@ mod tests {
     fn throughput_scales_with_batch() {
         let (gpu, cpu, params) = setup();
         let kernels = vec![kern(KernelClass::Gemm, 1e9, 1e7)];
-        let p = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert!((p.throughput(64) / p.throughput(32) - 2.0).abs() < 1e-9);
     }
 
@@ -393,7 +359,7 @@ mod tests {
         // Paper Observation 9: CPU utilisation in DNN training is low.
         let (gpu, cpu, params) = setup();
         let kernels: Vec<_> = (0..300).map(|_| kern(KernelClass::Gemm, 5e9, 5e7)).collect();
-        let p = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert!(p.cpu_utilization < 0.15, "cpu util {}", p.cpu_utilization);
     }
 
@@ -401,7 +367,7 @@ mod tests {
     fn records_cover_every_kernel() {
         let (gpu, cpu, params) = setup();
         let kernels: Vec<_> = (0..10).map(|_| kern(KernelClass::Gemm, 1e8, 1e6)).collect();
-        let p = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert_eq!(p.records.len(), 10);
         assert!(p.records.iter().all(|r| r.duration_s > 0.0));
         assert!(p.total_flops > 0.0);
@@ -413,8 +379,8 @@ mod tests {
         let (gpu, cpu, params) = setup();
         let kernels: Vec<_> = (0..5).map(|_| kern(KernelClass::Elementwise, 3e4, 4e5)).collect();
         let tracer = TraceRecorder::shared();
-        let traced = simulate_iteration_traced(&kernels, &gpu, &cpu, &params, Some(&tracer));
-        let untraced = simulate_iteration(&kernels, &gpu, &cpu, &params);
+        let traced = simulate_iteration(&kernels, &gpu, &cpu, &params, Some(&tracer));
+        let untraced = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         // Tracing must not perturb the simulation.
         assert_eq!(traced.wall_time_s.to_bits(), untraced.wall_time_s.to_bits());
         let events = tracer.drain();
@@ -439,7 +405,7 @@ mod tests {
         let (gpu, cpu, params) = setup();
         let kernels = vec![kern(KernelClass::MemcpyH2D, 0.0, 1e6)];
         let tracer = TraceRecorder::shared();
-        simulate_iteration_traced(&kernels, &gpu, &cpu, &params, Some(&tracer));
+        simulate_iteration(&kernels, &gpu, &cpu, &params, Some(&tracer));
         let events = tracer.drain();
         assert!(events.iter().any(|e| e.kind == EventKind::Memcpy));
         assert!(events.iter().all(|e| e.kind != EventKind::KernelExec));
@@ -448,7 +414,7 @@ mod tests {
     #[test]
     fn empty_stream_is_handled() {
         let (gpu, cpu, params) = setup();
-        let p = simulate_iteration(&[], &gpu, &cpu, &params);
+        let p = simulate_iteration(&[], &gpu, &cpu, &params, None);
         assert_eq!(p.gpu_busy_s, 0.0);
         assert_eq!(p.fp32_utilization, 0.0);
         assert!(p.wall_time_s > 0.0);

@@ -95,17 +95,6 @@ fn class_params(class: KernelClass) -> ClassParams {
 /// Minimum duration of any kernel launch on the device.
 pub const MIN_KERNEL_S: f64 = 1.5e-6;
 
-/// Times a single kernel on `gpu` with an optional compute-speed multiplier
-/// (framework kernel-library quality; 1.0 = baseline cuDNN/cuBLAS).
-///
-/// Host-to-device copies ([`KernelClass::MemcpyH2D`]) run over the PCIe bus
-/// rather than device memory. The reported FP32 utilisation counts
-/// *executed* FP32 instructions (nvprof's `flop_count_sp` view), which
-/// exceed algorithmic FLOPs by a per-class instruction factor.
-pub fn kernel_timing_with_speedup(spec: &KernelSpec, gpu: &GpuSpec, compute_speedup: f64) -> KernelTiming {
-    kernel_timing_mixed(spec, gpu, compute_speedup, Precision::F32)
-}
-
 /// Whether a kernel class runs on the matrix unit when operands are stored
 /// at reduced precision (and therefore times against
 /// [`GpuSpec::peak_half_flops`] instead of the FP32 roof).
@@ -120,9 +109,14 @@ pub fn is_matrix_class(class: KernelClass) -> bool {
     )
 }
 
-/// Precision-aware roofline timing: the mixed-precision extension of
-/// [`kernel_timing_with_speedup`] (which it reproduces bit-for-bit at
-/// [`Precision::F32`]).
+/// Times a single kernel on `gpu` stored at `precision`, with a
+/// compute-speed multiplier (framework kernel-library quality; 1.0 =
+/// baseline cuDNN/cuBLAS).
+///
+/// Host-to-device copies ([`KernelClass::MemcpyH2D`]) run over the PCIe bus
+/// rather than device memory. The reported FP32 utilisation counts
+/// *executed* FP32 instructions (nvprof's `flop_count_sp` view), which
+/// exceed algorithmic FLOPs by a per-class instruction factor.
 ///
 /// At f16/bf16 storage, every kernel's memory traffic scales by the storage
 /// width (`bytes_per_elem / 4`, kernel specs quote FP32 bytes), and
@@ -163,7 +157,7 @@ pub fn kernel_timing_mixed(
 
 /// Times a single kernel on `gpu` at baseline library quality.
 pub fn kernel_timing(spec: &KernelSpec, gpu: &GpuSpec) -> KernelTiming {
-    kernel_timing_with_speedup(spec, gpu, 1.0)
+    kernel_timing_mixed(spec, gpu, 1.0, Precision::F32)
 }
 
 /// Upper bound on entries each thread's roofline memo retains. A model's
@@ -327,17 +321,6 @@ mod tests {
         assert_eq!(ew32.bound, Bound::Memory);
         assert!(ew16.duration_s < ew32.duration_s * 0.6);
         assert!(ew16.duration_s > ew32.duration_s * 0.4);
-    }
-
-    #[test]
-    fn f32_mixed_path_is_bitwise_the_baseline() {
-        let gpu = GpuSpec::quadro_p4000();
-        for exp in 5..12 {
-            let spec = gemm(10f64.powi(exp));
-            let a = kernel_timing_with_speedup(&spec, &gpu, 0.8);
-            let b = kernel_timing_mixed(&spec, &gpu, 0.8, Precision::F32);
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -850,135 +850,6 @@ pub fn inference_footprint(graph: &Graph) -> MemoryFootprint {
     }
 }
 
-/// Liveness-based arena plan for one training iteration, computed from
-/// [`lower_training_iteration`] order.
-///
-/// The plan walks the kernel stream in emission order and simulates a
-/// slab allocator: every forward kernel allocates its node's output buffer
-/// (plus a transient workspace that frees as soon as the kernel retires),
-/// activations stay live until the owning node's backward kernel consumes
-/// them, and gradient buffers free once handed to the optimizer. `reused`
-/// is the byte volume that freed slabs can serve instead of fresh
-/// allocations — the arena's headroom over a bump allocator — and `peak`
-/// is the high-water mark an arena actually needs.
-///
-/// Everything here is a pure function of graph topology, so the numbers
-/// are deterministic and safe to attach to digest-bearing trace events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArenaPlan {
-    /// Number of buffer requests across the iteration.
-    pub requests: u64,
-    /// Total bytes requested (what a bump allocator would consume).
-    pub requested_bytes: u64,
-    /// Peak live bytes (what the arena must actually hold).
-    pub peak_bytes: u64,
-    /// Bytes served by reusing freed slabs: `requested - peak`.
-    pub reused_bytes: u64,
-}
-
-/// Computes the [`ArenaPlan`] of one training iteration over `graph`.
-pub fn arena_plan(graph: &Graph) -> ArenaPlan {
-    let needs = graph.requires_grad();
-    let mut requests = 0u64;
-    let mut requested = 0u64;
-    let mut live = 0u64;
-    let mut peak = 0u64;
-    let mut alloc = |bytes: u64, live: &mut u64, peak: &mut u64| {
-        if bytes == 0 {
-            return;
-        }
-        requests += 1;
-        requested += bytes;
-        *live += bytes;
-        *peak = (*peak).max(*live);
-    };
-    // Forward: every node's output (and transient workspace) allocates;
-    // activations stay live for the backward pass.
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let out = node.shape.byte_len() as u64;
-        match &node.op {
-            Op::Parameter { .. } | Op::Reshape(_) => {}
-            _ => alloc(out, &mut live, &mut peak),
-        }
-        for kernel in forward_kernels(graph, NodeId(i)) {
-            if kernel.workspace_bytes > 0 {
-                alloc(kernel.workspace_bytes, &mut live, &mut peak);
-                live -= kernel.workspace_bytes; // workspace frees with the kernel
-            }
-        }
-    }
-    // Backward, in reverse emission order: each node allocates its input
-    // gradients, then its own stashed activation and incoming gradient
-    // free (their last consumer has run).
-    for i in (0..graph.len()).rev() {
-        if !needs[i] {
-            continue;
-        }
-        let node = graph.node(NodeId(i));
-        for kernel in backward_kernels(graph, NodeId(i), &needs) {
-            if kernel.workspace_bytes > 0 {
-                alloc(kernel.workspace_bytes, &mut live, &mut peak);
-                live -= kernel.workspace_bytes;
-            }
-        }
-        for input in &node.inputs {
-            let in_node = graph.node(*input);
-            if needs[input.index()] && !matches!(in_node.op, Op::Parameter { .. }) {
-                alloc(in_node.shape.byte_len() as u64, &mut live, &mut peak);
-            }
-        }
-        if !matches!(node.op, Op::Parameter { .. } | Op::Reshape(_)) {
-            live = live.saturating_sub(node.shape.byte_len() as u64);
-        }
-    }
-    ArenaPlan {
-        requests,
-        requested_bytes: requested,
-        peak_bytes: peak,
-        reused_bytes: requested.saturating_sub(peak),
-    }
-}
-
-#[cfg(test)]
-mod arena_tests {
-    use super::*;
-    use crate::{GraphBuilder, Init};
-
-    #[test]
-    fn arena_plan_finds_reuse_in_deep_chains() {
-        let mut g = GraphBuilder::new();
-        let mut x = g.input("x", [4, 64]);
-        for i in 0..10 {
-            let w = g.parameter(&format!("w{i}"), [64, 64], Init::Zeros);
-            x = g.matmul(x, w).unwrap();
-            x = g.tanh(x).unwrap();
-        }
-        let _ = g.sum_all(x).unwrap();
-        let graph = g.finish();
-        let plan = arena_plan(&graph);
-        assert!(plan.requests > 0);
-        assert!(plan.peak_bytes > 0);
-        assert!(plan.peak_bytes <= plan.requested_bytes);
-        assert_eq!(plan.reused_bytes, plan.requested_bytes - plan.peak_bytes);
-        // The backward pass frees stashed activations as it retires them,
-        // so a deep chain must show real reuse headroom.
-        assert!(plan.reused_bytes > 0, "{plan:?}");
-    }
-
-    #[test]
-    fn arena_plan_is_deterministic() {
-        let mut g = GraphBuilder::new();
-        let x = g.input("x", [8, 16]);
-        let w = g.parameter("w", [16, 32], Init::Zeros);
-        let h = g.matmul(x, w).unwrap();
-        let h = g.relu(h).unwrap();
-        let t = g.input("t", [8]);
-        let _ = g.cross_entropy(h, t).unwrap();
-        let graph = g.finish();
-        assert_eq!(arena_plan(&graph), arena_plan(&graph));
-    }
-}
-
 #[cfg(test)]
 mod inference_tests {
     use super::*;

@@ -897,7 +897,7 @@ pub mod scenarios {
     use tbd_graph::lower::LoweredKernel;
     use tbd_graph::trace::TraceRecorder;
     use tbd_graph::{KernelClass, KernelSpec, NodeId, Phase};
-    use tbd_gpusim::{simulate_iteration_traced, CpuSpec, ExecutionParams, GpuSpec};
+    use tbd_gpusim::{simulate_iteration, CpuSpec, ExecutionParams, GpuSpec};
 
     /// Analytic per-model shape feeding the distributed event engine
     /// (single-GPU compute time, gradient volume, backward layer count).
@@ -951,7 +951,7 @@ pub mod scenarios {
     ) -> (Vec<TraceEvent>, EventOutcome) {
         let config = EventConfig { stragglers, ..EventConfig::default() };
         let tracer = TraceRecorder::shared();
-        let outcome = shape.worker().simulate_events_traced(cluster, &config, &tracer);
+        let outcome = shape.worker().simulate_events(cluster, &config, Some(&tracer));
         (tracer.drain(), outcome)
     }
 
@@ -965,7 +965,7 @@ pub mod scenarios {
 
     fn device_events(kernels: &[LoweredKernel]) -> Vec<TraceEvent> {
         let tracer = TraceRecorder::shared();
-        simulate_iteration_traced(
+        simulate_iteration(
             kernels,
             &GpuSpec::quadro_p4000(),
             &CpuSpec::xeon_e5_2680(),
@@ -1033,7 +1033,7 @@ pub mod scenarios {
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(0.9), 40);
         let tracer = TraceRecorder::shared();
-        let outcome = shape.worker().simulate_elastic_traced(&cluster, &config, &tracer);
+        let outcome = shape.worker().simulate_elastic(&cluster, &config, Some(&tracer));
         (tracer.drain(), outcome)
     }
 

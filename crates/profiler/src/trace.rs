@@ -415,10 +415,10 @@ pub fn capture_into(
     let worker = profile.as_ref().map(|profile| {
         let t0 = Instant::now();
         let worker = DataParallelSim::from_iteration(&full.graph, &profile.iteration, batch);
-        worker.simulate_events_traced(
+        worker.simulate_events(
             &ClusterConfig::single_machine(2),
             &EventConfig::default(),
-            recorder,
+            Some(recorder),
         );
         wall.distrib_s = t0.elapsed().as_secs_f64();
         worker
@@ -802,16 +802,16 @@ mod tests {
                 unfused.len()
             );
             use tbd_gpusim::spec::CpuSpec;
-            use tbd_gpusim::timeline::{simulate_iteration, simulate_iteration_traced};
+            use tbd_gpusim::timeline::simulate_iteration;
             let gpu = GpuSpec::quadro_p4000();
             let cpu = CpuSpec::xeon_e5_2680();
             let params = Framework::tensorflow().execution_params(0);
             for (label, kernels) in [("fused", &fused), ("unfused", &unfused)] {
                 let t0 = Instant::now();
-                let _ = simulate_iteration(kernels, &gpu, &cpu, &params);
+                let _ = simulate_iteration(kernels, &gpu, &cpu, &params, None);
                 let t1 = Instant::now();
                 let rec = TraceRecorder::shared();
-                let _ = simulate_iteration_traced(kernels, &gpu, &cpu, &params, Some(&rec));
+                let _ = simulate_iteration(kernels, &gpu, &cpu, &params, Some(&rec));
                 let t2 = Instant::now();
                 eprintln!(
                     "  sim {label}: untraced {:.3}ms traced {:.3}ms ({} events)",

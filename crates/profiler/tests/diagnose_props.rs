@@ -123,7 +123,7 @@ fn slow_interconnect_is_named_exposed_communication() {
         for salt in 0u64..8 {
             let config = EventConfig { tie_break_salt: salt, ..EventConfig::default() };
             let tracer = TraceRecorder::shared();
-            shape.worker().simulate_events_traced(&cluster, &config, &tracer);
+            shape.worker().simulate_events(&cluster, &config, Some(&tracer));
             let report = diagnose_events(shape.name, "sim", 32, &tracer.drain());
             assert_eq!(
                 report.top1().class,

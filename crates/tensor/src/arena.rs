@@ -16,8 +16,7 @@
 //!   requested length. Runtime hit/miss counters depend on thread count
 //!   (worker threads own separate bins), so they are reported through the
 //!   wall-clock side of the bench trajectory, never through digest-bearing
-//!   trace events — the static per-graph liveness plan
-//!   (`tbd_graph::lower::arena_plan`) covers that channel.
+//!   trace events.
 //! * **Bounded footprint.** Each bin retains at most [`MAX_PER_BIN`]
 //!   buffers and nothing above [`MAX_BIN_BYTES`]; everything else drops to
 //!   the system allocator as before.

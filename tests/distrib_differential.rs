@@ -125,7 +125,7 @@ fn event_engine_matches_closed_form_when_degenerate() {
         for sync in STRATEGIES {
             let cluster = degenerate(base, sync);
             let closed = CLOSED.simulate(&cluster);
-            let event = sim.simulate_events(&cluster, &config);
+            let event = sim.simulate_events(&cluster, &config, None);
             let point = format!("{label} / {}", sync.name());
             assert!(
                 relative_diff(event.profile.iteration_s, closed.iteration_s) <= 1e-9,
@@ -163,7 +163,7 @@ fn degenerate_single_shot_has_no_overlap_to_derive() {
     for (label, base) in fig10_clusters() {
         for sync in STRATEGIES {
             let cluster = degenerate(base, sync);
-            let event = sim.simulate_events(&cluster, &config);
+            let event = sim.simulate_events(&cluster, &config, None);
             if cluster.workers() > 1 {
                 assert_eq!(
                     event.exposed_comm_s.to_bits(),

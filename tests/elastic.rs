@@ -39,11 +39,14 @@ fn degraded_collectives_match_fresh_worlds_across_strategies() {
             cluster.sync = strategy;
             for seed in [3u64, 11, 29] {
                 let config = ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(0.9), 40);
-                let out = sim.simulate_elastic(&cluster, &config);
+                let out = sim.simulate_elastic(&cluster, &config, None);
                 evictions += out.evictions;
                 for epoch in &out.epochs {
-                    let fresh = sim
-                        .simulate_events(&survivor_cluster(&cluster, epoch.survivors), &config.event);
+                    let fresh = sim.simulate_events(
+                        &survivor_cluster(&cluster, epoch.survivors),
+                        &config.event,
+                        None,
+                    );
                     assert_eq!(
                         epoch.iteration_s.to_bits(),
                         fresh.profile.iteration_s.to_bits(),

@@ -22,8 +22,8 @@ fn rnn_fusion_recovers_the_papers_headroom() {
     let baseline = fw.plan_with(&model, SpeedOptions::default());
     let fused = fuse_rnn(&baseline, 64);
     assert!(fused.len() * 4 < baseline.len(), "{} -> {}", baseline.len(), fused.len());
-    let p0 = simulate_iteration(&baseline, &gpu, &cpu, &params);
-    let p1 = simulate_iteration(&fused, &gpu, &cpu, &params);
+    let p0 = simulate_iteration(&baseline, &gpu, &cpu, &params, None);
+    let p1 = simulate_iteration(&fused, &gpu, &cpu, &params, None);
     let speedup = p0.wall_time_s / p1.wall_time_s;
     assert!(speedup > 1.5, "fusion speedup {speedup}");
     assert!(p1.gpu_utilization > p0.gpu_utilization);
@@ -31,7 +31,7 @@ fn rnn_fusion_recovers_the_papers_headroom() {
     assert!((p0.total_flops - p1.total_flops).abs() / p0.total_flops < 1e-9);
     // Graph-level fusion (pointwise chains only) sits between the two.
     let graph_fused = fw.plan_with(&model, SpeedOptions::fused(Precision::F32));
-    let mid = simulate_iteration(&graph_fused, &gpu, &cpu, &params);
+    let mid = simulate_iteration(&graph_fused, &gpu, &cpu, &params, None);
     assert!(mid.wall_time_s < p0.wall_time_s && mid.wall_time_s > p1.wall_time_s);
 }
 

@@ -237,7 +237,7 @@ fn golden_distrib_event_traces_match() {
         };
         let cluster = ClusterConfig::multi_machine(2, link);
         let tracer = TraceRecorder::shared();
-        let out = sim.simulate_events_traced(&cluster, &EventConfig::default(), &tracer);
+        let out = sim.simulate_events(&cluster, &EventConfig::default(), Some(&tracer));
         let events = tracer.drain();
         let canonical: String = events.iter().map(|e| e.canonical() + "\n").collect();
         let digest = format!("{:016x}", fnv1a(canonical.as_bytes()));

@@ -241,7 +241,9 @@ fn obs13_network_bandwidth_gates_distributed_scaling() {
     let single = suite.run(ModelKind::ResNet50, Framework::mxnet(), 16).unwrap();
     let model = ModelKind::ResNet50.build_full(16).unwrap();
     let sim = DataParallelSim::from_iteration(&model.graph, &single.profile.iteration, 16);
-    let run = |cluster: ClusterConfig| sim.simulate_events(&cluster, &EventConfig::default()).profile;
+    let run = |cluster: ClusterConfig| {
+        sim.simulate_events(&cluster, &EventConfig::default(), None).profile
+    };
     let eth = run(ClusterConfig::multi_machine(2, tbd_core::Interconnect::ethernet_1g()));
     let ib = run(ClusterConfig::multi_machine(2, tbd_core::Interconnect::infiniband_100g()));
     let g2 = run(ClusterConfig::single_machine(2));

@@ -68,7 +68,9 @@ fn fig10_ethernet_hurts_and_infiniband_recovers() {
     let m = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).expect("resnet runs");
     let model = ModelKind::ResNet50.build_full(batch).expect("builds");
     let sim = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, batch);
-    let run = |cluster: ClusterConfig| sim.simulate_events(&cluster, &EventConfig::default()).profile;
+    let run = |cluster: ClusterConfig| {
+        sim.simulate_events(&cluster, &EventConfig::default(), None).profile
+    };
     let single = run(ClusterConfig::single_machine(1));
     let ethernet = run(ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()));
     let infiniband = run(ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()));
@@ -109,7 +111,7 @@ fn fig11_exposed_ratio_ranks_fabrics_and_bucketing_overlaps() {
     let sim = DataParallelSim { backward, per_gpu_batch: batch };
     let config = EventConfig::default();
     let ratio = |cluster: ClusterConfig| {
-        let out = sim.simulate_events(&cluster, &config);
+        let out = sim.simulate_events(&cluster, &config, None);
         out.exposed_comm_s / out.profile.iteration_s
     };
     let ethernet = ratio(ClusterConfig::custom(
@@ -132,6 +134,6 @@ fn fig11_exposed_ratio_ranks_fabrics_and_bucketing_overlaps() {
     );
     // Bucketing genuinely overlaps on the fast fabrics: the derived
     // overlap beats the fixed 0.3 the closed form assumed.
-    let overlap = sim.simulate_events(&ClusterConfig::single_machine(4), &config).overlap;
+    let overlap = sim.simulate_events(&ClusterConfig::single_machine(4), &config, None).overlap;
     assert!(overlap >= 0.3, "bucketed PCIe overlap {overlap:.2} must clear the old 0.3 constant");
 }
