@@ -577,15 +577,14 @@ fn cmd_scale(args: &[&str]) -> Result<(), String> {
             report.digest_hex()
         )
     })?;
-    // Healthy runs must land where the paper's Fig. 10/11 landed
-    // (Observations 12/13); a straggler-injected run is allowed to sag.
-    if seed.is_none() {
-        report.observations()?;
-        eprintln!("observations 12/13 hold (ethernet sub-single-GPU, infiniband \u{2265}90% scaling)");
-    }
     opts.check("scale", "deterministic sweep matches the pinned snapshot", |baseline| {
         report.check_drift(baseline, SCALE_DRIFT_TOLERANCE)
     })?;
+    // Healthy runs must land where the paper's Fig. 10/11 landed
+    // (Observations 12/13); a straggler-injected run is allowed to sag.
+    if seed.is_none() {
+        eprintln!("{}", report.observations()?);
+    }
     Ok(())
 }
 
@@ -1219,6 +1218,13 @@ mod tests {
         let err = cmd_bench(&["--matrix", "--out", dir]).unwrap_err();
         std::fs::remove_file(&file).unwrap();
         assert!(err.starts_with(&format!("creating output directory {dir}: ")), "{err}");
+    }
+
+    #[test]
+    fn scale_of_a_model_with_small_gradients_succeeds() {
+        // A3C's ethernet exchange hides behind its compute, so Observation
+        // 12 does not apply and the healthy sweep must not fail on it.
+        cmd_scale(&["a3c", "--framework", "mxnet", "--batch", "8"]).expect("healthy sweep");
     }
 
     #[test]

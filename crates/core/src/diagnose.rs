@@ -157,7 +157,7 @@ pub fn run_diagnose(
         };
         let tracer = TraceRecorder::shared();
         let _ = sim.simulate_events(&cluster, &config, Some(&tracer));
-        events.extend(tracer.drain());
+        events.append(&mut tracer.drain());
     }
 
     if opts.faults != FaultPreset::None {
@@ -170,7 +170,7 @@ pub fn run_diagnose(
         ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, DefaultPolicy::default())
             .run(opts.steps, feeds, Some(&tracer))
             .map_err(|e| e.to_string())?;
-        events.extend(tracer.drain());
+        events.append(&mut tracer.drain());
     }
 
     Ok(tbd_profiler::diagnose_events(kind.name(), framework.name(), batch, &events))

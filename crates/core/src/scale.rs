@@ -126,6 +126,15 @@ impl ScaleEntry {
             .then(|| self.exposed_comm_s / self.iteration_s)
     }
 
+    /// Whether this point's gradient exchange outlasts its compute: the
+    /// link occupancy `comm_s` exceeds the compute of one iteration
+    /// (`iteration_s` less the exposed communication). Only then can a
+    /// slow link drag a cluster below one GPU, so this is the
+    /// precondition of Observation 12.
+    pub fn exchange_exceeds_compute(&self) -> bool {
+        self.comm_s > self.iteration_s - self.exposed_comm_s
+    }
+
     /// Stable identity within a report.
     pub fn key(&self) -> &str {
         &self.label
@@ -240,15 +249,20 @@ impl ScaleReport {
     }
 
     /// Checks the paper's distributed observations on this report
-    /// (meaningful on healthy runs; straggler injection voids them):
-    /// Observation 12/13 — 2M1G over Gigabit Ethernet falls *below* the
-    /// single GPU, while 2M1G over InfiniBand keeps ≥ 90 % scaling
-    /// efficiency.
+    /// (meaningful on healthy runs; straggler injection voids them) and
+    /// returns what held:
+    /// - Observation 12: 2M1G over Gigabit Ethernet falls *below* the
+    ///   single GPU. It is checked only where its precondition holds
+    ///   ([`ScaleEntry::exchange_exceeds_compute`]): a model whose
+    ///   ethernet exchange hides behind its compute scales fine, and the
+    ///   verdict says the observation does not apply.
+    /// - Observation 13: 2M1G over InfiniBand keeps ≥ 90 % scaling
+    ///   efficiency.
     ///
     /// # Errors
     ///
     /// Returns a message naming the violated observation.
-    pub fn observations(&self) -> Result<(), String> {
+    pub fn observations(&self) -> Result<String, String> {
         let find = |label: &str| {
             self.entries
                 .iter()
@@ -258,7 +272,8 @@ impl ScaleReport {
         let single = find("1M1G")?;
         let eth = find("2M1G ethernet")?;
         let ib = find("2M1G infiniband")?;
-        if eth.throughput >= single.throughput {
+        let applies = eth.exchange_exceeds_compute();
+        if applies && eth.throughput >= single.throughput {
             return Err(format!(
                 "Observation 12 violated: 2M1G ethernet {:.1}/s should fall below 1M1G {:.1}/s",
                 eth.throughput, single.throughput
@@ -270,7 +285,18 @@ impl ScaleReport {
                 ib.scaling_efficiency
             ));
         }
-        Ok(())
+        Ok(if applies {
+            "observations 12/13 hold (ethernet sub-single-GPU, infiniband \u{2265}90% scaling)"
+                .to_string()
+        } else {
+            format!(
+                "observation 13 holds (infiniband \u{2265}90% scaling); observation 12 does not \
+                 apply: the 2M1G ethernet exchange ({:.2} ms) does not exceed one iteration's \
+                 compute ({:.2} ms)",
+                eth.comm_s * 1e3,
+                (eth.iteration_s - eth.exposed_comm_s) * 1e3
+            )
+        })
     }
 
     /// FNV-1a digest over the canonical entry lines.
@@ -388,6 +414,24 @@ mod tests {
             entry.iteration_s = iteration_s;
             assert_eq!(entry.exposed_comm_ratio(), None, "{iteration_s}");
         }
+    }
+
+    #[test]
+    fn observation_12_applies_only_where_the_exchange_outlasts_compute() {
+        // A3C's 2.7 MB exchange hides behind its compute even on ethernet.
+        let report = tiny_report();
+        let eth = report.entries.iter().find(|e| e.label == "2M1G ethernet").expect("entry");
+        assert!(!eth.exchange_exceeds_compute());
+        let verdict = report.observations().expect("observation 13 holds");
+        assert!(verdict.contains("observation 12 does not apply"), "{verdict}");
+        // Where the exchange does outlast compute, a cluster that still
+        // beats one GPU violates the observation.
+        let mut slow = report.clone();
+        let eth = slow.entries.iter_mut().find(|e| e.label == "2M1G ethernet").expect("entry");
+        eth.comm_s = 2.0 * eth.iteration_s;
+        assert!(eth.exchange_exceeds_compute());
+        let err = slow.observations().unwrap_err();
+        assert!(err.starts_with("Observation 12 violated"), "{err}");
     }
 
     #[test]

@@ -511,7 +511,7 @@ impl DataParallelSim {
                 .with_arg("healthy_goodput", out.healthy_goodput)
                 .with_arg("cluster", cluster.label()),
             );
-            tr.record_batch(events);
+            tr.record_batch(events.into());
         }
         out
     }

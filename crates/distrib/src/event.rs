@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 use crate::bucket::{build_buckets, Bucket, BucketingConfig};
 use crate::fault::StragglerSpec;
 use crate::{ClusterConfig, ClusterProfile, DataParallelSim, SyncStrategy};
-use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
+use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 
 /// Configuration of one event-driven simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -391,9 +391,12 @@ impl DataParallelSim {
             SyncStrategy::RingAllReduce => "allreduce",
             SyncStrategy::HierarchicalAllReduce => "hierarchical allreduce",
         };
-        let mut events = vec![
-            TraceEvent::span(
-                format!("{} iteration (events)", cluster.label()),
+        let buckets = outcome.buckets.len();
+        let mut events = TraceStore::with_capacity(buckets + 2, 7 * buckets + 6);
+        let name = events.intern(format!("{} iteration (events)", cluster.label()));
+        events
+            .span(
+                name,
                 TraceLayer::Distrib,
                 EventKind::Iteration,
                 0.0,
@@ -402,24 +405,21 @@ impl DataParallelSim {
             .with_arg("workers", cluster.workers())
             .with_arg("machines", cluster.machines)
             .with_arg("throughput", outcome.profile.throughput)
-            .with_arg("buckets", outcome.buckets.len())
-            .with_arg("overlap", outcome.overlap),
-            TraceEvent::span(
-                "compute (fw+bw)",
-                TraceLayer::Distrib,
-                EventKind::Phase,
-                0.0,
-                outcome.compute_finish_s * 1e6,
-            )
+            .with_arg("buckets", buckets)
+            .with_arg("overlap", outcome.overlap);
+        let name = events.intern("compute (fw+bw)");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Phase, 0.0, outcome.compute_finish_s * 1e6)
             .on_track(1)
-            .with_arg("slowdown", outcome.slowdown_factor),
-        ];
+            .with_arg("slowdown", outcome.slowdown_factor);
+        let label = cluster.label();
         for b in &outcome.buckets {
             let per_bucket_overlap =
                 if b.comm_s > 0.0 { 1.0 - b.exposed_s / b.comm_s } else { 0.0 };
-            events.push(
-                TraceEvent::span(
-                    format!("{phase} bucket {}", b.index),
+            let name = events.intern(format!("{phase} bucket {}", b.index));
+            events
+                .span(
+                    name,
                     TraceLayer::Distrib,
                     EventKind::Communication,
                     b.start_s * 1e6,
@@ -432,8 +432,7 @@ impl DataParallelSim {
                 .with_arg("exposed_us", b.exposed_s * 1e6)
                 .with_arg("overlap", per_bucket_overlap)
                 .with_arg("attempts", u64::from(b.attempts))
-                .with_arg("cluster", cluster.label()),
-            );
+                .with_arg("cluster", label.clone());
         }
         tracer.record_batch(events);
     }

@@ -267,7 +267,8 @@ mod tests {
         m.free(MemoryCategory::Weights, 10);
         let err = m.alloc(MemoryCategory::FeatureMaps, 80).unwrap_err();
         assert_eq!(err.requested, 80);
-        let events = tracer.drain();
+        let store = tracer.drain();
+        let events: Vec<_> = store.iter().collect();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, EventKind::Alloc);
         assert_eq!(events[1].kind, EventKind::Free);

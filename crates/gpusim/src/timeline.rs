@@ -14,7 +14,7 @@ use crate::{CpuSpec, GpuSpec};
 use std::collections::HashMap;
 use tbd_graph::fuse::intern_name;
 use tbd_graph::lower::LoweredKernel;
-use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
+use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 use tbd_graph::{KernelClass, NodeId, Phase};
 use tbd_tensor::Precision;
 
@@ -152,30 +152,34 @@ pub fn simulate_iteration(
     let mut counted_flops = 0.0f64;
     let mut peak_workspace = 0u64;
     let mut records = Vec::with_capacity(kernels.len());
-    let mut events = Vec::with_capacity(if tracer.is_some() { 3 * kernels.len() + 2 } else { 0 });
+    let mut events = if tracer.is_some() {
+        TraceStore::with_capacity(3 * kernels.len() + 4, 7 * kernels.len() + 4)
+    } else {
+        TraceStore::new()
+    };
     // Event labels are deterministic functions of (origin, class), and
     // origins repeat heavily within a stream — intern each distinct label
-    // once instead of formatting per event. Event construction, not the
-    // timing model, dominates traced-simulation wall time.
-    let mut names: HashMap<(*const u8, KernelClass), (&'static str, &'static str, &'static str)> =
-        HashMap::new();
+    // into the batch once instead of formatting per event. Event
+    // construction, not the timing model, dominates traced-simulation
+    // wall time.
+    let mut names: HashMap<(*const u8, KernelClass), (u32, u32, &'static str)> = HashMap::new();
+    let sync_name = if tracer.is_some() { events.intern("sync") } else { 0 };
     for k in kernels {
         let launch_start = cpu_ready;
         cpu_ready += params.launch_overhead_s;
         let t = kernel_timing_memoized(&k.spec, gpu, params.compute_speedup, params.precision);
         let start = cpu_ready.max(gpu_free + params.sync_gap_s);
         if tracer.is_some() {
-            let (launch_name, exec_name, class_name) = *names
-                .entry((k.spec.origin.as_ptr(), k.spec.class))
-                .or_insert_with(|| {
+            let (launch_name, exec_name, class_name) =
+                *names.entry((k.spec.origin.as_ptr(), k.spec.class)).or_insert_with(|| {
                     (
-                        intern_name(format!("launch {}", k.spec.origin)),
-                        intern_name(format!("{}::{:?}", k.spec.origin, k.spec.class)),
+                        events.intern(format!("launch {}", k.spec.origin)),
+                        events.intern(format!("{}::{:?}", k.spec.origin, k.spec.class)),
                         intern_name(format!("{:?}", k.spec.class)),
                     )
                 });
-            events.push(
-                TraceEvent::span(
+            events
+                .span(
                     launch_name,
                     TraceLayer::GpuSim,
                     EventKind::KernelLaunch,
@@ -183,42 +187,27 @@ pub fn simulate_iteration(
                     params.launch_overhead_s * 1e6,
                 )
                 .on_track(LAUNCH_TRACK)
-                .with_arg("phase", k.phase.as_str()),
-            );
+                .with_arg("phase", k.phase.as_str());
             // The gap the device spent idle before this kernel: framework
             // scheduling (sync_gap) plus any launch starvation.
             let idle = start - gpu_free;
             if idle > 0.0 && gpu_free > 0.0 {
-                events.push(
-                    TraceEvent::span(
-                        "sync",
-                        TraceLayer::GpuSim,
-                        EventKind::Sync,
-                        gpu_free * 1e6,
-                        idle * 1e6,
-                    )
-                    .on_track(GPU_TRACK),
-                );
+                events
+                    .span(sync_name, TraceLayer::GpuSim, EventKind::Sync, gpu_free * 1e6, idle * 1e6)
+                    .on_track(GPU_TRACK);
             }
             let kind = match k.spec.class {
                 KernelClass::MemcpyH2D | KernelClass::DataMovement => EventKind::Memcpy,
                 _ => EventKind::KernelExec,
             };
-            events.push(
-                TraceEvent::span(
-                    exec_name,
-                    TraceLayer::GpuSim,
-                    kind,
-                    start * 1e6,
-                    t.duration_s * 1e6,
-                )
+            events
+                .span(exec_name, TraceLayer::GpuSim, kind, start * 1e6, t.duration_s * 1e6)
                 .on_track(GPU_TRACK)
                 .with_arg("phase", k.phase.as_str())
                 .with_arg("class", class_name)
                 .with_arg("flops", k.spec.flops)
                 .with_arg("fp32_util", t.fp32_utilization)
-                .with_arg("bound", t.bound.as_str()),
-            );
+                .with_arg("bound", t.bound.as_str());
         }
         gpu_free = start + t.duration_s;
         busy += t.duration_s;
@@ -241,36 +230,36 @@ pub fn simulate_iteration(
     let wall = gpu_free + params.iteration_overhead_s + exposed_input;
     if let Some(tr) = tracer {
         if params.iteration_overhead_s > 0.0 {
-            events.push(
-                TraceEvent::span(
-                    "iteration overhead",
+            let name = events.intern("iteration overhead");
+            events
+                .span(
+                    name,
                     TraceLayer::GpuSim,
                     EventKind::Phase,
                     gpu_free * 1e6,
                     params.iteration_overhead_s * 1e6,
                 )
-                .on_track(LAUNCH_TRACK),
-            );
+                .on_track(LAUNCH_TRACK);
         }
         if exposed_input > 0.0 {
-            events.push(
-                TraceEvent::span(
-                    "input pipeline (exposed)",
+            let name = events.intern("input pipeline (exposed)");
+            events
+                .span(
+                    name,
                     TraceLayer::GpuSim,
                     EventKind::Phase,
                     (gpu_free + params.iteration_overhead_s) * 1e6,
                     exposed_input * 1e6,
                 )
                 .on_track(LAUNCH_TRACK)
-                .with_arg("overlap", params.pipeline_overlap),
-            );
+                .with_arg("overlap", params.pipeline_overlap);
         }
-        events.push(
-            TraceEvent::span("iteration", TraceLayer::GpuSim, EventKind::Iteration, 0.0, wall * 1e6)
-                .on_track(GPU_TRACK)
-                .with_arg("kernels", kernels.len())
-                .with_arg("gpu_busy_us", busy * 1e6),
-        );
+        let name = events.intern("iteration");
+        events
+            .span(name, TraceLayer::GpuSim, EventKind::Iteration, 0.0, wall * 1e6)
+            .on_track(GPU_TRACK)
+            .with_arg("kernels", kernels.len())
+            .with_arg("gpu_busy_us", busy * 1e6);
         tr.record_batch(events);
     }
     let gpu_utilization = if wall > 0.0 { (busy / wall).min(1.0) } else { 0.0 };

@@ -7,7 +7,7 @@
 //! mechanics.
 
 use crate::fuse::{FusionGroup, FusionPlan};
-use crate::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder, value_hash};
+use crate::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder, TraceStore, value_hash};
 use crate::{Graph, GraphError, Init, NodeId, Op, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -423,7 +423,7 @@ impl Session {
                 Vec::new()
             }
             .into_iter();
-            let mut events = Vec::new();
+            let mut events = TraceStore::new();
             for (slot, &i) in wave.units.iter().enumerate() {
                 let t0 = self.tracer.as_ref().map(|t| t.now_us());
                 let times = match joined.next() {
@@ -439,7 +439,7 @@ impl Session {
                 if let Some(tracer) = &self.tracer {
                     let times = times.unwrap_or_else(|| (t0.unwrap_or(0.0), tracer.now_us()));
                     let value = state.values[i].as_ref().expect("unit just stored");
-                    events.push(self.unit_span(i, step, (wave.label, slot), times, value));
+                    self.unit_span(&mut events, i, step, (wave.label, slot), times, value);
                 }
             }
             if let Some(tracer) = &self.tracer {
@@ -535,25 +535,28 @@ impl Session {
     /// never leave the fused kernel, so only the escaping value is pinned).
     fn unit_span(
         &self,
+        events: &mut TraceStore,
         i: usize,
         step: u64,
         (wave, slot): (usize, usize),
         (start_us, end_us): (f64, f64),
         value: &Tensor,
-    ) -> TraceEvent {
+    ) {
         let group = self.fusion.as_ref().and_then(|p| p.anchored_at(NodeId(i)));
         let (name, node) = match group {
             Some(g) => (g.name(), g.root().index()),
             None => (self.graph.node(NodeId(i)).op.mnemonic(), i),
         };
-        let span = TraceEvent::span(
-            name,
-            TraceLayer::Executor,
-            EventKind::NodeExec,
-            start_us,
-            (end_us - start_us).max(0.0),
-        )
-        .wall_clock()
+        let name = events.intern(name);
+        let span = events
+            .span(
+                name,
+                TraceLayer::Executor,
+                EventKind::NodeExec,
+                start_us,
+                (end_us - start_us).max(0.0),
+            )
+            .wall_clock()
         .on_track(u32::try_from(slot).unwrap_or(u32::MAX))
         .with_arg("node", node)
         .with_arg("step", step)
@@ -562,7 +565,7 @@ impl Session {
             Some(g) => span.with_arg("fused", g.len()),
             None => span,
         }
-        .with_arg("value_hash", value_hash(value.data()))
+        .with_arg("value_hash", value_hash(value.data()));
     }
 
     /// Records the whole-pass span (forward or backward). Never includes
@@ -1091,7 +1094,7 @@ mod tests {
             assert!(events.iter().any(|e| e.kind == EventKind::Phase && e.name == "forward"));
             assert!(events.iter().any(|e| e.kind == EventKind::Phase && e.name == "backward"));
             assert!(events.iter().all(|e| !e.deterministic), "executor spans are wall-clock");
-            events.iter().map(crate::trace::TraceEvent::canonical).collect::<Vec<_>>()
+            events.iter().map(|e| e.canonical()).collect::<Vec<_>>()
         };
         assert_eq!(canon_at(1), canon_at(3));
         tbd_tensor::par::set_max_threads(0);
@@ -1150,9 +1153,9 @@ mod tests {
             for (id, _) in plain.graph().params() {
                 assert_eq!(gp.param_grad(*id), gf.param_grad(*id));
             }
-            let spans: Vec<_> = tracer
-                .drain()
-                .into_iter()
+            let events = tracer.drain();
+            let spans: Vec<_> = events
+                .iter()
                 .filter(|e| e.kind == EventKind::NodeExec && e.name.starts_with("fused:"))
                 .collect();
             let fwd = spans.iter().filter(|e| !e.name.ends_with(".grad")).count();

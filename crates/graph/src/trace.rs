@@ -21,14 +21,17 @@
 //! never serialises kernel execution.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Which layer of the toolchain emitted an event. Maps to a Chrome-trace
 /// process so each layer gets its own swim-lane group in Perfetto.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum TraceLayer {
     /// The functional graph executor (`tbd-graph::exec`), host wall-clock.
     Executor,
@@ -101,6 +104,7 @@ impl fmt::Display for TraceLayer {
 
 /// What kind of work a span or instant event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum EventKind {
     /// Execution of one graph node (executor layer).
     NodeExec,
@@ -144,6 +148,27 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// All kinds, in declaration order (`ALL[kind as usize] == kind`).
+    pub const ALL: [EventKind; 17] = [
+        EventKind::NodeExec,
+        EventKind::KernelExec,
+        EventKind::KernelLaunch,
+        EventKind::Memcpy,
+        EventKind::Alloc,
+        EventKind::Free,
+        EventKind::AllocFail,
+        EventKind::Sync,
+        EventKind::Communication,
+        EventKind::Iteration,
+        EventKind::Phase,
+        EventKind::Fault,
+        EventKind::Recovery,
+        EventKind::Checkpoint,
+        EventKind::Membership,
+        EventKind::Eviction,
+        EventKind::Rejoin,
+    ];
+
     /// Short lowercase label (the `Display` form, the canonical-line field
     /// and the Chrome-trace `kind` arg).
     pub fn as_str(self) -> &'static str {
@@ -213,6 +238,16 @@ impl ArgValue {
         }
     }
 
+    /// An upper bound on the bytes [`ArgValue::write_json`] appends.
+    pub fn json_len_bound(&self) -> usize {
+        match self {
+            ArgValue::Str(s) => 2 + escaped_len(s),
+            ArgValue::F64(v) => fixed_len_bound(*v, 6),
+            ArgValue::U64(_) => 20,
+            ArgValue::Bool(_) => 5,
+        }
+    }
+
     /// Canonical text used by the digest: exact, platform-independent.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
@@ -231,7 +266,10 @@ impl ArgValue {
                 out.write_str("f:")?;
                 write_hex16(out, v.to_bits())
             }
-            ArgValue::U64(v) => write!(out, "u:{v}"),
+            ArgValue::U64(v) => {
+                out.write_str("u:")?;
+                write_decimal(out, *v)
+            }
             ArgValue::Bool(b) => out.write_str(if *b { "b:true" } else { "b:false" }),
         }
     }
@@ -307,6 +345,18 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
+/// The length of `s` once [`escape_into`] has escaped it.
+pub fn escaped_len(s: &str) -> usize {
+    s.len()
+        + s.bytes()
+            .map(|b| match b {
+                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+                0..=0x1f => 5,
+                _ => 0,
+            })
+            .sum::<usize>()
+}
+
 /// Writes `v` as 16 lowercase hex digits, exactly like `{v:016x}`.
 fn write_hex16(out: &mut impl fmt::Write, v: u64) -> fmt::Result {
     let mut digits = [0u8; 16];
@@ -316,6 +366,13 @@ fn write_hex16(out: &mut impl fmt::Write, v: u64) -> fmt::Result {
     out.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
 }
 
+/// Writes `v` in decimal, exactly like `{v}`.
+fn write_decimal(out: &mut impl fmt::Write, v: u64) -> fmt::Result {
+    let mut buf = [0u8; DIGITS_CAP];
+    let start = digits_before(&mut buf, DIGITS_CAP, v, 1);
+    out.write_str(std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII"))
+}
+
 /// Longest digit run [`write_fixed`] produces: `m·2^40·10^9 < 2^123`,
 /// which has at most 38 decimal digits.
 const DIGITS_CAP: usize = 40;
@@ -323,14 +380,41 @@ const DIGITS_CAP: usize = 40;
 /// `10^19`, the largest power of ten below `2^64`.
 const TEN_POW_19: u128 = 10_000_000_000_000_000_000;
 
+/// `00`, `01`, … `99`: the digit pair of every value below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
 /// Writes the decimal digits of `x` so they end just before `buf[end]`,
 /// zero-padded to at least `min` digits; returns the index of the first.
+/// Two digits per division.
 fn digits_before(buf: &mut [u8; DIGITS_CAP], mut end: usize, mut x: u64, min: usize) -> usize {
     let stop = end - min;
-    while x > 0 || end > stop {
+    let mut pair = |end: &mut usize, x: u64| {
+        let at = 2 * x as usize;
+        *end -= 2;
+        buf[*end..*end + 2].copy_from_slice(&DIGIT_PAIRS[at..at + 2]);
+    };
+    while x >= 100 {
+        pair(&mut end, x % 100);
+        x /= 100;
+    }
+    if x >= 10 {
+        pair(&mut end, x);
+    } else if x > 0 || end > stop {
         end -= 1;
-        buf[end] = b'0' + (x % 10) as u8;
-        x /= 10;
+        buf[end] = b'0' + x as u8;
+    }
+    while end > stop {
+        end -= 1;
+        buf[end] = b'0';
     }
     end
 }
@@ -341,9 +425,18 @@ fn push_ascii(out: &mut String, digits: &[u8]) {
 
 /// Appends `v` in decimal, exactly like `{v}`.
 pub fn write_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; DIGITS_CAP];
-    let start = digits_before(&mut buf, DIGITS_CAP, v, 1);
-    push_ascii(out, &buf[start..]);
+    let _ = write_decimal(out, v);
+}
+
+/// An upper bound on the bytes [`write_fixed`] writes for `v` — and on
+/// the 4-byte `null` the exporters write for a non-finite `v`. `|v|` is
+/// below `2^e` for the binary exponent `e`, so its integer part has at
+/// most `⌊e·log10 2⌋ + 1` digits, plus one when rounding carries.
+pub fn fixed_len_bound(v: f64, decimals: u32) -> usize {
+    let e = ((v.to_bits() >> 52) & 0x7ff) as usize;
+    let int_digits = if e <= 1022 { 1 } else { (e - 1022) * 30_103 / 100_000 + 2 };
+    // Sign, digits, point, decimals.
+    (1 + int_digits + 1 + decimals as usize).max(4)
 }
 
 /// Appends `v` with `decimals` fractional digits, byte-identical to
@@ -365,7 +458,8 @@ pub fn write_fixed(out: &mut String, v: f64, decimals: u32) {
         let _ = write!(out, "{v:.*}", decimals as usize);
         return;
     }
-    let scaled = u128::from(m) * u128::from(10u64.pow(decimals));
+    let scale = 10u64.pow(decimals);
+    let scaled = u128::from(m) * u128::from(scale);
     let n = if e >= 0 {
         scaled << e
     } else if e > -100 {
@@ -376,20 +470,31 @@ pub fn write_fixed(out: &mut String, v: f64, decimals: u32) {
         // `scaled < 2^83` is below half of `2^-e`.
         0
     };
-    if bits >> 63 == 1 {
+    let negative = bits >> 63 == 1;
+    let mut buf = [0u8; DIGITS_CAP];
+    if let Ok(n) = u64::try_from(n) {
+        // At most 20 digits, the point and the sign: one run of `buf`.
+        let mut start = if decimals == 0 {
+            digits_before(&mut buf, DIGITS_CAP, n, 1)
+        } else {
+            let point = digits_before(&mut buf, DIGITS_CAP, n % scale, decimals as usize) - 1;
+            buf[point] = b'.';
+            digits_before(&mut buf, point, n / scale, 1)
+        };
+        if negative {
+            start -= 1;
+            buf[start] = b'-';
+        }
+        push_ascii(out, &buf[start..]);
+        return;
+    }
+    if negative {
         out.push('-');
     }
-    let mut buf = [0u8; DIGITS_CAP];
-    let min = decimals as usize + 1;
-    let start = match u64::try_from(n) {
-        Ok(n) => digits_before(&mut buf, DIGITS_CAP, n, min),
-        Err(_) => {
-            // `n ≥ 2^64`: print the low 19 digits, then the (nonzero) rest,
-            // so the digit loop only ever divides a `u64`.
-            let low = digits_before(&mut buf, DIGITS_CAP, (n % TEN_POW_19) as u64, 19);
-            digits_before(&mut buf, low, (n / TEN_POW_19) as u64, 1)
-        }
-    };
+    // `n ≥ 2^64`: print the low 19 digits, then the (nonzero) rest, so the
+    // digit loop only ever divides a `u64`.
+    let low = digits_before(&mut buf, DIGITS_CAP, (n % TEN_POW_19) as u64, 19);
+    let start = digits_before(&mut buf, low, (n / TEN_POW_19) as u64, 1);
     let point = DIGITS_CAP - decimals as usize;
     push_ascii(out, &buf[start..point]);
     if decimals > 0 {
@@ -398,7 +503,11 @@ pub fn write_fixed(out: &mut String, v: f64, decimals: u32) {
     }
 }
 
-/// One structured trace event: a span (`dur_us > 0`) or an instant.
+/// One owned trace event: a span (`dur_us > 0`) or an instant.
+///
+/// The one-event builder for rare producers and tests. A recorded trace is
+/// a [`TraceStore`] of columns, read back one [`EventRef`] at a time; hot
+/// producers push straight into a store instead of building these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event label (kernel name, op mnemonic, phase name).
@@ -472,10 +581,60 @@ impl TraceEvent {
         self.args.push((key, value.into()));
         self
     }
+}
 
+/// A borrowed view of one event of a [`TraceStore`] — the one type every
+/// reader (digests, exporters, aggregator, diagnosis, report) takes.
+///
+/// `name_id` addresses the owning store's name table: two events of one
+/// store have equal ids exactly when their names are equal, so readers
+/// group and compare names as integers.
+#[derive(Debug, Clone, Copy)]
+pub struct EventRef<'a> {
+    /// Id of `name` in the owning store's name table.
+    pub name_id: u32,
+    /// Event label.
+    pub name: &'a str,
+    /// Emitting layer.
+    pub layer: TraceLayer,
+    /// Work category.
+    pub kind: EventKind,
+    /// Start time in microseconds on the layer's own clock.
+    pub start_us: f64,
+    /// Duration in microseconds (0 for instant events).
+    pub dur_us: f64,
+    /// Track within the layer.
+    pub track: u32,
+    /// Whether the timing fields are deterministic (see
+    /// [`TraceEvent::deterministic`]).
+    pub deterministic: bool,
+    /// Typed arguments, in insertion order.
+    pub args: &'a [(&'static str, ArgValue)],
+}
+
+impl<'a> EventRef<'a> {
     /// End time in microseconds.
     pub fn end_us(&self) -> f64 {
         self.start_us + self.dur_us
+    }
+
+    /// The first argument named `key`.
+    pub fn arg(&self, key: &str) -> Option<&'a ArgValue> {
+        self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// An owned copy of the event.
+    pub fn to_event(&self) -> TraceEvent {
+        TraceEvent {
+            name: Cow::Owned(self.name.to_string()),
+            layer: self.layer,
+            kind: self.kind,
+            start_us: self.start_us,
+            dur_us: self.dur_us,
+            track: self.track,
+            deterministic: self.deterministic,
+            args: self.args.to_vec(),
+        }
     }
 
     /// Canonical one-line form consumed by the golden-trace digest.
@@ -491,7 +650,7 @@ impl TraceEvent {
         line
     }
 
-    /// Writes the canonical line ([`TraceEvent::canonical`]) to `out`
+    /// Writes the canonical line ([`EventRef::canonical`]) to `out`
     /// without building it first — the digest streams every event through
     /// an [`Fnv1a`] hasher this way.
     ///
@@ -503,21 +662,438 @@ impl TraceEvent {
         out.write_char('|')?;
         out.write_str(self.kind.as_str())?;
         out.write_char('|')?;
-        out.write_str(&self.name)?;
+        out.write_str(self.name)?;
         if self.deterministic {
             out.write_str("|t:")?;
             write_hex16(out, self.start_us.to_bits())?;
             out.write_char('+')?;
             write_hex16(out, self.dur_us.to_bits())?;
-            write!(out, "@{}", self.track)?;
+            out.write_char('@')?;
+            write_decimal(out, self.track.into())?;
         }
-        for (key, value) in &self.args {
+        for (key, value) in self.args {
             out.write_char('|')?;
             out.write_str(key)?;
             out.write_char('=')?;
             value.write_canonical(out)?;
         }
         Ok(())
+    }
+}
+
+/// Names a store keeps in a plain list before it also indexes them.
+const LINEAR_NAMES: usize = 16;
+
+/// A trace stored as columns: the storage of every recording.
+///
+/// - a per-store name table, each distinct name once, addressed by a
+///   `u32` id;
+/// - one column per field: the name id, `layer` and `kind` (one byte
+///   each), `start_us`, `dur_us`, `track` and `deterministic`;
+/// - one args arena, each event's args a contiguous range of it.
+///
+/// Hot producers fill a store directly ([`TraceStore::span`] on an id from
+/// [`TraceStore::intern`]) and publish it with
+/// [`TraceRecorder::record_batch`], which appends the columns. Readers
+/// borrow one [`EventRef`] per event.
+///
+/// [`TraceStore::digest_after`] caches its result. The fields are private,
+/// and every method that changes an event drops the cache, so a cached
+/// digest is never stale.
+#[derive(Debug, Clone, Default)]
+pub struct TraceStore {
+    names: Vec<Cow<'static, str>>,
+    index: HashMap<Cow<'static, str>, u32>,
+    name: Vec<u32>,
+    layer: Vec<TraceLayer>,
+    kind: Vec<EventKind>,
+    start_us: Vec<f64>,
+    dur_us: Vec<f64>,
+    track: Vec<u32>,
+    deterministic: Vec<bool>,
+    /// Index of each event's first arg in `args`.
+    args_at: Vec<u32>,
+    args: Vec<(&'static str, ArgValue)>,
+    /// `(hasher state before the events, digest)` of the last
+    /// [`TraceStore::digest_after`].
+    digest: OnceLock<(u64, u64)>,
+}
+
+impl TraceStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        TraceStore::default()
+    }
+
+    /// An empty store with room for `events` events carrying `args` args
+    /// in total.
+    pub fn with_capacity(events: usize, args: usize) -> Self {
+        TraceStore {
+            name: Vec::with_capacity(events),
+            layer: Vec::with_capacity(events),
+            kind: Vec::with_capacity(events),
+            start_us: Vec::with_capacity(events),
+            dur_us: Vec::with_capacity(events),
+            track: Vec::with_capacity(events),
+            deterministic: Vec::with_capacity(events),
+            args_at: Vec::with_capacity(events),
+            args: Vec::with_capacity(args),
+            ..TraceStore::default()
+        }
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.name.len()
+    }
+
+    /// `true` when the store holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.name.is_empty()
+    }
+
+    /// The name table: `names()[id]` is the name with id `id`.
+    pub fn names(&self) -> &[Cow<'static, str>] {
+        &self.names
+    }
+
+    /// The name-id column: `names()[name_ids()[i]]` names event `i`.
+    pub fn name_ids(&self) -> &[u32] {
+        &self.name
+    }
+
+    /// The start-time column.
+    pub fn start_column(&self) -> &[f64] {
+        &self.start_us
+    }
+
+    /// The duration column.
+    pub fn dur_column(&self) -> &[f64] {
+        &self.dur_us
+    }
+
+    /// The track column.
+    pub fn track_column(&self) -> &[u32] {
+        &self.track
+    }
+
+    /// The args arena: every event's args, back to back in event order.
+    pub fn args_arena(&self) -> &[(&'static str, ArgValue)] {
+        &self.args
+    }
+
+    fn touch(&mut self) {
+        self.digest.take();
+    }
+
+    fn find(&self, name: &str) -> Option<u32> {
+        if self.names.len() <= LINEAR_NAMES {
+            self.names.iter().position(|n| n == name).map(|i| i as u32)
+        } else {
+            self.index.get(name).copied()
+        }
+    }
+
+    /// The id of `name`, added to the name table on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` distinct names.
+    pub fn intern(&mut self, name: impl Into<Cow<'static, str>>) -> u32 {
+        let name = name.into();
+        if let Some(id) = self.find(&name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names");
+        if self.names.len() >= LINEAR_NAMES {
+            if self.index.is_empty() {
+                self.index.extend(self.names.iter().cloned().zip(0..));
+            }
+            self.index.insert(name.clone(), id);
+        }
+        self.names.push(name);
+        id
+    }
+
+    /// Appends a deterministic span named by the id `name` (from
+    /// [`TraceStore::intern`]) on track 0; the returned writer sets its
+    /// track, clock and args.
+    pub fn span(
+        &mut self,
+        name: u32,
+        layer: TraceLayer,
+        kind: EventKind,
+        start_us: f64,
+        dur_us: f64,
+    ) -> EventWriter<'_> {
+        debug_assert!((name as usize) < self.names.len(), "name id from this store");
+        self.touch();
+        let at = u32::try_from(self.args.len()).expect("fewer than 2^32 args");
+        self.name.push(name);
+        self.layer.push(layer);
+        self.kind.push(kind);
+        self.start_us.push(start_us);
+        self.dur_us.push(dur_us);
+        self.track.push(0);
+        self.deterministic.push(true);
+        self.args_at.push(at);
+        EventWriter { store: self }
+    }
+
+    /// Appends an owned event.
+    pub fn push(&mut self, event: TraceEvent) {
+        let name = self.intern(event.name);
+        let mut writer = self
+            .span(name, event.layer, event.kind, event.start_us, event.dur_us)
+            .on_track(event.track);
+        if !event.deterministic {
+            writer = writer.wall_clock();
+        }
+        writer.store.args.extend(event.args);
+    }
+
+    fn args_range(&self, i: usize) -> Range<usize> {
+        let end = self.args_at.get(i + 1).map_or(self.args.len(), |&at| at as usize);
+        self.args_at[i] as usize..end
+    }
+
+    /// The event at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index >= len()`.
+    pub fn event(&self, index: usize) -> EventRef<'_> {
+        let name_id = self.name[index];
+        EventRef {
+            name_id,
+            name: &self.names[name_id as usize],
+            layer: self.layer[index],
+            kind: self.kind[index],
+            start_us: self.start_us[index],
+            dur_us: self.dur_us[index],
+            track: self.track[index],
+            deterministic: self.deterministic[index],
+            args: &self.args[self.args_range(index)],
+        }
+    }
+
+    /// Every event, in recording order.
+    pub fn iter(&self) -> Events<'_> {
+        Events { store: self, range: 0..self.len() }
+    }
+
+    /// Moves every event of `other` to the end of `self`, leaving `other`
+    /// empty: the columns are appended and `other`'s name ids are mapped
+    /// through `self`'s table, one lookup per distinct name.
+    pub fn append(&mut self, other: &mut TraceStore) {
+        self.touch();
+        other.touch();
+        if self.len() < other.len() {
+            // Move the shorter side: `other`'s columns become `self`'s,
+            // and the few events `self` held go in front of them.
+            std::mem::swap(self, other);
+            self.prepend(other);
+            return;
+        }
+        let remap: Vec<u32> = other.names.drain(..).map(|name| self.intern(name)).collect();
+        other.index.clear();
+        self.name.extend(other.name.drain(..).map(|id| remap[id as usize]));
+        let shift = u32::try_from(self.args.len()).expect("fewer than 2^32 args");
+        self.args_at.extend(other.args_at.drain(..).map(|at| at + shift));
+        self.layer.append(&mut other.layer);
+        self.kind.append(&mut other.kind);
+        self.start_us.append(&mut other.start_us);
+        self.dur_us.append(&mut other.dur_us);
+        self.track.append(&mut other.track);
+        self.deterministic.append(&mut other.deterministic);
+        self.args.append(&mut other.args);
+    }
+
+    /// Moves every event of `head` to the front of `self`, leaving `head`
+    /// empty (see [`TraceStore::append`]).
+    fn prepend(&mut self, head: &mut TraceStore) {
+        let remap: Vec<u32> = head.names.drain(..).map(|name| self.intern(name)).collect();
+        head.index.clear();
+        let shift = u32::try_from(head.args.len()).expect("fewer than 2^32 args");
+        for at in &mut self.args_at {
+            *at += shift;
+        }
+        self.name.splice(0..0, head.name.drain(..).map(|id| remap[id as usize]));
+        self.args_at.splice(0..0, head.args_at.drain(..));
+        self.layer.splice(0..0, head.layer.drain(..));
+        self.kind.splice(0..0, head.kind.drain(..));
+        self.start_us.splice(0..0, head.start_us.drain(..));
+        self.dur_us.splice(0..0, head.dur_us.drain(..));
+        self.track.splice(0..0, head.track.drain(..));
+        self.deterministic.splice(0..0, head.deterministic.drain(..));
+        self.args.splice(0..0, head.args.drain(..));
+    }
+
+    /// Keeps the first `len` events and drops the rest (and their args).
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        self.touch();
+        self.args.truncate(self.args_at[len] as usize);
+        self.name.truncate(len);
+        self.layer.truncate(len);
+        self.kind.truncate(len);
+        self.start_us.truncate(len);
+        self.dur_us.truncate(len);
+        self.track.truncate(len);
+        self.deterministic.truncate(len);
+        self.args_at.truncate(len);
+    }
+
+    /// Keeps only the events `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(EventRef<'_>) -> bool) {
+        let kept: Vec<bool> = self.iter().map(&mut keep).collect();
+        if kept.iter().all(|&k| k) {
+            return;
+        }
+        self.touch();
+        // Where each event's args end in the old arena.
+        let ends: Vec<usize> =
+            self.args_at.iter().skip(1).map(|&at| at as usize).chain([self.args.len()]).collect();
+        let mut args = std::mem::take(&mut self.args).into_iter();
+        let mut args_at = Vec::with_capacity(self.len());
+        let mut start = 0;
+        for (&k, &end) in kept.iter().zip(&ends) {
+            let own = (&mut args).take(end - start);
+            if k {
+                args_at.push(u32::try_from(self.args.len()).expect("fewer than 2^32 args"));
+                self.args.extend(own);
+            } else {
+                own.for_each(drop);
+            }
+            start = end;
+        }
+        self.args_at = args_at;
+        retain_column(&mut self.name, &kept);
+        retain_column(&mut self.layer, &kept);
+        retain_column(&mut self.kind, &kept);
+        retain_column(&mut self.start_us, &kept);
+        retain_column(&mut self.dur_us, &kept);
+        retain_column(&mut self.track, &kept);
+        retain_column(&mut self.deterministic, &kept);
+    }
+
+    /// Events per layer, indexed by [`TraceLayer::index`].
+    pub fn layer_counts(&self) -> [u64; 5] {
+        let mut counts = [0u64; 5];
+        for layer in &self.layer {
+            counts[layer.index()] += 1;
+        }
+        counts
+    }
+
+    /// Modelled bytes of the events ([`approx_event_bytes`] summed).
+    pub fn approx_bytes(&self) -> u64 {
+        self.iter().map(approx_event_bytes).sum()
+    }
+
+    /// FNV-1a over `seed` followed by `'\n'` + the canonical line
+    /// ([`EventRef::write_canonical`]) of every event — the trace digest
+    /// once `seed` has folded the trace header.
+    ///
+    /// The result is cached with the hasher state it started from, so a
+    /// second call with an equal `seed` returns without hashing. A
+    /// different seed (another header) recomputes, and every method that
+    /// changes an event drops the cache.
+    pub fn digest_after(&self, seed: &Fnv1a) -> u64 {
+        let key = seed.finish();
+        if let Some(&(cached_key, digest)) = self.digest.get() {
+            if cached_key == key {
+                return digest;
+            }
+        }
+        let mut hasher = seed.clone();
+        for event in self {
+            hasher.update(b"\n");
+            let _ = event.write_canonical(&mut hasher);
+        }
+        let digest = hasher.finish();
+        let _ = self.digest.set((key, digest));
+        digest
+    }
+}
+
+fn retain_column<T>(column: &mut Vec<T>, kept: &[bool]) {
+    let mut keep = kept.iter();
+    column.retain(|_| *keep.next().expect("one flag per event"));
+}
+
+impl From<Vec<TraceEvent>> for TraceStore {
+    fn from(events: Vec<TraceEvent>) -> Self {
+        events.into_iter().collect()
+    }
+}
+
+impl FromIterator<TraceEvent> for TraceStore {
+    fn from_iter<I: IntoIterator<Item = TraceEvent>>(events: I) -> Self {
+        let mut store = TraceStore::new();
+        for event in events {
+            store.push(event);
+        }
+        store
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceStore {
+    type Item = EventRef<'a>;
+    type IntoIter = Events<'a>;
+
+    fn into_iter(self) -> Events<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the events of a [`TraceStore`].
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    store: &'a TraceStore,
+    range: Range<usize>,
+}
+
+impl<'a> Iterator for Events<'a> {
+    type Item = EventRef<'a>;
+
+    fn next(&mut self) -> Option<EventRef<'a>> {
+        self.range.next().map(|i| self.store.event(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
+/// Sets the track, clock and args of the event [`TraceStore::span`] just
+/// appended.
+#[derive(Debug)]
+pub struct EventWriter<'a> {
+    store: &'a mut TraceStore,
+}
+
+impl EventWriter<'_> {
+    /// Sets the track.
+    pub fn on_track(self, track: u32) -> Self {
+        *self.store.track.last_mut().expect("an event was just appended") = track;
+        self
+    }
+
+    /// Marks the timing fields as host wall-clock (excluded from digests).
+    pub fn wall_clock(self) -> Self {
+        *self.store.deterministic.last_mut().expect("an event was just appended") = false;
+        self
+    }
+
+    /// Attaches an argument.
+    pub fn with_arg(self, key: &'static str, value: impl Into<ArgValue>) -> Self {
+        self.store.args.push((key, value.into()));
+        self
     }
 }
 
@@ -534,7 +1110,7 @@ impl TraceEvent {
 /// recorder.
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
     /// Observes a batch of events that were just recorded, in order.
-    fn consume(&self, events: &[TraceEvent]);
+    fn consume(&self, events: &TraceStore);
 }
 
 /// Number of log2 buckets in the sink-latency histogram: bucket `i` counts
@@ -549,7 +1125,7 @@ pub const SINK_LATENCY_BUCKETS: usize = 32;
 /// `size_of`-based arithmetic) so `tbd_internal_event_bytes_total` is
 /// byte-identical across hosts and pointer widths.
 #[must_use]
-pub fn approx_event_bytes(event: &TraceEvent) -> u64 {
+pub fn approx_event_bytes(event: EventRef<'_>) -> u64 {
     64 + event.name.len() as u64 + 16 * event.args.len() as u64
 }
 
@@ -626,12 +1202,8 @@ impl OverheadCells {
         self.sink_latency_hist[Self::bucket(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn note_events(&self, events: &[TraceEvent]) {
-        let mut by_layer = [0u64; 5];
-        for event in events {
-            by_layer[event.layer.index()] += 1;
-        }
-        for (cell, n) in self.events_by_layer.iter().zip(by_layer) {
+    fn note_events(&self, events: &TraceStore) {
+        for (cell, n) in self.events_by_layer.iter().zip(events.layer_counts()) {
             if n > 0 {
                 cell.fetch_add(n, Ordering::Relaxed);
             }
@@ -678,7 +1250,7 @@ impl OverheadCells {
 /// metrics stay exact while storage stays bounded.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    events: Mutex<Vec<TraceEvent>>,
+    events: Mutex<TraceStore>,
     sink: Mutex<Option<Arc<dyn TraceSink>>>,
     epoch: Instant,
     retain_cap: AtomicUsize,
@@ -688,7 +1260,7 @@ pub struct TraceRecorder {
 impl Default for TraceRecorder {
     fn default() -> Self {
         TraceRecorder {
-            events: Mutex::new(Vec::new()),
+            events: Mutex::new(TraceStore::new()),
             sink: Mutex::new(None),
             epoch: Instant::now(),
             retain_cap: AtomicUsize::new(usize::MAX),
@@ -738,52 +1310,38 @@ impl TraceRecorder {
         self.overhead.snapshot()
     }
 
-    /// Appends one event, forwarding it to the attached sink (if any)
-    /// while the event lock is held so sink order equals storage order.
+    /// Appends one event (a one-event [`TraceRecorder::record_batch`]).
     pub fn record(&self, event: TraceEvent) {
-        let t0 = Instant::now();
-        let mut events = self.events.lock().expect("trace lock");
-        if let Some(sink) = self.sink.lock().expect("sink lock").as_ref() {
-            let s0 = Instant::now();
-            sink.consume(std::slice::from_ref(&event));
-            self.overhead.note_sink(s0.elapsed().as_nanos() as u64);
-        }
-        self.overhead.record_calls.fetch_add(1, Ordering::Relaxed);
-        self.overhead.note_events(std::slice::from_ref(&event));
-        if events.len() < self.retain_cap.load(Ordering::Relaxed) {
-            self.overhead.event_bytes.fetch_add(approx_event_bytes(&event), Ordering::Relaxed);
-            events.push(event);
-        } else {
-            self.overhead.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(events);
-        self.overhead.record_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let mut one = TraceStore::with_capacity(1, event.args.len());
+        one.push(event);
+        self.record_batch(one);
     }
 
     /// Appends a batch of events under a single lock — the cheap path for
-    /// per-thread buffers inside the wave scheduler. The attached sink (if
-    /// any) observes the whole batch in order before the lock drops.
-    pub fn record_batch(&self, mut events: Vec<TraceEvent>) {
-        if events.is_empty() {
+    /// per-thread buffers inside the wave scheduler and for the simulators,
+    /// which fill the batch's columns directly. The attached sink (if any)
+    /// observes the whole batch in order before the lock drops, so sink
+    /// order equals storage order.
+    pub fn record_batch(&self, mut batch: TraceStore) {
+        if batch.is_empty() {
             return;
         }
         let t0 = Instant::now();
         let mut stored = self.events.lock().expect("trace lock");
         if let Some(sink) = self.sink.lock().expect("sink lock").as_ref() {
             let s0 = Instant::now();
-            sink.consume(&events);
+            sink.consume(&batch);
             self.overhead.note_sink(s0.elapsed().as_nanos() as u64);
         }
         self.overhead.record_calls.fetch_add(1, Ordering::Relaxed);
-        self.overhead.note_events(&events);
+        self.overhead.note_events(&batch);
         let room = self.retain_cap.load(Ordering::Relaxed).saturating_sub(stored.len());
-        if events.len() > room {
-            self.overhead.dropped.fetch_add((events.len() - room) as u64, Ordering::Relaxed);
-            events.truncate(room);
+        if batch.len() > room {
+            self.overhead.dropped.fetch_add((batch.len() - room) as u64, Ordering::Relaxed);
+            batch.truncate(room);
         }
-        let bytes: u64 = events.iter().map(approx_event_bytes).sum();
-        self.overhead.event_bytes.fetch_add(bytes, Ordering::Relaxed);
-        stored.append(&mut events);
+        self.overhead.event_bytes.fetch_add(batch.approx_bytes(), Ordering::Relaxed);
+        stored.append(&mut batch);
         drop(stored);
         self.overhead.record_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -799,12 +1357,12 @@ impl TraceRecorder {
     }
 
     /// Removes and returns every recorded event.
-    pub fn drain(&self) -> Vec<TraceEvent> {
+    pub fn drain(&self) -> TraceStore {
         std::mem::take(&mut *self.events.lock().expect("trace lock"))
     }
 
     /// Clones the recorded events without draining them.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    pub fn snapshot(&self) -> TraceStore {
         self.events.lock().expect("trace lock").clone()
     }
 }
@@ -863,10 +1421,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a digest of an event list: each event's canonical line
-/// ([`TraceEvent::write_canonical`]) followed by `'\n'`, streamed through
+/// ([`EventRef::write_canonical`]) followed by `'\n'`, streamed through
 /// the hasher without building the text.
 #[must_use]
-pub fn events_digest(events: &[TraceEvent]) -> u64 {
+pub fn events_digest(events: &TraceStore) -> u64 {
     let mut hasher = Fnv1a::new();
     for event in events {
         let _ = event.write_canonical(&mut hasher);
@@ -898,16 +1456,16 @@ mod tests {
     fn recorder_collects_and_drains() {
         let rec = TraceRecorder::shared();
         rec.record(TraceEvent::span("a", TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0));
-        rec.record_batch(vec![
+        rec.record_batch(TraceStore::from(vec![
             TraceEvent::instant("b", TraceLayer::Executor, EventKind::NodeExec, 2.0),
             TraceEvent::instant("c", TraceLayer::Executor, EventKind::NodeExec, 3.0),
-        ]);
+        ]));
         assert_eq!(rec.len(), 3);
         let events = rec.drain();
         assert_eq!(events.len(), 3);
         assert!(rec.is_empty());
-        assert_eq!(events[0].name, "a");
-        assert_eq!(events[2].end_us(), 3.0);
+        assert_eq!(events.event(0).name, "a");
+        assert_eq!(events.event(2).end_us(), 3.0);
     }
 
     #[test]
@@ -917,7 +1475,7 @@ mod tests {
             for t in 0..4u32 {
                 let rec = Arc::clone(&rec);
                 scope.spawn(move || {
-                    let local: Vec<TraceEvent> = (0..25)
+                    let local: TraceStore = (0..25)
                         .map(|i| {
                             TraceEvent::instant(
                                 format!("t{t}e{i}"),
@@ -935,6 +1493,11 @@ mod tests {
         assert_eq!(rec.len(), 100);
     }
 
+    /// The canonical line of one owned event, read back through a store.
+    fn line(event: TraceEvent) -> String {
+        TraceStore::from(vec![event]).event(0).canonical()
+    }
+
     #[test]
     fn canonical_ignores_wall_clock_timing_but_keeps_args() {
         let a = TraceEvent::span("relu", TraceLayer::Executor, EventKind::NodeExec, 10.0, 5.0)
@@ -947,30 +1510,31 @@ mod tests {
             .on_track(3)
             .with_arg("node", 7usize)
             .with_arg("value_hash", 0xDEADu64);
-        assert_eq!(a.canonical(), b.canonical(), "wall times and tracks are excluded");
         let c = b.clone().with_arg("extra", true);
-        assert_ne!(a.canonical(), c.canonical());
+        let (a, b, c) = (line(a), line(b), line(c));
+        assert_eq!(a, b, "wall times and tracks are excluded");
+        assert_ne!(a, c);
     }
 
     #[test]
     fn canonical_keeps_simulated_timing_exactly() {
         let a = TraceEvent::span("sgemm", TraceLayer::GpuSim, EventKind::KernelExec, 1.5, 2.5);
         let mut b = a.clone();
-        assert_eq!(a.canonical(), b.canonical());
+        assert_eq!(line(a.clone()), line(b.clone()));
         b.start_us = 1.5 + 1e-12;
-        assert_ne!(a.canonical(), b.canonical(), "sim times are digested bit-exactly");
+        assert_ne!(line(a), line(b), "sim times are digested bit-exactly");
     }
 
     #[test]
     fn events_digest_hashes_the_newline_terminated_canonical_lines() {
-        let events = [
+        let events = TraceStore::from(vec![
             TraceEvent::span("sgemm", TraceLayer::GpuSim, EventKind::KernelExec, 1.5, 2.5),
             TraceEvent::instant("b", TraceLayer::Executor, EventKind::NodeExec, 2.0)
                 .with_arg("node", 3usize),
-        ];
+        ]);
         let text: String = events.iter().map(|e| e.canonical() + "\n").collect();
         assert_eq!(events_digest(&events), fnv1a(text.as_bytes()));
-        assert_eq!(events_digest(&[]), fnv1a(b""));
+        assert_eq!(events_digest(&TraceStore::new()), fnv1a(b""));
     }
 
     #[test]
@@ -995,13 +1559,13 @@ mod tests {
         let rec = TraceRecorder::shared();
         let a = TraceEvent::span("a", TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0)
             .with_arg("bytes", 64u64);
-        let expected_a = approx_event_bytes(&a);
+        let expected_a = TraceStore::from(vec![a.clone()]).approx_bytes();
         assert_eq!(expected_a, 64 + 1 + 16);
         rec.record(a);
-        rec.record_batch(vec![
+        rec.record_batch(TraceStore::from(vec![
             TraceEvent::instant("bb", TraceLayer::Executor, EventKind::NodeExec, 2.0),
             TraceEvent::instant("cc", TraceLayer::Distrib, EventKind::Communication, 3.0),
-        ]);
+        ]));
         let oh = rec.overhead();
         assert_eq!(oh.events_total(), 3);
         assert_eq!(oh.events_by_layer[TraceLayer::GpuSim.index()], 1);
@@ -1019,7 +1583,7 @@ mod tests {
         #[derive(Debug, Default)]
         struct Counting(AtomicU64);
         impl TraceSink for Counting {
-            fn consume(&self, events: &[TraceEvent]) {
+            fn consume(&self, events: &TraceStore) {
                 self.0.fetch_add(events.len() as u64, Ordering::Relaxed);
             }
         }
@@ -1034,10 +1598,10 @@ mod tests {
                 f64::from(i),
             ));
         }
-        rec.record_batch(vec![
+        rec.record_batch(TraceStore::from(vec![
             TraceEvent::instant("f", TraceLayer::Profiler, EventKind::Phase, 9.0),
             TraceEvent::instant("g", TraceLayer::Profiler, EventKind::Phase, 10.0),
-        ]);
+        ]));
         assert_eq!(rec.len(), 3, "storage is capped");
         assert_eq!(sink.0.load(Ordering::Relaxed), 7, "sink observed every event");
         let oh = rec.overhead();
@@ -1064,6 +1628,101 @@ mod tests {
         let oh = RecorderOverhead { record_ns_total: 5_000_000, ..RecorderOverhead::default() };
         assert!((oh.overhead_fraction(1.0) - 0.005).abs() < 1e-12);
         assert_eq!(oh.overhead_fraction(0.0), 0.0);
+    }
+
+    /// `count` events named `n0`, `n1`, … cycling through `distinct`
+    /// names, event `i` carrying `i % 3` args.
+    fn numbered(count: usize, distinct: usize) -> Vec<TraceEvent> {
+        (0..count)
+            .map(|i| {
+                let mut e = TraceEvent::span(
+                    format!("n{}", i % distinct),
+                    TraceLayer::GpuSim,
+                    EventKind::KernelExec,
+                    i as f64,
+                    1.0,
+                );
+                for a in 0..i % 3 {
+                    e = e.with_arg("a", a);
+                }
+                e
+            })
+            .collect()
+    }
+
+    fn owned(store: &TraceStore) -> Vec<TraceEvent> {
+        store.iter().map(|e| e.to_event()).collect()
+    }
+
+    #[test]
+    fn store_interns_each_name_once_past_the_linear_table() {
+        let events = numbered(200, 40);
+        let store = TraceStore::from(events.clone());
+        assert_eq!(store.names().len(), 40, "one entry per distinct name");
+        assert_eq!(owned(&store), events);
+        for (i, e) in store.iter().enumerate() {
+            assert_eq!(e.name_id as usize, i % 40);
+        }
+        assert_eq!(store.args_arena().len(), events.iter().map(|e| e.args.len()).sum::<usize>());
+    }
+
+    #[test]
+    fn store_append_truncate_and_retain_keep_names_and_args_aligned() {
+        let (head, tail) = (numbered(30, 20), numbered(25, 7));
+        let mut store = TraceStore::from(head.clone());
+        let mut other = TraceStore::from(tail.clone());
+        store.append(&mut other);
+        assert!(other.is_empty() && other.names().is_empty());
+        let mut all = head.clone();
+        all.extend(tail.iter().cloned());
+        assert_eq!(owned(&store), all, "appended names are remapped");
+        store.retain(|e| e.start_us as usize % 4 != 1);
+        all.retain(|e| e.start_us as usize % 4 != 1);
+        assert_eq!(owned(&store), all);
+        store.truncate(9);
+        all.truncate(9);
+        assert_eq!(owned(&store), all);
+        assert_eq!(store.args_arena().len(), all.iter().map(|e| e.args.len()).sum::<usize>());
+        // Appending a longer store moves its columns and puts the shorter
+        // side's events in front.
+        let mut longer = TraceStore::from(numbered(40, 30));
+        store.append(&mut longer);
+        assert!(longer.is_empty() && longer.names().is_empty());
+        all.extend(numbered(40, 30));
+        assert_eq!(owned(&store), all);
+        assert_eq!(store.args_arena().len(), all.iter().map(|e| e.args.len()).sum::<usize>());
+    }
+
+    #[test]
+    fn store_digest_is_cached_per_seed_and_dropped_on_change() {
+        let mut store = TraceStore::from(numbered(10, 3));
+        let lines = |store: &TraceStore, header: &str| {
+            let mut text = header.to_string();
+            for e in store {
+                text.push('\n');
+                text.push_str(&e.canonical());
+            }
+            fnv1a(text.as_bytes())
+        };
+        let seed = |header: &str| {
+            let mut hasher = Fnv1a::new();
+            hasher.update(header.as_bytes());
+            hasher
+        };
+        assert_eq!(store.digest_after(&seed("a")), lines(&store, "a"));
+        assert_eq!(store.digest_after(&seed("a")), lines(&store, "a"), "cached");
+        assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "another seed");
+        store.push(TraceEvent::instant("late", TraceLayer::Profiler, EventKind::Phase, 0.0));
+        assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "not stale");
+        store.span(0, TraceLayer::Profiler, EventKind::Phase, 1.0, 0.0).with_arg("k", 1u64);
+        assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "not stale");
+    }
+
+    #[test]
+    fn kinds_are_listed_in_declaration_order() {
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
     }
 
     #[test]

@@ -33,10 +33,10 @@
 
 use crate::json::Value;
 use crate::sampling::{detect_stable_window, window_throughput, SamplingConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use tbd_graph::trace::{ArgValue, EventKind, TraceEvent, TraceLayer, TraceSink};
+use tbd_graph::trace::{ArgValue, EventKind, EventRef, TraceLayer, TraceSink, TraceStore};
 
 /// Cap on distinct per-kernel series; later names fold into `_other`.
 pub const MAX_KERNEL_SERIES: usize = 256;
@@ -376,9 +376,12 @@ const MEMORY_CATEGORIES: [&str; 5] =
 struct AggState {
     events_total: u64,
     events_by_layer: [u64; 5],
-    // Fig. 5: per-kernel attribution (bounded map) + per-class totals.
-    kernels: BTreeMap<String, KernelFold>,
-    classes: BTreeMap<String, (u64, f64)>,
+    // Fig. 5: per-kernel attribution (bounded table) + per-class totals,
+    // each a list of series with a name index.
+    kernels: Vec<(String, KernelFold)>,
+    kernel_index: HashMap<String, usize>,
+    classes: Vec<(String, u64, f64)>,
+    class_index: HashMap<String, usize>,
     kernel_us: f64,
     kernel_calls: u64,
     fp32_weighted_us: f64,
@@ -464,30 +467,92 @@ struct AggState {
 }
 
 /// A numeric (`F64` or `U64`) argument of `event`.
-pub(crate) fn arg_f64(event: &TraceEvent, key: &str) -> Option<f64> {
-    event.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
+pub(crate) fn arg_f64(event: EventRef<'_>, key: &str) -> Option<f64> {
+    event.arg(key).and_then(|v| match v {
         ArgValue::F64(x) => Some(*x),
         ArgValue::U64(x) => Some(*x as f64),
         _ => None,
     })
 }
 
-fn arg_u64(event: &TraceEvent, key: &str) -> Option<u64> {
-    event.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
+fn arg_u64(event: EventRef<'_>, key: &str) -> Option<u64> {
+    event.arg(key).and_then(|v| match v {
         ArgValue::U64(x) => Some(*x),
         _ => None,
     })
 }
 
-fn arg_str<'e>(event: &'e TraceEvent, key: &str) -> Option<&'e str> {
-    event.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
+fn arg_str<'e>(event: EventRef<'e>, key: &str) -> Option<&'e str> {
+    event.arg(key).and_then(|v| match v {
         ArgValue::Str(s) => Some(s.as_ref()),
         _ => None,
     })
 }
 
+/// The args a device span folds, each read from its key's first
+/// occurrence as [`EventRef::arg`] would, in one pass over the args.
+/// `Some(None)`: the key came with a value of another type.
+#[derive(Debug, Default)]
+struct DeviceArgs<'a> {
+    fp32_util: Option<Option<f64>>,
+    flops: Option<Option<f64>>,
+    class: Option<Option<&'a str>>,
+    bound: Option<Option<&'a str>>,
+}
+
+impl<'a> DeviceArgs<'a> {
+    fn of(event: EventRef<'a>) -> Self {
+        let number = |v: &ArgValue| match v {
+            ArgValue::F64(x) => Some(*x),
+            ArgValue::U64(x) => Some(*x as f64),
+            _ => None,
+        };
+        let text = |v: &'a ArgValue| match v {
+            ArgValue::Str(s) => Some(s.as_ref()),
+            _ => None,
+        };
+        let mut args = DeviceArgs::default();
+        for (key, value) in event.args {
+            match *key {
+                "fp32_util" => _ = args.fp32_util.get_or_insert(number(value)),
+                "flops" => _ = args.flops.get_or_insert(number(value)),
+                "class" => _ = args.class.get_or_insert(text(value)),
+                "bound" => _ = args.bound.get_or_insert(text(value)),
+                _ => {}
+            }
+        }
+        args
+    }
+}
+
+/// The kernel series a device-span name folds into.
+#[derive(Debug, Clone, Copy)]
+enum KernelSlot {
+    /// Its own row.
+    Own(usize),
+    /// The `_other` row: the table was full when the name first came.
+    Overflow(usize),
+}
+
+/// What one name id of the batch being folded resolved to: its kernel
+/// series, and the class series of the last class it came with. A name
+/// resolves once per batch; later events of it fold by integer index.
+#[derive(Debug, Clone, Copy, Default)]
+struct NameSlot<'a> {
+    kernel: Option<KernelSlot>,
+    class: Option<(&'a str, Option<usize>)>,
+}
+
 impl AggState {
-    fn fold(&mut self, event: &TraceEvent) {
+    /// Folds every event of `events`, in order.
+    fn fold_all(&mut self, events: &TraceStore) {
+        let mut slots = vec![NameSlot::default(); events.names().len()];
+        for event in events {
+            self.fold(event, &mut slots);
+        }
+    }
+
+    fn fold<'a>(&mut self, event: EventRef<'a>, slots: &mut [NameSlot<'a>]) {
         self.events_total += 1;
         self.events_by_layer[event.layer.pid() as usize - 1] += 1;
         match (event.layer, event.kind) {
@@ -540,7 +605,7 @@ impl AggState {
             }
             (TraceLayer::GpuSim, EventKind::KernelExec)
             | (TraceLayer::GpuSim, EventKind::Memcpy) => {
-                self.fold_device_span(event);
+                self.fold_device_span(event, &mut slots[event.name_id as usize]);
             }
             (TraceLayer::GpuSim, EventKind::KernelLaunch) => {
                 self.launch_us += event.dur_us;
@@ -672,11 +737,12 @@ impl AggState {
         }
     }
 
-    fn fold_device_span(&mut self, event: &TraceEvent) {
+    fn fold_device_span<'a>(&mut self, event: EventRef<'a>, slot: &mut NameSlot<'a>) {
         let memcpy = event.kind == EventKind::Memcpy;
-        let fp32 = arg_f64(event, "fp32_util").unwrap_or(0.0);
-        let flops = arg_f64(event, "flops").unwrap_or(0.0);
-        let class = arg_str(event, "class").unwrap_or(if memcpy { "Memcpy" } else { "Kernel" });
+        let args = DeviceArgs::of(event);
+        let fp32 = args.fp32_util.flatten().unwrap_or(0.0);
+        let flops = args.flops.flatten().unwrap_or(0.0);
+        let class = args.class.flatten().unwrap_or(if memcpy { "Memcpy" } else { "Kernel" });
         if memcpy {
             self.memcpy_us += event.dur_us;
             self.memcpy_calls += 1;
@@ -687,45 +753,79 @@ impl AggState {
             self.fp32_weighted_us += fp32 * event.dur_us;
             self.total_flops += flops;
             self.kernel_hist.observe(event.dur_us);
-            match arg_str(event, "bound") {
+            match args.bound.flatten() {
                 Some("compute") => self.bound_us[0] += event.dur_us,
                 Some("memory") => self.bound_us[1] += event.dur_us,
                 _ => {}
             }
         }
-        // Hot path: one map walk and zero allocations for an already-seen
-        // series; the `to_string` only runs on a series' first event.
-        let name: &str = &event.name;
-        let fold = if self.kernels.contains_key(name) {
-            self.kernels.get_mut(name).expect("checked above")
-        } else if self.kernels.len() < MAX_KERNEL_SERIES {
-            let fold = self.kernels.entry(name.to_string()).or_default();
-            fold.class = class.to_string();
-            fold.memcpy = memcpy;
-            fold
-        } else {
-            self.kernel_series_overflow += 1;
-            let fold = self.kernels.entry(OVERFLOW_SERIES.to_string()).or_default();
-            if fold.calls == 0 {
-                fold.class = class.to_string();
-                fold.memcpy = memcpy;
+        // Hot path: the name resolved earlier in the batch folds by index;
+        // the `to_string`s only run on a series' first event.
+        let kernel = *slot.kernel.get_or_insert_with(|| {
+            if let Some(&index) = self.kernel_index.get(event.name) {
+                KernelSlot::Own(index)
+            } else if self.kernels.len() < MAX_KERNEL_SERIES {
+                let fold = KernelFold { class: class.to_string(), memcpy, ..KernelFold::default() };
+                KernelSlot::Own(self.add_kernel(event.name, fold))
+            } else {
+                let index = match self.kernel_index.get(OVERFLOW_SERIES) {
+                    Some(&index) => index,
+                    None => self.add_kernel(OVERFLOW_SERIES, KernelFold::default()),
+                };
+                KernelSlot::Overflow(index)
             }
-            fold
+        });
+        let fold = match kernel {
+            KernelSlot::Own(index) => &mut self.kernels[index].1,
+            KernelSlot::Overflow(index) => {
+                self.kernel_series_overflow += 1;
+                let fold = &mut self.kernels[index].1;
+                if fold.calls == 0 {
+                    fold.class = class.to_string();
+                    fold.memcpy = memcpy;
+                }
+                fold
+            }
         };
         fold.calls += 1;
         fold.total_us += event.dur_us;
         fold.flops += flops;
         fold.fp32_weighted_us += fp32 * event.dur_us;
-        if self.classes.contains_key(class) {
-            let slot = self.classes.get_mut(class).expect("checked above");
-            slot.0 += 1;
-            slot.1 += event.dur_us;
-        } else if self.classes.len() < MAX_CLASS_SERIES {
-            self.classes.insert(class.to_string(), (1, event.dur_us));
-        }
+        let index = match slot.class {
+            Some((seen, index)) if seen == class => index,
+            _ => self.class_index.get(class).copied(),
+        };
+        let index = match index {
+            Some(index) => {
+                let (_, calls, total_us) = &mut self.classes[index];
+                *calls += 1;
+                *total_us += event.dur_us;
+                Some(index)
+            }
+            None if self.classes.len() < MAX_CLASS_SERIES => {
+                self.class_index.insert(class.to_string(), self.classes.len());
+                self.classes.push((class.to_string(), 1, event.dur_us));
+                Some(self.classes.len() - 1)
+            }
+            None => None,
+        };
+        slot.class = Some((class, index));
     }
 
-    fn fold_memory(&mut self, event: &TraceEvent, alloc: bool) {
+    fn add_kernel(&mut self, name: &str, fold: KernelFold) -> usize {
+        self.kernel_index.insert(name.to_string(), self.kernels.len());
+        self.kernels.push((name.to_string(), fold));
+        self.kernels.len() - 1
+    }
+
+    /// Class series sorted by name.
+    fn sorted_classes(&self) -> Vec<&(String, u64, f64)> {
+        let mut classes: Vec<_> = self.classes.iter().collect();
+        classes.sort_by(|a, b| a.0.cmp(&b.0));
+        classes
+    }
+
+    fn fold_memory(&mut self, event: EventRef<'_>, alloc: bool) {
         let Some(index) = MEMORY_CATEGORIES.iter().position(|c| *c == event.name) else {
             return;
         };
@@ -807,7 +907,7 @@ impl AggState {
             }
             reg.set_gauge(series("kernel_compute_share", "kernel", &row.name), row.compute_share);
         }
-        for (class, (calls, total_us)) in &self.classes {
+        for (class, calls, total_us) in self.sorted_classes() {
             reg.inc(series("class_calls_total", "class", class), *calls);
             reg.set_gauge(series("class_time_us_total", "class", class), *total_us);
         }
@@ -1194,12 +1294,9 @@ impl StreamingAggregator {
         Arc::new(StreamingAggregator::new())
     }
 
-    /// Folds a slice of events — the post-hoc path over a drained trace.
-    pub fn consume_all(&self, events: &[TraceEvent]) {
-        let mut state = self.state.lock().expect("agg lock");
-        for event in events {
-            state.fold(event);
-        }
+    /// Folds a store of events — the post-hoc path over a drained trace.
+    pub fn consume_all(&self, events: &TraceStore) {
+        self.state.lock().expect("agg lock").fold_all(events);
     }
 
     /// Snapshots the folded state into a registry. Derived ratios are
@@ -1222,7 +1319,7 @@ impl StreamingAggregator {
     /// class name — the BENCH trajectory's wall-time-per-class map.
     pub fn class_times(&self) -> Vec<(String, u64, f64)> {
         let state = self.state.lock().expect("agg lock");
-        state.classes.iter().map(|(c, &(n, us))| (c.clone(), n, us)).collect()
+        state.sorted_classes().into_iter().map(|(c, n, us)| (c.clone(), *n, *us)).collect()
     }
 
     /// Rolling stable-window throughput, when the window has stabilised.
@@ -1242,13 +1339,13 @@ impl StreamingAggregator {
 }
 
 impl TraceSink for StreamingAggregator {
-    fn consume(&self, events: &[TraceEvent]) {
+    fn consume(&self, events: &TraceStore) {
         self.consume_all(events);
     }
 }
 
 /// Post-hoc convenience: aggregates a finished event stream in one call.
-pub fn aggregate(events: &[TraceEvent], config: &SamplingConfig) -> MetricsRegistry {
+pub fn aggregate(events: &TraceStore, config: &SamplingConfig) -> MetricsRegistry {
     let agg = StreamingAggregator::with_config(*config);
     agg.consume_all(events);
     agg.registry()
@@ -1257,6 +1354,7 @@ pub fn aggregate(events: &[TraceEvent], config: &SamplingConfig) -> MetricsRegis
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbd_graph::trace::TraceEvent;
 
     #[test]
     fn log2_buckets_cover_the_line() {
@@ -1304,7 +1402,7 @@ mod tests {
     #[test]
     fn kernel_table_overflow_is_bounded_and_deterministic() {
         let agg = StreamingAggregator::new();
-        let events: Vec<TraceEvent> = (0..MAX_KERNEL_SERIES + 50)
+        let events: TraceStore = (0..MAX_KERNEL_SERIES + 50)
             .map(|i| {
                 TraceEvent::span(
                     format!("k{i}"),
@@ -1334,13 +1432,13 @@ mod tests {
     #[test]
     fn loss_counters_are_present_even_at_zero_in_every_exporter() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&[TraceEvent::span(
+        agg.consume_all(&TraceStore::from(vec![TraceEvent::span(
             "sgemm",
             TraceLayer::GpuSim,
             EventKind::KernelExec,
             0.0,
             1.0,
-        )]);
+        )]));
         let reg = agg.registry();
         assert_eq!(reg.counter("agg_kernel_series_overflow_total"), Some(0));
         assert_eq!(reg.counter("agg_window_dropped_total"), Some(0));
@@ -1369,7 +1467,7 @@ mod tests {
                 1e6,
             )
             .with_arg("batch", 8u64);
-            agg.consume(std::slice::from_ref(&event));
+            agg.consume(&TraceStore::from(vec![event]));
         }
         let reg = agg.registry();
         assert_eq!(reg.counter("agg_window_dropped_total"), Some(extra as u64));
@@ -1401,13 +1499,13 @@ mod tests {
         let ev = |kind, name: &'static str, bytes: u64| {
             TraceEvent::instant(name, TraceLayer::GpuSim, kind, 0.0).with_arg("bytes", bytes)
         };
-        agg.consume_all(&[
+        agg.consume_all(&TraceStore::from(vec![
             ev(EventKind::Alloc, "feature maps", 700),
             ev(EventKind::Alloc, "weights", 200),
             ev(EventKind::Free, "feature maps", 650),
             ev(EventKind::Alloc, "feature maps", 100),
             ev(EventKind::AllocFail, "workspace", 4096),
-        ]);
+        ]));
         let mem = agg.memory_attribution();
         assert_eq!(mem[0].category, "feature maps");
         assert_eq!(mem[0].peak_bytes, 700);
@@ -1421,7 +1519,7 @@ mod tests {
     #[test]
     fn chaos_events_fold_into_resilience_metrics() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&[
+        agg.consume_all(&TraceStore::from(vec![
             TraceEvent::instant("fault/worker-crash", TraceLayer::Executor, EventKind::Fault, 0.0)
                 .with_arg("fault", "worker-crash")
                 .with_arg("step", 3u64),
@@ -1448,7 +1546,7 @@ mod tests {
             TraceEvent::span("chaos/run", TraceLayer::Executor, EventKind::Iteration, 0.0, 3e6)
                 .with_arg("goodput", 96.0)
                 .with_arg("throughput", 128.0),
-        ]);
+        ]));
         let reg = agg.registry();
         assert_eq!(reg.counter("faults_injected_total"), Some(2));
         assert_eq!(reg.counter(&series("faults_injected_total", "fault", "worker-crash")), Some(1));
@@ -1467,7 +1565,7 @@ mod tests {
     #[test]
     fn elastic_events_fold_into_membership_metrics() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&[
+        agg.consume_all(&TraceStore::from(vec![
             TraceEvent::instant("membership/evict", TraceLayer::Distrib, EventKind::Eviction, 0.0)
                 .with_arg("worker", 2u64)
                 .with_arg("step", 4u64)
@@ -1489,7 +1587,7 @@ mod tests {
                 .with_arg("rejoin_catchup_s", 0.5)
                 .with_arg("goodput", 200.0)
                 .with_arg("healthy_goodput", 250.0),
-        ]);
+        ]));
         let reg = agg.registry();
         assert_eq!(reg.counter("membership_epochs_total"), Some(3));
         assert_eq!(reg.counter("evictions_total"), Some(1));
@@ -1507,14 +1605,14 @@ mod tests {
     #[test]
     fn churn_free_traces_emit_no_membership_series() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&[TraceEvent::span(
+        agg.consume_all(&TraceStore::from(vec![TraceEvent::span(
             "1M2G iteration",
             TraceLayer::Distrib,
             EventKind::Iteration,
             0.0,
             4e5,
         )
-        .with_arg("throughput", 128.0)]);
+        .with_arg("throughput", 128.0)]));
         let reg = agg.registry();
         assert_eq!(reg.counter("membership_epochs_total"), None);
         assert_eq!(reg.counter("evictions_total"), None);
@@ -1535,7 +1633,7 @@ mod tests {
                 dur_s * 1e6,
             )
             .with_arg("batch", 16u64);
-            agg.consume(std::slice::from_ref(&event));
+            agg.consume(&TraceStore::from(vec![event]));
             if i < 50 {
                 assert!(agg.stable_throughput().is_none(), "too few iterations at {i}");
             }

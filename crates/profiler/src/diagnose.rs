@@ -32,7 +32,7 @@ use crate::json::{self, Codec, Value};
 use crate::sampling::SamplingConfig;
 use crate::trace::Trace;
 use std::fmt::Write as _;
-use tbd_graph::trace::{fnv1a, EventKind, TraceEvent, TraceLayer};
+use tbd_graph::trace::{fnv1a, EventKind, TraceEvent, TraceLayer, TraceStore};
 
 /// Version stamp of the diagnosis-report JSON schema.
 pub const DIAGNOSE_SCHEMA_VERSION: u64 = 1;
@@ -324,7 +324,7 @@ fn hist_mass_below(hist: &Log2Histogram, cap_us: f64) -> Option<f64> {
     Some(small as f64 / hist.count() as f64)
 }
 
-fn mine(events: &[TraceEvent], reg: &MetricsRegistry) -> Signals {
+fn mine(events: &TraceStore, reg: &MetricsRegistry) -> Signals {
     let mut s = Signals { events: events.len() as u64, ..Signals::default() };
     let finite_gauge = |name: &str| reg.gauge(name).filter(|v| v.is_finite());
     s.sim_iteration_us = finite_gauge("sim_iteration_us").unwrap_or(0.0);
@@ -726,7 +726,7 @@ pub fn diagnose_events(
     model: &str,
     framework: &str,
     batch: usize,
-    events: &[TraceEvent],
+    events: &TraceStore,
 ) -> DiagnosisReport {
     let registry = aggregate(events, &SamplingConfig::default());
     diagnose_named(model, framework, batch, events, &registry)
@@ -737,7 +737,7 @@ pub fn diagnose_named(
     model: &str,
     framework: &str,
     batch: usize,
-    events: &[TraceEvent],
+    events: &TraceStore,
     registry: &MetricsRegistry,
 ) -> DiagnosisReport {
     let s = mine(events, registry);
@@ -948,7 +948,7 @@ pub mod scenarios {
         shape: &WorkloadShape,
         cluster: &ClusterConfig,
         stragglers: Option<StragglerSpec>,
-    ) -> (Vec<TraceEvent>, EventOutcome) {
+    ) -> (TraceStore, EventOutcome) {
         let config = EventConfig { stragglers, ..EventConfig::default() };
         let tracer = TraceRecorder::shared();
         let outcome = shape.worker().simulate_events(cluster, &config, Some(&tracer));
@@ -963,7 +963,7 @@ pub mod scenarios {
         }
     }
 
-    fn device_events(kernels: &[LoweredKernel]) -> Vec<TraceEvent> {
+    fn device_events(kernels: &[LoweredKernel]) -> TraceStore {
         let tracer = TraceRecorder::shared();
         simulate_iteration(
             kernels,
@@ -978,7 +978,7 @@ pub mod scenarios {
     /// Launch-starvation scenario: a per-timestep-RNN-like stream of tiny
     /// elementwise kernels that never amortise the 5 µs launch overhead
     /// (Observation 5).
-    pub fn launch_bound(kernels: usize) -> Vec<TraceEvent> {
+    pub fn launch_bound(kernels: usize) -> TraceStore {
         let stream: Vec<_> =
             (0..kernels).map(|i| kern(i, KernelClass::Elementwise, 3e4, 4e5)).collect();
         device_events(&stream)
@@ -986,7 +986,7 @@ pub mod scenarios {
 
     /// Bandwidth-bound scenario: large elementwise/normalisation kernels
     /// whose roofline verdict is memory on every record.
-    pub fn memory_bound(kernels: usize) -> Vec<TraceEvent> {
+    pub fn memory_bound(kernels: usize) -> TraceStore {
         let stream: Vec<_> = (0..kernels)
             .map(|i| {
                 let class = if i % 2 == 0 {
@@ -1001,14 +1001,14 @@ pub mod scenarios {
     }
 
     /// Healthy compute-bound scenario: a stream of large GEMMs.
-    pub fn compute_bound(kernels: usize) -> Vec<TraceEvent> {
+    pub fn compute_bound(kernels: usize) -> TraceStore {
         let stream: Vec<_> = (0..kernels).map(|i| kern(i, KernelClass::Gemm, 1e10, 1e8)).collect();
         device_events(&stream)
     }
 
     /// Allocator-thrash scenario: cyclic alloc/free ping-pong on the
     /// dynamic category with no kernel stream to amortise it.
-    pub fn allocator_thrash(pairs: usize) -> Vec<TraceEvent> {
+    pub fn allocator_thrash(pairs: usize) -> TraceStore {
         let mut events = Vec::with_capacity(2 * pairs);
         for i in 0..pairs {
             let t = i as f64 * 2.0;
@@ -1021,7 +1021,7 @@ pub mod scenarios {
                     .with_arg("bytes", 1u64 << 22),
             );
         }
-        events
+        events.into()
     }
 
     /// Membership-churn scenario: the elastic supervisor runs `shape` on
@@ -1029,7 +1029,7 @@ pub mod scenarios {
     /// guarantee at least one eviction, returning the recorded membership
     /// events and the elastic outcome (ground truth for the confusion
     /// matrix).
-    pub fn membership_churn(shape: &WorkloadShape, seed: u64) -> (Vec<TraceEvent>, ElasticOutcome) {
+    pub fn membership_churn(shape: &WorkloadShape, seed: u64) -> (TraceStore, ElasticOutcome) {
         let cluster = ClusterConfig::single_machine(4);
         let config = ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(0.9), 40);
         let tracer = TraceRecorder::shared();
@@ -1039,7 +1039,7 @@ pub mod scenarios {
 
     /// OOM-pressure scenario: a run that ends in failed device
     /// allocations (the silent-OOM path PR 2 made loud).
-    pub fn oom_pressure(fails: usize) -> Vec<TraceEvent> {
+    pub fn oom_pressure(fails: usize) -> TraceStore {
         let mut events = vec![
             TraceEvent::instant("weights", TraceLayer::GpuSim, EventKind::Alloc, 0.0)
                 .with_arg("bytes", 1u64 << 30),
@@ -1055,7 +1055,7 @@ pub mod scenarios {
                 .with_arg("bytes", 3u64 << 30),
             );
         }
-        events
+        events.into()
     }
 }
 
@@ -1065,7 +1065,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_guarded() {
-        let report = diagnose_events("empty", "tf", 4, &[]);
+        let report = diagnose_events("empty", "tf", 4, &TraceStore::new());
         assert_eq!(report.top1().class, BottleneckClass::ComputeBound);
         assert_eq!(report.top1().confidence, 0.0);
         assert!(report.diagnoses.iter().all(|d| d.confidence.is_finite()));
@@ -1074,12 +1074,12 @@ mod tests {
 
     #[test]
     fn single_event_trace_is_guarded() {
-        let events = vec![TraceEvent::instant(
+        let events = TraceStore::from(vec![TraceEvent::instant(
             "capture",
             TraceLayer::Profiler,
             EventKind::Phase,
             0.0,
-        )];
+        )]);
         let report = diagnose_events("tiny", "tf", 4, &events);
         assert_eq!(report.top1().class, BottleneckClass::ComputeBound);
         assert!(report.top1().confidence.is_finite());

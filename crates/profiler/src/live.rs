@@ -43,9 +43,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::trace::{
-    EventKind, RecorderOverhead, TraceEvent, TraceLayer, TraceRecorder,
-};
+use tbd_graph::trace::{EventKind, RecorderOverhead, TraceLayer, TraceRecorder, TraceStore};
 use tbd_graph::GraphError;
 use tbd_models::ModelKind;
 
@@ -119,22 +117,14 @@ pub fn observe(
     if let Some(profile) = &capture.profile {
         let run = synthesize_run(profile.iteration.wall_time_s, 150, 200, 600, 42);
         let mut t_us = 0.0;
-        let events: Vec<TraceEvent> = run
-            .iteration_s
-            .iter()
-            .map(|&s| {
-                let e = TraceEvent::span(
-                    "training iteration",
-                    TraceLayer::Profiler,
-                    EventKind::Iteration,
-                    t_us,
-                    s * 1e6,
-                )
+        let mut events = TraceStore::with_capacity(run.iteration_s.len(), run.iteration_s.len());
+        let name = events.intern("training iteration");
+        for &s in &run.iteration_s {
+            events
+                .span(name, TraceLayer::Profiler, EventKind::Iteration, t_us, s * 1e6)
                 .with_arg("batch", batch);
-                t_us += s * 1e6;
-                e
-            })
-            .collect();
+            t_us += s * 1e6;
+        }
         recorder.record_batch(events);
     }
     let overhead = recorder.overhead();
@@ -214,6 +204,8 @@ pub fn render_report(obs: &Observation, timestamp: &str) -> RenderedReport {
     RenderedReport { html, digest_hex }
 }
 
+/// The artifacts of one observation. The report, the Chrome export and
+/// `trace_digest` share one digest pass: the trace caches it.
 fn snapshot_of(obs: &Observation, capture_index: u64) -> Snapshot {
     let rendered = render_report(obs, &format!("capture #{capture_index}"));
     Snapshot {

@@ -32,8 +32,8 @@ use crate::diagnose::DiagnosisReport;
 use std::fmt::Write as _;
 use std::ops::Range;
 use tbd_graph::trace::{
-    write_fixed, write_u64, ArgValue, EventKind, Fnv1a, RecorderOverhead, TraceEvent, TraceLayer,
-    SINK_LATENCY_BUCKETS,
+    write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a, RecorderOverhead, TraceLayer,
+    TraceStore, SINK_LATENCY_BUCKETS,
 };
 
 /// Timestamp placeholder used when computing the digest: the one part of
@@ -69,7 +69,7 @@ pub struct ReportContext<'a> {
     /// Golden-trace digest of the capture (`Trace::digest_hex`).
     pub trace_digest: &'a str,
     /// The full event stream of the capture.
-    pub events: &'a [TraceEvent],
+    pub events: &'a TraceStore,
     /// Metrics snapshot folded from the same events.
     pub registry: &'a MetricsRegistry,
     /// Ranked bottleneck diagnosis of the same events.
@@ -253,7 +253,7 @@ impl ReportContext<'_> {
              by the determinism contract.</p>\n",
         );
         for layer in [TraceLayer::GpuSim, TraceLayer::Framework, TraceLayer::Distrib] {
-            let spans: Vec<&TraceEvent> = self
+            let spans: Vec<EventRef<'_>> = self
                 .events
                 .iter()
                 .filter(|e| e.layer == layer && e.deterministic && e.dur_us > 0.0)
@@ -281,24 +281,29 @@ impl ReportContext<'_> {
             let mut elided = 0usize;
             for (row, track) in tracks.iter().enumerate() {
                 let y = row as f64 * LANE_H + 2.0;
-                let mut lane: Vec<&&TraceEvent> =
-                    spans.iter().filter(|e| e.track == *track).collect();
+                // Each span with its position in the layer, the last tie-break.
+                let mut lane: Vec<(usize, &EventRef<'_>)> =
+                    spans.iter().enumerate().filter(|(_, e)| e.track == *track).collect();
                 if lane.len() > MAX_LANE_EVENTS {
-                    // Keep the longest spans; ties broken by start then name
-                    // so the selection is deterministic.
-                    lane.sort_by(|a, b| {
+                    // Keep the longest spans; ties broken by start, name and
+                    // position so the selection is deterministic. Selecting
+                    // the kept spans first sorts only them.
+                    let longest = |(i, a): &(usize, &EventRef<'_>), (j, b): &(usize, &EventRef<'_>)| {
                         b.dur_us
                             .total_cmp(&a.dur_us)
                             .then_with(|| a.start_us.total_cmp(&b.start_us))
-                            .then_with(|| a.name.cmp(&b.name))
-                    });
+                            .then_with(|| a.name.cmp(b.name))
+                            .then_with(|| i.cmp(j))
+                    };
                     elided += lane.len() - MAX_LANE_EVENTS;
+                    lane.select_nth_unstable_by(MAX_LANE_EVENTS - 1, longest);
                     lane.truncate(MAX_LANE_EVENTS);
+                    lane.sort_unstable_by(longest);
                 }
-                lane.sort_by(|a, b| {
-                    a.start_us.total_cmp(&b.start_us).then_with(|| a.name.cmp(&b.name))
+                lane.sort_by(|(_, a), (_, b)| {
+                    a.start_us.total_cmp(&b.start_us).then_with(|| a.name.cmp(b.name))
                 });
-                for event in lane {
+                for (_, event) in lane {
                     let x = (event.start_us - t0) / range * SVG_W;
                     let w = (event.dur_us / range * SVG_W).max(0.5);
                     out.push_str("<rect class=\"");
@@ -312,7 +317,7 @@ impl ReportContext<'_> {
                     out.push_str("\" height=\"");
                     write_fixed(out, LANE_H - 4.0, 1);
                     out.push_str("\"><title>");
-                    esc_into(out, &event.name);
+                    esc_into(out, event.name);
                     out.push_str(" — ");
                     fmt_us_into(out, event.dur_us);
                     out.push_str(" (track ");
@@ -335,12 +340,14 @@ impl ReportContext<'_> {
         let mut points: Vec<f64> = Vec::new();
         let mut current = 0.0f64;
         let mut fails: Vec<usize> = Vec::new();
-        for event in self.events.iter().filter(|e| e.layer == TraceLayer::GpuSim) {
+        let allocator = |e: &EventRef<'_>| {
+            e.layer == TraceLayer::GpuSim
+                && matches!(e.kind, EventKind::Alloc | EventKind::Free | EventKind::AllocFail)
+        };
+        for event in self.events.iter().filter(allocator) {
             let bytes = event
-                .args
-                .iter()
-                .find(|(k, _)| *k == "bytes")
-                .and_then(|(_, v)| match v {
+                .arg("bytes")
+                .and_then(|v| match v {
                     ArgValue::U64(b) => Some(*b as f64),
                     ArgValue::F64(b) => Some(*b),
                     _ => None,
@@ -688,10 +695,10 @@ mod tests {
     use super::*;
     use crate::agg::{series, StreamingAggregator};
     use crate::diagnose::diagnose_events;
-    use tbd_graph::trace::fnv1a;
+    use tbd_graph::trace::{fnv1a, TraceEvent};
 
-    fn tiny_events() -> Vec<TraceEvent> {
-        vec![
+    fn tiny_events() -> TraceStore {
+        TraceStore::from(vec![
             TraceEvent::span("sgemm<128>", TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 50.0)
                 .with_arg("class", "Gemm")
                 .with_arg("flops", 1e9)
@@ -717,10 +724,10 @@ mod tests {
             TraceEvent::span("relu", TraceLayer::Executor, EventKind::NodeExec, 0.0, 5.0)
                 .wall_clock()
                 .with_arg("value_hash", 0xBEEFu64),
-        ]
+        ])
     }
 
-    fn context_pieces() -> (Vec<TraceEvent>, MetricsRegistry, DiagnosisReport) {
+    fn context_pieces() -> (TraceStore, MetricsRegistry, DiagnosisReport) {
         let events = tiny_events();
         let agg = StreamingAggregator::new();
         agg.consume_all(&events);

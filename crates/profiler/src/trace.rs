@@ -16,7 +16,6 @@
 //! timeline, framework-tagged spans).
 
 use crate::json;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
@@ -28,9 +27,10 @@ use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
-    events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, Fnv1a,
-    TraceEvent, TraceLayer, TraceRecorder,
+    events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, EventRef,
+    Fnv1a, TraceEvent, TraceLayer, TraceRecorder, TraceStore,
 };
+use tbd_graph::trace::{escaped_len, fixed_len_bound};
 
 /// A merged recording of one workload run across every layer.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ pub struct Trace {
     pub batch: usize,
     /// All recorded events, in recording order (deterministic: parallel
     /// executor waves publish in ascending node order).
-    pub events: Vec<TraceEvent>,
+    pub events: TraceStore,
 }
 
 /// One row of the full nvprof-style summary: kernels, memcpys and
@@ -74,20 +74,22 @@ impl Trace {
     /// contribute identity and args only — including the output-value
     /// hashes — so the digest is stable across `intra_op_threads` while
     /// still asserting bitwise-identical computation.
+    ///
+    /// The events are hashed once per trace value: the store caches the
+    /// result against the header's hasher state
+    /// ([`TraceStore::digest_after`]), so the report, the Chrome export
+    /// and the caller share one pass, while a changed header or event
+    /// list still gets a fresh digest.
     pub fn digest(&self) -> u64 {
-        let mut hasher = Fnv1a::new();
+        let mut header = Fnv1a::new();
         let _ = write!(
-            hasher,
+            header,
             "trace|{}|{}|batch={}",
             self.model.name(),
             self.framework,
             self.batch
         );
-        for event in &self.events {
-            hasher.update(b"\n");
-            let _ = event.write_canonical(&mut hasher);
-        }
-        hasher.finish()
+        self.events.digest_after(&header)
     }
 
     /// The digest as a fixed-width hex string (golden-file format).
@@ -96,7 +98,7 @@ impl Trace {
     }
 
     /// Events emitted by `layer`.
-    pub fn layer_events(&self, layer: TraceLayer) -> impl Iterator<Item = &TraceEvent> {
+    pub fn layer_events(&self, layer: TraceLayer) -> impl Iterator<Item = EventRef<'_>> {
         self.events.iter().filter(move |e| e.layer == layer)
     }
 
@@ -106,54 +108,51 @@ impl Trace {
     /// process with a metadata name; spans are `ph:"X"` duration events
     /// and zero-duration events become `ph:"i"` instants.
     ///
-    /// Every record is written straight into the output buffer; a
-    /// non-finite `ts`/`dur` is written as `null` (JSON has no NaN or
-    /// infinity), like a non-finite float arg.
+    /// Every record is written straight into the output buffer, sized
+    /// up front by [`Trace::chrome_json_capacity`] so it never regrows.
+    /// A record's opening `{"name":"…","ph":"` is rendered once per
+    /// distinct name. A non-finite `ts`/`dur` is written as `null` (JSON
+    /// has no NaN or infinity), like a non-finite float arg.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.events.len() * 128);
+        let (heads, head_at) = self.record_heads();
+        let mut out = String::with_capacity(self.chrome_json_capacity(&head_at));
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        // Every record opens with its `name` key; the caller writes the value.
-        let mut open_record = |out: &mut String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"name\":\"");
-        };
-        for layer in TraceLayer::ALL {
-            if self.events.iter().any(|e| e.layer == layer) {
-                open_record(&mut out);
+        let mut separator = "";
+        for (layer, count) in TraceLayer::ALL.into_iter().zip(self.events.layer_counts()) {
+            if count > 0 {
+                out.push_str(separator);
+                separator = ",";
                 let _ = write!(
                     out,
-                    "process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"",
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"",
                     layer.pid()
                 );
                 json::escape_into(&mut out, layer.process_name());
                 out.push_str("\"}}");
             }
         }
+        // The fixed text around `tid` and the `kind` arg, per layer and kind.
+        let pids = TraceLayer::ALL.map(|layer| format!(",\"pid\":{},\"tid\":", layer.pid()));
+        let kinds = EventKind::ALL.map(|kind| format!(",\"args\":{{\"kind\":\"{kind}\""));
         for event in &self.events {
-            open_record(&mut out);
-            json::escape_into(&mut out, &event.name);
+            out.push_str(separator);
+            separator = ",";
+            let id = event.name_id as usize;
+            out.push_str(&heads[head_at[id]..head_at[id + 1]]);
             if event.dur_us > 0.0 {
-                out.push_str("\",\"ph\":\"X\",\"ts\":");
+                out.push_str("X\",\"ts\":");
                 write_us(&mut out, event.start_us);
                 out.push_str(",\"dur\":");
                 write_us(&mut out, event.dur_us);
             } else {
-                out.push_str("\",\"ph\":\"i\",\"ts\":");
+                out.push_str("i\",\"ts\":");
                 write_us(&mut out, event.start_us);
                 out.push_str(",\"s\":\"t\"");
             }
-            out.push_str(",\"pid\":");
-            write_u64(&mut out, event.layer.pid().into());
-            out.push_str(",\"tid\":");
+            out.push_str(&pids[event.layer.index()]);
             write_u64(&mut out, event.track.into());
-            out.push_str(",\"args\":{\"kind\":\"");
-            out.push_str(event.kind.as_str());
-            out.push('"');
-            for (key, value) in &event.args {
+            out.push_str(&kinds[event.kind as usize]);
+            for (key, value) in event.args {
                 out.push_str(",\"");
                 json::escape_into(&mut out, key);
                 out.push_str("\":");
@@ -169,29 +168,91 @@ impl Trace {
         out
     }
 
+    /// The opening `{"name":"<escaped name>","ph":"` of a record, for
+    /// every name of the store's table, in one string: name `id`'s is
+    /// `heads[head_at[id]..head_at[id + 1]]`.
+    fn record_heads(&self) -> (String, Vec<usize>) {
+        const OPEN: &str = "{\"name\":\"";
+        const CLOSE: &str = "\",\"ph\":\"";
+        let table = self.events.names();
+        let bytes = table.iter().map(|n| OPEN.len() + escaped_len(n) + CLOSE.len()).sum();
+        let mut heads = String::with_capacity(bytes);
+        let mut head_at = Vec::with_capacity(table.len() + 1);
+        head_at.push(0);
+        for name in table {
+            heads.push_str(OPEN);
+            json::escape_into(&mut heads, name);
+            heads.push_str(CLOSE);
+            head_at.push(heads.len());
+        }
+        (heads, head_at)
+    }
+
+    /// An upper bound on the bytes of [`Trace::to_chrome_json`], from
+    /// the columns: each record head's length times its name's uses,
+    /// each timestamp at the width of its column's largest, and each
+    /// arg's escaped key plus its value's bound.
+    fn chrome_json_capacity(&self, head_at: &[usize]) -> usize {
+        let events = &self.events;
+        let mut uses = vec![0usize; head_at.len() - 1];
+        for &id in events.name_ids() {
+            uses[id as usize] += 1;
+        }
+        let heads: usize = uses.iter().zip(head_at.windows(2)).map(|(n, w)| n * (w[1] - w[0])).sum();
+        let widest = |column: &[f64]| {
+            let largest = column.iter().filter(|v| v.is_finite()).fold(0.0f64, |m, v| m.max(v.abs()));
+            fixed_len_bound(largest, 3)
+        };
+        let track = events.track_column().iter().max().map_or(1, |t| t.to_string().len());
+        let args: usize = events
+            .args_arena()
+            .iter()
+            .map(|(key, value)| 4 + escaped_len(key) + value.json_len_bound())
+            .sum();
+        // `,` head `X","ts":` ts then `,"dur":` dur or `,"s":"t"`, then
+        // `,"pid":N,"tid":` track `,"args":{"kind":"` kind `"` args `}}`.
+        let time = widest(events.start_column()) + (7 + widest(events.dur_column())).max(8);
+        let per_event = 1 + 9 + time + 15 + track + 17 + 10 + 1 + 2;
+        // Header, five process records and `otherData`.
+        let fixed = 64 + 5 * 128 + 128 + escaped_len(self.model.name()) + escaped_len(self.framework);
+        fixed + events.len() * per_event + heads + args
+    }
+
     /// Full activity aggregation for the nvprof-style table: kernel,
     /// memcpy *and* communication rows, sorted by total time descending,
     /// with per-row and cumulative shares (nvprof's `Time(%)` column plus
     /// the running sum analysts compute by hand).
     pub fn summary_rows(&self) -> Vec<SummaryRow> {
-        let mut by_name: BTreeMap<(&'static str, &str), (usize, f64)> = BTreeMap::new();
+        const CATEGORIES: [&str; 3] = ["comm", "kernel", "memcpy"];
+        // `(count, µs)` per (category, name id), folded in event order.
+        let names = self.events.names();
+        let mut folds = vec![[(0usize, 0.0f64); 3]; names.len()];
         for event in &self.events {
             let category = match (event.layer, event.kind) {
-                (TraceLayer::GpuSim, EventKind::KernelExec) => "kernel",
-                (TraceLayer::GpuSim, EventKind::Memcpy) => "memcpy",
-                (TraceLayer::Distrib, EventKind::Communication) => "comm",
+                (TraceLayer::GpuSim, EventKind::KernelExec) => 1,
+                (TraceLayer::GpuSim, EventKind::Memcpy) => 2,
+                (TraceLayer::Distrib, EventKind::Communication) => 0,
                 _ => continue,
             };
-            let slot = by_name.entry((category, &event.name)).or_insert((0, 0.0));
+            let slot = &mut folds[event.name_id as usize][category];
             slot.0 += 1;
             slot.1 += event.dur_us;
         }
-        let total: f64 = by_name.values().map(|(_, us)| us).sum();
-        let mut rows: Vec<SummaryRow> = by_name
+        let mut keyed: Vec<(usize, &str, (usize, f64))> = folds
+            .iter()
+            .zip(names)
+            .flat_map(|(fold, name)| {
+                (0..3).filter(|&c| fold[c].0 > 0).map(move |c| (c, name.as_ref(), fold[c]))
+            })
+            .collect();
+        // The share denominator sums in (category, name) order.
+        keyed.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        let total: f64 = keyed.iter().map(|(_, _, (_, us))| us).sum();
+        let mut rows: Vec<SummaryRow> = keyed
             .into_iter()
-            .map(|((category, name), (count, total_us))| SummaryRow {
+            .map(|(category, name, (count, total_us))| SummaryRow {
                 name: name.to_string(),
-                category,
+                category: CATEGORIES[category],
                 count,
                 total_us,
                 pct: if total > 0.0 { 100.0 * total_us / total } else { 0.0 },
@@ -242,13 +303,11 @@ impl Trace {
                 row.name
             );
         }
-        let mut by_layer: BTreeMap<TraceLayer, usize> = BTreeMap::new();
-        for event in &self.events {
-            *by_layer.entry(event.layer).or_insert(0) += 1;
-        }
         let _ = writeln!(out, "Events by layer:");
-        for (layer, count) in by_layer {
-            let _ = writeln!(out, "  {layer:<10} {count}");
+        for (layer, count) in TraceLayer::ALL.into_iter().zip(self.events.layer_counts()) {
+            if count > 0 {
+                let _ = writeln!(out, "  {layer:<10} {count}");
+            }
         }
         out
     }
@@ -599,7 +658,7 @@ mod tests {
             model: ModelKind::ResNet50,
             framework: "TensorFlow",
             batch: 4,
-            events: vec![span("conv2d", 0.0), span("conv \"3x3\" \\ fused", 12.0)],
+            events: vec![span("conv2d", 0.0), span("conv \"3x3\" \\ fused", 12.0)].into(),
         };
         let records = gpu_track_records(&trace);
         assert_eq!(records.len(), 2);
@@ -641,10 +700,47 @@ mod tests {
         assert!(last_end > 0.0);
     }
 
+    /// The export is written into one reservation, sized from the store:
+    /// the buffer never regrows, from an empty trace to Deep Speech 2.
+    #[test]
+    fn chrome_export_never_outgrows_its_reservation() {
+        let odd = vec![
+            TraceEvent::span("nan \"q\"", TraceLayer::GpuSim, EventKind::KernelExec, f64::NAN, 1e300)
+                .with_arg("ctl\u{1}", "\u{0}\u{1f}\\")
+                .with_arg("big", f64::MAX)
+                .with_arg("n", u64::MAX),
+            TraceEvent::instant("neg", TraceLayer::Distrib, EventKind::Phase, -1e-300)
+                .on_track(u32::MAX),
+        ];
+        let sim_only = TraceOptions { functional: false, ..TraceOptions::default() };
+        let ds2 = capture(
+            ModelKind::DeepSpeech2,
+            Framework::mxnet(),
+            5,
+            &GpuSpec::quadro_p4000(),
+            &sim_only,
+        )
+        .expect("capture succeeds")
+        .trace;
+        let traces = [
+            Trace { model: ModelKind::A3c, framework: "MXNet", batch: 1, events: TraceStore::new() },
+            Trace { model: ModelKind::Wgan, framework: "T\"F", batch: usize::MAX, events: odd.into() },
+            quick_capture(1).trace,
+            ds2,
+        ];
+        for trace in traces {
+            let (_, head_at) = trace.record_heads();
+            let reserved = trace.chrome_json_capacity(&head_at);
+            let text = trace.to_chrome_json();
+            assert!(text.len() <= reserved, "{} > {reserved}", text.len());
+            assert_eq!(text.capacity(), reserved, "the {} export regrew", trace.model.name());
+        }
+    }
+
     #[test]
     fn empty_trace_is_valid() {
         let trace =
-            Trace { model: ModelKind::A3c, framework: "MXNet", batch: 1, events: Vec::new() };
+            Trace { model: ModelKind::A3c, framework: "MXNet", batch: 1, events: TraceStore::new() };
         let value = json::parse(&trace.to_chrome_json()).expect("valid JSON");
         assert_eq!(value.get("traceEvents").unwrap().as_array().unwrap().len(), 0);
         assert!(gpu_track_records(&trace).is_empty());

@@ -14,13 +14,13 @@ use std::sync::OnceLock;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_profiler::trace::{TraceEvent, TraceRecorder};
+use tbd_profiler::trace::{TraceRecorder, TraceStore};
 use tbd_profiler::{aggregate, capture_into, SamplingConfig, StreamingAggregator, TraceOptions};
 
 /// One capture per thread count, cached: the property iterates over split
 /// points, not over fresh (expensive) captures.
-fn captured_events(threads: usize) -> &'static Vec<TraceEvent> {
-    static CACHE: [OnceLock<Vec<TraceEvent>>; 2] = [OnceLock::new(), OnceLock::new()];
+fn captured_events(threads: usize) -> &'static TraceStore {
+    static CACHE: [OnceLock<TraceStore>; 2] = [OnceLock::new(), OnceLock::new()];
     let slot = match threads {
         1 => &CACHE[0],
         4 => &CACHE[1],
@@ -45,7 +45,7 @@ fn captured_events(threads: usize) -> &'static Vec<TraceEvent> {
 /// Replays `events` into a fresh recorder carrying a streaming sink,
 /// chopped at the given byte-arbitrary split points, and returns the
 /// sink's canonical registry text.
-fn stream_with_splits(events: &[TraceEvent], raw_splits: &[usize]) -> String {
+fn stream_with_splits(events: &TraceStore, raw_splits: &[usize]) -> String {
     let agg = StreamingAggregator::shared();
     let recorder = TraceRecorder::shared_with_sink(agg.clone());
     let mut splits: Vec<usize> = raw_splits.iter().map(|&s| s % (events.len() + 1)).collect();
@@ -55,7 +55,8 @@ fn stream_with_splits(events: &[TraceEvent], raw_splits: &[usize]) -> String {
     let mut start = 0;
     for end in splits {
         if end > start {
-            recorder.record_batch(events[start..end].to_vec());
+            let batch = events.iter().skip(start).take(end - start).map(|e| e.to_event());
+            recorder.record_batch(batch.collect());
             start = end;
         }
     }

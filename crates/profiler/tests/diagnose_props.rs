@@ -15,7 +15,7 @@ use tbd_gpusim::Interconnect;
 use tbd_graph::trace::TraceRecorder;
 use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
 use tbd_profiler::diagnose::scenarios::{self, WorkloadShape, RESNET50, SEQ2SEQ};
-use tbd_profiler::trace::TraceEvent;
+use tbd_profiler::trace::{TraceEvent, TraceStore};
 use tbd_profiler::{
     aggregate, diagnose_events, diagnose_named, BottleneckClass, DiagnosisReport, SamplingConfig,
     StreamingAggregator,
@@ -38,7 +38,7 @@ fn ranked(report: &DiagnosisReport) -> Vec<&'static str> {
 /// The chaos proxy of `tbd chaos`, inlined: a tiny MLP under the
 /// resilience loop with a single-kind [`FaultSpec`], returning the spine
 /// events (Fault / Recovery / Checkpoint / the `chaos/run` span).
-fn chaos_events(seed: u64, threads: usize, tweak: impl Fn(&mut FaultSpec)) -> Vec<TraceEvent> {
+fn chaos_events(seed: u64, threads: usize, tweak: impl Fn(&mut FaultSpec)) -> TraceStore {
     let mut g = GraphBuilder::new();
     let x = g.input("x", [4, 8]);
     let w1 = g.parameter("fc1/w", [8, 16], Init::Xavier { fan_in: 8, fan_out: 16 });
@@ -225,8 +225,8 @@ fn device_level_scenarios_are_named_top1() {
 
 /// One chaos trace per thread count, cached for the determinism
 /// properties below (seed 5, worker crashes — a recovery-heavy class).
-fn crash_events(threads: usize) -> &'static Vec<TraceEvent> {
-    static CACHE: [OnceLock<Vec<TraceEvent>>; 2] = [OnceLock::new(), OnceLock::new()];
+fn crash_events(threads: usize) -> &'static TraceStore {
+    static CACHE: [OnceLock<TraceStore>; 2] = [OnceLock::new(), OnceLock::new()];
     let slot = match threads {
         1 => &CACHE[0],
         4 => &CACHE[1],
@@ -272,7 +272,8 @@ proptest! {
         let mut start = 0;
         for end in splits {
             if end > start {
-                recorder.record_batch(events[start..end].to_vec());
+                let batch = events.iter().skip(start).take(end - start).map(|e| e.to_event());
+                recorder.record_batch(batch.collect());
                 start = end;
             }
         }
@@ -288,13 +289,13 @@ proptest! {
 #[test]
 fn degenerate_traces_are_guarded() {
     for events in [
-        vec![],
-        vec![TraceEvent::instant(
+        TraceStore::new(),
+        TraceStore::from(vec![TraceEvent::instant(
             "solo",
             tbd_graph::TraceLayer::Profiler,
             tbd_graph::EventKind::Phase,
             0.0,
-        )],
+        )]),
     ] {
         let report = diagnose_events("degenerate", "sim", 1, &events);
         assert_eq!(report.top1().class, BottleneckClass::ComputeBound);

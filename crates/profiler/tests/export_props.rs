@@ -20,14 +20,16 @@ use std::fmt::Write as _;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
+use tbd_graph::trace::{escaped_len, fixed_len_bound};
 use tbd_profiler::json::{self, Value};
 use tbd_profiler::report::{MAX_LANE_EVENTS, NONDETERMINISTIC_FAMILIES};
 use tbd_profiler::trace::{
-    fnv1a, write_fixed, write_u64, ArgValue, EventKind, TraceEvent, TraceLayer,
+    fnv1a, write_fixed, write_u64, ArgValue, EventKind, EventRef, TraceEvent, TraceLayer,
+    TraceRecorder, TraceStore,
 };
 use tbd_profiler::{
-    capture, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator, Trace,
-    TraceOptions, DIGEST_TIMESTAMP,
+    capture, capture_into, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator,
+    Trace, TraceOptions, DIGEST_TIMESTAMP,
 };
 
 /// Arg keys must be `'static`; these cover the characters JSON escapes.
@@ -113,13 +115,21 @@ fn event_of(words: &[u64]) -> TraceEvent {
     event
 }
 
-fn trace_of(words: &[Vec<u64>]) -> Trace {
+fn events_of(words: &[Vec<u64>]) -> Vec<TraceEvent> {
+    words.iter().map(|w| event_of(w)).collect()
+}
+
+fn trace_with(words: &[Vec<u64>], events: Vec<TraceEvent>) -> Trace {
     Trace {
         model: ModelKind::ALL[words.len() % ModelKind::ALL.len()],
         framework: "Tensor\"Flow\\",
         batch: words.len(),
-        events: words.iter().map(|w| event_of(w)).collect(),
+        events: events.into(),
     }
+}
+
+fn trace_of(words: &[Vec<u64>]) -> Trace {
+    trace_with(words, events_of(words))
 }
 
 /// Reference canonical line, built with `format!` and `{:016x}`.
@@ -184,8 +194,17 @@ fn reference_arg_json(value: &ArgValue) -> String {
     }
 }
 
-/// The per-event `format!` Chrome exporter the in-place writer replaced
-/// (valid for finite times, which is all it handled).
+/// A Chrome `ts`/`dur`: `{:.3}`, or `null` when not finite.
+fn reference_ts(us: f64) -> String {
+    if us.is_finite() {
+        format!("{us:.3}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// The per-event `format!` Chrome exporter the in-place writer replaced,
+/// writing non-finite times as `null`.
 fn reference_chrome_json(trace: &Trace) -> String {
     let mut lines = Vec::new();
     for layer in TraceLayer::ALL {
@@ -200,25 +219,25 @@ fn reference_chrome_json(trace: &Trace) -> String {
     }
     for event in &trace.events {
         let mut args = format!("\"kind\":\"{}\"", event.kind);
-        for (key, value) in &event.args {
+        for (key, value) in event.args {
             let _ = write!(args, ",\"{}\":{}", reference_escape(key), reference_arg_json(value));
         }
         lines.push(if event.dur_us > 0.0 {
             format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
+                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                reference_escape(&event.name),
-                event.start_us,
-                event.dur_us,
+                reference_escape(event.name),
+                reference_ts(event.start_us),
+                reference_ts(event.dur_us),
                 event.layer.pid(),
                 event.track,
             )
         } else {
             format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{:.3},\"s\":\"t\",\
+                "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"s\":\"t\",\
                  \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                reference_escape(&event.name),
-                event.start_us,
+                reference_escape(event.name),
+                reference_ts(event.start_us),
                 event.layer.pid(),
                 event.track,
             )
@@ -384,7 +403,7 @@ fn reference_swimlanes(ctx: &ReportContext<'_>, out: &mut String) {
          by the determinism contract.</p>\n",
     );
     for layer in [TraceLayer::GpuSim, TraceLayer::Framework, TraceLayer::Distrib] {
-        let spans: Vec<&TraceEvent> = ctx
+        let spans: Vec<EventRef<'_>> = ctx
             .events
             .iter()
             .filter(|e| e.layer == layer && e.deterministic && e.dur_us > 0.0)
@@ -413,18 +432,18 @@ fn reference_swimlanes(ctx: &ReportContext<'_>, out: &mut String) {
         let mut elided = 0usize;
         for (row, track) in tracks.iter().enumerate() {
             let y = row as f64 * LANE_H + 2.0;
-            let mut lane: Vec<&&TraceEvent> = spans.iter().filter(|e| e.track == *track).collect();
+            let mut lane: Vec<&EventRef<'_>> = spans.iter().filter(|e| e.track == *track).collect();
             if lane.len() > MAX_LANE_EVENTS {
                 lane.sort_by(|a, b| {
                     b.dur_us
                         .total_cmp(&a.dur_us)
                         .then_with(|| a.start_us.total_cmp(&b.start_us))
-                        .then_with(|| a.name.cmp(&b.name))
+                        .then_with(|| a.name.cmp(b.name))
                 });
                 elided += lane.len() - MAX_LANE_EVENTS;
                 lane.truncate(MAX_LANE_EVENTS);
             }
-            lane.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then_with(|| a.name.cmp(&b.name)));
+            lane.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then_with(|| a.name.cmp(b.name)));
             for event in lane {
                 let x = (event.start_us - t0) / range * SVG_W;
                 let w = (event.dur_us / range * SVG_W).max(0.5);
@@ -434,7 +453,7 @@ fn reference_swimlanes(ctx: &ReportContext<'_>, out: &mut String) {
                      height=\"{:.1}\"><title>{} — {} (track {})</title></rect>",
                     reference_kind_class(event.kind),
                     LANE_H - 4.0,
-                    reference_esc(&event.name),
+                    reference_esc(event.name),
                     reference_us(event.dur_us),
                     event.track,
                 );
@@ -705,13 +724,15 @@ proptest! {
         words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 6), 0..24),
         nan_bits in 0u64..4,
     ) {
-        let mut trace = trace_of(&words);
+        let mut events = events_of(&words);
         // Canonical lines carry raw bits, so non-finite times digest too.
-        if let Some(event) = trace.events.first_mut() {
+        if let Some(event) = events.first_mut() {
             event.start_us = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][nan_bits as usize];
         }
-        for event in &trace.events {
-            prop_assert_eq!(event.canonical(), reference_canonical(event));
+        let trace = trace_with(&words, events.clone());
+        prop_assert_eq!(trace.events.len(), events.len());
+        for (event, original) in trace.events.iter().zip(&events) {
+            prop_assert_eq!(event.canonical(), reference_canonical(original));
         }
         prop_assert_eq!(trace.digest(), reference_digest(&trace));
         prop_assert_eq!(trace.digest_hex(), format!("{:016x}", reference_digest(&trace)));
@@ -814,6 +835,29 @@ proptest! {
         let v = -fraction / 10f64.powi(d as i32);
         prop_assert!(fixed(v, d).starts_with('-'));
         assert_fixed_matches(v);
+    }
+
+    /// The Chrome export's size bounds hold: `write_fixed` (or the `null`
+    /// of a non-finite time) never writes more than `fixed_len_bound`, an
+    /// arg's JSON never more than `json_len_bound`, and `escaped_len` is
+    /// the escaped length exactly.
+    #[test]
+    fn length_bounds_cover_what_the_writers_write(
+        bits in 0u64..u64::MAX,
+        sign in 0u8..2,
+        e in -110i64..1000,
+        word in 0u64..u64::MAX,
+    ) {
+        for v in [f64::from_bits(bits), f64_of(sign == 1, (1075 + e) as u64, bits)] {
+            for d in [3, 6] {
+                let written = if v.is_finite() { fixed(v, d) } else { "null".to_string() };
+                prop_assert!(written.len() <= fixed_len_bound(v, d), "{v:e} at {d}: {written}");
+            }
+        }
+        let arg = arg_of(word);
+        prop_assert!(arg.to_json().len() <= arg.json_len_bound(), "{arg:?}");
+        let text = text_of(word, word >> 60);
+        prop_assert_eq!(escaped_len(&text), reference_escape(&text).len());
     }
 
     /// `write_u64` equals `{}`.
@@ -924,7 +968,8 @@ fn non_finite_times_export_as_null() {
         TraceEvent::span("nan dur", TraceLayer::Distrib, EventKind::Communication, 3.0, f64::NAN)
             .with_arg("exposed_us", f64::NAN),
     ];
-    let trace = Trace { model: ModelKind::ResNet50, framework: "TensorFlow", batch: 1, events };
+    let trace =
+        Trace { model: ModelKind::ResNet50, framework: "TensorFlow", batch: 1, events: events.into() };
     let text = trace.to_chrome_json();
     let value = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
     let records = value.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
@@ -942,4 +987,191 @@ fn non_finite_times_export_as_null() {
     let nan_dur = by_name("nan dur");
     assert_eq!(nan_dur.get("ph").and_then(Value::as_str), Some("i"));
     assert_eq!(nan_dur.get("args").and_then(|a| a.get("exposed_us")), Some(&Value::Null));
+}
+
+/// Names with JSON-troublesome characters, few enough that random lists
+/// repeat them: the store interns each once.
+const POOLED_NAMES: [&str; 5] = ["sgemm", "conv \"3x3\"", "back\\slash", "ctl\u{1}\n", "ünï🚀"];
+
+/// A time from random bits: finite (as [`finite_time`]) or, one time in
+/// six, NaN or an infinity.
+fn any_time(word: u64) -> f64 {
+    match word % 12 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => finite_time(word >> 4),
+    }
+}
+
+/// One random event from twelve random words: a pooled name (or, one time
+/// in four, a fresh random one), any timing, zero to eight args.
+fn pooled_event_of(words: &[u64]) -> TraceEvent {
+    let layer = TraceLayer::ALL[(words[0] % 5) as usize];
+    let kind = KINDS[(words[0] >> 8) as usize % KINDS.len()];
+    let name: Cow<'static, str> = if words[1].is_multiple_of(4) {
+        Cow::Owned(text_of(words[1] >> 8, words[1] >> 60))
+    } else {
+        Cow::Borrowed(POOLED_NAMES[(words[1] >> 2) as usize % POOLED_NAMES.len()])
+    };
+    let mut event = TraceEvent::span(name, layer, kind, any_time(words[3]), any_time(words[2]))
+        .on_track((words[0] >> 16) as u32 % 9);
+    if words[0] & 0x100_0000 != 0 {
+        event = event.wall_clock();
+    }
+    for (i, &word) in words[4..].iter().enumerate().take((words[0] >> 32) as usize % 9) {
+        event = event.with_arg(KEYS[(word % 6) as usize], arg_of(word.rotate_right(i as u32)));
+    }
+    event
+}
+
+/// `ArgValue` equality with floats compared by bit pattern (NaN included).
+fn same_arg(a: &ArgValue, b: &ArgValue) -> bool {
+    match (a, b) {
+        (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Records `events` one by one or in batches (split at `splits`) and
+/// returns the recorder's store.
+fn record_split(events: &[TraceEvent], splits: &[usize]) -> TraceStore {
+    let recorder = TraceRecorder::shared();
+    let mut ends: Vec<usize> = splits.iter().map(|&s| s % (events.len() + 1)).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    ends.push(events.len());
+    let mut start = 0;
+    for end in ends {
+        match end - start {
+            0 => {}
+            1 => recorder.record(events[start].clone()),
+            _ => recorder.record_batch(events[start..end].iter().cloned().collect()),
+        }
+        start = end;
+    }
+    recorder.drain()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Owned events recorded (singly and in batches), stored as columns
+    /// and read back as `EventRef`s equal the originals field for field;
+    /// their canonical lines, the digest and the Chrome bytes equal the
+    /// `format!` oracles.
+    #[test]
+    fn store_round_trips_recorded_events_field_for_field(
+        words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..40),
+        splits in prop::collection::vec(0usize..64, 0..8),
+    ) {
+        let originals: Vec<TraceEvent> = words.iter().map(|w| pooled_event_of(w)).collect();
+        let store = record_split(&originals, &splits);
+        prop_assert_eq!(store.len(), originals.len());
+        prop_assert!(store.names().len() <= originals.len());
+        for (event, original) in store.iter().zip(&originals) {
+            prop_assert_eq!(event.name, original.name.as_ref());
+            prop_assert_eq!(store.names()[event.name_id as usize].as_ref(), event.name);
+            prop_assert_eq!(event.layer, original.layer);
+            prop_assert_eq!(event.kind, original.kind);
+            prop_assert_eq!(event.start_us.to_bits(), original.start_us.to_bits());
+            prop_assert_eq!(event.dur_us.to_bits(), original.dur_us.to_bits());
+            prop_assert_eq!(event.track, original.track);
+            prop_assert_eq!(event.deterministic, original.deterministic);
+            prop_assert_eq!(event.args.len(), original.args.len());
+            for ((key, value), (okey, ovalue)) in event.args.iter().zip(&original.args) {
+                prop_assert_eq!(key, okey);
+                prop_assert!(same_arg(value, ovalue), "{value:?} != {ovalue:?}");
+            }
+            let mut streamed = String::new();
+            event.write_canonical(&mut streamed).expect("a String never fails");
+            prop_assert_eq!(streamed, reference_canonical(original));
+        }
+        // Equal names share one id.
+        for (a, b) in store.iter().zip(store.iter().skip(1)) {
+            prop_assert_eq!(a.name == b.name, a.name_id == b.name_id);
+        }
+        let trace = Trace { model: ModelKind::Wgan, framework: "MX\"Net", batch: 3, events: store };
+        prop_assert_eq!(trace.digest(), reference_digest(&trace));
+        let text = trace.to_chrome_json();
+        prop_assert_eq!(&text, &reference_chrome_json(&trace));
+        prop_assert!(json::parse(&text).is_ok(), "export must parse: {text}");
+    }
+}
+
+/// The cached digest is never stale: changing the model, framework or
+/// batch, or the events, after a digest changes the next one, and every
+/// digest equals the materialised reference.
+#[test]
+fn store_digest_is_never_stale() {
+    let event = |name: &'static str, start_us: f64| {
+        TraceEvent::span(name, TraceLayer::GpuSim, EventKind::KernelExec, start_us, 2.0)
+            .on_track(1)
+            .with_arg("flops", 1e6)
+    };
+    let mut trace = Trace {
+        model: ModelKind::ResNet50,
+        framework: "TensorFlow",
+        batch: 4,
+        events: vec![event("a", 0.0), event("b", 2.0), event("a", 4.0)].into(),
+    };
+    let mut seen = vec![trace.digest()];
+    let mut check = |trace: &Trace| {
+        let digest = trace.digest();
+        assert_eq!(digest, reference_digest(trace));
+        assert_eq!(digest, trace.digest(), "a repeated digest is the cached one");
+        assert!(!seen.contains(&digest), "digest {digest:016x} is stale");
+        seen.push(digest);
+    };
+    trace.model = ModelKind::Wgan;
+    check(&trace);
+    trace.framework = "MXNet";
+    check(&trace);
+    trace.batch = 8;
+    check(&trace);
+    trace.events.push(event("c", 6.0));
+    check(&trace);
+    trace.events.span(0, TraceLayer::GpuSim, EventKind::KernelExec, 8.0, 1.0);
+    check(&trace);
+    trace.events.retain(|e| e.name != "b");
+    check(&trace);
+    trace.events.truncate(2);
+    check(&trace);
+    trace.events.append(&mut TraceStore::from(vec![event("d", 9.0)]));
+    check(&trace);
+    trace.events = vec![event("a", 0.0)].into();
+    check(&trace);
+    // Undoing a change gives the earlier digest back, recomputed.
+    trace.batch = 4;
+    trace.model = ModelKind::ResNet50;
+    trace.framework = "TensorFlow";
+    trace.events = vec![event("a", 0.0), event("b", 2.0), event("a", 4.0)].into();
+    assert_eq!(trace.digest(), seen[0]);
+}
+
+/// The store models retained bytes with the per-event formula
+/// `64 + name.len() + 16·args`: on a captured trace its sum, and the
+/// recorder's `event_bytes_total`, equal the sum over owned events.
+#[test]
+fn store_modelled_bytes_equal_the_per_event_sum() {
+    let recorder = TraceRecorder::shared();
+    let cap = capture_into(
+        ModelKind::A3c,
+        Framework::mxnet(),
+        8,
+        &GpuSpec::quadro_p4000(),
+        &TraceOptions::default(),
+        &recorder,
+    )
+    .expect("capture succeeds");
+    let per_event: u64 = cap
+        .trace
+        .events
+        .iter()
+        .map(|e| e.to_event())
+        .map(|e| 64 + e.name.len() as u64 + 16 * e.args.len() as u64)
+        .sum();
+    assert!(per_event > 0);
+    assert_eq!(cap.trace.events.approx_bytes(), per_event);
+    assert_eq!(recorder.overhead().event_bytes_total, per_event);
 }

@@ -9,7 +9,7 @@
 //! not work-stealing) — see `tbd_tensor::par`.
 
 use tbd_graph::trace::value_hash;
-use tbd_graph::{ArgValue, EventKind, FusionPlan, NodeId, Session, TraceEvent, TraceRecorder};
+use tbd_graph::{ArgValue, EventKind, EventRef, FusionPlan, NodeId, Session, TraceRecorder};
 use tbd_tensor::Tensor;
 use tbd_models::ModelKind;
 use tbd_profiler::trace::{build_tiny, synthetic_feeds};
@@ -106,7 +106,7 @@ fn forward_slots(
     session.forward(&feeds).expect("forward succeeds");
     tbd_tensor::par::set_max_threads(0);
     let plan = session.fusion().map(|p| &**p);
-    let arg = |e: &TraceEvent, key: &str| match e.args.iter().find(|(k, _)| *k == key) {
+    let arg = |e: EventRef<'_>, key: &str| match e.args.iter().find(|(k, _)| *k == key) {
         Some((_, ArgValue::U64(v))) => *v,
         other => panic!("{kind:?}: span {} has no integer `{key}` arg: {other:?}", e.name),
     };
@@ -116,7 +116,7 @@ fn forward_slots(
         .filter(|e| e.kind == EventKind::NodeExec)
         .map(|e| (unit_of(plan, arg(e, "node") as usize), arg(e, "wave"), e.track))
         .collect();
-    (slots, events.iter().map(TraceEvent::canonical).collect())
+    (slots, events.iter().map(|e| e.canonical()).collect())
 }
 
 /// The slots the schedule rules predict: one per scheduling unit. A

@@ -22,7 +22,7 @@ use tbd_core::{
     DIAGNOSE_DRIFT_TOLERANCE,
 };
 use tbd_distrib::{scale_grid, unit, StragglerSpec};
-use tbd_graph::trace::{TraceEvent, TraceRecorder};
+use tbd_graph::trace::{TraceRecorder, TraceStore};
 use tbd_graph::{ExecConfig, GraphBuilder, Init, Session};
 use tbd_profiler::diagnose::scenarios::{self, RESNET50, SEQ2SEQ};
 use tbd_profiler::diagnose_events;
@@ -32,7 +32,7 @@ use tbd_train::{DefaultPolicy, FaultSpec, ResilienceConfig, ResilientTrainer, Sg
 /// Rows: injected ground truth. Columns: top-1 diagnosis label.
 type Matrix = BTreeMap<&'static str, BTreeMap<String, usize>>;
 
-fn tally(matrix: &mut Matrix, truth: &'static str, events: &[TraceEvent]) {
+fn tally(matrix: &mut Matrix, truth: &'static str, events: &TraceStore) {
     let report = diagnose_events("confusion", "sim", 32, events);
     let observed = report.top1().class.label().to_string();
     *matrix.entry(truth).or_default().entry(observed).or_insert(0) += 1;
@@ -52,7 +52,7 @@ fn render(matrix: &Matrix) -> String {
 
 /// The deterministic resilience proxy from the chaos harness, with a
 /// per-kind fault schedule; returns the recorded resilience events.
-fn chaos_events(seed: u64, tweak: impl Fn(&mut FaultSpec)) -> Vec<TraceEvent> {
+fn chaos_events(seed: u64, tweak: impl Fn(&mut FaultSpec)) -> TraceStore {
     let mut g = GraphBuilder::new();
     let x = g.input("x", [4, 8]);
     let w1 = g.parameter("fc1/w", [8, 16], Init::Xavier { fan_in: 8, fan_out: 16 });
