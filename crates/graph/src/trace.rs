@@ -681,9 +681,6 @@ impl<'a> EventRef<'a> {
     }
 }
 
-/// Names a store keeps in a plain list before it also indexes them.
-const LINEAR_NAMES: usize = 16;
-
 /// A trace stored as columns: the storage of every recording.
 ///
 /// - a per-store name table, each distinct name once, addressed by a
@@ -786,14 +783,6 @@ impl TraceStore {
         self.digest.take();
     }
 
-    fn find(&self, name: &str) -> Option<u32> {
-        if self.names.len() <= LINEAR_NAMES {
-            self.names.iter().position(|n| n == name).map(|i| i as u32)
-        } else {
-            self.index.get(name).copied()
-        }
-    }
-
     /// The id of `name`, added to the name table on first use.
     ///
     /// # Panics
@@ -801,16 +790,11 @@ impl TraceStore {
     /// Panics past `u32::MAX` distinct names.
     pub fn intern(&mut self, name: impl Into<Cow<'static, str>>) -> u32 {
         let name = name.into();
-        if let Some(id) = self.find(&name) {
+        if let Some(&id) = self.index.get(&name) {
             return id;
         }
         let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names");
-        if self.names.len() >= LINEAR_NAMES {
-            if self.index.is_empty() {
-                self.index.extend(self.names.iter().cloned().zip(0..));
-            }
-            self.index.insert(name.clone(), id);
-        }
+        self.index.insert(name.clone(), id);
         self.names.push(name);
         id
     }
@@ -884,15 +868,13 @@ impl TraceStore {
 
     /// Moves every event of `other` to the end of `self`, leaving `other`
     /// empty: the columns are appended and `other`'s name ids are mapped
-    /// through `self`'s table, one lookup per distinct name.
+    /// through `self`'s table, one lookup per distinct name. A store that
+    /// has named nothing yet takes `other`'s columns whole.
     pub fn append(&mut self, other: &mut TraceStore) {
         self.touch();
         other.touch();
-        if self.len() < other.len() {
-            // Move the shorter side: `other`'s columns become `self`'s,
-            // and the few events `self` held go in front of them.
+        if self.names.is_empty() {
             std::mem::swap(self, other);
-            self.prepend(other);
             return;
         }
         let remap: Vec<u32> = other.names.drain(..).map(|name| self.intern(name)).collect();
@@ -907,26 +889,6 @@ impl TraceStore {
         self.track.append(&mut other.track);
         self.deterministic.append(&mut other.deterministic);
         self.args.append(&mut other.args);
-    }
-
-    /// Moves every event of `head` to the front of `self`, leaving `head`
-    /// empty (see [`TraceStore::append`]).
-    fn prepend(&mut self, head: &mut TraceStore) {
-        let remap: Vec<u32> = head.names.drain(..).map(|name| self.intern(name)).collect();
-        head.index.clear();
-        let shift = u32::try_from(head.args.len()).expect("fewer than 2^32 args");
-        for at in &mut self.args_at {
-            *at += shift;
-        }
-        self.name.splice(0..0, head.name.drain(..).map(|id| remap[id as usize]));
-        self.args_at.splice(0..0, head.args_at.drain(..));
-        self.layer.splice(0..0, head.layer.drain(..));
-        self.kind.splice(0..0, head.kind.drain(..));
-        self.start_us.splice(0..0, head.start_us.drain(..));
-        self.dur_us.splice(0..0, head.dur_us.drain(..));
-        self.track.splice(0..0, head.track.drain(..));
-        self.deterministic.splice(0..0, head.deterministic.drain(..));
-        self.args.splice(0..0, head.args.drain(..));
     }
 
     /// Keeps the first `len` events and drops the rest (and their args).
@@ -1655,7 +1617,7 @@ mod tests {
     }
 
     #[test]
-    fn store_interns_each_name_once_past_the_linear_table() {
+    fn store_interns_each_name_once() {
         let events = numbered(200, 40);
         let store = TraceStore::from(events.clone());
         assert_eq!(store.names().len(), 40, "one entry per distinct name");
@@ -1683,14 +1645,11 @@ mod tests {
         all.truncate(9);
         assert_eq!(owned(&store), all);
         assert_eq!(store.args_arena().len(), all.iter().map(|e| e.args.len()).sum::<usize>());
-        // Appending a longer store moves its columns and puts the shorter
-        // side's events in front.
-        let mut longer = TraceStore::from(numbered(40, 30));
-        store.append(&mut longer);
-        assert!(longer.is_empty() && longer.names().is_empty());
-        all.extend(numbered(40, 30));
-        assert_eq!(owned(&store), all);
-        assert_eq!(store.args_arena().len(), all.iter().map(|e| e.args.len()).sum::<usize>());
+        // A store that has named nothing takes the other's columns whole.
+        let mut fresh = TraceStore::new();
+        fresh.append(&mut store);
+        assert!(store.is_empty() && store.names().is_empty());
+        assert_eq!(owned(&fresh), all);
     }
 
     #[test]
