@@ -1,7 +1,10 @@
 //! Criterion micro-benchmarks of the trace exporters: the Chrome-trace JSON
-//! export and the HTML report render of one Seq2Seq/TensorFlow capture at
-//! its paper batch, and the fixed-point number writer under both against
-//! std's `format!` on a mix of exported values.
+//! export, the HTML report render, the events digest and the diagnosis of
+//! one Seq2Seq/TensorFlow capture at its paper batch, and the fixed-point
+//! number writer under both exports against std's `format!` on a mix of
+//! exported values. The digest and diagnosis entries recompute on every
+//! iteration: `events_digest` keeps no cache, and `diagnose_events` folds
+//! the events again.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::fmt::Write as _;
@@ -9,8 +12,8 @@ use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
 use tbd_profiler::live::{observe, render_report};
-use tbd_profiler::trace::write_fixed;
-use tbd_profiler::{TraceOptions, DIGEST_TIMESTAMP};
+use tbd_profiler::trace::{events_digest, write_fixed};
+use tbd_profiler::{diagnose_events, TraceOptions, DIGEST_TIMESTAMP};
 
 fn bench_exporters(c: &mut Criterion) {
     let gpu = GpuSpec::quadro_p4000();
@@ -28,6 +31,13 @@ fn bench_exporters(c: &mut Criterion) {
     });
     c.bench_function("render_report_seq2seq_tf_128", |bench| {
         bench.iter(|| render_report(black_box(&obs), DIGEST_TIMESTAMP))
+    });
+    let events = &obs.capture.trace.events;
+    c.bench_function("events_digest_seq2seq_tf_128", |bench| {
+        bench.iter(|| events_digest(black_box(events)))
+    });
+    c.bench_function("diagnose_events_seq2seq_tf_128", |bench| {
+        bench.iter(|| diagnose_events("seq2seq", "tensorflow", 128, black_box(events)))
     });
 }
 

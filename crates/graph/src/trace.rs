@@ -357,13 +357,14 @@ pub fn escaped_len(s: &str) -> usize {
             .sum::<usize>()
 }
 
-/// Writes `v` as 16 lowercase hex digits, exactly like `{v:016x}`.
+/// `v` as 16 lowercase hex digits, exactly like `{v:016x}`.
+fn hex16(v: u64) -> [u8; 16] {
+    std::array::from_fn(|i| HEX[((v >> (60 - 4 * i)) & 0xf) as usize])
+}
+
+/// Writes `v` as 16 lowercase hex digits ([`hex16`]).
 fn write_hex16(out: &mut impl fmt::Write, v: u64) -> fmt::Result {
-    let mut digits = [0u8; 16];
-    for (i, digit) in digits.iter_mut().enumerate() {
-        *digit = HEX[((v >> (60 - 4 * i)) & 0xf) as usize];
-    }
-    out.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
+    out.write_str(std::str::from_utf8(&hex16(v)).expect("hex digits are ASCII"))
 }
 
 /// Writes `v` in decimal, exactly like `{v}`.
@@ -774,6 +775,21 @@ impl TraceStore {
         &self.track
     }
 
+    /// The layer column.
+    pub fn layer_column(&self) -> &[TraceLayer] {
+        &self.layer
+    }
+
+    /// The kind column.
+    pub fn kind_column(&self) -> &[EventKind] {
+        &self.kind
+    }
+
+    /// The column of [`TraceEvent::deterministic`] flags.
+    pub fn deterministic_column(&self) -> &[bool] {
+        &self.deterministic
+    }
+
     /// The args arena: every event's args, back to back in event order.
     pub fn args_arena(&self) -> &[(&'static str, ArgValue)] {
         &self.args
@@ -866,6 +882,16 @@ impl TraceStore {
         Events { store: self, range: 0..self.len() }
     }
 
+    /// The events whose layer and kind `keep` accepts, in recording order.
+    /// The filter reads only the one-byte `layer` and `kind` columns; an
+    /// [`EventRef`] is built for each kept event alone.
+    pub fn iter_where<'a>(
+        &'a self,
+        mut keep: impl FnMut(TraceLayer, EventKind) -> bool + 'a,
+    ) -> impl Iterator<Item = EventRef<'a>> + 'a {
+        (0..self.len()).filter(move |&i| keep(self.layer[i], self.kind[i])).map(|i| self.event(i))
+    }
+
     /// Moves every event of `other` to the end of `self`, leaving `other`
     /// empty: the columns are appended and `other`'s name ids are mapped
     /// through `self`'s table, one lookup per distinct name. A store that
@@ -950,9 +976,11 @@ impl TraceStore {
         counts
     }
 
-    /// Modelled bytes of the events ([`approx_event_bytes`] summed).
+    /// Modelled bytes of the events ([`approx_event_bytes`] summed), from
+    /// the columns: `64·n + Σ name.len() + 16·args`.
     pub fn approx_bytes(&self) -> u64 {
-        self.iter().map(approx_event_bytes).sum()
+        let names: u64 = self.name.iter().map(|&id| self.names[id as usize].len() as u64).sum();
+        64 * self.len() as u64 + names + 16 * self.args.len() as u64
     }
 
     /// FNV-1a over `seed` followed by `'\n'` + the canonical line
@@ -970,14 +998,225 @@ impl TraceStore {
                 return digest;
             }
         }
-        let mut hasher = seed.clone();
-        for event in self {
-            hasher.update(b"\n");
-            let _ = event.write_canonical(&mut hasher);
-        }
-        let digest = hasher.finish();
+        let digest = self.fold_lines(key, true);
         let _ = self.digest.set((key, digest));
         digest
+    }
+
+    /// The FNV-1a state `h` after the canonical line of every event, each
+    /// preceded by `'\n'` (the first one only when `newline_first`): the
+    /// one fold under [`TraceStore::digest_after`] and [`events_digest`].
+    ///
+    /// Recurring strings go through [`Run`]s: each line head
+    /// `"\n{layer}|{kind}|{name}"` (plus `"|t:"` when deterministic) keyed
+    /// by name id and `(layer, kind, deterministic)`, each `"|{key}={tag}"`
+    /// and each borrowed `Str` value. Times, numbers and owned strings
+    /// are folded byte by byte.
+    fn fold_lines(&self, mut h: u64, newline_first: bool) -> u64 {
+        let mut heads: Vec<Vec<(HeadKey, Run)>> = (0..self.names.len()).map(|_| Vec::new()).collect();
+        let mut statics = StaticRuns::new();
+        for i in 0..self.len() {
+            let (id, layer, kind, deterministic) =
+                (self.name[i] as usize, self.layer[i], self.kind[i], self.deterministic[i]);
+            let head: [&[u8]; 7] = [
+                b"\n",
+                layer.as_str().as_bytes(),
+                b"|",
+                kind.as_str().as_bytes(),
+                b"|",
+                self.names[id].as_bytes(),
+                if deterministic { b"|t:" } else { b"" },
+            ];
+            h = if i == 0 && !newline_first {
+                fold_pieces(h, &head[1..])
+            } else {
+                let runs = &mut heads[id];
+                let key = (layer, kind, deterministic);
+                let at = runs.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                    runs.push((key, Run::default()));
+                    runs.len() - 1
+                });
+                runs[at].1.fold(h, &head)
+            };
+            if deterministic {
+                h = fold(h, &hex16(self.start_us[i].to_bits()));
+                h = fold(h, b"+");
+                h = fold(h, &hex16(self.dur_us[i].to_bits()));
+                h = fold(h, b"@");
+                h = fold_decimal(h, self.track[i].into());
+            }
+            for (key, value) in &self.args[self.args_range(i)] {
+                h = match value {
+                    ArgValue::Str(s) => {
+                        let h = statics.fold(h, key, Tag::Str);
+                        match s {
+                            Cow::Borrowed(s) => statics.fold(h, s, Tag::Value),
+                            Cow::Owned(s) => fold(h, s.as_bytes()),
+                        }
+                    }
+                    ArgValue::F64(v) => fold(statics.fold(h, key, Tag::F64), &hex16(v.to_bits())),
+                    ArgValue::U64(v) => fold_decimal(statics.fold(h, key, Tag::U64), *v),
+                    ArgValue::Bool(b) => statics.fold(h, key, if *b { Tag::True } else { Tag::False }),
+                };
+            }
+        }
+        h
+    }
+}
+
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a state `h` after `bytes`, one byte at a time.
+fn fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+fn fold_pieces(h: u64, pieces: &[&[u8]]) -> u64 {
+    pieces.iter().fold(h, |h, piece| fold(h, piece))
+}
+
+/// [`fold`] of `v` in decimal ([`write_decimal`]).
+fn fold_decimal(h: u64, v: u64) -> u64 {
+    let mut buf = [0u8; DIGITS_CAP];
+    let start = digits_before(&mut buf, DIGITS_CAP, v, 1);
+    fold(h, &buf[start..])
+}
+
+/// One string's FNV-1a in a single step, from any state.
+///
+/// FNV-1a XORs each byte into the low byte of the state only, and
+/// `h − h mod 256` is a multiple of 256, so by induction over the bytes
+/// of `s`, modulo 2⁶⁴:
+///
+/// ```text
+/// fold(h, s) = P^|s|·(h − h mod 256) + fold(h mod 256, s)
+/// ```
+///
+/// For one byte `b` and `h = A + x` with `256 | A`: `(A + x) ^ b =
+/// A + (x ^ b)`, so `fold(A + x, b) = A·P + fold(x, b)`, and `A·P` is again
+/// a multiple of 256 for the next byte. The table holds `fold(l, s)` for
+/// the 256 low bytes `l`, and `mul` is `P^|s|`.
+struct RunTable {
+    mul: u64,
+    low: [u64; 256],
+}
+
+impl RunTable {
+    fn new(pieces: &[&[u8]]) -> Self {
+        let mut low: [u64; 256] = std::array::from_fn(|l| l as u64);
+        let mut mul = 1u64;
+        for &b in pieces.iter().flat_map(|piece| piece.iter()) {
+            for h in &mut low {
+                *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+            mul = mul.wrapping_mul(FNV_PRIME);
+        }
+        RunTable { mul, low }
+    }
+
+    /// `fold(h, s)` for the table's string `s`.
+    fn apply(&self, h: u64) -> u64 {
+        self.mul.wrapping_mul(h & !0xff).wrapping_add(self.low[(h & 0xff) as usize])
+    }
+}
+
+/// The use at which a recurring string gets its [`RunTable`].
+///
+/// The byte fold is one dependent XOR-multiply chain: each step waits for
+/// the last, about four cycles of multiply latency. Building a table costs
+/// 256 steps per byte, but its 256 chains are independent and pipeline
+/// (or vectorise) at about one step per cycle, so a build costs about 64
+/// chained steps per byte. Each later use then saves about one chained
+/// step per byte, so the table pays for itself after 64 uses.
+const TABLE_AT_USE: u32 = 64;
+
+/// The uses of one recurring string in one digest, and its run table from
+/// the [`TABLE_AT_USE`]th use on.
+#[derive(Default)]
+struct Run {
+    uses: u32,
+    table: Option<Box<RunTable>>,
+}
+
+impl Run {
+    /// `fold(h, s)` for the string `s` the `pieces` spell.
+    fn fold(&mut self, h: u64, pieces: &[&[u8]]) -> u64 {
+        if let Some(table) = &self.table {
+            return table.apply(h);
+        }
+        self.uses += 1;
+        if self.uses < TABLE_AT_USE {
+            return fold_pieces(h, pieces);
+        }
+        self.table.insert(Box::new(RunTable::new(pieces))).apply(h)
+    }
+}
+
+/// The `(layer, kind, deterministic)` a line head is keyed by, next to its
+/// name id.
+type HeadKey = (TraceLayer, EventKind, bool);
+
+/// What a [`StaticRuns`] string spells: an arg key with the tag of its
+/// value, or a borrowed `Str` value itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Str,
+    F64,
+    U64,
+    True,
+    False,
+    Value,
+}
+
+/// The runs of `&'static str` arg keys and values in one digest, found by
+/// the string's address and length (equal for equal `'static` text) in a
+/// small open-addressed table: no string hashing per arg. Once the table
+/// is full, a new string is folded byte by byte.
+struct StaticRuns {
+    slots: Vec<Option<(usize, usize, Tag, Run)>>,
+}
+
+impl StaticRuns {
+    /// One per value of a hash's top byte: far more than the distinct
+    /// static keys and values a trace carries.
+    const SLOTS: usize = 256;
+
+    fn new() -> Self {
+        StaticRuns { slots: (0..Self::SLOTS).map(|_| None).collect() }
+    }
+
+    /// `fold(h, …)` of `"|{text}={tag}"` for an arg key, of `text` for a
+    /// [`Tag::Value`].
+    fn fold(&mut self, h: u64, text: &'static str, tag: Tag) -> u64 {
+        let tag_text: &[u8] = match tag {
+            Tag::Str => b"s:",
+            Tag::F64 => b"f:",
+            Tag::U64 => b"u:",
+            Tag::True => b"b:true",
+            Tag::False => b"b:false",
+            Tag::Value => b"",
+        };
+        let pieces: [&[u8]; 4] = if tag == Tag::Value {
+            [text.as_bytes(), b"", b"", b""]
+        } else {
+            [b"|", text.as_bytes(), b"=", tag_text]
+        };
+        let (at, len) = (text.as_ptr() as usize, text.len());
+        let mix = (at as u64 ^ (len as u64) << 40 ^ tag as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let home = (mix >> 56) as usize;
+        for probe in 0..Self::SLOTS {
+            let slot = &mut self.slots[(home + probe) % Self::SLOTS];
+            match slot {
+                Some((a, l, t, run)) if (*a, *l, *t) == (at, len, tag) => return run.fold(h, &pieces),
+                Some(_) => {}
+                None => return slot.insert((at, len, tag, Run::default())).3.fold(h, &pieces),
+            }
+        }
+        fold_pieces(h, &pieces)
     }
 }
 
@@ -1347,12 +1586,7 @@ impl Fnv1a {
 
     /// Folds `bytes` into the hash.
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
+        self.0 = fold(self.0, bytes);
         self
     }
 
@@ -1383,16 +1617,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a digest of an event list: each event's canonical line
-/// ([`EventRef::write_canonical`]) followed by `'\n'`, streamed through
-/// the hasher without building the text.
+/// ([`EventRef::write_canonical`]) followed by `'\n'`, folded without
+/// building the text (the fold of [`TraceStore::digest_after`]).
 #[must_use]
 pub fn events_digest(events: &TraceStore) -> u64 {
-    let mut hasher = Fnv1a::new();
-    for event in events {
-        let _ = event.write_canonical(&mut hasher);
-        hasher.update(b"\n");
+    let h = Fnv1a::new().finish();
+    if events.is_empty() {
+        return h;
     }
-    hasher.finish()
+    fold(events.fold_lines(h, false), b"\n")
 }
 
 /// Bitwise hash of an `f32` slice: equal exactly when the tensors are
@@ -1675,6 +1908,64 @@ mod tests {
         assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "not stale");
         store.span(0, TraceLayer::Profiler, EventKind::Phase, 1.0, 0.0).with_arg("k", 1u64);
         assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "not stale");
+    }
+
+    /// SplitMix64: a tiny deterministic generator for the run-table tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn run_table_apply_equals_the_byte_fold() {
+        let mut state = 7;
+        for len in (0..40).chain([255, 256, 1000]) {
+            let s: Vec<u8> = (0..len).map(|_| splitmix(&mut state) as u8).collect();
+            // Split the string into up to three pieces; the table folds their
+            // concatenation.
+            let (a, b) = (len / 3, 2 * len / 3);
+            let table = RunTable::new(&[&s[..a], &s[a..b], &s[b..]]);
+            for h in [0, 0xff, 0x100, u64::MAX, Fnv1a::new().finish()]
+                .into_iter()
+                .chain((0..64).map(|_| splitmix(&mut state)))
+            {
+                assert_eq!(table.apply(h), fold(h, &s), "len {len}, h {h:#x}");
+            }
+        }
+        assert_eq!(RunTable::new(&[]).apply(0x1234_5678_9abc_def0), 0x1234_5678_9abc_def0);
+    }
+
+    #[test]
+    fn a_run_builds_its_table_at_the_64th_use() {
+        let pieces: [&[u8]; 2] = [b"\ngpusim|kernel|", b"sgemm"];
+        let mut run = Run::default();
+        let mut state = 3;
+        for use_ in 1..=TABLE_AT_USE + 2 {
+            let h = splitmix(&mut state);
+            assert_eq!(run.fold(h, &pieces), fold_pieces(h, &pieces), "use {use_}");
+            assert_eq!(run.table.is_some(), use_ >= TABLE_AT_USE, "use {use_}");
+        }
+    }
+
+    #[test]
+    fn iter_where_and_approx_bytes_read_the_columns() {
+        let mut store = TraceStore::from(numbered(50, 7));
+        store.push(TraceEvent::instant("x", TraceLayer::Profiler, EventKind::Phase, 0.0));
+        let keep = |layer: TraceLayer, kind: EventKind| {
+            layer == TraceLayer::Profiler || kind == EventKind::Memcpy
+        };
+        let kept: Vec<TraceEvent> = store.iter_where(keep).map(|e| e.to_event()).collect();
+        let filtered: Vec<TraceEvent> =
+            store.iter().filter(|e| keep(e.layer, e.kind)).map(|e| e.to_event()).collect();
+        assert_eq!(kept, filtered);
+        assert_eq!(kept.len(), 1);
+        let per_event = |store: &TraceStore| store.iter().map(approx_event_bytes).sum::<u64>();
+        assert_eq!(store.approx_bytes(), per_event(&store));
+        store.truncate(20);
+        assert_eq!(store.approx_bytes(), per_event(&store), "names past the cut are not counted");
     }
 
     #[test]

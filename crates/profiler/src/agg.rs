@@ -544,27 +544,43 @@ struct NameSlot<'a> {
 }
 
 impl AggState {
-    /// Folds every event of `events`, in order.
+    /// Folds every event of `events`, in order. Spans that fold only
+    /// their timing are read from the columns; an [`EventRef`] is built
+    /// only for events whose name or args are read.
     fn fold_all(&mut self, events: &TraceStore) {
         let mut slots = vec![NameSlot::default(); events.names().len()];
-        for event in events {
-            self.fold(event, &mut slots);
+        let (layers, kinds) = (events.layer_column(), events.kind_column());
+        let (durs, tracks) = (events.dur_column(), events.track_column());
+        for i in 0..events.len() {
+            let (layer, dur_us) = (layers[i], durs[i]);
+            self.events_total += 1;
+            self.events_by_layer[layer.index()] += 1;
+            match (layer, kinds[i]) {
+                (TraceLayer::Executor, EventKind::NodeExec) => {
+                    self.host_node_us += dur_us;
+                    self.host_nodes += 1;
+                    self.host_threads = self.host_threads.max(tracks[i] + 1);
+                    self.node_hist.observe(dur_us);
+                }
+                (TraceLayer::Executor, EventKind::Phase) => self.host_phase_us += dur_us,
+                (TraceLayer::GpuSim, EventKind::KernelLaunch) => {
+                    self.launch_us += dur_us;
+                    self.launch_calls += 1;
+                    self.launch_hist.observe(dur_us);
+                }
+                (TraceLayer::GpuSim, EventKind::Sync) => {
+                    self.sync_us += dur_us;
+                    self.sync_calls += 1;
+                }
+                _ => self.fold(events.event(i), &mut slots),
+            }
         }
     }
 
+    /// Folds one event that reads its name or args (the rest of
+    /// [`AggState::fold_all`]).
     fn fold<'a>(&mut self, event: EventRef<'a>, slots: &mut [NameSlot<'a>]) {
-        self.events_total += 1;
-        self.events_by_layer[event.layer.pid() as usize - 1] += 1;
         match (event.layer, event.kind) {
-            (TraceLayer::Executor, EventKind::NodeExec) => {
-                self.host_node_us += event.dur_us;
-                self.host_nodes += 1;
-                self.host_threads = self.host_threads.max(event.track + 1);
-                self.node_hist.observe(event.dur_us);
-            }
-            (TraceLayer::Executor, EventKind::Phase) => {
-                self.host_phase_us += event.dur_us;
-            }
             (TraceLayer::Executor, EventKind::Fault) => {
                 self.faults_total += 1;
                 if let Some(kind) = arg_str(event, "fault") {
@@ -606,15 +622,6 @@ impl AggState {
             (TraceLayer::GpuSim, EventKind::KernelExec)
             | (TraceLayer::GpuSim, EventKind::Memcpy) => {
                 self.fold_device_span(event, &mut slots[event.name_id as usize]);
-            }
-            (TraceLayer::GpuSim, EventKind::KernelLaunch) => {
-                self.launch_us += event.dur_us;
-                self.launch_calls += 1;
-                self.launch_hist.observe(event.dur_us);
-            }
-            (TraceLayer::GpuSim, EventKind::Sync) => {
-                self.sync_us += event.dur_us;
-                self.sync_calls += 1;
             }
             (TraceLayer::GpuSim, EventKind::Iteration) => {
                 self.sim_iteration_us = event.dur_us;

@@ -359,7 +359,14 @@ fn mine(events: &TraceStore, reg: &MetricsRegistry) -> Signals {
     s.churn_goodput_fraction = finite_gauge("churn_goodput_fraction");
     // Span-level mining: straggler slowdown from the event engine's
     // compute phase, the chaos run extent for the recovery denominator.
-    for e in events {
+    let mined = |layer, kind| {
+        matches!(
+            (layer, kind),
+            (TraceLayer::Distrib, EventKind::Phase | EventKind::Membership)
+                | (TraceLayer::Executor, EventKind::Iteration)
+        )
+    };
+    for e in events.iter_where(mined) {
         match (e.layer, e.kind) {
             (TraceLayer::Distrib, EventKind::Phase) => {
                 if let Some(sd) = arg_f64(e, "slowdown").filter(|v| v.is_finite()) {

@@ -32,7 +32,7 @@ use crate::diagnose::DiagnosisReport;
 use std::fmt::Write as _;
 use std::ops::Range;
 use tbd_graph::trace::{
-    write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a, RecorderOverhead, TraceLayer,
+    write_fixed, write_u64, ArgValue, EventKind, Fnv1a, RecorderOverhead, TraceLayer,
     TraceStore, SINK_LATENCY_BUCKETS,
 };
 
@@ -252,19 +252,37 @@ impl ReportContext<'_> {
              (simulated/logical clocks). Host wall-clock executor spans are excluded \
              by the determinism contract.</p>\n",
         );
+        let events = self.events;
+        let (names, name_ids) = (events.names(), events.name_ids());
+        let (start, dur, tracks_of) =
+            (events.start_column(), events.dur_column(), events.track_column());
+        let (layers, kinds, deterministic) =
+            (events.layer_column(), events.kind_column(), events.deterministic_column());
+        let start_of = |i: u32| start[i as usize];
+        let dur_of = |i: u32| dur[i as usize];
+        // Names by id: equal ids need no string comparison.
+        let cmp_names = |i: u32, j: u32| {
+            let (a, b) = (name_ids[i as usize], name_ids[j as usize]);
+            if a == b {
+                std::cmp::Ordering::Equal
+            } else {
+                names[a as usize].cmp(&names[b as usize])
+            }
+        };
         for layer in [TraceLayer::GpuSim, TraceLayer::Framework, TraceLayer::Distrib] {
-            let spans: Vec<EventRef<'_>> = self
-                .events
-                .iter()
-                .filter(|e| e.layer == layer && e.deterministic && e.dur_us > 0.0)
+            // Store positions of the layer's spans, read from the columns.
+            let spans: Vec<u32> = (0..events.len())
+                .filter(|&i| layers[i] == layer && deterministic[i] && dur[i] > 0.0)
+                .map(|i| i as u32)
                 .collect();
             if spans.is_empty() {
                 continue;
             }
-            let t0 = spans.iter().map(|e| e.start_us).fold(f64::INFINITY, f64::min);
-            let t1 = spans.iter().map(|e| e.end_us()).fold(f64::NEG_INFINITY, f64::max);
+            let t0 = spans.iter().map(|&i| start_of(i)).fold(f64::INFINITY, f64::min);
+            let t1 =
+                spans.iter().map(|&i| start_of(i) + dur_of(i)).fold(f64::NEG_INFINITY, f64::max);
             let range = (t1 - t0).max(1e-9);
-            let mut tracks: Vec<u32> = spans.iter().map(|e| e.track).collect();
+            let mut tracks: Vec<u32> = spans.iter().map(|&i| tracks_of[i as usize]).collect();
             tracks.sort_unstable();
             tracks.dedup();
             let height = tracks.len() as f64 * LANE_H + 4.0;
@@ -281,33 +299,34 @@ impl ReportContext<'_> {
             let mut elided = 0usize;
             for (row, track) in tracks.iter().enumerate() {
                 let y = row as f64 * LANE_H + 2.0;
-                // Each span with its position in the layer, the last tie-break.
-                let mut lane: Vec<(usize, &EventRef<'_>)> =
-                    spans.iter().enumerate().filter(|(_, e)| e.track == *track).collect();
+                // Positions are ascending, so a position is its own last
+                // tie-break.
+                let mut lane: Vec<u32> =
+                    spans.iter().copied().filter(|&i| tracks_of[i as usize] == *track).collect();
                 if lane.len() > MAX_LANE_EVENTS {
                     // Keep the longest spans; ties broken by start, name and
                     // position so the selection is deterministic. Selecting
                     // the kept spans first sorts only them.
-                    let longest = |(i, a): &(usize, &EventRef<'_>), (j, b): &(usize, &EventRef<'_>)| {
-                        b.dur_us
-                            .total_cmp(&a.dur_us)
-                            .then_with(|| a.start_us.total_cmp(&b.start_us))
-                            .then_with(|| a.name.cmp(b.name))
-                            .then_with(|| i.cmp(j))
+                    let longest = |&i: &u32, &j: &u32| {
+                        dur_of(j)
+                            .total_cmp(&dur_of(i))
+                            .then_with(|| start_of(i).total_cmp(&start_of(j)))
+                            .then_with(|| cmp_names(i, j))
+                            .then_with(|| i.cmp(&j))
                     };
                     elided += lane.len() - MAX_LANE_EVENTS;
                     lane.select_nth_unstable_by(MAX_LANE_EVENTS - 1, longest);
                     lane.truncate(MAX_LANE_EVENTS);
                     lane.sort_unstable_by(longest);
                 }
-                lane.sort_by(|(_, a), (_, b)| {
-                    a.start_us.total_cmp(&b.start_us).then_with(|| a.name.cmp(b.name))
+                lane.sort_by(|&i, &j| {
+                    start_of(i).total_cmp(&start_of(j)).then_with(|| cmp_names(i, j))
                 });
-                for (_, event) in lane {
-                    let x = (event.start_us - t0) / range * SVG_W;
-                    let w = (event.dur_us / range * SVG_W).max(0.5);
+                for i in lane {
+                    let x = (start_of(i) - t0) / range * SVG_W;
+                    let w = (dur_of(i) / range * SVG_W).max(0.5);
                     out.push_str("<rect class=\"");
-                    out.push_str(kind_class(event.kind));
+                    out.push_str(kind_class(kinds[i as usize]));
                     out.push_str("\" x=\"");
                     write_fixed(out, x, 2);
                     out.push_str("\" y=\"");
@@ -317,11 +336,11 @@ impl ReportContext<'_> {
                     out.push_str("\" height=\"");
                     write_fixed(out, LANE_H - 4.0, 1);
                     out.push_str("\"><title>");
-                    esc_into(out, event.name);
+                    esc_into(out, &names[name_ids[i as usize] as usize]);
                     out.push_str(" — ");
-                    fmt_us_into(out, event.dur_us);
+                    fmt_us_into(out, dur_of(i));
                     out.push_str(" (track ");
-                    write_u64(out, event.track.into());
+                    write_u64(out, (*track).into());
                     out.push_str(")</title></rect>\n");
                 }
             }
@@ -340,11 +359,11 @@ impl ReportContext<'_> {
         let mut points: Vec<f64> = Vec::new();
         let mut current = 0.0f64;
         let mut fails: Vec<usize> = Vec::new();
-        let allocator = |e: &EventRef<'_>| {
-            e.layer == TraceLayer::GpuSim
-                && matches!(e.kind, EventKind::Alloc | EventKind::Free | EventKind::AllocFail)
+        let allocator = |layer, kind| {
+            layer == TraceLayer::GpuSim
+                && matches!(kind, EventKind::Alloc | EventKind::Free | EventKind::AllocFail)
         };
-        for event in self.events.iter().filter(allocator) {
+        for event in self.events.iter_where(allocator) {
             let bytes = event
                 .arg("bytes")
                 .and_then(|v| match v {

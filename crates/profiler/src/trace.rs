@@ -99,7 +99,7 @@ impl Trace {
 
     /// Events emitted by `layer`.
     pub fn layer_events(&self, layer: TraceLayer) -> impl Iterator<Item = EventRef<'_>> {
-        self.events.iter().filter(move |e| e.layer == layer)
+        self.events.iter_where(move |l, _| l == layer)
     }
 
     /// Exports the trace in Chrome trace-event JSON ("JSON object format":
@@ -227,16 +227,20 @@ impl Trace {
         // `(count, µs)` per (category, name id), folded in event order.
         let names = self.events.names();
         let mut folds = vec![[(0usize, 0.0f64); 3]; names.len()];
-        for event in &self.events {
-            let category = match (event.layer, event.kind) {
+        let events = &self.events;
+        let columns = events.layer_column().iter().zip(events.kind_column());
+        for ((layer, kind), (&id, &dur_us)) in
+            columns.zip(events.name_ids().iter().zip(events.dur_column()))
+        {
+            let category = match (layer, kind) {
                 (TraceLayer::GpuSim, EventKind::KernelExec) => 1,
                 (TraceLayer::GpuSim, EventKind::Memcpy) => 2,
                 (TraceLayer::Distrib, EventKind::Communication) => 0,
                 _ => continue,
             };
-            let slot = &mut folds[event.name_id as usize][category];
+            let slot = &mut folds[id as usize][category];
             slot.0 += 1;
-            slot.1 += event.dur_us;
+            slot.1 += dur_us;
         }
         let mut keyed: Vec<(usize, &str, (usize, f64))> = folds
             .iter()

@@ -20,12 +20,12 @@ use std::fmt::Write as _;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_graph::trace::{escaped_len, fixed_len_bound};
+use tbd_graph::trace::{approx_event_bytes, escaped_len, fixed_len_bound};
 use tbd_profiler::json::{self, Value};
 use tbd_profiler::report::{MAX_LANE_EVENTS, NONDETERMINISTIC_FAMILIES};
 use tbd_profiler::trace::{
-    fnv1a, write_fixed, write_u64, ArgValue, EventKind, EventRef, TraceEvent, TraceLayer,
-    TraceRecorder, TraceStore,
+    events_digest, fnv1a, write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a,
+    TraceEvent, TraceLayer, TraceRecorder, TraceStore,
 };
 use tbd_profiler::{
     capture, capture_into, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator,
@@ -1174,4 +1174,210 @@ fn store_modelled_bytes_equal_the_per_event_sum() {
     assert!(per_event > 0);
     assert_eq!(cap.trace.events.approx_bytes(), per_event);
     assert_eq!(recorder.overhead().event_bytes_total, per_event);
+}
+
+/// The digest loop the run tables replaced, kept as the oracle: `seed`,
+/// then `'\n'` and the canonical line of every event, byte by byte.
+fn oracle_digest_after(seed: &Fnv1a, store: &TraceStore) -> u64 {
+    let mut hasher = seed.clone();
+    for event in store {
+        hasher.update(b"\n");
+        event.write_canonical(&mut hasher).expect("a hasher never fails");
+    }
+    hasher.finish()
+}
+
+/// The `events_digest` loop the run tables replaced: each canonical line,
+/// then `'\n'`.
+fn oracle_events_digest(store: &TraceStore) -> u64 {
+    let mut hasher = Fnv1a::new();
+    for event in store {
+        event.write_canonical(&mut hasher).expect("a hasher never fails");
+        hasher.update(b"\n");
+    }
+    hasher.finish()
+}
+
+/// Random events (pooled and fresh names, any timing, every `ArgValue`
+/// variant) mixed at random positions with recurring ones:
+/// - a borrowed name with 64 uses as a deterministic kernel and 64 as a
+///   wall-clock memcpy, one name under two `(layer, kind, deterministic)`
+///   combinations, each reaching its run table (non-ASCII, so every bit
+///   of the low byte matters);
+/// - an owned name with 63 uses, one short of it;
+/// - borrowed and owned `Str` values, and `F64`, `U64` and `Bool` args
+///   under recurring keys.
+fn oracle_store(words: &[Vec<u64>]) -> TraceStore {
+    let mut events: Vec<TraceEvent> = words.iter().map(|w| pooled_event_of(w)).collect();
+    for i in 0..64u32 {
+        let t = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::from(i)][i as usize % 5];
+        events.push(
+            TraceEvent::span("hot ünï🚀", TraceLayer::GpuSim, EventKind::KernelExec, t, 2.0)
+                .on_track(i % 3)
+                .with_arg("class", "Gémm")
+                .with_arg("flops", f64::from(i) * 1e6)
+                .with_arg("bytes", u64::from(i))
+                .with_arg("fused", i % 2 == 0),
+        );
+        events.push(
+            TraceEvent::span("hot ünï🚀", TraceLayer::GpuSim, EventKind::Memcpy, t, 1.0)
+                .wall_clock()
+                .with_arg("class", format!("Memcpy{}", i % 4)),
+        );
+        if i < 63 {
+            events.push(
+                TraceEvent::instant("warm63".to_string(), TraceLayer::Profiler, EventKind::Phase, t)
+                    .with_arg("value_hash", u64::MAX - u64::from(i)),
+            );
+        }
+    }
+    // A random interleaving of the random and the recurring events.
+    let mut keyed: Vec<(u64, TraceEvent)> = events
+        .into_iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let word = words.get(i % words.len().max(1)).map_or(0, |w| w[i % 12]);
+            ((word ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), e)
+        })
+        .collect();
+    keyed.sort_by_key(|(key, _)| *key);
+    keyed.into_iter().map(|(_, e)| e).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `Trace::digest` and `events_digest`, which fold recurring strings
+    /// through run tables, equal the byte-by-byte oracle loops.
+    #[test]
+    fn run_table_digests_equal_the_byte_fold_oracle(
+        words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..40),
+    ) {
+        let store = oracle_store(&words);
+        prop_assert_eq!(events_digest(&store), oracle_events_digest(&store));
+        let trace = Trace { model: ModelKind::DeepSpeech2, framework: "MXNet", batch: words.len(), events: store };
+        let mut header = Fnv1a::new();
+        write!(header, "trace|{}|{}|batch={}", trace.model.name(), trace.framework, trace.batch)
+            .expect("a hasher never fails");
+        prop_assert_eq!(trace.digest(), oracle_digest_after(&header, &trace.events));
+        prop_assert_eq!(trace.digest(), reference_digest(&trace));
+    }
+}
+
+/// The fold starts from any hasher state: header seeds covering all 256
+/// low bytes give the oracle's digest, and an empty store digests to the
+/// seed (and `events_digest` to the empty hash).
+#[test]
+fn run_table_digests_equal_the_oracle_from_every_low_byte() {
+    let words: Vec<Vec<u64>> =
+        (0..24u64).map(|i| (0..12).map(|j| (i * 12 + j).wrapping_mul(0x2545_F491_4F6C_DD1D)).collect()).collect();
+    let store = oracle_store(&words);
+    let empty = TraceStore::new();
+    let mut seen = [false; 256];
+    let mut n = 0u64;
+    while seen.iter().any(|s| !s) {
+        let mut seed = Fnv1a::new();
+        seed.update(&n.to_le_bytes());
+        n += 1;
+        let low = (seed.finish() & 0xff) as usize;
+        if seen[low] {
+            continue;
+        }
+        seen[low] = true;
+        assert_eq!(store.digest_after(&seed), oracle_digest_after(&seed, &store), "low byte {low}");
+        assert_eq!(empty.digest_after(&seed), seed.finish());
+    }
+    assert_eq!(events_digest(&empty), oracle_events_digest(&empty));
+    assert_eq!(events_digest(&empty), fnv1a(b""));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `iter_where(f)` yields exactly `iter().filter(|e| f(e.layer,
+    /// e.kind))`, field for field, and `approx_bytes()` equals the sum of
+    /// `approx_event_bytes` over the rows after `append`, `truncate` and
+    /// `retain`.
+    #[test]
+    fn column_filters_equal_row_filters(
+        words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..40),
+        more in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..20),
+        mask_words in prop::collection::vec(0u64..u64::MAX, 2),
+        cut in 0usize..64,
+        drop in 0u64..4,
+    ) {
+        // One bit per (layer, kind): 5 × 17 of the 128.
+        let mask = u128::from(mask_words[0]) << 64 | u128::from(mask_words[1]);
+        let keep = |layer: TraceLayer, kind: EventKind| {
+            mask >> (layer.index() * EventKind::ALL.len() + kind as usize) & 1 == 1
+        };
+        let rows_bytes = |store: &TraceStore| store.iter().map(approx_event_bytes).sum::<u64>();
+        let mut store: TraceStore = words.iter().map(|w| pooled_event_of(w)).collect();
+        let check = |store: &TraceStore| {
+            let filtered: Vec<EventRef<'_>> = store.iter().filter(|e| keep(e.layer, e.kind)).collect();
+            prop_assert_eq!(store.iter_where(keep).count(), filtered.len());
+            for (a, b) in store.iter_where(keep).zip(&filtered) {
+                prop_assert_eq!(a.name_id, b.name_id);
+                prop_assert_eq!(a.name, b.name);
+                prop_assert_eq!(a.layer, b.layer);
+                prop_assert_eq!(a.kind, b.kind);
+                prop_assert_eq!(a.start_us.to_bits(), b.start_us.to_bits());
+                prop_assert_eq!(a.dur_us.to_bits(), b.dur_us.to_bits());
+                prop_assert_eq!(a.track, b.track);
+                prop_assert_eq!(a.deterministic, b.deterministic);
+                prop_assert_eq!(a.args.len(), b.args.len());
+                for ((ka, va), (kb, vb)) in a.args.iter().zip(b.args) {
+                    prop_assert_eq!(ka, kb);
+                    prop_assert!(same_arg(va, vb), "{va:?} != {vb:?}");
+                }
+            }
+            prop_assert_eq!(store.approx_bytes(), rows_bytes(store));
+        };
+        check(&store);
+        store.append(&mut more.iter().map(|w| pooled_event_of(w)).collect());
+        check(&store);
+        store.truncate(cut);
+        check(&store);
+        store.retain(|e| e.track as u64 % 4 != drop);
+        check(&store);
+    }
+}
+
+/// Lanes longer than `MAX_LANE_EVENTS`, with repeated durations, starts
+/// and names, render the reference selection: a full sort by duration
+/// (descending), start, name and position, the first `MAX_LANE_EVENTS`
+/// kept, then ordered by start and name.
+#[test]
+fn swimlanes_select_the_longest_spans_like_a_full_sort() {
+    const NAMES: [&str; 4] = ["b", "a", "conv <3x3>", "a"];
+    let mut events = Vec::new();
+    // Two layers of two tracks, 500 spans per lane, drawn from 3 durations,
+    // 5 starts and 3 names, so the cut falls inside runs of equal
+    // (duration, start) and (duration, start, name).
+    for i in 0..2000u32 {
+        let x = i.wrapping_mul(2_654_435_761) >> 8;
+        let layer = [TraceLayer::GpuSim, TraceLayer::Distrib][i as usize % 2];
+        let kind = [EventKind::KernelExec, EventKind::Memcpy, EventKind::Communication][(x / 60 % 3) as usize];
+        let (dur, start) = (f64::from(1 + x % 3), f64::from(x / 3 % 5));
+        events.push(
+            TraceEvent::span(NAMES[(x / 15 % 4) as usize], layer, kind, start, dur).on_track(i / 2 % 2),
+        );
+    }
+    // A lane of equal spans: every tie-break but position is equal.
+    for _ in 0..300 {
+        events.push(TraceEvent::span("same", TraceLayer::Framework, EventKind::Phase, 5.0, 1.0));
+    }
+    let trace = Trace { model: ModelKind::Wgan, framework: "TensorFlow", batch: 1, events: events.into() };
+    let rects = |html: &str| -> Vec<String> {
+        html.lines().filter(|l| l.starts_with("<rect ")).map(str::to_string).collect()
+    };
+    with_report(&trace, |ctx| {
+        let html = ctx.render(DIGEST_TIMESTAMP);
+        let mut expected = String::new();
+        reference_swimlanes(ctx, &mut expected);
+        let (got, want) = (rects(&html), rects(&expected));
+        assert_eq!(want.len(), 5 * MAX_LANE_EVENTS, "every lane is over the cap");
+        assert_eq!(got, want);
+        assert!(html.contains("shorter span(s) elided"));
+    });
 }
