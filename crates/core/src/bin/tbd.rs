@@ -23,6 +23,7 @@
 //! tables.
 
 use std::fmt::Write as _;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use tbd_core::serve::{parse_framework, parse_model};
 use tbd_core::{
@@ -270,6 +271,15 @@ struct Opts<'a> {
     flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
+/// `text` as a positive integer of the non-zero type `N`, or an error
+/// naming `what`: the one check behind `--batch` and `--steps`.
+fn positive<N: std::str::FromStr<Err = std::num::ParseIntError>>(
+    what: &str,
+    text: &str,
+) -> Result<N, String> {
+    text.parse().map_err(|e| format!("{what} must be a positive integer: '{text}' ({e})"))
+}
+
 impl<'a> Opts<'a> {
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(flag, _)| *flag == name)
@@ -299,10 +309,15 @@ impl<'a> Opts<'a> {
     /// `--batch`, else the third positional, else `default`.
     fn batch(&self, default: usize) -> Result<usize, String> {
         match self.value("--batch").or(self.positional.get(2).copied()) {
-            Some(text) => text
-                .parse::<std::num::NonZeroUsize>()
-                .map(usize::from)
-                .map_err(|e| format!("batch must be a positive integer: '{text}' ({e})")),
+            Some(text) => positive::<NonZeroUsize>("batch", text).map(usize::from),
+            None => Ok(default),
+        }
+    }
+
+    /// `--steps`, else `default`.
+    fn steps(&self, default: u64) -> Result<u64, String> {
+        match self.value("--steps") {
+            Some(text) => positive::<NonZeroU64>("steps", text).map(u64::from),
             None => Ok(default),
         }
     }
@@ -598,7 +613,7 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
     let opts = ELASTIC.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
     let seed = opts.int("--seed", 42)?;
-    let steps = opts.int("--steps", 32)?;
+    let steps = opts.steps(32)?;
     let threads = opts.int("--threads", 1)?;
     // The spec: the full ladder, a preset, or a bare rate — presets and
     // rates keep the 0.0 control point so goodput retention is defined.
@@ -662,7 +677,7 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     // Default to the largest paper batch: for several workloads it OOMs at
     // baseline on the P4000, so the degradation ladder gets exercised.
     let batch = opts.batch(*paper_batches(model).last().expect("non-empty axis"))?;
-    let steps = opts.int("--steps", 20)?;
+    let steps = opts.steps(20)?;
     let seed = opts.int("--seed", 42)?;
     let preset = FaultPreset::parse(opts.value("--faults").unwrap_or("mild"))?;
     let replay_exact = opts.choice("--policy")? == "replay-exact";
@@ -720,7 +735,7 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
         stragglers: opts.has("--stragglers"),
         seed: opts.int("--seed", defaults.seed)?,
         faults: FaultPreset::parse(opts.value("--faults").unwrap_or("none"))?,
-        steps: opts.int("--steps", defaults.steps)?,
+        steps: opts.steps(defaults.steps)?,
         intra_op_threads: opts.int("--threads", defaults.intra_op_threads)?,
         fuse,
         precision,
@@ -1262,9 +1277,13 @@ mod tests {
         assert!(SCALE.parse(&["a3c", "resnet50"]).err().unwrap().starts_with("usage: tbd scale"));
         assert!(SCALE.parse(&["--sweep"]).is_err(), "the model is required");
         assert!(LIST.parse(&["--all"]).is_err());
-        for batch in ["0", "-1", "eight"] {
-            let err = SCALE.parse(&["a3c", "--batch", batch]).unwrap().batch(8).unwrap_err();
+        for bad in ["0", "-1", "eight"] {
+            let err = SCALE.parse(&["a3c", "--batch", bad]).unwrap().batch(8).unwrap_err();
             assert!(err.starts_with("batch must be a positive integer"), "{err}");
+            for grammar in [&CHAOS, &ELASTIC, &DIAGNOSE] {
+                let err = grammar.parse(&["a3c", "--steps", bad]).unwrap().steps(20).unwrap_err();
+                assert!(err.starts_with("steps must be a positive integer"), "{err}");
+            }
         }
         let err = JSON.parse(&["resnet50", "mxnet", "0"]).unwrap().workload().unwrap_err();
         assert!(err.contains("'0'"), "{err}");

@@ -570,18 +570,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "wall-clock probe, run manually with --ignored --nocapture"]
-    fn speed_tier_probe() {
-        let tier = measure_speed_tier(&GpuSpec::quadro_p4000()).unwrap();
-        eprintln!(
-            "speed tier: fused {:.4}s unfused {:.4}s — {:.2}x",
-            tier.fused_wall_s,
-            tier.unfused_wall_s,
-            tier.speedup()
-        );
-    }
-
-    #[test]
     fn report_json_round_trips() {
         let gpu = GpuSpec::quadro_p4000();
         let entry = bench_one(ModelKind::A3c, Framework::mxnet(), 8, &gpu, true, Precision::F32)

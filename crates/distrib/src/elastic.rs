@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
+use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 
 use crate::event::{EventConfig, EventOutcome};
 use crate::fault::{unit, StragglerSpec};
@@ -349,7 +349,7 @@ impl DataParallelSim {
                 .iteration_s
         };
 
-        let mut events: Vec<TraceEvent> = Vec::new();
+        let mut events = TraceStore::new();
         let mut epochs = vec![EpochRecord {
             epoch: 0,
             start_step: 0,
@@ -399,20 +399,15 @@ impl DataParallelSim {
                 out.deadline_stall_s += deadline_s;
                 out.evictions += evicted.len() as u64;
                 if tracer.is_some() {
+                    let name = events.intern("membership/evict");
                     for &w in &evicted {
-                        events.push(
-                            TraceEvent::instant(
-                                "membership/evict",
-                                TraceLayer::Distrib,
-                                EventKind::Eviction,
-                                time_s * 1e6,
-                            )
+                        events
+                            .span(name, TraceLayer::Distrib, EventKind::Eviction, time_s * 1e6, 0.0)
                             .on_track(MEMBERSHIP_TRACK)
                             .with_arg("worker", w)
                             .with_arg("step", step)
                             .with_arg("deadline_s", deadline_s)
-                            .with_arg("state", WorkerState::Suspect.label()),
-                        );
+                            .with_arg("state", WorkerState::Suspect.label());
                     }
                 }
             }
@@ -432,21 +427,16 @@ impl DataParallelSim {
                 out.rejoins += rejoined.len() as u64;
                 out.replayed_steps += lag * rejoined.len() as u64;
                 if tracer.is_some() {
+                    let name = events.intern("membership/rejoin");
                     for &w in &rejoined {
-                        events.push(
-                            TraceEvent::instant(
-                                "membership/rejoin",
-                                TraceLayer::Distrib,
-                                EventKind::Rejoin,
-                                time_s * 1e6,
-                            )
+                        events
+                            .span(name, TraceLayer::Distrib, EventKind::Rejoin, time_s * 1e6, 0.0)
                             .on_track(MEMBERSHIP_TRACK)
                             .with_arg("worker", w)
                             .with_arg("step", step)
                             .with_arg("catchup_s", catchup_s)
                             .with_arg("replayed", lag)
-                            .with_arg("state", WorkerState::Rejoining.label()),
-                        );
+                            .with_arg("state", WorkerState::Rejoining.label());
                     }
                 }
             }
@@ -461,19 +451,14 @@ impl DataParallelSim {
                     rescale: n as f64 / k as f64,
                 });
                 if tracer.is_some() {
-                    events.push(
-                        TraceEvent::instant(
-                            "membership/epoch",
-                            TraceLayer::Distrib,
-                            EventKind::Membership,
-                            time_s * 1e6,
-                        )
+                    let name = events.intern("membership/epoch");
+                    events
+                        .span(name, TraceLayer::Distrib, EventKind::Membership, time_s * 1e6, 0.0)
                         .on_track(MEMBERSHIP_TRACK)
                         .with_arg("epoch", epoch)
                         .with_arg("step", step)
                         .with_arg("survivors", k)
-                        .with_arg("rescale", n as f64 / k as f64),
-                    );
+                        .with_arg("rescale", n as f64 / k as f64);
                 }
             }
             if k < n {
@@ -490,14 +475,9 @@ impl DataParallelSim {
         out.epochs = epochs;
 
         if let Some(tr) = tracer {
-            events.push(
-                TraceEvent::span(
-                    "elastic/run",
-                    TraceLayer::Distrib,
-                    EventKind::Membership,
-                    0.0,
-                    time_s * 1e6,
-                )
+            let name = events.intern("elastic/run");
+            events
+                .span(name, TraceLayer::Distrib, EventKind::Membership, 0.0, time_s * 1e6)
                 .on_track(MEMBERSHIP_TRACK)
                 .with_arg("workers", n)
                 .with_arg("steps", config.steps)
@@ -509,9 +489,8 @@ impl DataParallelSim {
                 .with_arg("rejoin_catchup_s", out.rejoin_catchup_s)
                 .with_arg("goodput", out.goodput)
                 .with_arg("healthy_goodput", out.healthy_goodput)
-                .with_arg("cluster", cluster.label()),
-            );
-            tr.record_batch(events.into());
+                .with_arg("cluster", cluster.label());
+            tr.record_batch(events);
         }
         out
     }

@@ -39,7 +39,7 @@ use tbd_graph::lower::{
     lower_training_iteration, lower_training_iteration_fused, memory_footprint,
     optimizer_update_kernels, LoweredKernel,
 };
-use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
+use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 use tbd_graph::{FusionPlan, KernelClass};
 use tbd_tensor::Precision;
 use tbd_gpusim::{
@@ -458,14 +458,10 @@ impl Framework {
             // system behaviour around it (§3.2). These args are what makes
             // the three frameworks' traces of one model differ.
             let wall_us = iteration.wall_time_s * 1e6;
-            tr.record(
-                TraceEvent::span(
-                    format!("{} iteration", self.name()),
-                    TraceLayer::Framework,
-                    EventKind::Iteration,
-                    0.0,
-                    wall_us,
-                )
+            let mut events = TraceStore::new();
+            let name = events.intern(format!("{} iteration", self.name()));
+            events
+                .span(name, TraceLayer::Framework, EventKind::Iteration, 0.0, wall_us)
                 .with_arg("framework", self.name())
                 .with_arg("batch", model.batch)
                 .with_arg("kernels", kernels.len())
@@ -475,20 +471,15 @@ impl Framework {
                 .with_arg("gpu_utilization", iteration.gpu_utilization)
                 .with_arg("throughput", throughput)
                 .with_arg("cpu_utilization", iteration.cpu_utilization)
-                .with_arg("fp32_utilization", iteration.fp32_utilization),
-            );
-            tr.record(
-                TraceEvent::span(
-                    format!("{} input pipeline", self.name()),
-                    TraceLayer::Framework,
-                    EventKind::Phase,
-                    0.0,
-                    params.input_pipeline_s * 1e6,
-                )
+                .with_arg("fp32_utilization", iteration.fp32_utilization);
+            let name = events.intern(format!("{} input pipeline", self.name()));
+            let pipeline_us = params.input_pipeline_s * 1e6;
+            events
+                .span(name, TraceLayer::Framework, EventKind::Phase, 0.0, pipeline_us)
                 .on_track(1)
                 .with_arg("overlap", params.pipeline_overlap)
-                .with_arg("cores", params.pipeline_cores),
-            );
+                .with_arg("cores", params.pipeline_cores);
+            tr.record_batch(events);
         }
         Ok(WorkloadProfile { iteration, memory: mem.breakdown(), batch: model.batch, throughput })
     }

@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use tbd_graph::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder};
+use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 
 /// Chrome-trace track used for memory events within the gpusim layer.
 const MEMORY_TRACK: u32 = 2;
@@ -149,13 +149,15 @@ impl DeviceMemory {
         let at = self.seq as f64;
         self.seq += 1;
         let used = self.used();
-        tracer.record(
-            TraceEvent::instant(category.to_string(), TraceLayer::GpuSim, kind, at)
-                .on_track(MEMORY_TRACK)
-                .with_arg("bytes", bytes)
-                .with_arg("used", used)
-                .with_arg("available", self.capacity - used),
-        );
+        let mut event = TraceStore::new();
+        let name = event.intern(category.to_string());
+        event
+            .span(name, TraceLayer::GpuSim, kind, at, 0.0)
+            .on_track(MEMORY_TRACK)
+            .with_arg("bytes", bytes)
+            .with_arg("used", used)
+            .with_arg("available", self.capacity - used);
+        tracer.record_batch(event);
     }
 
     /// Device capacity in bytes.

@@ -7,7 +7,7 @@
 //! mechanics.
 
 use crate::fuse::{FusionGroup, FusionPlan};
-use crate::trace::{EventKind, TraceEvent, TraceLayer, TraceRecorder, TraceStore, value_hash};
+use crate::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore, value_hash};
 use crate::{Graph, GraphError, Init, NodeId, Op, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -446,7 +446,11 @@ impl Session {
                 tracer.record_batch(events);
             }
         }
-        self.record_pass_span("forward", step, n, pass_start);
+        if let (Some(tracer), Some(start)) = (&self.tracer, pass_start) {
+            let mut events = TraceStore::new();
+            self.pass_span(&mut events, "forward", step, n, (start, tracer.now_us()));
+            tracer.record_batch(events);
+        }
         Ok(state)
     }
 
@@ -568,20 +572,24 @@ impl Session {
         .with_arg("value_hash", value_hash(value.data()));
     }
 
-    /// Records the whole-pass span (forward or backward). Never includes
-    /// `intra_op_threads` in the args: digests must be stable across
-    /// thread counts.
-    fn record_pass_span(&self, name: &'static str, step: u64, nodes: usize, start: Option<f64>) {
-        if let (Some(tracer), Some(start)) = (&self.tracer, start) {
-            let end = tracer.now_us();
-            tracer.record(
-                TraceEvent::span(name, TraceLayer::Executor, EventKind::Phase, start, end - start)
-                    .wall_clock()
-                    .with_arg("step", step)
-                    .with_arg("nodes", nodes)
-                    .with_arg("inter_op", self.exec.inter_op_parallel),
-            );
-        }
+    /// Writes the whole-pass span (forward or backward) into `events`.
+    /// Never includes `intra_op_threads` in the args: digests must be
+    /// stable across thread counts.
+    fn pass_span(
+        &self,
+        events: &mut TraceStore,
+        name: &'static str,
+        step: u64,
+        nodes: usize,
+        (start, end): (f64, f64),
+    ) {
+        let name = events.intern(name);
+        events
+            .span(name, TraceLayer::Executor, EventKind::Phase, start, end - start)
+            .wall_clock()
+            .with_arg("step", step)
+            .with_arg("nodes", nodes)
+            .with_arg("inter_op", self.exec.inter_op_parallel);
     }
 
     /// Produces the value (and auxiliary state) of one node given the
@@ -721,6 +729,8 @@ impl Session {
         let mut grads: Vec<Option<Tensor>> = vec![None; n];
         grads[seed.index()] = Some(seed_grad);
         let pass_start = self.tracer.as_ref().map(|t| t.now_us());
+        // Node spans and the pass span, published as one batch at the end.
+        let mut events = TraceStore::new();
         let mut traced_nodes = 0usize;
         for i in (0..=seed.index()).rev() {
             let node = self.graph.node(NodeId(i));
@@ -756,8 +766,9 @@ impl Session {
                 };
                 if let Some(name) = span_name {
                     let t1 = tracer.now_us();
-                    tracer.record(
-                        TraceEvent::span(
+                    let name = events.intern(name);
+                    events
+                        .span(
                             name,
                             TraceLayer::Executor,
                             EventKind::NodeExec,
@@ -766,8 +777,7 @@ impl Session {
                         )
                         .wall_clock()
                         .with_arg("node", i)
-                        .with_arg("grad_hash", value_hash(dy.data())),
-                    );
+                        .with_arg("grad_hash", value_hash(dy.data()));
                     traced_nodes += 1;
                 }
             }
@@ -785,7 +795,11 @@ impl Session {
                 }
             }
         }
-        self.record_pass_span("backward", self.step, traced_nodes, pass_start);
+        if let (Some(tracer), Some(start)) = (&self.tracer, pass_start) {
+            let times = (start, tracer.now_us());
+            self.pass_span(&mut events, "backward", self.step, traced_nodes, times);
+            tracer.record_batch(events);
+        }
         Ok(Gradients { grads })
     }
 
@@ -1164,6 +1178,55 @@ mod tests {
             assert_eq!(bwd, plan.groups().len(), "one grad span per group");
         }
         tbd_tensor::par::set_max_threads(0);
+    }
+
+    #[test]
+    fn backward_publishes_its_node_spans_and_pass_span_as_one_batch() {
+        use crate::trace::{ArgValue, TraceRecorder, TraceSink};
+        use std::sync::Mutex;
+        /// A copy of every published batch.
+        #[derive(Debug, Default)]
+        struct Batches(Mutex<Vec<TraceStore>>);
+        impl TraceSink for Batches {
+            fn consume(&self, events: &TraceStore) {
+                self.0.lock().expect("batches lock").push(events.clone());
+            }
+        }
+        let (graph, x, _, _, t, loss) = small_net();
+        let exec = ExecConfig { intra_op_threads: 1, inter_op_parallel: false };
+        let mut session = Session::with_exec(graph, 1, exec);
+        let sink = Arc::new(Batches::default());
+        session.set_tracer(Some(TraceRecorder::shared_with_sink(sink.clone())));
+        let feeds = [(x, Tensor::ones([4, 3])), (t, Tensor::from_slice(&[0.0, 1.0, 2.0, 3.0]))];
+        let run = session.forward(&feeds).unwrap();
+        let forward_batches = sink.0.lock().unwrap().len();
+        let grads = session.backward(&run, loss, Tensor::scalar(1.0)).unwrap();
+        let batches = sink.0.lock().unwrap();
+        assert_eq!(batches.len(), forward_batches + 1, "backward publishes one batch");
+        let backward = batches.last().unwrap();
+        // The reverse sweep visits every node with inputs, from the loss down.
+        let graph = session.graph();
+        let swept: Vec<usize> = (0..=loss.index())
+            .rev()
+            .filter(|&i| !graph.node(NodeId(i)).inputs.is_empty())
+            .collect();
+        assert_eq!(swept.len(), 4);
+        assert_eq!(backward.len(), swept.len() + 1);
+        for (event, &i) in backward.iter().zip(&swept) {
+            assert_eq!(event.name, format!("{}.grad", graph.node(NodeId(i)).op.mnemonic()));
+            let dy = grads.grad(NodeId(i)).expect("swept nodes have a gradient");
+            let grad_hash = ArgValue::U64(value_hash(dy.data()));
+            let expected = [("node", ArgValue::U64(i as u64)), ("grad_hash", grad_hash)];
+            assert_eq!(event.args, expected);
+        }
+        let pass = backward.event(swept.len());
+        assert_eq!(pass.name, "backward");
+        let expected = [
+            ("step", ArgValue::U64(1)),
+            ("nodes", ArgValue::U64(4)),
+            ("inter_op", ArgValue::Bool(false)),
+        ];
+        assert_eq!(pass.args, expected);
     }
 
     #[test]

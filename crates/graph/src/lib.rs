@@ -54,7 +54,7 @@ pub use graph::{check_shape, Graph, GraphBuilder, Init, Node, NodeId};
 pub use kernel::{KernelClass, KernelSpec, Phase};
 pub use op::Op;
 pub use trace::{
-    ArgValue, EventKind, EventRef, TraceEvent, TraceLayer, TraceRecorder, TraceSink, TraceStore,
+    ArgValue, EventKind, EventRef, TraceLayer, TraceRecorder, TraceSink, TraceStore,
 };
 
 /// Convenience alias for results returned throughout this crate.

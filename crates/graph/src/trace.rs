@@ -5,10 +5,10 @@
 //! the reproduction's equivalent backbone. Every layer — the functional
 //! executor ([`crate::exec::Session`]), the GPU simulator (`tbd-gpusim`),
 //! the framework profiles (`tbd-frameworks`), the cluster model
-//! (`tbd-distrib`) and the analysis pipeline (`tbd-profiler`) — records
-//! typed [`TraceEvent`]s into one [`TraceRecorder`], and `tbd-profiler`
-//! merges them into a single per-iteration `Trace` with Chrome-trace and
-//! nvprof-style exporters.
+//! (`tbd-distrib`) and the analysis pipeline (`tbd-profiler`) — writes
+//! its events into a [`TraceStore`] and publishes the store to one
+//! [`TraceRecorder`], and `tbd-profiler` merges them into a single
+//! per-iteration `Trace` with Chrome-trace and nvprof-style exporters.
 //!
 //! The spine lives here (not in `tbd-profiler`) because `tbd-graph` is the
 //! lowest crate all instrumented layers already depend on; `tbd-profiler`
@@ -238,16 +238,6 @@ impl ArgValue {
         }
     }
 
-    /// An upper bound on the bytes [`ArgValue::write_json`] appends.
-    pub fn json_len_bound(&self) -> usize {
-        match self {
-            ArgValue::Str(s) => 2 + escaped_len(s),
-            ArgValue::F64(v) => fixed_len_bound(*v, 6),
-            ArgValue::U64(_) => 20,
-            ArgValue::Bool(_) => 5,
-        }
-    }
-
     /// Canonical text used by the digest: exact, platform-independent.
     pub fn canonical(&self) -> String {
         let mut out = String::new();
@@ -345,18 +335,6 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
-/// The length of `s` once [`escape_into`] has escaped it.
-pub fn escaped_len(s: &str) -> usize {
-    s.len()
-        + s.bytes()
-            .map(|b| match b {
-                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
-                0..=0x1f => 5,
-                _ => 0,
-            })
-            .sum::<usize>()
-}
-
 /// `v` as 16 lowercase hex digits, exactly like `{v:016x}`.
 fn hex16(v: u64) -> [u8; 16] {
     std::array::from_fn(|i| HEX[((v >> (60 - 4 * i)) & 0xf) as usize])
@@ -429,17 +407,6 @@ pub fn write_u64(out: &mut String, v: u64) {
     let _ = write_decimal(out, v);
 }
 
-/// An upper bound on the bytes [`write_fixed`] writes for `v` — and on
-/// the 4-byte `null` the exporters write for a non-finite `v`. `|v|` is
-/// below `2^e` for the binary exponent `e`, so its integer part has at
-/// most `⌊e·log10 2⌋ + 1` digits, plus one when rounding carries.
-pub fn fixed_len_bound(v: f64, decimals: u32) -> usize {
-    let e = ((v.to_bits() >> 52) & 0x7ff) as usize;
-    let int_digits = if e <= 1022 { 1 } else { (e - 1022) * 30_103 / 100_000 + 2 };
-    // Sign, digits, point, decimals.
-    (1 + int_digits + 1 + decimals as usize).max(4)
-}
-
 /// Appends `v` with `decimals` fractional digits, byte-identical to
 /// `format!("{v:.decimals$}")`.
 ///
@@ -504,86 +471,6 @@ pub fn write_fixed(out: &mut String, v: f64, decimals: u32) {
     }
 }
 
-/// One owned trace event: a span (`dur_us > 0`) or an instant.
-///
-/// The one-event builder for rare producers and tests. A recorded trace is
-/// a [`TraceStore`] of columns, read back one [`EventRef`] at a time; hot
-/// producers push straight into a store instead of building these.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Event label (kernel name, op mnemonic, phase name).
-    pub name: Cow<'static, str>,
-    /// Emitting layer (Chrome-trace process).
-    pub layer: TraceLayer,
-    /// Work category.
-    pub kind: EventKind,
-    /// Start time in microseconds on the layer's own clock.
-    pub start_us: f64,
-    /// Duration in microseconds (0 for instant events).
-    pub dur_us: f64,
-    /// Track within the layer (Chrome-trace `tid`): simulated GPU stream,
-    /// executor thread slot, memory track…
-    pub track: u32,
-    /// Whether `start_us`/`dur_us`/`track` are deterministic (simulated or
-    /// logical time). Host wall-clock spans set this to `false`, and the
-    /// golden-trace digest then ignores their timing fields while still
-    /// digesting name, layer, kind and args.
-    pub deterministic: bool,
-    /// Typed arguments. Only deterministic values belong here — every arg
-    /// participates in the golden-trace digest.
-    pub args: Vec<(&'static str, ArgValue)>,
-}
-
-impl TraceEvent {
-    /// Creates a deterministic span (simulated or logical time).
-    pub fn span(
-        name: impl Into<Cow<'static, str>>,
-        layer: TraceLayer,
-        kind: EventKind,
-        start_us: f64,
-        dur_us: f64,
-    ) -> Self {
-        TraceEvent {
-            name: name.into(),
-            layer,
-            kind,
-            start_us,
-            dur_us,
-            track: 0,
-            deterministic: true,
-            args: Vec::new(),
-        }
-    }
-
-    /// Creates a deterministic instant event.
-    pub fn instant(
-        name: impl Into<Cow<'static, str>>,
-        layer: TraceLayer,
-        kind: EventKind,
-        start_us: f64,
-    ) -> Self {
-        TraceEvent::span(name, layer, kind, start_us, 0.0)
-    }
-
-    /// Marks the timing fields as host wall-clock (excluded from digests).
-    pub fn wall_clock(mut self) -> Self {
-        self.deterministic = false;
-        self
-    }
-
-    /// Sets the track (builder style).
-    pub fn on_track(mut self, track: u32) -> Self {
-        self.track = track;
-        self
-    }
-
-    /// Attaches an argument (builder style).
-    pub fn with_arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key, value.into()));
-        self
-    }
-}
-
 /// A borrowed view of one event of a [`TraceStore`] — the one type every
 /// reader (digests, exporters, aggregator, diagnosis, report) takes.
 ///
@@ -606,10 +493,13 @@ pub struct EventRef<'a> {
     pub dur_us: f64,
     /// Track within the layer.
     pub track: u32,
-    /// Whether the timing fields are deterministic (see
-    /// [`TraceEvent::deterministic`]).
+    /// Whether `start_us`/`dur_us`/`track` are deterministic (simulated or
+    /// logical time). Host wall-clock spans set this to `false`, and the
+    /// golden-trace digest then ignores their timing fields while still
+    /// digesting name, layer, kind and args.
     pub deterministic: bool,
-    /// Typed arguments, in insertion order.
+    /// Typed arguments, in insertion order. Only deterministic values
+    /// belong here — every arg participates in the golden-trace digest.
     pub args: &'a [(&'static str, ArgValue)],
 }
 
@@ -622,20 +512,6 @@ impl<'a> EventRef<'a> {
     /// The first argument named `key`.
     pub fn arg(&self, key: &str) -> Option<&'a ArgValue> {
         self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// An owned copy of the event.
-    pub fn to_event(&self) -> TraceEvent {
-        TraceEvent {
-            name: Cow::Owned(self.name.to_string()),
-            layer: self.layer,
-            kind: self.kind,
-            start_us: self.start_us,
-            dur_us: self.dur_us,
-            track: self.track,
-            deterministic: self.deterministic,
-            args: self.args.to_vec(),
-        }
     }
 
     /// Canonical one-line form consumed by the golden-trace digest.
@@ -690,8 +566,8 @@ impl<'a> EventRef<'a> {
 ///   each), `start_us`, `dur_us`, `track` and `deterministic`;
 /// - one args arena, each event's args a contiguous range of it.
 ///
-/// Hot producers fill a store directly ([`TraceStore::span`] on an id from
-/// [`TraceStore::intern`]) and publish it with
+/// A producer writes each event with [`TraceStore::span`] on an id from
+/// [`TraceStore::intern`], and publishes the store with
 /// [`TraceRecorder::record_batch`], which appends the columns. Readers
 /// borrow one [`EventRef`] per event.
 ///
@@ -785,7 +661,7 @@ impl TraceStore {
         &self.kind
     }
 
-    /// The column of [`TraceEvent::deterministic`] flags.
+    /// The column of [`EventRef::deterministic`] flags.
     pub fn deterministic_column(&self) -> &[bool] {
         &self.deterministic
     }
@@ -838,18 +714,6 @@ impl TraceStore {
         self.deterministic.push(true);
         self.args_at.push(at);
         EventWriter { store: self }
-    }
-
-    /// Appends an owned event.
-    pub fn push(&mut self, event: TraceEvent) {
-        let name = self.intern(event.name);
-        let mut writer = self
-            .span(name, event.layer, event.kind, event.start_us, event.dur_us)
-            .on_track(event.track);
-        if !event.deterministic {
-            writer = writer.wall_clock();
-        }
-        writer.store.args.extend(event.args);
     }
 
     fn args_range(&self, i: usize) -> Range<usize> {
@@ -1225,22 +1089,6 @@ fn retain_column<T>(column: &mut Vec<T>, kept: &[bool]) {
     column.retain(|_| *keep.next().expect("one flag per event"));
 }
 
-impl From<Vec<TraceEvent>> for TraceStore {
-    fn from(events: Vec<TraceEvent>) -> Self {
-        events.into_iter().collect()
-    }
-}
-
-impl FromIterator<TraceEvent> for TraceStore {
-    fn from_iter<I: IntoIterator<Item = TraceEvent>>(events: I) -> Self {
-        let mut store = TraceStore::new();
-        for event in events {
-            store.push(event);
-        }
-        store
-    }
-}
-
 impl<'a> IntoIterator for &'a TraceStore {
     type Item = EventRef<'a>;
     type IntoIter = Events<'a>;
@@ -1344,12 +1192,12 @@ pub struct RecorderOverhead {
     pub events_by_layer: [u64; 5],
     /// Modelled bytes of every *retained* event ([`approx_event_bytes`]).
     pub event_bytes_total: u64,
-    /// `record` + `record_batch` invocations.
+    /// `record_batch` invocations with at least one event.
     pub record_calls_total: u64,
     /// Events discarded by the retain cap (observed by the sink, not
     /// stored).
     pub events_dropped_total: u64,
-    /// Host nanoseconds spent inside `record`/`record_batch` bodies,
+    /// Host nanoseconds spent inside `record_batch` bodies,
     /// including sink folding. Wall-clock: never digested.
     pub record_ns_total: u64,
     /// Host nanoseconds spent inside attached-sink `consume` calls.
@@ -1435,15 +1283,15 @@ impl OverheadCells {
 
 /// A shared, thread-safe event sink with a wall-clock epoch.
 ///
-/// Cloning the `Arc` hands the same sink to every layer; each layer either
-/// pushes single events ([`TraceRecorder::record`]) or publishes a locally
-/// buffered batch under one lock ([`TraceRecorder::record_batch`]).
+/// Cloning the `Arc` hands the same sink to every layer; each layer
+/// publishes a locally filled [`TraceStore`] under one lock
+/// ([`TraceRecorder::record_batch`]), be it one event or a whole wave.
 ///
 /// An optional [`TraceSink`] observes every event live at the same batch
 /// boundaries (streaming consumers pay nothing when detached: the hot path
 /// is a null check under the lock already being held).
 ///
-/// The recorder also watches itself: every record path feeds
+/// The recorder also watches itself: every batch feeds
 /// [`RecorderOverhead`] (per-layer span counts, modelled retained bytes,
 /// sink latency, drops), and an optional retain cap
 /// ([`TraceRecorder::set_retain_cap`]) bounds stored events for
@@ -1511,16 +1359,10 @@ impl TraceRecorder {
         self.overhead.snapshot()
     }
 
-    /// Appends one event (a one-event [`TraceRecorder::record_batch`]).
-    pub fn record(&self, event: TraceEvent) {
-        let mut one = TraceStore::with_capacity(1, event.args.len());
-        one.push(event);
-        self.record_batch(one);
-    }
-
-    /// Appends a batch of events under a single lock — the cheap path for
-    /// per-thread buffers inside the wave scheduler and for the simulators,
-    /// which fill the batch's columns directly. The attached sink (if any)
+    /// Appends a batch of events under a single lock — the one way to
+    /// record: every producer fills a [`TraceStore`] (one event or a whole
+    /// wave, pass or simulated iteration) and publishes it here. An empty
+    /// batch records nothing and is not counted. The attached sink (if any)
     /// observes the whole batch in order before the lock drops, so sink
     /// order equals storage order.
     pub fn record_batch(&self, mut batch: TraceStore) {
@@ -1647,20 +1489,33 @@ pub fn value_hash(data: &[f32]) -> u64 {
 mod tests {
     use super::*;
 
+    /// A store holding one instant per name, in order, on `layer`.
+    fn instants(layer: TraceLayer, names: &[&'static str]) -> TraceStore {
+        let mut store = TraceStore::new();
+        for (i, &name) in names.iter().enumerate() {
+            let id = store.intern(name);
+            store.span(id, layer, EventKind::NodeExec, i as f64, 0.0);
+        }
+        store
+    }
+
     #[test]
     fn recorder_collects_and_drains() {
         let rec = TraceRecorder::shared();
-        rec.record(TraceEvent::span("a", TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0));
-        rec.record_batch(TraceStore::from(vec![
-            TraceEvent::instant("b", TraceLayer::Executor, EventKind::NodeExec, 2.0),
-            TraceEvent::instant("c", TraceLayer::Executor, EventKind::NodeExec, 3.0),
-        ]));
+        let mut one = TraceStore::new();
+        let a = one.intern("a");
+        one.span(a, TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0);
+        rec.record_batch(one);
+        rec.record_batch(instants(TraceLayer::Executor, &["b", "c"]));
+        rec.record_batch(TraceStore::new());
         assert_eq!(rec.len(), 3);
+        assert_eq!(rec.overhead().record_calls_total, 2, "an empty batch is not a call");
         let events = rec.drain();
         assert_eq!(events.len(), 3);
         assert!(rec.is_empty());
         assert_eq!(events.event(0).name, "a");
-        assert_eq!(events.event(2).end_us(), 3.0);
+        assert_eq!(events.event(2).name, "c");
+        assert_eq!(events.event(2).end_us(), 1.0);
     }
 
     #[test]
@@ -1670,17 +1525,13 @@ mod tests {
             for t in 0..4u32 {
                 let rec = Arc::clone(&rec);
                 scope.spawn(move || {
-                    let local: TraceStore = (0..25)
-                        .map(|i| {
-                            TraceEvent::instant(
-                                format!("t{t}e{i}"),
-                                TraceLayer::Executor,
-                                EventKind::NodeExec,
-                                f64::from(i),
-                            )
-                            .on_track(t)
-                        })
-                        .collect();
+                    let mut local = TraceStore::new();
+                    for i in 0..25 {
+                        let name = local.intern(format!("t{t}e{i}"));
+                        local
+                            .span(name, TraceLayer::Executor, EventKind::NodeExec, i.into(), 0.0)
+                            .on_track(t);
+                    }
                     rec.record_batch(local);
                 });
             }
@@ -1688,45 +1539,49 @@ mod tests {
         assert_eq!(rec.len(), 100);
     }
 
-    /// The canonical line of one owned event, read back through a store.
-    fn line(event: TraceEvent) -> String {
-        TraceStore::from(vec![event]).event(0).canonical()
+    /// The canonical line of a `relu` node span written with `write`.
+    fn relu_line(start_us: f64, write: impl FnOnce(EventWriter<'_>)) -> String {
+        let mut store = TraceStore::new();
+        let name = store.intern("relu");
+        write(store.span(name, TraceLayer::Executor, EventKind::NodeExec, start_us, 5.0));
+        store.event(0).canonical()
     }
 
     #[test]
     fn canonical_ignores_wall_clock_timing_but_keeps_args() {
-        let a = TraceEvent::span("relu", TraceLayer::Executor, EventKind::NodeExec, 10.0, 5.0)
-            .wall_clock()
-            .on_track(1)
-            .with_arg("node", 7usize)
-            .with_arg("value_hash", 0xDEADu64);
-        let b = TraceEvent::span("relu", TraceLayer::Executor, EventKind::NodeExec, 99.0, 1.0)
-            .wall_clock()
-            .on_track(3)
-            .with_arg("node", 7usize)
-            .with_arg("value_hash", 0xDEADu64);
-        let c = b.clone().with_arg("extra", true);
-        let (a, b, c) = (line(a), line(b), line(c));
+        let a = relu_line(10.0, |w| {
+            w.wall_clock().on_track(1).with_arg("node", 7usize).with_arg("value_hash", 0xDEADu64);
+        });
+        let b = relu_line(99.0, |w| {
+            w.wall_clock().on_track(3).with_arg("node", 7usize).with_arg("value_hash", 0xDEADu64);
+        });
+        let c = relu_line(99.0, |w| {
+            w.wall_clock()
+                .on_track(3)
+                .with_arg("node", 7usize)
+                .with_arg("value_hash", 0xDEADu64)
+                .with_arg("extra", true);
+        });
         assert_eq!(a, b, "wall times and tracks are excluded");
         assert_ne!(a, c);
     }
 
     #[test]
     fn canonical_keeps_simulated_timing_exactly() {
-        let a = TraceEvent::span("sgemm", TraceLayer::GpuSim, EventKind::KernelExec, 1.5, 2.5);
-        let mut b = a.clone();
-        assert_eq!(line(a.clone()), line(b.clone()));
-        b.start_us = 1.5 + 1e-12;
-        assert_ne!(line(a), line(b), "sim times are digested bit-exactly");
+        let sim = |start_us| relu_line(start_us, |_| {});
+        assert_eq!(sim(1.5), sim(1.5));
+        assert_ne!(sim(1.5), sim(1.5 + 1e-12), "sim times are digested bit-exactly");
     }
 
     #[test]
     fn events_digest_hashes_the_newline_terminated_canonical_lines() {
-        let events = TraceStore::from(vec![
-            TraceEvent::span("sgemm", TraceLayer::GpuSim, EventKind::KernelExec, 1.5, 2.5),
-            TraceEvent::instant("b", TraceLayer::Executor, EventKind::NodeExec, 2.0)
-                .with_arg("node", 3usize),
-        ]);
+        let mut events = TraceStore::new();
+        let sgemm = events.intern("sgemm");
+        events.span(sgemm, TraceLayer::GpuSim, EventKind::KernelExec, 1.5, 2.5);
+        let b = events.intern("b");
+        events
+            .span(b, TraceLayer::Executor, EventKind::NodeExec, 2.0, 0.0)
+            .with_arg("node", 3usize);
         let text: String = events.iter().map(|e| e.canonical() + "\n").collect();
         assert_eq!(events_digest(&events), fnv1a(text.as_bytes()));
         assert_eq!(events_digest(&TraceStore::new()), fnv1a(b""));
@@ -1752,15 +1607,16 @@ mod tests {
     #[test]
     fn overhead_counts_events_bytes_and_calls_per_layer() {
         let rec = TraceRecorder::shared();
-        let a = TraceEvent::span("a", TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0)
-            .with_arg("bytes", 64u64);
-        let expected_a = TraceStore::from(vec![a.clone()]).approx_bytes();
+        let mut a = TraceStore::new();
+        let name = a.intern("a");
+        a.span(name, TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0).with_arg("bytes", 64u64);
+        let expected_a = a.approx_bytes();
         assert_eq!(expected_a, 64 + 1 + 16);
-        rec.record(a);
-        rec.record_batch(TraceStore::from(vec![
-            TraceEvent::instant("bb", TraceLayer::Executor, EventKind::NodeExec, 2.0),
-            TraceEvent::instant("cc", TraceLayer::Distrib, EventKind::Communication, 3.0),
-        ]));
+        rec.record_batch(a);
+        let mut two = instants(TraceLayer::Executor, &["bb"]);
+        let cc = two.intern("cc");
+        two.span(cc, TraceLayer::Distrib, EventKind::Communication, 3.0, 0.0);
+        rec.record_batch(two);
         let oh = rec.overhead();
         assert_eq!(oh.events_total(), 3);
         assert_eq!(oh.events_by_layer[TraceLayer::GpuSim.index()], 1);
@@ -1785,18 +1641,10 @@ mod tests {
         let sink = Arc::new(Counting::default());
         let rec = TraceRecorder::shared_with_sink(sink.clone());
         rec.set_retain_cap(3);
-        for i in 0..5 {
-            rec.record(TraceEvent::instant(
-                format!("e{i}"),
-                TraceLayer::Profiler,
-                EventKind::Phase,
-                f64::from(i),
-            ));
+        for name in ["e0", "e1", "e2", "e3", "e4"] {
+            rec.record_batch(instants(TraceLayer::Profiler, &[name]));
         }
-        rec.record_batch(TraceStore::from(vec![
-            TraceEvent::instant("f", TraceLayer::Profiler, EventKind::Phase, 9.0),
-            TraceEvent::instant("g", TraceLayer::Profiler, EventKind::Phase, 10.0),
-        ]));
+        rec.record_batch(instants(TraceLayer::Profiler, &["f", "g"]));
         assert_eq!(rec.len(), 3, "storage is capped");
         assert_eq!(sink.0.load(Ordering::Relaxed), 7, "sink observed every event");
         let oh = rec.overhead();
@@ -1825,69 +1673,82 @@ mod tests {
         assert_eq!(oh.overhead_fraction(0.0), 0.0);
     }
 
-    /// `count` events named `n0`, `n1`, … cycling through `distinct`
-    /// names, event `i` carrying `i % 3` args.
-    fn numbered(count: usize, distinct: usize) -> Vec<TraceEvent> {
-        (0..count)
-            .map(|i| {
-                let mut e = TraceEvent::span(
-                    format!("n{}", i % distinct),
-                    TraceLayer::GpuSim,
-                    EventKind::KernelExec,
-                    i as f64,
-                    1.0,
-                );
-                for a in 0..i % 3 {
-                    e = e.with_arg("a", a);
-                }
-                e
-            })
-            .collect()
+    /// `count` kernel spans named `n0`, `n1`, … cycling through `distinct`
+    /// names, event `i` starting at `i` and carrying `i % 3` args.
+    fn numbered(count: usize, distinct: usize) -> TraceStore {
+        let mut store = TraceStore::new();
+        for i in 0..count {
+            let name = store.intern(format!("n{}", i % distinct));
+            let at = i as f64;
+            let mut event = store.span(name, TraceLayer::GpuSim, EventKind::KernelExec, at, 1.0);
+            for a in 0..i % 3 {
+                event = event.with_arg("a", a);
+            }
+        }
+        store
     }
 
-    fn owned(store: &TraceStore) -> Vec<TraceEvent> {
-        store.iter().map(|e| e.to_event()).collect()
+    /// Event `i` of [`numbered`]: its start and its canonical line, built
+    /// with `format!`.
+    fn numbered_line(i: usize, distinct: usize) -> (usize, String) {
+        let mut line = format!(
+            "gpusim|kernel|n{}|t:{:016x}+{:016x}@0",
+            i % distinct,
+            (i as f64).to_bits(),
+            1f64.to_bits()
+        );
+        for a in 0..i % 3 {
+            line += &format!("|a=u:{a}");
+        }
+        (i, line)
+    }
+
+    fn lines(store: &TraceStore) -> Vec<String> {
+        store.iter().map(|e| e.canonical()).collect()
+    }
+
+    fn expected_lines(rows: &[(usize, String)]) -> Vec<String> {
+        rows.iter().map(|(_, line)| line.clone()).collect()
     }
 
     #[test]
     fn store_interns_each_name_once() {
-        let events = numbered(200, 40);
-        let store = TraceStore::from(events.clone());
+        let store = numbered(200, 40);
+        let rows: Vec<_> = (0..200).map(|i| numbered_line(i, 40)).collect();
         assert_eq!(store.names().len(), 40, "one entry per distinct name");
-        assert_eq!(owned(&store), events);
+        assert_eq!(lines(&store), expected_lines(&rows));
         for (i, e) in store.iter().enumerate() {
             assert_eq!(e.name_id as usize, i % 40);
         }
-        assert_eq!(store.args_arena().len(), events.iter().map(|e| e.args.len()).sum::<usize>());
+        assert_eq!(store.args_arena().len(), (0..200).map(|i| i % 3).sum::<usize>());
     }
 
     #[test]
     fn store_append_truncate_and_retain_keep_names_and_args_aligned() {
-        let (head, tail) = (numbered(30, 20), numbered(25, 7));
-        let mut store = TraceStore::from(head.clone());
-        let mut other = TraceStore::from(tail.clone());
+        let mut store = numbered(30, 20);
+        let mut other = numbered(25, 7);
         store.append(&mut other);
         assert!(other.is_empty() && other.names().is_empty());
-        let mut all = head.clone();
-        all.extend(tail.iter().cloned());
-        assert_eq!(owned(&store), all, "appended names are remapped");
+        let mut all: Vec<_> = (0..30).map(|i| numbered_line(i, 20)).collect();
+        all.extend((0..25).map(|i| numbered_line(i, 7)));
+        assert_eq!(lines(&store), expected_lines(&all), "appended names are remapped");
         store.retain(|e| e.start_us as usize % 4 != 1);
-        all.retain(|e| e.start_us as usize % 4 != 1);
-        assert_eq!(owned(&store), all);
+        all.retain(|(start, _)| start % 4 != 1);
+        assert_eq!(lines(&store), expected_lines(&all));
         store.truncate(9);
         all.truncate(9);
-        assert_eq!(owned(&store), all);
-        assert_eq!(store.args_arena().len(), all.iter().map(|e| e.args.len()).sum::<usize>());
+        assert_eq!(lines(&store), expected_lines(&all));
+        assert_eq!(store.args_arena().len(), all.iter().map(|(i, _)| i % 3).sum::<usize>());
         // A store that has named nothing takes the other's columns whole.
         let mut fresh = TraceStore::new();
         fresh.append(&mut store);
         assert!(store.is_empty() && store.names().is_empty());
-        assert_eq!(owned(&fresh), all);
+        assert_eq!(lines(&fresh), expected_lines(&all));
     }
 
     #[test]
     fn store_digest_is_cached_per_seed_and_dropped_on_change() {
-        let mut store = TraceStore::from(numbered(10, 3));
+        let mut store = numbered(10, 3);
         let lines = |store: &TraceStore, header: &str| {
             let mut text = header.to_string();
             for e in store {
@@ -1904,7 +1765,8 @@ mod tests {
         assert_eq!(store.digest_after(&seed("a")), lines(&store, "a"));
         assert_eq!(store.digest_after(&seed("a")), lines(&store, "a"), "cached");
         assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "another seed");
-        store.push(TraceEvent::instant("late", TraceLayer::Profiler, EventKind::Phase, 0.0));
+        let late = store.intern("late");
+        store.span(late, TraceLayer::Profiler, EventKind::Phase, 0.0, 0.0);
         assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "not stale");
         store.span(0, TraceLayer::Profiler, EventKind::Phase, 1.0, 0.0).with_arg("k", 1u64);
         assert_eq!(store.digest_after(&seed("b")), lines(&store, "b"), "not stale");
@@ -1952,14 +1814,15 @@ mod tests {
 
     #[test]
     fn iter_where_and_approx_bytes_read_the_columns() {
-        let mut store = TraceStore::from(numbered(50, 7));
-        store.push(TraceEvent::instant("x", TraceLayer::Profiler, EventKind::Phase, 0.0));
+        let mut store = numbered(50, 7);
+        let x = store.intern("x");
+        store.span(x, TraceLayer::Profiler, EventKind::Phase, 0.0, 0.0);
         let keep = |layer: TraceLayer, kind: EventKind| {
             layer == TraceLayer::Profiler || kind == EventKind::Memcpy
         };
-        let kept: Vec<TraceEvent> = store.iter_where(keep).map(|e| e.to_event()).collect();
-        let filtered: Vec<TraceEvent> =
-            store.iter().filter(|e| keep(e.layer, e.kind)).map(|e| e.to_event()).collect();
+        let kept: Vec<String> = store.iter_where(keep).map(|e| e.canonical()).collect();
+        let filtered: Vec<String> =
+            store.iter().filter(|e| keep(e.layer, e.kind)).map(|e| e.canonical()).collect();
         assert_eq!(kept, filtered);
         assert_eq!(kept.len(), 1);
         let per_event = |store: &TraceStore| store.iter().map(approx_event_bytes).sum::<u64>();

@@ -1361,7 +1361,6 @@ pub fn aggregate(events: &TraceStore, config: &SamplingConfig) -> MetricsRegistr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbd_graph::trace::TraceEvent;
 
     #[test]
     fn log2_buckets_cover_the_line() {
@@ -1409,20 +1408,15 @@ mod tests {
     #[test]
     fn kernel_table_overflow_is_bounded_and_deterministic() {
         let agg = StreamingAggregator::new();
-        let events: TraceStore = (0..MAX_KERNEL_SERIES + 50)
-            .map(|i| {
-                TraceEvent::span(
-                    format!("k{i}"),
-                    TraceLayer::GpuSim,
-                    EventKind::KernelExec,
-                    i as f64,
-                    1.0,
-                )
+        let mut events = TraceStore::new();
+        for i in 0..MAX_KERNEL_SERIES + 50 {
+            let name = events.intern(format!("k{i}"));
+            events
+                .span(name, TraceLayer::GpuSim, EventKind::KernelExec, i as f64, 1.0)
                 .with_arg("class", "Gemm")
                 .with_arg("flops", 1.0)
-                .with_arg("fp32_util", 0.5)
-            })
-            .collect();
+                .with_arg("fp32_util", 0.5);
+        }
         agg.consume_all(&events);
         let rows = agg.kernel_attribution();
         assert_eq!(rows.len(), MAX_KERNEL_SERIES + 1, "capped series plus overflow row");
@@ -1439,13 +1433,10 @@ mod tests {
     #[test]
     fn loss_counters_are_present_even_at_zero_in_every_exporter() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&TraceStore::from(vec![TraceEvent::span(
-            "sgemm",
-            TraceLayer::GpuSim,
-            EventKind::KernelExec,
-            0.0,
-            1.0,
-        )]));
+        let mut events = TraceStore::new();
+        let name = events.intern("sgemm");
+        events.span(name, TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0);
+        agg.consume_all(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("agg_kernel_series_overflow_total"), Some(0));
         assert_eq!(reg.counter("agg_window_dropped_total"), Some(0));
@@ -1466,15 +1457,12 @@ mod tests {
         let agg = StreamingAggregator::new();
         let extra = 10;
         for i in 0..(ITERATION_WINDOW_CAP + extra) {
-            let event = TraceEvent::span(
-                "iteration",
-                TraceLayer::Profiler,
-                EventKind::Iteration,
-                i as f64,
-                1e6,
-            )
-            .with_arg("batch", 8u64);
-            agg.consume(&TraceStore::from(vec![event]));
+            let mut event = TraceStore::new();
+            let name = event.intern("iteration");
+            event
+                .span(name, TraceLayer::Profiler, EventKind::Iteration, i as f64, 1e6)
+                .with_arg("batch", 8u64);
+            agg.consume(&event);
         }
         let reg = agg.registry();
         assert_eq!(reg.counter("agg_window_dropped_total"), Some(extra as u64));
@@ -1503,16 +1491,18 @@ mod tests {
     #[test]
     fn memory_fold_tracks_peaks_per_category() {
         let agg = StreamingAggregator::new();
-        let ev = |kind, name: &'static str, bytes: u64| {
-            TraceEvent::instant(name, TraceLayer::GpuSim, kind, 0.0).with_arg("bytes", bytes)
-        };
-        agg.consume_all(&TraceStore::from(vec![
-            ev(EventKind::Alloc, "feature maps", 700),
-            ev(EventKind::Alloc, "weights", 200),
-            ev(EventKind::Free, "feature maps", 650),
-            ev(EventKind::Alloc, "feature maps", 100),
-            ev(EventKind::AllocFail, "workspace", 4096),
-        ]));
+        let mut events = TraceStore::new();
+        for (kind, name, bytes) in [
+            (EventKind::Alloc, "feature maps", 700u64),
+            (EventKind::Alloc, "weights", 200),
+            (EventKind::Free, "feature maps", 650),
+            (EventKind::Alloc, "feature maps", 100),
+            (EventKind::AllocFail, "workspace", 4096),
+        ] {
+            let name = events.intern(name);
+            events.span(name, TraceLayer::GpuSim, kind, 0.0, 0.0).with_arg("bytes", bytes);
+        }
+        agg.consume_all(&events);
         let mem = agg.memory_attribution();
         assert_eq!(mem[0].category, "feature maps");
         assert_eq!(mem[0].peak_bytes, 700);
@@ -1526,34 +1516,33 @@ mod tests {
     #[test]
     fn chaos_events_fold_into_resilience_metrics() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&TraceStore::from(vec![
-            TraceEvent::instant("fault/worker-crash", TraceLayer::Executor, EventKind::Fault, 0.0)
-                .with_arg("fault", "worker-crash")
-                .with_arg("step", 3u64),
-            TraceEvent::instant("fault/loss-spike", TraceLayer::Executor, EventKind::Fault, 1.0)
-                .with_arg("fault", "loss-spike")
-                .with_arg("step", 5u64),
-            TraceEvent::span(
-                "recovery/restore-replay",
-                TraceLayer::Executor,
-                EventKind::Recovery,
-                0.0,
-                250_000.0,
-            )
+        let mut events = TraceStore::new();
+        let name = events.intern("fault/worker-crash");
+        events
+            .span(name, TraceLayer::Executor, EventKind::Fault, 0.0, 0.0)
+            .with_arg("fault", "worker-crash")
+            .with_arg("step", 3u64);
+        let name = events.intern("fault/loss-spike");
+        events
+            .span(name, TraceLayer::Executor, EventKind::Fault, 1.0, 0.0)
+            .with_arg("fault", "loss-spike")
+            .with_arg("step", 5u64);
+        let name = events.intern("recovery/restore-replay");
+        events
+            .span(name, TraceLayer::Executor, EventKind::Recovery, 0.0, 250_000.0)
             .with_arg("action", "restore-replay")
-            .with_arg("fault", "worker-crash"),
-            TraceEvent::instant(
-                "checkpoint/write",
-                TraceLayer::Executor,
-                EventKind::Checkpoint,
-                2.0,
-            )
+            .with_arg("fault", "worker-crash");
+        let name = events.intern("checkpoint/write");
+        events
+            .span(name, TraceLayer::Executor, EventKind::Checkpoint, 2.0, 0.0)
             .with_arg("bytes", 1_000_000u64)
-            .with_arg("step", 5u64),
-            TraceEvent::span("chaos/run", TraceLayer::Executor, EventKind::Iteration, 0.0, 3e6)
-                .with_arg("goodput", 96.0)
-                .with_arg("throughput", 128.0),
-        ]));
+            .with_arg("step", 5u64);
+        let name = events.intern("chaos/run");
+        events
+            .span(name, TraceLayer::Executor, EventKind::Iteration, 0.0, 3e6)
+            .with_arg("goodput", 96.0)
+            .with_arg("throughput", 128.0);
+        agg.consume_all(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("faults_injected_total"), Some(2));
         assert_eq!(reg.counter(&series("faults_injected_total", "fault", "worker-crash")), Some(1));
@@ -1572,29 +1561,39 @@ mod tests {
     #[test]
     fn elastic_events_fold_into_membership_metrics() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&TraceStore::from(vec![
-            TraceEvent::instant("membership/evict", TraceLayer::Distrib, EventKind::Eviction, 0.0)
-                .with_arg("worker", 2u64)
-                .with_arg("step", 4u64)
-                .with_arg("deadline_s", 0.35),
-            TraceEvent::instant("membership/epoch", TraceLayer::Distrib, EventKind::Membership, 0.0)
-                .with_arg("epoch", 1u64)
-                .with_arg("survivors", 3u64),
-            TraceEvent::instant("membership/rejoin", TraceLayer::Distrib, EventKind::Rejoin, 2.0)
-                .with_arg("worker", 2u64)
-                .with_arg("step", 9u64)
-                .with_arg("catchup_s", 0.5),
-            TraceEvent::instant("membership/epoch", TraceLayer::Distrib, EventKind::Membership, 2.0)
-                .with_arg("epoch", 2u64)
-                .with_arg("survivors", 4u64),
-            TraceEvent::span("elastic/run", TraceLayer::Distrib, EventKind::Membership, 0.0, 5e6)
-                .with_arg("epochs", 3u64)
-                .with_arg("degraded_steps", 5u64)
-                .with_arg("deadline_stall_s", 0.35)
-                .with_arg("rejoin_catchup_s", 0.5)
-                .with_arg("goodput", 200.0)
-                .with_arg("healthy_goodput", 250.0),
-        ]));
+        let mut events = TraceStore::new();
+        let name = events.intern("membership/evict");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Eviction, 0.0, 0.0)
+            .with_arg("worker", 2u64)
+            .with_arg("step", 4u64)
+            .with_arg("deadline_s", 0.35);
+        let name = events.intern("membership/epoch");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Membership, 0.0, 0.0)
+            .with_arg("epoch", 1u64)
+            .with_arg("survivors", 3u64);
+        let name = events.intern("membership/rejoin");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Rejoin, 2.0, 0.0)
+            .with_arg("worker", 2u64)
+            .with_arg("step", 9u64)
+            .with_arg("catchup_s", 0.5);
+        let name = events.intern("membership/epoch");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Membership, 2.0, 0.0)
+            .with_arg("epoch", 2u64)
+            .with_arg("survivors", 4u64);
+        let name = events.intern("elastic/run");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Membership, 0.0, 5e6)
+            .with_arg("epochs", 3u64)
+            .with_arg("degraded_steps", 5u64)
+            .with_arg("deadline_stall_s", 0.35)
+            .with_arg("rejoin_catchup_s", 0.5)
+            .with_arg("goodput", 200.0)
+            .with_arg("healthy_goodput", 250.0);
+        agg.consume_all(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("membership_epochs_total"), Some(3));
         assert_eq!(reg.counter("evictions_total"), Some(1));
@@ -1612,14 +1611,12 @@ mod tests {
     #[test]
     fn churn_free_traces_emit_no_membership_series() {
         let agg = StreamingAggregator::new();
-        agg.consume_all(&TraceStore::from(vec![TraceEvent::span(
-            "1M2G iteration",
-            TraceLayer::Distrib,
-            EventKind::Iteration,
-            0.0,
-            4e5,
-        )
-        .with_arg("throughput", 128.0)]));
+        let mut events = TraceStore::new();
+        let name = events.intern("1M2G iteration");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Iteration, 0.0, 4e5)
+            .with_arg("throughput", 128.0);
+        agg.consume_all(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("membership_epochs_total"), None);
         assert_eq!(reg.counter("evictions_total"), None);
@@ -1632,15 +1629,12 @@ mod tests {
         // Warm-up then steady iterations, fed one batch at a time.
         for i in 0..400u64 {
             let dur_s = if i < 100 { 0.5 * (1.0 + (100 - i) as f64 / 50.0) } else { 0.5 };
-            let event = TraceEvent::span(
-                "iteration",
-                TraceLayer::Profiler,
-                EventKind::Iteration,
-                i as f64,
-                dur_s * 1e6,
-            )
-            .with_arg("batch", 16u64);
-            agg.consume(&TraceStore::from(vec![event]));
+            let mut event = TraceStore::new();
+            let name = event.intern("iteration");
+            event
+                .span(name, TraceLayer::Profiler, EventKind::Iteration, i as f64, dur_s * 1e6)
+                .with_arg("batch", 16u64);
+            agg.consume(&event);
             if i < 50 {
                 assert!(agg.stable_throughput().is_none(), "too few iterations at {i}");
             }

@@ -32,7 +32,7 @@ use crate::json::{self, Codec, Value};
 use crate::sampling::SamplingConfig;
 use crate::trace::Trace;
 use std::fmt::Write as _;
-use tbd_graph::trace::{fnv1a, EventKind, TraceEvent, TraceLayer, TraceStore};
+use tbd_graph::trace::{fnv1a, EventKind, TraceLayer, TraceStore};
 
 /// Version stamp of the diagnosis-report JSON schema.
 pub const DIAGNOSE_SCHEMA_VERSION: u64 = 1;
@@ -1016,19 +1016,15 @@ pub mod scenarios {
     /// Allocator-thrash scenario: cyclic alloc/free ping-pong on the
     /// dynamic category with no kernel stream to amortise it.
     pub fn allocator_thrash(pairs: usize) -> TraceStore {
-        let mut events = Vec::with_capacity(2 * pairs);
+        let mut events = TraceStore::with_capacity(2 * pairs, 2 * pairs);
+        let name = events.intern("dynamic");
         for i in 0..pairs {
             let t = i as f64 * 2.0;
-            events.push(
-                TraceEvent::instant("dynamic", TraceLayer::GpuSim, EventKind::Alloc, t)
-                    .with_arg("bytes", 1u64 << 22),
-            );
-            events.push(
-                TraceEvent::instant("dynamic", TraceLayer::GpuSim, EventKind::Free, t + 1.0)
-                    .with_arg("bytes", 1u64 << 22),
-            );
+            for (kind, at) in [(EventKind::Alloc, t), (EventKind::Free, t + 1.0)] {
+                events.span(name, TraceLayer::GpuSim, kind, at, 0.0).with_arg("bytes", 1u64 << 22);
+            }
         }
-        events.into()
+        events
     }
 
     /// Membership-churn scenario: the elastic supervisor runs `shape` on
@@ -1047,22 +1043,18 @@ pub mod scenarios {
     /// OOM-pressure scenario: a run that ends in failed device
     /// allocations (the silent-OOM path PR 2 made loud).
     pub fn oom_pressure(fails: usize) -> TraceStore {
-        let mut events = vec![
-            TraceEvent::instant("weights", TraceLayer::GpuSim, EventKind::Alloc, 0.0)
-                .with_arg("bytes", 1u64 << 30),
-        ];
+        let mut events = TraceStore::new();
+        let weights = events.intern("weights");
+        events
+            .span(weights, TraceLayer::GpuSim, EventKind::Alloc, 0.0, 0.0)
+            .with_arg("bytes", 1u64 << 30);
+        let workspace = events.intern("workspace");
         for i in 0..fails {
-            events.push(
-                TraceEvent::instant(
-                    "workspace",
-                    TraceLayer::GpuSim,
-                    EventKind::AllocFail,
-                    1.0 + i as f64,
-                )
-                .with_arg("bytes", 3u64 << 30),
-            );
+            events
+                .span(workspace, TraceLayer::GpuSim, EventKind::AllocFail, 1.0 + i as f64, 0.0)
+                .with_arg("bytes", 3u64 << 30);
         }
-        events.into()
+        events
     }
 }
 
@@ -1081,12 +1073,9 @@ mod tests {
 
     #[test]
     fn single_event_trace_is_guarded() {
-        let events = TraceStore::from(vec![TraceEvent::instant(
-            "capture",
-            TraceLayer::Profiler,
-            EventKind::Phase,
-            0.0,
-        )]);
+        let mut events = TraceStore::new();
+        let capture = events.intern("capture");
+        events.span(capture, TraceLayer::Profiler, EventKind::Phase, 0.0, 0.0);
         let report = diagnose_events("tiny", "tf", 4, &events);
         assert_eq!(report.top1().class, BottleneckClass::ComputeBound);
         assert!(report.top1().confidence.is_finite());

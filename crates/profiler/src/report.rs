@@ -714,36 +714,45 @@ mod tests {
     use super::*;
     use crate::agg::{series, StreamingAggregator};
     use crate::diagnose::diagnose_events;
-    use tbd_graph::trace::{fnv1a, TraceEvent};
+    use tbd_graph::trace::fnv1a;
 
     fn tiny_events() -> TraceStore {
-        TraceStore::from(vec![
-            TraceEvent::span("sgemm<128>", TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 50.0)
-                .with_arg("class", "Gemm")
-                .with_arg("flops", 1e9)
-                .with_arg("fp32_util", 0.6),
-            TraceEvent::span("h2d", TraceLayer::GpuSim, EventKind::Memcpy, 50.0, 10.0),
-            TraceEvent::instant("feature maps", TraceLayer::GpuSim, EventKind::Alloc, 0.0)
-                .with_arg("bytes", 1_000u64),
-            TraceEvent::instant("feature maps", TraceLayer::GpuSim, EventKind::Free, 60.0)
-                .with_arg("bytes", 500u64),
-            TraceEvent::span("iteration", TraceLayer::GpuSim, EventKind::Iteration, 0.0, 60.0)
-                .with_arg("gpu_busy_us", 50.0),
-            TraceEvent::span(
-                "allreduce",
-                TraceLayer::Distrib,
-                EventKind::Communication,
-                0.0,
-                30.0,
-            )
+        let mut events = TraceStore::new();
+        let name = events.intern("sgemm<128>");
+        events
+            .span(name, TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 50.0)
+            .with_arg("class", "Gemm")
+            .with_arg("flops", 1e9)
+            .with_arg("fp32_util", 0.6);
+        let name = events.intern("h2d");
+        events.span(name, TraceLayer::GpuSim, EventKind::Memcpy, 50.0, 10.0);
+        let name = events.intern("feature maps");
+        events
+            .span(name, TraceLayer::GpuSim, EventKind::Alloc, 0.0, 0.0)
+            .with_arg("bytes", 1_000u64);
+        let name = events.intern("feature maps");
+        events
+            .span(name, TraceLayer::GpuSim, EventKind::Free, 60.0, 0.0)
+            .with_arg("bytes", 500u64);
+        let name = events.intern("iteration");
+        events
+            .span(name, TraceLayer::GpuSim, EventKind::Iteration, 0.0, 60.0)
+            .with_arg("gpu_busy_us", 50.0);
+        let name = events.intern("allreduce");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Communication, 0.0, 30.0)
             .with_arg("exposed_us", 10.0)
-            .with_arg("bytes", 4096.0),
-            TraceEvent::span("cluster", TraceLayer::Distrib, EventKind::Iteration, 0.0, 70.0)
-                .with_arg("throughput", 100.0),
-            TraceEvent::span("relu", TraceLayer::Executor, EventKind::NodeExec, 0.0, 5.0)
-                .wall_clock()
-                .with_arg("value_hash", 0xBEEFu64),
-        ])
+            .with_arg("bytes", 4096.0);
+        let name = events.intern("cluster");
+        events
+            .span(name, TraceLayer::Distrib, EventKind::Iteration, 0.0, 70.0)
+            .with_arg("throughput", 100.0);
+        let name = events.intern("relu");
+        events
+            .span(name, TraceLayer::Executor, EventKind::NodeExec, 0.0, 5.0)
+            .wall_clock()
+            .with_arg("value_hash", 0xBEEFu64);
+        events
     }
 
     fn context_pieces() -> (TraceStore, MetricsRegistry, DiagnosisReport) {

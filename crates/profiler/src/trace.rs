@@ -1,8 +1,9 @@
 //! The user-facing end of the unified trace spine.
 //!
-//! The recording layer ([`TraceRecorder`], [`TraceEvent`], re-exported
-//! here) lives in `tbd-graph::trace` so every instrumented crate can reach
-//! it without a dependency cycle; this module assembles recordings into a
+//! The recording layer ([`TraceRecorder`] and the columnar [`TraceStore`]
+//! every producer writes its events into, re-exported here) lives in
+//! `tbd-graph::trace` so every instrumented crate can reach it without a
+//! dependency cycle; this module assembles recordings into a
 //! [`Trace`] and provides what the paper's toolchain provides around
 //! nvprof (§3.4): a Chrome trace-event exporter (loadable in
 //! `chrome://tracing` / Perfetto), an nvprof-style per-kernel summary
@@ -28,9 +29,8 @@ use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
     events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, EventRef,
-    Fnv1a, TraceEvent, TraceLayer, TraceRecorder, TraceStore,
+    Fnv1a, TraceLayer, TraceRecorder, TraceStore,
 };
-use tbd_graph::trace::{escaped_len, fixed_len_bound};
 
 /// A merged recording of one workload run across every layer.
 #[derive(Debug, Clone)]
@@ -108,14 +108,13 @@ impl Trace {
     /// process with a metadata name; spans are `ph:"X"` duration events
     /// and zero-duration events become `ph:"i"` instants.
     ///
-    /// Every record is written straight into the output buffer, sized
-    /// up front by [`Trace::chrome_json_capacity`] so it never regrows.
+    /// Every record is written straight into one growing output buffer.
     /// A record's opening `{"name":"…","ph":"` is rendered once per
     /// distinct name. A non-finite `ts`/`dur` is written as `null` (JSON
     /// has no NaN or infinity), like a non-finite float arg.
     pub fn to_chrome_json(&self) -> String {
         let (heads, head_at) = self.record_heads();
-        let mut out = String::with_capacity(self.chrome_json_capacity(&head_at));
+        let mut out = String::new();
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut separator = "";
         for (layer, count) in TraceLayer::ALL.into_iter().zip(self.events.layer_counts()) {
@@ -175,8 +174,7 @@ impl Trace {
         const OPEN: &str = "{\"name\":\"";
         const CLOSE: &str = "\",\"ph\":\"";
         let table = self.events.names();
-        let bytes = table.iter().map(|n| OPEN.len() + escaped_len(n) + CLOSE.len()).sum();
-        let mut heads = String::with_capacity(bytes);
+        let mut heads = String::new();
         let mut head_at = Vec::with_capacity(table.len() + 1);
         head_at.push(0);
         for name in table {
@@ -186,36 +184,6 @@ impl Trace {
             head_at.push(heads.len());
         }
         (heads, head_at)
-    }
-
-    /// An upper bound on the bytes of [`Trace::to_chrome_json`], from
-    /// the columns: each record head's length times its name's uses,
-    /// each timestamp at the width of its column's largest, and each
-    /// arg's escaped key plus its value's bound.
-    fn chrome_json_capacity(&self, head_at: &[usize]) -> usize {
-        let events = &self.events;
-        let mut uses = vec![0usize; head_at.len() - 1];
-        for &id in events.name_ids() {
-            uses[id as usize] += 1;
-        }
-        let heads: usize = uses.iter().zip(head_at.windows(2)).map(|(n, w)| n * (w[1] - w[0])).sum();
-        let widest = |column: &[f64]| {
-            let largest = column.iter().filter(|v| v.is_finite()).fold(0.0f64, |m, v| m.max(v.abs()));
-            fixed_len_bound(largest, 3)
-        };
-        let track = events.track_column().iter().max().map_or(1, |t| t.to_string().len());
-        let args: usize = events
-            .args_arena()
-            .iter()
-            .map(|(key, value)| 4 + escaped_len(key) + value.json_len_bound())
-            .sum();
-        // `,` head `X","ts":` ts then `,"dur":` dur or `,"s":"t"`, then
-        // `,"pid":N,"tid":` track `,"args":{"kind":"` kind `"` args `}}`.
-        let time = widest(events.start_column()) + (7 + widest(events.dur_column())).max(8);
-        let per_event = 1 + 9 + time + 15 + track + 17 + 10 + 1 + 2;
-        // Header, five process records and `otherData`.
-        let fixed = 64 + 5 * 128 + 128 + escaped_len(self.model.name()) + escaped_len(self.framework);
-        fixed + events.len() * per_event + heads + args
     }
 
     /// Full activity aggregation for the nvprof-style table: kernel,
@@ -455,12 +423,14 @@ pub fn capture_into(
 ) -> Result<Capture, GraphError> {
     let capture_start = Instant::now();
     let mut wall = CaptureWall::default();
-    recorder.record(
-        TraceEvent::instant("capture", TraceLayer::Profiler, EventKind::Phase, 0.0)
-            .with_arg("model", kind.name())
-            .with_arg("framework", framework.name())
-            .with_arg("batch", batch),
-    );
+    let mut marker = TraceStore::new();
+    let name = marker.intern("capture");
+    marker
+        .span(name, TraceLayer::Profiler, EventKind::Phase, 0.0, 0.0)
+        .with_arg("model", kind.name())
+        .with_arg("framework", framework.name())
+        .with_arg("batch", batch);
+    recorder.record_batch(marker);
     if options.functional {
         let t0 = Instant::now();
         functional_step(kind, framework, options, recorder)?;
@@ -486,11 +456,13 @@ pub fn capture_into(
         wall.distrib_s = t0.elapsed().as_secs_f64();
         worker
     });
-    recorder.record(
-        TraceEvent::instant("analysis complete", TraceLayer::Profiler, EventKind::Phase, 1.0)
-            .with_arg("oom", oom.is_some())
-            .with_arg("events", recorder.len()),
-    );
+    let mut marker = TraceStore::new();
+    let name = marker.intern("analysis complete");
+    marker
+        .span(name, TraceLayer::Profiler, EventKind::Phase, 1.0, 0.0)
+        .with_arg("oom", oom.is_some())
+        .with_arg("events", recorder.len());
+    recorder.record_batch(marker);
     let trace =
         Trace { model: kind, framework: framework.name(), batch, events: recorder.drain() };
     wall.total_s = capture_start.elapsed().as_secs_f64();
@@ -654,16 +626,13 @@ mod tests {
 
     #[test]
     fn trace_is_json_array_with_one_event_per_kernel() {
-        let span = |name: &'static str, start_us| {
-            TraceEvent::span(name, TraceLayer::GpuSim, EventKind::KernelExec, start_us, 10.0)
-                .on_track(1)
-        };
-        let trace = Trace {
-            model: ModelKind::ResNet50,
-            framework: "TensorFlow",
-            batch: 4,
-            events: vec![span("conv2d", 0.0), span("conv \"3x3\" \\ fused", 12.0)].into(),
-        };
+        let mut events = TraceStore::new();
+        for (name, start_us) in [("conv2d", 0.0), ("conv \"3x3\" \\ fused", 12.0)] {
+            let name = events.intern(name);
+            let kind = EventKind::KernelExec;
+            events.span(name, TraceLayer::GpuSim, kind, start_us, 10.0).on_track(1);
+        }
+        let trace = Trace { model: ModelKind::ResNet50, framework: "TensorFlow", batch: 4, events };
         let records = gpu_track_records(&trace);
         assert_eq!(records.len(), 2);
         let names: Vec<_> =
@@ -702,43 +671,6 @@ mod tests {
             last_end = ts + dur;
         }
         assert!(last_end > 0.0);
-    }
-
-    /// The export is written into one reservation, sized from the store:
-    /// the buffer never regrows, from an empty trace to Deep Speech 2.
-    #[test]
-    fn chrome_export_never_outgrows_its_reservation() {
-        let odd = vec![
-            TraceEvent::span("nan \"q\"", TraceLayer::GpuSim, EventKind::KernelExec, f64::NAN, 1e300)
-                .with_arg("ctl\u{1}", "\u{0}\u{1f}\\")
-                .with_arg("big", f64::MAX)
-                .with_arg("n", u64::MAX),
-            TraceEvent::instant("neg", TraceLayer::Distrib, EventKind::Phase, -1e-300)
-                .on_track(u32::MAX),
-        ];
-        let sim_only = TraceOptions { functional: false, ..TraceOptions::default() };
-        let ds2 = capture(
-            ModelKind::DeepSpeech2,
-            Framework::mxnet(),
-            5,
-            &GpuSpec::quadro_p4000(),
-            &sim_only,
-        )
-        .expect("capture succeeds")
-        .trace;
-        let traces = [
-            Trace { model: ModelKind::A3c, framework: "MXNet", batch: 1, events: TraceStore::new() },
-            Trace { model: ModelKind::Wgan, framework: "T\"F", batch: usize::MAX, events: odd.into() },
-            quick_capture(1).trace,
-            ds2,
-        ];
-        for trace in traces {
-            let (_, head_at) = trace.record_heads();
-            let reserved = trace.chrome_json_capacity(&head_at);
-            let text = trace.to_chrome_json();
-            assert!(text.len() <= reserved, "{} > {reserved}", text.len());
-            assert_eq!(text.capacity(), reserved, "the {} export regrew", trace.model.name());
-        }
     }
 
     #[test]
@@ -839,164 +771,6 @@ mod tests {
             pa.iteration.wall_time_s,
             pf.iteration.wall_time_s
         );
-    }
-
-    #[test]
-    #[ignore = "wall-clock probe, run manually with --ignored --nocapture"]
-    fn speed_probe() {
-        for kind in [ModelKind::ResNet50] {
-            for fuse in [false, true] {
-                tbd_tensor::arena::set_enabled(fuse);
-                let mut walls = Vec::new();
-                for _ in 0..6 {
-                    let opts = TraceOptions { fuse, ..TraceOptions::default() };
-                    let recorder = TraceRecorder::shared();
-                    let cap = capture_into(
-                        kind,
-                        Framework::tensorflow(),
-                        4,
-                        &GpuSpec::quadro_p4000(),
-                        &opts,
-                        &recorder,
-                    )
-                    .unwrap();
-                    walls.push(cap.wall);
-                }
-                walls.sort_by(|a, b| a.total_s.total_cmp(&b.total_s));
-                let w = walls[walls.len() / 2];
-                println!(
-                    "{:?} fuse={fuse} (median of {}): total {:.4}s exec {:.4}s lower+sim {:.4}s distrib {:.4}s",
-                    kind,
-                    walls.len(),
-                    w.total_s,
-                    w.exec_s,
-                    w.lower_sim_s,
-                    w.distrib_s
-                );
-            }
-        }
-        tbd_tensor::arena::set_enabled(true);
-    }
-
-    #[test]
-    #[ignore = "wall-clock probe, run manually with --ignored --nocapture"]
-    fn speed_probe_lower_sim_breakdown() {
-        use std::time::Instant;
-        use tbd_graph::fuse::FusionPlan;
-        use tbd_graph::lower::{lower_training_iteration, lower_training_iteration_fused};
-        let model = ModelKind::ResNet50.build_full(4).expect("builds");
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let plan = FusionPlan::analyze(&model.graph);
-            let t1 = Instant::now();
-            let fused = lower_training_iteration_fused(&model.graph, Some(&plan));
-            let t2 = Instant::now();
-            let unfused = lower_training_iteration(&model.graph);
-            let t3 = Instant::now();
-            eprintln!(
-                "analyze {:.3}ms lower_fused {:.3}ms ({} kernels) lower_unfused {:.3}ms ({} kernels)",
-                (t1 - t0).as_secs_f64() * 1e3,
-                (t2 - t1).as_secs_f64() * 1e3,
-                fused.len(),
-                (t3 - t2).as_secs_f64() * 1e3,
-                unfused.len()
-            );
-            use tbd_gpusim::spec::CpuSpec;
-            use tbd_gpusim::timeline::simulate_iteration;
-            let gpu = GpuSpec::quadro_p4000();
-            let cpu = CpuSpec::xeon_e5_2680();
-            let params = Framework::tensorflow().execution_params(0);
-            for (label, kernels) in [("fused", &fused), ("unfused", &unfused)] {
-                let t0 = Instant::now();
-                let _ = simulate_iteration(kernels, &gpu, &cpu, &params, None);
-                let t1 = Instant::now();
-                let rec = TraceRecorder::shared();
-                let _ = simulate_iteration(kernels, &gpu, &cpu, &params, Some(&rec));
-                let t2 = Instant::now();
-                eprintln!(
-                    "  sim {label}: untraced {:.3}ms traced {:.3}ms ({} events)",
-                    (t1 - t0).as_secs_f64() * 1e3,
-                    (t2 - t1).as_secs_f64() * 1e3,
-                    rec.drain().len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[ignore = "wall-clock probe, run manually with --ignored --nocapture"]
-    fn speed_probe_fixed_costs() {
-        use std::time::Instant;
-        use tbd_graph::lower::{memory_footprint, weight_grad_bytes_by_consumer};
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let model = ModelKind::ResNet50.build_full(4).expect("builds");
-            let t1 = Instant::now();
-            let fp = memory_footprint(&model.graph);
-            let t2 = Instant::now();
-            let grads = weight_grad_bytes_by_consumer(&model.graph);
-            let t3 = Instant::now();
-            let tiny = build_tiny(ModelKind::ResNet50).unwrap();
-            let t4 = Instant::now();
-            eprintln!(
-                "build_full {:.3}ms footprint {:.3}ms ({} B weights) grad_map {:.3}ms ({} entries) build_tiny {:.3}ms ({} nodes)",
-                (t1 - t0).as_secs_f64() * 1e3,
-                (t2 - t1).as_secs_f64() * 1e3,
-                fp.weights,
-                (t3 - t2).as_secs_f64() * 1e3,
-                grads.len(),
-                (t4 - t3).as_secs_f64() * 1e3,
-                tiny.graph.len(),
-            );
-        }
-    }
-
-    #[test]
-    #[ignore = "wall-clock probe, run manually with --ignored --nocapture"]
-    fn speed_probe_exec_breakdown() {
-        const REPS: u32 = 50;
-        for (fuse, arena, traced, inter) in [
-            (false, false, true, true),
-            (false, true, true, true),
-            (true, false, true, true),
-            (true, true, true, true),
-            (false, false, false, true),
-            (true, true, false, true),
-            (false, false, true, false),
-            (true, true, true, false),
-            (false, false, false, false),
-            (true, true, false, false),
-        ] {
-            tbd_tensor::arena::set_enabled(arena);
-            let recorder = TraceRecorder::shared();
-            let model = build_tiny(ModelKind::ResNet50).unwrap();
-            let feeds = synthetic_feeds(&model);
-            let loss = model.loss();
-            let mut exec = Framework::tensorflow().host_threading();
-            exec.intra_op_threads = 1;
-            exec.inter_op_parallel = inter;
-            let mut session = Session::with_exec(model.graph, 42, exec);
-            session.set_fusion_enabled(fuse);
-            if traced {
-                session.set_tracer(Some(Arc::clone(&recorder)));
-            }
-            let (mut t_fwd, mut t_bwd) = (0.0, 0.0);
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                let run = session.forward(&feeds).unwrap();
-                t_fwd += t0.elapsed().as_secs_f64();
-                let t0 = Instant::now();
-                session.backward(&run, loss, Tensor::scalar(1.0)).unwrap();
-                t_bwd += t0.elapsed().as_secs_f64();
-                recorder.drain();
-            }
-            println!(
-                "fuse={fuse} arena={arena} traced={traced} inter={inter}: fwd {:.3}ms bwd {:.3}ms (mean of {REPS})",
-                t_fwd * 1e3 / f64::from(REPS),
-                t_bwd * 1e3 / f64::from(REPS),
-            );
-        }
-        tbd_tensor::arena::set_enabled(true);
     }
 
     #[test]

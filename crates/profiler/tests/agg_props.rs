@@ -42,6 +42,23 @@ fn captured_events(threads: usize) -> &'static TraceStore {
     })
 }
 
+/// Events `start..end` of `events` copied row for row into a batch of
+/// their own.
+fn batch_of(events: &TraceStore, start: usize, end: usize) -> TraceStore {
+    let mut batch = TraceStore::new();
+    for e in events.iter().skip(start).take(end - start) {
+        let name = batch.intern(e.name.to_string());
+        let mut row = batch.span(name, e.layer, e.kind, e.start_us, e.dur_us).on_track(e.track);
+        if !e.deterministic {
+            row = row.wall_clock();
+        }
+        for (key, value) in e.args {
+            row = row.with_arg(key, value.clone());
+        }
+    }
+    batch
+}
+
 /// Replays `events` into a fresh recorder carrying a streaming sink,
 /// chopped at the given byte-arbitrary split points, and returns the
 /// sink's canonical registry text.
@@ -55,8 +72,7 @@ fn stream_with_splits(events: &TraceStore, raw_splits: &[usize]) -> String {
     let mut start = 0;
     for end in splits {
         if end > start {
-            let batch = events.iter().skip(start).take(end - start).map(|e| e.to_event());
-            recorder.record_batch(batch.collect());
+            recorder.record_batch(batch_of(events, start, end));
             start = end;
         }
     }

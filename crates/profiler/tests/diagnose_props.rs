@@ -15,7 +15,7 @@ use tbd_gpusim::Interconnect;
 use tbd_graph::trace::TraceRecorder;
 use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
 use tbd_profiler::diagnose::scenarios::{self, WorkloadShape, RESNET50, SEQ2SEQ};
-use tbd_profiler::trace::{TraceEvent, TraceStore};
+use tbd_profiler::trace::TraceStore;
 use tbd_profiler::{
     aggregate, diagnose_events, diagnose_named, BottleneckClass, DiagnosisReport, SamplingConfig,
     StreamingAggregator,
@@ -246,6 +246,23 @@ fn digest_is_bitwise_identical_across_thread_counts() {
     assert_eq!(one.canonical(), four.canonical());
 }
 
+/// Events `start..end` of `events` copied row for row into a batch of
+/// their own.
+fn batch_of(events: &TraceStore, start: usize, end: usize) -> TraceStore {
+    let mut batch = TraceStore::new();
+    for e in events.iter().skip(start).take(end - start) {
+        let name = batch.intern(e.name.to_string());
+        let mut row = batch.span(name, e.layer, e.kind, e.start_us, e.dur_us).on_track(e.track);
+        if !e.deterministic {
+            row = row.wall_clock();
+        }
+        for (key, value) in e.args {
+            row = row.with_arg(key, value.clone());
+        }
+    }
+    batch
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -272,8 +289,7 @@ proptest! {
         let mut start = 0;
         for end in splits {
             if end > start {
-                let batch = events.iter().skip(start).take(end - start).map(|e| e.to_event());
-                recorder.record_batch(batch.collect());
+                recorder.record_batch(batch_of(events, start, end));
                 start = end;
             }
         }
@@ -290,12 +306,12 @@ proptest! {
 fn degenerate_traces_are_guarded() {
     for events in [
         TraceStore::new(),
-        TraceStore::from(vec![TraceEvent::instant(
-            "solo",
-            tbd_graph::TraceLayer::Profiler,
-            tbd_graph::EventKind::Phase,
-            0.0,
-        )]),
+        {
+            let mut solo = TraceStore::new();
+            let name = solo.intern("solo");
+            solo.span(name, tbd_graph::TraceLayer::Profiler, tbd_graph::EventKind::Phase, 0.0, 0.0);
+            solo
+        },
     ] {
         let report = diagnose_events("degenerate", "sim", 1, &events);
         assert_eq!(report.top1().class, BottleneckClass::ComputeBound);

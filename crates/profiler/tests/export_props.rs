@@ -20,12 +20,12 @@ use std::fmt::Write as _;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_graph::trace::{approx_event_bytes, escaped_len, fixed_len_bound};
+use tbd_graph::trace::approx_event_bytes;
 use tbd_profiler::json::{self, Value};
 use tbd_profiler::report::{MAX_LANE_EVENTS, NONDETERMINISTIC_FAMILIES};
 use tbd_profiler::trace::{
     events_digest, fnv1a, write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a,
-    TraceEvent, TraceLayer, TraceRecorder, TraceStore,
+    TraceLayer, TraceRecorder, TraceStore,
 };
 use tbd_profiler::{
     capture, capture_into, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator,
@@ -93,47 +93,107 @@ fn arg_of(word: u64) -> ArgValue {
     }
 }
 
-/// One random event from six random words.
-fn event_of(words: &[u64]) -> TraceEvent {
-    let layer = TraceLayer::ALL[(words[0] % 5) as usize];
-    let kind = KINDS[(words[0] >> 8) as usize % KINDS.len()];
-    let dur = if words[2].is_multiple_of(3) { 0.0 } else { finite_time(words[2]) };
-    let mut event = TraceEvent::span(
-        text_of(words[1], words[1] >> 60),
-        layer,
-        kind,
-        finite_time(words[3]),
-        dur,
-    )
-    .on_track((words[0] >> 16) as u32 % 9);
-    if words[0] & 0x100_0000 != 0 {
-        event = event.wall_clock();
-    }
-    for (i, &word) in words[4..].iter().enumerate().take((words[0] >> 32) as usize % 3) {
-        event = event.with_arg(KEYS[(word % 6) as usize], arg_of(word.rotate_right(i as u32)));
-    }
-    event
+/// An owned event: the original a recorded row is checked against.
+#[derive(Debug, Clone)]
+struct Row {
+    name: Cow<'static, str>,
+    layer: TraceLayer,
+    kind: EventKind,
+    start_us: f64,
+    dur_us: f64,
+    track: u32,
+    deterministic: bool,
+    args: Vec<(&'static str, ArgValue)>,
 }
 
-fn events_of(words: &[Vec<u64>]) -> Vec<TraceEvent> {
+impl Row {
+    /// A deterministic span on track 0 without args.
+    fn span(
+        name: impl Into<Cow<'static, str>>,
+        layer: TraceLayer,
+        kind: EventKind,
+        start_us: f64,
+        dur_us: f64,
+    ) -> Row {
+        let name = name.into();
+        Row { name, layer, kind, start_us, dur_us, track: 0, deterministic: true, args: Vec::new() }
+    }
+
+    /// Appends the row to `store`.
+    fn write(&self, store: &mut TraceStore) {
+        let name = store.intern(self.name.clone());
+        let mut row = store
+            .span(name, self.layer, self.kind, self.start_us, self.dur_us)
+            .on_track(self.track);
+        if !self.deterministic {
+            row = row.wall_clock();
+        }
+        for (key, value) in &self.args {
+            row = row.with_arg(key, value.clone());
+        }
+    }
+}
+
+/// A store of `rows`, in order.
+fn store_of(rows: &[Row]) -> TraceStore {
+    let mut store = TraceStore::new();
+    for row in rows {
+        row.write(&mut store);
+    }
+    store
+}
+
+/// A random row's layer, kind, track, clock and up to `max_args - 1`
+/// args from `words[0]` and `words[4..]`.
+fn random_row(
+    words: &[u64],
+    name: Cow<'static, str>,
+    start_us: f64,
+    dur_us: f64,
+    max_args: usize,
+) -> Row {
+    let layer = TraceLayer::ALL[(words[0] % 5) as usize];
+    let kind = KINDS[(words[0] >> 8) as usize % KINDS.len()];
+    let args = words[4..]
+        .iter()
+        .enumerate()
+        .take((words[0] >> 32) as usize % max_args)
+        .map(|(i, &word)| (KEYS[(word % 6) as usize], arg_of(word.rotate_right(i as u32))))
+        .collect();
+    Row {
+        track: (words[0] >> 16) as u32 % 9,
+        deterministic: words[0] & 0x100_0000 == 0,
+        args,
+        ..Row::span(name, layer, kind, start_us, dur_us)
+    }
+}
+
+/// One random event from six random words.
+fn event_of(words: &[u64]) -> Row {
+    let dur = if words[2].is_multiple_of(3) { 0.0 } else { finite_time(words[2]) };
+    let name = Cow::Owned(text_of(words[1], words[1] >> 60));
+    random_row(words, name, finite_time(words[3]), dur, 3)
+}
+
+fn events_of(words: &[Vec<u64>]) -> Vec<Row> {
     words.iter().map(|w| event_of(w)).collect()
 }
 
-fn trace_with(words: &[Vec<u64>], events: Vec<TraceEvent>) -> Trace {
+fn trace_with(words: &[Vec<u64>], events: &[Row]) -> Trace {
     Trace {
         model: ModelKind::ALL[words.len() % ModelKind::ALL.len()],
         framework: "Tensor\"Flow\\",
         batch: words.len(),
-        events: events.into(),
+        events: store_of(events),
     }
 }
 
 fn trace_of(words: &[Vec<u64>]) -> Trace {
-    trace_with(words, events_of(words))
+    trace_with(words, &events_of(words))
 }
 
 /// Reference canonical line, built with `format!` and `{:016x}`.
-fn reference_canonical(event: &TraceEvent) -> String {
+fn reference_canonical(event: &Row) -> String {
     let mut line = format!("{}|{}|{}", event.layer, event.kind, event.name);
     if event.deterministic {
         let _ = write!(
@@ -729,7 +789,7 @@ proptest! {
         if let Some(event) = events.first_mut() {
             event.start_us = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][nan_bits as usize];
         }
-        let trace = trace_with(&words, events.clone());
+        let trace = trace_with(&words, &events);
         prop_assert_eq!(trace.events.len(), events.len());
         for (event, original) in trace.events.iter().zip(&events) {
             prop_assert_eq!(event.canonical(), reference_canonical(original));
@@ -837,29 +897,6 @@ proptest! {
         assert_fixed_matches(v);
     }
 
-    /// The Chrome export's size bounds hold: `write_fixed` (or the `null`
-    /// of a non-finite time) never writes more than `fixed_len_bound`, an
-    /// arg's JSON never more than `json_len_bound`, and `escaped_len` is
-    /// the escaped length exactly.
-    #[test]
-    fn length_bounds_cover_what_the_writers_write(
-        bits in 0u64..u64::MAX,
-        sign in 0u8..2,
-        e in -110i64..1000,
-        word in 0u64..u64::MAX,
-    ) {
-        for v in [f64::from_bits(bits), f64_of(sign == 1, (1075 + e) as u64, bits)] {
-            for d in [3, 6] {
-                let written = if v.is_finite() { fixed(v, d) } else { "null".to_string() };
-                prop_assert!(written.len() <= fixed_len_bound(v, d), "{v:e} at {d}: {written}");
-            }
-        }
-        let arg = arg_of(word);
-        prop_assert!(arg.to_json().len() <= arg.json_len_bound(), "{arg:?}");
-        let text = text_of(word, word >> 60);
-        prop_assert_eq!(escaped_len(&text), reference_escape(&text).len());
-    }
-
     /// `write_u64` equals `{}`.
     #[test]
     fn write_u64_equals_display(v in 0u64..u64::MAX, shift in 0u32..64) {
@@ -961,15 +998,16 @@ fn real_capture_matches_the_references() {
 /// so the document still parses.
 #[test]
 fn non_finite_times_export_as_null() {
-    let events = vec![
-        TraceEvent::span("nan start", TraceLayer::GpuSim, EventKind::KernelExec, f64::NAN, 2.0),
-        TraceEvent::span("inf dur", TraceLayer::GpuSim, EventKind::KernelExec, 1.0, f64::INFINITY),
-        TraceEvent::instant("neg inf", TraceLayer::Profiler, EventKind::Phase, f64::NEG_INFINITY),
-        TraceEvent::span("nan dur", TraceLayer::Distrib, EventKind::Communication, 3.0, f64::NAN)
-            .with_arg("exposed_us", f64::NAN),
-    ];
-    let trace =
-        Trace { model: ModelKind::ResNet50, framework: "TensorFlow", batch: 1, events: events.into() };
+    let events = store_of(&[
+        Row::span("nan start", TraceLayer::GpuSim, EventKind::KernelExec, f64::NAN, 2.0),
+        Row::span("inf dur", TraceLayer::GpuSim, EventKind::KernelExec, 1.0, f64::INFINITY),
+        Row::span("neg inf", TraceLayer::Profiler, EventKind::Phase, f64::NEG_INFINITY, 0.0),
+        Row {
+            args: vec![("exposed_us", ArgValue::F64(f64::NAN))],
+            ..Row::span("nan dur", TraceLayer::Distrib, EventKind::Communication, 3.0, f64::NAN)
+        },
+    ]);
+    let trace = Trace { model: ModelKind::ResNet50, framework: "TensorFlow", batch: 1, events };
     let text = trace.to_chrome_json();
     let value = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
     let records = value.get("traceEvents").and_then(Value::as_array).expect("traceEvents");
@@ -1006,23 +1044,17 @@ fn any_time(word: u64) -> f64 {
 
 /// One random event from twelve random words: a pooled name (or, one time
 /// in four, a fresh random one), any timing, zero to eight args.
-fn pooled_event_of(words: &[u64]) -> TraceEvent {
-    let layer = TraceLayer::ALL[(words[0] % 5) as usize];
-    let kind = KINDS[(words[0] >> 8) as usize % KINDS.len()];
+fn pooled_event_of(words: &[u64]) -> Row {
     let name: Cow<'static, str> = if words[1].is_multiple_of(4) {
         Cow::Owned(text_of(words[1] >> 8, words[1] >> 60))
     } else {
         Cow::Borrowed(POOLED_NAMES[(words[1] >> 2) as usize % POOLED_NAMES.len()])
     };
-    let mut event = TraceEvent::span(name, layer, kind, any_time(words[3]), any_time(words[2]))
-        .on_track((words[0] >> 16) as u32 % 9);
-    if words[0] & 0x100_0000 != 0 {
-        event = event.wall_clock();
-    }
-    for (i, &word) in words[4..].iter().enumerate().take((words[0] >> 32) as usize % 9) {
-        event = event.with_arg(KEYS[(word % 6) as usize], arg_of(word.rotate_right(i as u32)));
-    }
-    event
+    random_row(words, name, any_time(words[3]), any_time(words[2]), 9)
+}
+
+fn pooled_store(words: &[Vec<u64>]) -> TraceStore {
+    store_of(&words.iter().map(|w| pooled_event_of(w)).collect::<Vec<_>>())
 }
 
 /// `ArgValue` equality with floats compared by bit pattern (NaN included).
@@ -1033,9 +1065,9 @@ fn same_arg(a: &ArgValue, b: &ArgValue) -> bool {
     }
 }
 
-/// Records `events` one by one or in batches (split at `splits`) and
-/// returns the recorder's store.
-fn record_split(events: &[TraceEvent], splits: &[usize]) -> TraceStore {
+/// Records `events` in one-event or longer batches (split at `splits`)
+/// and returns the recorder's store.
+fn record_split(events: &[Row], splits: &[usize]) -> TraceStore {
     let recorder = TraceRecorder::shared();
     let mut ends: Vec<usize> = splits.iter().map(|&s| s % (events.len() + 1)).collect();
     ends.sort_unstable();
@@ -1043,11 +1075,7 @@ fn record_split(events: &[TraceEvent], splits: &[usize]) -> TraceStore {
     ends.push(events.len());
     let mut start = 0;
     for end in ends {
-        match end - start {
-            0 => {}
-            1 => recorder.record(events[start].clone()),
-            _ => recorder.record_batch(events[start..end].iter().cloned().collect()),
-        }
+        recorder.record_batch(store_of(&events[start..end]));
         start = end;
     }
     recorder.drain()
@@ -1056,7 +1084,7 @@ fn record_split(events: &[TraceEvent], splits: &[usize]) -> TraceStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Owned events recorded (singly and in batches), stored as columns
+    /// Owned events recorded (in one-event and longer batches), stored as columns
     /// and read back as `EventRef`s equal the originals field for field;
     /// their canonical lines, the digest and the Chrome bytes equal the
     /// `format!` oracles.
@@ -1065,7 +1093,7 @@ proptest! {
         words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..40),
         splits in prop::collection::vec(0usize..64, 0..8),
     ) {
-        let originals: Vec<TraceEvent> = words.iter().map(|w| pooled_event_of(w)).collect();
+        let originals: Vec<Row> = words.iter().map(|w| pooled_event_of(w)).collect();
         let store = record_split(&originals, &splits);
         prop_assert_eq!(store.len(), originals.len());
         prop_assert!(store.names().len() <= originals.len());
@@ -1104,16 +1132,16 @@ proptest! {
 /// digest equals the materialised reference.
 #[test]
 fn store_digest_is_never_stale() {
-    let event = |name: &'static str, start_us: f64| {
-        TraceEvent::span(name, TraceLayer::GpuSim, EventKind::KernelExec, start_us, 2.0)
-            .on_track(1)
-            .with_arg("flops", 1e6)
+    let event = |name: &'static str, start_us: f64| Row {
+        track: 1,
+        args: vec![("flops", ArgValue::F64(1e6))],
+        ..Row::span(name, TraceLayer::GpuSim, EventKind::KernelExec, start_us, 2.0)
     };
     let mut trace = Trace {
         model: ModelKind::ResNet50,
         framework: "TensorFlow",
         batch: 4,
-        events: vec![event("a", 0.0), event("b", 2.0), event("a", 4.0)].into(),
+        events: store_of(&[event("a", 0.0), event("b", 2.0), event("a", 4.0)]),
     };
     let mut seen = vec![trace.digest()];
     let mut check = |trace: &Trace| {
@@ -1129,7 +1157,7 @@ fn store_digest_is_never_stale() {
     check(&trace);
     trace.batch = 8;
     check(&trace);
-    trace.events.push(event("c", 6.0));
+    event("c", 6.0).write(&mut trace.events);
     check(&trace);
     trace.events.span(0, TraceLayer::GpuSim, EventKind::KernelExec, 8.0, 1.0);
     check(&trace);
@@ -1137,21 +1165,21 @@ fn store_digest_is_never_stale() {
     check(&trace);
     trace.events.truncate(2);
     check(&trace);
-    trace.events.append(&mut TraceStore::from(vec![event("d", 9.0)]));
+    trace.events.append(&mut store_of(&[event("d", 9.0)]));
     check(&trace);
-    trace.events = vec![event("a", 0.0)].into();
+    trace.events = store_of(&[event("a", 0.0)]);
     check(&trace);
     // Undoing a change gives the earlier digest back, recomputed.
     trace.batch = 4;
     trace.model = ModelKind::ResNet50;
     trace.framework = "TensorFlow";
-    trace.events = vec![event("a", 0.0), event("b", 2.0), event("a", 4.0)].into();
+    trace.events = store_of(&[event("a", 0.0), event("b", 2.0), event("a", 4.0)]);
     assert_eq!(trace.digest(), seen[0]);
 }
 
 /// The store models retained bytes with the per-event formula
 /// `64 + name.len() + 16·args`: on a captured trace its sum, and the
-/// recorder's `event_bytes_total`, equal the sum over owned events.
+/// recorder's `event_bytes_total`, equal the sum over the rows.
 #[test]
 fn store_modelled_bytes_equal_the_per_event_sum() {
     let recorder = TraceRecorder::shared();
@@ -1168,7 +1196,6 @@ fn store_modelled_bytes_equal_the_per_event_sum() {
         .trace
         .events
         .iter()
-        .map(|e| e.to_event())
         .map(|e| 64 + e.name.len() as u64 + 16 * e.args.len() as u64)
         .sum();
     assert!(per_event > 0);
@@ -1208,31 +1235,33 @@ fn oracle_events_digest(store: &TraceStore) -> u64 {
 /// - borrowed and owned `Str` values, and `F64`, `U64` and `Bool` args
 ///   under recurring keys.
 fn oracle_store(words: &[Vec<u64>]) -> TraceStore {
-    let mut events: Vec<TraceEvent> = words.iter().map(|w| pooled_event_of(w)).collect();
+    let mut events: Vec<Row> = words.iter().map(|w| pooled_event_of(w)).collect();
     for i in 0..64u32 {
         let t = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::from(i)][i as usize % 5];
-        events.push(
-            TraceEvent::span("hot ünï🚀", TraceLayer::GpuSim, EventKind::KernelExec, t, 2.0)
-                .on_track(i % 3)
-                .with_arg("class", "Gémm")
-                .with_arg("flops", f64::from(i) * 1e6)
-                .with_arg("bytes", u64::from(i))
-                .with_arg("fused", i % 2 == 0),
-        );
-        events.push(
-            TraceEvent::span("hot ünï🚀", TraceLayer::GpuSim, EventKind::Memcpy, t, 1.0)
-                .wall_clock()
-                .with_arg("class", format!("Memcpy{}", i % 4)),
-        );
+        events.push(Row {
+            track: i % 3,
+            args: vec![
+                ("class", "Gémm".into()),
+                ("flops", (f64::from(i) * 1e6).into()),
+                ("bytes", u64::from(i).into()),
+                ("fused", (i % 2 == 0).into()),
+            ],
+            ..Row::span("hot ünï🚀", TraceLayer::GpuSim, EventKind::KernelExec, t, 2.0)
+        });
+        events.push(Row {
+            deterministic: false,
+            args: vec![("class", format!("Memcpy{}", i % 4).into())],
+            ..Row::span("hot ünï🚀", TraceLayer::GpuSim, EventKind::Memcpy, t, 1.0)
+        });
         if i < 63 {
-            events.push(
-                TraceEvent::instant("warm63".to_string(), TraceLayer::Profiler, EventKind::Phase, t)
-                    .with_arg("value_hash", u64::MAX - u64::from(i)),
-            );
+            events.push(Row {
+                args: vec![("value_hash", (u64::MAX - u64::from(i)).into())],
+                ..Row::span("warm63".to_string(), TraceLayer::Profiler, EventKind::Phase, t, 0.0)
+            });
         }
     }
     // A random interleaving of the random and the recurring events.
-    let mut keyed: Vec<(u64, TraceEvent)> = events
+    let mut keyed: Vec<(u64, Row)> = events
         .into_iter()
         .enumerate()
         .map(|(i, e)| {
@@ -1241,7 +1270,7 @@ fn oracle_store(words: &[Vec<u64>]) -> TraceStore {
         })
         .collect();
     keyed.sort_by_key(|(key, _)| *key);
-    keyed.into_iter().map(|(_, e)| e).collect()
+    store_of(&keyed.into_iter().map(|(_, e)| e).collect::<Vec<_>>())
 }
 
 proptest! {
@@ -1312,7 +1341,7 @@ proptest! {
             mask >> (layer.index() * EventKind::ALL.len() + kind as usize) & 1 == 1
         };
         let rows_bytes = |store: &TraceStore| store.iter().map(approx_event_bytes).sum::<u64>();
-        let mut store: TraceStore = words.iter().map(|w| pooled_event_of(w)).collect();
+        let mut store = pooled_store(&words);
         let check = |store: &TraceStore| {
             let filtered: Vec<EventRef<'_>> = store.iter().filter(|e| keep(e.layer, e.kind)).collect();
             prop_assert_eq!(store.iter_where(keep).count(), filtered.len());
@@ -1334,7 +1363,7 @@ proptest! {
             prop_assert_eq!(store.approx_bytes(), rows_bytes(store));
         };
         check(&store);
-        store.append(&mut more.iter().map(|w| pooled_event_of(w)).collect());
+        store.append(&mut pooled_store(&more));
         check(&store);
         store.truncate(cut);
         check(&store);
@@ -1350,7 +1379,7 @@ proptest! {
 #[test]
 fn swimlanes_select_the_longest_spans_like_a_full_sort() {
     const NAMES: [&str; 4] = ["b", "a", "conv <3x3>", "a"];
-    let mut events = Vec::new();
+    let mut events = TraceStore::new();
     // Two layers of two tracks, 500 spans per lane, drawn from 3 durations,
     // 5 starts and 3 names, so the cut falls inside runs of equal
     // (duration, start) and (duration, start, name).
@@ -1359,15 +1388,15 @@ fn swimlanes_select_the_longest_spans_like_a_full_sort() {
         let layer = [TraceLayer::GpuSim, TraceLayer::Distrib][i as usize % 2];
         let kind = [EventKind::KernelExec, EventKind::Memcpy, EventKind::Communication][(x / 60 % 3) as usize];
         let (dur, start) = (f64::from(1 + x % 3), f64::from(x / 3 % 5));
-        events.push(
-            TraceEvent::span(NAMES[(x / 15 % 4) as usize], layer, kind, start, dur).on_track(i / 2 % 2),
-        );
+        let name = events.intern(NAMES[(x / 15 % 4) as usize]);
+        events.span(name, layer, kind, start, dur).on_track(i / 2 % 2);
     }
     // A lane of equal spans: every tie-break but position is equal.
+    let same = events.intern("same");
     for _ in 0..300 {
-        events.push(TraceEvent::span("same", TraceLayer::Framework, EventKind::Phase, 5.0, 1.0));
+        events.span(same, TraceLayer::Framework, EventKind::Phase, 5.0, 1.0);
     }
-    let trace = Trace { model: ModelKind::Wgan, framework: "TensorFlow", batch: 1, events: events.into() };
+    let trace = Trace { model: ModelKind::Wgan, framework: "TensorFlow", batch: 1, events };
     let rects = |html: &str| -> Vec<String> {
         html.lines().filter(|l| l.starts_with("<rect ")).map(str::to_string).collect()
     };

@@ -41,7 +41,7 @@
 //!
 //! Time is simulated: every execution, checkpoint write, restore, replay,
 //! stall and backoff charges a deterministic number of seconds to a logical
-//! clock, which also timestamps the [`TraceEvent`]s the harness emits on
+//! clock, which also timestamps the events the harness emits on
 //! the spine (`EventKind::Fault` / `Recovery` / `Checkpoint`, executor
 //! layer, track [`RESILIENCE_TRACK`]). **Goodput** — useful samples over
 //! total simulated time — is throughput net of replayed, skipped and
@@ -52,7 +52,7 @@ use crate::Optimizer;
 use tbd_distrib::{mix64, unit};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::trace::{value_hash, EventKind, TraceEvent, TraceLayer, TraceRecorder};
+use tbd_graph::trace::{value_hash, EventKind, TraceLayer, TraceRecorder, TraceStore};
 use tbd_graph::{GraphError, NodeId, Op, Session};
 use tbd_memopt::{profile_with_strategy, OptimizedProfile, Strategy};
 use tbd_models::ModelKind;
@@ -634,19 +634,15 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
 
                 out.faults_injected += 1;
                 out.faults_by_kind[kind.index()] += 1;
-                emit(
-                    tracer,
-                    TraceEvent::instant(
-                        format!("fault/{}", kind.label()),
-                        TraceLayer::Executor,
-                        EventKind::Fault,
-                        clock_s * 1e6,
-                    )
-                    .on_track(RESILIENCE_TRACK)
-                    .with_arg("fault", kind.label())
-                    .with_arg("step", step)
-                    .with_arg("retry", u64::from(retry)),
-                );
+                emit(tracer, |event| {
+                    let name = event.intern(format!("fault/{}", kind.label()));
+                    event
+                        .span(name, TraceLayer::Executor, EventKind::Fault, clock_s * 1e6, 0.0)
+                        .on_track(RESILIENCE_TRACK)
+                        .with_arg("fault", kind.label())
+                        .with_arg("step", step)
+                        .with_arg("retry", u64::from(retry));
+                });
 
                 let action = self.policy.decide(kind, retry);
                 let recovery_start_s = clock_s;
@@ -765,22 +761,25 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                 out.recoveries += 1;
                 let recovery_s = clock_s - recovery_start_s;
                 out.recovery_time_s += recovery_s;
-                let mut ev = TraceEvent::span(
-                    format!("recovery/{}", action.label()),
-                    TraceLayer::Executor,
-                    EventKind::Recovery,
-                    recovery_start_s * 1e6,
-                    recovery_s * 1e6,
-                )
-                .on_track(RESILIENCE_TRACK)
-                .with_arg("action", action.label())
-                .with_arg("fault", kind.label())
-                .with_arg("step", step)
-                .with_arg("recovery_time_s", recovery_s);
-                if replayed_now > 0 {
-                    ev = ev.with_arg("replayed", replayed_now);
-                }
-                emit(tracer, ev);
+                emit(tracer, |event| {
+                    let name = event.intern(format!("recovery/{}", action.label()));
+                    let span = event
+                        .span(
+                            name,
+                            TraceLayer::Executor,
+                            EventKind::Recovery,
+                            recovery_start_s * 1e6,
+                            recovery_s * 1e6,
+                        )
+                        .on_track(RESILIENCE_TRACK)
+                        .with_arg("action", action.label())
+                        .with_arg("fault", kind.label())
+                        .with_arg("step", step)
+                        .with_arg("recovery_time_s", recovery_s);
+                    if replayed_now > 0 {
+                        span.with_arg("replayed", replayed_now);
+                    }
+                });
 
                 if retries_again {
                     retry += 1;
@@ -793,21 +792,16 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
 
         out.sim_time_s = clock_s;
         out.param_hash = param_hash(&self.session);
-        emit(
-            tracer,
-            TraceEvent::span(
-                "chaos/run",
-                TraceLayer::Executor,
-                EventKind::Iteration,
-                0.0,
-                clock_s * 1e6,
-            )
-            .on_track(RESILIENCE_TRACK)
-            .with_arg("goodput", out.goodput())
-            .with_arg("throughput", out.throughput())
-            .with_arg("param_hash", out.param_hash)
-            .with_arg("faults", out.faults_injected),
-        );
+        emit(tracer, |event| {
+            let name = event.intern("chaos/run");
+            event
+                .span(name, TraceLayer::Executor, EventKind::Iteration, 0.0, clock_s * 1e6)
+                .on_track(RESILIENCE_TRACK)
+                .with_arg("goodput", out.goodput())
+                .with_arg("throughput", out.throughput())
+                .with_arg("param_hash", out.param_hash)
+                .with_arg("faults", out.faults_injected);
+        });
         Ok(out)
     }
 
@@ -823,18 +817,14 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
         *clock_s += bytes.len() as f64 / self.config.checkpoint_write_bps;
         out.checkpoints_written += 1;
         out.checkpoint_bytes = bytes.len() as u64;
-        emit(
-            tracer,
-            TraceEvent::instant(
-                "checkpoint/write",
-                TraceLayer::Executor,
-                EventKind::Checkpoint,
-                *clock_s * 1e6,
-            )
-            .on_track(RESILIENCE_TRACK)
-            .with_arg("bytes", bytes.len())
-            .with_arg("step", self.session.step_count()),
-        );
+        emit(tracer, |event| {
+            let name = event.intern("checkpoint/write");
+            event
+                .span(name, TraceLayer::Executor, EventKind::Checkpoint, *clock_s * 1e6, 0.0)
+                .on_track(RESILIENCE_TRACK)
+                .with_arg("bytes", bytes.len())
+                .with_arg("step", self.session.step_count());
+        });
         Stored { bytes, optimizer: self.optimizer.clone(), step: self.session.step_count() }
     }
 }
@@ -848,9 +838,13 @@ fn retain_history<O>(history: &mut Vec<Stored<O>>, stored: Stored<O>) {
     }
 }
 
-fn emit(tracer: Option<&TraceRecorder>, event: TraceEvent) {
+/// Publishes the one event `write` puts into a fresh store; writes
+/// nothing when untraced.
+fn emit(tracer: Option<&TraceRecorder>, write: impl FnOnce(&mut TraceStore)) {
     if let Some(t) = tracer {
-        t.record(event);
+        let mut event = TraceStore::new();
+        write(&mut event);
+        t.record_batch(event);
     }
 }
 
