@@ -8,7 +8,7 @@ fn main() {
     let suite = Suite::new(GpuSpec::quadro_p4000());
     let m = suite.run(ModelKind::ResNet50, Framework::mxnet(), 16).unwrap();
     let model = ModelKind::ResNet50.build_full(16).unwrap();
-    let sim = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, 16);
+    let sim = DataParallelSim::from_iteration(&model.graph, &m.iteration, 16);
     println!("Synchronisation-strategy ablation (ResNet-50, per-GPU batch 16)");
     println!("{:<22} {:>16} {:>16}", "configuration", "param-server", "ring all-reduce");
     let configs = [

@@ -25,7 +25,7 @@ fn main() {
             batch,
             m.throughput,
             naive_throughput,
-            100.0 * m.gpu_utilization
+            100.0 * m.iteration.gpu_utilization
         );
         let _ = kernels.iter().filter(|k| k.spec.class == KernelClass::ConvForward).count();
     }

@@ -7,7 +7,7 @@ fn main() {
     print_batch_sweep_figure(
         "Fig. 5 — GPU compute utilisation vs mini-batch size",
         "% of wall time with a kernel resident",
-        |m| 100.0 * m.gpu_utilization,
+        |m| 100.0 * m.iteration.gpu_utilization,
     );
     println!("\npaper anchors: CNNs reach ~95 %+; LSTM models stay well below; Faster R-CNN ~89-90 %");
 }

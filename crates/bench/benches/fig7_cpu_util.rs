@@ -21,7 +21,7 @@ fn main() {
             format!("{} ({})", kind.name(), framework.name())
         };
         match suite.run(kind, framework, batch) {
-            Ok(m) => println!("  {:<28} {:5.2} %", label, 100.0 * m.cpu_utilization),
+            Ok(m) => println!("  {:<28} {:5.2} %", label, 100.0 * m.iteration.cpu_utilization),
             Err(e) => println!("  {label:<28} OOM ({e})"),
         }
     }

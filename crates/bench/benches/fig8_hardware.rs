@@ -29,10 +29,10 @@ fn main() {
             a.throughput,
             b.throughput,
             b.throughput / a.throughput,
-            100.0 * a.gpu_utilization,
-            100.0 * b.gpu_utilization,
-            100.0 * a.fp32_utilization,
-            100.0 * b.fp32_utilization
+            100.0 * a.iteration.gpu_utilization,
+            100.0 * b.iteration.gpu_utilization,
+            100.0 * a.iteration.fp32_utilization,
+            100.0 * b.iteration.fp32_utilization
         );
     }
     println!("\npaper anchors: MXNet 89->184, 61->124, 229->232; TF 71->102, 42->61, 365->530;");

@@ -4,7 +4,7 @@
 //! paper's evaluation (see `DESIGN.md` for the index); this crate holds the
 //! sweep-and-print plumbing they share.
 
-use tbd_core::{paper_batches, Framework, GpuSpec, ModelKind, Suite, WorkloadMetrics};
+use tbd_core::{paper_batches, Framework, GpuSpec, ModelKind, Suite, WorkloadProfile};
 
 /// The per-model framework series of the paper's Fig. 4–6 sub-plots, in
 /// figure order, with the labels the paper uses (NMT vs Sockeye).
@@ -43,7 +43,7 @@ pub fn figure_series() -> Vec<(ModelKind, Vec<(Framework, String)>)> {
 pub fn print_batch_sweep_figure(
     title: &str,
     unit: &str,
-    metric: impl Fn(&WorkloadMetrics) -> f64,
+    metric: impl Fn(&WorkloadProfile) -> f64,
 ) {
     let suite = Suite::new(GpuSpec::quadro_p4000());
     println!("{title}");

@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use tbd_core::serve::{parse_framework, parse_model};
 use tbd_core::{
     kernel_table, paper_batches, Framework, GpuSpec, MemoryCategory, ModelKind, Suite,
-    WorkloadMetrics,
+    WorkloadProfile,
 };
 use tbd_profiler::json::{self, Codec};
 
@@ -113,8 +113,8 @@ const SCALE: Grammar = Grammar {
 };
 const ELASTIC: Grammar = Grammar {
     usage: "scale|chaos <model> [--churn sweep|mild|heavy|<rate>] [--framework <fw>] \
-            [--batch <n>] [--seed <n>] [--steps <n>] [--threads <n>] [--format md|json] \
-            [--out <f>] [--check <snapshot>] [--gpu p4000|titanxp]",
+            [--batch <n>] [--seed <n>] [--steps <n>] [--format md|json] [--out <f>] \
+            [--check <snapshot>] [--gpu p4000|titanxp]",
     about: "elastic-membership sweep: evictions on missed collective deadlines, degraded \
             all-reduce, rejoin catch-up",
 };
@@ -451,8 +451,8 @@ fn cmd_suite(args: &[&str]) -> Result<(), String> {
         // Fall back to smaller batches on OOM, as the figures do.
         let mut shown = false;
         for &b in paper_batches(kind).iter().rev() {
-            if let Ok(m) = suite.run(kind, framework, b) {
-                print_metrics_row(&m);
+            if let Ok(p) = suite.run(kind, framework, b) {
+                print_metrics_row(kind, framework, &p);
                 shown = true;
                 break;
             }
@@ -464,17 +464,17 @@ fn cmd_suite(args: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-fn print_metrics_row(m: &WorkloadMetrics) {
+fn print_metrics_row(kind: ModelKind, framework: Framework, p: &WorkloadProfile) {
     println!(
         "{:<14} {:<11} b{:<5} {:>8.1}/s  GPU {:>5.1}%  FP32 {:>5.1}%  CPU {:>5.1}%  {:>5.2} GB",
-        m.model.name(),
-        m.framework,
-        m.batch,
-        m.throughput,
-        100.0 * m.gpu_utilization,
-        100.0 * m.fp32_utilization,
-        100.0 * m.cpu_utilization,
-        m.memory.total() as f64 / 1e9
+        kind.name(),
+        framework.name(),
+        p.batch,
+        p.throughput,
+        100.0 * p.iteration.gpu_utilization,
+        100.0 * p.iteration.fp32_utilization,
+        100.0 * p.iteration.cpu_utilization,
+        p.memory.total() as f64 / 1e9
     );
 }
 
@@ -486,7 +486,7 @@ fn cmd_sweep(args: &[&str]) -> Result<(), String> {
     println!("{} on {} ({})", model.name(), framework.name(), suite.gpu().name);
     for (batch, metrics) in suite.sweep(model, framework) {
         match metrics {
-            Some(m) => print_metrics_row(&m),
+            Some(p) => print_metrics_row(model, framework, &p),
             None => println!("{:<14} {:<11} b{:<5} OOM", model.name(), framework.name(), batch),
         }
     }
@@ -540,9 +540,9 @@ fn cmd_kernels(args: &[&str]) -> Result<(), String> {
         model.name(),
         framework.name(),
         m.batch,
-        100.0 * m.fp32_utilization
+        100.0 * m.iteration.fp32_utilization
     );
-    for row in kernel_table(&m.profile.iteration.records, framework, 5) {
+    for row in kernel_table(&m.iteration.records, framework, 5) {
         println!(
             "  {:>6.2}%  {:>5.1}%  {}",
             100.0 * row.duration_share,
@@ -557,7 +557,7 @@ fn cmd_kernels(args: &[&str]) -> Result<(), String> {
 /// data-parallel simulator across the Fig. 10 grid (or, with `--sweep`,
 /// the full 1M1G→4M4G grid), optionally with seeded straggler injection.
 fn cmd_scale(args: &[&str]) -> Result<(), String> {
-    use tbd_core::{ScaleReport, SCALE_DRIFT_TOLERANCE};
+    use tbd_core::ScaleReport;
     // `--churn` swaps the straggler sweep for the elastic-membership one.
     if args.contains(&"--churn") {
         return cmd_elastic(args);
@@ -593,7 +593,7 @@ fn cmd_scale(args: &[&str]) -> Result<(), String> {
         )
     })?;
     opts.check("scale", "deterministic sweep matches the pinned snapshot", |baseline| {
-        report.check_drift(baseline, SCALE_DRIFT_TOLERANCE)
+        report.check_drift(baseline)
     })?;
     // Healthy runs must land where the paper's Fig. 10/11 landed
     // (Observations 12/13); a straggler-injected run is allowed to sag.
@@ -609,12 +609,11 @@ fn cmd_scale(args: &[&str]) -> Result<(), String> {
 /// survivors, checkpoint catch-up on rejoin), reporting churn-adjusted
 /// goodput per (cluster × rate) point.
 fn cmd_elastic(args: &[&str]) -> Result<(), String> {
-    use tbd_core::{ElasticReport, CHURN_RATE_LADDER, ELASTIC_DRIFT_TOLERANCE};
+    use tbd_core::{ElasticReport, CHURN_RATE_LADDER};
     let opts = ELASTIC.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
     let seed = opts.int("--seed", 42)?;
     let steps = opts.steps(32)?;
-    let threads = opts.int("--threads", 1)?;
     // The spec: the full ladder, a preset, or a bare rate — presets and
     // rates keep the 0.0 control point so goodput retention is defined.
     let spec = opts.value("--churn").ok_or_else(|| format!("usage: tbd {}", ELASTIC.usage))?;
@@ -639,8 +638,7 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
         model.name(),
         framework.name(),
     );
-    let report =
-        ElasticReport::run_rates(model, framework, batch, &gpu, seed, steps, threads, &rates)?;
+    let report = ElasticReport::run_rates(model, framework, batch, &gpu, seed, steps, &rates)?;
     let rendered =
         if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
     opts.emit(&rendered, |path| {
@@ -655,7 +653,7 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
     report.monotonicity()?;
     eprintln!("monotone-goodput law holds across {} points", report.entries.len());
     opts.check("elastic", "deterministic sweep matches the pinned snapshot", |baseline| {
-        report.check_drift(baseline, ELASTIC_DRIFT_TOLERANCE)
+        report.check_drift(baseline)
     })?;
     Ok(())
 }
@@ -665,7 +663,7 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
 /// degradation ladder), report faults, recoveries, goodput and the
 /// replay-exact bit-exactness verdict.
 fn cmd_chaos(args: &[&str]) -> Result<(), String> {
-    use tbd_core::{ChaosReport, FaultPreset, CHAOS_DRIFT_TOLERANCE};
+    use tbd_core::{ChaosReport, FaultPreset};
     // `--churn` swaps the fault-injection proxy for the elastic-membership
     // sweep: node loss instead of kernel faults.
     if args.contains(&"--churn") {
@@ -719,13 +717,13 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
         );
     }
     opts.check("chaos", "deterministic run matches the pinned snapshot", |baseline| {
-        report.check_drift(baseline, CHAOS_DRIFT_TOLERANCE)
+        report.check_drift(baseline)
     })?;
     Ok(())
 }
 
 fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
-    use tbd_core::{run_diagnose, DiagnoseOptions, FaultPreset, DIAGNOSE_DRIFT_TOLERANCE};
+    use tbd_core::{run_diagnose, DiagnoseOptions, FaultPreset};
     let opts = DIAGNOSE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
     let (fuse, precision) = opts.speed()?;
@@ -769,7 +767,7 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
         )
     })?;
     opts.check("diagnosis", "deterministic diagnosis matches the pinned snapshot", |baseline| {
-        report.check_drift(baseline, DIAGNOSE_DRIFT_TOLERANCE)
+        report.check_drift(baseline)
     })?;
     Ok(())
 }
@@ -778,21 +776,21 @@ fn cmd_json(args: &[&str]) -> Result<(), String> {
     let opts = JSON.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
     let suite = Suite::new(opts.gpu()?);
-    let m = suite.run(model, framework, batch).map_err(|e| e.to_string())?;
-    print_all(&metrics_to_json(&m));
+    let p = suite.run(model, framework, batch).map_err(|e| e.to_string())?;
+    print_all(&metrics_to_json(model, framework, suite.gpu(), &p));
     Ok(())
 }
 
 /// Serialises the headline metrics as a stable JSON object (no external
 /// dependencies; field order is fixed).
-fn metrics_to_json(m: &WorkloadMetrics) -> String {
+fn metrics_to_json(kind: ModelKind, fw: Framework, gpu: &GpuSpec, p: &WorkloadProfile) -> String {
     let mem: Vec<String> = MemoryCategory::ALL
         .iter()
         .map(|&c| {
             format!(
                 "\"{}\": {}",
                 c.to_string().replace(' ', "_"),
-                m.memory.peak(c)
+                p.memory.peak(c)
             )
         })
         .collect();
@@ -800,16 +798,16 @@ fn metrics_to_json(m: &WorkloadMetrics) -> String {
         "{{\"model\": \"{}\", \"framework\": \"{}\", \"gpu\": \"{}\", \"batch\": {}, \
          \"throughput\": {:.3}, \"gpu_utilization\": {:.4}, \"fp32_utilization\": {:.4}, \
          \"cpu_utilization\": {:.4}, \"memory_bytes\": {{{}}}, \"memory_total\": {}}}",
-        m.model.name(),
-        m.framework,
-        m.gpu,
-        m.batch,
-        m.throughput,
-        m.gpu_utilization,
-        m.fp32_utilization,
-        m.cpu_utilization,
+        kind.name(),
+        fw.name(),
+        gpu.name,
+        p.batch,
+        p.throughput,
+        p.iteration.gpu_utilization,
+        p.iteration.fp32_utilization,
+        p.iteration.cpu_utilization,
         mem.join(", "),
-        m.memory.total()
+        p.memory.total()
     )
 }
 
@@ -1071,7 +1069,7 @@ fn cmd_report(args: &[&str]) -> Result<(), String> {
 /// with `--matrix`, every supported pair) through the streaming metrics
 /// layer and write a schema-versioned `BENCH_<iso-date>.json`.
 fn cmd_bench(args: &[&str]) -> Result<(), String> {
-    use tbd_core::trajectory::{iso_date_today, BenchReport, DRIFT_TOLERANCE, WALL_DRIFT_TOLERANCE};
+    use tbd_core::trajectory::{iso_date_today, BenchReport, DRIFT_TOLERANCE};
     let opts = BENCH.parse(args)?;
     let gpu = opts.gpu()?;
     let matrix = opts.has("--matrix");
@@ -1123,11 +1121,11 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
         100.0 * DRIFT_TOLERANCE
     );
     let checked = opts.check("throughput", &holds, |baseline: &BenchReport| {
-        report.check_drift(baseline, DRIFT_TOLERANCE)
+        report.check_drift(baseline)
     })?;
     // Wall clock varies across machines, so its gate only warns.
     if let Some(baseline) = checked {
-        if let Err(failures) = report.check_wall_drift(&baseline, WALL_DRIFT_TOLERANCE) {
+        if let Err(failures) = report.check_wall_drift(&baseline) {
             let snapshot = opts.value("--check").unwrap_or_default();
             eprintln!("warning: capture wall drift vs {snapshot} (informational):\n{failures}");
         }
@@ -1245,8 +1243,8 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let suite = Suite::new(GpuSpec::quadro_p4000());
-        let m = suite.run(ModelKind::A3c, Framework::mxnet(), 8).unwrap();
-        let json = metrics_to_json(&m);
+        let p = suite.run(ModelKind::A3c, Framework::mxnet(), 8).unwrap();
+        let json = metrics_to_json(ModelKind::A3c, Framework::mxnet(), suite.gpu(), &p);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"model\": \"A3C\""));
         assert!(json.contains("\"feature_maps\""));

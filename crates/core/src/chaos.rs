@@ -38,10 +38,6 @@ use tbd_train::{
 /// Version stamp of the chaos-report JSON schema.
 pub const CHAOS_SCHEMA_VERSION: u64 = 1;
 
-/// Relative goodput tolerance for `--check`: the harness is fully
-/// deterministic, so anything beyond float-noise scale is a real change.
-pub const CHAOS_DRIFT_TOLERANCE: f64 = 1e-6;
-
 /// Named fault-rate presets for the CLI's `--faults` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPreset {
@@ -384,13 +380,13 @@ impl ChaosReport {
 
     /// Compares this report against a pinned snapshot: the fault schedule
     /// and parameter digests must match exactly, goodput within
-    /// `tolerance` (the harness is deterministic, so the default is
-    /// [`CHAOS_DRIFT_TOLERANCE`]).
+    /// [`json::DETERMINISTIC_DRIFT_TOLERANCE`] (the harness is
+    /// deterministic).
     ///
     /// # Errors
     ///
     /// Returns one line per divergence.
-    pub fn check_drift(&self, baseline: &ChaosReport, tolerance: f64) -> Result<(), String> {
+    pub fn check_drift(&self, baseline: &ChaosReport) -> Result<(), String> {
         let mut failures = Vec::new();
         let same_config = self.model == baseline.model
             && self.seed == baseline.seed
@@ -428,7 +424,7 @@ impl ChaosReport {
         }
         let drift =
             (self.goodput - baseline.goodput).abs() / baseline.goodput.abs().max(f64::MIN_POSITIVE);
-        if drift > tolerance {
+        if drift > json::DETERMINISTIC_DRIFT_TOLERANCE {
             failures.push(format!(
                 "goodput {:.3} drifted {:.2e} from pinned {:.3}",
                 self.goodput, drift, baseline.goodput
@@ -545,10 +541,10 @@ mod tests {
     #[test]
     fn drift_gate_passes_self_and_catches_changes() {
         let report = tiny_report();
-        report.check_drift(&report, CHAOS_DRIFT_TOLERANCE).expect("self never drifts");
+        report.check_drift(&report).expect("self never drifts");
         let mut moved = report.clone();
         moved.param_hash = "0000000000000000".into();
-        assert!(moved.check_drift(&report, CHAOS_DRIFT_TOLERANCE).is_err());
+        assert!(moved.check_drift(&report).is_err());
     }
 
     #[test]

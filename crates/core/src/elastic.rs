@@ -1,9 +1,8 @@
 //! `tbd scale --churn` / `tbd chaos --churn`: the elastic-membership sweep.
 //!
-//! One worker's iteration is profiled through the traced capture spine
-//! (so the report is provably invariant across `intra_op_threads` — the
-//! same bitwise guarantee the golden traces pin), then every Fig. 10
-//! cluster is replayed through
+//! One worker's (fused f32) iteration is profiled once through
+//! [`profile_workload`] — the same worker `tbd trace` replays at 1M2G,
+//! bit for bit — then every Fig. 10 cluster is replayed through
 //! [`tbd_distrib::DataParallelSim::simulate_elastic`] with a trace sink at
 //! a ladder of churn rates, rate 0.0 included so the report itself
 //! exhibits the monotone-goodput law: more churn never buys goodput.
@@ -12,20 +11,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tbd_distrib::{fig10_clusters, ChurnSpec, ElasticConfig};
-use tbd_frameworks::Framework;
+use tbd_distrib::{fig10_clusters, ChurnSpec, DataParallelSim, ElasticConfig};
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
 use tbd_profiler::json;
+use tbd_profiler::profile_workload;
 use tbd_profiler::trace::{events_digest, fnv1a, TraceRecorder};
-use tbd_profiler::TraceOptions;
+use tbd_tensor::Precision;
 
 /// Version stamp of the elastic-report JSON schema.
 pub const ELASTIC_SCHEMA_VERSION: u64 = 1;
-
-/// Relative goodput tolerance for `--check`: the sweep is fully
-/// deterministic, so anything beyond float-noise scale is a real change.
-pub const ELASTIC_DRIFT_TOLERANCE: f64 = 1e-6;
 
 /// The churn-rate ladder every cluster is swept through. Rate 0.0 is the
 /// healthy control point; the ladder is ordered so the report's
@@ -144,37 +140,16 @@ tbd_profiler::json_record!(ElasticReport, "elastic report", schema = ELASTIC_SCH
     derived { digest = ElasticReport::digest_hex });
 
 impl ElasticReport {
-    /// Profiles one worker of `kind`/`framework` at `batch` on `gpu`
-    /// through the traced capture spine (with `intra_op_threads` kernel
-    /// threads — the report digest must not depend on it), then simulates
-    /// every Fig. 10 cluster at every [`CHURN_RATE_LADDER`] rate under the
-    /// seeded churn schedule.
+    /// Profiles one worker of `kind`/`framework` at `batch` on `gpu`, then
+    /// simulates every Fig. 10 cluster at every rate of `rates` under the
+    /// seeded churn schedule ([`CHURN_RATE_LADDER`] for the full sweep; the
+    /// CLI's `--churn mild|heavy|<rate>` presets prepend the 0.0 control
+    /// point so goodput retention stays well-defined).
     ///
     /// # Errors
     ///
-    /// Returns a message when the per-GPU batch does not fit the device or
-    /// the capture fails.
-    pub fn run(
-        kind: ModelKind,
-        framework: Framework,
-        batch: usize,
-        gpu: &GpuSpec,
-        seed: u64,
-        steps: u64,
-        intra_op_threads: usize,
-    ) -> Result<ElasticReport, String> {
-        Self::run_rates(kind, framework, batch, gpu, seed, steps, intra_op_threads, &CHURN_RATE_LADDER)
-    }
-
-    /// [`ElasticReport::run`] over a custom churn-rate list (the CLI's
-    /// `--churn mild|heavy|<rate>` presets prepend the 0.0 control point
-    /// so goodput retention stays well-defined).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the per-GPU batch does not fit the device or
-    /// the capture fails.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns a message when the graph cannot be built or the per-GPU
+    /// batch does not fit the device.
     pub fn run_rates(
         kind: ModelKind,
         framework: Framework,
@@ -182,15 +157,13 @@ impl ElasticReport {
         gpu: &GpuSpec,
         seed: u64,
         steps: u64,
-        intra_op_threads: usize,
         rates: &[f64],
     ) -> Result<ElasticReport, String> {
-        let options = TraceOptions { intra_op_threads, ..TraceOptions::default() };
-        let cap = tbd_profiler::capture(kind, framework, batch, gpu, &options)
-            .map_err(|e| e.to_string())?;
-        let sim = cap
-            .worker
-            .ok_or_else(|| format!("{} batch {batch} does not fit {}", kind.name(), gpu.name))?;
+        let model = kind.build_full(batch).map_err(|e| e.to_string())?;
+        let speed = SpeedOptions::fused(Precision::F32);
+        let profile = profile_workload(kind, framework, &model, gpu, speed, None)
+            .map_err(|_| format!("{} batch {batch} does not fit {}", kind.name(), gpu.name))?;
+        let sim = DataParallelSim::from_iteration(&model.graph, &profile.iteration, batch);
         let mut entries = Vec::new();
         for (label, cluster) in fig10_clusters() {
             for &rate in rates {
@@ -271,18 +244,19 @@ impl ElasticReport {
     }
 
     /// Compares goodput against a pinned snapshot on overlapping
-    /// (cluster × rate) keys. The sweep is deterministic, so the default
-    /// tolerance is [`ELASTIC_DRIFT_TOLERANCE`].
+    /// (cluster × rate) keys, within
+    /// [`json::DETERMINISTIC_DRIFT_TOLERANCE`]: the sweep is deterministic.
     ///
     /// # Errors
     ///
     /// Returns one line per drifting entry, or a message when the reports
     /// share no keys.
-    pub fn check_drift(&self, baseline: &ElasticReport, tolerance: f64) -> Result<(), String> {
+    pub fn check_drift(&self, baseline: &ElasticReport) -> Result<(), String> {
         let by_key = |e: &ElasticEntry| Some((e.key(), e.goodput));
         let line = |key: &String, goodput: f64, drift: f64, pinned: f64| {
             format!("{key}: goodput {goodput:.3} drifted {drift:.2e} from pinned {pinned:.3}")
         };
+        let tolerance = json::DETERMINISTIC_DRIFT_TOLERANCE;
         let (compared, failures) =
             json::keyed_drift(&baseline.entries, &self.entries, by_key, tolerance, line);
         if compared == 0 {
@@ -340,16 +314,9 @@ mod tests {
 
     fn tiny_report() -> ElasticReport {
         // A3C at batch 8 is the cheapest full profile in the zoo.
-        ElasticReport::run(
-            ModelKind::A3c,
-            Framework::mxnet(),
-            8,
-            &GpuSpec::quadro_p4000(),
-            7,
-            32,
-            1,
-        )
-        .expect("A3C fits")
+        let (gpu, ladder) = (GpuSpec::quadro_p4000(), &CHURN_RATE_LADDER);
+        ElasticReport::run_rates(ModelKind::A3c, Framework::mxnet(), 8, &gpu, 7, 32, ladder)
+            .expect("A3C fits")
     }
 
     #[test]
@@ -379,10 +346,10 @@ mod tests {
     #[test]
     fn drift_gate_passes_self_and_catches_changes() {
         let report = tiny_report();
-        report.check_drift(&report, ELASTIC_DRIFT_TOLERANCE).expect("self never drifts");
+        report.check_drift(&report).expect("self never drifts");
         let mut moved = report.clone();
         moved.entries[0].goodput *= 1.01;
-        assert!(moved.check_drift(&report, ELASTIC_DRIFT_TOLERANCE).is_err());
+        assert!(moved.check_drift(&report).is_err());
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let suite = Suite::new(GpuSpec::quadro_p4000());
-//! let metrics = suite.run(ModelKind::ResNet50, Framework::mxnet(), 16)?;
+//! let profile = suite.run(ModelKind::ResNet50, Framework::mxnet(), 16)?;
 //! println!(
 //!     "ResNet-50 b16 on MXNet: {:.1} images/s, GPU util {:.0}%",
-//!     metrics.throughput,
-//!     100.0 * metrics.gpu_utilization
+//!     profile.throughput,
+//!     100.0 * profile.iteration.gpu_utilization
 //! );
 //! # Ok(())
 //! # }
@@ -41,17 +41,16 @@ pub mod suite;
 pub mod survey;
 pub mod trajectory;
 
-pub use chaos::{ChaosReport, DegradationSummary, FaultPreset, CHAOS_DRIFT_TOLERANCE, CHAOS_SCHEMA_VERSION};
+pub use chaos::{ChaosReport, DegradationSummary, FaultPreset, CHAOS_SCHEMA_VERSION};
 pub use compare::{compare_models, ComparabilityReport};
 pub use diagnose::{named_clusters, run_diagnose, DiagnoseOptions, DEFAULT_STRAGGLER_CLUSTER};
 pub use elastic::{
-    ElasticEntry, ElasticReport, CHURN_RATE_LADDER, ELASTIC_DRIFT_TOLERANCE,
-    ELASTIC_SCHEMA_VERSION,
+    ElasticEntry, ElasticReport, CHURN_RATE_LADDER, ELASTIC_SCHEMA_VERSION,
 };
 pub use registry::{table2, Table2Row};
 pub use report::{parse_digest_file, run_report, ReportOptions, ReportOutput};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenMode, LoadgenReport, LOADGEN_SCHEMA_VERSION};
-pub use scale::{ScaleEntry, ScaleReport, SCALE_DRIFT_TOLERANCE, SCALE_SCHEMA_VERSION};
+pub use scale::{ScaleEntry, ScaleReport, SCALE_SCHEMA_VERSION};
 pub use serve::{
     parse_query, ServeConfig, ServeEngine, ServeQuery, ServeServer, SERVE_SCHEMA_VERSION,
 };
@@ -67,5 +66,5 @@ pub use tbd_gpusim::{CpuSpec, GpuSpec, Interconnect, MemoryCategory, OutOfMemory
 pub use tbd_models::{BuiltModel, ModelKind};
 pub use tbd_profiler::{
     kernel_table, profile_workload, BottleneckClass, DiagnosisReport, KernelTableRow,
-    WorkloadMetrics, DIAGNOSE_DRIFT_TOLERANCE, DIAGNOSE_SCHEMA_VERSION,
+    DIAGNOSE_SCHEMA_VERSION,
 };

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use tbd_distrib::{
     fig10_clusters, scale_grid, ClusterConfig, DataParallelSim, EventConfig, StragglerSpec,
 };
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
 use tbd_profiler::trace::{events_digest, fnv1a, TraceRecorder};
@@ -21,10 +21,6 @@ use tbd_profiler::{json, profile_workload};
 
 /// Version stamp of the scale-report JSON schema.
 pub const SCALE_SCHEMA_VERSION: u64 = 1;
-
-/// Relative throughput tolerance for `--check`: the sweep is fully
-/// deterministic, so anything beyond float-noise scale is a real change.
-pub const SCALE_DRIFT_TOLERANCE: f64 = 1e-6;
 
 /// One simulated cluster point.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,9 +221,9 @@ impl ScaleReport {
         straggler_seed: Option<u64>,
     ) -> Result<ScaleReport, String> {
         let model = kind.build_full(batch).map_err(|e| e.to_string())?;
-        let metrics =
-            profile_workload(kind, framework, &model, gpu).map_err(|e| e.to_string())?;
-        let sim = DataParallelSim::from_iteration(&model.graph, &metrics.profile.iteration, batch);
+        let profile = profile_workload(kind, framework, &model, gpu, SpeedOptions::default(), None)
+            .map_err(|e| e.to_string())?;
+        let sim = DataParallelSim::from_iteration(&model.graph, &profile.iteration, batch);
         let grid = if sweep { scale_grid() } else { fig10_clusters() };
         let entries = grid
             .into_iter()
@@ -307,18 +303,19 @@ impl ScaleReport {
     }
 
     /// Compares throughput against a pinned snapshot on overlapping
-    /// labels. The sweep is deterministic, so the default tolerance is
-    /// [`SCALE_DRIFT_TOLERANCE`].
+    /// labels, within [`json::DETERMINISTIC_DRIFT_TOLERANCE`]: the sweep is
+    /// deterministic.
     ///
     /// # Errors
     ///
     /// Returns one line per drifting entry, or a message when the reports
     /// share no labels.
-    pub fn check_drift(&self, baseline: &ScaleReport, tolerance: f64) -> Result<(), String> {
+    pub fn check_drift(&self, baseline: &ScaleReport) -> Result<(), String> {
         let throughput = |e: &ScaleEntry| Some((e.label.clone(), e.throughput));
         let line = |label: &String, tp: f64, drift: f64, pinned: f64| {
             format!("{label}: throughput {tp:.3} drifted {drift:.2e} from pinned {pinned:.3}")
         };
+        let tolerance = json::DETERMINISTIC_DRIFT_TOLERANCE;
         let (compared, failures) =
             json::keyed_drift(&baseline.entries, &self.entries, throughput, tolerance, line);
         if compared == 0 {
@@ -398,10 +395,10 @@ mod tests {
     #[test]
     fn drift_gate_passes_self_and_catches_changes() {
         let report = tiny_report();
-        report.check_drift(&report, SCALE_DRIFT_TOLERANCE).expect("self never drifts");
+        report.check_drift(&report).expect("self never drifts");
         let mut moved = report.clone();
         moved.entries[0].throughput *= 1.01;
-        assert!(moved.check_drift(&report, SCALE_DRIFT_TOLERANCE).is_err());
+        assert!(moved.check_drift(&report).is_err());
     }
 
     #[test]

@@ -13,19 +13,19 @@
 //!
 //! # Why responses are deterministic
 //!
-//! The whole pipeline under a query is simulated time: the capture runs
-//! simulation-only (`functional: false`, so no global executor state is
-//! touched and queries are thread-safe), the event engine orders events
-//! canonically, and the response JSON is rendered from a `BTreeMap` with
+//! The whole pipeline under a query is simulated time: the worker comes
+//! from an untraced paper-scale profile (no executor runs, so no global
+//! state is touched and queries are thread-safe), the event engine orders
+//! events canonically, and the response JSON is rendered from a `BTreeMap` with
 //! the repo's deterministic number formatting. No wall clock, no
 //! counter, and no configuration knob of the *server* (worker count,
 //! shard count, queue depth) ever reaches the response bytes — which is
 //! exactly what makes the three cache layers safe:
 //!
-//! * **profile/lowering cache** — one captured worker model
-//!   ([`DataParallelSim`]: iteration time plus per-layer backward profile)
-//!   per (model, framework, batch, fuse, precision), which every cluster
-//!   replay reuses.
+//! * **profile/lowering cache** — one worker model ([`DataParallelSim`]:
+//!   iteration time plus per-layer backward profile, derived from one
+//!   [`profile_workload`]) per (model, framework, batch, fuse, precision),
+//!   which every cluster replay reuses.
 //! * **memoized rooflines** — `tbd-gpusim` answers repeated per-kernel
 //!   timings from a thread-local table
 //!   ([`tbd_gpusim::kernel_timing_memoized`]), bit-identical to cold.
@@ -48,14 +48,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use tbd_distrib::DataParallelSim;
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
 use tbd_profiler::http::{self, HttpFront, Response};
 use tbd_profiler::json::Value;
 use tbd_profiler::pool::WorkerPool;
 use tbd_profiler::trace::fnv1a;
-use tbd_profiler::{capture, TraceOptions};
+use tbd_profiler::profile_workload;
 use tbd_tensor::Precision;
 
 use crate::diagnose::resolve_cluster;
@@ -159,7 +159,7 @@ impl ServeQuery {
         fnv1a(self.canonical().as_bytes())
     }
 
-    /// Digest of the profile-cache key: the capture-determining subset
+    /// Digest of the profile-cache key: the profile-determining subset
     /// (model, framework, batch, fuse, precision). Queries differing only
     /// in cluster or straggler seed share one cached worker model.
     pub fn profile_digest(&self) -> u64 {
@@ -364,7 +364,7 @@ impl ServeEngine {
         self.computes.load(Ordering::Relaxed)
     }
 
-    /// Profile/lowering-cache fills (captures actually run).
+    /// Profile/lowering-cache fills (profiles actually run).
     pub fn profile_computes(&self) -> u64 {
         self.profile_computes.load(Ordering::Relaxed)
     }
@@ -428,9 +428,9 @@ impl ServeEngine {
         }
     }
 
-    /// The profile/lowering cache: captures (simulation-only) at most once
-    /// per (model, framework, batch, fuse, precision) and keeps the
-    /// capture's worker model.
+    /// The profile/lowering cache: profiles (untraced) at most once per
+    /// (model, framework, batch, fuse, precision) and keeps the worker
+    /// model derived from that profile.
     fn worker(&self, query: &ServeQuery) -> Result<Arc<DataParallelSim>, String> {
         let key = query.profile_digest();
         if let Some(worker) = self.profiles.lock().expect("profile cache lock").get(&key) {
@@ -441,22 +441,12 @@ impl ServeEngine {
         // and the first insert wins; identical queries never get here
         // twice thanks to result-level single-flight.
         self.profile_computes.fetch_add(1, Ordering::Relaxed);
-        let options = TraceOptions {
-            functional: false, // simulation-only: no global executor state
-            fuse: query.fuse,
-            precision: query.precision,
-            ..TraceOptions::default()
-        };
-        let cap = capture(query.model, query.framework, query.batch, &self.gpu, &options)
-            .map_err(|e| e.to_string())?;
-        let worker = cap.worker.ok_or_else(|| {
-            format!(
-                "{} at batch {} does not fit {}",
-                query.model.name(),
-                query.batch,
-                self.gpu.name
-            )
-        })?;
+        let (kind, batch, gpu) = (query.model, query.batch, &self.gpu);
+        let model = kind.build_full(batch).map_err(|e| e.to_string())?;
+        let speed = SpeedOptions { fuse: query.fuse, precision: query.precision };
+        let profile = profile_workload(kind, query.framework, &model, gpu, speed, None)
+            .map_err(|_| format!("{} at batch {batch} does not fit {}", kind.name(), gpu.name))?;
+        let worker = DataParallelSim::from_iteration(&model.graph, &profile.iteration, batch);
         let mut cache = self.profiles.lock().expect("profile cache lock");
         Ok(Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(worker))))
     }
@@ -654,7 +644,7 @@ mod tests {
         let mut b = a.clone();
         b.cluster = "2M1G infiniband".to_string();
         assert_ne!(a.digest(), b.digest(), "different clusters, different results");
-        assert_eq!(a.profile_digest(), b.profile_digest(), "same capture feeds both");
+        assert_eq!(a.profile_digest(), b.profile_digest(), "same profile feeds both");
         let mut c = a.clone();
         c.precision = Precision::F16;
         assert_ne!(a.profile_digest(), c.profile_digest());

@@ -2,11 +2,11 @@
 
 use std::fmt;
 
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions, WorkloadProfile};
 use tbd_gpusim::{GpuSpec, OutOfMemory};
 use tbd_graph::GraphError;
 use tbd_models::ModelKind;
-use tbd_profiler::{profile_workload, WorkloadMetrics};
+use tbd_profiler::profile_workload;
 
 /// The mini-batch axis each workload sweeps in the paper's Fig. 4–6.
 ///
@@ -26,7 +26,7 @@ pub fn paper_batches(kind: ModelKind) -> Vec<usize> {
     }
 }
 
-/// Why [`Suite::run`] produced no metrics.
+/// Why [`Suite::run`] produced no profile.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The paper-scale graph could not be built, e.g. a batch whose
@@ -77,8 +77,8 @@ impl Suite {
         &self.gpu
     }
 
-    /// Builds the paper-scale workload at `batch` and profiles one training
-    /// iteration under `framework`.
+    /// Builds the paper-scale workload at `batch` and profiles one
+    /// (unfused f32) training iteration under `framework`.
     ///
     /// # Errors
     ///
@@ -89,9 +89,9 @@ impl Suite {
         kind: ModelKind,
         framework: Framework,
         batch: usize,
-    ) -> Result<WorkloadMetrics, RunError> {
+    ) -> Result<WorkloadProfile, RunError> {
         let model = kind.build_full(batch)?;
-        Ok(profile_workload(kind, framework, &model, &self.gpu)?)
+        Ok(profile_workload(kind, framework, &model, &self.gpu, SpeedOptions::default(), None)?)
     }
 
     /// Sweeps the paper's batch axis for `kind` under `framework`,
@@ -100,7 +100,7 @@ impl Suite {
         &self,
         kind: ModelKind,
         framework: Framework,
-    ) -> Vec<(usize, Option<WorkloadMetrics>)> {
+    ) -> Vec<(usize, Option<WorkloadProfile>)> {
         paper_batches(kind)
             .into_iter()
             .map(|b| (b, self.run(kind, framework, b).ok()))
@@ -145,7 +145,7 @@ mod tests {
         let suite = Suite::new(GpuSpec::quadro_p4000());
         let m = suite.run(ModelKind::A3c, Framework::mxnet(), 32).unwrap();
         let model = ModelKind::A3c.build_full(32).unwrap();
-        let worker = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, 32);
+        let worker = DataParallelSim::from_iteration(&model.graph, &m.iteration, 32);
         let throughput = |gpus| {
             let cluster = ClusterConfig::single_machine(gpus);
             worker.simulate_events(&cluster, &EventConfig::default(), None).profile.throughput

@@ -311,7 +311,7 @@ impl BenchReport {
     }
 
     /// Compares throughput against a pinned baseline: every entry present
-    /// in both reports must be within `tolerance` relative drift. Scale
+    /// in both reports must be within [`DRIFT_TOLERANCE`] relative drift. Scale
     /// entries are compared the same way on overlapping labels (a baseline
     /// without a scale grid simply vouches for nothing there).
     ///
@@ -319,36 +319,36 @@ impl BenchReport {
     ///
     /// Returns one line per drifting entry, or a message when the reports
     /// share no entries at all.
-    pub fn check_drift(&self, baseline: &BenchReport, tolerance: f64) -> Result<(), String> {
+    pub fn check_drift(&self, baseline: &BenchReport) -> Result<(), String> {
         let throughput = |e: &BenchEntry| Some((e.key(), e.throughput));
         let line = |key: &String, tp: f64, drift: f64, pinned: f64| {
             let percent = 100.0 * drift;
             format!("{key}: throughput {tp:.3} drifted {percent:.1}% from pinned {pinned:.3}")
         };
         let (compared, mut failures) =
-            json::keyed_drift(&baseline.entries, &self.entries, throughput, tolerance, line);
+            json::keyed_drift(&baseline.entries, &self.entries, throughput, DRIFT_TOLERANCE, line);
         if compared == 0 {
             return Err("no overlapping entries between report and baseline".into());
         }
         let throughput = |e: &ScaleEntry| Some((e.label.clone(), e.throughput));
         let (_, scale) =
-            json::keyed_drift(&baseline.scale, &self.scale, throughput, tolerance, line);
+            json::keyed_drift(&baseline.scale, &self.scale, throughput, DRIFT_TOLERANCE, line);
         failures.extend(scale.into_iter().map(|failure| format!("scale {failure}")));
         json::verdict(failures)
     }
 
     /// Compares *measured* capture wall time against a pinned baseline:
     /// entries present in both reports with a recorded
-    /// [`BenchEntry::capture_wall_s`] must be within `tolerance` relative
-    /// drift and move by more than [`WALL_DRIFT_FLOOR_S`]. Entries without
-    /// the measurement (old baselines, or a report produced before the
-    /// speed tier) vouch for nothing. Use [`WALL_DRIFT_TOLERANCE`] unless
-    /// you control both machines.
+    /// [`BenchEntry::capture_wall_s`] must be within
+    /// [`WALL_DRIFT_TOLERANCE`] relative drift and move by more than
+    /// [`WALL_DRIFT_FLOOR_S`]. Entries without the measurement (old
+    /// baselines, or a report produced before the speed tier) vouch for
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Returns one line per drifting entry.
-    pub fn check_wall_drift(&self, baseline: &BenchReport, tolerance: f64) -> Result<(), String> {
+    pub fn check_wall_drift(&self, baseline: &BenchReport) -> Result<(), String> {
         let wall = |e: &BenchEntry| e.capture_wall_s.map(|w| (e.key(), w));
         // An entry inside the absolute floor yields an empty line, dropped
         // below.
@@ -360,7 +360,7 @@ impl BenchReport {
             format!("{key}: capture wall {wall_us:.0}µs drifted {percent:.0}% from pinned {pinned_us:.0}µs")
         };
         let (_, mut failures) =
-            json::keyed_drift(&baseline.entries, &self.entries, wall, tolerance, line);
+            json::keyed_drift(&baseline.entries, &self.entries, wall, WALL_DRIFT_TOLERANCE, line);
         failures.retain(|failure| !failure.is_empty());
         json::verdict(failures)
     }
@@ -540,29 +540,29 @@ mod tests {
             loadgen: None,
         };
         let base = report(100.0);
-        assert!(report(105.0).check_drift(&base, DRIFT_TOLERANCE).is_ok());
-        assert!(report(89.0).check_drift(&base, DRIFT_TOLERANCE).is_err());
-        assert!(report(112.0).check_drift(&base, DRIFT_TOLERANCE).is_err());
+        assert!(report(105.0).check_drift(&base).is_ok());
+        assert!(report(89.0).check_drift(&base).is_err());
+        assert!(report(112.0).check_drift(&base).is_err());
         // Disjoint reports cannot vouch for anything.
         let mut disjoint = report(100.0);
         disjoint.entries[0].model = "A3C".into();
-        assert!(base.check_drift(&disjoint, DRIFT_TOLERANCE).is_err());
+        assert!(base.check_drift(&disjoint).is_err());
         // Wall drift: gated only when measured in both, behind the wide
         // tolerance; a missing measurement vouches for nothing.
         let mut slow = report(100.0);
         slow.entries[0].capture_wall_s = Some(1.6);
-        assert!(slow.check_wall_drift(&base, WALL_DRIFT_TOLERANCE).is_err());
+        assert!(slow.check_wall_drift(&base).is_err());
         slow.entries[0].capture_wall_s = Some(1.3);
-        assert!(slow.check_wall_drift(&base, WALL_DRIFT_TOLERANCE).is_ok());
+        assert!(slow.check_wall_drift(&base).is_ok());
         slow.entries[0].capture_wall_s = None;
-        assert!(slow.check_wall_drift(&base, WALL_DRIFT_TOLERANCE).is_ok());
+        assert!(slow.check_wall_drift(&base).is_ok());
         // Below the absolute floor a large relative drift is noise; above
         // it, it is flagged.
         let walls = |pinned: f64, measured: f64| {
             let (mut base, mut now) = (report(100.0), report(100.0));
             base.entries[0].capture_wall_s = Some(pinned);
             now.entries[0].capture_wall_s = Some(measured);
-            now.check_wall_drift(&base, WALL_DRIFT_TOLERANCE)
+            now.check_wall_drift(&base)
         };
         assert!(walls(0.37e-3, 0.82e-3).is_ok());
         let failure = walls(2.7e-3, 5.0e-3).unwrap_err();

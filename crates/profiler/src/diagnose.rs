@@ -37,10 +37,6 @@ use tbd_graph::trace::{fnv1a, EventKind, TraceLayer, TraceStore};
 /// Version stamp of the diagnosis-report JSON schema.
 pub const DIAGNOSE_SCHEMA_VERSION: u64 = 1;
 
-/// Relative drift tolerance for `--check`: the engine is deterministic, so
-/// anything beyond float-noise scale is a real change.
-pub const DIAGNOSE_DRIFT_TOLERANCE: f64 = 1e-6;
-
 /// Exposed-communication share of the cluster iteration above which the
 /// run is communication-bound. Fig. 10: the 2M1G Ethernet point spends
 /// over half its iteration in exposed communication, while the
@@ -809,12 +805,13 @@ impl DiagnosisReport {
     }
 
     /// Compares this report against a pinned snapshot: the ranked class
-    /// sequence must match exactly, confidences within `tolerance`.
+    /// sequence must match exactly, confidences within
+    /// [`json::DETERMINISTIC_DRIFT_TOLERANCE`]: the engine is deterministic.
     ///
     /// # Errors
     ///
     /// Returns one line per divergence.
-    pub fn check_drift(&self, baseline: &DiagnosisReport, tolerance: f64) -> Result<(), String> {
+    pub fn check_drift(&self, baseline: &DiagnosisReport) -> Result<(), String> {
         let mut failures = Vec::new();
         if self.model != baseline.model
             || self.framework != baseline.framework
@@ -833,7 +830,7 @@ impl DiagnosisReport {
         } else {
             for (d, b) in self.diagnoses.iter().zip(&baseline.diagnoses) {
                 let drift = (d.confidence - b.confidence).abs();
-                if drift > tolerance {
+                if drift > json::DETERMINISTIC_DRIFT_TOLERANCE {
                     failures.push(format!(
                         "{} confidence {:.6} drifted {:.2e} from pinned {:.6}",
                         d.class.label(),
@@ -1106,10 +1103,10 @@ mod tests {
     #[test]
     fn drift_gate_passes_self_and_catches_reordering() {
         let report = diagnose_events("oom", "mxnet", 8, &scenarios::oom_pressure(2));
-        report.check_drift(&report, DIAGNOSE_DRIFT_TOLERANCE).expect("self never drifts");
+        report.check_drift(&report).expect("self never drifts");
         let mut moved = report.clone();
         moved.diagnoses[0].confidence -= 0.5;
-        assert!(moved.check_drift(&report, DIAGNOSE_DRIFT_TOLERANCE).is_err());
+        assert!(moved.check_drift(&report).is_err());
     }
 
     #[test]

@@ -84,15 +84,22 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a hostile document of nested `[`
+/// overflows the stack; every report the workspace writes nests at most a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or trailing garbage.
+/// Returns [`ParseError`] on malformed input, trailing garbage, or nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing characters", pos));
@@ -110,12 +117,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err("nesting too deep", *pos)),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -209,7 +218,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -218,7 +227,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -231,7 +240,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -250,7 +259,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             return Err(err("expected ':'", *pos));
         }
         *pos += 1;
-        map.insert(key, parse_value(bytes, pos)?);
+        map.insert(key, parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -477,6 +486,11 @@ pub fn decode_text<T: Codec>(text: &str) -> Result<T, String> {
     T::from_value(&parse(text).map_err(|e| e.to_string())?)
 }
 
+/// Relative tolerance of the `--check` gates of the deterministic reports
+/// (scale, elastic, chaos and diagnose): their runs are fully
+/// deterministic, so anything beyond float-noise scale is a real change.
+pub const DETERMINISTIC_DRIFT_TOLERANCE: f64 = 1e-6;
+
 /// Keyed relative drift of one metric: every `current` record whose
 /// `metric` key is also `pinned` is compared as `|value − pinned| /
 /// |pinned|` (records whose `metric` is `None` vouch for nothing). Returns
@@ -615,6 +629,19 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} extra").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = 100_000;
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let text = format!("{}0{}", open.repeat(deep), close.repeat(deep));
+            let e = parse(&text).expect_err("100k levels exceed the cap");
+            assert_eq!(e.message, "nesting too deep");
+            assert_eq!(e.offset, MAX_DEPTH * open.len(), "{open}: the first level past the cap");
+            let capped = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&capped).is_ok(), "{open}: {MAX_DEPTH} levels parse");
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!   of §3.4.2: synthesise a full training run (warm-up, autotuning,
 //!   steady state), detect when throughput stabilises, and sample only a
 //!   short window;
-//! * [`metrics`] — assembles the §3.4.3 metric set (throughput, GPU
-//!   compute utilisation, FP32 utilisation, CPU utilisation, memory
-//!   breakdown) for a workload × framework × device combination;
+//! * [`metrics`] — [`profile_workload`], the one paper-scale profile of a
+//!   workload × framework × device combination that every §3.4.3 metric
+//!   (throughput, GPU compute, FP32 and CPU utilisation, memory
+//!   breakdown) is read from, traced or not;
 //! * [`kernels`] — nvprof-style per-kernel aggregation and the
 //!   "longest kernels with below-average FP32 utilisation" tables
 //!   (paper Tables 5 and 6);
@@ -55,10 +56,10 @@ pub use pool::{SubmitError, WorkerPool};
 pub use report::{ReportContext, DIGEST_TIMESTAMP};
 pub use diagnose::{
     diagnose, diagnose_events, diagnose_named, BottleneckClass, Diagnosis, DiagnosisReport,
-    Evidence, DIAGNOSE_DRIFT_TOLERANCE, DIAGNOSE_SCHEMA_VERSION,
+    Evidence, DIAGNOSE_SCHEMA_VERSION,
 };
 pub use kernels::{kernel_table, KernelTableRow};
-pub use metrics::{profile_workload, WorkloadMetrics};
+pub use metrics::profile_workload;
 pub use trace::{capture, capture_into, Capture, SummaryRow, Trace, TraceOptions};
 pub use sampling::{
     detect_stable_window, sampled_throughput, synthesize_run, SamplingConfig, TrainingRun,

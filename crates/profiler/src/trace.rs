@@ -17,6 +17,7 @@
 //! timeline, framework-tagged spans).
 
 use crate::json;
+use crate::metrics::profile_workload;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
@@ -373,7 +374,7 @@ pub struct Capture {
 ///    executor under the framework's host-threading profile — per-node
 ///    spans with wave/thread attribution and output-value hashes,
 /// 3. the paper-scale simulated training iteration through
-///    [`Framework::profile`], with the recorder as its tracer — allocator
+///    [`profile_workload`], with the recorder as its tracer — allocator
 ///    events, launch/kernel/sync timeline and framework-tagged spans.
 ///
 /// Out-of-memory at paper scale is *not* an error here: the returned
@@ -437,10 +438,9 @@ pub fn capture_into(
         wall.exec_s = t0.elapsed().as_secs_f64();
     }
     let full = kind.build_full(batch)?;
-    let hints = framework.hints(kind, batch);
     let speed = SpeedOptions { fuse: options.fuse, precision: options.precision };
     let t0 = Instant::now();
-    let (profile, oom) = match framework.profile(&full, gpu, hints, speed, Some(recorder)) {
+    let (profile, oom) = match profile_workload(kind, framework, &full, gpu, speed, Some(recorder)) {
         Ok(profile) => (Some(profile), None),
         Err(oom) => (None, Some(oom)),
     };

@@ -34,9 +34,9 @@ fn main() {
                         batch,
                         m.throughput,
                         unit,
-                        100.0 * m.gpu_utilization,
-                        100.0 * m.fp32_utilization,
-                        100.0 * m.cpu_utilization,
+                        100.0 * m.iteration.gpu_utilization,
+                        100.0 * m.iteration.fp32_utilization,
+                        100.0 * m.iteration.cpu_utilization,
                         m.memory.total() as f64 / 1e9,
                     );
                     reported = true;

@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              (feature maps {:.0}%)",
             framework.name(),
             m.throughput,
-            100.0 * m.gpu_utilization,
-            100.0 * m.fp32_utilization,
-            100.0 * m.cpu_utilization,
+            100.0 * m.iteration.gpu_utilization,
+            100.0 * m.iteration.fp32_utilization,
+            100.0 * m.iteration.cpu_utilization,
             m.memory.total() as f64 / 1e9,
             100.0 * m.memory.feature_map_fraction(),
         );

@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use tbd_core::trajectory::{BenchReport, BENCH_SCHEMA_VERSION, DRIFT_TOLERANCE, GOLDEN_PAIRS};
+use tbd_core::trajectory::{BenchReport, BENCH_SCHEMA_VERSION, GOLDEN_PAIRS};
 use tbd_core::GpuSpec;
 
 fn baseline_path() -> PathBuf {
@@ -95,12 +95,12 @@ fn default_bench_covers_the_golden_pairs() {
 #[test]
 fn drift_gate_passes_self_and_flags_fabricated_regressions() {
     let report = matrix_report();
-    report.check_drift(report, DRIFT_TOLERANCE).expect("a report never drifts from itself");
+    report.check_drift(report).expect("a report never drifts from itself");
     // Fabricate a 20% regression on one entry: the gate must name it.
     let mut regressed = report.clone();
     regressed.entries[0].throughput *= 0.8;
     let message = regressed
-        .check_drift(report, DRIFT_TOLERANCE)
+        .check_drift(report)
         .expect_err("20% drop exceeds the 10% gate");
     assert!(message.contains(&report.entries[0].key()), "gate names the entry: {message}");
     // Small wobble stays inside the gate.
@@ -108,7 +108,7 @@ fn drift_gate_passes_self_and_flags_fabricated_regressions() {
     for entry in &mut wobbled.entries {
         entry.throughput *= 1.03;
     }
-    wobbled.check_drift(report, DRIFT_TOLERANCE).expect("3% wobble is tolerated");
+    wobbled.check_drift(report).expect("3% wobble is tolerated");
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn pinned_baseline_holds_the_trajectory() {
         )
     });
     let baseline = BenchReport::from_json_text(&text).expect("baseline parses");
-    report.check_drift(&baseline, DRIFT_TOLERANCE).unwrap_or_else(|failures| {
+    report.check_drift(&baseline).unwrap_or_else(|failures| {
         panic!(
             "throughput drifted from the pinned baseline:\n{failures}\n\
              If intentional: UPDATE_GOLDEN=1 cargo test --test bench_trajectory"

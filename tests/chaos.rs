@@ -3,7 +3,7 @@
 //! counts, OOM degradation re-plans an infeasible batch until it fits, and
 //! the CLI's pinned golden baseline stays reachable.
 
-use tbd_core::{ChaosReport, FaultPreset, Framework, GpuSpec, ModelKind, CHAOS_DRIFT_TOLERANCE};
+use tbd_core::{ChaosReport, FaultPreset, Framework, GpuSpec, ModelKind};
 use tbd_graph::{GraphBuilder, Init, NodeId, Session};
 use tbd_tensor::Tensor;
 use tbd_train::{
@@ -102,7 +102,7 @@ fn golden_chaos_baseline_is_reproduced() {
     let baseline = ChaosReport::from_json_text(&text).expect("baseline parses");
     let fresh = ci_report(1);
     fresh
-        .check_drift(&baseline, CHAOS_DRIFT_TOLERANCE)
+        .check_drift(&baseline)
         .expect("deterministic run matches the pinned baseline");
     assert_eq!(fresh.digest_hex(), baseline.digest_hex(), "bit-stable report digest");
     assert!(baseline.replay_exact, "the pinned baseline records a replay-exact run");

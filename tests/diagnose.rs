@@ -19,7 +19,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use tbd_core::{
     run_diagnose, DiagnoseOptions, DiagnosisReport, Framework, GpuSpec, ModelKind,
-    DIAGNOSE_DRIFT_TOLERANCE,
 };
 use tbd_distrib::{scale_grid, unit, StragglerSpec};
 use tbd_graph::trace::{TraceRecorder, TraceStore};
@@ -227,7 +226,7 @@ fn golden_diagnosis_baseline_matches() {
     });
     let baseline = DiagnosisReport::from_json_text(&text).expect("golden parses");
     report
-        .check_drift(&baseline, DIAGNOSE_DRIFT_TOLERANCE)
+        .check_drift(&baseline)
         .unwrap_or_else(|failures| panic!("diagnosis drifted from golden:\n{failures}"));
     assert_eq!(report.digest_hex(), baseline.digest_hex(), "digest must be bitwise-stable");
 }

@@ -288,40 +288,58 @@ fn golden_distrib_event_traces_match() {
     );
 }
 
-/// Every cluster replay reuses the worker model the capture built for its
-/// own 1M2G stage instead of rebuilding the graph: for each of the 14
-/// supported pairs at its smallest paper batch, that worker must equal,
-/// bit for bit, one built from a freshly constructed graph and the
-/// capture's own simulated iteration.
+/// Serve, elastic and scale derive their cluster worker from an untraced
+/// [`profile_workload`](tbd_profiler::profile_workload) instead of running
+/// a capture: for each of the 14 supported pairs at its smallest paper
+/// batch, unfused and fused f32, the worker the capture builds for its own
+/// 1M2G stage must equal, bit for bit, one built from a freshly constructed
+/// graph and an untraced profile at the same speed tier.
 #[test]
 fn capture_worker_matches_a_fresh_graph() {
     use tbd_core::{paper_batches, Suite};
     use tbd_distrib::DataParallelSim;
+    use tbd_frameworks::SpeedOptions;
+    use tbd_tensor::Precision;
 
-    let options = TraceOptions { functional: false, ..TraceOptions::default() };
-    for (kind, framework) in Suite::supported_pairs() {
-        let batch = paper_batches(kind)[0];
-        let point = format!("{} / {} b{batch}", kind.name(), framework.name());
-        let cap = capture(kind, framework, batch, &GpuSpec::quadro_p4000(), &options)
-            .unwrap_or_else(|e| panic!("{point}: {e}"));
-        let worker = cap.worker.as_ref().unwrap_or_else(|| panic!("{point}: no worker"));
-        let profile = cap.profile.as_ref().expect("a worker implies a profile");
-        let graph = kind.build_full(batch).expect("builds").graph;
-        let fresh = DataParallelSim::from_iteration(&graph, &profile.iteration, batch);
-        assert_eq!(worker.per_gpu_batch, fresh.per_gpu_batch, "{point}");
-        assert_eq!(
-            worker.compute_iter_s().to_bits(),
-            fresh.compute_iter_s().to_bits(),
-            "{point}: compute_iter_s"
-        );
-        let bits = |w: &DataParallelSim| -> Vec<(&'static str, u64, u64)> {
-            w.backward
-                .layers
-                .iter()
-                .map(|l| (l.label, l.bytes.to_bits(), l.finish_s.to_bits()))
-                .collect()
+    let gpu = GpuSpec::quadro_p4000();
+    for speed in [SpeedOptions::default(), SpeedOptions::fused(Precision::F32)] {
+        let options = TraceOptions {
+            functional: false,
+            fuse: speed.fuse,
+            precision: speed.precision,
+            ..TraceOptions::default()
         };
-        assert!(!worker.backward.layers.is_empty(), "{point}: no layers");
-        assert_eq!(bits(worker), bits(&fresh), "{point}: layers");
+        for (kind, framework) in Suite::supported_pairs() {
+            let batch = paper_batches(kind)[0];
+            let (model_name, fw_name) = (kind.name(), framework.name());
+            let point = format!("{model_name} / {fw_name} b{batch} fuse={}", speed.fuse);
+            let cap = capture(kind, framework, batch, &gpu, &options)
+                .unwrap_or_else(|e| panic!("{point}: {e}"));
+            let worker = cap.worker.as_ref().unwrap_or_else(|| panic!("{point}: no worker"));
+            let model = kind.build_full(batch).expect("builds");
+            let profile = tbd_profiler::profile_workload(kind, framework, &model, &gpu, speed, None)
+                .unwrap_or_else(|e| panic!("{point}: {e}"));
+            let fresh = DataParallelSim::from_iteration(&model.graph, &profile.iteration, batch);
+            assert_eq!(worker.per_gpu_batch, fresh.per_gpu_batch, "{point}");
+            assert_eq!(
+                worker.compute_iter_s().to_bits(),
+                fresh.compute_iter_s().to_bits(),
+                "{point}: compute_iter_s"
+            );
+            assert_eq!(
+                worker.gradient_bytes().to_bits(),
+                fresh.gradient_bytes().to_bits(),
+                "{point}: gradient_bytes"
+            );
+            let bits = |w: &DataParallelSim| -> Vec<(&'static str, u64, u64)> {
+                w.backward
+                    .layers
+                    .iter()
+                    .map(|l| (l.label, l.bytes.to_bits(), l.finish_s.to_bits()))
+                    .collect()
+            };
+            assert!(!worker.backward.layers.is_empty(), "{point}: no layers");
+            assert_eq!(bits(worker), bits(&fresh), "{point}: layers");
+        }
     }
 }

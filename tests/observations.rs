@@ -78,8 +78,8 @@ fn obs4_gpu_utilization_rises_with_batch() {
     let suite = suite();
     let low = suite.run(ModelKind::ResNet50, Framework::mxnet(), 4).unwrap();
     let high = suite.run(ModelKind::ResNet50, Framework::mxnet(), 32).unwrap();
-    assert!(high.gpu_utilization > low.gpu_utilization);
-    assert!(high.gpu_utilization > 0.95, "large-batch CNNs run ~95 %+");
+    assert!(high.iteration.gpu_utilization > low.iteration.gpu_utilization);
+    assert!(high.iteration.gpu_utilization > 0.95, "large-batch CNNs run ~95 %+");
 }
 
 /// Observation 5: LSTM-based models cannot drive GPU utilisation up even at
@@ -90,15 +90,15 @@ fn obs5_lstm_models_starve_the_gpu() {
     let cnn = suite.run(ModelKind::ResNet50, Framework::mxnet(), 32).unwrap();
     let sockeye = suite.run(ModelKind::Seq2Seq, Framework::mxnet(), 64).unwrap();
     assert!(
-        sockeye.gpu_utilization < cnn.gpu_utilization - 0.1,
+        sockeye.iteration.gpu_utilization < cnn.iteration.gpu_utilization - 0.1,
         "sockeye {} vs cnn {}",
-        sockeye.gpu_utilization,
-        cnn.gpu_utilization
+        sockeye.iteration.gpu_utilization,
+        cnn.iteration.gpu_utilization
     );
     // The non-RNN translator does not suffer: the problem is the layer
     // type, not the application.
     let transformer = suite.run(ModelKind::Transformer, Framework::tensorflow(), 2048).unwrap();
-    assert!(transformer.gpu_utilization > sockeye.gpu_utilization);
+    assert!(transformer.iteration.gpu_utilization > sockeye.iteration.gpu_utilization);
 }
 
 /// Observations 6–7: FP32 utilisation rises with batch and stays far lower
@@ -108,13 +108,13 @@ fn obs6_obs7_fp32_utilization() {
     let suite = suite();
     let low = suite.run(ModelKind::ResNet50, Framework::mxnet(), 4).unwrap();
     let high = suite.run(ModelKind::ResNet50, Framework::mxnet(), 32).unwrap();
-    assert!(high.fp32_utilization > low.fp32_utilization, "obs 6");
+    assert!(high.iteration.fp32_utilization > low.iteration.fp32_utilization, "obs 6");
     let nmt = suite.run(ModelKind::Seq2Seq, Framework::tensorflow(), 128).unwrap();
     assert!(
-        nmt.fp32_utilization < high.fp32_utilization / 2.0,
+        nmt.iteration.fp32_utilization < high.iteration.fp32_utilization / 2.0,
         "obs 7 / obs 1: RNN FP32 2-3x lower ({} vs {})",
-        nmt.fp32_utilization,
-        high.fp32_utilization
+        nmt.iteration.fp32_utilization,
+        high.iteration.fp32_utilization
     );
 }
 
@@ -125,7 +125,7 @@ fn obs8_low_utilization_kernels_exist() {
     let suite = suite();
     for framework in [Framework::tensorflow(), Framework::mxnet()] {
         let m = suite.run(ModelKind::ResNet50, framework, 32).unwrap();
-        let table = kernel_table(&m.profile.iteration.records, framework, 5);
+        let table = kernel_table(&m.iteration.records, framework, 5);
         assert!(table.len() >= 3, "at least 3 offending kernels");
         let names: Vec<&str> = table.iter().map(|r| r.name.as_str()).collect();
         assert!(
@@ -133,7 +133,7 @@ fn obs8_low_utilization_kernels_exist() {
             "batch-norm kernels top the table: {names:?}"
         );
         for row in &table {
-            assert!(row.duration_share > 0.0 && row.fp32_utilization < m.fp32_utilization);
+            assert!(row.duration_share > 0.0 && row.fp32_utilization < m.iteration.fp32_utilization);
         }
     }
 }
@@ -156,11 +156,11 @@ fn obs9_cpu_utilization_is_low() {
         };
         let m = suite.run(kind, framework, batch).unwrap();
         if kind == ModelKind::A3c {
-            a3c_util = m.cpu_utilization;
+            a3c_util = m.iteration.cpu_utilization;
         } else {
-            others_max = others_max.max(m.cpu_utilization);
+            others_max = others_max.max(m.iteration.cpu_utilization);
         }
-        assert!(m.cpu_utilization < 0.35, "{}: {}", kind.name(), m.cpu_utilization);
+        assert!(m.iteration.cpu_utilization < 0.35, "{}: {}", kind.name(), m.iteration.cpu_utilization);
     }
     assert!(others_max < 0.16, "all non-A3C near or under 15 %: {others_max}");
     assert!(a3c_util > others_max, "A3C is the CPU-heavy outlier");
@@ -180,8 +180,8 @@ fn obs10_titan_xp_faster_but_less_utilized() {
         let slow = p4000.run(kind, framework, batch).unwrap();
         let fast = xp.run(kind, framework, batch).unwrap();
         assert!(fast.throughput > slow.throughput, "{}", kind.name());
-        assert!(fast.fp32_utilization < slow.fp32_utilization, "{}", kind.name());
-        assert!(fast.gpu_utilization <= slow.gpu_utilization + 1e-9, "{}", kind.name());
+        assert!(fast.iteration.fp32_utilization < slow.iteration.fp32_utilization, "{}", kind.name());
+        assert!(fast.iteration.gpu_utilization <= slow.iteration.gpu_utilization + 1e-9, "{}", kind.name());
     }
 }
 
@@ -240,7 +240,7 @@ fn obs13_network_bandwidth_gates_distributed_scaling() {
     let suite = suite();
     let single = suite.run(ModelKind::ResNet50, Framework::mxnet(), 16).unwrap();
     let model = ModelKind::ResNet50.build_full(16).unwrap();
-    let sim = DataParallelSim::from_iteration(&model.graph, &single.profile.iteration, 16);
+    let sim = DataParallelSim::from_iteration(&model.graph, &single.iteration, 16);
     let run = |cluster: ClusterConfig| {
         sim.simulate_events(&cluster, &EventConfig::default(), None).profile
     };

@@ -21,13 +21,13 @@ fn fig5_rnn_gpu_utilization_below_cnn() {
     let cnn = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).expect("resnet runs");
     let rnn = suite.run(ModelKind::Seq2Seq, Framework::mxnet(), batch).expect("seq2seq runs");
     assert!(
-        rnn.gpu_utilization < cnn.gpu_utilization,
+        rnn.iteration.gpu_utilization < cnn.iteration.gpu_utilization,
         "Seq2Seq GPU utilisation ({:.1}%) must sit below ResNet-50's ({:.1}%) at batch {batch}",
-        100.0 * rnn.gpu_utilization,
-        100.0 * cnn.gpu_utilization
+        100.0 * rnn.iteration.gpu_utilization,
+        100.0 * cnn.iteration.gpu_utilization
     );
     // Same ordering for FP32 utilisation (Fig. 6 shape).
-    assert!(rnn.fp32_utilization < cnn.fp32_utilization);
+    assert!(rnn.iteration.fp32_utilization < cnn.iteration.fp32_utilization);
 }
 
 /// Fig. 9: feature maps are the dominant memory category for CNNs — more
@@ -67,7 +67,7 @@ fn fig10_ethernet_hurts_and_infiniband_recovers() {
     let batch = 16;
     let m = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).expect("resnet runs");
     let model = ModelKind::ResNet50.build_full(batch).expect("builds");
-    let sim = DataParallelSim::from_iteration(&model.graph, &m.profile.iteration, batch);
+    let sim = DataParallelSim::from_iteration(&model.graph, &m.iteration, batch);
     let run = |cluster: ClusterConfig| {
         sim.simulate_events(&cluster, &EventConfig::default(), None).profile
     };

@@ -208,7 +208,7 @@ mod suite_properties {
             let b = suite.run(ModelKind::A3c, fw, small * factor).unwrap();
             prop_assert!(b.throughput >= a.throughput * 0.99);
             prop_assert!(b.memory.total() >= a.memory.total());
-            prop_assert!(b.gpu_utilization <= 1.0 && b.fp32_utilization <= 1.0);
+            prop_assert!(b.iteration.gpu_utilization <= 1.0 && b.iteration.fp32_utilization <= 1.0);
         }
 
         /// Devices order consistently: Titan Xp is never slower than the

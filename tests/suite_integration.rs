@@ -31,9 +31,9 @@ fn every_supported_pair_profiles_at_its_smallest_batch() {
             panic!("{} on {} b{batch}: {e}", kind.name(), framework.name())
         });
         assert!(metrics.throughput > 0.0);
-        assert!(metrics.gpu_utilization > 0.0 && metrics.gpu_utilization <= 1.0);
-        assert!(metrics.fp32_utilization > 0.0 && metrics.fp32_utilization <= 1.0);
-        assert!(!metrics.profile.iteration.records.is_empty());
+        assert!(metrics.iteration.gpu_utilization > 0.0 && metrics.iteration.gpu_utilization <= 1.0);
+        assert!(metrics.iteration.fp32_utilization > 0.0 && metrics.iteration.fp32_utilization <= 1.0);
+        assert!(!metrics.iteration.records.is_empty());
     }
 }
 
@@ -49,7 +49,7 @@ fn faster_rcnn_matches_paper_inline_numbers() {
             framework.name(),
             m.throughput
         );
-        assert!(m.gpu_utilization > 0.75, "{}: {}", framework.name(), m.gpu_utilization);
+        assert!(m.iteration.gpu_utilization > 0.75, "{}: {}", framework.name(), m.iteration.gpu_utilization);
     }
 }
 
