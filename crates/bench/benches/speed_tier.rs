@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tbd_core::{Framework, GpuSpec, ModelKind};
+use tbd_frameworks::SpeedOptions;
 use tbd_graph::Session;
 use tbd_profiler::trace::{build_tiny, synthetic_feeds};
 use tbd_profiler::{capture, TraceOptions};
@@ -35,7 +36,8 @@ fn bench_capture(c: &mut Criterion) {
         let id = format!("speed_tier/capture_resnet50_b4/{}", tier_label(fuse));
         c.bench_function(&id, |b| {
             tbd_tensor::arena::set_enabled(fuse);
-            let options = TraceOptions { fuse, ..TraceOptions::default() };
+            let speed = SpeedOptions { fuse, ..SpeedOptions::default() };
+            let options = TraceOptions { speed, ..TraceOptions::default() };
             b.iter(|| {
                 capture(ModelKind::ResNet50, Framework::tensorflow(), 4, &gpu, &options)
                     .expect("reference capture succeeds")

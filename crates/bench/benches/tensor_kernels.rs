@@ -113,7 +113,7 @@ fn bench_lowering(c: &mut Criterion) {
     use tbd_models::resnet::ResNetConfig;
     c.bench_function("lower_resnet50_iteration", |bench| {
         let model = ResNetConfig::resnet50().build(16).unwrap();
-        bench.iter(|| tbd_graph::lower::lower_training_iteration(black_box(&model.graph)))
+        bench.iter(|| tbd_graph::lower::lower_training_iteration(black_box(&model.graph), None))
     });
 }
 

@@ -30,7 +30,9 @@ use tbd_core::{
     kernel_table, paper_batches, Framework, GpuSpec, MemoryCategory, ModelKind, Suite,
     WorkloadProfile,
 };
+use tbd_frameworks::SpeedOptions;
 use tbd_profiler::json::{self, Codec};
+use tbd_profiler::{observe, TraceOptions};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -361,14 +363,24 @@ impl<'a> Opts<'a> {
         })
     }
 
-    /// The shared speed-tier flags: fusion on unless `--no-fuse`, and
-    /// `--precision` (default f32).
-    fn speed(&self) -> Result<(bool, tbd_tensor::Precision), String> {
+    /// The capture configuration of `--threads`, `--fuse`, `--no-fuse`
+    /// and `--precision`, over [`TraceOptions::default`]: fusion stays on
+    /// unless `--no-fuse`, and `--fuse` together with `--no-fuse` is an
+    /// error. A grammar without `--threads` keeps the default thread cap.
+    fn capture(&self) -> Result<TraceOptions, String> {
+        if self.has("--fuse") && self.has("--no-fuse") {
+            return Err("--fuse and --no-fuse contradict each other; pass one".to_string());
+        }
+        let defaults = TraceOptions::default();
         let precision = match self.value("--precision") {
             Some(name) => name.parse()?,
-            None => tbd_tensor::Precision::F32,
+            None => defaults.speed.precision,
         };
-        Ok((!self.has("--no-fuse"), precision))
+        Ok(TraceOptions {
+            intra_op_threads: self.int("--threads", defaults.intra_op_threads)?,
+            speed: SpeedOptions { fuse: !self.has("--no-fuse"), precision },
+            ..defaults
+        })
     }
 
     /// Writes `rendered` to `--out`, noting `wrote(path)` on stderr, or
@@ -726,7 +738,6 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
     use tbd_core::{run_diagnose, DiagnoseOptions, FaultPreset};
     let opts = DIAGNOSE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let (fuse, precision) = opts.speed()?;
     let defaults = DiagnoseOptions::default();
     let diagnose = DiagnoseOptions {
         cluster: opts.value("--cluster").map(str::to_string),
@@ -734,9 +745,7 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
         seed: opts.int("--seed", defaults.seed)?,
         faults: FaultPreset::parse(opts.value("--faults").unwrap_or("none"))?,
         steps: opts.steps(defaults.steps)?,
-        intra_op_threads: opts.int("--threads", defaults.intra_op_threads)?,
-        fuse,
-        precision,
+        capture: opts.capture()?,
     };
     let gpu = opts.gpu()?;
     let format = opts.choice("--format")?;
@@ -820,13 +829,7 @@ fn metrics_to_json(kind: ModelKind, fw: Framework, gpu: &GpuSpec, p: &WorkloadPr
 fn cmd_trace(args: &[&str]) -> Result<(), String> {
     let opts = TRACE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let (fuse, precision) = opts.speed()?;
-    let options = tbd_profiler::TraceOptions {
-        intra_op_threads: opts.int("--threads", 1)?,
-        fuse,
-        precision,
-        ..Default::default()
-    };
+    let options = opts.capture()?;
     let gpu = opts.gpu()?;
     let cap = tbd_profiler::capture(model, framework, batch, &gpu, &options)
         .map_err(|e| e.to_string())?;
@@ -858,15 +861,11 @@ fn cmd_trace(args: &[&str]) -> Result<(), String> {
 /// rendering here is byte-identical to what the live server answers on
 /// `GET /metrics` for the same configuration.
 fn cmd_metrics(args: &[&str]) -> Result<(), String> {
-    use tbd_profiler::{observe, TraceOptions};
     let opts = METRICS.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let threads = opts.int("--threads", 1)?;
-    let (fuse, precision) = opts.speed()?;
+    let options = opts.capture()?;
     let format = opts.choice("--format")?;
     let gpu = opts.gpu()?;
-    let options =
-        TraceOptions { intra_op_threads: threads, fuse, precision, ..TraceOptions::default() };
     let obs = observe(model, framework, batch, &gpu, &options, None).map_err(|e| e.to_string())?;
     if let Some(oom) = &obs.capture.oom {
         eprintln!("note: paper-scale iteration hit OOM ({oom}); metrics cover the partial trace");
@@ -886,23 +885,16 @@ fn cmd_metrics(args: &[&str]) -> Result<(), String> {
 /// (Chrome trace) and `/report` (self-contained HTML).
 fn cmd_watch(args: &[&str]) -> Result<(), String> {
     use std::time::Duration;
-    use tbd_profiler::{LiveServer, TraceOptions, WatchConfig};
+    use tbd_profiler::{LiveServer, WatchConfig};
     let opts = WATCH.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
     let port: u64 = opts.int("--port", 9898)?;
     let steps = opts.int("--steps", 0)?;
     let interval_ms = opts.int("--interval-ms", 1000)?;
-    let threads = opts.int("--threads", 1)?;
     let retain_cap = opts.has("--retain-cap").then(|| opts.int("--retain-cap", 0)).transpose()?;
-    let (fuse, precision) = opts.speed()?;
     let gpu = opts.gpu()?;
     let config = WatchConfig {
-        options: TraceOptions {
-            intra_op_threads: threads,
-            fuse,
-            precision,
-            ..TraceOptions::default()
-        },
+        options: opts.capture()?,
         max_captures: steps,
         interval: Duration::from_millis(interval_ms),
         retain_cap,
@@ -1027,22 +1019,21 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
 /// run report (inline CSS/JS/SVG, no external references) and optionally
 /// pin its deterministic digest against a golden baseline file.
 fn cmd_report(args: &[&str]) -> Result<(), String> {
-    use tbd_core::report::{parse_digest_file, run_report, ReportOptions};
     use tbd_core::trajectory::iso_date_today;
+    use tbd_profiler::{live::render_report, parse_digest_file};
     let opts = REPORT.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let threads = opts.int("--threads", 1)?;
-    let (fuse, precision) = opts.speed()?;
+    let options = opts.capture()?;
     let gpu = opts.gpu()?;
     // The timestamp is display-only: the digest is computed over the
     // timestamp-free render, so `--timestamp` never perturbs `--check`.
     let timestamp =
         opts.value("--timestamp").map(str::to_string).unwrap_or_else(iso_date_today);
-    let report_opts = ReportOptions { intra_op_threads: threads, fuse, precision, timestamp };
-    let out = run_report(model, framework, batch, &gpu, &report_opts)?;
-    if let Some(oom) = &out.oom {
+    let obs = observe(model, framework, batch, &gpu, &options, None).map_err(|e| e.to_string())?;
+    if let Some(oom) = &obs.capture.oom {
         eprintln!("note: paper-scale iteration hit OOM ({oom}); report covers the partial trace");
     }
+    let out = render_report(&obs, &timestamp);
     opts.emit(&out.html, |path| {
         format!(
             "wrote {} bytes to {path} — open in any browser (digest {})",
@@ -1073,17 +1064,18 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
     let opts = BENCH.parse(args)?;
     let gpu = opts.gpu()?;
     let matrix = opts.has("--matrix");
-    let (fuse, precision) = opts.speed()?;
+    let speed = opts.capture()?.speed;
     // An unusable `--out` fails here, not after the whole matrix has run.
     let dir = opts.value("--out").unwrap_or(".");
     std::fs::create_dir_all(dir).map_err(|e| format!("creating output directory {dir}: {e}"))?;
     eprintln!(
-        "benching {} on {} through the streaming aggregator ({}, {precision})...",
+        "benching {} on {} through the streaming aggregator ({}, {})...",
         if matrix { "the full supported matrix" } else { "the six golden pairs" },
         gpu.name,
-        if fuse { "fused" } else { "unfused" },
+        if speed.fuse { "fused" } else { "unfused" },
+        speed.precision,
     );
-    let report = BenchReport::run_with_speed(&gpu, matrix, iso_date_today(), fuse, precision)?;
+    let report = BenchReport::run(&gpu, matrix, iso_date_today(), speed)?;
     for entry in &report.entries {
         eprintln!(
             "  {:<28} {:>8.1}/s  GPU {:>5.1}%  dominant memory: {}",
@@ -1142,10 +1134,10 @@ fn cmd_dot(args: &[&str]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[&str]) -> Result<(), String> {
-    use tbd_profiler::{observe, TraceOptions};
     let opts = ANALYZE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+    let speed = SpeedOptions::default();
+    let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
     let obs = observe(model, framework, batch, &opts.gpu()?, &options, None)
         .map_err(|e| e.to_string())?;
     let (Some(profile), Some((start, end, sampled))) = (&obs.capture.profile, obs.stable_window())
@@ -1285,6 +1277,35 @@ mod tests {
         }
         let err = JSON.parse(&["resnet50", "mxnet", "0"]).unwrap().workload().unwrap_err();
         assert!(err.contains("'0'"), "{err}");
+        for grammar in [&TRACE, &METRICS, &WATCH, &REPORT, &DIAGNOSE, &BENCH] {
+            let model: &[&str] = if grammar.arity().0 > 0 { &["a3c"] } else { &[] };
+            for flags in [["--fuse", "--no-fuse"], ["--no-fuse", "--fuse"]] {
+                let opts = grammar.parse(&[model, &flags].concat()).unwrap();
+                let err = opts.capture().unwrap_err();
+                assert!(err.contains("contradict"), "{}: {err}", grammar.command());
+            }
+        }
+    }
+
+    #[test]
+    fn every_capturing_command_passes_its_capture_flags_through() {
+        use tbd_tensor::Precision;
+        let flags = ["--threads", "4", "--no-fuse", "--precision", "bf16"];
+        let speed = SpeedOptions { fuse: false, precision: Precision::Bf16 };
+        let flagged = TraceOptions { intra_op_threads: 4, speed, ..TraceOptions::default() };
+        for grammar in [&TRACE, &METRICS, &WATCH, &REPORT, &DIAGNOSE] {
+            let command = grammar.command();
+            let bare = grammar.parse(&["a3c"]).unwrap().capture().unwrap();
+            assert_eq!(bare, TraceOptions::default(), "{command}");
+            let opts = grammar.parse(&[&["a3c"], &flags[..]].concat()).unwrap();
+            assert_eq!(opts.capture().unwrap(), flagged, "{command}");
+            let opts = grammar.parse(&["a3c", "--fuse"]).unwrap();
+            assert_eq!(opts.capture().unwrap(), TraceOptions::default(), "{command}");
+        }
+        let bare = BENCH.parse(&[]).unwrap().capture().unwrap().speed;
+        assert_eq!(bare, TraceOptions::default().speed);
+        let opts = BENCH.parse(&flags[2..]).unwrap();
+        assert_eq!(opts.capture().unwrap().speed, speed);
     }
 
     #[test]

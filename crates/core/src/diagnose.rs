@@ -27,7 +27,6 @@ use tbd_graph::trace::{TraceLayer, TraceRecorder};
 use tbd_graph::ExecConfig;
 use tbd_models::ModelKind;
 use tbd_profiler::{capture, DiagnosisReport, TraceOptions};
-use tbd_tensor::Precision;
 use tbd_train::{DefaultPolicy, ResilienceConfig, ResilientTrainer, Sgd};
 
 use crate::chaos::{proxy_feeds, proxy_session, FaultPreset};
@@ -48,14 +47,11 @@ pub struct DiagnoseOptions {
     pub faults: FaultPreset,
     /// Logical steps of the chaos stage.
     pub steps: u64,
-    /// Intra-op thread cap for the functional stages. Never affects the
-    /// report digest: that invariance is pinned by the props tests.
-    pub intra_op_threads: usize,
-    /// Capture through the fused speed tier (the default capture path, so
-    /// the pinned diagnose baseline is a fused digest).
-    pub fuse: bool,
-    /// Kernel storage precision of the capture stage.
-    pub precision: Precision,
+    /// The base capture. Its intra-op thread cap also runs the chaos
+    /// stage and never affects the report digest (pinned by the props
+    /// tests); its default speed tier is fused f32, so the pinned
+    /// diagnose baseline is a fused digest.
+    pub capture: TraceOptions,
 }
 
 impl Default for DiagnoseOptions {
@@ -66,9 +62,7 @@ impl Default for DiagnoseOptions {
             seed: 7,
             faults: FaultPreset::None,
             steps: 40,
-            intra_op_threads: 1,
-            fuse: true,
-            precision: Precision::F32,
+            capture: TraceOptions::default(),
         }
     }
 }
@@ -125,13 +119,7 @@ pub fn run_diagnose(
     gpu: &GpuSpec,
     opts: &DiagnoseOptions,
 ) -> Result<DiagnosisReport, String> {
-    let trace_opts = TraceOptions {
-        intra_op_threads: opts.intra_op_threads,
-        fuse: opts.fuse,
-        precision: opts.precision,
-        ..TraceOptions::default()
-    };
-    let cap = capture(kind, framework, batch, gpu, &trace_opts).map_err(|e| e.to_string())?;
+    let cap = capture(kind, framework, batch, gpu, &opts.capture).map_err(|e| e.to_string())?;
     let mut events = cap.trace.events;
 
     if opts.cluster.is_some() || opts.stragglers {
@@ -161,8 +149,10 @@ pub fn run_diagnose(
     }
 
     if opts.faults != FaultPreset::None {
-        let exec =
-            ExecConfig { intra_op_threads: opts.intra_op_threads, inter_op_parallel: false };
+        let exec = ExecConfig {
+            intra_op_threads: opts.capture.intra_op_threads,
+            inter_op_parallel: false,
+        };
         let (session, x, t, loss) = proxy_session(opts.seed, exec);
         let feeds = proxy_feeds(opts.seed, x, t);
         let cfg = ResilienceConfig::with_faults(opts.faults.spec(opts.seed));
@@ -179,6 +169,7 @@ pub fn run_diagnose(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbd_tensor::Precision;
 
     #[test]
     fn cluster_labels_resolve_and_reject() {
@@ -205,11 +196,11 @@ mod tests {
     fn speed_tier_flags_reach_the_capture_stage() {
         // The unfused/f16 capture produces a different trace but the same
         // healthy verdict — the flags must not be silently ignored.
-        let opts = DiagnoseOptions {
-            fuse: false,
-            precision: Precision::F16,
-            ..DiagnoseOptions::default()
+        let capture = TraceOptions {
+            speed: tbd_frameworks::SpeedOptions { fuse: false, precision: Precision::F16 },
+            ..TraceOptions::default()
         };
+        let opts = DiagnoseOptions { capture, ..DiagnoseOptions::default() };
         let report = run_diagnose(
             ModelKind::A3c,
             Framework::mxnet(),

@@ -34,7 +34,6 @@ pub mod diagnose;
 pub mod elastic;
 pub mod loadgen;
 pub mod registry;
-pub mod report;
 pub mod scale;
 pub mod serve;
 pub mod suite;
@@ -48,7 +47,6 @@ pub use elastic::{
     ElasticEntry, ElasticReport, CHURN_RATE_LADDER, ELASTIC_SCHEMA_VERSION,
 };
 pub use registry::{table2, Table2Row};
-pub use report::{parse_digest_file, run_report, ReportOptions, ReportOutput};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenMode, LoadgenReport, LOADGEN_SCHEMA_VERSION};
 pub use scale::{ScaleEntry, ScaleReport, SCALE_SCHEMA_VERSION};
 pub use serve::{

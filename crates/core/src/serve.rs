@@ -113,10 +113,8 @@ pub struct ServeQuery {
     pub framework: Framework,
     /// Per-GPU mini-batch.
     pub batch: usize,
-    /// Graph-compiler fusion pass on/off.
-    pub fuse: bool,
-    /// Kernel storage precision.
-    pub precision: Precision,
+    /// Speed tier: graph-compiler fusion pass and kernel storage precision.
+    pub speed: SpeedOptions,
     /// Named grid point (`"2M1G ethernet"`, `"1M4G pcie"`, …).
     pub cluster: String,
     /// Straggler-injection seed; `None` simulates a healthy cluster.
@@ -132,8 +130,7 @@ impl ServeQuery {
             model: ModelKind::ResNet50,
             framework: Framework::mxnet(),
             batch: 4,
-            fuse: true,
-            precision: Precision::F32,
+            speed: SpeedOptions::fused(Precision::F32),
             cluster: "2M1G ethernet".to_string(),
             straggler_seed: None,
         }
@@ -143,12 +140,8 @@ impl ServeQuery {
     /// here; nothing else is.
     pub fn canonical(&self) -> String {
         format!(
-            "model={}&framework={}&batch={}&fuse={}&precision={}&cluster={}&stragglers={}",
-            self.model.name(),
-            self.framework.name(),
-            self.batch,
-            u8::from(self.fuse),
-            self.precision,
+            "{}&cluster={}&stragglers={}",
+            self.profile_key(),
             self.cluster,
             self.straggler_seed.map_or("none".to_string(), |s| s.to_string()),
         )
@@ -159,21 +152,24 @@ impl ServeQuery {
         fnv1a(self.canonical().as_bytes())
     }
 
-    /// Digest of the profile-cache key: the profile-determining subset
-    /// (model, framework, batch, fuse, precision). Queries differing only
-    /// in cluster or straggler seed share one cached worker model.
-    pub fn profile_digest(&self) -> u64 {
-        fnv1a(
-            format!(
-                "model={}&framework={}&batch={}&fuse={}&precision={}",
-                self.model.name(),
-                self.framework.name(),
-                self.batch,
-                u8::from(self.fuse),
-                self.precision,
-            )
-            .as_bytes(),
+    /// The profile-determining prefix of [`ServeQuery::canonical`]:
+    /// model, framework, batch and speed tier.
+    fn profile_key(&self) -> String {
+        format!(
+            "model={}&framework={}&batch={}&fuse={}&precision={}",
+            self.model.name(),
+            self.framework.name(),
+            self.batch,
+            u8::from(self.speed.fuse),
+            self.speed.precision,
         )
+    }
+
+    /// Digest of the profile-cache key (the `profile_key` prefix).
+    /// Queries differing only in cluster or straggler seed share one
+    /// cached worker model.
+    pub fn profile_digest(&self) -> u64 {
+        fnv1a(self.profile_key().as_bytes())
     }
 }
 
@@ -263,7 +259,8 @@ pub fn parse_query(query_string: &str) -> Result<ServeQuery, String> {
         Some(v) => Some(v.parse::<u64>().map_err(|_| format!("invalid straggler seed '{v}'"))?),
         None => None,
     };
-    Ok(ServeQuery { model, framework, batch, fuse, precision, cluster, straggler_seed })
+    let speed = SpeedOptions { fuse, precision };
+    Ok(ServeQuery { model, framework, batch, speed, cluster, straggler_seed })
 }
 
 /// A single-flight slot: the leader computes while followers wait on the
@@ -443,8 +440,7 @@ impl ServeEngine {
         self.profile_computes.fetch_add(1, Ordering::Relaxed);
         let (kind, batch, gpu) = (query.model, query.batch, &self.gpu);
         let model = kind.build_full(batch).map_err(|e| e.to_string())?;
-        let speed = SpeedOptions { fuse: query.fuse, precision: query.precision };
-        let profile = profile_workload(kind, query.framework, &model, gpu, speed, None)
+        let profile = profile_workload(kind, query.framework, &model, gpu, query.speed, None)
             .map_err(|_| format!("{} at batch {batch} does not fit {}", kind.name(), gpu.name))?;
         let worker = DataParallelSim::from_iteration(&model.graph, &profile.iteration, batch);
         let mut cache = self.profiles.lock().expect("profile cache lock");
@@ -474,8 +470,8 @@ impl ServeEngine {
         obj.insert("model".into(), Value::Str(query.model.name().to_string()));
         obj.insert("framework".into(), Value::Str(query.framework.name().to_string()));
         obj.insert("batch".into(), Value::Num(query.batch as f64));
-        obj.insert("fuse".into(), Value::Bool(query.fuse));
-        obj.insert("precision".into(), Value::Str(query.precision.to_string()));
+        obj.insert("fuse".into(), Value::Bool(query.speed.fuse));
+        obj.insert("precision".into(), Value::Str(query.speed.precision.to_string()));
         obj.insert("cluster".into(), Value::Str(entry.label));
         obj.insert("sync".into(), Value::Str(entry.sync));
         obj.insert(
@@ -620,8 +616,8 @@ mod tests {
         assert_eq!(q.model, ModelKind::Seq2Seq);
         assert_eq!(q.framework.name(), "TensorFlow");
         assert_eq!(q.batch, 16);
-        assert!(!q.fuse);
-        assert_eq!(q.precision, Precision::F16);
+        assert!(!q.speed.fuse);
+        assert_eq!(q.speed.precision, Precision::F16);
         assert_eq!(q.cluster, "4M4G infiniband");
         assert_eq!(q.straggler_seed, Some(7));
         assert!(parse_query("").is_err(), "model is required");
@@ -630,7 +626,7 @@ mod tests {
         assert!(err.starts_with("invalid batch '0'"), "{err}");
         for (value, fuse) in [("1", true), ("on", true), ("yes", true), ("false", false), ("off", false)] {
             let q = parse_query(&format!("model=resnet50&fuse={value}")).expect("parses");
-            assert_eq!(q.fuse, fuse, "fuse={value}");
+            assert_eq!(q.speed.fuse, fuse, "fuse={value}");
         }
         for value in ["", "2", "maybe", "TRUE"] {
             let err = parse_query(&format!("model=resnet50&fuse={value}")).unwrap_err();
@@ -646,7 +642,7 @@ mod tests {
         assert_ne!(a.digest(), b.digest(), "different clusters, different results");
         assert_eq!(a.profile_digest(), b.profile_digest(), "same profile feeds both");
         let mut c = a.clone();
-        c.precision = Precision::F16;
+        c.speed.precision = Precision::F16;
         assert_ne!(a.profile_digest(), c.profile_digest());
     }
 

@@ -11,13 +11,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::{GpuSpec, MemoryCategory};
 use tbd_models::ModelKind;
 use tbd_profiler::json;
 use tbd_profiler::trace::{fnv1a, TraceRecorder};
 use tbd_profiler::{capture_into, sampled_throughput, SamplingConfig, StreamingAggregator, TraceOptions};
-use tbd_tensor::Precision;
 
 use crate::scale::{ScaleEntry, ScaleReport};
 use crate::suite::{paper_batches, Suite};
@@ -225,37 +224,26 @@ impl BenchReport {
     /// supported model×framework pair at its largest feasible paper batch
     /// (the figures' representative operating point — where the Fig. 9
     /// feature-map dominance shows; smaller batches are retried on OOM,
-    /// as the paper's sweeps do).
+    /// as the paper's sweeps do). Every capture runs at `speed`; the
+    /// pinned baseline is benched at `SpeedOptions::fused(Precision::F32)`,
+    /// the default capture's speed tier.
     ///
     /// # Errors
     ///
     /// Returns an error when a capture fails structurally (model-zoo bug)
     /// or no paper batch fits the device at all.
-    pub fn run(gpu: &GpuSpec, matrix: bool, date: String) -> Result<BenchReport, String> {
-        BenchReport::run_with_speed(gpu, matrix, date, true, Precision::F32)
-    }
-
-    /// [`BenchReport::run`] with explicit speed-tier knobs: `fuse` toggles
-    /// the graph-compiler fusion pass, `precision` selects the roofline
-    /// storage width. The defaults (`true`, [`Precision::F32`]) are what
-    /// [`BenchReport::run`] and the pinned baseline use.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`BenchReport::run`].
-    pub fn run_with_speed(
+    pub fn run(
         gpu: &GpuSpec,
         matrix: bool,
         date: String,
-        fuse: bool,
-        precision: Precision,
+        speed: SpeedOptions,
     ) -> Result<BenchReport, String> {
         let mut entries = Vec::new();
         if matrix {
             for (kind, framework) in Suite::supported_pairs() {
                 let mut benched = None;
                 for &batch in paper_batches(kind).iter().rev() {
-                    match bench_one(kind, framework, batch, gpu, fuse, precision)? {
+                    match bench_one(kind, framework, batch, gpu, speed)? {
                         Some(entry) => {
                             benched = Some(entry);
                             break;
@@ -274,7 +262,7 @@ impl BenchReport {
                     "mxnet" => Framework::mxnet(),
                     _ => unreachable!("golden frameworks"),
                 };
-                let entry = bench_one(kind, framework, GOLDEN_BATCH, gpu, fuse, precision)?
+                let entry = bench_one(kind, framework, GOLDEN_BATCH, gpu, speed)?
                     .ok_or_else(|| {
                     format!("{}/{fw} b{GOLDEN_BATCH}: unexpected OOM", kind.name())
                 })?;
@@ -382,7 +370,8 @@ fn measure_speed_tier(gpu: &GpuSpec) -> Result<SpeedTier, String> {
         tbd_tensor::arena::set_enabled(fuse);
         let mut walls = Vec::with_capacity(REPS);
         for rep in 0..=REPS {
-            let options = TraceOptions { fuse, ..TraceOptions::default() };
+            let speed = SpeedOptions { fuse, ..SpeedOptions::default() };
+            let options = TraceOptions { speed, ..TraceOptions::default() };
             let recorder = TraceRecorder::shared();
             let cap = capture_into(kind, framework, GOLDEN_BATCH, gpu, &options, &recorder)
                 .map_err(|e| e.to_string())?;
@@ -416,12 +405,11 @@ fn bench_one(
     framework: Framework,
     batch: usize,
     gpu: &GpuSpec,
-    fuse: bool,
-    precision: Precision,
+    speed: SpeedOptions,
 ) -> Result<Option<BenchEntry>, String> {
     let agg = StreamingAggregator::shared();
     let recorder = TraceRecorder::shared_with_sink(agg.clone());
-    let options = TraceOptions { functional: false, fuse, precision, ..TraceOptions::default() };
+    let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
     let cap = capture_into(kind, framework, batch, gpu, &options, &recorder)
         .map_err(|e| e.to_string())?;
     if cap.oom.is_some() {
@@ -492,6 +480,7 @@ pub fn iso_date_today() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbd_tensor::Precision;
 
     #[test]
     fn iso_date_is_well_formed() {
@@ -572,9 +561,9 @@ mod tests {
     #[test]
     fn report_json_round_trips() {
         let gpu = GpuSpec::quadro_p4000();
-        let entry = bench_one(ModelKind::A3c, Framework::mxnet(), 8, &gpu, true, Precision::F32)
-            .unwrap()
-            .expect("fits");
+        let speed = SpeedOptions::fused(Precision::F32);
+        let entry =
+            bench_one(ModelKind::A3c, Framework::mxnet(), 8, &gpu, speed).unwrap().expect("fits");
         let report = BenchReport {
             schema_version: BENCH_SCHEMA_VERSION,
             date: "2026-08-05".into(),

@@ -24,6 +24,7 @@ use std::time::Duration;
 
 use tbd_core::serve::ServeQuery;
 use tbd_core::{Framework, GpuSpec, ModelKind, ScaleReport, ServeConfig, ServeEngine, ServeServer};
+use tbd_frameworks::SpeedOptions;
 use tbd_profiler::json::{self, Value};
 
 /// One whole HTTP exchange: send `GET <path>`, read to EOF, return the
@@ -84,7 +85,7 @@ fn unfused_queries_equal_the_scale_sweep_entries_bit_for_bit() {
         for entry in &report.entries {
             let query = ServeQuery {
                 batch: 16,
-                fuse: false,
+                speed: SpeedOptions::default(),
                 cluster: entry.label.clone(),
                 straggler_seed: seed,
                 ..ServeQuery::golden()

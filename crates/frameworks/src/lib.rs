@@ -36,8 +36,7 @@ pub mod fusion;
 
 use std::sync::Arc;
 use tbd_graph::lower::{
-    lower_training_iteration, lower_training_iteration_fused, memory_footprint,
-    optimizer_update_kernels, LoweredKernel,
+    lower_training_iteration, memory_footprint, optimizer_update_kernels, LoweredKernel,
 };
 use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 use tbd_graph::{FusionPlan, KernelClass};
@@ -156,8 +155,10 @@ impl WorkloadHints {
     }
 }
 
-/// Speed-tier knobs threaded from `tbd trace` / `tbd bench`: kernel fusion
-/// in the lowering pass and reduced-precision storage in the roofline.
+/// Speed-tier knobs: kernel fusion in the lowering pass and
+/// reduced-precision storage in the roofline. The one value that carries
+/// the pair, from the CLI's capture flags and serve's `fuse`/`precision`
+/// query parameters down to [`Framework::profile`].
 ///
 /// The default (`fuse: false`, [`Precision::F32`]) reproduces the paper's
 /// baseline configuration bit-for-bit, so every pinned profile
@@ -376,12 +377,8 @@ impl Framework {
     /// kernels (fewer launches, interior traffic dropped).
     pub fn plan_with(&self, model: &BuiltModel, speed: SpeedOptions) -> Vec<LoweredKernel> {
         let (f, b) = self.optimizer_cost();
-        let mut kernels = if speed.fuse {
-            let plan = FusionPlan::analyze(&model.graph);
-            lower_training_iteration_fused(&model.graph, Some(&plan))
-        } else {
-            lower_training_iteration(&model.graph)
-        };
+        let plan = speed.fuse.then(|| FusionPlan::analyze(&model.graph));
+        let mut kernels = lower_training_iteration(&model.graph, plan.as_ref());
         kernels.extend(optimizer_update_kernels(&model.graph, f, b));
         kernels
     }

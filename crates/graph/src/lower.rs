@@ -23,16 +23,12 @@ pub struct LoweredKernel {
 }
 
 /// Lowers one training iteration (forward + backward over every node that
-/// requires gradients) into an ordered kernel stream.
+/// requires gradients) into an ordered kernel stream, with an optional
+/// [`FusionPlan`] applied (`None` lowers every node on its own).
 ///
 /// Weight-update kernels are *not* included — optimizers differ per
 /// framework and are appended by the caller (see
 /// [`optimizer_update_kernels`]).
-pub fn lower_training_iteration(graph: &Graph) -> Vec<LoweredKernel> {
-    lower_training_iteration_fused(graph, None)
-}
-
-/// Lowers one training iteration with an optional [`FusionPlan`] applied.
 ///
 /// The plan fuses the backward pass symmetrically to the forward pass: a
 /// group's epilogue tail (every member except a contraction root)
@@ -41,10 +37,7 @@ pub fn lower_training_iteration(graph: &Graph) -> Vec<LoweredKernel> {
 /// root keeps its own dgrad/wgrad kernels, exactly as cuDNN keeps
 /// convolution backward-data/-filter launches separate from the fused
 /// `bn+relu` backward epilogue.
-pub fn lower_training_iteration_fused(
-    graph: &Graph,
-    plan: Option<&FusionPlan>,
-) -> Vec<LoweredKernel> {
+pub fn lower_training_iteration(graph: &Graph, plan: Option<&FusionPlan>) -> Vec<LoweredKernel> {
     let needs = graph.requires_grad();
     let mut stream = Vec::new();
     forward_stream_into(graph, plan, &mut stream);
@@ -130,23 +123,19 @@ fn fused_backward_spec(graph: &Graph, tail: &[NodeId], needs: &[bool]) -> Option
     Some(KernelSpec::new(class, flops, bytes, name).with_workspace(workspace))
 }
 
-/// Lowers only the forward pass (inference-style execution).
-pub fn lower_forward(graph: &Graph) -> Vec<LoweredKernel> {
-    lower_forward_fused(graph, None)
-}
-
-/// Lowers only the forward pass with an optional [`FusionPlan`] applied.
-pub fn lower_forward_fused(graph: &Graph, plan: Option<&FusionPlan>) -> Vec<LoweredKernel> {
+/// Lowers only the forward pass (inference-style execution), with an
+/// optional [`FusionPlan`] applied.
+pub fn lower_forward(graph: &Graph, plan: Option<&FusionPlan>) -> Vec<LoweredKernel> {
     let mut stream = Vec::new();
     forward_stream_into(graph, plan, &mut stream);
     stream
 }
 
 /// The single forward kernel-emission path shared by
-/// [`lower_training_iteration`] and [`lower_forward`] (and their fused
-/// variants), so forward lowering cannot diverge between the two: the
-/// forward prefix of a training stream always equals the forward-only
-/// stream for the same plan.
+/// [`lower_training_iteration`] and [`lower_forward`], so forward
+/// lowering cannot diverge between the two: the forward prefix of a
+/// training stream always equals the forward-only stream for the same
+/// plan.
 fn forward_stream_into(graph: &Graph, plan: Option<&FusionPlan>, stream: &mut Vec<LoweredKernel>) {
     for i in 0..graph.len() {
         let id = NodeId(i);
@@ -613,7 +602,7 @@ mod tests {
     #[test]
     fn matmul_flops_are_2mkn() {
         let (graph, _) = mlp();
-        let stream = lower_training_iteration(&graph);
+        let stream = lower_training_iteration(&graph, None);
         let gemm: Vec<_> =
             stream.iter().filter(|k| k.spec.class == KernelClass::Gemm).collect();
         // One forward GEMM, one backward (only the weight needs grad: the
@@ -641,7 +630,7 @@ mod tests {
     #[test]
     fn backward_stream_is_reverse_topological() {
         let (graph, _) = mlp();
-        let stream = lower_training_iteration(&graph);
+        let stream = lower_training_iteration(&graph, None);
         let bwd: Vec<_> =
             stream.iter().filter(|k| k.phase == Phase::Backward).map(|k| k.node).collect();
         for w in bwd.windows(2) {
@@ -658,7 +647,7 @@ mod tests {
         let s = g.sum_all(y).unwrap();
         let _ = s;
         let graph = g.finish();
-        let stream = lower_training_iteration(&graph);
+        let stream = lower_training_iteration(&graph, None);
         let conv_fwd = stream.iter().find(|k| k.spec.class == KernelClass::ConvForward).unwrap();
         assert_eq!(conv_fwd.spec.flops, 2.0 * 2.0 * 4.0 * 8.0 * 8.0 * 3.0 * 3.0 * 3.0);
         assert!(conv_fwd.spec.workspace_bytes > 0);
@@ -709,8 +698,8 @@ mod tests {
         for graph in &graphs {
             let plan = FusionPlan::analyze(graph);
             for plan in [None, Some(&plan)] {
-                let fwd = lower_forward_fused(graph, plan);
-                let full = lower_training_iteration_fused(graph, plan);
+                let fwd = lower_forward(graph, plan);
+                let full = lower_training_iteration(graph, plan);
                 assert!(fwd.len() <= full.len());
                 assert_eq!(&full[..fwd.len()], &fwd[..], "forward prefix diverged");
                 assert!(full[fwd.len()..].iter().all(|k| k.phase == Phase::Backward));
@@ -731,8 +720,8 @@ mod tests {
         let _ = g.sum_all(r).unwrap();
         let graph = g.finish();
         let plan = FusionPlan::analyze(&graph);
-        let unfused = lower_forward(&graph);
-        let fused = lower_forward_fused(&graph, Some(&plan));
+        let unfused = lower_forward(&graph, None);
+        let fused = lower_forward(&graph, Some(&plan));
         assert_eq!(unfused.len() - fused.len(), plan.launches_eliminated());
         let flops = |s: &[LoweredKernel]| s.iter().map(|k| k.spec.flops).sum::<f64>();
         assert_eq!(flops(&unfused), flops(&fused), "fusion must not change arithmetic");
@@ -748,7 +737,7 @@ mod tests {
         let r = g.reshape(x, [3, 4]).unwrap();
         let _ = g.sum_all(r).unwrap();
         let graph = g.finish();
-        let stream = lower_forward(&graph);
+        let stream = lower_forward(&graph, None);
         assert!(stream.iter().all(|k| k.node != r));
     }
 }

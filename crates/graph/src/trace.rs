@@ -24,7 +24,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -1146,15 +1145,15 @@ impl EventWriter<'_> {
     }
 }
 
-/// A live consumer of trace events, attached to a [`TraceRecorder`] via
-/// [`TraceRecorder::set_sink`].
+/// A live consumer of trace events, attached to a [`TraceRecorder`] at
+/// construction ([`TraceRecorder::shared_with_sink`]).
 ///
 /// Sinks observe every recorded event *online*, batch by batch, in exactly
 /// the order the recorder stores them — the contract that lets a streaming
 /// aggregator (`tbd-profiler::agg`) fold an unbounded event stream into
 /// bounded-memory metrics while the run is still executing, instead of
 /// draining the whole trace afterwards. `consume` is called with the
-/// recorder's event lock held so ordering is serialised; implementations
+/// recorder's lock held so ordering is serialised; implementations
 /// must be fast, must not panic, and must never call back into the
 /// recorder.
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
@@ -1224,61 +1223,22 @@ impl RecorderOverhead {
     }
 }
 
-#[derive(Debug, Default)]
-struct OverheadCells {
-    events_by_layer: [AtomicU64; 5],
-    event_bytes: AtomicU64,
-    record_calls: AtomicU64,
-    dropped: AtomicU64,
-    record_ns: AtomicU64,
-    sink_ns: AtomicU64,
-    sink_batches: AtomicU64,
-    sink_latency_hist: [AtomicU64; SINK_LATENCY_BUCKETS],
+/// The log2 bucket of a sink latency of `ns` nanoseconds in
+/// [`RecorderOverhead::sink_latency_hist`].
+fn bucket(ns: u64) -> usize {
+    if ns == 0 {
+        0
+    } else {
+        ((63 - ns.leading_zeros()) as usize).min(SINK_LATENCY_BUCKETS - 1)
+    }
 }
 
-impl OverheadCells {
-    fn bucket(ns: u64) -> usize {
-        if ns == 0 {
-            0
-        } else {
-            ((63 - ns.leading_zeros()) as usize).min(SINK_LATENCY_BUCKETS - 1)
-        }
-    }
-
-    fn note_sink(&self, ns: u64) {
-        self.sink_batches.fetch_add(1, Ordering::Relaxed);
-        self.sink_ns.fetch_add(ns, Ordering::Relaxed);
-        self.sink_latency_hist[Self::bucket(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_events(&self, events: &TraceStore) {
-        for (cell, n) in self.events_by_layer.iter().zip(events.layer_counts()) {
-            if n > 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn snapshot(&self) -> RecorderOverhead {
-        let mut events_by_layer = [0u64; 5];
-        for (slot, cell) in events_by_layer.iter_mut().zip(&self.events_by_layer) {
-            *slot = cell.load(Ordering::Relaxed);
-        }
-        let mut sink_latency_hist = [0u64; SINK_LATENCY_BUCKETS];
-        for (slot, cell) in sink_latency_hist.iter_mut().zip(&self.sink_latency_hist) {
-            *slot = cell.load(Ordering::Relaxed);
-        }
-        RecorderOverhead {
-            events_by_layer,
-            event_bytes_total: self.event_bytes.load(Ordering::Relaxed),
-            record_calls_total: self.record_calls.load(Ordering::Relaxed),
-            events_dropped_total: self.dropped.load(Ordering::Relaxed),
-            record_ns_total: self.record_ns.load(Ordering::Relaxed),
-            sink_ns_total: self.sink_ns.load(Ordering::Relaxed),
-            sink_batches_total: self.sink_batches.load(Ordering::Relaxed),
-            sink_latency_hist,
-        }
-    }
+/// Everything a [`TraceRecorder`] guards with its one lock.
+#[derive(Debug)]
+struct Recorded {
+    events: TraceStore,
+    retain_cap: usize,
+    overhead: RecorderOverhead,
 }
 
 /// A shared, thread-safe event sink with a wall-clock epoch.
@@ -1287,55 +1247,51 @@ impl OverheadCells {
 /// publishes a locally filled [`TraceStore`] under one lock
 /// ([`TraceRecorder::record_batch`]), be it one event or a whole wave.
 ///
-/// An optional [`TraceSink`] observes every event live at the same batch
-/// boundaries (streaming consumers pay nothing when detached: the hot path
-/// is a null check under the lock already being held).
+/// An optional [`TraceSink`], fixed at construction
+/// ([`TraceRecorder::shared_with_sink`]), observes every event live at the
+/// same batch boundaries (streaming consumers pay nothing when detached:
+/// the hot path is a null check).
 ///
 /// The recorder also watches itself: every batch feeds
 /// [`RecorderOverhead`] (per-layer span counts, modelled retained bytes,
 /// sink latency, drops), and an optional retain cap
 /// ([`TraceRecorder::set_retain_cap`]) bounds stored events for
 /// long-running servers — capped events still reach the sink, so streamed
-/// metrics stay exact while storage stays bounded.
+/// metrics stay exact while storage stays bounded. The stored events, the
+/// cap and the counters share the one lock `record_batch` holds.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    events: Mutex<TraceStore>,
-    sink: Mutex<Option<Arc<dyn TraceSink>>>,
+    recorded: Mutex<Recorded>,
+    sink: Option<Arc<dyn TraceSink>>,
     epoch: Instant,
-    retain_cap: AtomicUsize,
-    overhead: OverheadCells,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder {
-            events: Mutex::new(TraceStore::new()),
-            sink: Mutex::new(None),
-            epoch: Instant::now(),
-            retain_cap: AtomicUsize::new(usize::MAX),
-            overhead: OverheadCells::default(),
-        }
-    }
 }
 
 impl TraceRecorder {
+    fn new(sink: Option<Arc<dyn TraceSink>>) -> Self {
+        TraceRecorder {
+            recorded: Mutex::new(Recorded {
+                events: TraceStore::new(),
+                retain_cap: usize::MAX,
+                overhead: RecorderOverhead::default(),
+            }),
+            sink,
+            epoch: Instant::now(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Recorded> {
+        self.recorded.lock().expect("trace lock")
+    }
+
     /// Creates a shared recorder.
     pub fn shared() -> Arc<Self> {
-        Arc::new(TraceRecorder::default())
+        Arc::new(TraceRecorder::new(None))
     }
 
-    /// Creates a shared recorder with a live [`TraceSink`] attached.
+    /// Creates a shared recorder with a live [`TraceSink`] attached: every
+    /// event it records is forwarded to the sink in recording order.
     pub fn shared_with_sink(sink: Arc<dyn TraceSink>) -> Arc<Self> {
-        let recorder = TraceRecorder::default();
-        *recorder.sink.lock().expect("sink lock") = Some(sink);
-        Arc::new(recorder)
-    }
-
-    /// Attaches (or detaches, with `None`) a live event sink. Events
-    /// recorded from now on are forwarded to the sink in recording order;
-    /// already-recorded events are not replayed.
-    pub fn set_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        *self.sink.lock().expect("sink lock") = sink;
+        Arc::new(TraceRecorder::new(Some(sink)))
     }
 
     /// Microseconds of host wall-clock elapsed since the recorder was
@@ -1351,12 +1307,12 @@ impl TraceRecorder {
     /// stays exact while a long-running server's memory stays bounded.
     /// The default cap is unlimited.
     pub fn set_retain_cap(&self, cap: usize) {
-        self.retain_cap.store(cap, Ordering::Relaxed);
+        self.lock().retain_cap = cap;
     }
 
     /// Snapshot of the recorder's self-observability counters.
     pub fn overhead(&self) -> RecorderOverhead {
-        self.overhead.snapshot()
+        self.lock().overhead.clone()
     }
 
     /// Appends a batch of events under a single lock — the one way to
@@ -1370,28 +1326,34 @@ impl TraceRecorder {
             return;
         }
         let t0 = Instant::now();
-        let mut stored = self.events.lock().expect("trace lock");
-        if let Some(sink) = self.sink.lock().expect("sink lock").as_ref() {
+        let mut guard = self.lock();
+        let recorded = &mut *guard;
+        let overhead = &mut recorded.overhead;
+        if let Some(sink) = &self.sink {
             let s0 = Instant::now();
             sink.consume(&batch);
-            self.overhead.note_sink(s0.elapsed().as_nanos() as u64);
+            let ns = s0.elapsed().as_nanos() as u64;
+            overhead.sink_batches_total += 1;
+            overhead.sink_ns_total += ns;
+            overhead.sink_latency_hist[bucket(ns)] += 1;
         }
-        self.overhead.record_calls.fetch_add(1, Ordering::Relaxed);
-        self.overhead.note_events(&batch);
-        let room = self.retain_cap.load(Ordering::Relaxed).saturating_sub(stored.len());
+        overhead.record_calls_total += 1;
+        for (total, n) in overhead.events_by_layer.iter_mut().zip(batch.layer_counts()) {
+            *total += n;
+        }
+        let room = recorded.retain_cap.saturating_sub(recorded.events.len());
         if batch.len() > room {
-            self.overhead.dropped.fetch_add((batch.len() - room) as u64, Ordering::Relaxed);
+            overhead.events_dropped_total += (batch.len() - room) as u64;
             batch.truncate(room);
         }
-        self.overhead.event_bytes.fetch_add(batch.approx_bytes(), Ordering::Relaxed);
-        stored.append(&mut batch);
-        drop(stored);
-        self.overhead.record_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        overhead.event_bytes_total += batch.approx_bytes();
+        recorded.events.append(&mut batch);
+        overhead.record_ns_total += t0.elapsed().as_nanos() as u64;
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("trace lock").len()
+        self.lock().events.len()
     }
 
     /// `true` when nothing has been recorded.
@@ -1401,12 +1363,12 @@ impl TraceRecorder {
 
     /// Removes and returns every recorded event.
     pub fn drain(&self) -> TraceStore {
-        std::mem::take(&mut *self.events.lock().expect("trace lock"))
+        std::mem::take(&mut self.lock().events)
     }
 
     /// Clones the recorded events without draining them.
     pub fn snapshot(&self) -> TraceStore {
-        self.events.lock().expect("trace lock").clone()
+        self.lock().events.clone()
     }
 }
 
@@ -1488,6 +1450,7 @@ pub fn value_hash(data: &[f32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A store holding one instant per name, in order, on `layer`.
     fn instants(layer: TraceLayer, names: &[&'static str]) -> TraceStore {
@@ -1658,12 +1621,12 @@ mod tests {
 
     #[test]
     fn sink_latency_buckets_are_log2() {
-        assert_eq!(OverheadCells::bucket(0), 0);
-        assert_eq!(OverheadCells::bucket(1), 0);
-        assert_eq!(OverheadCells::bucket(2), 1);
-        assert_eq!(OverheadCells::bucket(3), 1);
-        assert_eq!(OverheadCells::bucket(1024), 10);
-        assert_eq!(OverheadCells::bucket(u64::MAX), SINK_LATENCY_BUCKETS - 1);
+        assert_eq!(bucket(0), 0);
+        assert_eq!(bucket(1), 0);
+        assert_eq!(bucket(2), 1);
+        assert_eq!(bucket(3), 1);
+        assert_eq!(bucket(1024), 10);
+        assert_eq!(bucket(u64::MAX), SINK_LATENCY_BUCKETS - 1);
     }
 
     #[test]

@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn lowering_invariants(depth in 1usize..5, width in 2usize..8, acts in prop::collection::vec(0u8..3, 5)) {
         let (graph, _, _, _, _) = random_mlp(depth, width, &acts);
-        let stream = lower_training_iteration(&graph);
+        let stream = lower_training_iteration(&graph, None);
         prop_assert!(!stream.is_empty());
         let mut seen_backward = false;
         for k in &stream {

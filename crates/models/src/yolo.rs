@@ -197,7 +197,7 @@ mod tests {
         let yolo = YoloConfig::full().build(1).unwrap();
         let rcnn = crate::faster_rcnn::FasterRcnnConfig::full().build().unwrap();
         let flops = |m: &BuiltModel| -> f64 {
-            lower_training_iteration(&m.graph).iter().map(|k| k.spec.flops).sum()
+            lower_training_iteration(&m.graph, None).iter().map(|k| k.spec.flops).sum()
         };
         assert!(flops(&yolo) < flops(&rcnn), "YOLO must be cheaper per image");
     }

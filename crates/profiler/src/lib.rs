@@ -20,12 +20,13 @@
 //!
 //! ```
 //! use tbd_profiler::{kernel_table, observe, TraceOptions};
-//! use tbd_frameworks::Framework;
+//! use tbd_frameworks::{Framework, SpeedOptions};
 //! use tbd_gpusim::GpuSpec;
 //! use tbd_models::ModelKind;
 //!
 //! let framework = Framework::mxnet();
-//! let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+//! let speed = SpeedOptions::default();
+//! let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
 //! let obs = observe(ModelKind::A3c, framework, 8, &GpuSpec::quadro_p4000(), &options, None)
 //!     .expect("builds");
 //! let profile = obs.capture.profile.as_ref().expect("batch 8 fits the device");
@@ -53,7 +54,7 @@ pub use agg::{
 };
 pub use live::{observe, LiveServer, Observation, RenderedReport, WatchConfig};
 pub use pool::{SubmitError, WorkerPool};
-pub use report::{ReportContext, DIGEST_TIMESTAMP};
+pub use report::{parse_digest_file, ReportContext, DIGEST_TIMESTAMP};
 pub use diagnose::{
     diagnose, diagnose_events, diagnose_named, BottleneckClass, Diagnosis, DiagnosisReport,
     Evidence, DIAGNOSE_SCHEMA_VERSION,

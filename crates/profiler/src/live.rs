@@ -233,7 +233,7 @@ pub struct WatchConfig {
     pub batch: usize,
     /// Simulated device.
     pub gpu: GpuSpec,
-    /// Capture options (threads, fuse, precision, seed).
+    /// Capture options (threads, speed tier, seed).
     pub options: TraceOptions,
     /// Stop the worker after this many captures; `0` runs until shutdown.
     pub max_captures: u64,
@@ -542,7 +542,8 @@ mod tests {
 
     /// The simulation-only observation `tbd analyze` runs.
     fn analyze_observation(kind: ModelKind, framework: Framework, batch: usize) -> Observation {
-        let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+        let speed = tbd_frameworks::SpeedOptions::default();
+        let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
         observe(kind, framework, batch, &GpuSpec::quadro_p4000(), &options, None).expect("builds")
     }
 

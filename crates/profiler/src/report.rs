@@ -40,6 +40,20 @@ use tbd_graph::trace::{
 /// the page allowed to vary between renders of the same capture.
 pub const DIGEST_TIMESTAMP: &str = "";
 
+/// Parses a pinned digest file (`tests/golden/*.digest`): comment lines (`#`) are skipped, the digest
+/// is the first `digest <hex>` line.
+///
+/// # Errors
+///
+/// Returns a message when no digest line is present.
+pub fn parse_digest_file(text: &str) -> Result<String, String> {
+    text.lines()
+        .map(str::trim)
+        .find_map(|line| line.strip_prefix("digest "))
+        .map(|d| d.trim().to_string())
+        .ok_or_else(|| "no `digest <hex>` line in baseline file".to_string())
+}
+
 /// Registry families excluded from the report because they carry host
 /// wall-clock readings or thread-count-dependent bookkeeping; everything
 /// else in the registry is a pure function of the captured trace.
@@ -715,6 +729,31 @@ mod tests {
     use crate::agg::{series, StreamingAggregator};
     use crate::diagnose::diagnose_events;
     use tbd_graph::trace::fnv1a;
+
+    #[test]
+    fn digest_file_parses_and_rejects() {
+        let text = "# comment\ndigest 0123456789abcdef\n";
+        assert_eq!(parse_digest_file(text).unwrap(), "0123456789abcdef");
+        assert!(parse_digest_file("# only a comment\n").is_err());
+    }
+
+    #[test]
+    fn report_runs_and_digest_ignores_the_display_timestamp() {
+        use crate::live::{observe, render_report};
+        use tbd_frameworks::Framework;
+        use tbd_gpusim::GpuSpec;
+        use tbd_models::ModelKind;
+        let options = crate::TraceOptions::default();
+        let gpu = GpuSpec::quadro_p4000();
+        let obs = observe(ModelKind::A3c, Framework::mxnet(), 4, &gpu, &options, None)
+            .expect("A3C builds");
+        assert!(obs.capture.oom.is_none());
+        let a = render_report(&obs, DIGEST_TIMESTAMP);
+        let b = render_report(&obs, "2026-08-08");
+        assert_eq!(a.digest_hex, b.digest_hex, "timestamp is display-only");
+        assert_ne!(a.html, b.html, "timestamp is on the page");
+        assert!(a.html.contains("TBD run report"));
+    }
 
     fn tiny_events() -> TraceStore {
         let mut events = TraceStore::new();

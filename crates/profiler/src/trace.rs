@@ -296,8 +296,9 @@ fn write_us(out: &mut String, us: f64) {
     }
 }
 
-/// Options for [`capture`].
-#[derive(Debug, Clone, Copy)]
+/// Options for [`capture`]: the one capture configuration of a workload
+/// beyond its model, framework, batch and device.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceOptions {
     /// Intra-op thread cap for the functional executor run (`0` = auto).
     /// Never affects the digest: that is the invariance under test.
@@ -307,16 +308,12 @@ pub struct TraceOptions {
     pub functional: bool,
     /// RNG seed of the functional session.
     pub seed: u64,
-    /// Fuse elementwise/activation/bias/norm chains in the functional
-    /// executor and the lowered kernel stream (`true`, the default: the
-    /// speed tier is on unless opted out). Fused f32 execution is bitwise
-    /// identical to unfused; only the span structure (one `NodeExec` per
-    /// group) and the kernel stream change.
-    pub fuse: bool,
-    /// Storage precision of the speed tier: functional matmul/conv
-    /// kernels and the simulated roofline both honour it. `F32`
-    /// (default) is the exact baseline.
-    pub precision: Precision,
+    /// Speed tier of the functional executor and the lowered kernel
+    /// stream. The default, [`SpeedOptions::fused`] at f32, fuses
+    /// elementwise/activation/bias/norm chains (bitwise identical to
+    /// unfused execution; only the span structure and the kernel stream
+    /// change) and keeps the exact f32 baseline precision.
+    pub speed: SpeedOptions,
 }
 
 impl Default for TraceOptions {
@@ -325,8 +322,7 @@ impl Default for TraceOptions {
             intra_op_threads: 1,
             functional: true,
             seed: 42,
-            fuse: true,
-            precision: Precision::F32,
+            speed: SpeedOptions::fused(Precision::F32),
         }
     }
 }
@@ -438,12 +434,12 @@ pub fn capture_into(
         wall.exec_s = t0.elapsed().as_secs_f64();
     }
     let full = kind.build_full(batch)?;
-    let speed = SpeedOptions { fuse: options.fuse, precision: options.precision };
     let t0 = Instant::now();
-    let (profile, oom) = match profile_workload(kind, framework, &full, gpu, speed, Some(recorder)) {
-        Ok(profile) => (Some(profile), None),
-        Err(oom) => (None, Some(oom)),
-    };
+    let (profile, oom) =
+        match profile_workload(kind, framework, &full, gpu, options.speed, Some(recorder)) {
+            Ok(profile) => (Some(profile), None),
+            Err(oom) => (None, Some(oom)),
+        };
     wall.lower_sim_s = t0.elapsed().as_secs_f64();
     let worker = profile.as_ref().map(|profile| {
         let t0 = Instant::now();
@@ -483,8 +479,8 @@ fn functional_step(
     let mut exec = framework.host_threading();
     exec.intra_op_threads = options.intra_op_threads;
     let mut session = Session::with_exec(model.graph, options.seed, exec);
-    session.set_fusion_enabled(options.fuse);
-    session.set_precision(options.precision);
+    session.set_fusion_enabled(options.speed.fuse);
+    session.set_precision(options.speed.precision);
     session.set_tracer(Some(Arc::clone(recorder)));
     let run = session.forward(&feeds)?;
     session.backward(&run, loss, Tensor::scalar(1.0))?;
@@ -730,7 +726,7 @@ mod tests {
             Framework::tensorflow(),
             4,
             &GpuSpec::quadro_p4000(),
-            &TraceOptions { fuse: false, ..TraceOptions::default() },
+            &TraceOptions { speed: SpeedOptions::default(), ..TraceOptions::default() },
         )
         .unwrap();
         assert!(!unfused.trace.events.iter().any(|e| e.name.starts_with("fused:")));
@@ -741,7 +737,7 @@ mod tests {
     fn mixed_precision_capture_is_deterministic_across_thread_counts() {
         let opts = |threads| TraceOptions {
             intra_op_threads: threads,
-            precision: Precision::Bf16,
+            speed: SpeedOptions::fused(Precision::Bf16),
             ..TraceOptions::default()
         };
         let a = capture(

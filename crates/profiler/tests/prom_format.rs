@@ -65,7 +65,7 @@ fn check_labels(block: &str, line: &str) {
 
 #[test]
 fn fused_capture_exposition_matches_the_text_format_grammar() {
-    let options = TraceOptions { fuse: true, ..TraceOptions::default() };
+    let options = TraceOptions::default();
     let obs = observe(
         ModelKind::A3c,
         Framework::mxnet(),

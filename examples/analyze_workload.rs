@@ -8,6 +8,7 @@
 //! ```
 
 use tbd_core::{compare_models, kernel_table, Framework, GpuSpec, ModelKind};
+use tbd_frameworks::SpeedOptions;
 use tbd_profiler::{observe, TraceOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Steps 2-4 (§3.4.2-3.4.3): warm-up-aware sampling + the metric set.
-    let options = TraceOptions { functional: false, fuse: false, ..TraceOptions::default() };
+    let speed = SpeedOptions::default();
+    let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
     let obs = observe(kind, framework, batch, &gpu, &options, None)?;
     let (Some(profile), Some((start, end, sampled))) = (&obs.capture.profile, obs.stable_window())
     else {

@@ -17,6 +17,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use tbd_core::trajectory::{BenchReport, BENCH_SCHEMA_VERSION, GOLDEN_PAIRS};
 use tbd_core::GpuSpec;
+use tbd_frameworks::SpeedOptions;
+use tbd_tensor::Precision;
 
 fn baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/bench-baseline.json")
@@ -27,7 +29,8 @@ fn baseline_path() -> PathBuf {
 fn matrix_report() -> &'static BenchReport {
     static REPORT: OnceLock<BenchReport> = OnceLock::new();
     REPORT.get_or_init(|| {
-        BenchReport::run(&GpuSpec::quadro_p4000(), true, "baseline".to_string())
+        let speed = SpeedOptions::fused(Precision::F32);
+        BenchReport::run(&GpuSpec::quadro_p4000(), true, "baseline".to_string(), speed)
             .expect("matrix bench succeeds")
     })
 }
@@ -82,7 +85,8 @@ fn feature_maps_dominate_memory_for_resnet_and_inception() {
 
 #[test]
 fn default_bench_covers_the_golden_pairs() {
-    let report = BenchReport::run(&GpuSpec::quadro_p4000(), false, "baseline".to_string())
+    let speed = SpeedOptions::fused(Precision::F32);
+    let report = BenchReport::run(&GpuSpec::quadro_p4000(), false, "baseline".to_string(), speed)
         .expect("golden bench succeeds");
     assert!(!report.matrix);
     assert_eq!(report.entries.len(), GOLDEN_PAIRS.len());

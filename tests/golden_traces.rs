@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use tbd_core::{Framework, GpuSpec, ModelKind};
-use tbd_profiler::{capture, Capture, SummaryRow, Trace, TraceOptions};
+use tbd_profiler::{capture, parse_digest_file, Capture, SummaryRow, Trace, TraceOptions};
 
 /// The pinned workload × framework pairs (small batch keeps this fast).
 const GOLDEN_PAIRS: [(ModelKind, fn() -> Framework); 6] = [
@@ -93,10 +93,6 @@ fn parse_golden_kernels(text: &str) -> BTreeMap<String, (usize, f64)> {
     rows
 }
 
-fn golden_digest(text: &str) -> Option<&str> {
-    text.lines().find_map(|l| l.strip_prefix("digest "))
-}
-
 /// Human-readable kernel-level diff between a golden file and a capture.
 fn kernel_diff(golden: &BTreeMap<String, (usize, f64)>, actual: &[SummaryRow]) -> String {
     let mut out = String::new();
@@ -168,7 +164,8 @@ fn golden_traces_match_at_one_and_four_threads() {
                 continue;
             }
         };
-        let expected = golden_digest(&golden).unwrap_or("<malformed golden file>");
+        let expected =
+            parse_digest_file(&golden).unwrap_or_else(|_| "<malformed golden file>".into());
         let got = cap1.trace.digest_hex();
         if expected != got {
             let _ = writeln!(failures, "{label}: digest {expected} -> {got}; kernel-level diff:");
@@ -194,7 +191,7 @@ fn golden_files_are_self_consistent() {
             continue; // golden_traces_match reports missing files
         };
         assert!(
-            golden_digest(&text).is_some_and(|d| d.len() == 16),
+            parse_digest_file(&text).is_ok_and(|d| d.len() == 16),
             "{}: golden file needs a 16-hex-digit digest line",
             path.display()
         );
@@ -263,7 +260,8 @@ fn golden_distrib_event_traces_match() {
         }
         match std::fs::read_to_string(&path) {
             Ok(text) => {
-                let expected = golden_digest(&text).unwrap_or("<malformed golden file>");
+                let expected =
+                    parse_digest_file(&text).unwrap_or_else(|_| "<malformed golden file>".into());
                 if expected != digest {
                     let _ = writeln!(
                         failures,
@@ -303,12 +301,7 @@ fn capture_worker_matches_a_fresh_graph() {
 
     let gpu = GpuSpec::quadro_p4000();
     for speed in [SpeedOptions::default(), SpeedOptions::fused(Precision::F32)] {
-        let options = TraceOptions {
-            functional: false,
-            fuse: speed.fuse,
-            precision: speed.precision,
-            ..TraceOptions::default()
-        };
+        let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
         for (kind, framework) in Suite::supported_pairs() {
             let batch = paper_batches(kind)[0];
             let (model_name, fw_name) = (kind.name(), framework.name());

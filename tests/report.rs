@@ -19,9 +19,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use tbd_core::report::{parse_digest_file, run_report, ReportOptions};
 use tbd_core::{Framework, GpuSpec, ModelKind};
-use tbd_profiler::{observe, TraceOptions};
+use tbd_profiler::live::{render_report, RenderedReport};
+use tbd_profiler::{observe, parse_digest_file, TraceOptions, DIGEST_TIMESTAMP};
 
 const BASELINE_MODEL: ModelKind = ModelKind::ResNet50;
 const BASELINE_BATCH: usize = 4;
@@ -30,16 +30,14 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/report-baseline.digest")
 }
 
-fn baseline_report(threads: usize) -> tbd_core::ReportOutput {
-    let opts = ReportOptions { intra_op_threads: threads, ..ReportOptions::default() };
-    run_report(
-        BASELINE_MODEL,
-        Framework::tensorflow(),
-        BASELINE_BATCH,
-        &GpuSpec::quadro_p4000(),
-        &opts,
-    )
-    .expect("ResNet-50 b4 fits the P4000")
+fn baseline_report(threads: usize) -> RenderedReport {
+    let options = TraceOptions { intra_op_threads: threads, ..TraceOptions::default() };
+    let gpu = GpuSpec::quadro_p4000();
+    let framework = Framework::tensorflow();
+    let obs = observe(BASELINE_MODEL, framework, BASELINE_BATCH, &gpu, &options, None)
+        .expect("ResNet-50 b4 builds");
+    assert!(obs.capture.oom.is_none(), "ResNet-50 b4 fits the P4000");
+    render_report(&obs, DIGEST_TIMESTAMP)
 }
 
 #[test]

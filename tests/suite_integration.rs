@@ -63,7 +63,7 @@ fn kernel_stream_covers_forward_backward_update() {
     assert!(fwd > 100 && bwd > 100, "fwd {fwd} bwd {bwd}");
     assert_eq!(upd, model.graph.params().len());
     // The raw lowering (without optimizer) is a strict prefix.
-    let raw = lower_training_iteration(&model.graph);
+    let raw = lower_training_iteration(&model.graph, None);
     assert_eq!(raw.len() + upd, kernels.len());
 }
 
