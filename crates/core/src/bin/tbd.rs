@@ -739,13 +739,15 @@ fn cmd_diagnose(args: &[&str]) -> Result<(), String> {
     let opts = DIAGNOSE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
     let defaults = DiagnoseOptions::default();
+    let capture = opts.capture()?;
     let diagnose = DiagnoseOptions {
         cluster: opts.value("--cluster").map(str::to_string),
         stragglers: opts.has("--stragglers"),
         seed: opts.int("--seed", defaults.seed)?,
         faults: FaultPreset::parse(opts.value("--faults").unwrap_or("none"))?,
         steps: opts.steps(defaults.steps)?,
-        capture: opts.capture()?,
+        intra_op_threads: capture.intra_op_threads,
+        speed: capture.speed,
     };
     let gpu = opts.gpu()?;
     let format = opts.choice("--format")?;
@@ -1136,8 +1138,8 @@ fn cmd_dot(args: &[&str]) -> Result<(), String> {
 fn cmd_analyze(args: &[&str]) -> Result<(), String> {
     let opts = ANALYZE.parse(args)?;
     let (model, framework, batch) = opts.workload()?;
-    let speed = SpeedOptions::default();
-    let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
+    let options =
+        TraceOptions { functional: false, speed: SpeedOptions::default(), ..Default::default() };
     let obs = observe(model, framework, batch, &opts.gpu()?, &options, None)
         .map_err(|e| e.to_string())?;
     let (Some(profile), Some((start, end, sampled))) = (&obs.capture.profile, obs.stable_window())

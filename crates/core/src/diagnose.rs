@@ -21,7 +21,7 @@
 //! bitwise-stable across hosts and thread counts.
 
 use tbd_distrib::{fig10_clusters, scale_grid, ClusterConfig, EventConfig, StragglerSpec};
-use tbd_frameworks::Framework;
+use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_graph::trace::{TraceLayer, TraceRecorder};
 use tbd_graph::ExecConfig;
@@ -47,11 +47,12 @@ pub struct DiagnoseOptions {
     pub faults: FaultPreset,
     /// Logical steps of the chaos stage.
     pub steps: u64,
-    /// The base capture. Its intra-op thread cap also runs the chaos
-    /// stage and never affects the report digest (pinned by the props
-    /// tests); its default speed tier is fused f32, so the pinned
-    /// diagnose baseline is a fused digest.
-    pub capture: TraceOptions,
+    /// Intra-op thread cap for the functional stages. Never affects the
+    /// report digest: that invariance is pinned by the props tests.
+    pub intra_op_threads: usize,
+    /// Speed tier of the capture stage (fused f32 by default, the default
+    /// capture path, so the pinned diagnose baseline is a fused digest).
+    pub speed: SpeedOptions,
 }
 
 impl Default for DiagnoseOptions {
@@ -62,7 +63,8 @@ impl Default for DiagnoseOptions {
             seed: 7,
             faults: FaultPreset::None,
             steps: 40,
-            capture: TraceOptions::default(),
+            intra_op_threads: 1,
+            speed: TraceOptions::default().speed,
         }
     }
 }
@@ -119,7 +121,12 @@ pub fn run_diagnose(
     gpu: &GpuSpec,
     opts: &DiagnoseOptions,
 ) -> Result<DiagnosisReport, String> {
-    let cap = capture(kind, framework, batch, gpu, &opts.capture).map_err(|e| e.to_string())?;
+    let trace_opts = TraceOptions {
+        intra_op_threads: opts.intra_op_threads,
+        speed: opts.speed,
+        ..TraceOptions::default()
+    };
+    let cap = capture(kind, framework, batch, gpu, &trace_opts).map_err(|e| e.to_string())?;
     let mut events = cap.trace.events;
 
     if opts.cluster.is_some() || opts.stragglers {
@@ -149,10 +156,8 @@ pub fn run_diagnose(
     }
 
     if opts.faults != FaultPreset::None {
-        let exec = ExecConfig {
-            intra_op_threads: opts.capture.intra_op_threads,
-            inter_op_parallel: false,
-        };
+        let exec =
+            ExecConfig { intra_op_threads: opts.intra_op_threads, inter_op_parallel: false };
         let (session, x, t, loss) = proxy_session(opts.seed, exec);
         let feeds = proxy_feeds(opts.seed, x, t);
         let cfg = ResilienceConfig::with_faults(opts.faults.spec(opts.seed));
@@ -196,11 +201,10 @@ mod tests {
     fn speed_tier_flags_reach_the_capture_stage() {
         // The unfused/f16 capture produces a different trace but the same
         // healthy verdict — the flags must not be silently ignored.
-        let capture = TraceOptions {
-            speed: tbd_frameworks::SpeedOptions { fuse: false, precision: Precision::F16 },
-            ..TraceOptions::default()
+        let opts = DiagnoseOptions {
+            speed: SpeedOptions { fuse: false, precision: Precision::F16 },
+            ..DiagnoseOptions::default()
         };
-        let opts = DiagnoseOptions { capture, ..DiagnoseOptions::default() };
         let report = run_diagnose(
             ModelKind::A3c,
             Framework::mxnet(),

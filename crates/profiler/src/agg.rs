@@ -1275,10 +1275,10 @@ impl AggState {
 /// bounded state, snapshotting on demand into a [`MetricsRegistry`].
 ///
 /// Attach it at recorder creation
-/// (`TraceRecorder::shared_with_sink(agg.clone())`) or later via
-/// `set_sink`; the same type also serves as the post-hoc aggregator
-/// ([`StreamingAggregator::consume_all`] over a drained trace), which is
-/// exactly what the equivalence property test exploits.
+/// (`TraceRecorder::shared_with_sink(agg.clone())`); the same type also
+/// serves as the post-hoc aggregator ([`StreamingAggregator::consume_all`]
+/// over a drained trace), which is exactly what the equivalence property
+/// test exploits.
 #[derive(Debug, Default)]
 pub struct StreamingAggregator {
     state: Mutex<AggState>,
@@ -1296,7 +1296,7 @@ impl StreamingAggregator {
         StreamingAggregator { state: Mutex::new(AggState::default()), config }
     }
 
-    /// Creates a shared aggregator ready to pass to `set_sink`.
+    /// Creates a shared aggregator ready for `TraceRecorder::shared_with_sink`.
     pub fn shared() -> Arc<Self> {
         Arc::new(StreamingAggregator::new())
     }

@@ -25,8 +25,8 @@
 //! use tbd_models::ModelKind;
 //!
 //! let framework = Framework::mxnet();
-//! let speed = SpeedOptions::default();
-//! let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
+//! let options =
+//!     TraceOptions { functional: false, speed: SpeedOptions::default(), ..Default::default() };
 //! let obs = observe(ModelKind::A3c, framework, 8, &GpuSpec::quadro_p4000(), &options, None)
 //!     .expect("builds");
 //! let profile = obs.capture.profile.as_ref().expect("batch 8 fits the device");

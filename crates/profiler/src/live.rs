@@ -542,8 +542,11 @@ mod tests {
 
     /// The simulation-only observation `tbd analyze` runs.
     fn analyze_observation(kind: ModelKind, framework: Framework, batch: usize) -> Observation {
-        let speed = tbd_frameworks::SpeedOptions::default();
-        let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
+        let options = TraceOptions {
+            functional: false,
+            speed: tbd_frameworks::SpeedOptions::default(),
+            ..TraceOptions::default()
+        };
         observe(kind, framework, batch, &GpuSpec::quadro_p4000(), &options, None).expect("builds")
     }
 

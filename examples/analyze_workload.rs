@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Steps 2-4 (§3.4.2-3.4.3): warm-up-aware sampling + the metric set.
-    let speed = SpeedOptions::default();
-    let options = TraceOptions { functional: false, speed, ..TraceOptions::default() };
+    let options =
+        TraceOptions { functional: false, speed: SpeedOptions::default(), ..Default::default() };
     let obs = observe(kind, framework, batch, &gpu, &options, None)?;
     let (Some(profile), Some((start, end, sampled))) = (&obs.capture.profile, obs.stable_window())
     else {
