@@ -1,6 +1,6 @@
 //! Cross-implementation comparability checks (paper §3.4.1).
 //!
-//! Before profiling, the paper's toolchain "adapt[s] implementations of the
+//! Before profiling, the paper's toolchain "adapt\[s\] implementations of the
 //! same model to make them comparable across platforms": same layer types
 //! and sizes, same connectivity, same hyper-parameters. This module
 //! provides that check for two [`BuiltModel`]s: it compares their operator

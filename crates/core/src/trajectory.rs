@@ -87,7 +87,7 @@ pub struct BenchEntry {
     /// Golden-trace digest of the captured run.
     pub digest: String,
     /// Measured wall-clock of the whole capture, seconds. Real host time:
-    /// excluded from [`BenchEntry::canonical`] (and so from the report
+    /// excluded from `BenchEntry::canonical` (and so from the report
     /// digest) and gated only by the wide [`WALL_DRIFT_TOLERANCE`].
     /// `None` in baselines pinned before the speed tier existed.
     pub capture_wall_s: Option<f64>,

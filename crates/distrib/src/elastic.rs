@@ -15,7 +15,7 @@
 //!
 //! 1. **Degraded ≡ fresh.** An iteration degraded to `k` survivors is the
 //!    discrete-event simulation of a freshly constructed `k`-worker
-//!    cluster with the same [`BucketingConfig`] — bitwise, for every sync
+//!    cluster with the same [`crate::BucketingConfig`] — bitwise, for every sync
 //!    strategy, salt and thread count. Eviction re-buckets; it does not
 //!    approximate.
 //! 2. **Goodput is monotone non-increasing in churn rate.** Every churn
@@ -149,7 +149,7 @@ pub struct ElasticConfig {
     pub steps: u64,
     /// Event-engine configuration shared by every epoch (bucketing,
     /// optional stragglers, tie-break salt). Each membership epoch
-    /// re-buckets through the same [`BucketingConfig`].
+    /// re-buckets through the same [`crate::BucketingConfig`].
     pub event: EventConfig,
     /// Checkpoint cadence in steps (the `tbd-train::resilience` default);
     /// a rejoiner replays from the most recent multiple of this.

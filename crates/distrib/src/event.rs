@@ -3,7 +3,7 @@
 //!
 //! Instead of charging `comm × (1 − overlap)` with a hardcoded overlap, the
 //! engine replays the iteration: per-layer backward finish times (from a
-//! [`BackwardProfile`]) make gradient buckets *ready*, buckets acquire the
+//! [`crate::BackwardProfile`]) make gradient buckets *ready*, buckets acquire the
 //! reduction link strictly in index order (DDP semantics), and each
 //! exchange occupies the link for its strategy-specific service time.
 //! Whatever part of a transfer runs past the end of the backward pass is

@@ -9,13 +9,12 @@
 //! GPU compute utilisation (Eq. 1), FP32 utilisation (Eq. 2), CPU
 //! utilisation (Eq. 3) and an nvprof-style per-kernel trace.
 
-use crate::timing::{instruction_factor, kernel_timing_memoized, Bound};
+use crate::timing::{instruction_factor, kernel_timing_memoized, Bound, KernelTiming};
 use crate::{CpuSpec, GpuSpec};
-use std::collections::HashMap;
 use tbd_graph::fuse::intern_name;
 use tbd_graph::lower::LoweredKernel;
 use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
-use tbd_graph::{KernelClass, NodeId, Phase};
+use tbd_graph::{KernelClass, KernelSpec, NodeId, Phase};
 use tbd_tensor::Precision;
 
 /// Chrome-trace track for CPU-side kernel launches within the gpusim layer.
@@ -152,35 +151,43 @@ pub fn simulate_iteration(
     let mut counted_flops = 0.0f64;
     let mut peak_workspace = 0u64;
     let mut records = Vec::with_capacity(kernels.len());
-    let mut events = if tracer.is_some() {
-        TraceStore::with_capacity(3 * kernels.len() + 4, 7 * kernels.len() + 4)
-    } else {
-        TraceStore::new()
+    // Up to 3 events and 6 args per kernel. The event columns also leave
+    // room for the recorder's events: the recorder adopts this longer
+    // batch's columns and moves its own events in front of them.
+    let mut events = match tracer {
+        Some(tr) => {
+            TraceStore::with_capacity(3 * kernels.len() + 4 + tr.len(), 7 * kernels.len() + 4)
+        }
+        None => TraceStore::new(),
     };
-    // Event labels are deterministic functions of (origin, class), and
-    // origins repeat heavily within a stream — intern each distinct label
-    // into the batch once instead of formatting per event. Event
-    // construction, not the timing model, dominates traced-simulation
-    // wall time.
-    let mut names: HashMap<(*const u8, KernelClass), (u32, u32, &'static str)> = HashMap::new();
+    // Kernels repeat heavily within a stream (an unrolled recurrent model
+    // lowers to tens of thousands of kernels but a few dozen distinct
+    // ones), so each distinct kernel is timed and named once, and every
+    // later kernel costs one lookup in the stream's table.
+    let mut table = KernelTable::new();
     let sync_name = if tracer.is_some() { events.intern("sync") } else { 0 };
     for k in kernels {
         let launch_start = cpu_ready;
         cpu_ready += params.launch_overhead_s;
-        let t = kernel_timing_memoized(&k.spec, gpu, params.compute_speedup, params.precision);
+        let r = table.resolve(&k.spec, || {
+            let timing =
+                kernel_timing_memoized(&k.spec, gpu, params.compute_speedup, params.precision);
+            if tracer.is_none() {
+                return Resolved { timing, launch_name: 0, exec_name: 0, class_name: "" };
+            }
+            Resolved {
+                timing,
+                launch_name: events.intern(format!("launch {}", k.spec.origin)),
+                exec_name: events.intern(format!("{}::{:?}", k.spec.origin, k.spec.class)),
+                class_name: intern_name(format!("{:?}", k.spec.class)),
+            }
+        });
+        let t = r.timing;
         let start = cpu_ready.max(gpu_free + params.sync_gap_s);
         if tracer.is_some() {
-            let (launch_name, exec_name, class_name) =
-                *names.entry((k.spec.origin.as_ptr(), k.spec.class)).or_insert_with(|| {
-                    (
-                        events.intern(format!("launch {}", k.spec.origin)),
-                        events.intern(format!("{}::{:?}", k.spec.origin, k.spec.class)),
-                        intern_name(format!("{:?}", k.spec.class)),
-                    )
-                });
             events
                 .span(
-                    launch_name,
+                    r.launch_name,
                     TraceLayer::GpuSim,
                     EventKind::KernelLaunch,
                     launch_start * 1e6,
@@ -201,10 +208,10 @@ pub fn simulate_iteration(
                 _ => EventKind::KernelExec,
             };
             events
-                .span(exec_name, TraceLayer::GpuSim, kind, start * 1e6, t.duration_s * 1e6)
+                .span(r.exec_name, TraceLayer::GpuSim, kind, start * 1e6, t.duration_s * 1e6)
                 .on_track(GPU_TRACK)
                 .with_arg("phase", k.phase.as_str())
-                .with_arg("class", class_name)
+                .with_arg("class", r.class_name)
                 .with_arg("flops", k.spec.flops)
                 .with_arg("fp32_util", t.fp32_utilization)
                 .with_arg("bound", t.bound.as_str());
@@ -286,10 +293,87 @@ pub fn simulate_iteration(
     }
 }
 
+/// What the timeline needs of one distinct kernel: its roofline timing
+/// and, in a traced run, its interned launch and exec names and its class
+/// label.
+#[derive(Debug, Clone, Copy)]
+struct Resolved {
+    timing: KernelTiming,
+    launch_name: u32,
+    exec_name: u32,
+    class_name: &'static str,
+}
+
+/// A kernel's identity within one stream: its origin's address and
+/// length (equal for the same `'static` label), class, and FLOP and byte
+/// bit patterns. Device, speedup and precision are fixed per stream.
+type KernelKey = (usize, usize, KernelClass, u64, u64);
+
+/// The distinct kernels of one stream, in an open-addressed table found
+/// by a multiplicative hash of the key: no string or SipHash work per
+/// kernel. It sits in front of the thread-local roofline memo, which it
+/// consults once per distinct kernel.
+struct KernelTable {
+    slots: Vec<Option<(KernelKey, Resolved)>>,
+    len: usize,
+}
+
+impl KernelTable {
+    fn new() -> Self {
+        KernelTable { slots: vec![None; 64], len: 0 }
+    }
+
+    /// The slot holding `key`, or the empty slot where it belongs: linear
+    /// probing from a multiplicative hash of the key.
+    fn slot(&self, key: &KernelKey) -> usize {
+        const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+        let (at, len, class, flops, bytes) = *key;
+        let h = (at as u64 ^ (len as u64) << 48 ^ class as u64).wrapping_mul(MUL);
+        let h = (h ^ flops).wrapping_mul(MUL);
+        let h = (h ^ bytes).wrapping_mul(MUL);
+        let mask = self.slots.len() - 1;
+        let mut at = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        while let Some((k, _)) = &self.slots[at] {
+            if k == key {
+                break;
+            }
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The entry of `spec`'s kernel, made by `make` on its first use.
+    fn resolve(&mut self, spec: &KernelSpec, make: impl FnOnce() -> Resolved) -> Resolved {
+        let key = (
+            spec.origin.as_ptr() as usize,
+            spec.origin.len(),
+            spec.class,
+            spec.flops.to_bits(),
+            spec.bytes.to_bits(),
+        );
+        let at = self.slot(&key);
+        if let Some((_, r)) = self.slots[at] {
+            return r;
+        }
+        let r = make();
+        self.slots[at] = Some((key, r));
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            // Double the slots, keeping the table at most half full.
+            let slots = vec![None; 2 * self.slots.len()];
+            let old = std::mem::replace(&mut self.slots, slots);
+            for (key, r) in old.into_iter().flatten() {
+                let at = self.slot(&key);
+                self.slots[at] = Some((key, r));
+            }
+        }
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbd_graph::{KernelSpec, NodeId};
 
     fn kern(class: KernelClass, flops: f64, bytes: f64) -> LoweredKernel {
         LoweredKernel {
@@ -360,6 +444,75 @@ mod tests {
         assert_eq!(p.records.len(), 10);
         assert!(p.records.iter().all(|r| r.duration_s > 0.0));
         assert!(p.total_flops > 0.0);
+    }
+
+    #[test]
+    fn each_distinct_kernel_is_timed_and_named_like_the_uncached_path() {
+        use crate::timing::{kernel_timing_mixed, roofline_memo_stats};
+        // `matmul` and `matmul_bwd` share an address and one (class, flops,
+        // bytes); `add` appears with two classes; `bias` shares `add`'s
+        // element-wise shape; `matmul` and `slice` also come in a second
+        // size that differs only in FLOPs or only in bytes.
+        const MATMUL_BWD: &str = "matmul_bwd";
+        let shapes = [
+            (MATMUL_BWD, KernelClass::Gemm, 1e9, 1e7),
+            (&MATMUL_BWD[..6], KernelClass::Gemm, 1e9, 1e7),
+            (&MATMUL_BWD[..6], KernelClass::Gemm, 2e9, 1e7),
+            ("add", KernelClass::Elementwise, 3e4, 4e5),
+            ("add", KernelClass::Reduction, 3e4, 4e5),
+            ("bias", KernelClass::Elementwise, 3e4, 4e5),
+            ("slice", KernelClass::DataMovement, 0.0, 2e6),
+            ("slice", KernelClass::DataMovement, 0.0, 4e6),
+        ];
+        let kernels: Vec<_> = (0..60)
+            .map(|i| {
+                let (origin, class, flops, bytes) = shapes[i % shapes.len()];
+                LoweredKernel {
+                    node: NodeId::from_index(i),
+                    phase: if i < 30 { Phase::Forward } else { Phase::Backward },
+                    spec: KernelSpec::new(class, flops, bytes, origin),
+                }
+            })
+            .collect();
+        let (gpu, cpu, default) = setup();
+        let half = ExecutionParams { compute_speedup: 1.3, precision: Precision::F16, ..default };
+        for params in [default, half] {
+            let (hits, misses) = roofline_memo_stats();
+            let tracer = TraceRecorder::shared();
+            let traced = simulate_iteration(&kernels, &gpu, &cpu, &params, Some(&tracer));
+            let untraced = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
+            let (hits_after, misses_after) = roofline_memo_stats();
+            assert!(
+                hits_after + misses_after - hits - misses >= 2 * shapes.len() as u64,
+                "each run consults the roofline memo once per distinct kernel"
+            );
+            assert_eq!(traced.records, untraced.records);
+            assert_eq!(traced.wall_time_s.to_bits(), untraced.wall_time_s.to_bits());
+            for (r, k) in traced.records.iter().zip(&kernels) {
+                let t =
+                    kernel_timing_mixed(&k.spec, &gpu, params.compute_speedup, params.precision);
+                assert_eq!(r.origin, k.spec.origin);
+                assert_eq!((r.node, r.class, r.phase), (k.node, k.spec.class, k.phase));
+                assert_eq!(r.duration_s.to_bits(), t.duration_s.to_bits());
+                assert_eq!(r.fp32_utilization.to_bits(), t.fp32_utilization.to_bits());
+                assert_eq!((r.flops.to_bits(), r.bound), (k.spec.flops.to_bits(), t.bound));
+            }
+            let events = tracer.drain();
+            let launches: Vec<_> =
+                events.iter().filter(|e| e.kind == EventKind::KernelLaunch).collect();
+            let execs: Vec<_> = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::KernelExec | EventKind::Memcpy))
+                .collect();
+            assert_eq!((launches.len(), execs.len()), (kernels.len(), kernels.len()));
+            for ((launch, exec), k) in launches.iter().zip(&execs).zip(&kernels) {
+                let (origin, class) = (k.spec.origin, k.spec.class);
+                assert_eq!(launch.name, format!("launch {origin}"));
+                assert_eq!(exec.name, format!("{origin}::{class:?}"));
+                let class_arg = exec.args.iter().find(|(key, _)| *key == "class");
+                assert_eq!(class_arg.map(|(_, v)| v.to_json()), Some(format!("\"{class:?}\"")));
+            }
+        }
     }
 
     #[test]

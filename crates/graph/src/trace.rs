@@ -756,28 +756,51 @@ impl TraceStore {
     }
 
     /// Moves every event of `other` to the end of `self`, leaving `other`
-    /// empty: the columns are appended and `other`'s name ids are mapped
-    /// through `self`'s table, one lookup per distinct name. A store that
-    /// has named nothing yet takes `other`'s columns whole.
+    /// empty. Names keep their ids in `self`, and `other`'s new names get
+    /// the next ids in `other`'s order: one lookup per distinct name.
+    ///
+    /// When `other` holds more events, `self` adopts `other`'s columns and
+    /// moves its own events in front of them, so the longer store is never
+    /// copied: `other`'s name ids are remapped and its arg offsets shifted
+    /// in place.
     pub fn append(&mut self, other: &mut TraceStore) {
         self.touch();
         other.touch();
-        if self.names.is_empty() {
-            std::mem::swap(self, other);
+        let remap: Vec<u32> = if self.names.is_empty() {
+            // Nothing is named yet, so `self` holds no event either.
+            std::mem::swap(&mut self.names, &mut other.names);
+            std::mem::swap(&mut self.index, &mut other.index);
+            Vec::new()
+        } else {
+            other.index.clear();
+            other.names.drain(..).map(|name| self.intern(name)).collect()
+        };
+        let shift = u32::try_from(self.args.len()).expect("fewer than 2^32 args");
+        if other.len() <= self.len() {
+            self.name.extend(other.name.drain(..).map(|id| remap[id as usize]));
+            self.args_at.extend(other.args_at.drain(..).map(|at| at + shift));
+            self.layer.append(&mut other.layer);
+            self.kind.append(&mut other.kind);
+            self.start_us.append(&mut other.start_us);
+            self.dur_us.append(&mut other.dur_us);
+            self.track.append(&mut other.track);
+            self.deterministic.append(&mut other.deterministic);
+            self.args.append(&mut other.args);
             return;
         }
-        let remap: Vec<u32> = other.names.drain(..).map(|name| self.intern(name)).collect();
-        other.index.clear();
-        self.name.extend(other.name.drain(..).map(|id| remap[id as usize]));
-        let shift = u32::try_from(self.args.len()).expect("fewer than 2^32 args");
-        self.args_at.extend(other.args_at.drain(..).map(|at| at + shift));
-        self.layer.append(&mut other.layer);
-        self.kind.append(&mut other.kind);
-        self.start_us.append(&mut other.start_us);
-        self.dur_us.append(&mut other.dur_us);
-        self.track.append(&mut other.track);
-        self.deterministic.append(&mut other.deterministic);
-        self.args.append(&mut other.args);
+        if !remap.is_empty() {
+            other.name.iter_mut().for_each(|id| *id = remap[*id as usize]);
+        }
+        other.args_at.iter_mut().for_each(|at| *at += shift);
+        adopt(&mut self.name, &mut other.name);
+        adopt(&mut self.args_at, &mut other.args_at);
+        adopt(&mut self.layer, &mut other.layer);
+        adopt(&mut self.kind, &mut other.kind);
+        adopt(&mut self.start_us, &mut other.start_us);
+        adopt(&mut self.dur_us, &mut other.dur_us);
+        adopt(&mut self.track, &mut other.track);
+        adopt(&mut self.deterministic, &mut other.deterministic);
+        adopt(&mut self.args, &mut other.args);
     }
 
     /// Keeps the first `len` events and drops the rest (and their args).
@@ -1081,6 +1104,14 @@ impl StaticRuns {
         }
         fold_pieces(h, &pieces)
     }
+}
+
+/// `column` followed by `tail`, in `tail`'s buffer: `column`'s items move
+/// in front of `tail`'s, and `tail` is left empty.
+fn adopt<T>(column: &mut Vec<T>, tail: &mut Vec<T>) {
+    tail.reserve_exact(column.len());
+    tail.splice(0..0, column.drain(..));
+    std::mem::swap(column, tail);
 }
 
 fn retain_column<T>(column: &mut Vec<T>, kept: &[bool]) {
@@ -1707,6 +1738,26 @@ mod tests {
         fresh.append(&mut store);
         assert!(store.is_empty() && store.names().is_empty());
         assert_eq!(lines(&fresh), expected_lines(&all));
+    }
+
+    #[test]
+    fn recorder_adopts_a_longer_batch_without_copying_it() {
+        let recorder = TraceRecorder::shared();
+        let mut marker = TraceStore::new();
+        let name = marker.intern("capture");
+        marker.span(name, TraceLayer::Profiler, EventKind::Phase, 0.0, 0.0).with_arg("batch", 5u64);
+        recorder.record_batch(marker);
+        let batch = numbered(10_000, 50);
+        let (args, names) = (batch.args_arena().as_ptr(), batch.name_ids().as_ptr());
+        recorder.record_batch(batch);
+        let store = recorder.drain();
+        assert_eq!(store.args_arena().as_ptr(), args, "the args arena is the batch's");
+        assert_eq!(store.name_ids().as_ptr(), names, "the name-id column is the batch's");
+        let mut all = vec!["profiler|phase|capture|t:0000000000000000+0000000000000000@0|batch=u:5"
+            .to_string()];
+        all.extend((0..10_000).map(|i| numbered_line(i, 50).1));
+        assert_eq!(lines(&store), all);
+        assert_eq!(store.names()[0], "capture", "the recorder's names keep their ids");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! # Guard discipline
 //!
-//! Thresholds are ratios; every denominator goes through [`ratio`], which
+//! Thresholds are ratios; every denominator goes through `ratio`, which
 //! returns `None` for empty, zero-duration or non-finite inputs (the same
 //! `Option` discipline as [`crate::sampling::window_throughput`]). An
 //! empty trace therefore diagnoses `compute-bound` with confidence `0.0`

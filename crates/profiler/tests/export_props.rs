@@ -1127,6 +1127,58 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `a.append(&mut b)` equals writing `a`'s rows and then `b`'s into one
+    /// store, whichever side is longer and when `a` is empty (it then takes
+    /// `b`'s columns and names whole): every `EventRef` field, each event's
+    /// range of the args arena, the name table's order, the modelled bytes
+    /// and the digest. A row written after the append gets the reference's
+    /// name id.
+    #[test]
+    fn append_equals_writing_both_stores_row_by_row(
+        a_words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..24),
+        b_words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..24),
+        after in prop::collection::vec(0u64..u64::MAX, 12),
+    ) {
+        let a_rows: Vec<Row> = a_words.iter().map(|w| pooled_event_of(w)).collect();
+        let b_rows: Vec<Row> = b_words.iter().map(|w| pooled_event_of(w)).collect();
+        let later = pooled_event_of(&after);
+        let (mut a, mut b) = (store_of(&a_rows), store_of(&b_rows));
+        a.append(&mut b);
+        later.write(&mut a);
+        prop_assert!(b.is_empty() && b.names().is_empty() && b.args_arena().is_empty());
+        let mut reference = store_of(&[a_rows, b_rows].concat());
+        later.write(&mut reference);
+        prop_assert_eq!(a.len(), reference.len());
+        prop_assert_eq!(a.names(), reference.names());
+        let offset = |store: &TraceStore, event: &EventRef<'_>| {
+            (event.args.as_ptr() as usize - store.args_arena().as_ptr() as usize)
+                / std::mem::size_of::<(&str, ArgValue)>()
+        };
+        for (event, expected) in a.iter().zip(reference.iter()) {
+            prop_assert_eq!(event.name_id, expected.name_id);
+            prop_assert_eq!(event.name, expected.name);
+            prop_assert_eq!(event.layer, expected.layer);
+            prop_assert_eq!(event.kind, expected.kind);
+            prop_assert_eq!(event.start_us.to_bits(), expected.start_us.to_bits());
+            prop_assert_eq!(event.dur_us.to_bits(), expected.dur_us.to_bits());
+            prop_assert_eq!(event.track, expected.track);
+            prop_assert_eq!(event.deterministic, expected.deterministic);
+            prop_assert_eq!(offset(&a, &event), offset(&reference, &expected));
+            prop_assert_eq!(event.args.len(), expected.args.len());
+            for ((key, value), (ekey, evalue)) in event.args.iter().zip(expected.args) {
+                prop_assert_eq!(key, ekey);
+                prop_assert!(same_arg(value, evalue), "{value:?} != {evalue:?}");
+            }
+        }
+        prop_assert_eq!(a.args_arena().len(), reference.args_arena().len());
+        prop_assert_eq!(a.approx_bytes(), reference.approx_bytes());
+        prop_assert_eq!(events_digest(&a), events_digest(&reference));
+    }
+}
+
 /// The cached digest is never stale: changing the model, framework or
 /// batch, or the events, after a digest changes the next one, and every
 /// digest equals the materialised reference.

@@ -2,7 +2,7 @@
 //!
 //! Implements exactly the subset this workspace's property tests use: the
 //! [`proptest!`] macro over `ident in strategy` arguments, numeric
-//! [`Range`](std::ops::Range) strategies, [`collection::vec`], and the
+//! [`Range`] strategies, [`collection::vec`], and the
 //! `prop_assert!`/`prop_assert_eq!` assertion macros. Cases are generated
 //! from a seed derived deterministically from the test's module path and
 //! name, so failures reproduce without a regression file (the real crate's
@@ -98,7 +98,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Length specifications accepted by [`vec`]: a fixed `usize` or a
+    /// Length specifications accepted by [`vec()`]: a fixed `usize` or a
     /// half-open `Range<usize>`.
     pub trait IntoLenRange {
         /// Lower (inclusive) and upper (exclusive) length bounds.

@@ -17,8 +17,8 @@
 //!   (worker threads own separate bins), so they are reported through the
 //!   wall-clock side of the bench trajectory, never through digest-bearing
 //!   trace events.
-//! * **Bounded footprint.** Each bin retains at most [`MAX_PER_BIN`]
-//!   buffers and nothing above [`MAX_BIN_BYTES`]; everything else drops to
+//! * **Bounded footprint.** Each bin retains at most `MAX_PER_BIN`
+//!   buffers and nothing above `MAX_BIN_BYTES`; everything else drops to
 //!   the system allocator as before.
 //! * **No locks on the hot path.** Bins are `thread_local`; only the
 //!   monotonic statistics counters are shared atomics.

@@ -36,7 +36,7 @@ pub(crate) const GEMM_WORK_PER_THREAD: usize = 1 << 21;
 /// Matrix product `C[m,n] = A[m,k] · B[k,n]`.
 ///
 /// Packed, cache-blocked GEMM: `B` is repacked once into zero-padded
-/// [`NR`]-wide column panels per [`KC`]-deep k-block, `A` micro-panels are
+/// `NR`-wide column panels per `KC`-deep k-block, `A` micro-panels are
 /// packed on the fly, and an `MR`×`NR` register-tiled micro-kernel does the
 /// arithmetic. Large products fan the `M` dimension out across scoped
 /// threads in contiguous row bands (cap: [`par::max_threads`]); each output
