@@ -1,6 +1,6 @@
 //! The report codec against every pinned JSON baseline: each decodes,
-//! round-trips through `to_json`, and rejects malformed numbers and bools
-//! instead of coercing them.
+//! round-trips through `to_json`, recomputes the `digest` stored in the
+//! file, and rejects malformed numbers and bools instead of coercing them.
 //!
 //! The mutation battery walks every numeric leaf of a baseline and sets
 //! it to `0.5`: exactly the integer fields must refuse it (f64 fields take
@@ -33,13 +33,14 @@ fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(text: &str) -> Result<(), 
     Ok(())
 }
 
-/// A baseline file, its decoder (alone and as a round trip) and the
-/// integer fields its type declares (array indices written `[]`, map keys
-/// `*`).
+/// A baseline file, its decoder (alone and as a round trip), the report
+/// digest recomputed from the decoded file, and the integer fields its
+/// type declares (array indices written `[]`, map keys `*`).
 struct Baseline {
     file: &'static str,
     decode: fn(&str) -> Result<(), String>,
     round_trip: fn(&str) -> Result<(), String>,
+    digest: fn(&str) -> String,
     integers: &'static [&'static str],
 }
 
@@ -49,6 +50,7 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/scale-baseline.json",
             decode: decodes::<ScaleReport>,
             round_trip: round_trip::<ScaleReport>,
+            digest: |text| ScaleReport::from_json_text(text).expect("decodes").digest_hex(),
             integers: &[
                 "schema_version",
                 "batch",
@@ -61,6 +63,7 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/elastic-baseline.json",
             decode: decodes::<ElasticReport>,
             round_trip: round_trip::<ElasticReport>,
+            digest: |text| ElasticReport::from_json_text(text).expect("decodes").digest_hex(),
             integers: &[
                 "schema_version",
                 "batch",
@@ -78,6 +81,7 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/chaos-baseline.json",
             decode: decodes::<ChaosReport>,
             round_trip: round_trip::<ChaosReport>,
+            digest: |text| ChaosReport::from_json_text(text).expect("decodes").digest_hex(),
             integers: &[
                 "schema_version",
                 "batch",
@@ -100,12 +104,14 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/diagnose-baseline.json",
             decode: decodes::<DiagnosisReport>,
             round_trip: round_trip::<DiagnosisReport>,
+            digest: |text| DiagnosisReport::from_json_text(text).expect("decodes").digest_hex(),
             integers: &["schema_version", "batch", "events"],
         },
         Baseline {
             file: "tests/golden/bench-baseline.json",
             decode: decodes::<BenchReport>,
             round_trip: round_trip::<BenchReport>,
+            digest: |text| BenchReport::from_json_text(text).expect("decodes").digest_hex(),
             integers: &[
                 "schema_version",
                 "entries[].batch",
@@ -120,6 +126,7 @@ fn baselines() -> Vec<Baseline> {
             file: "BENCH_2026-08-05.json",
             decode: decodes::<BenchReport>,
             round_trip: round_trip::<BenchReport>,
+            digest: |text| BenchReport::from_json_text(text).expect("decodes").digest_hex(),
             integers: &[
                 "schema_version",
                 "entries[].batch",
@@ -197,6 +204,19 @@ fn every_baseline_round_trips() {
     let serve = read("tests/golden/serve-baseline.json");
     let value = json::parse(&serve).expect("serve golden parses");
     assert_eq!(value.to_string(), serve.trim_end());
+}
+
+/// The stored `digest` key pins the canonical line format: a fresh run
+/// and a decoded baseline digest through the same code, so only the file
+/// can tell a changed line format.
+#[test]
+fn stored_digests_match_the_recomputed_ones() {
+    for baseline in baselines() {
+        let text = read(baseline.file);
+        let root = json::parse(&text).expect("baseline parses");
+        let stored = root.get("digest").and_then(Value::as_str).expect("a stored digest");
+        assert_eq!((baseline.digest)(&text), stored, "{}", baseline.file);
+    }
 }
 
 #[test]
