@@ -31,7 +31,7 @@ use tbd_core::{
     WorkloadProfile,
 };
 use tbd_frameworks::SpeedOptions;
-use tbd_profiler::json::{self, Codec};
+use tbd_profiler::json::{self, Canonical, Codec};
 use tbd_profiler::{observe, TraceOptions};
 
 fn main() -> ExitCode {

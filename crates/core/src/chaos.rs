@@ -23,11 +23,11 @@ use std::fmt::Write as _;
 use tbd_distrib::unit;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_graph::trace::{events_digest, fnv1a, TraceRecorder};
+use tbd_graph::trace::{events_digest, TraceRecorder};
 use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
 use tbd_memopt::Strategy;
 use tbd_models::ModelKind;
-use tbd_profiler::json;
+use tbd_profiler::json::{self, Canonical};
 use tbd_profiler::DiagnosisReport;
 use tbd_tensor::Tensor;
 use tbd_train::{
@@ -118,7 +118,8 @@ impl DegradationSummary {
 }
 
 tbd_profiler::json_record!(DegradationSummary, "degradation summary";
-    fields { strategy, batch, total_bytes, rungs_tried });
+    fields { strategy, batch, total_bytes, rungs_tried }
+    digested { strategy, ":" batch, ":" total_bytes, ":" rungs_tried });
 
 /// A full `tbd chaos` report: one faulted run, its fault-free twin, and
 /// the bit-exactness verdict.
@@ -177,9 +178,9 @@ pub struct ChaosReport {
     pub degradation: Option<DegradationSummary>,
     /// FNV-1a digest of the faulted run's canonical resilience-event lines.
     pub trace_digest: String,
-    /// Trace-mining diagnosis of the faulted run (DESIGN.md §5h). Not part
-    /// of [`ChaosReport::canonical`] — the diagnosis carries its own digest
-    /// and drift gate, so pinned chaos baselines stay valid.
+    /// Trace-mining diagnosis of the faulted run (DESIGN.md §5h). Not
+    /// digested — the diagnosis carries its own digest and drift gate, so
+    /// pinned chaos baselines stay valid.
     pub diagnosis: Option<DiagnosisReport>,
 }
 
@@ -190,6 +191,15 @@ tbd_profiler::json_record!(ChaosReport, "chaos report", schema = CHAOS_SCHEMA_VE
         forced_through, checkpoints_written, checkpoint_bytes, recovery_time_s, sim_time_s,
         throughput, goodput, param_hash, fault_free_hash, replay_exact, degradation,
         trace_digest, diagnosis,
+    }
+    digested {
+        model, "|" framework, "|b:" batch, "|seed:" seed, "|steps:" steps, "|" preset,
+        "|" policy, "|iter:" iteration_s, "|f:" faults_injected, "|r:" recoveries,
+        "|rp:" replayed_steps, "|sk:" skipped_steps, "|ft:" forced_through,
+        "|ck:" checkpoints_written, "|ckb:" checkpoint_bytes, "|rt:" recovery_time_s,
+        "|st:" sim_time_s, "|tp:" throughput, "|gp:" goodput, "|ph:" param_hash,
+        "|fh:" fault_free_hash, "|ex:" replay_exact, "|" trace_digest, faults_by_kind,
+        "|deg:" degradation,
     }
     derived { digest = ChaosReport::digest_hex });
 
@@ -325,57 +335,6 @@ impl ChaosReport {
             trace_digest: format!("{:016x}", events_digest(&events)),
             diagnosis: Some(diagnosis),
         })
-    }
-
-    /// Canonical digest text (bitwise: f64 fields by bit pattern, with
-    /// `-0.0` normalised to `+0.0` so the JSON integer fast-path
-    /// round-trips to the same digest).
-    pub fn canonical(&self) -> String {
-        fn bits(x: f64) -> u64 {
-            (x + 0.0).to_bits()
-        }
-        let mut line = format!(
-            "{}|{}|b:{}|seed:{}|steps:{}|{}|{}|iter:{:016x}|f:{}|r:{}|rp:{}|sk:{}|ft:{}|ck:{}|ckb:{}|rt:{:016x}|st:{:016x}|tp:{:016x}|gp:{:016x}|ph:{}|fh:{}|ex:{}|{}",
-            self.model,
-            self.framework,
-            self.batch,
-            self.seed,
-            self.steps,
-            self.preset,
-            self.policy,
-            bits(self.iteration_s),
-            self.faults_injected,
-            self.recoveries,
-            self.replayed_steps,
-            self.skipped_steps,
-            self.forced_through,
-            self.checkpoints_written,
-            self.checkpoint_bytes,
-            bits(self.recovery_time_s),
-            bits(self.sim_time_s),
-            bits(self.throughput),
-            bits(self.goodput),
-            self.param_hash,
-            self.fault_free_hash,
-            self.replay_exact,
-            self.trace_digest,
-        );
-        for (kind, count) in &self.faults_by_kind {
-            let _ = write!(line, "|{kind}:{count}");
-        }
-        if let Some(d) = &self.degradation {
-            let _ = write!(
-                line,
-                "|deg:{}:{}:{}:{}",
-                d.strategy, d.batch, d.total_bytes, d.rungs_tried
-            );
-        }
-        line
-    }
-
-    /// FNV-1a digest over the canonical text.
-    pub fn digest_hex(&self) -> String {
-        format!("{:016x}", fnv1a(self.canonical().as_bytes()))
     }
 
     /// Compares this report against a pinned snapshot: the fault schedule

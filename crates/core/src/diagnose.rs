@@ -174,6 +174,7 @@ pub fn run_diagnose(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbd_profiler::json::Canonical;
     use tbd_tensor::Precision;
 
     #[test]

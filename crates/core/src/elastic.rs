@@ -15,9 +15,9 @@ use tbd_distrib::{fig10_clusters, ChurnSpec, DataParallelSim, ElasticConfig};
 use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_profiler::json;
+use tbd_profiler::json::{self, Canonical};
 use tbd_profiler::profile_workload;
-use tbd_profiler::trace::{events_digest, fnv1a, TraceRecorder};
+use tbd_profiler::trace::{events_digest, TraceRecorder};
 use tbd_tensor::Precision;
 
 /// Version stamp of the elastic-report JSON schema.
@@ -62,43 +62,17 @@ pub struct ElasticEntry {
     /// FNV-1a digest of the canonical membership-trace lines of this point.
     pub digest: String,
     /// Top-1 trace-mining diagnosis label for this point (DESIGN.md §5h).
-    /// Not part of [`ElasticEntry::canonical`] — the diagnosis engine has
-    /// its own drift gate, so pinned sweep baselines stay valid.
+    /// Not digested — the diagnosis engine has its own drift gate, so
+    /// pinned sweep baselines stay valid.
     pub diagnosis: Option<String>,
 }
 
 impl ElasticEntry {
-    /// Stable identity within a report (the ladder rates are exact short
-    /// decimals, so two digits render them losslessly).
+    /// Stable identity within a report: the rate in its shortest
+    /// round-trip form, so distinct rates give distinct keys (`-0.0` reads
+    /// as `0`, as the JSON writer prints it).
     pub fn key(&self) -> String {
-        format!("{} @ {:.2}", self.label, self.churn_rate)
-    }
-
-    /// Canonical digest line (bitwise: f64 fields by bit pattern, with
-    /// `-0.0` normalised to `+0.0` so the JSON integer fast-path — which
-    /// drops the sign of zero — round-trips to the same digest).
-    pub fn canonical(&self) -> String {
-        fn bits(x: f64) -> u64 {
-            (x + 0.0).to_bits()
-        }
-        format!(
-            "{}|{}|w:{}|rate:{:016x}|ep:{}|ev:{}|rj:{}|deg:{}|stall:{:016x}|catch:{:016x}|smp:{}|gp:{:016x}|hgp:{:016x}|frac:{:016x}|{}",
-            self.label,
-            self.sync,
-            self.workers,
-            bits(self.churn_rate),
-            self.epochs,
-            self.evictions,
-            self.rejoins,
-            self.degraded_steps,
-            bits(self.deadline_stall_s),
-            bits(self.rejoin_catchup_s),
-            self.useful_samples,
-            bits(self.goodput),
-            bits(self.healthy_goodput),
-            bits(self.goodput_fraction),
-            self.digest,
-        )
+        format!("{} @ {}", self.label, self.churn_rate + 0.0)
     }
 }
 
@@ -107,6 +81,12 @@ tbd_profiler::json_record!(ElasticEntry, "elastic entry";
         label, sync, workers, churn_rate, epochs, evictions, rejoins, degraded_steps,
         deadline_stall_s, rejoin_catchup_s, useful_samples, goodput, healthy_goodput,
         goodput_fraction, digest, diagnosis,
+    }
+    digested {
+        label, "|" sync, "|w:" workers, "|rate:" churn_rate, "|ep:" epochs, "|ev:" evictions,
+        "|rj:" rejoins, "|deg:" degraded_steps, "|stall:" deadline_stall_s,
+        "|catch:" rejoin_catchup_s, "|smp:" useful_samples, "|gp:" goodput,
+        "|hgp:" healthy_goodput, "|frac:" goodput_fraction, "|" digest,
     });
 
 /// A full elastic-membership report.
@@ -137,6 +117,7 @@ tbd_profiler::json_record!(ElasticReport, "elastic report", schema = ELASTIC_SCH
         schema_version, model, framework, batch, seed, steps, compute_iter_s, gradient_bytes,
         entries,
     }
+    digested { entries }
     derived { digest = ElasticReport::digest_hex });
 
 impl ElasticReport {
@@ -235,12 +216,6 @@ impl ElasticReport {
             last.insert(e.label.as_str(), (e.churn_rate, e.goodput));
         }
         Ok(())
-    }
-
-    /// FNV-1a digest over the canonical entry lines.
-    pub fn digest_hex(&self) -> String {
-        let text: String = self.entries.iter().map(|e| e.canonical() + "\n").collect();
-        format!("{:016x}", fnv1a(text.as_bytes()))
     }
 
     /// Compares goodput against a pinned snapshot on overlapping

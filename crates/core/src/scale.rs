@@ -16,8 +16,9 @@ use tbd_distrib::{
 use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::GpuSpec;
 use tbd_models::ModelKind;
-use tbd_profiler::trace::{events_digest, fnv1a, TraceRecorder};
-use tbd_profiler::{json, profile_workload};
+use tbd_profiler::json::{self, Canonical};
+use tbd_profiler::profile_workload;
+use tbd_profiler::trace::{events_digest, TraceRecorder};
 
 /// Version stamp of the scale-report JSON schema.
 pub const SCALE_SCHEMA_VERSION: u64 = 1;
@@ -52,13 +53,13 @@ pub struct ScaleEntry {
     /// FNV-1a digest of the canonical event-trace lines of this point.
     pub digest: String,
     /// Top-1 trace-mining diagnosis label for this point (DESIGN.md §5h).
-    /// Not part of [`ScaleEntry::canonical`] — the diagnosis engine has
-    /// its own drift gate, so pinned sweep baselines stay valid.
+    /// Not digested — the diagnosis engine has its own drift gate, so
+    /// pinned sweep baselines stay valid.
     pub diagnosis: Option<String>,
     /// Fleet cost of one iteration in USD (`workers × $/h / 3600 ×
     /// iteration_s`), `None` when the device has no rental price. Like
-    /// `diagnosis`, the TCO columns stay out of [`ScaleEntry::canonical`]
-    /// so pinned sweep baselines survive price-list edits.
+    /// `diagnosis`, the TCO columns are not digested, so pinned sweep
+    /// baselines survive price-list edits.
     pub cost_per_iteration: Option<f64>,
     /// USD per 1000 training samples — the price-normalised ranking
     /// metric: at uniform device prices it orders clusters exactly like
@@ -131,36 +132,6 @@ impl ScaleEntry {
     pub fn exposed_exchange_exceeds(&self, single_iteration_s: f64) -> bool {
         self.exposed_comm_s > single_iteration_s
     }
-
-    /// Stable identity within a report.
-    pub fn key(&self) -> &str {
-        &self.label
-    }
-
-    /// Canonical digest line (bitwise: f64 fields by bit pattern, with
-    /// `-0.0` normalised to `+0.0` so the JSON integer fast-path — which
-    /// drops the sign of zero — round-trips to the same digest).
-    pub fn canonical(&self) -> String {
-        fn bits(x: f64) -> u64 {
-            (x + 0.0).to_bits()
-        }
-        format!(
-            "{}|{}|w:{}|b:{}|iter:{:016x}|tp:{:016x}|eff:{:016x}|comm:{:016x}|exp:{:016x}|ovl:{:016x}|slow:{:016x}|r:{}|{}",
-            self.label,
-            self.sync,
-            self.workers,
-            self.buckets,
-            bits(self.iteration_s),
-            bits(self.throughput),
-            bits(self.scaling_efficiency),
-            bits(self.comm_s),
-            bits(self.exposed_comm_s),
-            bits(self.overlap),
-            bits(self.slowdown_factor),
-            self.retries,
-            self.digest,
-        )
-    }
 }
 
 tbd_profiler::json_record!(ScaleEntry, "scale entry";
@@ -168,6 +139,11 @@ tbd_profiler::json_record!(ScaleEntry, "scale entry";
         label, sync, workers, buckets, iteration_s, throughput, scaling_efficiency, comm_s,
         exposed_comm_s, overlap, slowdown_factor, retries, digest, diagnosis,
         cost_per_iteration, cost_per_1k_samples,
+    }
+    digested {
+        label, "|" sync, "|w:" workers, "|b:" buckets, "|iter:" iteration_s, "|tp:" throughput,
+        "|eff:" scaling_efficiency, "|comm:" comm_s, "|exp:" exposed_comm_s, "|ovl:" overlap,
+        "|slow:" slowdown_factor, "|r:" retries, "|" digest,
     });
 
 /// A full `tbd scale` report.
@@ -201,6 +177,7 @@ tbd_profiler::json_record!(ScaleReport, "scale report", schema = SCALE_SCHEMA_VE
         schema_version, model, framework, batch, sweep, straggler_seed, compute_iter_s,
         gradient_bytes, price_per_hour, entries,
     }
+    digested { entries }
     derived { digest = ScaleReport::digest_hex });
 
 impl ScaleReport {
@@ -294,12 +271,6 @@ impl ScaleReport {
                 single.iteration_s * 1e3
             )
         })
-    }
-
-    /// FNV-1a digest over the canonical entry lines.
-    pub fn digest_hex(&self) -> String {
-        let text: String = self.entries.iter().map(|e| e.canonical() + "\n").collect();
-        format!("{:016x}", fnv1a(text.as_bytes()))
     }
 
     /// Compares throughput against a pinned snapshot on overlapping

@@ -10,12 +10,11 @@
 //! validated summary metrics that let a simulator earn trust.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use tbd_frameworks::{Framework, SpeedOptions};
 use tbd_gpusim::{GpuSpec, MemoryCategory};
 use tbd_models::ModelKind;
-use tbd_profiler::json;
-use tbd_profiler::trace::{fnv1a, TraceRecorder};
+use tbd_profiler::json::{self, Canonical};
+use tbd_profiler::trace::TraceRecorder;
 use tbd_profiler::{capture_into, sampled_throughput, SamplingConfig, StreamingAggregator, TraceOptions};
 
 use crate::scale::{ScaleEntry, ScaleReport};
@@ -87,9 +86,9 @@ pub struct BenchEntry {
     /// Golden-trace digest of the captured run.
     pub digest: String,
     /// Measured wall-clock of the whole capture, seconds. Real host time:
-    /// excluded from `BenchEntry::canonical` (and so from the report
-    /// digest) and gated only by the wide [`WALL_DRIFT_TOLERANCE`].
-    /// `None` in baselines pinned before the speed tier existed.
+    /// excluded from the report digest and gated only by the wide
+    /// [`WALL_DRIFT_TOLERANCE`]. `None` in baselines pinned before the
+    /// speed tier existed.
     pub capture_wall_s: Option<f64>,
     /// Functional-executor share of the capture wall, seconds.
     pub wall_exec_s: Option<f64>,
@@ -104,26 +103,6 @@ impl BenchEntry {
     pub fn key(&self) -> String {
         format!("{}/{}/b{}", self.model, self.framework, self.batch)
     }
-
-    fn canonical(&self) -> String {
-        let mut line = format!(
-            "{}|iter:{:016x}|tp:{:016x}|gpu:{:016x}|fp32:{:016x}|cpu:{:016x}|{}",
-            self.key(),
-            self.iteration_s.to_bits(),
-            self.throughput.to_bits(),
-            self.gpu_utilization.to_bits(),
-            self.fp32_utilization.to_bits(),
-            self.cpu_utilization.to_bits(),
-            self.digest,
-        );
-        for (class, us) in &self.class_time_us {
-            let _ = write!(line, "|{class}:{:016x}", us.to_bits());
-        }
-        for (category, bytes) in &self.memory_peak_bytes {
-            let _ = write!(line, "|{category}:{bytes}");
-        }
-        line
-    }
 }
 
 tbd_profiler::json_record!(BenchEntry, "bench entry";
@@ -132,6 +111,11 @@ tbd_profiler::json_record!(BenchEntry, "bench entry";
         fp32_utilization, cpu_utilization, class_time_us, memory_peak_bytes, dominant_memory,
         feature_map_fraction, digest, capture_wall_s, wall_exec_s, wall_lower_sim_s,
         wall_distrib_s,
+    }
+    digested {
+        model, "/" framework, "/b" batch, "|iter:" iteration_s, "|tp:" throughput,
+        "|gpu:" gpu_utilization, "|fp32:" fp32_utilization, "|cpu:" cpu_utilization,
+        "|" digest, class_time_us, memory_peak_bytes,
     });
 
 /// The fused-vs-unfused speed-tier record of one report: the same capture
@@ -217,6 +201,7 @@ pub struct BenchReport {
 
 tbd_profiler::json_record!(BenchReport, "BENCH report", schema = BENCH_SCHEMA_VERSION;
     fields { schema_version, date, gpu, matrix, entries, scale, speed_tier, loadgen }
+    digested { entries, scale }
     derived { digest = BenchReport::digest_hex });
 
 impl BenchReport {
@@ -283,14 +268,6 @@ impl BenchReport {
             speed_tier,
             loadgen: None,
         })
-    }
-
-    /// FNV-1a digest over the canonical entry lines (bench, then scale).
-    pub fn digest_hex(&self) -> String {
-        let mut text: String =
-            self.entries.iter().map(|e| e.canonical() + "\n").collect::<String>();
-        text.extend(self.scale.iter().map(|e| e.canonical() + "\n"));
-        format!("{:016x}", fnv1a(text.as_bytes()))
     }
 
     /// File name the trajectory convention expects for this report.

@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use tbd_core::{BenchReport, ChaosReport, DiagnosisReport, ElasticReport, ScaleReport};
-use tbd_profiler::json::{self, Codec, Value};
+use tbd_profiler::json::{self, Canonical, Codec, Value};
 
 fn read(relative: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -292,4 +292,19 @@ fn errors_name_the_report_the_field_and_the_value() {
     assert!(ScaleReport::from_json_text(&sweep)
         .unwrap_err()
         .contains("'sweep'"));
+}
+
+/// The JSON writer prints `-0.0` as `0`, so the digest line writes it as
+/// `+0.0`: a bench report with a negative zero digests the same after a
+/// round trip.
+#[test]
+fn a_negative_zero_keeps_the_bench_digest_across_a_round_trip() {
+    let text = read("tests/golden/bench-baseline.json");
+    let mut report = BenchReport::from_json_text(&text).expect("decodes");
+    let entry = &mut report.entries[0];
+    entry.cpu_utilization = -0.0;
+    *entry.class_time_us.values_mut().next().expect("a kernel class") = -0.0;
+    let written = report.to_json().to_string();
+    let decoded = BenchReport::from_json_text(&written).expect("round trip");
+    assert_eq!(decoded.digest_hex(), report.digest_hex());
 }

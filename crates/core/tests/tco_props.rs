@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 use tbd_core::{Framework, GpuSpec, ModelKind, ScaleReport};
+use tbd_profiler::json::Canonical;
 use tbd_distrib::ClusterConfig;
 
 fn priced(price_per_hour: f64) -> GpuSpec {

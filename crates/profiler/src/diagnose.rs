@@ -28,11 +28,11 @@
 //! and an "empty trace" evidence line — never NaN/Inf.
 
 use crate::agg::{aggregate, arg_f64, series, Log2Histogram, MetricsRegistry};
-use crate::json::{self, Codec, Value};
+use crate::json::{self, Canonical, Codec, Value};
 use crate::sampling::SamplingConfig;
 use crate::trace::Trace;
-use std::fmt::Write as _;
-use tbd_graph::trace::{fnv1a, EventKind, TraceLayer, TraceStore};
+use std::fmt::{self, Write as _};
+use tbd_graph::trace::{EventKind, TraceLayer, TraceStore};
 
 /// Version stamp of the diagnosis-report JSON schema.
 pub const DIAGNOSE_SCHEMA_VERSION: u64 = 1;
@@ -259,6 +259,29 @@ crate::json_record!(Diagnosis, "diagnosis"; fields { class, confidence, evidence
 crate::json_record!(DiagnosisReport, "diagnosis report", schema = DIAGNOSE_SCHEMA_VERSION;
     fields { schema_version, model, framework, batch, events, iteration_us, diagnoses }
     derived { digest = DiagnosisReport::digest_hex });
+
+/// The digest text: a header line, then one `\nD|` line per diagnosis,
+/// each followed by one `\nE|` line per evidence — nested lines that a
+/// field list cannot spell. Remediation strings are derived from the
+/// class, so they are excluded.
+impl Canonical for DiagnosisReport {
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write!(out, "v{}|{}|{}", self.schema_version, self.model, self.framework)?;
+        write!(out, "|b:{}|ev:{}", self.batch, self.events)?;
+        self.iteration_us.write_field(out, "|iter:")?;
+        for d in &self.diagnoses {
+            write!(out, "\nD|{}", d.class.label())?;
+            d.confidence.write_field(out, "|c:")?;
+            for e in &d.evidence {
+                write!(out, "\nE|{}", e.metric)?;
+                e.value.write_field(out, "|v:")?;
+                e.threshold.write_field(out, "|t:")?;
+                write!(out, "|{}", e.detail)?;
+            }
+        }
+        Ok(())
+    }
+}
 
 /// `Some(num / den)` when `den` is positive and the quotient finite.
 fn ratio(num: f64, den: f64) -> Option<f64> {
@@ -764,44 +787,6 @@ impl DiagnosisReport {
     /// The top-ranked diagnosis (every report has at least the fallback).
     pub fn top1(&self) -> &Diagnosis {
         &self.diagnoses[0]
-    }
-
-    /// Canonical digest text (bitwise: f64 fields by bit pattern, with
-    /// `-0.0` normalised to `+0.0` so the JSON integer fast-path
-    /// round-trips to the same digest). Remediation strings are derived
-    /// from the class, so they are excluded.
-    pub fn canonical(&self) -> String {
-        fn bits(x: f64) -> u64 {
-            (x + 0.0).to_bits()
-        }
-        let mut out = format!(
-            "v{}|{}|{}|b:{}|ev:{}|iter:{:016x}",
-            self.schema_version,
-            self.model,
-            self.framework,
-            self.batch,
-            self.events,
-            bits(self.iteration_us),
-        );
-        for d in &self.diagnoses {
-            let _ = write!(out, "\nD|{}|c:{:016x}", d.class.label(), bits(d.confidence));
-            for e in &d.evidence {
-                let _ = write!(
-                    out,
-                    "\nE|{}|v:{:016x}|t:{:016x}|{}",
-                    e.metric,
-                    bits(e.value),
-                    bits(e.threshold),
-                    e.detail
-                );
-            }
-        }
-        out
-    }
-
-    /// FNV-1a digest over the canonical text.
-    pub fn digest_hex(&self) -> String {
-        format!("{:016x}", fnv1a(self.canonical().as_bytes()))
     }
 
     /// Compares this report against a pinned snapshot: the ranked class

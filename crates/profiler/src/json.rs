@@ -10,10 +10,12 @@
 //! It also holds the report codec ([`Codec`], [`json_record!`](crate::json_record)):
 //! every schema-versioned report converts to and from [`Value`] through
 //! it, so range checks, the schema gate and the keyed drift comparison
-//! live in one place.
+//! live in one place. [`Canonical`] writes the line each report's pinned
+//! digest hashes.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use tbd_graph::trace::Fnv1a;
 
 /// A parsed JSON value. Objects use a [`BTreeMap`] so serialization is
 /// deterministic.
@@ -450,6 +452,91 @@ impl<T: Codec> Codec for BTreeMap<String, T> {
     }
 }
 
+/// The canonical text of a value — the line format a report's pinned
+/// `digest` hashes. Records declare theirs in the `digested { .. }` clause
+/// of [`json_record!`](crate::json_record), or implement it by hand from
+/// the same leaves when a field list cannot spell the line.
+///
+/// The leaves: an `f64` is 16 hex digits of its bits, with `-0.0` written
+/// as `+0.0` (the JSON writer drops the sign of zero, so a round trip
+/// keeps the digest); integers are decimal, strings raw and bools
+/// `true`/`false`; a `BTreeMap` writes `|k:v` per entry; a `None` writes
+/// nothing; a `Vec` writes each element's line followed by `'\n'`.
+pub trait Canonical {
+    /// Writes the canonical text to `out`.
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result;
+
+    /// Writes the value as a field of a record's line: the literal `tag`
+    /// that precedes it, then the value. A `None` writes neither.
+    fn write_field(&self, out: &mut dyn fmt::Write, tag: &str) -> fmt::Result {
+        out.write_str(tag)?;
+        self.write_canonical(out)
+    }
+
+    /// The canonical text.
+    fn canonical(&self) -> String {
+        let mut text = String::new();
+        let _ = self.write_canonical(&mut text);
+        text
+    }
+
+    /// FNV-1a digest of the canonical text as 16 hex digits, streamed
+    /// into the hash.
+    fn digest_hex(&self) -> String {
+        let mut hash = Fnv1a::new();
+        let _ = self.write_canonical(&mut hash);
+        format!("{:016x}", hash.finish())
+    }
+}
+
+impl Canonical for f64 {
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        write!(out, "{:016x}", (self + 0.0).to_bits())
+    }
+}
+
+macro_rules! display_canonical {
+    ($($t:ty),*) => {$(
+        impl Canonical for $t {
+            fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+                write!(out, "{self}")
+            }
+        }
+    )*};
+}
+
+display_canonical!(u32, u64, usize, bool, String);
+
+impl<T: Canonical> Canonical for Option<T> {
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        self.as_ref().map_or(Ok(()), |v| v.write_canonical(out))
+    }
+
+    fn write_field(&self, out: &mut dyn fmt::Write, tag: &str) -> fmt::Result {
+        self.as_ref().map_or(Ok(()), |v| v.write_field(out, tag))
+    }
+}
+
+impl<T: Canonical> Canonical for BTreeMap<String, T> {
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        for (key, value) in self {
+            write!(out, "|{key}:")?;
+            value.write_canonical(out)?;
+        }
+        Ok(())
+    }
+}
+
+impl<T: Canonical> Canonical for Vec<T> {
+    fn write_canonical(&self, out: &mut dyn fmt::Write) -> fmt::Result {
+        for item in self {
+            item.write_canonical(out)?;
+            out.write_char('\n')?;
+        }
+        Ok(())
+    }
+}
+
 /// Decodes field `key` of `object`, a `record`, naming both in any error.
 ///
 /// # Errors
@@ -533,6 +620,9 @@ pub fn verdict(failures: Vec<String>) -> Result<(), String> {
 /// Implements [`Codec`] for a record struct from one field table: each
 /// field is written and read under its own name, and `derived { key = f }`
 /// writes `f(&self)` as an extra output-only key (ignored when decoding).
+/// `digested { .. }` implements [`Canonical`]: the ordered fields of the
+/// digest line, each optionally preceded by the literal text before it
+/// (`label, "|w:" workers`). A field left out of it is presentation.
 /// A report header adds `schema = V`: decoding first passes
 /// [`check_schema`], and the type gets `to_json` and `from_json_text`.
 ///
@@ -540,15 +630,20 @@ pub fn verdict(failures: Vec<String>) -> Result<(), String> {
 /// json_record!(SpeedTier, "speed tier";
 ///     fields { model, framework, batch, fused_wall_s, unfused_wall_s }
 ///     derived { speedup = SpeedTier::speedup });
+/// json_record!(DegradationSummary, "degradation summary";
+///     fields { strategy, batch, total_bytes, rungs_tried }
+///     digested { strategy, ":" batch, ":" total_bytes, ":" rungs_tried });
 /// ```
 #[macro_export]
 macro_rules! json_record {
     (
         $ty:ty, $name:literal, schema = $schema:expr;
         fields { $($field:ident),* $(,)? }
+        $(digested { $($digested:tt)* })?
         $(derived { $($key:ident = $derive:path),* $(,)? })?
     ) => {
         $crate::json_record!(@codec $ty, $name, ($schema); $($field),*; $($($key = $derive),*)?);
+        $($crate::json_record!(@digested $ty; $($digested)*);)?
 
         impl $ty {
             /// Serialises the report (round-trips through `json::parse`).
@@ -570,9 +665,11 @@ macro_rules! json_record {
     (
         $ty:ty, $name:literal;
         fields { $($field:ident),* $(,)? }
+        $(digested { $($digested:tt)* })?
         $(derived { $($key:ident = $derive:path),* $(,)? })?
     ) => {
         $crate::json_record!(@codec $ty, $name, (); $($field),*; $($($key = $derive),*)?);
+        $($crate::json_record!(@digested $ty; $($digested)*);)?
     };
     (
         @codec $ty:ty, $name:literal, ($($schema:expr)?);
@@ -598,6 +695,14 @@ macro_rules! json_record {
                 };
                 $($crate::json::check_schema(object, $name, $schema)?;)?
                 Ok(Self { $($field: $crate::json::field(object, $name, stringify!($field))?),* })
+            }
+        }
+    };
+    (@digested $ty:ty; $($($tag:literal)? $field:ident),* $(,)?) => {
+        impl $crate::json::Canonical for $ty {
+            fn write_canonical(&self, out: &mut dyn ::std::fmt::Write) -> ::std::fmt::Result {
+                $($crate::json::Canonical::write_field(&self.$field, out, concat!("" $(, $tag)?))?;)*
+                Ok(())
             }
         }
     };
@@ -668,7 +773,21 @@ mod tests {
 
     crate::json_record!(Probe, "probe", schema = 2;
         fields { schema_version, count, flag, note, sizes, ratio }
+        digested { "v" schema_version, "|" flag, "|n:" note, sizes, "|r:" ratio }
         derived { doubled = Probe::doubled });
+
+    #[test]
+    fn digested_fields_form_one_line_streamed_into_the_digest() {
+        let sizes = BTreeMap::from([("a".to_string(), 7), ("b".to_string(), 0)]);
+        let mut probe =
+            Probe { schema_version: 2, count: 3, flag: true, note: None, sizes, ratio: -0.0 };
+        assert_eq!(probe.canonical(), "v2|true|a:7|b:0|r:0000000000000000");
+        probe.note = Some("x".into());
+        probe.ratio = 1.0;
+        assert_eq!(probe.canonical(), "v2|true|n:x|a:7|b:0|r:3ff0000000000000");
+        let digest = tbd_graph::trace::fnv1a(probe.canonical().as_bytes());
+        assert_eq!(probe.digest_hex(), format!("{digest:016x}"));
+    }
 
     #[test]
     fn records_round_trip_and_tolerate_only_options_missing() {

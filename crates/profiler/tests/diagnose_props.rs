@@ -15,6 +15,7 @@ use tbd_gpusim::Interconnect;
 use tbd_graph::trace::TraceRecorder;
 use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
 use tbd_profiler::diagnose::scenarios::{self, WorkloadShape, RESNET50, SEQ2SEQ};
+use tbd_profiler::json::Canonical;
 use tbd_profiler::trace::TraceStore;
 use tbd_profiler::{
     aggregate, diagnose_events, diagnose_named, BottleneckClass, DiagnosisReport, SamplingConfig,

@@ -17,6 +17,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use tbd_core::trajectory::{BenchReport, BENCH_SCHEMA_VERSION, GOLDEN_PAIRS};
 use tbd_core::GpuSpec;
+use tbd_profiler::json::Canonical;
 use tbd_frameworks::SpeedOptions;
 use tbd_tensor::Precision;
 

@@ -4,6 +4,7 @@
 //! the CLI's pinned golden baseline stays reachable.
 
 use tbd_core::{ChaosReport, FaultPreset, Framework, GpuSpec, ModelKind};
+use tbd_profiler::json::Canonical;
 use tbd_graph::{GraphBuilder, Init, NodeId, Session};
 use tbd_tensor::Tensor;
 use tbd_train::{

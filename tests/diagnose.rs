@@ -25,6 +25,7 @@ use tbd_graph::trace::{TraceRecorder, TraceStore};
 use tbd_graph::{ExecConfig, GraphBuilder, Init, Session};
 use tbd_profiler::diagnose::scenarios::{self, RESNET50, SEQ2SEQ};
 use tbd_profiler::diagnose_events;
+use tbd_profiler::json::Canonical;
 use tbd_tensor::Tensor;
 use tbd_train::{DefaultPolicy, FaultSpec, ResilienceConfig, ResilientTrainer, Sgd};
 

@@ -7,11 +7,13 @@
 //! monotone-goodput law and reproduce `tests/golden/elastic-baseline.json`;
 //! regenerate with `UPDATE_GOLDEN=1 cargo test --test elastic`.
 
+use std::collections::BTreeSet;
 use tbd_core::{ElasticReport, Framework, GpuSpec, ModelKind, CHURN_RATE_LADDER};
 use tbd_distrib::{
     fig10_clusters, survivor_cluster, BackwardProfile, ChurnSpec, DataParallelSim, ElasticConfig,
     SyncStrategy,
 };
+use tbd_profiler::json::Canonical;
 
 /// One worker shaped like the profiled ResNet-50 point: 360 ms iterations
 /// pushing ~102 MB of gradients (the shape the scenario builders use).
@@ -115,4 +117,35 @@ fn golden_elastic_baseline_is_reproduced() {
         .expect("deterministic sweep matches the pinned baseline");
     assert_eq!(fresh.digest_hex(), baseline.digest_hex(), "bit-stable report digest");
     baseline.monotonicity().expect("the pinned baseline obeys the monotone-goodput law");
+}
+
+/// `--churn 0.001` sweeps 0.001 next to its 0.0 control point. Distinct
+/// rates get distinct keys, so the drift check against the ladder golden
+/// gates exactly the five 0.0 points, never a 0.001 one.
+#[test]
+fn a_fine_churn_rate_is_gated_only_through_its_control_points() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/elastic-baseline.json");
+    let text = std::fs::read_to_string(path).expect("pinned baseline");
+    let baseline = ElasticReport::from_json_text(&text).expect("baseline parses");
+    let gpu = GpuSpec::quadro_p4000();
+    let report =
+        ElasticReport::run_rates(ModelKind::A3c, Framework::mxnet(), 8, &gpu, 7, 32, &[0.0, 0.001])
+            .expect("elastic sweep completes");
+    let keys: BTreeSet<String> = report.entries.iter().map(|e| e.key()).collect();
+    assert_eq!(keys.len(), report.entries.len(), "distinct rates share a key: {keys:?}");
+    report.check_drift(&baseline).expect("the control points match the ladder");
+    let mut fine = report.clone();
+    for e in fine.entries.iter_mut().filter(|e| e.churn_rate > 0.0) {
+        e.goodput *= 2.0;
+    }
+    fine.check_drift(&baseline).expect("a 0.001 point has no pinned counterpart");
+    let control: Vec<usize> = (0..report.entries.len())
+        .filter(|&i| report.entries[i].churn_rate == 0.0)
+        .collect();
+    assert_eq!(control.len(), 5, "one control point per Fig. 10 cluster");
+    for i in control {
+        let mut moved = report.clone();
+        moved.entries[i].goodput *= 2.0;
+        assert!(moved.check_drift(&baseline).is_err(), "{} is not gated", moved.entries[i].key());
+    }
 }
