@@ -33,6 +33,11 @@ fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(text: &str) -> Result<(), 
     Ok(())
 }
 
+/// The report digest recomputed from the decoded `text`.
+fn digest<T: Codec + Canonical>(text: &str) -> String {
+    json::decode_text::<T>(text).expect("baseline decodes").digest_hex()
+}
+
 /// A baseline file, its decoder (alone and as a round trip), the report
 /// digest recomputed from the decoded file, and the integer fields its
 /// type declares (array indices written `[]`, map keys `*`).
@@ -50,7 +55,7 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/scale-baseline.json",
             decode: decodes::<ScaleReport>,
             round_trip: round_trip::<ScaleReport>,
-            digest: |text| ScaleReport::from_json_text(text).expect("decodes").digest_hex(),
+            digest: digest::<ScaleReport>,
             integers: &[
                 "schema_version",
                 "batch",
@@ -63,7 +68,7 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/elastic-baseline.json",
             decode: decodes::<ElasticReport>,
             round_trip: round_trip::<ElasticReport>,
-            digest: |text| ElasticReport::from_json_text(text).expect("decodes").digest_hex(),
+            digest: digest::<ElasticReport>,
             integers: &[
                 "schema_version",
                 "batch",
@@ -81,7 +86,7 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/chaos-baseline.json",
             decode: decodes::<ChaosReport>,
             round_trip: round_trip::<ChaosReport>,
-            digest: |text| ChaosReport::from_json_text(text).expect("decodes").digest_hex(),
+            digest: digest::<ChaosReport>,
             integers: &[
                 "schema_version",
                 "batch",
@@ -104,14 +109,14 @@ fn baselines() -> Vec<Baseline> {
             file: "tests/golden/diagnose-baseline.json",
             decode: decodes::<DiagnosisReport>,
             round_trip: round_trip::<DiagnosisReport>,
-            digest: |text| DiagnosisReport::from_json_text(text).expect("decodes").digest_hex(),
+            digest: digest::<DiagnosisReport>,
             integers: &["schema_version", "batch", "events"],
         },
         Baseline {
             file: "tests/golden/bench-baseline.json",
             decode: decodes::<BenchReport>,
             round_trip: round_trip::<BenchReport>,
-            digest: |text| BenchReport::from_json_text(text).expect("decodes").digest_hex(),
+            digest: digest::<BenchReport>,
             integers: &[
                 "schema_version",
                 "entries[].batch",
@@ -126,7 +131,7 @@ fn baselines() -> Vec<Baseline> {
             file: "BENCH_2026-08-05.json",
             decode: decodes::<BenchReport>,
             round_trip: round_trip::<BenchReport>,
-            digest: |text| BenchReport::from_json_text(text).expect("decodes").digest_hex(),
+            digest: digest::<BenchReport>,
             integers: &[
                 "schema_version",
                 "entries[].batch",
