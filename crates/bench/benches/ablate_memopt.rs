@@ -36,10 +36,9 @@ fn main() {
 
     println!("\nmaximum feasible mini-batch (candidates 16/32/64/128/256):");
     let candidates = [16usize, 32, 64, 128, 256];
-    for (kind, fw) in [
-        (ModelKind::ResNet50, Framework::mxnet()),
-        (ModelKind::Seq2Seq, Framework::mxnet()),
-    ] {
+    for (kind, fw) in
+        [(ModelKind::ResNet50, Framework::mxnet()), (ModelKind::Seq2Seq, Framework::mxnet())]
+    {
         for (label, strategy) in [
             ("baseline", Strategy::Baseline),
             ("offload 60%", Strategy::Offload { fraction: 0.6 }),

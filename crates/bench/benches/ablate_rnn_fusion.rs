@@ -16,11 +16,8 @@ fn main() {
     let fw = Framework::mxnet();
     let batch = 64;
     let model = ModelKind::Seq2Seq.build_full(batch).expect("builds");
-    let input_bytes: u64 = model
-        .inputs
-        .values()
-        .map(|&id| model.graph.node(id).shape.byte_len() as u64)
-        .sum();
+    let input_bytes: u64 =
+        model.inputs.values().map(|&id| model.graph.node(id).shape.byte_len() as u64).sum();
     let params = fw.execution_params(input_bytes);
     let baseline = fw.plan_with(&model, SpeedOptions::default());
     let graph_fused = fw.plan_with(&model, SpeedOptions::fused(Precision::F32));

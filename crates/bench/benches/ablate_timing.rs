@@ -10,7 +10,10 @@ fn main() {
     let suite = Suite::new(GpuSpec::quadro_p4000());
     let gpu = GpuSpec::quadro_p4000();
     println!("Ablation — full timing model vs pure-FLOP timing (ResNet-50, MXNet)");
-    println!("{:>6} {:>16} {:>16} {:>14}", "batch", "model img/s", "pure-FLOP img/s", "model GPU util");
+    println!(
+        "{:>6} {:>16} {:>16} {:>14}",
+        "batch", "model img/s", "pure-FLOP img/s", "model GPU util"
+    );
     for &batch in &[4usize, 8, 16, 32] {
         let m = suite.run(ModelKind::ResNet50, Framework::mxnet(), batch).unwrap();
         // Pure-FLOP alternative: total algorithmic FLOPs at a fixed 50 % of

@@ -18,7 +18,13 @@ fn main() {
     let y = fw.profile(&yolo, &gpu, hints, SpeedOptions::default(), None).expect("fits");
     let rcnn_model = ModelKind::FasterRcnn.build_full(1).expect("builds");
     let r = fw
-        .profile(&rcnn_model, &gpu, fw.hints(ModelKind::FasterRcnn, 1), SpeedOptions::default(), None)
+        .profile(
+            &rcnn_model,
+            &gpu,
+            fw.hints(ModelKind::FasterRcnn, 1),
+            SpeedOptions::default(),
+            None,
+        )
         .expect("fits");
     println!(
         "  YOLOv2        {:5.1} img/s | GPU {:4.1}% | mem {:.2} GB",
@@ -39,10 +45,9 @@ fn main() {
 
     println!("\nExtension 2 — Deep Speech 2: vanilla RNN vs GRU cells");
     let mx = Framework::mxnet();
-    for (label, cfg) in [
-        ("vanilla RNN", DeepSpeechConfig::full()),
-        ("GRU", DeepSpeechConfig::full_gru()),
-    ] {
+    for (label, cfg) in
+        [("vanilla RNN", DeepSpeechConfig::full()), ("GRU", DeepSpeechConfig::full_gru())]
+    {
         for batch in [1usize, 2] {
             let hints = mx.hints(ModelKind::DeepSpeech2, batch);
             let model = cfg.build(batch).expect("builds");

@@ -29,5 +29,7 @@ fn main() {
             println!();
         }
     }
-    println!("\npaper endpoints: Top-1 75-80 %, BLEU ~20 (Seq2Seq) / ~24 (Transformer), Pong 19-20");
+    println!(
+        "\npaper endpoints: Top-1 75-80 %, BLEU ~20 (Seq2Seq) / ~24 (Transformer), Pong 19-20"
+    );
 }

@@ -9,5 +9,7 @@ fn main() {
         "% of wall time with a kernel resident",
         |m| 100.0 * m.iteration.gpu_utilization,
     );
-    println!("\npaper anchors: CNNs reach ~95 %+; LSTM models stay well below; Faster R-CNN ~89-90 %");
+    println!(
+        "\npaper anchors: CNNs reach ~95 %+; LSTM models stay well below; Faster R-CNN ~89-90 %"
+    );
 }

@@ -25,5 +25,7 @@ fn main() {
             Err(e) => println!("  {label:<28} OOM ({e})"),
         }
     }
-    println!("\npaper anchors: most 5-8 %, CNTK ~0.1 %, Transformer/WGAN ~1.7 %, A3C 28.75 % (highest)");
+    println!(
+        "\npaper anchors: most 5-8 %, CNTK ~0.1 %, Transformer/WGAN ~1.7 %, A3C 28.75 % (highest)"
+    );
 }

@@ -8,7 +8,10 @@ fn main() {
     let cpu = CpuSpec::xeon_e5_2680();
     println!("Table 4 — hardware specifications");
     println!("{:<24} {:>12} {:>14} {:>18}", "", "Titan Xp", "Quadro P4000", "Xeon E5-2680");
-    println!("{:<24} {:>12} {:>14} {:>18}", "Multiprocessors", xp.multiprocessors, p4.multiprocessors, "-");
+    println!(
+        "{:<24} {:>12} {:>14} {:>18}",
+        "Multiprocessors", xp.multiprocessors, p4.multiprocessors, "-"
+    );
     println!("{:<24} {:>12} {:>14} {:>18}", "Core count", xp.cuda_cores, p4.cuda_cores, cpu.cores);
     println!(
         "{:<24} {:>12} {:>14} {:>18}",

@@ -8,7 +8,10 @@ fn main() {
     let framework = Framework::tensorflow();
     let m = suite.run(ModelKind::ResNet50, framework, 32).expect("fits");
     println!("Table 5 — longest 5 kernels with below-average FP32 utilisation");
-    println!("(ResNet-50, mini-batch 32, TensorFlow; average FP32 {:.1} %)", 100.0 * m.iteration.fp32_utilization);
+    println!(
+        "(ResNet-50, mini-batch 32, TensorFlow; average FP32 {:.1} %)",
+        100.0 * m.iteration.fp32_utilization
+    );
     println!("{:>9} {:>12}  Kernel Name", "Duration", "Utilization");
     for row in kernel_table(&m.iteration.records, framework, 5) {
         println!(

@@ -24,7 +24,9 @@ fn bench_conv2d(c: &mut Criterion) {
     c.bench_function("conv2d_backward_8x32x32_to_16", |bench| {
         let y = ops::conv2d_forward(&x, &w, cfg).unwrap();
         let dy = Tensor::ones(y.shape().clone());
-        bench.iter(|| ops::conv2d_backward(black_box(&x), black_box(&w), black_box(&dy), cfg).unwrap())
+        bench.iter(|| {
+            ops::conv2d_backward(black_box(&x), black_box(&w), black_box(&dy), cfg).unwrap()
+        })
     });
 }
 

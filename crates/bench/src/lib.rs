@@ -40,11 +40,7 @@ pub fn figure_series() -> Vec<(ModelKind, Vec<(Framework, String)>)> {
 /// Sweeps every sub-plot of a Fig. 4/5/6-style figure and prints
 /// `metric(…)` per (series, batch) point. OOM points print as `-` exactly
 /// where the paper's plots stop.
-pub fn print_batch_sweep_figure(
-    title: &str,
-    unit: &str,
-    metric: impl Fn(&WorkloadProfile) -> f64,
-) {
+pub fn print_batch_sweep_figure(title: &str, unit: &str, metric: impl Fn(&WorkloadProfile) -> f64) {
     let suite = Suite::new(GpuSpec::quadro_p4000());
     println!("{title}");
     println!("(device: {}, values in {unit})", suite.gpu().name);

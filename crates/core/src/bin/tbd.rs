@@ -86,10 +86,8 @@ struct Grammar {
     about: &'static str,
 }
 
-const SUITE: Grammar = Grammar {
-    usage: "suite [--gpu p4000|titanxp]",
-    about: "profile all Table-2 implementations",
-};
+const SUITE: Grammar =
+    Grammar { usage: "suite [--gpu p4000|titanxp]", about: "profile all Table-2 implementations" };
 const SWEEP: Grammar = Grammar {
     usage: "sweep <model> [--framework <fw>] [--gpu p4000|titanxp]",
     about: "throughput/utilisation batch sweep",
@@ -180,8 +178,7 @@ const BENCH: Grammar = Grammar {
             [--precision f32|f16|bf16] [--gpu p4000|titanxp]",
     about: "perf-trajectory run: writes schema-versioned BENCH_<date>.json",
 };
-const DOT: Grammar =
-    Grammar { usage: "dot <model>", about: "model graph in Graphviz DOT format" };
+const DOT: Grammar = Grammar { usage: "dot <model>", about: "model graph in Graphviz DOT format" };
 const ANALYZE: Grammar = Grammar {
     usage: "analyze <model> <framework> <batch> [--gpu p4000|titanxp]",
     about: "full Fig. 3 analysis pipeline",
@@ -190,8 +187,26 @@ const LIST: Grammar = Grammar { usage: "list", about: "available models/framewor
 
 /// Every grammar, in `tbd help` order.
 const GRAMMARS: [&Grammar; 20] = [
-    &SUITE, &SWEEP, &MEMORY, &KERNELS, &DISTRIBUTED, &SCALE, &ELASTIC, &CHAOS, &DIAGNOSE, &JSON,
-    &TRACE, &METRICS, &WATCH, &SERVE, &LOADGEN, &REPORT, &BENCH, &DOT, &ANALYZE, &LIST,
+    &SUITE,
+    &SWEEP,
+    &MEMORY,
+    &KERNELS,
+    &DISTRIBUTED,
+    &SCALE,
+    &ELASTIC,
+    &CHAOS,
+    &DIAGNOSE,
+    &JSON,
+    &TRACE,
+    &METRICS,
+    &WATCH,
+    &SERVE,
+    &LOADGEN,
+    &REPORT,
+    &BENCH,
+    &DOT,
+    &ANALYZE,
+    &LIST,
 ];
 
 /// The name of a flag spec (`"--batch <n>"` → `"--batch"`).
@@ -470,7 +485,11 @@ fn cmd_suite(args: &[&str]) -> Result<(), String> {
             }
         }
         if !shown {
-            println!("{:<14} {:<11} no feasible batch (largest tried {batch})", kind.name(), framework.name());
+            println!(
+                "{:<14} {:<11} no feasible batch (largest tried {batch})",
+                kind.name(),
+                framework.name()
+            );
         }
     }
     Ok(())
@@ -634,8 +653,9 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
         "mild" => vec![0.0, 0.3],
         "heavy" => vec![0.0, 0.6],
         text => {
-            let rate: f64 =
-                text.parse().map_err(|_| format!("--churn '{text}' is not sweep, mild, heavy or a rate"))?;
+            let rate: f64 = text
+                .parse()
+                .map_err(|_| format!("--churn '{text}' is not sweep, mild, heavy or a rate"))?;
             if !(0.0..=1.0).contains(&rate) {
                 return Err(format!("--churn rate {rate} outside [0, 1]"));
             }
@@ -702,7 +722,15 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
         if replay_exact { "replay-exact" } else { "default" },
     );
     let report = ChaosReport::run(
-        model, framework, batch, &gpu, seed, steps, preset, replay_exact, threads,
+        model,
+        framework,
+        batch,
+        &gpu,
+        seed,
+        steps,
+        preset,
+        replay_exact,
+        threads,
     )?;
     let rendered =
         if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
@@ -797,13 +825,7 @@ fn cmd_json(args: &[&str]) -> Result<(), String> {
 fn metrics_to_json(kind: ModelKind, fw: Framework, gpu: &GpuSpec, p: &WorkloadProfile) -> String {
     let mem: Vec<String> = MemoryCategory::ALL
         .iter()
-        .map(|&c| {
-            format!(
-                "\"{}\": {}",
-                c.to_string().replace(' ', "_"),
-                p.memory.peak(c)
-            )
-        })
+        .map(|&c| format!("\"{}\": {}", c.to_string().replace(' ', "_"), p.memory.peak(c)))
         .collect();
     format!(
         "{{\"model\": \"{}\", \"framework\": \"{}\", \"gpu\": \"{}\", \"batch\": {}, \
@@ -822,7 +844,6 @@ fn metrics_to_json(kind: ModelKind, fw: Framework, gpu: &GpuSpec, p: &WorkloadPr
     )
 }
 
-
 /// `tbd trace` — record one workload through the whole trace spine
 /// (executor → gpusim → framework → profiler) and export it.
 ///
@@ -836,7 +857,9 @@ fn cmd_trace(args: &[&str]) -> Result<(), String> {
     let cap = tbd_profiler::capture(model, framework, batch, &gpu, &options)
         .map_err(|e| e.to_string())?;
     if let Some(oom) = &cap.oom {
-        eprintln!("note: paper-scale iteration hit OOM ({oom}); trace ends at the failing allocation");
+        eprintln!(
+            "note: paper-scale iteration hit OOM ({oom}); trace ends at the failing allocation"
+        );
     }
     if opts.has("--summary") {
         print_all(&cap.trace.nvprof_summary());
@@ -905,12 +928,10 @@ fn cmd_watch(args: &[&str]) -> Result<(), String> {
     let server = LiveServer::start(config, &format!("127.0.0.1:{port}"))
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
     let addr = server.local_addr();
+    eprintln!("tbd watch: {}/{} b{batch} — serving http://{addr}/", model.name(), framework.name());
     eprintln!(
-        "tbd watch: {}/{} b{batch} — serving http://{addr}/",
-        model.name(),
-        framework.name()
+        "  GET /metrics     Prometheus exposition (byte-identical to `tbd metrics --format prom`)"
     );
-    eprintln!("  GET /metrics     Prometheus exposition (byte-identical to `tbd metrics --format prom`)");
     eprintln!("  GET /health      liveness JSON: uptime, captures, digests, recorder overhead");
     eprintln!("  GET /trace.json  latest Chrome trace (chrome://tracing, ui.perfetto.dev)");
     eprintln!("  GET /report      latest self-contained HTML run report");
@@ -974,9 +995,7 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
         "closed" => LoadgenMode::Closed { clients },
         _ => LoadgenMode::Open {
             rate_qps: match opts.value("--rate") {
-                Some(text) => {
-                    text.parse().map_err(|_| "--rate must be a number".to_string())?
-                }
+                Some(text) => text.parse().map_err(|_| "--rate must be a number".to_string())?,
                 None => 20_000.0,
             },
             workers: clients,
@@ -1006,13 +1025,14 @@ fn cmd_loadgen(args: &[&str]) -> Result<(), String> {
         )
     })?;
     if let Some(path) = opts.value("--bench") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let mut bench = BenchReport::from_json_text(&text)?;
         bench.loadgen = Some(report.summary());
         std::fs::write(path, bench.to_json().to_string())
             .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("attached loadgen summary to {path} (digest unchanged: wall clock is never digested)");
+        eprintln!(
+            "attached loadgen summary to {path} (digest unchanged: wall clock is never digested)"
+        );
     }
     Ok(())
 }
@@ -1029,8 +1049,7 @@ fn cmd_report(args: &[&str]) -> Result<(), String> {
     let gpu = opts.gpu()?;
     // The timestamp is display-only: the digest is computed over the
     // timestamp-free render, so `--timestamp` never perturbs `--check`.
-    let timestamp =
-        opts.value("--timestamp").map(str::to_string).unwrap_or_else(iso_date_today);
+    let timestamp = opts.value("--timestamp").map(str::to_string).unwrap_or_else(iso_date_today);
     let obs = observe(model, framework, batch, &gpu, &options, None).map_err(|e| e.to_string())?;
     if let Some(oom) = &obs.capture.oom {
         eprintln!("note: paper-scale iteration hit OOM ({oom}); report covers the partial trace");
@@ -1044,8 +1063,8 @@ fn cmd_report(args: &[&str]) -> Result<(), String> {
         )
     })?;
     if let Some(snapshot) = opts.value("--check") {
-        let text = std::fs::read_to_string(snapshot)
-            .map_err(|e| format!("reading {snapshot}: {e}"))?;
+        let text =
+            std::fs::read_to_string(snapshot).map_err(|e| format!("reading {snapshot}: {e}"))?;
         let want = parse_digest_file(&text)?;
         if want != out.digest_hex {
             return Err(format!(
@@ -1114,9 +1133,8 @@ fn cmd_bench(args: &[&str]) -> Result<(), String> {
         report.entries.len(),
         100.0 * DRIFT_TOLERANCE
     );
-    let checked = opts.check("throughput", &holds, |baseline: &BenchReport| {
-        report.check_drift(baseline)
-    })?;
+    let checked =
+        opts.check("throughput", &holds, |baseline: &BenchReport| report.check_drift(baseline))?;
     // Wall clock varies across machines, so its gate only warns.
     if let Some(baseline) = checked {
         if let Err(failures) = report.check_wall_drift(&baseline) {

@@ -226,15 +226,15 @@ pub(crate) fn proxy_session(seed: u64, exec: ExecConfig) -> (Session, NodeId, No
 
 /// Feeds as a pure function of the logical step index (the replay
 /// contract), drawn from a counter-based stream rooted at `seed`.
-pub(crate) fn proxy_feeds(seed: u64, x: NodeId, t: NodeId) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
+pub(crate) fn proxy_feeds(
+    seed: u64,
+    x: NodeId,
+    t: NodeId,
+) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
     move |step| {
-        let xs: Vec<f32> =
-            (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
+        let xs: Vec<f32> = (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
         let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-        vec![
-            (x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")),
-            (t, Tensor::from_slice(&ts)),
-        ]
+        vec![(x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")), (t, Tensor::from_slice(&ts))]
     }
 }
 
@@ -283,9 +283,15 @@ impl ChaosReport {
             let feeds = proxy_feeds(seed, x, t);
             let cfg = ResilienceConfig { faults, ..config.clone() };
             if replay_exact {
-                ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, ReplayExactPolicy::default())
-                    .run(steps, feeds, tracer)
-                    .map_err(|e| e.to_string())
+                ResilientTrainer::new(
+                    session,
+                    loss,
+                    Sgd::new(0.1),
+                    cfg,
+                    ReplayExactPolicy::default(),
+                )
+                .run(steps, feeds, tracer)
+                .map_err(|e| e.to_string())
             } else {
                 ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, DefaultPolicy::default())
                     .run(steps, feeds, tracer)
@@ -370,10 +376,8 @@ impl ChaosReport {
                 .push(format!("recoveries {} != pinned {}", self.recoveries, baseline.recoveries));
         }
         if self.param_hash != baseline.param_hash {
-            failures.push(format!(
-                "param_hash {} != pinned {}",
-                self.param_hash, baseline.param_hash
-            ));
+            failures
+                .push(format!("param_hash {} != pinned {}", self.param_hash, baseline.param_hash));
         }
         if self.replay_exact != baseline.replay_exact {
             failures.push(format!(
@@ -459,7 +463,12 @@ impl ChaosReport {
                 top.remediation
             );
         }
-        let _ = writeln!(out, "\nreport digest `{}`, trace digest `{}`", self.digest_hex(), self.trace_digest);
+        let _ = writeln!(
+            out,
+            "\nreport digest `{}`, trace digest `{}`",
+            self.digest_hex(),
+            self.trace_digest
+        );
         out
     }
 }

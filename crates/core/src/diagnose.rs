@@ -95,14 +95,10 @@ pub fn named_clusters() -> Vec<(String, ClusterConfig)> {
 /// Returns a message listing every known label for an unknown one.
 pub fn resolve_cluster(label: &str) -> Result<ClusterConfig, String> {
     let known = named_clusters();
-    known
-        .iter()
-        .find(|(have, _)| have == label)
-        .map(|(_, cluster)| *cluster)
-        .ok_or_else(|| {
-            let names: Vec<&str> = known.iter().map(|(have, _)| have.as_str()).collect();
-            format!("unknown cluster '{label}' (expected one of: {})", names.join(", "))
-        })
+    known.iter().find(|(have, _)| have == label).map(|(_, cluster)| *cluster).ok_or_else(|| {
+        let names: Vec<&str> = known.iter().map(|(have, _)| have.as_str()).collect();
+        format!("unknown cluster '{label}' (expected one of: {})", names.join(", "))
+    })
 }
 
 /// Captures the named workload, folds in the requested cluster and fault
@@ -156,8 +152,7 @@ pub fn run_diagnose(
     }
 
     if opts.faults != FaultPreset::None {
-        let exec =
-            ExecConfig { intra_op_threads: opts.intra_op_threads, inter_op_parallel: false };
+        let exec = ExecConfig { intra_op_threads: opts.intra_op_threads, inter_op_parallel: false };
         let (session, x, t, loss) = proxy_session(opts.seed, exec);
         let feeds = proxy_feeds(opts.seed, x, t);
         let cfg = ResilienceConfig::with_faults(opts.faults.spec(opts.seed));
@@ -206,14 +201,9 @@ mod tests {
             speed: SpeedOptions { fuse: false, precision: Precision::F16 },
             ..DiagnoseOptions::default()
         };
-        let report = run_diagnose(
-            ModelKind::A3c,
-            Framework::mxnet(),
-            4,
-            &GpuSpec::quadro_p4000(),
-            &opts,
-        )
-        .expect("A3C fits");
+        let report =
+            run_diagnose(ModelKind::A3c, Framework::mxnet(), 4, &GpuSpec::quadro_p4000(), &opts)
+                .expect("A3C fits");
         assert_eq!(report.top1().class.label(), "compute-bound", "{report:?}");
         let fused = run_diagnose(
             ModelKind::A3c,
@@ -233,14 +223,9 @@ mod tests {
     #[test]
     fn fault_stage_surfaces_recovery_overhead() {
         let opts = DiagnoseOptions { faults: FaultPreset::Heavy, ..DiagnoseOptions::default() };
-        let report = run_diagnose(
-            ModelKind::A3c,
-            Framework::mxnet(),
-            4,
-            &GpuSpec::quadro_p4000(),
-            &opts,
-        )
-        .expect("A3C fits");
+        let report =
+            run_diagnose(ModelKind::A3c, Framework::mxnet(), 4, &GpuSpec::quadro_p4000(), &opts)
+                .expect("A3C fits");
         let labels: Vec<&str> = report.diagnoses.iter().map(|d| d.class.label()).collect();
         assert!(
             labels.iter().any(|l| *l == "recovery-overhead" || *l == "oom-pressure"),

@@ -77,17 +77,17 @@ impl ElasticEntry {
 }
 
 tbd_profiler::json_record!(ElasticEntry, "elastic entry";
-    fields {
-        label, sync, workers, churn_rate, epochs, evictions, rejoins, degraded_steps,
-        deadline_stall_s, rejoin_catchup_s, useful_samples, goodput, healthy_goodput,
-        goodput_fraction, digest, diagnosis,
-    }
-    digested {
-        label, "|" sync, "|w:" workers, "|rate:" churn_rate, "|ep:" epochs, "|ev:" evictions,
-        "|rj:" rejoins, "|deg:" degraded_steps, "|stall:" deadline_stall_s,
-        "|catch:" rejoin_catchup_s, "|smp:" useful_samples, "|gp:" goodput,
-        "|hgp:" healthy_goodput, "|frac:" goodput_fraction, "|" digest,
-    });
+fields {
+    label, sync, workers, churn_rate, epochs, evictions, rejoins, degraded_steps,
+    deadline_stall_s, rejoin_catchup_s, useful_samples, goodput, healthy_goodput,
+    goodput_fraction, digest, diagnosis,
+}
+digested {
+    label, "|" sync, "|w:" workers, "|rate:" churn_rate, "|ep:" epochs, "|ev:" evictions,
+    "|rj:" rejoins, "|deg:" degraded_steps, "|stall:" deadline_stall_s,
+    "|catch:" rejoin_catchup_s, "|smp:" useful_samples, "|gp:" goodput,
+    "|hgp:" healthy_goodput, "|frac:" goodput_fraction, "|" digest,
+});
 
 /// A full elastic-membership report.
 #[derive(Debug, Clone, PartialEq)]

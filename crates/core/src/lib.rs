@@ -43,11 +43,9 @@ pub mod trajectory;
 pub use chaos::{ChaosReport, DegradationSummary, FaultPreset, CHAOS_SCHEMA_VERSION};
 pub use compare::{compare_models, ComparabilityReport};
 pub use diagnose::{named_clusters, run_diagnose, DiagnoseOptions, DEFAULT_STRAGGLER_CLUSTER};
-pub use elastic::{
-    ElasticEntry, ElasticReport, CHURN_RATE_LADDER, ELASTIC_SCHEMA_VERSION,
-};
-pub use registry::{table2, Table2Row};
+pub use elastic::{ElasticEntry, ElasticReport, CHURN_RATE_LADDER, ELASTIC_SCHEMA_VERSION};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenMode, LoadgenReport, LOADGEN_SCHEMA_VERSION};
+pub use registry::{table2, Table2Row};
 pub use scale::{ScaleEntry, ScaleReport, SCALE_SCHEMA_VERSION};
 pub use serve::{
     parse_query, ServeConfig, ServeEngine, ServeQuery, ServeServer, SERVE_SCHEMA_VERSION,

@@ -136,10 +136,10 @@ pub struct LoadgenReport {
 }
 
 tbd_profiler::json_record!(LoadgenReport, "loadgen report", schema = LOADGEN_SCHEMA_VERSION;
-    fields {
-        schema_version, mode, clients, rate_qps, requests, completed, rejected, duration_s, qps,
-        p50_us, p95_us, p99_us, max_us, hits, misses, histogram_us,
-    });
+fields {
+    schema_version, mode, clients, rate_qps, requests, completed, rejected, duration_s, qps,
+    p50_us, p95_us, p99_us, max_us, hits, misses, histogram_us,
+});
 
 impl LoadgenReport {
     /// The compact record the `BENCH_*.json` trajectory embeds.

@@ -67,10 +67,7 @@ mod tests {
     fn framework_columns_match_paper() {
         let rows = table2();
         let find = |m: ModelKind| rows.iter().find(|r| r.model == m).unwrap();
-        assert_eq!(
-            find(ModelKind::ResNet50).frameworks,
-            vec!["TensorFlow", "MXNet", "CNTK"]
-        );
+        assert_eq!(find(ModelKind::ResNet50).frameworks, vec!["TensorFlow", "MXNet", "CNTK"]);
         assert_eq!(find(ModelKind::Seq2Seq).frameworks, vec!["TensorFlow", "MXNet"]);
         assert_eq!(find(ModelKind::Transformer).frameworks, vec!["TensorFlow"]);
         assert_eq!(find(ModelKind::DeepSpeech2).frameworks, vec!["MXNet"]);

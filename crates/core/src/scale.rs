@@ -135,16 +135,16 @@ impl ScaleEntry {
 }
 
 tbd_profiler::json_record!(ScaleEntry, "scale entry";
-    fields {
-        label, sync, workers, buckets, iteration_s, throughput, scaling_efficiency, comm_s,
-        exposed_comm_s, overlap, slowdown_factor, retries, digest, diagnosis,
-        cost_per_iteration, cost_per_1k_samples,
-    }
-    digested {
-        label, "|" sync, "|w:" workers, "|b:" buckets, "|iter:" iteration_s, "|tp:" throughput,
-        "|eff:" scaling_efficiency, "|comm:" comm_s, "|exp:" exposed_comm_s, "|ovl:" overlap,
-        "|slow:" slowdown_factor, "|r:" retries, "|" digest,
-    });
+fields {
+    label, sync, workers, buckets, iteration_s, throughput, scaling_efficiency, comm_s,
+    exposed_comm_s, overlap, slowdown_factor, retries, digest, diagnosis,
+    cost_per_iteration, cost_per_1k_samples,
+}
+digested {
+    label, "|" sync, "|w:" workers, "|b:" buckets, "|iter:" iteration_s, "|tp:" throughput,
+    "|eff:" scaling_efficiency, "|comm:" comm_s, "|exp:" exposed_comm_s, "|ovl:" overlap,
+    "|slow:" slowdown_factor, "|r:" retries, "|" digest,
+});
 
 /// A full `tbd scale` report.
 #[derive(Debug, Clone, PartialEq)]
@@ -347,8 +347,15 @@ mod tests {
 
     fn tiny_report() -> ScaleReport {
         // A3C at batch 8 is the cheapest full profile in the zoo.
-        ScaleReport::run(ModelKind::A3c, Framework::mxnet(), 8, &GpuSpec::quadro_p4000(), false, None)
-            .expect("A3C fits")
+        ScaleReport::run(
+            ModelKind::A3c,
+            Framework::mxnet(),
+            8,
+            &GpuSpec::quadro_p4000(),
+            false,
+            None,
+        )
+        .expect("A3C fits")
     }
 
     #[test]

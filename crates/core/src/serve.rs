@@ -54,8 +54,8 @@ use tbd_models::ModelKind;
 use tbd_profiler::http::{self, HttpFront, Response};
 use tbd_profiler::json::Value;
 use tbd_profiler::pool::WorkerPool;
-use tbd_profiler::trace::fnv1a;
 use tbd_profiler::profile_workload;
+use tbd_profiler::trace::fnv1a;
 use tbd_tensor::Precision;
 
 use crate::diagnose::resolve_cluster;
@@ -624,7 +624,9 @@ mod tests {
         assert!(parse_query("model=resnet50&batch=x").is_err());
         let err = parse_query("model=resnet50&batch=0").unwrap_err();
         assert!(err.starts_with("invalid batch '0'"), "{err}");
-        for (value, fuse) in [("1", true), ("on", true), ("yes", true), ("false", false), ("off", false)] {
+        for (value, fuse) in
+            [("1", true), ("on", true), ("yes", true), ("false", false), ("off", false)]
+        {
             let q = parse_query(&format!("model=resnet50&fuse={value}")).expect("parses");
             assert_eq!(q.speed.fuse, fuse, "fuse={value}");
         }

@@ -101,10 +101,7 @@ impl Suite {
         kind: ModelKind,
         framework: Framework,
     ) -> Vec<(usize, Option<WorkloadProfile>)> {
-        paper_batches(kind)
-            .into_iter()
-            .map(|b| (b, self.run(kind, framework, b).ok()))
-            .collect()
+        paper_batches(kind).into_iter().map(|b| (b, self.run(kind, framework, b).ok())).collect()
     }
 
     /// All `(model, framework)` pairs the paper implements (Table 2).

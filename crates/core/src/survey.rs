@@ -47,21 +47,13 @@ pub fn inference_total() -> usize {
 /// Distinct papers evaluating only on image classification (both-focus
 /// papers counted once).
 pub fn image_only_total() -> usize {
-    table1()
-        .iter()
-        .filter(|c| c.image_classification_only)
-        .map(|c| c.papers)
-        .sum::<usize>()
+    table1().iter().filter(|c| c.image_classification_only).map(|c| c.papers).sum::<usize>()
         - BOTH_FOCUS_IMAGE_ONLY
 }
 
 /// Distinct papers evaluating beyond image classification.
 pub fn broader_total() -> usize {
-    table1()
-        .iter()
-        .filter(|c| !c.image_classification_only)
-        .map(|c| c.papers)
-        .sum::<usize>()
+    table1().iter().filter(|c| !c.image_classification_only).map(|c| c.papers).sum::<usize>()
         - BOTH_FOCUS_BROADER
 }
 

@@ -15,7 +15,9 @@ use tbd_gpusim::{GpuSpec, MemoryCategory};
 use tbd_models::ModelKind;
 use tbd_profiler::json::{self, Canonical};
 use tbd_profiler::trace::TraceRecorder;
-use tbd_profiler::{capture_into, sampled_throughput, SamplingConfig, StreamingAggregator, TraceOptions};
+use tbd_profiler::{
+    capture_into, sampled_throughput, SamplingConfig, StreamingAggregator, TraceOptions,
+};
 
 use crate::scale::{ScaleEntry, ScaleReport};
 use crate::suite::{paper_batches, Suite};
@@ -106,17 +108,17 @@ impl BenchEntry {
 }
 
 tbd_profiler::json_record!(BenchEntry, "bench entry";
-    fields {
-        model, framework, batch, iteration_s, throughput, sampled_throughput, gpu_utilization,
-        fp32_utilization, cpu_utilization, class_time_us, memory_peak_bytes, dominant_memory,
-        feature_map_fraction, digest, capture_wall_s, wall_exec_s, wall_lower_sim_s,
-        wall_distrib_s,
-    }
-    digested {
-        model, "/" framework, "/b" batch, "|iter:" iteration_s, "|tp:" throughput,
-        "|gpu:" gpu_utilization, "|fp32:" fp32_utilization, "|cpu:" cpu_utilization,
-        "|" digest, class_time_us, memory_peak_bytes,
-    });
+fields {
+    model, framework, batch, iteration_s, throughput, sampled_throughput, gpu_utilization,
+    fp32_utilization, cpu_utilization, class_time_us, memory_peak_bytes, dominant_memory,
+    feature_map_fraction, digest, capture_wall_s, wall_exec_s, wall_lower_sim_s,
+    wall_distrib_s,
+}
+digested {
+    model, "/" framework, "/b" batch, "|iter:" iteration_s, "|tp:" throughput,
+    "|gpu:" gpu_utilization, "|fp32:" fp32_utilization, "|cpu:" cpu_utilization,
+    "|" digest, class_time_us, memory_peak_bytes,
+});
 
 /// The fused-vs-unfused speed-tier record of one report: the same capture
 /// (reference workload, f32) measured with the speed tier on (kernel
@@ -237,7 +239,12 @@ impl BenchReport {
                     }
                 }
                 entries.push(benched.ok_or_else(|| {
-                    format!("{}/{}: no paper batch fits {}", kind.name(), framework.name(), gpu.name)
+                    format!(
+                        "{}/{}: no paper batch fits {}",
+                        kind.name(),
+                        framework.name(),
+                        gpu.name
+                    )
                 })?);
             }
         } else {
@@ -247,16 +254,22 @@ impl BenchReport {
                     "mxnet" => Framework::mxnet(),
                     _ => unreachable!("golden frameworks"),
                 };
-                let entry = bench_one(kind, framework, GOLDEN_BATCH, gpu, speed)?
-                    .ok_or_else(|| {
-                    format!("{}/{fw} b{GOLDEN_BATCH}: unexpected OOM", kind.name())
-                })?;
+                let entry =
+                    bench_one(kind, framework, GOLDEN_BATCH, gpu, speed)?.ok_or_else(|| {
+                        format!("{}/{fw} b{GOLDEN_BATCH}: unexpected OOM", kind.name())
+                    })?;
                 entries.push(entry);
             }
         }
-        let scale =
-            ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), GOLDEN_BATCH, gpu, true, None)?
-                .entries;
+        let scale = ScaleReport::run(
+            ModelKind::ResNet50,
+            Framework::mxnet(),
+            GOLDEN_BATCH,
+            gpu,
+            true,
+            None,
+        )?
+        .entries;
         let speed_tier = Some(measure_speed_tier(gpu)?);
         Ok(BenchReport {
             schema_version: BENCH_SCHEMA_VERSION,

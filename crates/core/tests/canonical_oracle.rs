@@ -135,11 +135,8 @@ impl Oracle for ChaosReport {
             let _ = write!(line, "|{kind}:{count}");
         }
         if let Some(d) = &self.degradation {
-            let _ = write!(
-                line,
-                "|deg:{}:{}:{}:{}",
-                d.strategy, d.batch, d.total_bytes, d.rungs_tried
-            );
+            let _ =
+                write!(line, "|deg:{}:{}:{}:{}", d.strategy, d.batch, d.total_bytes, d.rungs_tried);
         }
         line
     }

@@ -14,9 +14,7 @@ use tbd_core::{BenchReport, ChaosReport, DiagnosisReport, ElasticReport, ScaleRe
 use tbd_profiler::json::{self, Canonical, Codec, Value};
 
 fn read(relative: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(relative);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(relative);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
@@ -238,19 +236,11 @@ fn malformed_numbers_and_bools_are_rejected() {
                 Value::Num(_) if rejects(Value::Num(0.5)) => {
                     integers.insert(pattern(path));
                     for bad in [-1.0, 1e20] {
-                        assert!(
-                            rejects(Value::Num(bad)),
-                            "{}: {path:?} = {bad}",
-                            baseline.file
-                        );
+                        assert!(rejects(Value::Num(bad)), "{}: {path:?} = {bad}", baseline.file);
                     }
                 }
                 Value::Bool(_) => {
-                    assert!(
-                        rejects(Value::Str("true".into())),
-                        "{}: {path:?}",
-                        baseline.file
-                    );
+                    assert!(rejects(Value::Str("true".into())), "{}: {path:?}", baseline.file);
                 }
                 _ => {}
             }
@@ -259,11 +249,7 @@ fn malformed_numbers_and_bools_are_rejected() {
         assert_eq!(integers, declared, "{}: integer fields", baseline.file);
         let version = vec!["schema_version".to_string()];
         let err = (baseline.decode)(&with_leaf(&root, &version, Value::Num(1.5)).to_string());
-        assert!(
-            err.is_err(),
-            "{}: schema_version 1.5 accepted",
-            baseline.file
-        );
+        assert!(err.is_err(), "{}: schema_version 1.5 accepted", baseline.file);
     }
 }
 
@@ -283,20 +269,12 @@ fn errors_name_the_report_the_field_and_the_value() {
     );
     let bad_version = text.replace("\"schema_version\":1", "\"schema_version\":1.5");
     let err = ScaleReport::from_json_text(&bad_version).unwrap_err();
-    assert!(
-        err.contains("scale report field 'schema_version'") && err.contains("1.5"),
-        "{err}"
-    );
+    assert!(err.contains("scale report field 'schema_version'") && err.contains("1.5"), "{err}");
     let seeded = text.replace("\"straggler_seed\":null", "\"straggler_seed\":-4");
     assert_ne!(seeded, text);
-    assert!(
-        ScaleReport::from_json_text(&seeded).is_err(),
-        "a present Option is still checked"
-    );
+    assert!(ScaleReport::from_json_text(&seeded).is_err(), "a present Option is still checked");
     let sweep = text.replace("\"sweep\":true", "\"sweep\":1");
-    assert!(ScaleReport::from_json_text(&sweep)
-        .unwrap_err()
-        .contains("'sweep'"));
+    assert!(ScaleReport::from_json_text(&sweep).unwrap_err().contains("'sweep'"));
 }
 
 /// The JSON writer prints `-0.0` as `0`, so the digest line writes it as

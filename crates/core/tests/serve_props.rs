@@ -79,8 +79,9 @@ fn unfused_queries_equal_the_scale_sweep_entries_bit_for_bit() {
     let gpu = GpuSpec::quadro_p4000();
     let engine = ServeEngine::new(gpu.clone());
     for seed in [None, Some(42)] {
-        let report = ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), 16, &gpu, true, seed)
-            .expect("ResNet-50 b16 fits");
+        let report =
+            ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), 16, &gpu, true, seed)
+                .expect("ResNet-50 b16 fits");
         assert_eq!(report.entries.len(), 15, "full 1M1G→4M4G grid");
         for entry in &report.entries {
             let query = ServeQuery {

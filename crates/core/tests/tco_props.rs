@@ -14,8 +14,8 @@
 
 use std::path::PathBuf;
 use tbd_core::{Framework, GpuSpec, ModelKind, ScaleReport};
-use tbd_profiler::json::Canonical;
 use tbd_distrib::ClusterConfig;
+use tbd_profiler::json::Canonical;
 
 fn priced(price_per_hour: f64) -> GpuSpec {
     GpuSpec { price_per_hour, ..GpuSpec::quadro_p4000() }
@@ -79,9 +79,8 @@ fn uniform_price_cost_ranking_matches_time_per_sample_ranking() {
             .and_then(|e| e.cost_per_1k_samples)
             .expect("priced entry")
     };
-    let time_of = |label: &str| {
-        report.entries.iter().find(|e| e.label == label).expect("entry").iteration_s
-    };
+    let time_of =
+        |label: &str| report.entries.iter().find(|e| e.label == label).expect("entry").iteration_s;
     by_cost.sort_by(|a, b| cost_of(a).total_cmp(&cost_of(b)));
     by_time.sort_by(|a, b| time_of(a).total_cmp(&time_of(b)));
     assert_eq!(by_cost, by_time, "uniform prices cannot reorder the time ranking");
@@ -90,11 +89,7 @@ fn uniform_price_cost_ranking_matches_time_per_sample_ranking() {
     for e in &report.entries {
         let want = 0.35 / 3600.0 * e.iteration_s * 1000.0 / report.batch as f64;
         let got = e.cost_per_1k_samples.expect("priced");
-        assert!(
-            (got - want).abs() <= 1e-12 * want.abs(),
-            "{}: {got} vs {want}",
-            e.label
-        );
+        assert!((got - want).abs() <= 1e-12 * want.abs(), "{}: {got} vs {want}", e.label);
     }
 }
 

@@ -65,19 +65,13 @@ impl AudioDataset {
                 for b in 0..f {
                     // Formant-ish banded energy plus noise.
                     let formant = ((b as f32 / f as f32) * 12.0 + t as f32 * 0.07).sin();
-                    audio[(img * frames + t) * f + b] =
-                        0.5 * formant + rng.gen_range(-0.2..0.2);
+                    audio[(img * frames + t) * f + b] = 0.5 * formant + rng.gen_range(-0.2..0.2);
                 }
             }
         }
-        let labels = Tensor::from_fn([label_frames * n], |_| {
-            rng.gen_range(0..self.alphabet) as f32
-        });
-        (
-            Tensor::from_vec(audio, [n, 1, frames, f]).expect("sized buffer"),
-            labels,
-            total_seconds,
-        )
+        let labels =
+            Tensor::from_fn([label_frames * n], |_| rng.gen_range(0..self.alphabet) as f32);
+        (Tensor::from_vec(audio, [n, 1, frames, f]).expect("sized buffer"), labels, total_seconds)
     }
 }
 

@@ -65,18 +65,17 @@ impl ImageDataset {
             for ch in 0..c {
                 for y in 0..s {
                     for x in 0..s {
-                        let signal = ((x as f32 * freq / s as f32 * std::f32::consts::TAU) + phase).sin()
-                            * ((y as f32 * freq / s as f32 * std::f32::consts::TAU) + ch as f32).cos();
+                        let signal = ((x as f32 * freq / s as f32 * std::f32::consts::TAU) + phase)
+                            .sin()
+                            * ((y as f32 * freq / s as f32 * std::f32::consts::TAU) + ch as f32)
+                                .cos();
                         let noise: f32 = rng.gen_range(-0.3..0.3);
                         images[((img * c + ch) * s + y) * s + x] = 0.5 * signal + noise;
                     }
                 }
             }
         }
-        (
-            Tensor::from_vec(images, [n, c, s, s]).expect("sized buffer"),
-            Tensor::from_slice(&labels),
-        )
+        (Tensor::from_vec(images, [n, c, s, s]).expect("sized buffer"), Tensor::from_slice(&labels))
     }
 }
 

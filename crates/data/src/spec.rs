@@ -45,12 +45,7 @@ pub const TABLE3: [DatasetSpec; 6] = [
         size: "3x64x64 per image",
         special: "N/A",
     },
-    DatasetSpec {
-        name: "Atari 2600",
-        samples: None,
-        size: "4x84x84 per image",
-        special: "N/A",
-    },
+    DatasetSpec { name: "Atari 2600", samples: None, size: "4x84x84 per image", special: "N/A" },
 ];
 
 #[cfg(test)]

@@ -99,11 +99,7 @@ impl TranslationDataset {
                 tgt_out[idx] = *pair.target.get(t).unwrap_or(&0) as f32;
             }
         }
-        (
-            Tensor::from_slice(&src),
-            Tensor::from_slice(&tgt_in),
-            Tensor::from_slice(&tgt_out),
-        )
+        (Tensor::from_slice(&src), Tensor::from_slice(&tgt_in), Tensor::from_slice(&tgt_out))
     }
 }
 
@@ -233,10 +229,7 @@ pub fn bucket_pairs(pairs: Vec<TranslationPair>, widths: &[usize]) -> (Vec<Bucke
     let mut padded = 0;
     for pair in pairs {
         let len = pair.source.len();
-        let slot = buckets
-            .iter()
-            .position(|b| b.width >= len)
-            .unwrap_or(buckets.len() - 1);
+        let slot = buckets.iter().position(|b| b.width >= len).unwrap_or(buckets.len() - 1);
         real += len.min(buckets[slot].width);
         padded += buckets[slot].width;
         buckets[slot].sentences.push(pair);

@@ -300,22 +300,21 @@ impl DataParallelSim {
         let n = cluster.workers();
         let batch = self.per_gpu_batch as u64;
         let deadline_s = config.deadline_s();
-        let ckpt_bytes =
-            if config.checkpoint_bytes > 0.0 { config.checkpoint_bytes } else { self.gradient_bytes() };
-        let restore_s = if config.restore_read_bps > 0.0 {
-            ckpt_bytes / config.restore_read_bps
+        let ckpt_bytes = if config.checkpoint_bytes > 0.0 {
+            config.checkpoint_bytes
         } else {
-            0.0
+            self.gradient_bytes()
         };
+        let restore_s =
+            if config.restore_read_bps > 0.0 { ckpt_bytes / config.restore_read_bps } else { 0.0 };
 
         // A cohort of one cannot evict its only member: churn needs at
         // least two workers to have anyone left to degrade to.
         let outages: Vec<Option<OutageWindow>> = (0..n as u64)
             .map(|w| if n < 2 { None } else { config.churn.outage(w, config.steps) })
             .collect();
-        let out_at = |w: usize, step: u64| {
-            outages[w].is_some_and(|o| o.start <= step && step < o.end)
-        };
+        let out_at =
+            |w: usize, step: u64| outages[w].is_some_and(|o| o.start <= step && step < o.end);
         // Cohort size at a step. Multi-GPU machines fail at machine
         // granularity; the supervisor always keeps at least one machine's
         // worth of workers (the last eviction is vetoed).
@@ -595,8 +594,7 @@ mod tests {
             for seed in [1u64, 7, 13] {
                 let mut prev = f64::INFINITY;
                 for rate in [0.0, 0.25, 0.5, 0.75, 1.0] {
-                    let config =
-                        ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(rate), 48);
+                    let config = ElasticConfig::new(ChurnSpec::with_seed(seed).with_rate(rate), 48);
                     let out = sim.simulate_elastic(&cluster, &config, None);
                     assert!(
                         out.goodput <= prev + 1e-9,

@@ -227,9 +227,7 @@ impl DataParallelSim {
         // --- Fault injection: per-worker compute and link factors. -------
         let worker_compute_s: Vec<f64> = (0..n)
             .map(|w| {
-                let f = config
-                    .stragglers
-                    .map_or(1.0, |s| s.worker_compute_factor(w));
+                let f = config.stragglers.map_or(1.0, |s| s.worker_compute_factor(w));
                 compute_iter_s * f
             })
             .collect();
@@ -247,12 +245,20 @@ impl DataParallelSim {
         // --- Bucket assembly. A synchronous collective launches when the
         // slowest worker has the bucket ready; uniform slowdown scales the
         // whole backward pass, so ready times scale by the slowest factor.
-        let buckets = if n <= 1 { Vec::new() } else { build_buckets(&self.backward, config.bucketing) };
+        let buckets =
+            if n <= 1 { Vec::new() } else { build_buckets(&self.backward, config.bucketing) };
         let mut states: Vec<BucketState> = buckets
             .into_iter()
             .map(|b| {
                 let ready_s = b.ready_s * slowdown_factor;
-                BucketState { bucket: b, ready_s, started: false, start_s: 0.0, end_s: 0.0, attempts: 0 }
+                BucketState {
+                    bucket: b,
+                    ready_s,
+                    started: false,
+                    start_s: 0.0,
+                    end_s: 0.0,
+                    attempts: 0,
+                }
             })
             .collect();
 
@@ -263,7 +269,10 @@ impl DataParallelSim {
         let count = states.len();
         for i in 0..count {
             let i = if count > 1 { (i + config.tie_break_salt as usize) % count } else { i };
-            queue.push(Ev { time_s: states[i].ready_s, payload: Payload::BucketReady { bucket: i } });
+            queue.push(Ev {
+                time_s: states[i].ready_s,
+                payload: Payload::BucketReady { bucket: i },
+            });
         }
         let mut link_busy = false;
         let mut next_start = 0usize;
@@ -277,7 +286,14 @@ impl DataParallelSim {
                     // off (synchronous workers are blocked in it anyway).
                     retries += 1;
                     Self::attempt_transfer(
-                        cluster, config, &mut states, &mut queue, bucket, attempt + 1, now, link_factor,
+                        cluster,
+                        config,
+                        &mut states,
+                        &mut queue,
+                        bucket,
+                        attempt + 1,
+                        now,
+                        link_factor,
                     );
                     continue;
                 }
@@ -296,7 +312,14 @@ impl DataParallelSim {
                 states[b].start_s = now.max(states[b].ready_s);
                 let start = states[b].start_s;
                 Self::attempt_transfer(
-                    cluster, config, &mut states, &mut queue, b, 0, start, link_factor,
+                    cluster,
+                    config,
+                    &mut states,
+                    &mut queue,
+                    b,
+                    0,
+                    start,
+                    link_factor,
                 );
             }
         }
@@ -446,7 +469,10 @@ mod tests {
 
     /// ResNet-50-like: 360 ms at batch 32, 102 MB of gradients over `layers`.
     fn resnet_like(layers: usize) -> DataParallelSim {
-        DataParallelSim { backward: BackwardProfile::analytic(0.36, 102e6, layers), per_gpu_batch: 32 }
+        DataParallelSim {
+            backward: BackwardProfile::analytic(0.36, 102e6, layers),
+            per_gpu_batch: 32,
+        }
     }
 
     fn bucketed(bucketing: BucketingConfig) -> EventConfig {
@@ -456,11 +482,8 @@ mod tests {
     #[test]
     fn single_worker_exchanges_nothing() {
         let sim = resnet_like(50);
-        let out = sim.simulate_events(
-            &ClusterConfig::single_machine(1),
-            &EventConfig::default(),
-            None,
-        );
+        let out =
+            sim.simulate_events(&ClusterConfig::single_machine(1), &EventConfig::default(), None);
         assert!(out.buckets.is_empty());
         assert_eq!(out.total_comm_s, 0.0);
         assert_eq!(out.profile.iteration_s.to_bits(), sim.compute_iter_s().to_bits());
@@ -468,8 +491,11 @@ mod tests {
 
     #[test]
     fn zero_worker_cluster_yields_finite_metrics() {
-        let out = resnet_like(50)
-            .simulate_events(&ClusterConfig::single_machine(0), &EventConfig::default(), None);
+        let out = resnet_like(50).simulate_events(
+            &ClusterConfig::single_machine(0),
+            &EventConfig::default(),
+            None,
+        );
         assert!(out.buckets.is_empty());
         assert_eq!(out.profile.throughput, 0.0);
         assert!(
@@ -512,11 +538,8 @@ mod tests {
         let sim = resnet_like(161);
         let cluster = ClusterConfig::single_machine(4);
         let single = sim.simulate_events(&cluster, &bucketed(BucketingConfig::SingleShot), None);
-        let bucketed = sim.simulate_events(
-            &cluster,
-            &bucketed(BucketingConfig::BucketBytes(25e6)),
-            None,
-        );
+        let bucketed =
+            sim.simulate_events(&cluster, &bucketed(BucketingConfig::BucketBytes(25e6)), None);
         // Single-shot can hide nothing (the exchange starts when compute
         // ends); bucketing hides the early buckets under later layers.
         assert_eq!(single.overlap, 0.0);
@@ -547,8 +570,7 @@ mod tests {
         let spec = StragglerSpec::with_seed(11);
         let cfg = EventConfig { stragglers: Some(spec), ..Default::default() };
         let out = sim.simulate_events(&ClusterConfig::single_machine(4), &cfg, None);
-        let max_worker =
-            out.worker_compute_s.iter().cloned().fold(0.0f64, f64::max);
+        let max_worker = out.worker_compute_s.iter().cloned().fold(0.0f64, f64::max);
         assert_eq!(out.compute_finish_s.to_bits(), max_worker.to_bits());
         assert!(out.profile.iteration_s >= out.compute_finish_s);
         // Same seed → bitwise identical outcome.
@@ -566,8 +588,7 @@ mod tests {
         let plain = sim.simulate_events(&cluster, &cfg, None);
         assert_eq!(traced, plain);
         let events = tracer.drain();
-        let comm: Vec<_> =
-            events.iter().filter(|e| e.kind == EventKind::Communication).collect();
+        let comm: Vec<_> = events.iter().filter(|e| e.kind == EventKind::Communication).collect();
         assert_eq!(comm.len(), traced.buckets.len());
         for e in &comm {
             assert!(e.deterministic);

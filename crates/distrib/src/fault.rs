@@ -129,11 +129,8 @@ impl StragglerSpec {
     /// drops. Forced to succeed once `attempt` reaches `max_retries`.
     pub fn drops(&self, bucket: usize, attempt: u32) -> bool {
         attempt < self.max_retries
-            && unit(
-                self.seed,
-                STREAM_DROP,
-                (bucket as u64) << 8 | u64::from(attempt),
-            ) < self.drop_probability
+            && unit(self.seed, STREAM_DROP, (bucket as u64) << 8 | u64::from(attempt))
+                < self.drop_probability
     }
 
     /// Timeout before retrying after failed attempt `attempt` (0-based),
@@ -163,10 +160,7 @@ mod tests {
         let a = StragglerSpec::with_seed(7);
         let b = StragglerSpec::with_seed(7);
         for w in 0..64 {
-            assert_eq!(
-                a.worker_compute_factor(w).to_bits(),
-                b.worker_compute_factor(w).to_bits()
-            );
+            assert_eq!(a.worker_compute_factor(w).to_bits(), b.worker_compute_factor(w).to_bits());
             assert_eq!(a.worker_link_factor(w).to_bits(), b.worker_link_factor(w).to_bits());
         }
         for bucket in 0..32 {

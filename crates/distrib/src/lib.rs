@@ -203,7 +203,11 @@ impl DataParallelSim {
     /// weight gradient becomes ready when the last backward kernel of the
     /// node that consumes its parameter finishes on the iteration's kernel
     /// timeline ([`BackwardProfile::from_records`]).
-    pub fn from_iteration(graph: &Graph, iteration: &IterationProfile, per_gpu_batch: usize) -> Self {
+    pub fn from_iteration(
+        graph: &Graph,
+        iteration: &IterationProfile,
+        per_gpu_batch: usize,
+    ) -> Self {
         let backward = BackwardProfile::from_records(
             iteration.wall_time_s,
             &iteration.records,
@@ -231,10 +235,7 @@ pub fn fig10_clusters() -> Vec<(String, ClusterConfig)> {
         ("1M1G".to_string(), ClusterConfig::single_machine(1)),
         ("1M2G pcie".to_string(), ClusterConfig::single_machine(2)),
         ("1M4G pcie".to_string(), ClusterConfig::single_machine(4)),
-        (
-            "2M1G ethernet".to_string(),
-            ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()),
-        ),
+        ("2M1G ethernet".to_string(), ClusterConfig::multi_machine(2, Interconnect::ethernet_1g())),
         (
             "2M1G infiniband".to_string(),
             ClusterConfig::multi_machine(2, Interconnect::infiniband_100g()),
@@ -255,10 +256,7 @@ pub fn scale_grid() -> Vec<(String, ClusterConfig)> {
                 if gpus == 1 {
                     grid.push(("1M1G".to_string(), ClusterConfig::single_machine(1)));
                 } else {
-                    grid.push((
-                        format!("1M{gpus}G pcie"),
-                        ClusterConfig::single_machine(gpus),
-                    ));
+                    grid.push((format!("1M{gpus}G pcie"), ClusterConfig::single_machine(gpus)));
                 }
                 continue;
             }
@@ -350,10 +348,7 @@ mod tests {
     #[test]
     fn labels_match_paper_notation() {
         assert_eq!(ClusterConfig::single_machine(4).label(), "1M4G");
-        assert_eq!(
-            ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()).label(),
-            "2M1G"
-        );
+        assert_eq!(ClusterConfig::multi_machine(2, Interconnect::ethernet_1g()).label(), "2M1G");
     }
 
     #[test]

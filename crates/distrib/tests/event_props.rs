@@ -39,7 +39,10 @@ fn fingerprint(out: &EventOutcome) -> Vec<u64> {
 /// A worker computing for `compute_s` with `bytes` of gradients spread
 /// over `layers` evenly spaced layers.
 fn worker(compute_s: f64, bytes: f64, layers: usize) -> DataParallelSim {
-    DataParallelSim { backward: BackwardProfile::analytic(compute_s, bytes, layers), per_gpu_batch: 16 }
+    DataParallelSim {
+        backward: BackwardProfile::analytic(compute_s, bytes, layers),
+        per_gpu_batch: 16,
+    }
 }
 
 /// Picks a worker grid dimension from {1, 2, 4}.

@@ -35,17 +35,17 @@
 pub mod fusion;
 
 use std::sync::Arc;
+use tbd_gpusim::{
+    simulate_iteration, CpuSpec, DeviceMemory, ExecutionParams, GpuSpec, IterationProfile,
+    MemoryBreakdown, MemoryCategory, OutOfMemory,
+};
 use tbd_graph::lower::{
     lower_training_iteration, memory_footprint, optimizer_update_kernels, LoweredKernel,
 };
 use tbd_graph::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore};
 use tbd_graph::{FusionPlan, KernelClass};
-use tbd_tensor::Precision;
-use tbd_gpusim::{
-    simulate_iteration, CpuSpec, DeviceMemory, ExecutionParams, GpuSpec, IterationProfile,
-    MemoryBreakdown, MemoryCategory, OutOfMemory,
-};
 use tbd_models::{BuiltModel, ModelKind};
+use tbd_tensor::Precision;
 
 pub use tbd_gpusim::timeline::KernelRecord;
 
@@ -112,9 +112,7 @@ impl WorkloadHints {
             // IWSLT sentences are padded to bucket lengths well above the
             // average length; LibriSpeech utterances pad to the longest in
             // the shard.
-            ModelKind::Seq2Seq => {
-                WorkloadHints { memory_padding: 2.1, ..WorkloadHints::default() }
-            }
+            ModelKind::Seq2Seq => WorkloadHints { memory_padding: 2.1, ..WorkloadHints::default() },
             ModelKind::DeepSpeech2 => {
                 WorkloadHints { memory_padding: 4.0, ..WorkloadHints::default() }
             }
@@ -430,11 +428,8 @@ impl Framework {
         // A roomy workspace lets cuDNN pick faster algorithms.
         let ws_bonus = if ws >= 2 * base_ws { 1.05 } else { 1.0 };
 
-        let input_bytes: u64 = model
-            .inputs
-            .values()
-            .map(|&id| model.graph.node(id).shape.byte_len() as u64)
-            .sum();
+        let input_bytes: u64 =
+            model.inputs.values().map(|&id| model.graph.node(id).shape.byte_len() as u64).sum();
         let mut params = self.execution_params(input_bytes);
         params.precision = speed.precision;
         params.compute_speedup *= ws_bonus * hints.compute_derate;
@@ -447,8 +442,7 @@ impl Framework {
         }
 
         let kernels = self.plan_with(model, speed);
-        let iteration =
-            simulate_iteration(&kernels, gpu, &cpu, &params, tracer.map(|t| &**t));
+        let iteration = simulate_iteration(&kernels, gpu, &cpu, &params, tracer.map(|t| &**t));
         let throughput = iteration.throughput(model.batch);
         if let Some(tr) = tracer {
             // Framework-tagged spans: same kernel stream, framework-specific
@@ -658,8 +652,9 @@ mod tests {
         let plain = fw.profile(&model, &gpu, hints, speed, None).unwrap();
         assert_eq!(traced.iteration.wall_time_s.to_bits(), plain.iteration.wall_time_s.to_bits());
         let events = tracer.drain();
-        assert!(events.iter().any(|e| e.layer == TraceLayer::GpuSim
-            && e.kind == EventKind::KernelExec));
+        assert!(events
+            .iter()
+            .any(|e| e.layer == TraceLayer::GpuSim && e.kind == EventKind::KernelExec));
         assert!(events.iter().any(|e| e.layer == TraceLayer::GpuSim && e.kind == EventKind::Alloc));
         assert!(events
             .iter()

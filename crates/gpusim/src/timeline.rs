@@ -200,7 +200,13 @@ pub fn simulate_iteration(
             let idle = start - gpu_free;
             if idle > 0.0 && gpu_free > 0.0 {
                 events
-                    .span(sync_name, TraceLayer::GpuSim, EventKind::Sync, gpu_free * 1e6, idle * 1e6)
+                    .span(
+                        sync_name,
+                        TraceLayer::GpuSim,
+                        EventKind::Sync,
+                        gpu_free * 1e6,
+                        idle * 1e6,
+                    )
                     .on_track(GPU_TRACK);
             }
             let kind = match k.spec.class {
@@ -401,8 +407,7 @@ mod tests {
         let (gpu, cpu, params) = setup();
         // Per-timestep LSTM element-wise kernels: ~2 µs of work behind a
         // 5 µs launch overhead each.
-        let kernels: Vec<_> =
-            (0..2000).map(|_| kern(KernelClass::Elementwise, 3e4, 4e5)).collect();
+        let kernels: Vec<_> = (0..2000).map(|_| kern(KernelClass::Elementwise, 3e4, 4e5)).collect();
         let p = simulate_iteration(&kernels, &gpu, &cpu, &params, None);
         assert!(p.gpu_utilization < 0.75, "util {}", p.gpu_utilization);
     }

@@ -66,29 +66,75 @@ fn class_params(class: KernelClass) -> ClassParams {
     use KernelClass::*;
     match class {
         Gemm => ClassParams { compute_eff: 0.45, mem_eff: 0.80, setup_s: 25e-6, instr_factor: 1.2 },
-        BatchedGemm => ClassParams { compute_eff: 0.38, mem_eff: 0.80, setup_s: 18e-6, instr_factor: 1.2 },
-        ConvForward => ClassParams { compute_eff: 0.70, mem_eff: 0.80, setup_s: 70e-6, instr_factor: 1.4 },
-        ConvBackwardData => ClassParams { compute_eff: 0.60, mem_eff: 0.80, setup_s: 85e-6, instr_factor: 1.4 },
-        ConvBackwardFilter => ClassParams { compute_eff: 0.52, mem_eff: 0.80, setup_s: 95e-6, instr_factor: 1.4 },
-        BatchNormForward => ClassParams { compute_eff: 0.25, mem_eff: 0.55, setup_s: 18e-6, instr_factor: 28.0 },
-        BatchNormBackward => ClassParams { compute_eff: 0.25, mem_eff: 0.45, setup_s: 25e-6, instr_factor: 22.0 },
-        LayerNormForward => ClassParams { compute_eff: 0.25, mem_eff: 0.55, setup_s: 10e-6, instr_factor: 28.0 },
-        LayerNormBackward => ClassParams { compute_eff: 0.25, mem_eff: 0.45, setup_s: 14e-6, instr_factor: 22.0 },
-        ActivationForward => ClassParams { compute_eff: 0.30, mem_eff: 0.85, setup_s: 4e-6, instr_factor: 25.0 },
-        ActivationBackward => ClassParams { compute_eff: 0.30, mem_eff: 0.80, setup_s: 5e-6, instr_factor: 20.0 },
-        Elementwise => ClassParams { compute_eff: 0.30, mem_eff: 0.80, setup_s: 4e-6, instr_factor: 20.0 },
-        PoolForward => ClassParams { compute_eff: 0.30, mem_eff: 0.70, setup_s: 6e-6, instr_factor: 5.0 },
-        PoolBackward => ClassParams { compute_eff: 0.30, mem_eff: 0.60, setup_s: 8e-6, instr_factor: 5.0 },
-        SoftmaxForward => ClassParams { compute_eff: 0.25, mem_eff: 0.60, setup_s: 6e-6, instr_factor: 8.0 },
-        SoftmaxBackward => ClassParams { compute_eff: 0.25, mem_eff: 0.60, setup_s: 7e-6, instr_factor: 8.0 },
-        EmbeddingForward => ClassParams { compute_eff: 0.10, mem_eff: 0.35, setup_s: 5e-6, instr_factor: 4.0 },
-        EmbeddingBackward => ClassParams { compute_eff: 0.10, mem_eff: 0.25, setup_s: 8e-6, instr_factor: 4.0 },
-        Reduction => ClassParams { compute_eff: 0.20, mem_eff: 0.70, setup_s: 6e-6, instr_factor: 6.0 },
-        DataMovement => ClassParams { compute_eff: 0.10, mem_eff: 0.85, setup_s: 3e-6, instr_factor: 1.0 },
-        Dropout => ClassParams { compute_eff: 0.25, mem_eff: 0.70, setup_s: 5e-6, instr_factor: 8.0 },
-        OptimizerUpdate => ClassParams { compute_eff: 0.25, mem_eff: 0.80, setup_s: 5e-6, instr_factor: 8.0 },
-        MemcpyH2D => ClassParams { compute_eff: 0.10, mem_eff: 1.0, setup_s: 8e-6, instr_factor: 1.0 },
-        Communication => ClassParams { compute_eff: 0.10, mem_eff: 1.0, setup_s: 10e-6, instr_factor: 1.0 },
+        BatchedGemm => {
+            ClassParams { compute_eff: 0.38, mem_eff: 0.80, setup_s: 18e-6, instr_factor: 1.2 }
+        }
+        ConvForward => {
+            ClassParams { compute_eff: 0.70, mem_eff: 0.80, setup_s: 70e-6, instr_factor: 1.4 }
+        }
+        ConvBackwardData => {
+            ClassParams { compute_eff: 0.60, mem_eff: 0.80, setup_s: 85e-6, instr_factor: 1.4 }
+        }
+        ConvBackwardFilter => {
+            ClassParams { compute_eff: 0.52, mem_eff: 0.80, setup_s: 95e-6, instr_factor: 1.4 }
+        }
+        BatchNormForward => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.55, setup_s: 18e-6, instr_factor: 28.0 }
+        }
+        BatchNormBackward => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.45, setup_s: 25e-6, instr_factor: 22.0 }
+        }
+        LayerNormForward => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.55, setup_s: 10e-6, instr_factor: 28.0 }
+        }
+        LayerNormBackward => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.45, setup_s: 14e-6, instr_factor: 22.0 }
+        }
+        ActivationForward => {
+            ClassParams { compute_eff: 0.30, mem_eff: 0.85, setup_s: 4e-6, instr_factor: 25.0 }
+        }
+        ActivationBackward => {
+            ClassParams { compute_eff: 0.30, mem_eff: 0.80, setup_s: 5e-6, instr_factor: 20.0 }
+        }
+        Elementwise => {
+            ClassParams { compute_eff: 0.30, mem_eff: 0.80, setup_s: 4e-6, instr_factor: 20.0 }
+        }
+        PoolForward => {
+            ClassParams { compute_eff: 0.30, mem_eff: 0.70, setup_s: 6e-6, instr_factor: 5.0 }
+        }
+        PoolBackward => {
+            ClassParams { compute_eff: 0.30, mem_eff: 0.60, setup_s: 8e-6, instr_factor: 5.0 }
+        }
+        SoftmaxForward => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.60, setup_s: 6e-6, instr_factor: 8.0 }
+        }
+        SoftmaxBackward => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.60, setup_s: 7e-6, instr_factor: 8.0 }
+        }
+        EmbeddingForward => {
+            ClassParams { compute_eff: 0.10, mem_eff: 0.35, setup_s: 5e-6, instr_factor: 4.0 }
+        }
+        EmbeddingBackward => {
+            ClassParams { compute_eff: 0.10, mem_eff: 0.25, setup_s: 8e-6, instr_factor: 4.0 }
+        }
+        Reduction => {
+            ClassParams { compute_eff: 0.20, mem_eff: 0.70, setup_s: 6e-6, instr_factor: 6.0 }
+        }
+        DataMovement => {
+            ClassParams { compute_eff: 0.10, mem_eff: 0.85, setup_s: 3e-6, instr_factor: 1.0 }
+        }
+        Dropout => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.70, setup_s: 5e-6, instr_factor: 8.0 }
+        }
+        OptimizerUpdate => {
+            ClassParams { compute_eff: 0.25, mem_eff: 0.80, setup_s: 5e-6, instr_factor: 8.0 }
+        }
+        MemcpyH2D => {
+            ClassParams { compute_eff: 0.10, mem_eff: 1.0, setup_s: 8e-6, instr_factor: 1.0 }
+        }
+        Communication => {
+            ClassParams { compute_eff: 0.10, mem_eff: 1.0, setup_s: 10e-6, instr_factor: 1.0 }
+        }
     }
 }
 
@@ -132,11 +178,8 @@ pub fn kernel_timing_mixed(
 ) -> KernelTiming {
     let p = class_params(spec.class);
     let half = precision != Precision::F32;
-    let peak = if half && is_matrix_class(spec.class) {
-        gpu.peak_half_flops()
-    } else {
-        gpu.peak_flops()
-    };
+    let peak =
+        if half && is_matrix_class(spec.class) { gpu.peak_half_flops() } else { gpu.peak_flops() };
     let byte_scale = precision.bytes_per_elem() as f64 / 4.0;
     let t_compute = spec.flops / (peak * p.compute_eff * compute_speedup.max(0.01));
     let t_memory = if spec.class == KernelClass::MemcpyH2D {
@@ -144,14 +187,12 @@ pub fn kernel_timing_mixed(
     } else {
         spec.bytes * byte_scale / (gpu.memory_bw_bytes() * p.mem_eff)
     };
-    let (t_ideal, bound) = if t_compute >= t_memory {
-        (t_compute, Bound::Compute)
-    } else {
-        (t_memory, Bound::Memory)
-    };
+    let (t_ideal, bound) =
+        if t_compute >= t_memory { (t_compute, Bound::Compute) } else { (t_memory, Bound::Memory) };
     let duration = (t_ideal + p.setup_s).max(MIN_KERNEL_S);
     let counted = spec.flops * p.instr_factor;
-    let fp32_utilization = if duration > 0.0 { (counted / (peak * duration)).min(1.0) } else { 0.0 };
+    let fp32_utilization =
+        if duration > 0.0 { (counted / (peak * duration)).min(1.0) } else { 0.0 };
     KernelTiming { duration_s: duration, fp32_utilization, bound }
 }
 
@@ -312,9 +353,14 @@ mod tests {
         let f32t = kernel_timing_mixed(&big, &gpu, 1.0, Precision::F32);
         let f16t = kernel_timing_mixed(&big, &gpu, 1.0, Precision::F16);
         let bf16t = kernel_timing_mixed(&big, &gpu, 1.0, Precision::Bf16);
-        assert!(f16t.duration_s < f32t.duration_s / 1.8, "{} vs {}", f16t.duration_s, f32t.duration_s);
+        assert!(
+            f16t.duration_s < f32t.duration_s / 1.8,
+            "{} vs {}",
+            f16t.duration_s,
+            f32t.duration_s
+        );
         assert_eq!(f16t, bf16t); // same storage width, same roof
-        // Memory-bound elementwise kernel: no matrix unit, but traffic halves.
+                                 // Memory-bound elementwise kernel: no matrix unit, but traffic halves.
         let ew = KernelSpec::new(KernelClass::Elementwise, 1e6, 1e9, "ew");
         let ew32 = kernel_timing_mixed(&ew, &gpu, 1.0, Precision::F32);
         let ew16 = kernel_timing_mixed(&ew, &gpu, 1.0, Precision::F16);
@@ -339,7 +385,10 @@ mod tests {
                         let memo1 = kernel_timing_memoized(spec, gpu, speedup, prec);
                         let memo2 = kernel_timing_memoized(spec, gpu, speedup, prec);
                         assert_eq!(cold.duration_s.to_bits(), memo1.duration_s.to_bits());
-                        assert_eq!(cold.fp32_utilization.to_bits(), memo1.fp32_utilization.to_bits());
+                        assert_eq!(
+                            cold.fp32_utilization.to_bits(),
+                            memo1.fp32_utilization.to_bits()
+                        );
                         assert_eq!(cold.bound, memo1.bound);
                         assert_eq!(memo1, memo2);
                     }

@@ -7,7 +7,7 @@
 //! mechanics.
 
 use crate::fuse::{FusionGroup, FusionPlan};
-use crate::trace::{EventKind, TraceLayer, TraceRecorder, TraceStore, value_hash};
+use crate::trace::{value_hash, EventKind, TraceLayer, TraceRecorder, TraceStore};
 use crate::{Graph, GraphError, Init, NodeId, Op, Result};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -561,10 +561,10 @@ impl Session {
                 (end_us - start_us).max(0.0),
             )
             .wall_clock()
-        .on_track(u32::try_from(slot).unwrap_or(u32::MAX))
-        .with_arg("node", node)
-        .with_arg("step", step)
-        .with_arg("wave", wave);
+            .on_track(u32::try_from(slot).unwrap_or(u32::MAX))
+            .with_arg("node", node)
+            .with_arg("step", step)
+            .with_arg("wave", wave);
         match group {
             Some(g) => span.with_arg("fused", g.len()),
             None => span,
@@ -760,9 +760,7 @@ impl Session {
                 let span_name = match group {
                     Some(g) if NodeId(i) != g.root() => None,
                     Some(g) => Some(crate::fuse::intern_name(format!("{}.grad", g.name()))),
-                    None => {
-                        Some(crate::fuse::intern_name(format!("{}.grad", node.op.mnemonic())))
-                    }
+                    None => Some(crate::fuse::intern_name(format!("{}.grad", node.op.mnemonic()))),
                 };
                 if let Some(name) = span_name {
                     let t1 = tracer.now_us();
@@ -952,9 +950,8 @@ mod tests {
     fn feed_shape_is_validated() {
         let (graph, x, _, _, t, _) = small_net();
         let mut session = Session::new(graph, 1);
-        let err = session
-            .forward(&[(x, Tensor::ones([4, 2])), (t, Tensor::zeros([4]))])
-            .unwrap_err();
+        let err =
+            session.forward(&[(x, Tensor::ones([4, 2])), (t, Tensor::zeros([4]))]).unwrap_err();
         assert!(matches!(err, GraphError::FeedShapeMismatch { .. }));
     }
 
@@ -978,11 +975,13 @@ mod tests {
             let mut wp = wt.clone();
             wp.data_mut()[i] += eps;
             *session.param_mut(w).unwrap() = wp;
-            let lp = session.forward(&[(x, xt.clone()), (t, tt.clone())]).unwrap().scalar(loss).unwrap();
+            let lp =
+                session.forward(&[(x, xt.clone()), (t, tt.clone())]).unwrap().scalar(loss).unwrap();
             let mut wm = wt.clone();
             wm.data_mut()[i] -= eps;
             *session.param_mut(w).unwrap() = wm;
-            let lm = session.forward(&[(x, xt.clone()), (t, tt.clone())]).unwrap().scalar(loss).unwrap();
+            let lm =
+                session.forward(&[(x, xt.clone()), (t, tt.clone())]).unwrap().scalar(loss).unwrap();
             *session.param_mut(w).unwrap() = wt.clone();
             let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - dw.data()[i]).abs() < 1e-2, "dw[{i}] fd {fd} vs {}", dw.data()[i]);
@@ -1234,9 +1233,7 @@ mod tests {
         let (graph, x, _, _, t, loss) = small_net();
         let mut session = Session::new(graph, 1);
         assert!(session.tracer().is_none());
-        let run = session
-            .forward(&[(x, Tensor::ones([4, 3])), (t, Tensor::zeros([4]))])
-            .unwrap();
+        let run = session.forward(&[(x, Tensor::ones([4, 3])), (t, Tensor::zeros([4]))]).unwrap();
         assert!(run.scalar(loss).is_some());
     }
 
@@ -1282,9 +1279,7 @@ mod tests {
     fn seed_must_be_computed() {
         let (graph, x, _, _, t, loss) = small_net();
         let mut session = Session::new(graph, 1);
-        let run = session
-            .forward(&[(x, Tensor::ones([4, 3])), (t, Tensor::zeros([4]))])
-            .unwrap();
+        let run = session.forward(&[(x, Tensor::ones([4, 3])), (t, Tensor::zeros([4]))]).unwrap();
         // Build a NodeId beyond the graph: ValueNotComputed.
         let bogus = NodeId(loss.index()); // valid; now check a real missing value path:
         let _ = bogus;

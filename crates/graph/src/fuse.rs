@@ -237,7 +237,10 @@ impl FusionPlan {
             for &k in &chain {
                 group_of[k] = Some(index);
             }
-            groups.push(FusionGroup { nodes: chain.into_iter().map(NodeId::from_index).collect(), name });
+            groups.push(FusionGroup {
+                nodes: chain.into_iter().map(NodeId::from_index).collect(),
+                name,
+            });
         }
         FusionPlan { group_of, groups }
     }
@@ -260,8 +263,7 @@ impl FusionPlan {
     /// `true` when `id` is a group member that is *not* the anchor — such
     /// nodes are skipped by schedulers and evaluated inline at the anchor.
     pub fn is_interior(&self, id: NodeId) -> bool {
-        self.group_of(id)
-            .is_some_and(|g| self.groups[g].anchor() != id)
+        self.group_of(id).is_some_and(|g| self.groups[g].anchor() != id)
     }
 
     /// Number of kernel launches eliminated: `sum(len - 1)` over groups.
@@ -313,11 +315,9 @@ pub fn fused_spec(graph: &Graph, group: &FusionGroup) -> KernelSpec {
             }
         }
     }
-    let bytes = externals
-        .iter()
-        .map(|&e| graph.node(NodeId(e)).shape.byte_len() as f64)
-        .sum::<f64>()
-        + graph.node(group.anchor()).shape.byte_len() as f64;
+    let bytes =
+        externals.iter().map(|&e| graph.node(NodeId(e)).shape.byte_len() as f64).sum::<f64>()
+            + graph.node(group.anchor()).shape.byte_len() as f64;
     KernelSpec::new(class, flops, bytes, group.name()).with_workspace(workspace)
 }
 
@@ -412,11 +412,8 @@ mod tests {
         let plan = FusionPlan::analyze(&graph);
         let group = &plan.groups()[0];
         let spec = fused_spec(&graph, group);
-        let member_specs: Vec<KernelSpec> = group
-            .nodes()
-            .iter()
-            .flat_map(|&id| forward_kernels(&graph, id))
-            .collect();
+        let member_specs: Vec<KernelSpec> =
+            group.nodes().iter().flat_map(|&id| forward_kernels(&graph, id)).collect();
         let flops: f64 = member_specs.iter().map(|s| s.flops).sum();
         assert_eq!(spec.flops, flops);
         let unfused_bytes: f64 = member_specs.iter().map(|s| s.bytes).sum();

@@ -667,9 +667,7 @@ mod prune_tests {
         // Pruned graph still executes.
         let mut session = crate::Session::new(pruned, 0);
         let new_x = mapping[x.index()].unwrap();
-        let run = session
-            .forward(&[(new_x, tbd_tensor::Tensor::ones([2, 3]))])
-            .unwrap();
+        let run = session.forward(&[(new_x, tbd_tensor::Tensor::ones([2, 3]))]).unwrap();
         assert!(run.value(new_kept).is_some());
     }
 

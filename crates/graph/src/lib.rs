@@ -53,9 +53,7 @@ pub use fuse::{fused_spec, fusion_family, FusionFamily, FusionGroup, FusionPlan,
 pub use graph::{check_shape, Graph, GraphBuilder, Init, Node, NodeId};
 pub use kernel::{KernelClass, KernelSpec, Phase};
 pub use op::Op;
-pub use trace::{
-    ArgValue, EventKind, EventRef, TraceLayer, TraceRecorder, TraceSink, TraceStore,
-};
+pub use trace::{ArgValue, EventKind, EventRef, TraceLayer, TraceRecorder, TraceSink, TraceStore};
 
 /// Convenience alias for results returned throughout this crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -49,8 +49,8 @@ pub fn lower_training_iteration(graph: &Graph, plan: Option<&FusionPlan>) -> Vec
         if let Some(plan) = plan {
             if let Some(g) = plan.group_of(id) {
                 let group = &plan.groups()[g];
-                let root_is_contraction = fusion_family(&graph.node(group.root()).op)
-                    == Some(FusionFamily::Contraction);
+                let root_is_contraction =
+                    fusion_family(&graph.node(group.root()).op) == Some(FusionFamily::Contraction);
                 let tail = &group.nodes()[usize::from(root_is_contraction)..];
                 let in_tail = tail.contains(&id);
                 if in_tail && id != group.anchor() {
@@ -199,13 +199,13 @@ fn conv_dims(graph: &Graph, id: NodeId) -> (f64, f64, f64, f64, f64, f64, f64, f
     let w = &graph.node(node.inputs[1]).shape;
     let out = &node.shape;
     (
-        x.dim(0) as f64, // n
-        x.dim(1) as f64, // c
-        w.dim(0) as f64, // oc
-        w.dim(2) as f64, // kh
-        w.dim(3) as f64, // kw
-        out.dim(2) as f64, // oh
-        out.dim(3) as f64, // ow
+        x.dim(0) as f64,                   // n
+        x.dim(1) as f64,                   // c
+        w.dim(0) as f64,                   // oc
+        w.dim(2) as f64,                   // kh
+        w.dim(3) as f64,                   // kw
+        out.dim(2) as f64,                 // oh
+        out.dim(3) as f64,                 // ow
         x.dim(2) as f64 * x.dim(3) as f64, // in spatial
     )
 }
@@ -261,7 +261,12 @@ pub fn forward_kernels(graph: &Graph, id: NodeId) -> Vec<KernelSpec> {
             vec![KernelSpec::new(KernelClass::ActivationForward, len, inb + outb, "activation")]
         }
         Op::Sigmoid | Op::Tanh => {
-            vec![KernelSpec::new(KernelClass::ActivationForward, 4.0 * len, inb + outb, "activation")]
+            vec![KernelSpec::new(
+                KernelClass::ActivationForward,
+                4.0 * len,
+                inb + outb,
+                "activation",
+            )]
         }
         Op::MaxPool(cfg) | Op::AvgPool(cfg) => {
             let window = (cfg.kernel * cfg.kernel) as f64;
@@ -275,13 +280,28 @@ pub fn forward_kernels(graph: &Graph, id: NodeId) -> Vec<KernelSpec> {
         }
         Op::BatchNorm { .. } => {
             // Two statistics passes + one normalise pass over the data.
-            vec![KernelSpec::new(KernelClass::BatchNormForward, 8.0 * len, 3.0 * (inb + outb) / 2.0, "batch_norm")]
+            vec![KernelSpec::new(
+                KernelClass::BatchNormForward,
+                8.0 * len,
+                3.0 * (inb + outb) / 2.0,
+                "batch_norm",
+            )]
         }
         Op::LayerNorm { .. } => {
-            vec![KernelSpec::new(KernelClass::LayerNormForward, 8.0 * len, 3.0 * (inb + outb) / 2.0, "layer_norm")]
+            vec![KernelSpec::new(
+                KernelClass::LayerNormForward,
+                8.0 * len,
+                3.0 * (inb + outb) / 2.0,
+                "layer_norm",
+            )]
         }
         Op::Softmax => {
-            vec![KernelSpec::new(KernelClass::SoftmaxForward, 5.0 * len, 2.0 * (inb + outb), "softmax")]
+            vec![KernelSpec::new(
+                KernelClass::SoftmaxForward,
+                5.0 * len,
+                2.0 * (inb + outb),
+                "softmax",
+            )]
         }
         Op::CrossEntropy => {
             let lin = graph.node(node.inputs[0]).shape.len() as f64;
@@ -303,8 +323,7 @@ pub fn forward_kernels(graph: &Graph, id: NodeId) -> Vec<KernelSpec> {
 /// gradients.
 pub fn backward_kernels(graph: &Graph, id: NodeId, needs: &[bool]) -> Vec<KernelSpec> {
     let node = graph.node(id);
-    let input_needs =
-        |k: usize| node.op.input_differentiable(k) && needs[node.inputs[k].index()];
+    let input_needs = |k: usize| node.op.input_differentiable(k) && needs[node.inputs[k].index()];
     let inb = in_bytes(graph, id);
     let outb = out_bytes(graph, id);
     let len = node.shape.len() as f64;
@@ -316,10 +335,20 @@ pub fn backward_kernels(graph: &Graph, id: NodeId, needs: &[bool]) -> Vec<Kernel
             let n = node.shape.dim(1) as f64;
             let mut v = Vec::new();
             if input_needs(0) {
-                v.push(KernelSpec::new(KernelClass::Gemm, 2.0 * m * n * k, inb + outb, "matmul_bwd_a"));
+                v.push(KernelSpec::new(
+                    KernelClass::Gemm,
+                    2.0 * m * n * k,
+                    inb + outb,
+                    "matmul_bwd_a",
+                ));
             }
             if input_needs(1) {
-                v.push(KernelSpec::new(KernelClass::Gemm, 2.0 * k * m * n, inb + outb, "matmul_bwd_b"));
+                v.push(KernelSpec::new(
+                    KernelClass::Gemm,
+                    2.0 * k * m * n,
+                    inb + outb,
+                    "matmul_bwd_b",
+                ));
             }
             v
         }
@@ -353,14 +382,24 @@ pub fn backward_kernels(graph: &Graph, id: NodeId, needs: &[bool]) -> Vec<Kernel
             let mut v = Vec::new();
             if input_needs(0) {
                 v.push(
-                    KernelSpec::new(KernelClass::ConvBackwardData, flops, inb + outb, "conv2d_bwd_data")
-                        .with_workspace(ws),
+                    KernelSpec::new(
+                        KernelClass::ConvBackwardData,
+                        flops,
+                        inb + outb,
+                        "conv2d_bwd_data",
+                    )
+                    .with_workspace(ws),
                 );
             }
             if input_needs(1) {
                 v.push(
-                    KernelSpec::new(KernelClass::ConvBackwardFilter, flops, inb + outb, "conv2d_bwd_filter")
-                        .with_workspace(ws),
+                    KernelSpec::new(
+                        KernelClass::ConvBackwardFilter,
+                        flops,
+                        inb + outb,
+                        "conv2d_bwd_filter",
+                    )
+                    .with_workspace(ws),
                 );
             }
             v
@@ -399,10 +438,20 @@ pub fn backward_kernels(graph: &Graph, id: NodeId, needs: &[bool]) -> Vec<Kernel
             vec![KernelSpec::new(KernelClass::Elementwise, len, 2.0 * outb, "ew_bwd")]
         }
         Op::Relu | Op::LeakyRelu(_) => {
-            vec![KernelSpec::new(KernelClass::ActivationBackward, len, 3.0 * outb, "activation_bwd")]
+            vec![KernelSpec::new(
+                KernelClass::ActivationBackward,
+                len,
+                3.0 * outb,
+                "activation_bwd",
+            )]
         }
         Op::Sigmoid | Op::Tanh => {
-            vec![KernelSpec::new(KernelClass::ActivationBackward, 3.0 * len, 3.0 * outb, "activation_bwd")]
+            vec![KernelSpec::new(
+                KernelClass::ActivationBackward,
+                3.0 * len,
+                3.0 * outb,
+                "activation_bwd",
+            )]
         }
         Op::MaxPool(_) => {
             vec![KernelSpec::new(KernelClass::PoolBackward, len, inb + outb, "pool_bwd")]
@@ -419,19 +468,39 @@ pub fn backward_kernels(graph: &Graph, id: NodeId, needs: &[bool]) -> Vec<Kernel
         }
         Op::BatchNorm { .. } => {
             let xb = graph.node(node.inputs[0]).shape.byte_len() as f64;
-            vec![KernelSpec::new(KernelClass::BatchNormBackward, 12.0 * len, 4.0 * xb, "batch_norm_bwd")]
+            vec![KernelSpec::new(
+                KernelClass::BatchNormBackward,
+                12.0 * len,
+                4.0 * xb,
+                "batch_norm_bwd",
+            )]
         }
         Op::LayerNorm { .. } => {
             let xb = graph.node(node.inputs[0]).shape.byte_len() as f64;
-            vec![KernelSpec::new(KernelClass::LayerNormBackward, 12.0 * len, 4.0 * xb, "layer_norm_bwd")]
+            vec![KernelSpec::new(
+                KernelClass::LayerNormBackward,
+                12.0 * len,
+                4.0 * xb,
+                "layer_norm_bwd",
+            )]
         }
         Op::Softmax => {
-            vec![KernelSpec::new(KernelClass::SoftmaxBackward, 4.0 * len, 3.0 * outb, "softmax_bwd")]
+            vec![KernelSpec::new(
+                KernelClass::SoftmaxBackward,
+                4.0 * len,
+                3.0 * outb,
+                "softmax_bwd",
+            )]
         }
         Op::CrossEntropy => {
             let lin = graph.node(node.inputs[0]).shape.len() as f64;
             let lb = graph.node(node.inputs[0]).shape.byte_len() as f64;
-            vec![KernelSpec::new(KernelClass::SoftmaxBackward, 2.0 * lin, 2.0 * lb, "cross_entropy_bwd")]
+            vec![KernelSpec::new(
+                KernelClass::SoftmaxBackward,
+                2.0 * lin,
+                2.0 * lb,
+                "cross_entropy_bwd",
+            )]
         }
         Op::Embedding => {
             vec![KernelSpec::new(KernelClass::EmbeddingBackward, len, 2.0 * outb, "embedding_bwd")]
@@ -502,7 +571,7 @@ pub fn memory_footprint(graph: &Graph) -> MemoryFootprint {
         let bytes = node.shape.byte_len() as u64;
         match &node.op {
             Op::Parameter { .. } => weights += bytes,
-            Op::Reshape(_) => {} // aliases its input
+            Op::Reshape(_) => {}              // aliases its input
             Op::Relu | Op::LeakyRelu(_) => {} // applied in place
             _ => {
                 activations += bytes;
@@ -526,7 +595,14 @@ pub fn memory_footprint(graph: &Graph) -> MemoryFootprint {
         }
         let _ = node;
     }
-    MemoryFootprint { weights, weight_grads: weights, feature_maps, activations, workspace, workspace_total }
+    MemoryFootprint {
+        weights,
+        weight_grads: weights,
+        feature_maps,
+        activations,
+        workspace,
+        workspace_total,
+    }
 }
 
 /// Weight-gradient bytes attributed to the graph node whose backward kernel
@@ -603,8 +679,7 @@ mod tests {
     fn matmul_flops_are_2mkn() {
         let (graph, _) = mlp();
         let stream = lower_training_iteration(&graph, None);
-        let gemm: Vec<_> =
-            stream.iter().filter(|k| k.spec.class == KernelClass::Gemm).collect();
+        let gemm: Vec<_> = stream.iter().filter(|k| k.spec.class == KernelClass::Gemm).collect();
         // One forward GEMM, one backward (only the weight needs grad: the
         // input x does not, so dA is skipped).
         assert_eq!(gemm.len(), 2);
@@ -756,8 +831,7 @@ pub fn activation_bytes_by_op(graph: &Graph) -> std::collections::BTreeMap<&'sta
         match &node.op {
             Op::Parameter { .. } | Op::Reshape(_) | Op::Relu | Op::LeakyRelu(_) => {}
             op => {
-                *by_op.entry(op.mnemonic()).or_insert(0) +=
-                    bytes + aux_bytes(graph, NodeId(i));
+                *by_op.entry(op.mnemonic()).or_insert(0) += bytes + aux_bytes(graph, NodeId(i));
             }
         }
     }

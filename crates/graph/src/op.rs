@@ -415,12 +415,10 @@ impl Op {
                 let mut seen = [false; 3];
                 for &p in perm {
                     if p > 2 || seen[p] {
-                        return Err(GraphError::Tensor(
-                            tbd_tensor::TensorError::InvalidArgument {
-                                op: "permute3",
-                                reason: format!("{perm:?} is not a permutation"),
-                            },
-                        ));
+                        return Err(GraphError::Tensor(tbd_tensor::TensorError::InvalidArgument {
+                            op: "permute3",
+                            reason: format!("{perm:?} is not a permutation"),
+                        }));
                     }
                     seen[p] = true;
                 }
@@ -461,9 +459,8 @@ mod tests {
     fn conv_shapes_match_resnet_stem() {
         // ResNet-50 stem: 7x7/2 pad 3 on 224x224 -> 112x112.
         let cfg = Conv2dConfig::new(2, 3);
-        let out = Op::Conv2d(cfg)
-            .infer_shape(&[&s(&[32, 3, 224, 224]), &s(&[64, 3, 7, 7])])
-            .unwrap();
+        let out =
+            Op::Conv2d(cfg).infer_shape(&[&s(&[32, 3, 224, 224]), &s(&[64, 3, 7, 7])]).unwrap();
         assert_eq!(out, s(&[32, 64, 112, 112]));
     }
 
@@ -510,10 +507,7 @@ mod tests {
             s(&[4, 3])
         );
         assert!(Op::SliceCols { start: 6, len: 3 }.infer_shape(&[&s(&[4, 8])]).is_err());
-        assert_eq!(
-            Op::Reshape(s(&[2, 6])).infer_shape(&[&s(&[3, 4])]).unwrap(),
-            s(&[2, 6])
-        );
+        assert_eq!(Op::Reshape(s(&[2, 6])).infer_shape(&[&s(&[3, 4])]).unwrap(), s(&[2, 6]));
         assert!(Op::Reshape(s(&[2, 5])).infer_shape(&[&s(&[3, 4])]).is_err());
     }
 }

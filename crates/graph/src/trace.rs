@@ -899,7 +899,8 @@ impl TraceStore {
     /// and each borrowed `Str` value. Times, numbers and owned strings
     /// are folded byte by byte.
     fn fold_lines(&self, mut h: u64, newline_first: bool) -> u64 {
-        let mut heads: Vec<Vec<(HeadKey, Run)>> = (0..self.names.len()).map(|_| Vec::new()).collect();
+        let mut heads: Vec<Vec<(HeadKey, Run)>> =
+            (0..self.names.len()).map(|_| Vec::new()).collect();
         let mut statics = StaticRuns::new();
         for i in 0..self.len() {
             let (id, layer, kind, deterministic) =
@@ -942,7 +943,9 @@ impl TraceStore {
                     }
                     ArgValue::F64(v) => fold(statics.fold(h, key, Tag::F64), &hex16(v.to_bits())),
                     ArgValue::U64(v) => fold_decimal(statics.fold(h, key, Tag::U64), *v),
-                    ArgValue::Bool(b) => statics.fold(h, key, if *b { Tag::True } else { Tag::False }),
+                    ArgValue::Bool(b) => {
+                        statics.fold(h, key, if *b { Tag::True } else { Tag::False })
+                    }
                 };
             }
         }
@@ -1097,7 +1100,9 @@ impl StaticRuns {
         for probe in 0..Self::SLOTS {
             let slot = &mut self.slots[(home + probe) % Self::SLOTS];
             match slot {
-                Some((a, l, t, run)) if (*a, *l, *t) == (at, len, tag) => return run.fold(h, &pieces),
+                Some((a, l, t, run)) if (*a, *l, *t) == (at, len, tag) => {
+                    return run.fold(h, &pieces)
+                }
                 Some(_) => {}
                 None => return slot.insert((at, len, tag, Run::default())).3.fold(h, &pieces),
             }
@@ -1753,8 +1758,9 @@ mod tests {
         let store = recorder.drain();
         assert_eq!(store.args_arena().as_ptr(), args, "the args arena is the batch's");
         assert_eq!(store.name_ids().as_ptr(), names, "the name-id column is the batch's");
-        let mut all = vec!["profiler|phase|capture|t:0000000000000000+0000000000000000@0|batch=u:5"
-            .to_string()];
+        let mut all =
+            vec!["profiler|phase|capture|t:0000000000000000+0000000000000000@0|batch=u:5"
+                .to_string()];
         all.extend((0..10_000).map(|i| numbered_line(i, 50).1));
         assert_eq!(lines(&store), all);
         assert_eq!(store.names()[0], "capture", "the recorder's names keep their ids");

@@ -11,7 +11,13 @@ fn random_mlp(
     depth: usize,
     width: usize,
     acts: &[u8],
-) -> (tbd_graph::Graph, tbd_graph::NodeId, tbd_graph::NodeId, tbd_graph::NodeId, Vec<tbd_graph::NodeId>) {
+) -> (
+    tbd_graph::Graph,
+    tbd_graph::NodeId,
+    tbd_graph::NodeId,
+    tbd_graph::NodeId,
+    Vec<tbd_graph::NodeId>,
+) {
     let batch = 3;
     let mut g = GraphBuilder::new();
     let x = g.input("x", [batch, width]);

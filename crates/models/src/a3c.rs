@@ -103,12 +103,8 @@ mod tests {
         let model = A3cConfig::full().build(1).unwrap();
         // conv1, conv2, shared dense, policy head, value head: the paper's
         // Table 2 counts 4 layers along the policy path.
-        let convs = model
-            .graph
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, tbd_graph::Op::Conv2d(_)))
-            .count();
+        let convs =
+            model.graph.nodes().iter().filter(|n| matches!(n.op, tbd_graph::Op::Conv2d(_))).count();
         assert_eq!(convs, 2);
         let policy = model.output("policy").unwrap();
         assert_eq!(model.graph.node(policy).shape.dims(), &[1, 6]);

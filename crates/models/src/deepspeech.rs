@@ -102,28 +102,29 @@ impl DeepSpeechConfig {
         let audio = nb.g.input("audio", [b, 1, self.frames, self.freq_bins]);
 
         // Convolution front-end: two stride-2 layers in time and frequency.
-        let (conv_out, t_rnn, f_out) = nb.scoped("conv", |nb| -> Result<(NodeId, usize, usize)> {
-            let c1_name = nb.fresh("conv1");
-            let w1 = nb.g.parameter(
-                &c1_name,
-                [self.conv_channels, 1, 11, 5],
-                tbd_graph::Init::He { fan_in: 55 },
-            );
-            let c1 = nb.g.conv2d(audio, w1, Conv2dConfig::with_pads(2, 5, 2))?;
-            let c1 = nb.batch_norm(c1, self.conv_channels)?;
-            let c1 = nb.g.relu(c1)?;
-            let c2_name = nb.fresh("conv2");
-            let w2 = nb.g.parameter(
-                &c2_name,
-                [self.conv_channels, self.conv_channels, 11, 5],
-                tbd_graph::Init::He { fan_in: self.conv_channels * 55 },
-            );
-            let c2 = nb.g.conv2d(c1, w2, Conv2dConfig::with_pads(2, 5, 2))?;
-            let c2 = nb.batch_norm(c2, self.conv_channels)?;
-            let c2 = nb.g.relu(c2)?;
-            let shape = nb.g.shape(c2).dims().to_vec();
-            Ok((c2, shape[2], shape[3]))
-        })?;
+        let (conv_out, t_rnn, f_out) =
+            nb.scoped("conv", |nb| -> Result<(NodeId, usize, usize)> {
+                let c1_name = nb.fresh("conv1");
+                let w1 = nb.g.parameter(
+                    &c1_name,
+                    [self.conv_channels, 1, 11, 5],
+                    tbd_graph::Init::He { fan_in: 55 },
+                );
+                let c1 = nb.g.conv2d(audio, w1, Conv2dConfig::with_pads(2, 5, 2))?;
+                let c1 = nb.batch_norm(c1, self.conv_channels)?;
+                let c1 = nb.g.relu(c1)?;
+                let c2_name = nb.fresh("conv2");
+                let w2 = nb.g.parameter(
+                    &c2_name,
+                    [self.conv_channels, self.conv_channels, 11, 5],
+                    tbd_graph::Init::He { fan_in: self.conv_channels * 55 },
+                );
+                let c2 = nb.g.conv2d(c1, w2, Conv2dConfig::with_pads(2, 5, 2))?;
+                let c2 = nb.batch_norm(c2, self.conv_channels)?;
+                let c2 = nb.g.relu(c2)?;
+                let shape = nb.g.shape(c2).dims().to_vec();
+                Ok((c2, shape[2], shape[3]))
+            })?;
         let labels = nb.g.input("labels", [extent(t_rnn, b)?]);
 
         // Rearrange [b, c, t, f] so each time step is a contiguous row
@@ -150,7 +151,9 @@ impl DeepSpeechConfig {
                     Gru(crate::nn::GruParams),
                 }
                 let make = |nb: &mut NetBuilder| match cell {
-                    RecurrentCell::Vanilla => CellParams::Vanilla(rnn_params(nb, in_dim, self.hidden)),
+                    RecurrentCell::Vanilla => {
+                        CellParams::Vanilla(rnn_params(nb, in_dim, self.hidden))
+                    }
                     RecurrentCell::Gru => CellParams::Gru(gru_params(nb, in_dim, self.hidden)),
                 };
                 let step = |nb: &mut NetBuilder, p: &CellParams, x: NodeId, h: NodeId| match p {
@@ -224,7 +227,9 @@ mod tests {
         let mut feeds = vec![
             (
                 model.input("audio").unwrap(),
-                Tensor::from_fn([b, 1, cfg.frames, cfg.freq_bins], |i| ((i % 17) as f32 - 8.0) * 0.1),
+                Tensor::from_fn([b, 1, cfg.frames, cfg.freq_bins], |i| {
+                    ((i % 17) as f32 - 8.0) * 0.1
+                }),
             ),
             (
                 model.input("labels").unwrap(),

@@ -111,9 +111,8 @@ impl FasterRcnnConfig {
 
         // ---- Detection head over pooled proposals ----
         let rois = nb.g.input("rois", [self.proposals, feat_c, 7, 7]);
-        let (roi_cls_loss, roi_box_loss, roi_labels, roi_box_targets, cls_logits) = nb.scoped(
-            "head",
-            |nb| -> Result<(NodeId, NodeId, NodeId, NodeId, NodeId)> {
+        let (roi_cls_loss, roi_box_loss, roi_labels, roi_box_targets, cls_logits) =
+            nb.scoped("head", |nb| -> Result<(NodeId, NodeId, NodeId, NodeId, NodeId)> {
                 // conv5-style residual processing of each proposal.
                 let width = self.backbone.base_width << (self.shared_stages.saturating_sub(1));
                 let a = nb.conv_bn_relu(rois, feat_c, width, 1, 1, 0)?;
@@ -124,13 +123,13 @@ impl FasterRcnnConfig {
                 let roi_labels = nb.g.input("roi_labels", [self.proposals]);
                 let cls_loss = nb.g.cross_entropy(cls_logits, roi_labels)?;
                 let box_pred = nb.dense(pooled, feat_c * 2, 4 * self.classes)?;
-                let roi_box_targets = nb.g.input("roi_box_targets", [self.proposals, 4 * self.classes]);
+                let roi_box_targets =
+                    nb.g.input("roi_box_targets", [self.proposals, 4 * self.classes]);
                 let diff = nb.g.sub(box_pred, roi_box_targets)?;
                 let sq = nb.g.mul(diff, diff)?;
                 let box_loss = nb.g.mean_all(sq)?;
                 Ok((cls_loss, box_loss, roi_labels, roi_box_targets, cls_logits))
-            },
-        )?;
+            })?;
 
         let rpn_total = nb.g.add(rpn_cls_loss, rpn_box_loss)?;
         let roi_total = nb.g.add(roi_cls_loss, roi_box_loss)?;
@@ -183,11 +182,11 @@ mod tests {
                 Tensor::from_fn([1, 3, 32, 32], |i| ((i % 19) as f32 - 9.0) * 0.05),
             ),
             (model.input("rpn_labels").unwrap(), Tensor::from_fn([n_anchors], |i| (i % 2) as f32)),
+            (model.input("rpn_box_targets").unwrap(), Tensor::zeros([n_anchors, 4])),
             (
-                model.input("rpn_box_targets").unwrap(),
-                Tensor::zeros([n_anchors, 4]),
+                model.input("rois").unwrap(),
+                Tensor::from_fn(rois_shape.clone(), |i| ((i % 9) as f32) * 0.1),
             ),
-            (model.input("rois").unwrap(), Tensor::from_fn(rois_shape.clone(), |i| ((i % 9) as f32) * 0.1)),
             (
                 model.input("roi_labels").unwrap(),
                 Tensor::from_fn([cfg.proposals], |i| (i % cfg.classes) as f32),

@@ -214,10 +214,7 @@ mod tests {
         let model = InceptionConfig::full().build(1).unwrap();
         let params = model.graph.param_count();
         // Torchvision inception_v3 (without aux head): ≈23.8 M.
-        assert!(
-            (21_000_000..26_500_000).contains(&params),
-            "Inception-v3 has {params} parameters"
-        );
+        assert!((21_000_000..26_500_000).contains(&params), "Inception-v3 has {params} parameters");
     }
 
     #[test]

@@ -208,16 +208,10 @@ mod scope_tests {
     fn resnet_weights_concentrate_in_late_stages() {
         let model = resnet::ResNetConfig::resnet50().build(1).unwrap();
         let by_scope = param_count_by_scope(&model.graph);
-        let stage3: usize = by_scope
-            .iter()
-            .filter(|(k, _)| k.starts_with("stage3"))
-            .map(|(_, v)| v)
-            .sum();
-        let stage0: usize = by_scope
-            .iter()
-            .filter(|(k, _)| k.starts_with("stage0"))
-            .map(|(_, v)| v)
-            .sum();
+        let stage3: usize =
+            by_scope.iter().filter(|(k, _)| k.starts_with("stage3")).map(|(_, v)| v).sum();
+        let stage0: usize =
+            by_scope.iter().filter(|(k, _)| k.starts_with("stage0")).map(|(_, v)| v).sum();
         assert!(stage3 > 5 * stage0, "late stages dominate: {stage3} vs {stage0}");
         let total: usize = by_scope.values().sum();
         assert_eq!(total, model.graph.param_count());

@@ -9,7 +9,6 @@
 use tbd_graph::{GraphBuilder, GraphError, Init, NodeId, Result};
 use tbd_tensor::ops::{Conv2dConfig, Pool2dConfig};
 
-
 /// `a · b` as a tensor extent.
 ///
 /// # Errors
@@ -110,11 +109,7 @@ impl NetBuilder {
     ) -> Result<NodeId> {
         let fan_in = in_c * kernel.0 * kernel.1;
         let name = self.fresh("conv");
-        let w = self.g.parameter(
-            &name,
-            [out_c, in_c, kernel.0, kernel.1],
-            Init::He { fan_in },
-        );
+        let w = self.g.parameter(&name, [out_c, in_c, kernel.0, kernel.1], Init::He { fan_in });
         self.g.conv2d(x, w, Conv2dConfig::new(stride, padding))
     }
 
@@ -168,11 +163,7 @@ impl NetBuilder {
     ) -> Result<NodeId> {
         let fan_in = in_c * kernel.0 * kernel.1;
         let name = self.fresh("conv");
-        let w = self.g.parameter(
-            &name,
-            [out_c, in_c, kernel.0, kernel.1],
-            Init::He { fan_in },
-        );
+        let w = self.g.parameter(&name, [out_c, in_c, kernel.0, kernel.1], Init::He { fan_in });
         let c = self.g.conv2d(x, w, Conv2dConfig::with_pads(stride, pads.0, pads.1))?;
         let b = self.batch_norm(c, out_c)?;
         self.g.relu(b)
@@ -196,7 +187,13 @@ impl NetBuilder {
     /// # Errors
     ///
     /// Propagates shape errors from the underlying ops.
-    pub fn max_pool(&mut self, x: NodeId, kernel: usize, stride: usize, padding: usize) -> Result<NodeId> {
+    pub fn max_pool(
+        &mut self,
+        x: NodeId,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Result<NodeId> {
         self.g.max_pool(x, Pool2dConfig::new(kernel, stride, padding))
     }
 
@@ -205,7 +202,13 @@ impl NetBuilder {
     /// # Errors
     ///
     /// Propagates shape errors from the underlying ops.
-    pub fn avg_pool(&mut self, x: NodeId, kernel: usize, stride: usize, padding: usize) -> Result<NodeId> {
+    pub fn avg_pool(
+        &mut self,
+        x: NodeId,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Result<NodeId> {
         self.g.avg_pool(x, Pool2dConfig::new(kernel, stride, padding))
     }
 }
@@ -294,11 +297,8 @@ pub struct RnnParams {
 /// Creates the parameters of a vanilla RNN layer.
 pub fn rnn_params(nb: &mut NetBuilder, input: usize, hidden: usize) -> RnnParams {
     let wx_name = nb.fresh("rnn_wx");
-    let wx = nb.g.parameter(
-        &wx_name,
-        [input, hidden],
-        Init::Xavier { fan_in: input, fan_out: hidden },
-    );
+    let wx =
+        nb.g.parameter(&wx_name, [input, hidden], Init::Xavier { fan_in: input, fan_out: hidden });
     let wh_name = nb.fresh("rnn_wh");
     let wh = nb.g.parameter(
         &wh_name,
@@ -575,17 +575,11 @@ pub fn gru_params(nb: &mut NetBuilder, input: usize, hidden: usize) -> GruParams
     let n3 = nb.fresh("gru_b_gates");
     let b_gates = nb.g.parameter(&n3, [2 * hidden], Init::Zeros);
     let n4 = nb.fresh("gru_wx_cand");
-    let wx_cand = nb.g.parameter(
-        &n4,
-        [input, hidden],
-        Init::Xavier { fan_in: input, fan_out: hidden },
-    );
+    let wx_cand =
+        nb.g.parameter(&n4, [input, hidden], Init::Xavier { fan_in: input, fan_out: hidden });
     let n5 = nb.fresh("gru_wh_cand");
-    let wh_cand = nb.g.parameter(
-        &n5,
-        [hidden, hidden],
-        Init::Xavier { fan_in: hidden, fan_out: hidden },
-    );
+    let wh_cand =
+        nb.g.parameter(&n5, [hidden, hidden], Init::Xavier { fan_in: hidden, fan_out: hidden });
     let n6 = nb.fresh("gru_b_cand");
     let b_cand = nb.g.parameter(&n6, [hidden], Init::Zeros);
     GruParams { wx_gates, wh_gates, b_gates, wx_cand, wh_cand, b_cand, hidden }

@@ -26,12 +26,24 @@ impl ResNetConfig {
     /// Paper-scale ResNet-50 (ImageNet, 224×224, 1000 classes, ≈25.6 M
     /// parameters).
     pub fn resnet50() -> Self {
-        ResNetConfig { image: 224, classes: 1000, stage_blocks: vec![3, 4, 6, 3], base_width: 64, stem: 64 }
+        ResNetConfig {
+            image: 224,
+            classes: 1000,
+            stage_blocks: vec![3, 4, 6, 3],
+            base_width: 64,
+            stem: 64,
+        }
     }
 
     /// Paper-scale ResNet-101 (used as the Faster R-CNN convolution stack).
     pub fn resnet101() -> Self {
-        ResNetConfig { image: 224, classes: 1000, stage_blocks: vec![3, 4, 23, 3], base_width: 64, stem: 64 }
+        ResNetConfig {
+            image: 224,
+            classes: 1000,
+            stage_blocks: vec![3, 4, 23, 3],
+            base_width: 64,
+            stem: 64,
+        }
     }
 
     /// Miniature for functional tests: 16×16 inputs, two stages, 8 classes.
@@ -145,10 +157,7 @@ mod tests {
         let model = ResNetConfig::resnet50().build(1).unwrap();
         let params = model.graph.param_count();
         // Torch reference: 25,557,032 parameters.
-        assert!(
-            (25_000_000..26_000_000).contains(&params),
-            "ResNet-50 has {params} parameters"
-        );
+        assert!((25_000_000..26_000_000).contains(&params), "ResNet-50 has {params} parameters");
     }
 
     #[test]

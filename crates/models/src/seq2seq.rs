@@ -39,7 +39,14 @@ impl Seq2SeqConfig {
     /// Paper-scale configuration: IWSLT15 vocabulary, 512-wide LSTMs,
     /// 5 recurrent layers in total (Table 2).
     pub fn full() -> Self {
-        Seq2SeqConfig { vocab: 17_188, embed: 512, hidden: 512, enc_layers: 2, dec_layers: 3, steps: 25 }
+        Seq2SeqConfig {
+            vocab: 17_188,
+            embed: 512,
+            hidden: 512,
+            enc_layers: 2,
+            dec_layers: 3,
+            steps: 25,
+        }
     }
 
     /// Miniature for functional tests.
@@ -78,9 +85,8 @@ impl Seq2SeqConfig {
         // ---- Encoder ----
         let src_emb = nb.g.embedding(embedding, src)?; // [t*b, embed]
         let (enc_tops, enc_final) = nb.scoped("enc", |nb| -> Result<EncoderOut> {
-            let mut layer_inputs: Vec<NodeId> = (0..t)
-                .map(|step| nb.g.slice_rows(src_emb, step * b, b))
-                .collect::<Result<_>>()?;
+            let mut layer_inputs: Vec<NodeId> =
+                (0..t).map(|step| nb.g.slice_rows(src_emb, step * b, b)).collect::<Result<_>>()?;
             let mut in_dim = cfg.embed;
             let mut finals = Vec::with_capacity(cfg.enc_layers);
             for layer in 0..cfg.enc_layers {
@@ -109,9 +115,8 @@ impl Seq2SeqConfig {
         // ---- Decoder with Luong attention ----
         let tgt_emb = nb.g.embedding(embedding, tgt_in)?;
         let dec_tops = nb.scoped("dec", |nb| -> Result<Vec<NodeId>> {
-            let mut layer_inputs: Vec<NodeId> = (0..t)
-                .map(|step| nb.g.slice_rows(tgt_emb, step * b, b))
-                .collect::<Result<_>>()?;
+            let mut layer_inputs: Vec<NodeId> =
+                (0..t).map(|step| nb.g.slice_rows(tgt_emb, step * b, b)).collect::<Result<_>>()?;
             let mut in_dim = cfg.embed;
             for layer in 0..cfg.dec_layers {
                 let p = nb.scoped(&format!("l{layer}"), |nb| lstm_params(nb, in_dim, h));
@@ -198,9 +203,7 @@ mod tests {
         let b = 2;
         let model = cfg.build(b).unwrap();
         let n = cfg.steps * b;
-        let ids = |offset: usize| {
-            Tensor::from_fn([n], move |i| ((i + offset) % cfg.vocab) as f32)
-        };
+        let ids = |offset: usize| Tensor::from_fn([n], move |i| ((i + offset) % cfg.vocab) as f32);
         let mut feeds = vec![
             (model.input("src").unwrap(), ids(0)),
             (model.input("tgt_in").unwrap(), ids(1)),

@@ -46,7 +46,15 @@ impl TransformerConfig {
 
     /// Miniature for functional tests.
     pub fn tiny() -> Self {
-        TransformerConfig { vocab: 11, d_model: 16, heads: 2, d_ff: 32, enc_blocks: 1, dec_blocks: 1, steps: 6 }
+        TransformerConfig {
+            vocab: 11,
+            d_model: 16,
+            heads: 2,
+            d_ff: 32,
+            enc_blocks: 1,
+            dec_blocks: 1,
+            steps: 6,
+        }
     }
 
     /// Total blocks (the paper's Table 2 quotes 12 layers).
@@ -159,9 +167,7 @@ mod tests {
         let tgt_in = model.input("tgt_in").unwrap();
         let tgt_out = model.input("tgt_out").unwrap();
         let mut session = Session::new(model.graph, 33);
-        let run = session
-            .forward(&[(src, ids(0)), (tgt_in, ids(3)), (tgt_out, ids(4))])
-            .unwrap();
+        let run = session.forward(&[(src, ids(0)), (tgt_in, ids(3)), (tgt_out, ids(4))]).unwrap();
         let l = run.scalar(loss).unwrap();
         assert!(l.is_finite() && l > 0.0);
         let grads = session.backward(&run, loss, Tensor::scalar(1.0)).unwrap();

@@ -129,21 +129,15 @@ struct CriticParams {
 impl CriticParams {
     fn create(nb: &mut NetBuilder, cfg: &WganConfig) -> Result<CriticParams> {
         let stem_name = nb.fresh("stem");
-        let stem = nb.g.parameter(
-            &stem_name,
-            [cfg.dim, 3, 3, 3],
-            tbd_graph::Init::He { fan_in: 27 },
-        );
+        let stem =
+            nb.g.parameter(&stem_name, [cfg.dim, 3, 3, 3], tbd_graph::Init::He { fan_in: 27 });
         let mut blocks = Vec::with_capacity(cfg.blocks);
         let mut c = cfg.dim;
         for i in 0..cfg.blocks {
             let out_c = (c * 2).min(cfg.dim * 8);
             let n1 = nb.fresh(&format!("b{i}_conv1"));
-            let conv1 = nb.g.parameter(
-                &n1,
-                [out_c, c, 3, 3],
-                tbd_graph::Init::He { fan_in: c * 9 },
-            );
+            let conv1 =
+                nb.g.parameter(&n1, [out_c, c, 3, 3], tbd_graph::Init::He { fan_in: c * 9 });
             let n2 = nb.fresh(&format!("b{i}_conv2"));
             let conv2 = nb.g.parameter(
                 &n2,
@@ -151,26 +145,25 @@ impl CriticParams {
                 tbd_graph::Init::He { fan_in: out_c * 9 },
             );
             let n3 = nb.fresh(&format!("b{i}_short"));
-            let short = nb.g.parameter(
-                &n3,
-                [out_c, c, 1, 1],
-                tbd_graph::Init::He { fan_in: c },
-            );
+            let short = nb.g.parameter(&n3, [out_c, c, 1, 1], tbd_graph::Init::He { fan_in: c });
             blocks.push([conv1, conv2, short]);
             c = out_c;
         }
         let hw_name = nb.fresh("head_w");
-        let head_w = nb.g.parameter(
-            &hw_name,
-            [c, 1],
-            tbd_graph::Init::Xavier { fan_in: c, fan_out: 1 },
-        );
+        let head_w =
+            nb.g.parameter(&hw_name, [c, 1], tbd_graph::Init::Xavier { fan_in: c, fan_out: 1 });
         let hb_name = nb.fresh("head_b");
         let head_b = nb.g.parameter(&hb_name, [1], tbd_graph::Init::Zeros);
         Ok(CriticParams { stem, blocks, head_w, head_b })
     }
 
-    fn apply(&self, nb: &mut NetBuilder, images: NodeId, batch: usize, cfg: &WganConfig) -> Result<NodeId> {
+    fn apply(
+        &self,
+        nb: &mut NetBuilder,
+        images: NodeId,
+        batch: usize,
+        cfg: &WganConfig,
+    ) -> Result<NodeId> {
         use tbd_tensor::ops::Conv2dConfig;
         let mut x = nb.g.conv2d(images, self.stem, Conv2dConfig::new(1, 1))?;
         x = nb.g.leaky_relu(x, 0.2)?;

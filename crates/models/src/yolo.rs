@@ -146,12 +146,8 @@ mod tests {
     #[test]
     fn full_yolo_has_darknet19_structure() {
         let model = YoloConfig::full().build(1).unwrap();
-        let convs = model
-            .graph
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, tbd_graph::Op::Conv2d(_)))
-            .count();
+        let convs =
+            model.graph.nodes().iter().filter(|n| matches!(n.op, tbd_graph::Op::Conv2d(_))).count();
         // Darknet-19's 18 feature convs (its 19th is the classification
         // head YOLO replaces) plus the 3-conv detection head.
         assert_eq!(convs, 18 + 3);
@@ -173,14 +169,8 @@ mod tests {
                 model.input("images").unwrap(),
                 Tensor::from_fn([b, 3, 64, 64], |i| ((i % 23) as f32 - 11.0) * 0.05),
             ),
-            (
-                model.input("obj_labels").unwrap(),
-                Tensor::from_fn([cells], |i| (i % 2) as f32),
-            ),
-            (
-                model.input("box_targets").unwrap(),
-                Tensor::zeros([cells, 4 + cfg.classes]),
-            ),
+            (model.input("obj_labels").unwrap(), Tensor::from_fn([cells], |i| (i % 2) as f32)),
+            (model.input("box_targets").unwrap(), Tensor::zeros([cells, 4 + cfg.classes])),
         ];
         let mut session = Session::new(model.graph, 23);
         let run = session.forward(&feeds).unwrap();

@@ -965,8 +965,9 @@ impl AggState {
             if self.host_phase_us > 0.0 {
                 reg.set_gauge(
                     "host_utilization",
-                    (self.host_node_us / (self.host_phase_us * f64::from(self.host_threads.max(1))))
-                        .min(1.0),
+                    (self.host_node_us
+                        / (self.host_phase_us * f64::from(self.host_threads.max(1))))
+                    .min(1.0),
                 );
             }
         }
@@ -1129,8 +1130,7 @@ impl AggState {
             );
         }
         if self.kernel_us > 0.0 {
-            let _ =
-                writeln!(out, "- FP32: {:.1}%", 100.0 * self.fp32_weighted_us / self.kernel_us);
+            let _ = writeln!(out, "- FP32: {:.1}%", 100.0 * self.fp32_weighted_us / self.kernel_us);
         }
         if self.framework_seen {
             let _ = writeln!(out, "- CPU: {:.1}%", 100.0 * self.framework_cpu_utilization);

@@ -355,9 +355,7 @@ fn mine(events: &TraceStore, reg: &MetricsRegistry) -> Signals {
     s.launches = reg.counter("kernel_launches_total").unwrap_or(0);
     s.kernel_us = finite_gauge("kernel_time_us").unwrap_or(0.0);
     s.launch_gap_frac = ratio(s.launch_us + s.sync_us, s.sim_iteration_us);
-    s.small_kernel_mass = reg
-        .histogram("kernel_duration_us")
-        .and_then(|h| hist_mass_below(h, 8.0));
+    s.small_kernel_mass = reg.histogram("kernel_duration_us").and_then(|h| hist_mass_below(h, 8.0));
     s.membw_frac = finite_gauge("memory_bound_time_fraction");
     s.fp32_utilization = finite_gauge("fp32_utilization");
     s.gpu_utilization = finite_gauge("gpu_utilization");
@@ -368,8 +366,7 @@ fn mine(events: &TraceStore, reg: &MetricsRegistry) -> Signals {
     s.retries = reg.counter("comm_retries_total").unwrap_or(0);
     s.recoveries = reg.counter("recoveries_total").unwrap_or(0);
     s.faults_total = reg.counter("faults_injected_total").unwrap_or(0);
-    s.oom_faults =
-        reg.counter(&series("faults_injected_total", "fault", "alloc-oom")).unwrap_or(0);
+    s.oom_faults = reg.counter(&series("faults_injected_total", "fault", "alloc-oom")).unwrap_or(0);
     s.evictions = reg.counter("evictions_total").unwrap_or(0);
     s.rejoins = reg.counter("rejoins_total").unwrap_or(0);
     s.membership_epochs = reg.counter("membership_epochs_total").unwrap_or(0);
@@ -389,8 +386,7 @@ fn mine(events: &TraceStore, reg: &MetricsRegistry) -> Signals {
         match (e.layer, e.kind) {
             (TraceLayer::Distrib, EventKind::Phase) => {
                 if let Some(sd) = arg_f64(e, "slowdown").filter(|v| v.is_finite()) {
-                    s.max_slowdown =
-                        Some(s.max_slowdown.map_or(sd, |m: f64| m.max(sd)));
+                    s.max_slowdown = Some(s.max_slowdown.map_or(sd, |m: f64| m.max(sd)));
                 }
             }
             (TraceLayer::Executor, EventKind::Iteration)
@@ -473,8 +469,8 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
                 } else {
                     BottleneckClass::RecoveryOverhead
                 };
-                let conf = 0.55
-                    + 0.45 * ((frac - RECOVERY_FRACTION_THRESHOLD) / 0.45).clamp(0.0, 1.0);
+                let conf =
+                    0.55 + 0.45 * ((frac - RECOVERY_FRACTION_THRESHOLD) / 0.45).clamp(0.0, 1.0);
                 push_merged(
                     &mut diags,
                     diagnosis(
@@ -504,9 +500,7 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
     // checkpoint catch-up. Confidence scales with the goodput lost to
     // churn; evidence carries the full epoch/eviction/rejoin accounting.
     if s.evictions > 0 {
-        let lost = s
-            .churn_goodput_fraction
-            .map_or(0.0, |f| (1.0 - f).clamp(0.0, 1.0));
+        let lost = s.churn_goodput_fraction.map_or(0.0, |f| (1.0 - f).clamp(0.0, 1.0));
         let conf = (0.62 + 0.33 * lost + (0.01 * s.evictions as f64).min(0.04)).min(0.97);
         let mut ev = vec![evidence(
             "evictions_total",
@@ -544,9 +538,7 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
     let slow = s.max_slowdown.filter(|sd| *sd >= STRAGGLER_SKEW_THRESHOLD);
     if slow.is_some() || s.retries > 0 {
         let sd = slow.unwrap_or(1.0);
-        let conf = 0.6
-            + (0.8 * (sd - 1.0)).clamp(0.0, 0.35)
-            + (0.02 * s.retries as f64).min(0.05);
+        let conf = 0.6 + (0.8 * (sd - 1.0)).clamp(0.0, 0.35) + (0.02 * s.retries as f64).min(0.05);
         let mut ev = Vec::new();
         if let Some(sd) = slow {
             ev.push(evidence(
@@ -592,9 +584,7 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
 
     // Rule 5 — launch-overhead starvation: launch + sync-gap share of the
     // simulated iteration (Observation 5).
-    let launch_fired = s
-        .launch_gap_frac
-        .filter(|f| *f >= LAUNCH_GAP_THRESHOLD);
+    let launch_fired = s.launch_gap_frac.filter(|f| *f >= LAUNCH_GAP_THRESHOLD);
     if let Some(f) = launch_fired {
         let conf = 0.5 + 0.45 * ((f - LAUNCH_GAP_THRESHOLD) / 0.5).clamp(0.0, 1.0);
         let mut ev = vec![evidence(
@@ -615,7 +605,10 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
                 "small_kernel_mass",
                 mass,
                 0.5,
-                format!("{:.0}% of kernels finish within launch-overhead scale (≤8 µs)", mass * 100.0),
+                format!(
+                    "{:.0}% of kernels finish within launch-overhead scale (≤8 µs)",
+                    mass * 100.0
+                ),
             ));
         }
         push_merged(&mut diags, diagnosis(BottleneckClass::LaunchOverheadBound, conf, ev));
@@ -627,7 +620,10 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
     // not precision.
     if launch_fired.is_none() {
         if let Some(m) = s.membw_frac.filter(|m| *m >= MEMORY_BOUND_THRESHOLD) {
-            let conf = 0.5 + 0.4 * ((m - MEMORY_BOUND_THRESHOLD) / (1.0 - MEMORY_BOUND_THRESHOLD)).clamp(0.0, 1.0);
+            let conf = 0.5
+                + 0.4
+                    * ((m - MEMORY_BOUND_THRESHOLD) / (1.0 - MEMORY_BOUND_THRESHOLD))
+                        .clamp(0.0, 1.0);
             let mut ev = vec![evidence(
                 "memory_bound_time_fraction",
                 m,
@@ -688,15 +684,11 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
                 s.exposed_ratio.map(|r| r / EXPOSED_COMM_THRESHOLD),
                 s.launch_gap_frac.map(|f| f / LAUNCH_GAP_THRESHOLD),
                 s.membw_frac.map(|m| m / MEMORY_BOUND_THRESHOLD),
-                s.max_slowdown
-                    .map(|sd| (sd - 1.0) / (STRAGGLER_SKEW_THRESHOLD - 1.0)),
+                s.max_slowdown.map(|sd| (sd - 1.0) / (STRAGGLER_SKEW_THRESHOLD - 1.0)),
                 s.recovery_frac.map(|f| f / RECOVERY_FRACTION_THRESHOLD),
             ];
-            let max_pressure = pressures
-                .into_iter()
-                .flatten()
-                .filter(|p| p.is_finite())
-                .fold(0.0f64, f64::max);
+            let max_pressure =
+                pressures.into_iter().flatten().filter(|p| p.is_finite()).fold(0.0f64, f64::max);
             let informed = s.sim_iteration_us > 0.0
                 || s.cluster_iteration_us > 0.0
                 || s.chaos_span_us > 0.0
@@ -725,9 +717,7 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
     }
 
     diags.sort_by(|a, b| {
-        b.confidence
-            .total_cmp(&a.confidence)
-            .then_with(|| a.class.rank().cmp(&b.class.rank()))
+        b.confidence.total_cmp(&a.confidence).then_with(|| a.class.rank().cmp(&b.class.rank()))
     });
     diags
 }
@@ -737,13 +727,7 @@ fn classify(s: &Signals) -> Vec<Diagnosis> {
 /// [`StreamingAggregator`](crate::agg::StreamingAggregator) to produce
 /// one from the same events).
 pub fn diagnose(trace: &Trace, registry: &MetricsRegistry) -> DiagnosisReport {
-    diagnose_named(
-        trace.model.name(),
-        trace.framework,
-        trace.batch,
-        &trace.events,
-        registry,
-    )
+    diagnose_named(trace.model.name(), trace.framework, trace.batch, &trace.events, registry)
 }
 
 /// Diagnoses a raw event stream, aggregating it internally with the
@@ -767,11 +751,8 @@ pub fn diagnose_named(
     registry: &MetricsRegistry,
 ) -> DiagnosisReport {
     let s = mine(events, registry);
-    let iteration_us = s
-        .sim_iteration_us
-        .max(s.cluster_iteration_us)
-        .max(s.chaos_span_us)
-        .max(s.elastic_span_us);
+    let iteration_us =
+        s.sim_iteration_us.max(s.cluster_iteration_us).max(s.chaos_span_us).max(s.elastic_span_us);
     DiagnosisReport {
         schema_version: DIAGNOSE_SCHEMA_VERSION,
         model: model.to_string(),
@@ -804,8 +785,12 @@ impl DiagnosisReport {
         {
             failures.push(format!(
                 "configuration mismatch: report is {}/{}/b{}, baseline is {}/{}/b{}",
-                self.model, self.framework, self.batch,
-                baseline.model, baseline.framework, baseline.batch
+                self.model,
+                self.framework,
+                self.batch,
+                baseline.model,
+                baseline.framework,
+                baseline.batch
             ));
         }
         let mine: Vec<&str> = self.diagnoses.iter().map(|d| d.class.label()).collect();
@@ -883,10 +868,10 @@ pub mod scenarios {
         BackwardProfile, ChurnSpec, ClusterConfig, DataParallelSim, ElasticConfig, ElasticOutcome,
         EventConfig, EventOutcome, StragglerSpec,
     };
+    use tbd_gpusim::{simulate_iteration, CpuSpec, ExecutionParams, GpuSpec};
     use tbd_graph::lower::LoweredKernel;
     use tbd_graph::trace::TraceRecorder;
     use tbd_graph::{KernelClass, KernelSpec, NodeId, Phase};
-    use tbd_gpusim::{simulate_iteration, CpuSpec, ExecutionParams, GpuSpec};
 
     /// Analytic per-model shape feeding the distributed event engine
     /// (single-GPU compute time, gradient volume, backward layer count).
@@ -923,12 +908,8 @@ pub mod scenarios {
 
     /// Seq2Seq (GNMT-scale): embedding-heavy ~870 MB of gradients behind
     /// a shorter compute iteration — the communication-hostile shape.
-    pub const SEQ2SEQ: WorkloadShape = WorkloadShape {
-        name: "seq2seq",
-        compute_iter_s: 0.21,
-        gradient_bytes: 870e6,
-        layers: 96,
-    };
+    pub const SEQ2SEQ: WorkloadShape =
+        WorkloadShape { name: "seq2seq", compute_iter_s: 0.21, gradient_bytes: 870e6, layers: 96 };
 
     /// Runs the event engine for `shape` on `cluster`, optionally with
     /// seeded straggler injection, returning the recorded events and the
@@ -1107,11 +1088,7 @@ mod tests {
                 report.diagnoses.iter().map(|d| d.class.label()).collect::<Vec<_>>()
             );
             assert!(report.top1().confidence > 0.6);
-            assert!(report
-                .top1()
-                .evidence
-                .iter()
-                .any(|e| e.metric == "churn_goodput_fraction"));
+            assert!(report.top1().evidence.iter().any(|e| e.metric == "churn_goodput_fraction"));
         }
     }
 

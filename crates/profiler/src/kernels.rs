@@ -18,7 +18,11 @@ pub struct KernelTableRow {
 /// longest-running kernels whose FP32 utilisation is **below** the
 /// duration-weighted average — the exact selection of the paper's Tables 5
 /// and 6 ("longest 5 kernels with utilization level below the average").
-pub fn kernel_table(records: &[KernelRecord], framework: Framework, n: usize) -> Vec<KernelTableRow> {
+pub fn kernel_table(
+    records: &[KernelRecord],
+    framework: Framework,
+    n: usize,
+) -> Vec<KernelTableRow> {
     use std::collections::HashMap;
     let total: f64 = records.iter().map(|r| r.duration_s).sum();
     if total <= 0.0 {

@@ -52,16 +52,16 @@ pub use agg::{
     aggregate, KernelAttribution, Log2Histogram, MemoryAttribution, MetricsRegistry,
     StreamingAggregator,
 };
-pub use live::{observe, LiveServer, Observation, RenderedReport, WatchConfig};
-pub use pool::{SubmitError, WorkerPool};
-pub use report::{parse_digest_file, ReportContext, DIGEST_TIMESTAMP};
 pub use diagnose::{
     diagnose, diagnose_events, diagnose_named, BottleneckClass, Diagnosis, DiagnosisReport,
     Evidence, DIAGNOSE_SCHEMA_VERSION,
 };
 pub use kernels::{kernel_table, KernelTableRow};
+pub use live::{observe, LiveServer, Observation, RenderedReport, WatchConfig};
 pub use metrics::profile_workload;
-pub use trace::{capture, capture_into, Capture, SummaryRow, Trace, TraceOptions};
+pub use pool::{SubmitError, WorkerPool};
+pub use report::{parse_digest_file, ReportContext, DIGEST_TIMESTAMP};
 pub use sampling::{
     detect_stable_window, sampled_throughput, synthesize_run, SamplingConfig, TrainingRun,
 };
+pub use trace::{capture, capture_into, Capture, SummaryRow, Trace, TraceOptions};

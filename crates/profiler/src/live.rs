@@ -276,9 +276,7 @@ impl Shared {
     fn health_json(&self) -> String {
         let snapshot = self.snapshot.lock().expect("snapshot lock");
         let (report_digest, trace_digest, overhead) = match snapshot.as_ref() {
-            Some(s) => {
-                (s.report_digest.clone(), s.trace_digest.clone(), s.overhead_json.clone())
-            }
+            Some(s) => (s.report_digest.clone(), s.trace_digest.clone(), s.overhead_json.clone()),
             None => (String::new(), String::new(), "null".to_string()),
         };
         drop(snapshot);

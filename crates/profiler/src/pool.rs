@@ -73,11 +73,7 @@ impl WorkerPool {
     pub fn new(workers: usize, capacity: usize) -> WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                in_flight: 0,
-                shutting_down: false,
-            }),
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), in_flight: 0, shutting_down: false }),
             work_ready: Condvar::new(),
             drained: Condvar::new(),
             completed: AtomicU64::new(0),
@@ -89,7 +85,12 @@ impl WorkerPool {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        WorkerPool { shared, capacity: capacity.max(1), worker_count: workers, handles: Mutex::new(handles) }
+        WorkerPool {
+            shared,
+            capacity: capacity.max(1),
+            worker_count: workers,
+            handles: Mutex::new(handles),
+        }
     }
 
     /// Enqueues `job` without blocking.

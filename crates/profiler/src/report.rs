@@ -32,8 +32,8 @@ use crate::diagnose::DiagnosisReport;
 use std::fmt::Write as _;
 use std::ops::Range;
 use tbd_graph::trace::{
-    write_fixed, write_u64, ArgValue, EventKind, Fnv1a, RecorderOverhead, TraceLayer,
-    TraceStore, SINK_LATENCY_BUCKETS,
+    write_fixed, write_u64, ArgValue, EventKind, Fnv1a, RecorderOverhead, TraceLayer, TraceStore,
+    SINK_LATENCY_BUCKETS,
 };
 
 /// Timestamp placeholder used when computing the digest: the one part of
@@ -449,8 +449,10 @@ impl ReportContext<'_> {
             .filter(|(name, _)| name.starts_with("memory_peak_bytes{"))
             .collect();
         if !cats.is_empty() {
-            out.push_str("<table class=\"grid\"><thead><tr><th>category</th><th>peak</th>\
-                          </tr></thead><tbody>\n");
+            out.push_str(
+                "<table class=\"grid\"><thead><tr><th>category</th><th>peak</th>\
+                          </tr></thead><tbody>\n",
+            );
             for (name, bytes) in cats {
                 let label = name
                     .split("category=\"")
@@ -469,8 +471,7 @@ impl ReportContext<'_> {
             return;
         }
         let exposed = self.registry.gauge("comm_exposed_us").unwrap_or(0.0);
-        let iter =
-            self.registry.gauge("cluster_iteration_us").unwrap_or(0.0).max(comm).max(1e-9);
+        let iter = self.registry.gauge("cluster_iteration_us").unwrap_or(0.0).max(comm).max(1e-9);
         out.push_str("<h2>Communication overlap (Fig. 10)</h2>\n");
         out.push_str("<p class=\"note\">Gradient exchange ");
         fmt_us_into(out, comm);
@@ -770,9 +771,7 @@ mod tests {
             .span(name, TraceLayer::GpuSim, EventKind::Alloc, 0.0, 0.0)
             .with_arg("bytes", 1_000u64);
         let name = events.intern("feature maps");
-        events
-            .span(name, TraceLayer::GpuSim, EventKind::Free, 60.0, 0.0)
-            .with_arg("bytes", 500u64);
+        events.span(name, TraceLayer::GpuSim, EventKind::Free, 60.0, 0.0).with_arg("bytes", 500u64);
         let name = events.intern("iteration");
         events
             .span(name, TraceLayer::GpuSim, EventKind::Iteration, 0.0, 60.0)
@@ -943,14 +942,8 @@ mod tests {
         };
         let json = overhead_health_json(&oh, 1.0, 4.0);
         let parsed = crate::json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            parsed.get("record_ns_total").and_then(|v| v.as_f64()),
-            Some(2_000_000.0)
-        );
-        assert_eq!(
-            parsed.get("overhead_fraction").and_then(|v| v.as_f64()),
-            Some(0.002)
-        );
+        assert_eq!(parsed.get("record_ns_total").and_then(|v| v.as_f64()), Some(2_000_000.0));
+        assert_eq!(parsed.get("overhead_fraction").and_then(|v| v.as_f64()), Some(0.002));
         assert_eq!(
             parsed.get("overhead_fraction_of_modeled_iteration").and_then(|v| v.as_f64()),
             Some(0.0005)

@@ -20,8 +20,8 @@ use crate::json;
 use crate::metrics::profile_workload;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
 use std::time::Instant;
+use tbd_distrib::{ClusterConfig, DataParallelSim, EventConfig};
 use tbd_frameworks::{Framework, SpeedOptions, WorkloadProfile};
 use tbd_gpusim::{GpuSpec, OutOfMemory};
 use tbd_graph::{GraphError, NodeId, Op, Session};
@@ -29,8 +29,8 @@ use tbd_models::{BuiltModel, ModelKind};
 use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
-    events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, EventRef,
-    Fnv1a, TraceLayer, TraceRecorder, TraceStore,
+    events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a,
+    TraceLayer, TraceRecorder, TraceStore,
 };
 
 /// A merged recording of one workload run across every layer.
@@ -83,13 +83,8 @@ impl Trace {
     /// list still gets a fresh digest.
     pub fn digest(&self) -> u64 {
         let mut header = Fnv1a::new();
-        let _ = write!(
-            header,
-            "trace|{}|{}|batch={}",
-            self.model.name(),
-            self.framework,
-            self.batch
-        );
+        let _ =
+            write!(header, "trace|{}|{}|batch={}", self.model.name(), self.framework, self.batch);
         self.events.digest_after(&header)
     }
 
@@ -459,8 +454,7 @@ pub fn capture_into(
         .with_arg("oom", oom.is_some())
         .with_arg("events", recorder.len());
     recorder.record_batch(marker);
-    let trace =
-        Trace { model: kind, framework: framework.name(), batch, events: recorder.drain() };
+    let trace = Trace { model: kind, framework: framework.name(), batch, events: recorder.drain() };
     wall.total_s = capture_start.elapsed().as_secs_f64();
     Ok(Capture { trace, profile, oom, worker, wall })
 }
@@ -545,14 +539,8 @@ mod tests {
 
     fn quick_capture(threads: usize) -> Capture {
         let options = TraceOptions { intra_op_threads: threads, ..TraceOptions::default() };
-        capture(
-            ModelKind::ResNet50,
-            Framework::tensorflow(),
-            4,
-            &GpuSpec::quadro_p4000(),
-            &options,
-        )
-        .expect("capture succeeds")
+        capture(ModelKind::ResNet50, Framework::tensorflow(), 4, &GpuSpec::quadro_p4000(), &options)
+            .expect("capture succeeds")
     }
 
     #[test]
@@ -671,8 +659,12 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let trace =
-            Trace { model: ModelKind::A3c, framework: "MXNet", batch: 1, events: TraceStore::new() };
+        let trace = Trace {
+            model: ModelKind::A3c,
+            framework: "MXNet",
+            batch: 1,
+            events: TraceStore::new(),
+        };
         let value = json::parse(&trace.to_chrome_json()).expect("valid JSON");
         assert_eq!(value.get("traceEvents").unwrap().as_array().unwrap().len(), 0);
         assert!(gpu_track_records(&trace).is_empty());

@@ -57,13 +57,9 @@ fn chaos_events(seed: u64, threads: usize, tweak: impl Fn(&mut FaultSpec)) -> Tr
     let cfg = ResilienceConfig::with_faults(spec);
 
     let feeds = move |step: u64| -> Vec<(NodeId, Tensor)> {
-        let xs: Vec<f32> =
-            (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
+        let xs: Vec<f32> = (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
         let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-        vec![
-            (x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")),
-            (t, Tensor::from_slice(&ts)),
-        ]
+        vec![(x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")), (t, Tensor::from_slice(&ts))]
     };
     let tracer = TraceRecorder::shared();
     ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, DefaultPolicy::default())
@@ -82,8 +78,7 @@ fn injected_stragglers_are_named_top1_across_seeds() {
         let mut qualifying = 0usize;
         for seed in 1u64..=12 {
             let spec = StragglerSpec::with_seed(seed);
-            let (events, outcome) =
-                scenarios::cluster_events(shape, &fast_cluster(), Some(spec));
+            let (events, outcome) = scenarios::cluster_events(shape, &fast_cluster(), Some(spec));
             let report = diagnose_events(shape.name, "sim", 32, &events);
             // A seed qualifies when its draw actually injected something:
             // a compute slowdown past the rule threshold, or a dropped
@@ -305,15 +300,12 @@ proptest! {
 /// denominator).
 #[test]
 fn degenerate_traces_are_guarded() {
-    for events in [
-        TraceStore::new(),
-        {
-            let mut solo = TraceStore::new();
-            let name = solo.intern("solo");
-            solo.span(name, tbd_graph::TraceLayer::Profiler, tbd_graph::EventKind::Phase, 0.0, 0.0);
-            solo
-        },
-    ] {
+    for events in [TraceStore::new(), {
+        let mut solo = TraceStore::new();
+        let name = solo.intern("solo");
+        solo.span(name, tbd_graph::TraceLayer::Profiler, tbd_graph::EventKind::Phase, 0.0, 0.0);
+        solo
+    }] {
         let report = diagnose_events("degenerate", "sim", 1, &events);
         assert_eq!(report.top1().class, BottleneckClass::ComputeBound);
         for d in &report.diagnoses {

@@ -19,13 +19,13 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
-use tbd_models::ModelKind;
 use tbd_graph::trace::approx_event_bytes;
+use tbd_models::ModelKind;
 use tbd_profiler::json::{self, Value};
 use tbd_profiler::report::{MAX_LANE_EVENTS, NONDETERMINISTIC_FAMILIES};
 use tbd_profiler::trace::{
-    events_digest, fnv1a, write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a,
-    TraceLayer, TraceRecorder, TraceStore,
+    events_digest, fnv1a, write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a, TraceLayer,
+    TraceRecorder, TraceStore,
 };
 use tbd_profiler::{
     capture, capture_into, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator,
@@ -574,8 +574,10 @@ fn reference_memory_curve(ctx: &ReportContext<'_>, out: &mut String) {
         reference_bytes(peak)
     );
     let h = 160.0f64;
-    let _ =
-        writeln!(out, "<svg class=\"curve\" viewBox=\"0 0 {SVG_W} {h}\" width=\"100%\" role=\"img\">");
+    let _ = writeln!(
+        out,
+        "<svg class=\"curve\" viewBox=\"0 0 {SVG_W} {h}\" width=\"100%\" role=\"img\">"
+    );
     let step = SVG_W / points.len().max(1) as f64;
     let mut path = String::new();
     for (i, &bytes) in points.iter().enumerate() {
@@ -597,7 +599,9 @@ fn reference_memory_curve(ctx: &ReportContext<'_>, out: &mut String) {
     let cats: Vec<(&str, f64)> =
         ctx.registry.gauges().filter(|(name, _)| name.starts_with("memory_peak_bytes{")).collect();
     if !cats.is_empty() {
-        out.push_str("<table class=\"grid\"><thead><tr><th>category</th><th>peak</th></tr></thead><tbody>\n");
+        out.push_str(
+            "<table class=\"grid\"><thead><tr><th>category</th><th>peak</th></tr></thead><tbody>\n",
+        );
         for (name, bytes) in cats {
             let label = name
                 .split("category=\"")
@@ -667,8 +671,11 @@ fn reference_metrics_table(registry: &MetricsRegistry, out: &mut String) {
         !NONDETERMINISTIC_FAMILIES.contains(&family)
     };
     for (name, value) in registry.counters().filter(|(n, _)| keep(n)) {
-        let _ =
-            writeln!(out, "<tr><td>{}</td><td>counter</td><td>{value}</td></tr>", reference_esc(name));
+        let _ = writeln!(
+            out,
+            "<tr><td>{}</td><td>counter</td><td>{value}</td></tr>",
+            reference_esc(name)
+        );
     }
     for (name, value) in registry.gauges().filter(|(n, _)| keep(n)) {
         let _ = writeln!(
@@ -978,7 +985,8 @@ fn with_report<R>(trace: &Trace, f: impl FnOnce(&ReportContext<'_>) -> R) -> R {
 /// kernel lane is long enough to elide spans.
 #[test]
 fn real_capture_matches_the_references() {
-    let pairs = [(ModelKind::A3c, Framework::mxnet()), (ModelKind::Seq2Seq, Framework::tensorflow())];
+    let pairs =
+        [(ModelKind::A3c, Framework::mxnet()), (ModelKind::Seq2Seq, Framework::tensorflow())];
     for (kind, framework) in pairs {
         let cap = capture(
             kind,
@@ -1244,12 +1252,8 @@ fn store_modelled_bytes_equal_the_per_event_sum() {
         &recorder,
     )
     .expect("capture succeeds");
-    let per_event: u64 = cap
-        .trace
-        .events
-        .iter()
-        .map(|e| 64 + e.name.len() as u64 + 16 * e.args.len() as u64)
-        .sum();
+    let per_event: u64 =
+        cap.trace.events.iter().map(|e| 64 + e.name.len() as u64 + 16 * e.args.len() as u64).sum();
     assert!(per_event > 0);
     assert_eq!(cap.trace.events.approx_bytes(), per_event);
     assert_eq!(recorder.overhead().event_bytes_total, per_event);
@@ -1350,8 +1354,9 @@ proptest! {
 /// seed (and `events_digest` to the empty hash).
 #[test]
 fn run_table_digests_equal_the_oracle_from_every_low_byte() {
-    let words: Vec<Vec<u64>> =
-        (0..24u64).map(|i| (0..12).map(|j| (i * 12 + j).wrapping_mul(0x2545_F491_4F6C_DD1D)).collect()).collect();
+    let words: Vec<Vec<u64>> = (0..24u64)
+        .map(|i| (0..12).map(|j| (i * 12 + j).wrapping_mul(0x2545_F491_4F6C_DD1D)).collect())
+        .collect();
     let store = oracle_store(&words);
     let empty = TraceStore::new();
     let mut seen = [false; 256];
@@ -1438,7 +1443,8 @@ fn swimlanes_select_the_longest_spans_like_a_full_sort() {
     for i in 0..2000u32 {
         let x = i.wrapping_mul(2_654_435_761) >> 8;
         let layer = [TraceLayer::GpuSim, TraceLayer::Distrib][i as usize % 2];
-        let kind = [EventKind::KernelExec, EventKind::Memcpy, EventKind::Communication][(x / 60 % 3) as usize];
+        let kind = [EventKind::KernelExec, EventKind::Memcpy, EventKind::Communication]
+            [(x / 60 % 3) as usize];
         let (dur, start) = (f64::from(1 + x % 3), f64::from(x / 3 % 5));
         let name = events.intern(NAMES[(x / 15 % 4) as usize]);
         events.span(name, layer, kind, start, dur).on_track(i / 2 % 2);

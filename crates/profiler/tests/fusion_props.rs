@@ -10,18 +10,14 @@
 
 use tbd_graph::trace::value_hash;
 use tbd_graph::{ArgValue, EventKind, EventRef, FusionPlan, NodeId, Session, TraceRecorder};
-use tbd_tensor::Tensor;
 use tbd_models::ModelKind;
 use tbd_profiler::trace::{build_tiny, synthetic_feeds};
+use tbd_tensor::Tensor;
 
 /// Runs one forward+backward at the given intra-op width and returns
 /// `(per-node output hashes, per-node gradient hashes)`; `None` marks
 /// nodes the pass did not reach (unused outputs, no-grad nodes).
-fn run_hashes(
-    kind: ModelKind,
-    fuse: bool,
-    threads: usize,
-) -> (Vec<Option<u64>>, Vec<Option<u64>>) {
+fn run_hashes(kind: ModelKind, fuse: bool, threads: usize) -> (Vec<Option<u64>>, Vec<Option<u64>>) {
     let model = build_tiny(kind).expect("tiny model builds");
     let feeds = synthetic_feeds(&model);
     let loss = model.loss();
@@ -31,9 +27,8 @@ fn run_hashes(
     let run = session.forward(&feeds).expect("forward succeeds");
     let grads = session.backward(&run, loss, Tensor::scalar(1.0)).expect("backward succeeds");
     let n = session.graph().len();
-    let values = (0..n)
-        .map(|i| run.value(NodeId::from_index(i)).map(|t| value_hash(t.data())))
-        .collect();
+    let values =
+        (0..n).map(|i| run.value(NodeId::from_index(i)).map(|t| value_hash(t.data()))).collect();
     let grad_hashes = (0..n)
         .map(|i| {
             let id = NodeId::from_index(i);
@@ -57,10 +52,7 @@ fn run_hashes(
 fn fused_matches_unfused_bitwise_across_all_models_and_thread_counts() {
     for kind in ModelKind::ALL {
         let (base_vals, base_grads) = run_hashes(kind, false, 1);
-        assert!(
-            base_vals.iter().any(Option::is_some),
-            "{kind:?}: forward pass computed no values"
-        );
+        assert!(base_vals.iter().any(Option::is_some), "{kind:?}: forward pass computed no values");
         assert!(
             base_grads.iter().any(Option::is_some),
             "{kind:?}: backward pass produced no parameter gradients"

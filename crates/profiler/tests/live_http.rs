@@ -43,12 +43,8 @@ fn get(addr: &str, path: &str) -> Response {
 }
 
 fn small_watch(max_captures: u64) -> WatchConfig {
-    let mut config = WatchConfig::new(
-        ModelKind::A3c,
-        Framework::mxnet(),
-        4,
-        GpuSpec::quadro_p4000(),
-    );
+    let mut config =
+        WatchConfig::new(ModelKind::A3c, Framework::mxnet(), 4, GpuSpec::quadro_p4000());
     config.max_captures = max_captures;
     config.interval = Duration::from_millis(10);
     config
@@ -66,7 +62,8 @@ fn rejects_bad_requests_with_the_right_status_codes() {
     assert_eq!(send_raw(&addr, b"GET /metrics SPDY/3\r\n\r\n").status, 400, "not HTTP");
 
     // A request line past MAX_REQUEST_LINE is answered 414, not buffered.
-    let long = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(tbd_profiler::live::MAX_REQUEST_LINE));
+    let long =
+        format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(tbd_profiler::live::MAX_REQUEST_LINE));
     assert_eq!(send_raw(&addr, long.as_bytes()).status, 414);
 
     server.shutdown();
@@ -222,9 +219,8 @@ fn slow_reader_does_not_block_concurrent_scrapes() {
     assert!(server.wait_for_captures(1, Duration::from_secs(120)), "first capture");
 
     // Park a few connections that never send a request.
-    let parked: Vec<TcpStream> = (0..2)
-        .map(|_| TcpStream::connect(&addr).expect("parked connection"))
-        .collect();
+    let parked: Vec<TcpStream> =
+        (0..2).map(|_| TcpStream::connect(&addr).expect("parked connection")).collect();
     std::thread::sleep(Duration::from_millis(100));
 
     // A concurrent scrape must complete promptly — well inside the 2 s

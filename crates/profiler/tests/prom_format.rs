@@ -16,9 +16,7 @@ use tbd_profiler::{observe, TraceOptions};
 
 fn valid_name(name: &str) -> bool {
     let mut chars = name.chars();
-    let head_ok = chars
-        .next()
-        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':');
+    let head_ok = chars.next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':');
     head_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
@@ -66,15 +64,9 @@ fn check_labels(block: &str, line: &str) {
 #[test]
 fn fused_capture_exposition_matches_the_text_format_grammar() {
     let options = TraceOptions::default();
-    let obs = observe(
-        ModelKind::A3c,
-        Framework::mxnet(),
-        4,
-        &GpuSpec::quadro_p4000(),
-        &options,
-        None,
-    )
-    .expect("A3C fits");
+    let obs =
+        observe(ModelKind::A3c, Framework::mxnet(), 4, &GpuSpec::quadro_p4000(), &options, None)
+            .expect("A3C fits");
     let text = obs.registry.to_prometheus();
     let mut declared: Vec<String> = Vec::new();
     let mut series_seen = 0usize;
@@ -84,10 +76,7 @@ fn fused_capture_exposition_matches_the_text_format_grammar() {
             let name = parts.next().expect("declared name");
             let kind = parts.next().expect("declared kind");
             assert!(valid_name(name), "bad declared name: {line}");
-            assert!(
-                matches!(kind, "counter" | "gauge" | "histogram"),
-                "bad type '{kind}': {line}"
-            );
+            assert!(matches!(kind, "counter" | "gauge" | "histogram"), "bad type '{kind}': {line}");
             declared.push(name.to_string());
             continue;
         }
@@ -101,10 +90,7 @@ fn fused_capture_exposition_matches_the_text_format_grammar() {
         if let Some(block) = labels {
             check_labels(block, line);
         }
-        assert!(
-            value.parse::<f64>().is_ok(),
-            "value must be a float literal: {line}"
-        );
+        assert!(value.parse::<f64>().is_ok(), "value must be a float literal: {line}");
         series_seen += 1;
     }
     assert!(series_seen > 50, "a real capture renders a full exposition, got {series_seen}");

@@ -17,13 +17,15 @@ use tbd_profiler::{detect_stable_window, sampling::window_throughput, SamplingCo
 /// by a perfectly steady tail at `s`.
 fn monotone_warmup_run(steady: f64, amplitude: f64, decay: f64, warmup: usize) -> Vec<f64> {
     (0..warmup + 400)
-        .map(|i| {
-            if i < warmup {
-                steady * (1.0 + amplitude * decay.powi(i as i32))
-            } else {
-                steady
-            }
-        })
+        .map(
+            |i| {
+                if i < warmup {
+                    steady * (1.0 + amplitude * decay.powi(i as i32))
+                } else {
+                    steady
+                }
+            },
+        )
         .collect()
 }
 

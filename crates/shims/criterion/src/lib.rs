@@ -115,16 +115,12 @@ impl Bencher {
                 black_box(routine());
             }
             let dt = t0.elapsed();
-            self.samples_ns
-                .push(dt.as_secs_f64() * 1e9 / iters_per_sample as f64);
+            self.samples_ns.push(dt.as_secs_f64() * 1e9 / iters_per_sample as f64);
         }
     }
 
     fn report(&self, id: &str) {
-        assert!(
-            !self.samples_ns.is_empty(),
-            "benchmark {id:?} never called Bencher::iter"
-        );
+        assert!(!self.samples_ns.is_empty(), "benchmark {id:?} never called Bencher::iter");
         let mut sorted = self.samples_ns.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
         let median = sorted[sorted.len() / 2];
@@ -197,9 +193,7 @@ mod tests {
     #[test]
     fn bench_function_collects_samples() {
         let mut c = quick();
-        c.bench_function("shim_self_test", |b| {
-            b.iter(|| (0..100u64).map(black_box).sum::<u64>())
-        });
+        c.bench_function("shim_self_test", |b| b.iter(|| (0..100u64).map(black_box).sum::<u64>()));
     }
 
     #[test]

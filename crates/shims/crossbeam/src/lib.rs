@@ -115,8 +115,7 @@ mod tests {
     fn scoped_threads_borrow_and_join() {
         let data = [1, 2, 3, 4];
         let total = scope(|s| {
-            let handles: Vec<_> =
-                data.iter().map(|&v| s.spawn(move |_| v * 2)).collect();
+            let handles: Vec<_> = data.iter().map(|&v| s.spawn(move |_| v * 2)).collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum::<i32>()
         })
         .unwrap();

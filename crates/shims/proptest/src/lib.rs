@@ -41,9 +41,7 @@ pub struct TestRng(StdRng);
 impl TestRng {
     /// Builds the generator for one case of one property.
     pub fn for_case(test_seed: u64, case: u64) -> Self {
-        TestRng(StdRng::seed_from_u64(
-            test_seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F),
-        ))
+        TestRng(StdRng::seed_from_u64(test_seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F)))
     }
 }
 
@@ -135,11 +133,7 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-            let n = if self.lo + 1 >= self.hi {
-                self.lo
-            } else {
-                rng.gen_range(self.lo..self.hi)
-            };
+            let n = if self.lo + 1 >= self.hi { self.lo } else { rng.gen_range(self.lo..self.hi) };
             (0..n).map(|_| self.elem.generate(rng)).collect()
         }
     }

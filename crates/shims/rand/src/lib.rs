@@ -151,7 +151,12 @@ macro_rules! impl_sample_uniform_int {
 impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleUniform for f32 {
-    fn sample_between<R: RngCore + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut R) -> Self {
+    fn sample_between<R: RngCore + ?Sized>(
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+        rng: &mut R,
+    ) -> Self {
         if inclusive {
             assert!(lo <= hi, "gen_range called with empty inclusive range");
         } else {
@@ -160,12 +165,21 @@ impl SampleUniform for f32 {
         // 24 explicit mantissa bits -> uniform in [0, 1).
         let unit = (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32);
         let v = lo + (hi - lo) * unit;
-        if v >= hi && !inclusive { lo } else { v }
+        if v >= hi && !inclusive {
+            lo
+        } else {
+            v
+        }
     }
 }
 
 impl SampleUniform for f64 {
-    fn sample_between<R: RngCore + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut R) -> Self {
+    fn sample_between<R: RngCore + ?Sized>(
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+        rng: &mut R,
+    ) -> Self {
         if inclusive {
             assert!(lo <= hi, "gen_range called with empty inclusive range");
         } else {
@@ -173,7 +187,11 @@ impl SampleUniform for f64 {
         }
         let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let v = lo + (hi - lo) * unit;
-        if v >= hi && !inclusive { lo } else { v }
+        if v >= hi && !inclusive {
+            lo
+        } else {
+            v
+        }
     }
 }
 

@@ -22,7 +22,12 @@ pub fn uniform<S: Into<Shape>, R: Rng + ?Sized>(shape: S, lo: f32, hi: f32, rng:
 }
 
 /// Samples a tensor with i.i.d. normal entries (Box–Muller transform).
-pub fn normal<S: Into<Shape>, R: Rng + ?Sized>(shape: S, mean: f32, std: f32, rng: &mut R) -> Tensor {
+pub fn normal<S: Into<Shape>, R: Rng + ?Sized>(
+    shape: S,
+    mean: f32,
+    std: f32,
+    rng: &mut R,
+) -> Tensor {
     let shape = shape.into();
     Tensor::from_fn(shape, |_| mean + std * sample_standard_normal(rng))
 }
@@ -81,8 +86,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let small = xavier_uniform([1000], 10, 10, &mut rng);
         let large = xavier_uniform([1000], 1000, 1000, &mut rng);
-        assert!(small.data().iter().fold(0f32, |m, v| m.max(v.abs()))
-            > large.data().iter().fold(0f32, |m, v| m.max(v.abs())));
+        assert!(
+            small.data().iter().fold(0f32, |m, v| m.max(v.abs()))
+                > large.data().iter().fold(0f32, |m, v| m.max(v.abs()))
+        );
     }
 
     #[test]

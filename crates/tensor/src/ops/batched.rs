@@ -106,10 +106,8 @@ mod tests {
         let b = Tensor::from_fn([2, 4, 5], |i| (i as f32 * 0.29).cos());
         let c = batch_matmul(&a, &b).unwrap();
         for i in 0..2 {
-            let ai =
-                Tensor::from_vec(a.data()[i * 12..(i + 1) * 12].to_vec(), [3, 4]).unwrap();
-            let bi =
-                Tensor::from_vec(b.data()[i * 20..(i + 1) * 20].to_vec(), [4, 5]).unwrap();
+            let ai = Tensor::from_vec(a.data()[i * 12..(i + 1) * 12].to_vec(), [3, 4]).unwrap();
+            let bi = Tensor::from_vec(b.data()[i * 20..(i + 1) * 20].to_vec(), [4, 5]).unwrap();
             let ci = matmul(&ai, &bi).unwrap();
             assert_eq!(&c.data()[i * 15..(i + 1) * 15], ci.data());
         }

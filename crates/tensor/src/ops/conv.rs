@@ -229,7 +229,11 @@ type ConvDims = (usize, usize, usize, usize, usize, usize, usize, usize, usize);
 
 fn conv_dims(x: &Tensor, weight: &Tensor, cfg: Conv2dConfig) -> Result<ConvDims> {
     if x.shape().rank() != 4 {
-        return Err(TensorError::RankMismatch { op: "conv2d", expected: 4, actual: x.shape().rank() });
+        return Err(TensorError::RankMismatch {
+            op: "conv2d",
+            expected: 4,
+            actual: x.shape().rank(),
+        });
     }
     if weight.shape().rank() != 4 {
         return Err(TensorError::RankMismatch {
@@ -338,8 +342,7 @@ pub fn conv2d_backward(
             let mut dws = Vec::with_capacity(band.len() / img_in);
             for (j, dximg) in band.chunks_mut(img_in).enumerate() {
                 let img = first + j;
-                let cols =
-                    im2col(&xd[img * img_in..(img + 1) * img_in], c, h, w, kh, kw, cfg);
+                let cols = im2col(&xd[img * img_in..(img + 1) * img_in], c, h, w, kh, kw, cfg);
                 let dyi = &dyd[img * oc * cols_w..(img + 1) * oc * cols_w];
                 // dW_img = dY · colsᵀ  ([oc, cols_w] x [cols_w, patch]), with
                 // colsᵀ read straight from `cols` by the GEMM's packing.

@@ -113,7 +113,11 @@ pub fn slice_cols(x: &Tensor, start: usize, len: usize) -> Result<Tensor> {
     }
     let (m, n) = (x.shape().dim(0), x.shape().dim(1));
     if start + len > n {
-        return Err(TensorError::IndexOutOfRange { op: "slice_cols", index: start + len, bound: n + 1 });
+        return Err(TensorError::IndexOutOfRange {
+            op: "slice_cols",
+            index: start + len,
+            bound: n + 1,
+        });
     }
     let mut out = vec![0.0f32; m * len];
     for r in 0..m {
@@ -180,8 +184,7 @@ mod tests {
         let b = Tensor::full([2, 3], 0.0);
         let c = concat(&[&a, &b], 1).unwrap();
         let dy = Tensor::from_fn(c.shape().clone(), |i| i as f32);
-        let grads =
-            concat_backward(&[a.shape().clone(), b.shape().clone()], 1, &dy).unwrap();
+        let grads = concat_backward(&[a.shape().clone(), b.shape().clone()], 1, &dy).unwrap();
         assert_eq!(grads[0].data(), &[0.0, 1.0, 5.0, 6.0]);
         assert_eq!(grads[1].data(), &[2.0, 3.0, 4.0, 7.0, 8.0, 9.0]);
     }
@@ -227,7 +230,11 @@ pub fn slice_rows(x: &Tensor, start: usize, len: usize) -> Result<Tensor> {
     }
     let (m, n) = (x.shape().dim(0), x.shape().dim(1));
     if start + len > m {
-        return Err(TensorError::IndexOutOfRange { op: "slice_rows", index: start + len, bound: m + 1 });
+        return Err(TensorError::IndexOutOfRange {
+            op: "slice_rows",
+            index: start + len,
+            bound: m + 1,
+        });
     }
     Ok(Tensor::from_vec(x.data()[start * n..(start + len) * n].to_vec(), [len, n])
         .expect("length matches"))
@@ -298,8 +305,8 @@ pub fn permute3(x: &Tensor, perm: [usize; 3]) -> Result<Tensor> {
                 coords[perm[0]] = o0;
                 coords[perm[1]] = o1;
                 coords[perm[2]] = o2;
-                out[idx] = x.data()
-                    [coords[0] * in_strides[0] + coords[1] * in_strides[1] + coords[2]];
+                out[idx] =
+                    x.data()[coords[0] * in_strides[0] + coords[1] * in_strides[1] + coords[2]];
                 idx += 1;
             }
         }

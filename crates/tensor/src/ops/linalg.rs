@@ -121,7 +121,14 @@ pub(crate) fn gemm_into(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usiz
 /// GEMM `C += A·B` guaranteed to stay on the calling thread — used by
 /// kernels that already fan out at a coarser granularity (images, batch
 /// entries) and must not nest thread scopes.
-pub(crate) fn gemm_serial_into(c: &mut [f32], ad: &[f32], bd: &[f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_serial_into(
+    c: &mut [f32],
+    ad: &[f32],
+    bd: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     gemm_serial(c, ad, bd, m, k, n, false);
 }
 
@@ -543,10 +550,7 @@ mod tests {
             let fast = matmul(&a, &b).unwrap();
             let slow = matmul_reference(&a, &b).unwrap();
             for (i, (x, y)) in fast.data().iter().zip(slow.data()).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-4 * y.abs().max(1.0),
-                    "({m},{k},{n})[{i}]: {x} vs {y}"
-                );
+                assert!((x - y).abs() <= 1e-4 * y.abs().max(1.0), "({m},{k},{n})[{i}]: {x} vs {y}");
             }
         }
     }

@@ -192,11 +192,9 @@ pub fn conv2d_forward_mixed(
 ) -> Result<Tensor> {
     match precision {
         Precision::F32 => conv2d_forward(x, weight, cfg),
-        _ => conv2d_forward(
-            &quantize_tensor(x, precision),
-            &quantize_tensor(weight, precision),
-            cfg,
-        ),
+        _ => {
+            conv2d_forward(&quantize_tensor(x, precision), &quantize_tensor(weight, precision), cfg)
+        }
     }
 }
 

@@ -25,21 +25,19 @@ mod reduce;
 mod softmax;
 
 pub use batched::{batch_matmul, batch_matmul_backward, batch_transpose};
-pub use conv::{
-    col2im, conv2d_backward, conv2d_forward, conv2d_output_hw, im2col, Conv2dConfig,
-};
+pub use conv::{col2im, conv2d_backward, conv2d_forward, conv2d_output_hw, im2col, Conv2dConfig};
 pub use elementwise::{
     add, add_assign, div, dropout_backward, dropout_forward, leaky_relu_backward,
-    leaky_relu_forward, mul, relu_backward, relu_forward, scale, sigmoid_backward,
-    sigmoid_forward, sub, tanh_backward, tanh_forward,
+    leaky_relu_forward, mul, relu_backward, relu_forward, scale, sigmoid_backward, sigmoid_forward,
+    sub, tanh_backward, tanh_forward,
 };
 pub use layout::{
-    concat, concat_backward, invert_perm3, permute3, slice_cols, slice_cols_backward,
-    slice_rows, slice_rows_backward,
+    concat, concat_backward, invert_perm3, permute3, slice_cols, slice_cols_backward, slice_rows,
+    slice_rows_backward,
 };
 pub use linalg::{
-    add_bias, add_bias_backward, embedding_backward, embedding_forward, matmul,
-    matmul_backward, matmul_reference, transpose,
+    add_bias, add_bias_backward, embedding_backward, embedding_forward, matmul, matmul_backward,
+    matmul_reference, transpose,
 };
 pub use mixed::{
     bf16_bits_to_f32, conv2d_backward_mixed, conv2d_forward_mixed, f16_bits_to_f32,
@@ -52,10 +50,11 @@ pub use norm::{
 };
 pub use pool::{
     avg_pool2d_backward, avg_pool2d_forward, global_avg_pool_backward, global_avg_pool_forward,
-    max_pool2d_backward, max_pool2d_forward, upsample2x_backward, upsample2x_forward,
-    Pool2dConfig,
+    max_pool2d_backward, max_pool2d_forward, upsample2x_backward, upsample2x_forward, Pool2dConfig,
 };
-pub use reduce::{mean_all_backward, mean_all_forward, sum_axis0, sum_all_backward, sum_all_forward};
+pub use reduce::{
+    mean_all_backward, mean_all_forward, sum_all_backward, sum_all_forward, sum_axis0,
+};
 pub use softmax::{
     cross_entropy_backward, cross_entropy_forward, log_softmax, softmax, softmax_backward,
 };

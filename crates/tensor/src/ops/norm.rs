@@ -79,10 +79,7 @@ pub fn batch_norm_forward(
         });
     }
     let normalized = Tensor::from_vec(norm, x.shape().clone())?;
-    Ok((
-        Tensor::from_vec(out, x.shape().clone())?,
-        BatchNormState { mean, inv_std, normalized },
-    ))
+    Ok((Tensor::from_vec(out, x.shape().clone())?, BatchNormState { mean, inv_std, normalized }))
 }
 
 /// Batch normalisation backward pass: returns `(dx, dgamma, dbeta)`.
@@ -247,8 +244,7 @@ pub fn layer_norm_forward(
                 let r = first + i;
                 let row = &xd[r * feat..(r + 1) * feat];
                 let mean = row.iter().sum::<f32>() / feat as f32;
-                let var =
-                    row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / feat as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / feat as f32;
                 let istd = 1.0 / (var + eps).sqrt();
                 istds.push(istd);
                 for (nv, &v) in nrow.iter_mut().zip(row) {
@@ -312,8 +308,7 @@ pub fn layer_norm_backward(
             let istd = state.inv_std[r];
             for (j, v) in drow.iter_mut().enumerate() {
                 let g = dyd[r * feat + j] * gamma.data()[j];
-                *v = istd
-                    * (g - sum_dy / feat as f32 - xh[r * feat + j] * sum_dy_xh / feat as f32);
+                *v = istd * (g - sum_dy / feat as f32 - xh[r * feat + j] * sum_dy_xh / feat as f32);
             }
         });
     }
@@ -342,7 +337,8 @@ mod tests {
                 vals.extend_from_slice(&y.data()[base..base + 4]);
             }
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
-            let var: f32 = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
+            let var: f32 =
+                vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
             assert!(mean.abs() < 1e-4, "mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "var {var}");
         }

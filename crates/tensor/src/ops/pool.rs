@@ -28,7 +28,11 @@ impl Pool2dConfig {
 
 fn pool_dims(x: &Tensor, cfg: Pool2dConfig) -> Result<(usize, usize, usize, usize, usize, usize)> {
     if x.shape().rank() != 4 {
-        return Err(TensorError::RankMismatch { op: "pool2d", expected: 4, actual: x.shape().rank() });
+        return Err(TensorError::RankMismatch {
+            op: "pool2d",
+            expected: 4,
+            actual: x.shape().rank(),
+        });
     }
     let (n, c, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2), x.shape().dim(3));
     let (oh, ow) = conv2d_output_hw(h, w, cfg.kernel, cfg.kernel, cfg.conv_cfg()).ok_or(
@@ -278,7 +282,10 @@ mod tests {
     #[test]
     fn max_pool_picks_window_max() {
         let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0],
+            vec![
+                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
+                16.0,
+            ],
             [1, 1, 4, 4],
         )
         .unwrap();

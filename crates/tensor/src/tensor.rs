@@ -227,12 +227,7 @@ impl Tensor {
                 rhs: other.shape.dims().to_vec(),
             });
         }
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max))
+        Ok(self.data.iter().zip(other.data.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max))
     }
 }
 

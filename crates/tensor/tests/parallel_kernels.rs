@@ -17,10 +17,8 @@ use tbd_tensor::{par, Tensor};
 /// Direct seven-loop convolution, the independent ground truth for the
 /// im2col + GEMM lowering.
 fn conv_reference(x: &Tensor, w: &Tensor, cfg: Conv2dConfig) -> Tensor {
-    let (n, c, h, wid) =
-        (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2), x.shape().dim(3));
-    let (oc, _, kh, kw) =
-        (w.shape().dim(0), w.shape().dim(1), w.shape().dim(2), w.shape().dim(3));
+    let (n, c, h, wid) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2), x.shape().dim(3));
+    let (oc, _, kh, kw) = (w.shape().dim(0), w.shape().dim(1), w.shape().dim(2), w.shape().dim(3));
     let (oh, ow) = ops::conv2d_output_hw(h, wid, kh, kw, cfg).expect("window fits");
     let mut out = vec![0.0f32; n * oc * oh * ow];
     for img in 0..n {
@@ -185,25 +183,15 @@ fn elementwise_and_row_kernels_are_thread_invariant() {
     let relu1 = ops::relu_forward(&big);
     let sig1 = ops::sigmoid_forward(&big);
     let sm1 = ops::softmax(&rows).unwrap();
-    let (ln1, _) = ops::layer_norm_forward(
-        &rows,
-        &Tensor::ones([512]),
-        &Tensor::zeros([512]),
-        1e-5,
-    )
-    .unwrap();
+    let (ln1, _) =
+        ops::layer_norm_forward(&rows, &Tensor::ones([512]), &Tensor::zeros([512]), 1e-5).unwrap();
     par::set_max_threads(4);
     let add4 = ops::add(&big, &big2).unwrap();
     let relu4 = ops::relu_forward(&big);
     let sig4 = ops::sigmoid_forward(&big);
     let sm4 = ops::softmax(&rows).unwrap();
-    let (ln4, _) = ops::layer_norm_forward(
-        &rows,
-        &Tensor::ones([512]),
-        &Tensor::zeros([512]),
-        1e-5,
-    )
-    .unwrap();
+    let (ln4, _) =
+        ops::layer_norm_forward(&rows, &Tensor::ones([512]), &Tensor::zeros([512]), 1e-5).unwrap();
     par::set_max_threads(0);
     assert_eq!(add1, add4);
     assert_eq!(relu1, relu4);

@@ -192,8 +192,7 @@ impl A3cWorker {
         let mut model = self.batched_model(pad_to);
         model.session.load_snapshot(&self.session.snapshot());
         let actions_tensor = Tensor::from_fn([pad_to], |i| taken[i] as f32);
-        let returns_tensor =
-            Tensor::from_vec(returns.clone(), [pad_to, 1]).expect("sized buffer");
+        let returns_tensor = Tensor::from_vec(returns.clone(), [pad_to, 1]).expect("sized buffer");
         let run = model
             .session
             .forward(&[
@@ -216,10 +215,8 @@ impl A3cWorker {
             }
         }
         let seed = Tensor::from_vec(seed, probs.shape().clone()).expect("sized buffer");
-        let policy_grads = model
-            .session
-            .backward(&run, model.policy_logits, seed)
-            .expect("backward succeeds");
+        let policy_grads =
+            model.session.backward(&run, model.policy_logits, seed).expect("backward succeeds");
         let value_grads = model
             .session
             .backward(&run, model.value_loss, Tensor::scalar(0.5))

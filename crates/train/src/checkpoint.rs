@@ -24,8 +24,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use tbd_graph::{Op, Session};
 use tbd_graph::trace::fnv1a;
+use tbd_graph::{Op, Session};
 use tbd_tensor::Tensor;
 
 const MAGIC: &[u8; 7] = b"TBDCKPT";
@@ -142,9 +142,7 @@ pub fn to_bytes(session: &Session) -> Vec<u8> {
 ///
 /// Propagates I/O errors from the writer as [`CheckpointError::Io`].
 pub fn save<W: Write>(session: &Session, mut writer: W) -> Result<(), CheckpointError> {
-    writer
-        .write_all(&to_bytes(session))
-        .map_err(CheckpointError::Io)?;
+    writer.write_all(&to_bytes(session)).map_err(CheckpointError::Io)?;
     Ok(())
 }
 
@@ -163,8 +161,7 @@ pub fn save_to_path<P: AsRef<Path>>(session: &Session, path: P) -> Result<(), Ch
     let tmp = std::path::PathBuf::from(tmp);
     {
         let mut file = std::fs::File::create(&tmp).map_err(CheckpointError::Io)?;
-        file.write_all(&to_bytes(session))
-            .map_err(CheckpointError::Io)?;
+        file.write_all(&to_bytes(session)).map_err(CheckpointError::Io)?;
         file.sync_all().map_err(CheckpointError::Io)?;
     }
     std::fs::rename(&tmp, path).map_err(CheckpointError::Io)

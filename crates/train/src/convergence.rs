@@ -113,8 +113,7 @@ impl ConvergenceModel {
             CurveShape::Sigmoid => {
                 let width = self.tau_hours / 4.0;
                 self.start
-                    + (self.end - self.start)
-                        / (1.0 + (-(hours - self.tau_hours) / width).exp())
+                    + (self.end - self.start) / (1.0 + (-(hours - self.tau_hours) / width).exp())
             }
         }
     }

@@ -27,12 +27,12 @@ pub mod trainer;
 
 pub use checkpoint::{CheckpointError, LoadReport};
 pub use convergence::{ConvergenceCurve, ConvergenceModel};
+pub use metrics::{bleu, edit_distance, top_k_accuracy, word_error_rate};
+pub use optim::{Adam, Momentum, Optimizer, Sgd};
 pub use resilience::{
     param_hash, plan_degradation, DefaultPolicy, DegradationLadder, DegradationOutcome, FaultKind,
     FaultSpec, RecoveryAction, RecoveryPolicy, ReplayExactPolicy, ResilienceConfig,
     ResilientTrainer, RunOutcome,
 };
-pub use metrics::{bleu, edit_distance, top_k_accuracy, word_error_rate};
-pub use optim::{Adam, Momentum, Optimizer, Sgd};
 pub use schedule::{Constant, InverseSqrt, Schedule, WarmupStepDecay};
 pub use trainer::Trainer;

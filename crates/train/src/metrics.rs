@@ -95,11 +95,8 @@ pub fn bleu(hypotheses: &[Vec<usize>], references: &[Vec<usize>]) -> f64 {
     }
     let hyp_len: usize = hypotheses.iter().map(Vec::len).sum();
     let ref_len: usize = references.iter().map(Vec::len).sum();
-    let brevity = if hyp_len >= ref_len {
-        1.0
-    } else {
-        (1.0 - ref_len as f64 / hyp_len.max(1) as f64).exp()
-    };
+    let brevity =
+        if hyp_len >= ref_len { 1.0 } else { (1.0 - ref_len as f64 / hyp_len.max(1) as f64).exp() };
     100.0 * brevity * (log_precision_sum / max_n as f64).exp()
 }
 

@@ -137,7 +137,14 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// No faults at all (the fault-free twin of a chaos run).
     pub fn none(seed: u64) -> Self {
-        FaultSpec { seed, crash_rate: 0.0, oom_rate: 0.0, spike_rate: 0.0, stall_rate: 0.0, corrupt_rate: 0.0 }
+        FaultSpec {
+            seed,
+            crash_rate: 0.0,
+            oom_rate: 0.0,
+            spike_rate: 0.0,
+            stall_rate: 0.0,
+            corrupt_rate: 0.0,
+        }
     }
 
     /// A representative mildly hostile environment: a few percent of
@@ -196,9 +203,7 @@ impl FaultSpec {
     /// one (a superset of `(step, retry)` pairs exceeds the threshold).
     pub fn fault_at(&self, step: u64, retry: u32) -> Option<FaultKind> {
         let key = Self::key(step, retry);
-        FaultKind::ALL
-            .into_iter()
-            .find(|k| unit(self.seed, k.stream(), key) < self.rate(*k))
+        FaultKind::ALL.into_iter().find(|k| unit(self.seed, k.stream(), key) < self.rate(*k))
     }
 
     /// Stall duration drawn for attempt `retry` of step `step`, seconds,
@@ -356,7 +361,12 @@ pub fn plan_degradation(ladder: &DegradationLadder) -> Option<DegradationOutcome
                 if let Ok(profile) =
                     profile_with_strategy(ladder.framework, &model, &ladder.gpu, hints, strategy)
                 {
-                    return Some(DegradationOutcome { strategy, batch, profile, rungs_tried: tried });
+                    return Some(DegradationOutcome {
+                        strategy,
+                        batch,
+                        profile,
+                        rungs_tried: tried,
+                    });
                 }
             }
         }
@@ -550,7 +560,13 @@ pub struct ResilientTrainer<O: Optimizer + Clone, P: RecoveryPolicy = DefaultPol
 impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
     /// Wraps a session, its scalar loss node, an optimizer, the chaos
     /// configuration and a recovery policy.
-    pub fn new(session: Session, loss: NodeId, optimizer: O, config: ResilienceConfig, policy: P) -> Self {
+    pub fn new(
+        session: Session,
+        loss: NodeId,
+        optimizer: O,
+        config: ResilienceConfig,
+        policy: P,
+    ) -> Self {
         ResilientTrainer { session, loss, optimizer, config, policy }
     }
 
@@ -653,10 +669,8 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                         // newest → oldest for the first checkpoint whose
                         // checksum still verifies: a corrupt latest file
                         // costs extra replayed steps, never the run.
-                        let back = history
-                            .iter()
-                            .rev()
-                            .position(|s| checkpoint::verify(&s.bytes).is_ok());
+                        let back =
+                            history.iter().rev().position(|s| checkpoint::verify(&s.bytes).is_ok());
                         let restored = match back {
                             Some(back) => {
                                 if back > 0 {
@@ -668,8 +682,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                                 // Every retained checkpoint is corrupt:
                                 // heal from live state (params are still
                                 // intact in this simulated crash).
-                                let fresh =
-                                    self.write_checkpoint(&mut clock_s, &mut out, tracer);
+                                let fresh = self.write_checkpoint(&mut clock_s, &mut out, tracer);
                                 retain_history(&mut history, fresh);
                                 history.last().expect("just pushed")
                             }
@@ -724,8 +737,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                             if out.degraded.is_none() {
                                 out.degraded = plan_degradation(ladder);
                             }
-                            let rungs =
-                                out.degraded.as_ref().map_or(1, |d| d.rungs_tried).max(1);
+                            let rungs = out.degraded.as_ref().map_or(1, |d| d.rungs_tried).max(1);
                             clock_s += cfg.replan_s * f64::from(rungs);
                         } else {
                             clock_s += cfg.replan_s;
@@ -856,7 +868,8 @@ fn corrupt(bytes: &mut [u8], seed: u64, step: u64, retry: u32) {
         return;
     }
     let span = bytes.len() - 16;
-    let site = 8 + (mix64(seed ^ STREAM_CORRUPT_SITE ^ FaultSpec::key(step, retry)) as usize) % span;
+    let site =
+        8 + (mix64(seed ^ STREAM_CORRUPT_SITE ^ FaultSpec::key(step, retry)) as usize) % span;
     bytes[site] ^= 0x40;
 }
 
@@ -897,18 +910,11 @@ mod tests {
                 xs.push(v);
             }
             let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-            vec![
-                (x, Tensor::from_vec(xs, [4, 8]).unwrap()),
-                (t, Tensor::from_slice(&ts)),
-            ]
+            vec![(x, Tensor::from_vec(xs, [4, 8]).unwrap()), (t, Tensor::from_slice(&ts))]
         }
     }
 
-    fn run_with(
-        spec: FaultSpec,
-        policy: impl RecoveryPolicy,
-        steps: u64,
-    ) -> RunOutcome {
+    fn run_with(spec: FaultSpec, policy: impl RecoveryPolicy, steps: u64) -> RunOutcome {
         let (session, x, t, loss) = build();
         let cfg = ResilienceConfig::with_faults(spec);
         let mut trainer = ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, policy);
@@ -949,10 +955,7 @@ mod tests {
         let faulted = run_with(spec, DefaultPolicy::default(), 16);
         assert!(faulted.skipped_steps > 0);
         assert_eq!(faulted.useful_steps, 16, "skipped batches still complete the step");
-        assert_ne!(
-            clean.param_hash, faulted.param_hash,
-            "dropping updates intentionally diverges"
-        );
+        assert_ne!(clean.param_hash, faulted.param_hash, "dropping updates intentionally diverges");
     }
 
     #[test]

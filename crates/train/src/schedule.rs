@@ -47,8 +47,7 @@ impl Schedule for WarmupStepDecay {
     fn lr(&self, step: usize) -> f32 {
         let base = if step < self.warmup_steps {
             let start = self.base_lr / 10.0;
-            start
-                + (self.base_lr - start) * step as f32 / self.warmup_steps.max(1) as f32
+            start + (self.base_lr - start) * step as f32 / self.warmup_steps.max(1) as f32
         } else {
             self.base_lr
         };

@@ -150,9 +150,7 @@ mod tests {
         let (session, x, t, loss) = classification_session();
         let mut trainer = Trainer::new(session, loss, Sgd::new(0.5));
         let (xb, tb) = linearly_separable_batch();
-        let losses = trainer
-            .run(60, |_| vec![(x, xb.clone()), (t, tb.clone())])
-            .unwrap();
+        let losses = trainer.run(60, |_| vec![(x, xb.clone()), (t, tb.clone())]).unwrap();
         assert!(losses[59] < losses[0] * 0.2, "{} -> {}", losses[0], losses[59]);
         assert_eq!(trainer.steps(), 60);
     }
@@ -162,9 +160,7 @@ mod tests {
         let (session, x, t, loss) = classification_session();
         let mut trainer = Trainer::new(session, loss, Momentum::new(0.2, 0.9));
         let (xb, tb) = linearly_separable_batch();
-        let losses = trainer
-            .run(60, |_| vec![(x, xb.clone()), (t, tb.clone())])
-            .unwrap();
+        let losses = trainer.run(60, |_| vec![(x, xb.clone()), (t, tb.clone())]).unwrap();
         assert!(losses[59] < losses[0]);
     }
 

@@ -49,8 +49,14 @@ fn add_scaled(a: &Tensor, b: &Tensor, s: f32) -> tbd_tensor::Result<Tensor> {
 
 /// The allocating optimizers, one variant per library optimizer.
 enum Reference {
-    Sgd { lr: f32 },
-    Momentum { lr: f32, momentum: f32, velocity: HashMap<usize, Tensor> },
+    Sgd {
+        lr: f32,
+    },
+    Momentum {
+        lr: f32,
+        momentum: f32,
+        velocity: HashMap<usize, Tensor>,
+    },
     Adam {
         lr: f32,
         beta1: f32,
@@ -82,8 +88,7 @@ impl Reference {
                     let v = velocity
                         .entry(id.index())
                         .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-                    *v = add_scaled(&ops::scale(v, *momentum), &grad, 1.0)
-                        .expect("shapes match");
+                    *v = add_scaled(&ops::scale(v, *momentum), &grad, 1.0).expect("shapes match");
                     let vc = v.clone();
                     if let Some(w) = session.param_mut(id) {
                         *w = add_scaled(w, &vc, -*lr).expect("shapes match");
@@ -95,15 +100,13 @@ impl Reference {
                 let bc1 = 1.0 - beta1.powi(*t);
                 let bc2 = 1.0 - beta2.powi(*t);
                 for (id, grad) in updatable_params(session, grads, filter) {
-                    let m = m
-                        .entry(id.index())
-                        .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
+                    let m =
+                        m.entry(id.index()).or_insert_with(|| Tensor::zeros(grad.shape().clone()));
                     *m = add_scaled(&ops::scale(m, *beta1), &grad, 1.0 - *beta1)
                         .expect("shapes match");
                     let g2 = ops::mul(&grad, &grad).expect("same shape");
-                    let v = v
-                        .entry(id.index())
-                        .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
+                    let v =
+                        v.entry(id.index()).or_insert_with(|| Tensor::zeros(grad.shape().clone()));
                     *v = add_scaled(&ops::scale(v, *beta2), &g2, 1.0 - *beta2)
                         .expect("shapes match");
                     let (mc, vc) = (m.clone(), v.clone());
@@ -181,11 +184,7 @@ fn feeds(x: NodeId, t: NodeId, seed: u64, step: u64, scale: f32) -> Vec<(NodeId,
 }
 
 fn bits(session: &Session) -> Vec<Vec<u32>> {
-    session
-        .snapshot()
-        .iter()
-        .map(|(_, t)| t.data().iter().map(|v| v.to_bits()).collect())
-        .collect()
+    session.snapshot().iter().map(|(_, t)| t.data().iter().map(|v| v.to_bits()).collect()).collect()
 }
 
 /// Which parameters a step updates: all of them, or alternately `gen/`

@@ -16,7 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "batch", "configuration", "throughput", "comm (ms)", "efficiency"
     );
     for batch in [8usize, 16, 32] {
-        let report = ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), batch, &gpu, false, None)?;
+        let report =
+            ScaleReport::run(ModelKind::ResNet50, Framework::mxnet(), batch, &gpu, false, None)?;
         for e in &report.entries {
             println!(
                 "{:>6}  {:>18}  {:>8.1}/s  {:>12.1}  {:>9.0}%",

@@ -40,24 +40,19 @@ fn main() {
         for _ in 0..5 {
             let (reals, _) = data.sample_batch(batch, &mut rng);
             let noise_t = Tensor::from_fn([batch, cfg.latent], |_| rng.gen_range(-1.0..1.0));
-            let run = session
-                .forward(&[(noise, noise_t), (real, reals)])
-                .expect("forward succeeds");
+            let run =
+                session.forward(&[(noise, noise_t), (real, reals)]).expect("forward succeeds");
             gap = run.scalar(critic_real).unwrap_or(0.0) - run.scalar(critic_fake).unwrap_or(0.0);
-            let grads = session
-                .backward(&run, d_loss, Tensor::scalar(1.0))
-                .expect("backward succeeds");
+            let grads =
+                session.backward(&run, d_loss, Tensor::scalar(1.0)).expect("backward succeeds");
             critic_opt.step_filtered(&mut session, &grads, &is_critic);
             clip_weights(&mut session, 0.2, &is_critic);
         }
         // --- generator step ---
         let (reals, _) = data.sample_batch(batch, &mut rng);
         let noise_t = Tensor::from_fn([batch, cfg.latent], |_| rng.gen_range(-1.0..1.0));
-        let run = session
-            .forward(&[(noise, noise_t), (real, reals)])
-            .expect("forward succeeds");
-        let grads =
-            session.backward(&run, g_loss, Tensor::scalar(1.0)).expect("backward succeeds");
+        let run = session.forward(&[(noise, noise_t), (real, reals)]).expect("forward succeeds");
+        let grads = session.backward(&run, g_loss, Tensor::scalar(1.0)).expect("backward succeeds");
         gen_opt.step_filtered(&mut session, &grads, &is_gen);
         println!(
             "  round {round}: Wasserstein gap D(real)-D(fake) = {gap:+.4} \

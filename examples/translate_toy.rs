@@ -72,11 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Held-out evaluation batch.
     let (eval_src, _, eval_tgt) = dataset.sample_batch(batch, cfg.steps, false, &mut rng);
     let references: Vec<Vec<usize>> = (0..batch)
-        .map(|b| {
-            (0..cfg.steps)
-                .map(|t| eval_tgt.data()[b * cfg.steps + t] as usize)
-                .collect()
-        })
+        .map(|b| (0..cfg.steps).map(|t| eval_tgt.data()[b * cfg.steps + t] as usize).collect())
         .collect();
 
     let before = greedy_decode(

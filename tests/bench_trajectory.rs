@@ -17,8 +17,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 use tbd_core::trajectory::{BenchReport, BENCH_SCHEMA_VERSION, GOLDEN_PAIRS};
 use tbd_core::GpuSpec;
-use tbd_profiler::json::Canonical;
 use tbd_frameworks::SpeedOptions;
+use tbd_profiler::json::Canonical;
 use tbd_tensor::Precision;
 
 fn baseline_path() -> PathBuf {
@@ -56,10 +56,8 @@ fn matrix_report_round_trips_through_json() {
         assert!(rel < 0.05, "{}: sampled {sampled} vs {}", entry.key(), entry.throughput);
     }
     // A bumped schema version must be rejected, not misread.
-    let bumped = text.replace(
-        &format!("\"schema_version\":{BENCH_SCHEMA_VERSION}"),
-        "\"schema_version\":99",
-    );
+    let bumped = text
+        .replace(&format!("\"schema_version\":{BENCH_SCHEMA_VERSION}"), "\"schema_version\":99");
     assert!(BenchReport::from_json_text(&bumped).is_err());
 }
 
@@ -70,7 +68,8 @@ fn feature_maps_dominate_memory_for_resnet_and_inception() {
     for entry in &matrix_report().entries {
         if entry.model == "ResNet-50" || entry.model == "Inception-v3" {
             assert_eq!(
-                entry.dominant_memory, "feature maps",
+                entry.dominant_memory,
+                "feature maps",
                 "{}: dominant class must be feature maps",
                 entry.key()
             );
@@ -104,9 +103,7 @@ fn drift_gate_passes_self_and_flags_fabricated_regressions() {
     // Fabricate a 20% regression on one entry: the gate must name it.
     let mut regressed = report.clone();
     regressed.entries[0].throughput *= 0.8;
-    let message = regressed
-        .check_drift(report)
-        .expect_err("20% drop exceeds the 10% gate");
+    let message = regressed.check_drift(report).expect_err("20% drop exceeds the 10% gate");
     assert!(message.contains(&report.entries[0].key()), "gate names the entry: {message}");
     // Small wobble stays inside the gate.
     let mut wobbled = report.clone();

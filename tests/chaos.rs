@@ -4,8 +4,8 @@
 //! the CLI's pinned golden baseline stays reachable.
 
 use tbd_core::{ChaosReport, FaultPreset, Framework, GpuSpec, ModelKind};
-use tbd_profiler::json::Canonical;
 use tbd_graph::{GraphBuilder, Init, NodeId, Session};
+use tbd_profiler::json::Canonical;
 use tbd_tensor::Tensor;
 use tbd_train::{
     DegradationLadder, FaultSpec, ReplayExactPolicy, ResilienceConfig, ResilientTrainer, Sgd,
@@ -85,9 +85,8 @@ fn oom_degradation_replans_until_the_footprint_fits() {
 
 fn feeds_for(x: NodeId, t: NodeId) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
     move |step| {
-        let xs: Vec<f32> = (0..32u64)
-            .map(|i| tbd_distrib::unit(99, 77, step * 64 + i) as f32 - 0.5)
-            .collect();
+        let xs: Vec<f32> =
+            (0..32u64).map(|i| tbd_distrib::unit(99, 77, step * 64 + i) as f32 - 0.5).collect();
         let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
         vec![(x, Tensor::from_vec(xs, [4, 8]).unwrap()), (t, Tensor::from_slice(&ts))]
     }
@@ -102,9 +101,7 @@ fn golden_chaos_baseline_is_reproduced() {
     let text = std::fs::read_to_string(path).expect("pinned baseline exists");
     let baseline = ChaosReport::from_json_text(&text).expect("baseline parses");
     let fresh = ci_report(1);
-    fresh
-        .check_drift(&baseline)
-        .expect("deterministic run matches the pinned baseline");
+    fresh.check_drift(&baseline).expect("deterministic run matches the pinned baseline");
     assert_eq!(fresh.digest_hex(), baseline.digest_hex(), "bit-stable report digest");
     assert!(baseline.replay_exact, "the pinned baseline records a replay-exact run");
 }

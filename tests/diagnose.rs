@@ -17,9 +17,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use tbd_core::{
-    run_diagnose, DiagnoseOptions, DiagnosisReport, Framework, GpuSpec, ModelKind,
-};
+use tbd_core::{run_diagnose, DiagnoseOptions, DiagnosisReport, Framework, GpuSpec, ModelKind};
 use tbd_distrib::{scale_grid, unit, StragglerSpec};
 use tbd_graph::trace::{TraceRecorder, TraceStore};
 use tbd_graph::{ExecConfig, GraphBuilder, Init, Session};
@@ -69,10 +67,7 @@ fn chaos_events(seed: u64, tweak: impl Fn(&mut FaultSpec)) -> TraceStore {
     let feeds = move |step: u64| {
         let xs: Vec<f32> = (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
         let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-        vec![
-            (x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")),
-            (t, Tensor::from_slice(&ts)),
-        ]
+        vec![(x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")), (t, Tensor::from_slice(&ts))]
     };
     let tracer = TraceRecorder::shared();
     ResilientTrainer::new(
@@ -132,8 +127,11 @@ fn confusion_matrix_is_diagonally_dominant() {
         let cluster = grid_cluster(label);
         for shape in shapes {
             for seed in 1..=5u64 {
-                let (events, outcome) =
-                    scenarios::cluster_events(shape, &cluster, Some(StragglerSpec::with_seed(seed)));
+                let (events, outcome) = scenarios::cluster_events(
+                    shape,
+                    &cluster,
+                    Some(StragglerSpec::with_seed(seed)),
+                );
                 if outcome.slowdown_factor >= 1.05 || outcome.retries > 0 {
                     tally(&mut matrix, "straggler", &events);
                     straggler_trials += 1;
@@ -202,8 +200,10 @@ fn golden_path() -> PathBuf {
 /// over 2M1G Gigabit Ethernet must diagnose exposed communication, and
 /// the full report must match the golden snapshot bit for bit.
 fn baseline_report() -> DiagnosisReport {
-    let opts =
-        DiagnoseOptions { cluster: Some("2M1G ethernet".to_string()), ..DiagnoseOptions::default() };
+    let opts = DiagnoseOptions {
+        cluster: Some("2M1G ethernet".to_string()),
+        ..DiagnoseOptions::default()
+    };
     run_diagnose(ModelKind::ResNet50, Framework::mxnet(), 4, &GpuSpec::quadro_p4000(), &opts)
         .expect("baseline scenario runs")
 }

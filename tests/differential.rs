@@ -11,10 +11,10 @@
 
 use tbd_core::{Framework, GpuSpec, ModelKind};
 use tbd_graph::Session;
-use tbd_tensor::Tensor;
 use tbd_models::resnet::ResNetConfig;
 use tbd_profiler::trace::{value_hash, EventKind, TraceLayer};
 use tbd_profiler::{capture, TraceOptions};
+use tbd_tensor::Tensor;
 
 fn frameworks() -> [Framework; 3] {
     [Framework::tensorflow(), Framework::mxnet(), Framework::cntk()]
@@ -103,5 +103,8 @@ fn runtime_spans_distinguish_the_frameworks() {
             .expect("exposed-pipeline span present")
     };
     let (tf, mx, ck) = (exposed(&captures[0]), exposed(&captures[1]), exposed(&captures[2]));
-    assert!(tf < mx && mx < ck, "exposed pipeline must order TF {tf:.1} < MXNet {mx:.1} < CNTK {ck:.1}");
+    assert!(
+        tf < mx && mx < ck,
+        "exposed pipeline must order TF {tf:.1} < MXNet {mx:.1} < CNTK {ck:.1}"
+    );
 }

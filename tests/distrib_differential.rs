@@ -88,7 +88,8 @@ const STRATEGIES: [SyncStrategy; 4] = [
 ];
 
 /// ResNet-50-like operating point (360 ms, 102 MB of gradients).
-const CLOSED: ClosedForm = ClosedForm { compute_iter_s: 0.36, gradient_bytes: 102e6, per_gpu_batch: 32 };
+const CLOSED: ClosedForm =
+    ClosedForm { compute_iter_s: 0.36, gradient_bytes: 102e6, per_gpu_batch: 32 };
 
 /// The same worker for the event engine, its gradients over 32 layers.
 fn resnet_like() -> DataParallelSim {
@@ -116,11 +117,8 @@ fn relative_diff(a: f64, b: f64) -> f64 {
 #[test]
 fn event_engine_matches_closed_form_when_degenerate() {
     let sim = resnet_like();
-    let config = EventConfig {
-        bucketing: BucketingConfig::SingleShot,
-        stragglers: None,
-        tie_break_salt: 0,
-    };
+    let config =
+        EventConfig { bucketing: BucketingConfig::SingleShot, stragglers: None, tie_break_salt: 0 };
     for (label, base) in fig10_clusters() {
         for sync in STRATEGIES {
             let cluster = degenerate(base, sync);
@@ -155,11 +153,8 @@ fn degenerate_single_shot_has_no_overlap_to_derive() {
     // pass finishes, so every communication second is exposed and the
     // derived overlap is exactly the closed form's zero.
     let sim = resnet_like();
-    let config = EventConfig {
-        bucketing: BucketingConfig::SingleShot,
-        stragglers: None,
-        tie_break_salt: 0,
-    };
+    let config =
+        EventConfig { bucketing: BucketingConfig::SingleShot, stragglers: None, tie_break_salt: 0 };
     for (label, base) in fig10_clusters() {
         for sync in STRATEGIES {
             let cluster = degenerate(base, sync);

@@ -84,11 +84,7 @@ fn elastic_report_obeys_the_monotone_goodput_law() {
         "the ladder's heavy rungs must evict someone"
     );
     // Churned points are named for what they are by the trace miner.
-    let churned = report
-        .entries
-        .iter()
-        .find(|e| e.evictions > 0)
-        .expect("some entry evicts");
+    let churned = report.entries.iter().find(|e| e.evictions > 0).expect("some entry evicts");
     assert_eq!(
         churned.diagnosis.as_deref(),
         Some("membership-churn"),
@@ -112,9 +108,7 @@ fn golden_elastic_baseline_is_reproduced() {
         panic!("pinned baseline missing ({e}); regenerate with UPDATE_GOLDEN=1 cargo test --test elastic")
     });
     let baseline = ElasticReport::from_json_text(&text).expect("baseline parses");
-    fresh
-        .check_drift(&baseline)
-        .expect("deterministic sweep matches the pinned baseline");
+    fresh.check_drift(&baseline).expect("deterministic sweep matches the pinned baseline");
     assert_eq!(fresh.digest_hex(), baseline.digest_hex(), "bit-stable report digest");
     baseline.monotonicity().expect("the pinned baseline obeys the monotone-goodput law");
 }
@@ -139,9 +133,8 @@ fn a_fine_churn_rate_is_gated_only_through_its_control_points() {
         e.goodput *= 2.0;
     }
     fine.check_drift(&baseline).expect("a 0.001 point has no pinned counterpart");
-    let control: Vec<usize> = (0..report.entries.len())
-        .filter(|&i| report.entries[i].churn_rate == 0.0)
-        .collect();
+    let control: Vec<usize> =
+        (0..report.entries.len()).filter(|&i| report.entries[i].churn_rate == 0.0).collect();
     assert_eq!(control.len(), 5, "one control point per Fig. 10 cluster");
     for i in control {
         let mut moved = report.clone();

@@ -28,8 +28,7 @@ fn tiny_resnet_learns_synthetic_classes() {
     let images = model.input("images").unwrap();
     let labels = model.input("labels").unwrap();
     let loss = model.loss();
-    let mut trainer =
-        Trainer::new(Session::new(model.graph, 1), loss, Momentum::new(0.05, 0.9));
+    let mut trainer = Trainer::new(Session::new(model.graph, 1), loss, Momentum::new(0.05, 0.9));
     let ds = ImageDataset::tiny(cfg.image, cfg.classes);
     let mut rng = StdRng::seed_from_u64(2);
     let losses = trainer
@@ -143,11 +142,7 @@ fn tiny_wgan_critic_separates_real_from_fake() {
         clip_weights(&mut session, 0.05, &is_critic);
     }
     // After critic-only training, D(real) − D(fake) must grow.
-    assert!(
-        last_gap > first_gap.unwrap(),
-        "critic gap {} -> {last_gap}",
-        first_gap.unwrap()
-    );
+    assert!(last_gap > first_gap.unwrap(), "critic gap {} -> {last_gap}", first_gap.unwrap());
 }
 
 #[test]
@@ -195,9 +190,15 @@ fn gradient_descent_direction_is_correct_for_every_model_family() {
             Box::new(|| {
                 let m = tbd_models::a3c::A3cConfig::tiny().build(2).unwrap();
                 let feeds = vec![
-                    (m.input("frames").unwrap(), Tensor::from_fn([2, 4, 84, 84], |i| (i % 9) as f32 * 0.1)),
+                    (
+                        m.input("frames").unwrap(),
+                        Tensor::from_fn([2, 4, 84, 84], |i| (i % 9) as f32 * 0.1),
+                    ),
                     (m.input("actions").unwrap(), Tensor::from_slice(&[0.0, 2.0])),
-                    (m.input("returns").unwrap(), Tensor::from_vec(vec![0.3, -0.3], [2, 1]).unwrap()),
+                    (
+                        m.input("returns").unwrap(),
+                        Tensor::from_vec(vec![0.3, -0.3], [2, 1]).unwrap(),
+                    ),
                 ];
                 let loss = m.loss();
                 (Session::new(m.graph, 31), feeds, loss)
@@ -211,8 +212,14 @@ fn gradient_descent_direction_is_correct_for_every_model_family() {
                 let n = cfg.steps * 2;
                 let mut feeds = vec![
                     (m.input("src").unwrap(), Tensor::from_fn([n], |i| (i % cfg.vocab) as f32)),
-                    (m.input("tgt_in").unwrap(), Tensor::from_fn([n], |i| ((i + 1) % cfg.vocab) as f32)),
-                    (m.input("tgt_out").unwrap(), Tensor::from_fn([n], |i| ((i + 2) % cfg.vocab) as f32)),
+                    (
+                        m.input("tgt_in").unwrap(),
+                        Tensor::from_fn([n], |i| ((i + 1) % cfg.vocab) as f32),
+                    ),
+                    (
+                        m.input("tgt_out").unwrap(),
+                        Tensor::from_fn([n], |i| ((i + 2) % cfg.vocab) as f32),
+                    ),
                 ];
                 for (name, &id) in &m.inputs {
                     if name.contains("_h0_") || name.contains("_c0_") {

@@ -52,9 +52,14 @@ fn memory_optimizations_unlock_larger_batches() {
         Strategy::Checkpoint { segments: 8 },
         Strategy::HalfPrecisionActivations,
     ] {
-        let optimized =
-            max_feasible_batch(ModelKind::ResNet50, Framework::mxnet(), &gpu, strategy, &candidates)
-                .unwrap();
+        let optimized = max_feasible_batch(
+            ModelKind::ResNet50,
+            Framework::mxnet(),
+            &gpu,
+            strategy,
+            &candidates,
+        )
+        .unwrap();
         assert!(optimized > base, "{strategy:?}: {optimized} vs baseline {base}");
     }
 }
@@ -65,10 +70,18 @@ fn yolo_is_single_shot_faster_than_faster_rcnn() {
     let fw = Framework::tensorflow();
     let yolo = tbd_models::yolo::YoloConfig::full().build(1).unwrap();
     let y = fw
-        .profile(&yolo, &gpu, WorkloadHints { compute_derate: 0.8, ..WorkloadHints::default() }, SpeedOptions::default(), None)
+        .profile(
+            &yolo,
+            &gpu,
+            WorkloadHints { compute_derate: 0.8, ..WorkloadHints::default() },
+            SpeedOptions::default(),
+            None,
+        )
         .unwrap();
     let rcnn = ModelKind::FasterRcnn.build_full(1).unwrap();
-    let r = fw.profile(&rcnn, &gpu, fw.hints(ModelKind::FasterRcnn, 1), SpeedOptions::default(), None).unwrap();
+    let r = fw
+        .profile(&rcnn, &gpu, fw.hints(ModelKind::FasterRcnn, 1), SpeedOptions::default(), None)
+        .unwrap();
     assert!(y.throughput > 3.0 * r.throughput, "YOLO {} vs R-CNN {}", y.throughput, r.throughput);
     assert!(y.memory.total() < r.memory.total());
 }
@@ -109,5 +122,7 @@ fn gru_deepspeech_pays_for_its_gates() {
     assert!(pg.memory.total() > pv.memory.total(), "gates cost memory");
     // And the GRU variant hits the memory wall a batch earlier.
     let gru2 = DeepSpeechConfig::full_gru().build(2).unwrap();
-    assert!(fw.profile(&gru2, &gpu, fw.hints(ModelKind::DeepSpeech2, 2), SpeedOptions::default(), None).is_err());
+    assert!(fw
+        .profile(&gru2, &gpu, fw.hints(ModelKind::DeepSpeech2, 2), SpeedOptions::default(), None)
+        .is_err());
 }

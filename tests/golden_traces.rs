@@ -37,10 +37,7 @@ fn golden_dir() -> PathBuf {
 }
 
 fn slug(text: &str) -> String {
-    text.to_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
+    text.to_lowercase().chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '-' }).collect()
 }
 
 fn golden_path(kind: ModelKind, framework: &Framework) -> PathBuf {
@@ -310,8 +307,9 @@ fn capture_worker_matches_a_fresh_graph() {
                 .unwrap_or_else(|e| panic!("{point}: {e}"));
             let worker = cap.worker.as_ref().unwrap_or_else(|| panic!("{point}: no worker"));
             let model = kind.build_full(batch).expect("builds");
-            let profile = tbd_profiler::profile_workload(kind, framework, &model, &gpu, speed, None)
-                .unwrap_or_else(|e| panic!("{point}: {e}"));
+            let profile =
+                tbd_profiler::profile_workload(kind, framework, &model, &gpu, speed, None)
+                    .unwrap_or_else(|e| panic!("{point}: {e}"));
             let fresh = DataParallelSim::from_iteration(&model.graph, &profile.iteration, batch);
             assert_eq!(worker.per_gpu_batch, fresh.per_gpu_batch, "{point}");
             assert_eq!(

@@ -133,7 +133,9 @@ fn obs8_low_utilization_kernels_exist() {
             "batch-norm kernels top the table: {names:?}"
         );
         for row in &table {
-            assert!(row.duration_share > 0.0 && row.fp32_utilization < m.iteration.fp32_utilization);
+            assert!(
+                row.duration_share > 0.0 && row.fp32_utilization < m.iteration.fp32_utilization
+            );
         }
     }
 }
@@ -160,7 +162,12 @@ fn obs9_cpu_utilization_is_low() {
         } else {
             others_max = others_max.max(m.iteration.cpu_utilization);
         }
-        assert!(m.iteration.cpu_utilization < 0.35, "{}: {}", kind.name(), m.iteration.cpu_utilization);
+        assert!(
+            m.iteration.cpu_utilization < 0.35,
+            "{}: {}",
+            kind.name(),
+            m.iteration.cpu_utilization
+        );
     }
     assert!(others_max < 0.16, "all non-A3C near or under 15 %: {others_max}");
     assert!(a3c_util > others_max, "A3C is the CPU-heavy outlier");
@@ -180,8 +187,16 @@ fn obs10_titan_xp_faster_but_less_utilized() {
         let slow = p4000.run(kind, framework, batch).unwrap();
         let fast = xp.run(kind, framework, batch).unwrap();
         assert!(fast.throughput > slow.throughput, "{}", kind.name());
-        assert!(fast.iteration.fp32_utilization < slow.iteration.fp32_utilization, "{}", kind.name());
-        assert!(fast.iteration.gpu_utilization <= slow.iteration.gpu_utilization + 1e-9, "{}", kind.name());
+        assert!(
+            fast.iteration.fp32_utilization < slow.iteration.fp32_utilization,
+            "{}",
+            kind.name()
+        );
+        assert!(
+            fast.iteration.gpu_utilization <= slow.iteration.gpu_utilization + 1e-9,
+            "{}",
+            kind.name()
+        );
     }
 }
 
@@ -210,8 +225,7 @@ fn obs11_feature_maps_dominate_memory() {
     let ds2 = suite.run(ModelKind::DeepSpeech2, Framework::mxnet(), 4).unwrap();
     let resnet = suite.run(ModelKind::ResNet50, Framework::mxnet(), 32).unwrap();
     let ds2_w = ds2.memory.peak(MemoryCategory::Weights) as f64 / ds2.memory.total() as f64;
-    let res_w =
-        resnet.memory.peak(MemoryCategory::Weights) as f64 / resnet.memory.total() as f64;
+    let res_w = resnet.memory.peak(MemoryCategory::Weights) as f64 / resnet.memory.total() as f64;
     assert!(ds2_w > res_w, "DS2 weight share {ds2_w} vs ResNet {res_w}");
 }
 

@@ -177,11 +177,8 @@ fn exposed_exchange_can_drop_below_one_worker() {
         backward: BackwardProfile::analytic(compute, 5e8, 16),
         per_gpu_batch: 16,
     };
-    let out = sim.simulate_events(
-        &ClusterConfig::single_machine(gpus),
-        &EventConfig::default(),
-        None,
-    );
+    let out =
+        sim.simulate_events(&ClusterConfig::single_machine(gpus), &EventConfig::default(), None);
     assert!(out.exposed_comm_s > (gpus - 1) as f64 * compute, "exposed {}", out.exposed_comm_s);
     assert!(out.profile.throughput < 16.0 / compute, "throughput {}", out.profile.throughput);
     assert!(out.profile.scaling_efficiency <= 1.0);

@@ -69,8 +69,7 @@ fn digest_is_invariant_across_thread_counts_and_matches_the_golden() {
     });
     let want = parse_digest_file(&text).expect("golden has a digest line");
     assert_eq!(
-        one.digest_hex,
-        want,
+        one.digest_hex, want,
         "report render drifted from the pinned baseline; if intentional, regenerate with \
          UPDATE_GOLDEN=1 cargo test --test report"
     );
@@ -80,12 +79,12 @@ fn digest_is_invariant_across_thread_counts_and_matches_the_golden() {
 fn report_carries_every_observability_section() {
     let out = baseline_report(1);
     for marker in [
-        "TBD run report",            // header
-        "<svg",                      // flamegraph swimlanes
-        "memory footprint",          // Fig. 9 curve
-        "overlap",                   // Fig. 10 comm/compute bars
+        "TBD run report",                 // header
+        "<svg",                           // flamegraph swimlanes
+        "memory footprint",               // Fig. 9 curve
+        "overlap",                        // Fig. 10 comm/compute bars
         "internal_events_recorded_total", // self-observability table
-        "diagnosis",                 // ranked bottleneck classes
+        "diagnosis",                      // ranked bottleneck classes
     ] {
         assert!(
             out.html.to_lowercase().contains(&marker.to_lowercase()),

@@ -27,12 +27,16 @@ fn every_supported_pair_profiles_at_its_smallest_batch() {
     let suite = Suite::new(GpuSpec::quadro_p4000());
     for (kind, framework) in Suite::supported_pairs() {
         let batch = paper_batches(kind)[0];
-        let metrics = suite.run(kind, framework, batch).unwrap_or_else(|e| {
-            panic!("{} on {} b{batch}: {e}", kind.name(), framework.name())
-        });
+        let metrics = suite
+            .run(kind, framework, batch)
+            .unwrap_or_else(|e| panic!("{} on {} b{batch}: {e}", kind.name(), framework.name()));
         assert!(metrics.throughput > 0.0);
-        assert!(metrics.iteration.gpu_utilization > 0.0 && metrics.iteration.gpu_utilization <= 1.0);
-        assert!(metrics.iteration.fp32_utilization > 0.0 && metrics.iteration.fp32_utilization <= 1.0);
+        assert!(
+            metrics.iteration.gpu_utilization > 0.0 && metrics.iteration.gpu_utilization <= 1.0
+        );
+        assert!(
+            metrics.iteration.fp32_utilization > 0.0 && metrics.iteration.fp32_utilization <= 1.0
+        );
         assert!(!metrics.iteration.records.is_empty());
     }
 }
@@ -49,7 +53,12 @@ fn faster_rcnn_matches_paper_inline_numbers() {
             framework.name(),
             m.throughput
         );
-        assert!(m.iteration.gpu_utilization > 0.75, "{}: {}", framework.name(), m.iteration.gpu_utilization);
+        assert!(
+            m.iteration.gpu_utilization > 0.75,
+            "{}: {}",
+            framework.name(),
+            m.iteration.gpu_utilization
+        );
     }
 }
 
@@ -80,8 +89,10 @@ fn memory_footprint_scales_linearly_with_batch_for_cnns() {
 #[test]
 fn seq2seq_kernel_count_dwarfs_cnn_kernel_count() {
     // The structural cause of Observation 5: thousands of small kernels.
-    let cnn = Framework::mxnet().plan_with(&ModelKind::ResNet50.build_full(16).unwrap(), SpeedOptions::default());
-    let rnn = Framework::mxnet().plan_with(&ModelKind::Seq2Seq.build_full(16).unwrap(), SpeedOptions::default());
+    let cnn = Framework::mxnet()
+        .plan_with(&ModelKind::ResNet50.build_full(16).unwrap(), SpeedOptions::default());
+    let rnn = Framework::mxnet()
+        .plan_with(&ModelKind::Seq2Seq.build_full(16).unwrap(), SpeedOptions::default());
     assert!(
         rnn.len() > 4 * cnn.len(),
         "Seq2Seq launches {} kernels vs ResNet-50 {}",
