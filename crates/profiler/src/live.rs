@@ -340,11 +340,6 @@ impl LiveServer {
         self.front.local_addr()
     }
 
-    /// Captures completed so far.
-    pub fn captures_completed(&self) -> u64 {
-        *self.shared.captures.lock().expect("captures lock")
-    }
-
     /// Capture attempts that errored.
     pub fn capture_errors(&self) -> u64 {
         self.shared.capture_errors.load(Ordering::Relaxed)
@@ -361,12 +356,6 @@ impl LiveServer {
     /// Clone of the last completed snapshot, if any capture finished.
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.shared.snapshot.lock().expect("snapshot lock").as_deref().cloned()
-    }
-
-    /// `true` once the capture worker finished (hit `max_captures` or was
-    /// stopped); the HTTP endpoints keep serving the last snapshot.
-    pub fn worker_finished(&self) -> bool {
-        self.worker.as_ref().is_none_or(|w| w.is_finished())
     }
 
     /// Stops and joins the capture worker, then the HTTP front — the

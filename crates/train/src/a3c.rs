@@ -1,7 +1,7 @@
 //! Asynchronous advantage actor-critic on the real Pong environment.
 //!
 //! This is the paper's sixth application domain running end-to-end: several
-//! worker threads (crossbeam) each own a [`Pong`] game and a replica of the
+//! worker threads each own a [`Pong`] game and a replica of the
 //! A3C network, collect n-step rollouts with the current policy, compute
 //! advantage-weighted policy gradients plus value-regression gradients, and
 //! send them to a central parameter server that applies the update and
@@ -9,9 +9,9 @@
 //! function networks trained in parallel over several processing threads"
 //! of Mnih et al. (2016) / paper §3.1.6.
 
-use crossbeam::channel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc;
 use tbd_data::{Pong, PongAction};
 use tbd_graph::{NodeId, Session};
 use tbd_models::a3c::A3cConfig;
@@ -49,17 +49,17 @@ impl A3cTrainer {
     pub fn train(&self, workers: usize, updates: usize, seed: u64) -> (Session, Vec<f32>) {
         let center = A3cWorker::new(self.config, seed);
         let mut central = center.session;
-        let (grad_tx, grad_rx) = channel::unbounded::<(usize, Vec<(NodeId, Tensor)>, f32)>();
+        let (grad_tx, grad_rx) = mpsc::channel::<(usize, Vec<(NodeId, Tensor)>, f32)>();
         let mut reply_txs = Vec::new();
         let mut rewards = Vec::new();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..workers {
-                let (reply_tx, reply_rx) = channel::unbounded::<Vec<(NodeId, Tensor)>>();
+                let (reply_tx, reply_rx) = mpsc::channel::<Vec<(NodeId, Tensor)>>();
                 reply_txs.push(reply_tx);
                 let grad_tx = grad_tx.clone();
                 let trainer = *self;
                 let snapshot = central.snapshot();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut worker = A3cWorker::new(trainer.config, seed + 1 + w as u64);
                     worker.session.load_snapshot(&snapshot);
                     for _ in 0..updates {
@@ -83,8 +83,7 @@ impl A3cTrainer {
                 rewards.push(mean_reward);
                 let _ = reply_txs[w].send(central.snapshot());
             }
-        })
-        .expect("worker threads must not panic");
+        });
         (central, rewards)
     }
 }
