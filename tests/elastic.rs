@@ -142,3 +142,22 @@ fn a_fine_churn_rate_is_gated_only_through_its_control_points() {
         assert!(moved.check_drift(&baseline).is_err(), "{} is not gated", moved.entries[i].key());
     }
 }
+
+/// The markdown table prints each point's rate so that it reads back as
+/// the rate the point was simulated at: `--churn 0.001`'s rows do not
+/// render like their 0.0 control rows.
+#[test]
+fn a_fine_churn_rate_renders_its_own_rate_column() {
+    let gpu = GpuSpec::quadro_p4000();
+    let report =
+        ElasticReport::run_rates(ModelKind::A3c, Framework::mxnet(), 8, &gpu, 7, 32, &[0.0, 0.001])
+            .expect("elastic sweep completes");
+    let markdown = report.to_markdown();
+    let rows: Vec<&str> =
+        markdown.lines().filter(|l| l.starts_with("| ") && !l.contains("| cluster |")).collect();
+    assert_eq!(rows.len(), report.entries.len(), "one row per point:\n{markdown}");
+    for (row, e) in rows.iter().zip(&report.entries) {
+        let rate = row.split(" | ").nth(2).expect("a rate cell");
+        assert_eq!(rate.parse::<f64>(), Ok(e.churn_rate), "row `{row}` of {}", e.key());
+    }
+}
