@@ -208,8 +208,12 @@ impl ElasticReport {
                 // Relative slack absorbs ULP noise in the goodput division.
                 if e.churn_rate > rate && e.goodput > goodput * (1.0 + 1e-9) {
                     return Err(format!(
-                        "{}: goodput rose from {:.3}/s at rate {:.2} to {:.3}/s at rate {:.2}",
-                        e.label, goodput, rate, e.goodput, e.churn_rate
+                        "{}: goodput rose from {:.3}/s at rate {} to {:.3}/s at rate {}",
+                        e.label,
+                        goodput,
+                        rate + 0.0,
+                        e.goodput,
+                        e.churn_rate + 0.0
                     ));
                 }
             }
@@ -241,6 +245,8 @@ impl ElasticReport {
     }
 
     /// Renders the report as a markdown table (the CI elastic artifact).
+    /// The rate column prints each rate as [`ElasticEntry::key`] does, so
+    /// distinct rates never render alike.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -264,10 +270,10 @@ impl ElasticReport {
         for e in &self.entries {
             let _ = writeln!(
                 out,
-                "| {} | {} | {:.2} | {} | {} | {} | {} | {:.2} | {:.2} | {:.1} | {:.0} % | {} |",
+                "| {} | {} | {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.1} | {:.0} % | {} |",
                 e.label,
                 e.sync,
-                e.churn_rate,
+                e.churn_rate + 0.0,
                 e.epochs,
                 e.evictions,
                 e.rejoins,
