@@ -626,13 +626,34 @@ pub fn verdict(failures: Vec<String>) -> Result<(), String> {
 /// A report header adds `schema = V`: decoding first passes
 /// [`check_schema`], and the type gets `to_json` and `from_json_text`.
 ///
-/// ```ignore
-/// json_record!(SpeedTier, "speed tier";
-///     fields { model, framework, batch, fused_wall_s, unfused_wall_s }
-///     derived { speedup = SpeedTier::speedup });
-/// json_record!(DegradationSummary, "degradation summary";
-///     fields { strategy, batch, total_bytes, rungs_tried }
-///     digested { strategy, ":" batch, ":" total_bytes, ":" rungs_tried });
+/// ```
+/// use tbd_profiler::json::{Canonical, Codec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tier {
+///     model: String,
+///     batch: u64,
+///     fused_s: f64,
+///     unfused_s: f64,
+/// }
+///
+/// impl Tier {
+///     fn speedup(&self) -> f64 {
+///         self.unfused_s / self.fused_s
+///     }
+/// }
+///
+/// tbd_profiler::json_record!(Tier, "speed tier";
+///     fields { model, batch, fused_s, unfused_s }
+///     digested { model, "/b" batch, "|" fused_s }
+///     derived { speedup = Tier::speedup });
+///
+/// let tier = Tier { model: "A3C".into(), batch: 8, fused_s: 0.5, unfused_s: 1.0 };
+/// let value = tier.to_value();
+/// assert_eq!(value.get("speedup").and_then(|v| v.as_f64()), Some(2.0));
+/// assert_eq!(tier.canonical(), format!("A3C/b8|{:016x}", 0.5f64.to_bits()));
+/// // The derived key is output only: decoding ignores it.
+/// assert_eq!(Tier::from_value(&value), Ok(tier));
 /// ```
 #[macro_export]
 macro_rules! json_record {
