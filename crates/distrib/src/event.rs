@@ -415,7 +415,7 @@ impl DataParallelSim {
             SyncStrategy::HierarchicalAllReduce => "hierarchical allreduce",
         };
         let buckets = outcome.buckets.len();
-        let mut events = TraceStore::with_capacity(buckets + 2, 7 * buckets + 6);
+        let mut events = TraceStore::with_capacity(buckets + 2);
         let name = events.intern(format!("{} iteration (events)", cluster.label()));
         events
             .span(

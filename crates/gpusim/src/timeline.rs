@@ -151,13 +151,11 @@ pub fn simulate_iteration(
     let mut counted_flops = 0.0f64;
     let mut peak_workspace = 0u64;
     let mut records = Vec::with_capacity(kernels.len());
-    // Up to 3 events and 6 args per kernel. The event columns also leave
-    // room for the recorder's events: the recorder adopts this longer
-    // batch's columns and moves its own events in front of them.
+    // Up to 3 events per kernel. The event columns also leave room for the
+    // recorder's events: the recorder adopts this longer batch's columns
+    // and moves its own events in front of them.
     let mut events = match tracer {
-        Some(tr) => {
-            TraceStore::with_capacity(3 * kernels.len() + 4 + tr.len(), 7 * kernels.len() + 4)
-        }
+        Some(tr) => TraceStore::with_capacity(3 * kernels.len() + 4 + tr.len()),
         None => TraceStore::new(),
     };
     // Kernels repeat heavily within a stream (an unrolled recurrent model

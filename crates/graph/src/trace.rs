@@ -23,6 +23,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -534,59 +535,153 @@ impl<'a> EventRef<'a> {
     ///
     /// Propagates the writer's error.
     pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        out.write_str(self.layer.as_str())?;
-        out.write_char('|')?;
-        out.write_str(self.kind.as_str())?;
-        out.write_char('|')?;
-        out.write_str(self.name)?;
+        write_line_head(out, self.layer, self.kind, self.name, self.deterministic)?;
         if self.deterministic {
-            out.write_str("|t:")?;
             write_hex16(out, self.start_us.to_bits())?;
             out.write_char('+')?;
             write_hex16(out, self.dur_us.to_bits())?;
-            out.write_char('@')?;
-            write_decimal(out, self.track.into())?;
         }
-        for (key, value) in self.args {
-            out.write_char('|')?;
-            out.write_str(key)?;
-            out.write_char('=')?;
-            value.write_canonical(out)?;
-        }
-        Ok(())
+        write_line_tail(out, self.deterministic, self.track, self.args)
     }
 }
+
+/// The canonical line before a row's times: `{layer}|{kind}|{name}`, then
+/// `|t:` when the times are digested.
+fn write_line_head(
+    out: &mut impl fmt::Write,
+    layer: TraceLayer,
+    kind: EventKind,
+    name: &str,
+    deterministic: bool,
+) -> fmt::Result {
+    out.write_str(layer.as_str())?;
+    out.write_char('|')?;
+    out.write_str(kind.as_str())?;
+    out.write_char('|')?;
+    out.write_str(name)?;
+    if deterministic {
+        out.write_str("|t:")?;
+    }
+    Ok(())
+}
+
+/// The canonical line after a row's times: `@{track}` when they are
+/// digested, then `|{key}={value}` per arg.
+fn write_line_tail(
+    out: &mut impl fmt::Write,
+    deterministic: bool,
+    track: u32,
+    args: &[(&'static str, ArgValue)],
+) -> fmt::Result {
+    if deterministic {
+        out.write_char('@')?;
+        write_decimal(out, track.into())?;
+    }
+    for (key, value) in args {
+        out.write_char('|')?;
+        out.write_str(key)?;
+        out.write_char('=')?;
+        value.write_canonical(out)?;
+    }
+    Ok(())
+}
+
+/// The fixed part of a trace row: all of it but the times. Every iteration
+/// replays the same kernels, so rows repeat, and a [`TraceStore`] keeps
+/// each distinct template once.
+///
+/// Two templates are equal when their fields are, float args compared by
+/// bit pattern, so a template fixes the canonical text and the Chrome
+/// JSON around a row's times.
+#[derive(Debug, Clone)]
+pub struct Template {
+    /// Id of the name in the owning store's name table.
+    pub name: u32,
+    /// Emitting layer.
+    pub layer: TraceLayer,
+    /// Work category.
+    pub kind: EventKind,
+    /// Track within the layer.
+    pub track: u32,
+    /// Whether the row's times and track are digested
+    /// ([`EventRef::deterministic`]).
+    pub deterministic: bool,
+    /// Typed arguments, in insertion order.
+    pub args: Vec<(&'static str, ArgValue)>,
+}
+
+impl Template {
+    fn fixed(&self) -> (u32, TraceLayer, EventKind, u32, bool) {
+        (self.name, self.layer, self.kind, self.track, self.deterministic)
+    }
+}
+
+impl PartialEq for Template {
+    fn eq(&self, other: &Template) -> bool {
+        let same = |((ka, a), (kb, b)): (&(&str, ArgValue), &(&str, ArgValue))| {
+            ka == kb
+                && match (a, b) {
+                    (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
+                    _ => a == b,
+                }
+        };
+        self.fixed() == other.fixed()
+            && self.args.len() == other.args.len()
+            && self.args.iter().zip(&other.args).all(same)
+    }
+}
+
+impl Eq for Template {}
+
+impl Hash for Template {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fixed().hash(state);
+        for (key, value) in &self.args {
+            key.hash(state);
+            match value {
+                ArgValue::Str(s) => s.hash(state),
+                ArgValue::F64(v) => v.to_bits().hash(state),
+                ArgValue::U64(v) => v.hash(state),
+                ArgValue::Bool(b) => b.hash(state),
+            }
+        }
+    }
+}
+
+/// The template id of a name no row has used yet.
+const NO_TEMPLATE: u32 = u32::MAX;
 
 /// A trace stored as columns: the storage of every recording.
 ///
 /// - a per-store name table, each distinct name once, addressed by a
 ///   `u32` id;
-/// - one column per field: the name id, `layer` and `kind` (one byte
-///   each), `start_us`, `dur_us`, `track` and `deterministic`;
-/// - one args arena, each event's args a contiguous range of it.
+/// - a per-store [`Template`] table, each distinct template once,
+///   addressed by a `u32` id;
+/// - one row per event, in three columns: its template id, `start_us`
+///   and `dur_us`.
 ///
-/// A producer writes each event with [`TraceStore::span`] on an id from
+/// A producer writes each row with [`TraceStore::span`] on an id from
 /// [`TraceStore::intern`], and publishes the store with
 /// [`TraceRecorder::record_batch`], which appends the columns. Readers
-/// borrow one [`EventRef`] per event.
+/// borrow one [`EventRef`] per row.
 ///
 /// [`TraceStore::digest_after`] caches its result. The fields are private,
-/// and every method that changes an event drops the cache, so a cached
-/// digest is never stale.
+/// and every method that changes a row drops the cache, so a cached digest
+/// is never stale.
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     names: Vec<Cow<'static, str>>,
     index: HashMap<Cow<'static, str>, u32>,
-    name: Vec<u32>,
-    layer: Vec<TraceLayer>,
-    kind: Vec<EventKind>,
+    /// Per name id, the template of the name's last row written here: a
+    /// repeated row matches it without hashing.
+    last: Vec<u32>,
+    templates: Vec<Template>,
+    template_index: HashMap<Template, u32>,
+    template: Vec<u32>,
     start_us: Vec<f64>,
     dur_us: Vec<f64>,
-    track: Vec<u32>,
-    deterministic: Vec<bool>,
-    /// Index of each event's first arg in `args`.
-    args_at: Vec<u32>,
-    args: Vec<(&'static str, ArgValue)>,
+    /// The emptied args of the last row, kept for their capacity.
+    spare_args: Vec<(&'static str, ArgValue)>,
     /// `(hasher state before the events, digest)` of the last
     /// [`TraceStore::digest_after`].
     digest: OnceLock<(u64, u64)>,
@@ -598,31 +693,24 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// An empty store with room for `events` events carrying `args` args
-    /// in total.
-    pub fn with_capacity(events: usize, args: usize) -> Self {
+    /// An empty store with room for `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
         TraceStore {
-            name: Vec::with_capacity(events),
-            layer: Vec::with_capacity(events),
-            kind: Vec::with_capacity(events),
-            start_us: Vec::with_capacity(events),
-            dur_us: Vec::with_capacity(events),
-            track: Vec::with_capacity(events),
-            deterministic: Vec::with_capacity(events),
-            args_at: Vec::with_capacity(events),
-            args: Vec::with_capacity(args),
+            template: Vec::with_capacity(rows),
+            start_us: Vec::with_capacity(rows),
+            dur_us: Vec::with_capacity(rows),
             ..TraceStore::default()
         }
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.name.len()
+        self.template.len()
     }
 
     /// `true` when the store holds no event.
     pub fn is_empty(&self) -> bool {
-        self.name.is_empty()
+        self.template.is_empty()
     }
 
     /// The name table: `names()[id]` is the name with id `id`.
@@ -630,9 +718,15 @@ impl TraceStore {
         &self.names
     }
 
-    /// The name-id column: `names()[name_ids()[i]]` names event `i`.
-    pub fn name_ids(&self) -> &[u32] {
-        &self.name
+    /// The template table: `templates()[id]` is the template with id `id`.
+    pub fn templates(&self) -> &[Template] {
+        &self.templates
+    }
+
+    /// The template column: `templates()[template_ids()[i]]` is event
+    /// `i`'s template.
+    pub fn template_ids(&self) -> &[u32] {
+        &self.template
     }
 
     /// The start-time column.
@@ -643,31 +737,6 @@ impl TraceStore {
     /// The duration column.
     pub fn dur_column(&self) -> &[f64] {
         &self.dur_us
-    }
-
-    /// The track column.
-    pub fn track_column(&self) -> &[u32] {
-        &self.track
-    }
-
-    /// The layer column.
-    pub fn layer_column(&self) -> &[TraceLayer] {
-        &self.layer
-    }
-
-    /// The kind column.
-    pub fn kind_column(&self) -> &[EventKind] {
-        &self.kind
-    }
-
-    /// The column of [`EventRef::deterministic`] flags.
-    pub fn deterministic_column(&self) -> &[bool] {
-        &self.deterministic
-    }
-
-    /// The args arena: every event's args, back to back in event order.
-    pub fn args_arena(&self) -> &[(&'static str, ArgValue)] {
-        &self.args
     }
 
     fn touch(&mut self) {
@@ -687,12 +756,24 @@ impl TraceStore {
         let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names");
         self.index.insert(name.clone(), id);
         self.names.push(name);
+        self.last.push(NO_TEMPLATE);
         id
     }
 
-    /// Appends a deterministic span named by the id `name` (from
+    /// The id of `template`, added to the template table on first use.
+    fn intern_template(&mut self, template: &Template) -> u32 {
+        if let Some(&id) = self.template_index.get(template) {
+            return id;
+        }
+        let id = u32::try_from(self.templates.len()).expect("fewer than 2^32 templates");
+        self.template_index.insert(template.clone(), id);
+        self.templates.push(template.clone());
+        id
+    }
+
+    /// Starts a deterministic span named by the id `name` (from
     /// [`TraceStore::intern`]) on track 0; the returned writer sets its
-    /// track, clock and args.
+    /// track, clock and args, and appends the row when it drops.
     pub fn span(
         &mut self,
         name: u32,
@@ -703,21 +784,28 @@ impl TraceStore {
     ) -> EventWriter<'_> {
         debug_assert!((name as usize) < self.names.len(), "name id from this store");
         self.touch();
-        let at = u32::try_from(self.args.len()).expect("fewer than 2^32 args");
-        self.name.push(name);
-        self.layer.push(layer);
-        self.kind.push(kind);
-        self.start_us.push(start_us);
-        self.dur_us.push(dur_us);
-        self.track.push(0);
-        self.deterministic.push(true);
-        self.args_at.push(at);
-        EventWriter { store: self }
+        let args = std::mem::take(&mut self.spare_args);
+        let row = Template { name, layer, kind, track: 0, deterministic: true, args };
+        EventWriter { store: self, row, start_us, dur_us }
     }
 
-    fn args_range(&self, i: usize) -> Range<usize> {
-        let end = self.args_at.get(i + 1).map_or(self.args.len(), |&at| at as usize);
-        self.args_at[i] as usize..end
+    /// Appends a row of `row`'s template — the one place a row is added.
+    /// The template of the name's last row is checked before the table is
+    /// hashed. Leaves `row`'s args empty.
+    fn push_row(&mut self, row: &mut Template, start_us: f64, dur_us: f64) {
+        let last = self.last[row.name as usize];
+        let id = if self.templates.get(last as usize) == Some(row) {
+            last
+        } else {
+            let id = self.intern_template(row);
+            self.last[row.name as usize] = id;
+            id
+        };
+        row.args.clear();
+        self.spare_args = std::mem::take(&mut row.args);
+        self.template.push(id);
+        self.start_us.push(start_us);
+        self.dur_us.push(dur_us);
     }
 
     /// The event at `index`.
@@ -726,17 +814,17 @@ impl TraceStore {
     ///
     /// Panics when `index >= len()`.
     pub fn event(&self, index: usize) -> EventRef<'_> {
-        let name_id = self.name[index];
+        let template = &self.templates[self.template[index] as usize];
         EventRef {
-            name_id,
-            name: &self.names[name_id as usize],
-            layer: self.layer[index],
-            kind: self.kind[index],
+            name_id: template.name,
+            name: &self.names[template.name as usize],
+            layer: template.layer,
+            kind: template.kind,
             start_us: self.start_us[index],
             dur_us: self.dur_us[index],
-            track: self.track[index],
-            deterministic: self.deterministic[index],
-            args: &self.args[self.args_range(index)],
+            track: template.track,
+            deterministic: template.deterministic,
+            args: &template.args,
         }
     }
 
@@ -746,78 +834,73 @@ impl TraceStore {
     }
 
     /// The events whose layer and kind `keep` accepts, in recording order.
-    /// The filter reads only the one-byte `layer` and `kind` columns; an
-    /// [`EventRef`] is built for each kept event alone.
-    pub fn iter_where<'a>(
-        &'a self,
-        mut keep: impl FnMut(TraceLayer, EventKind) -> bool + 'a,
-    ) -> impl Iterator<Item = EventRef<'a>> + 'a {
-        (0..self.len()).filter(move |&i| keep(self.layer[i], self.kind[i])).map(|i| self.event(i))
+    /// `keep` is asked once per template; an [`EventRef`] is built for each
+    /// kept event alone.
+    pub fn iter_where(
+        &self,
+        mut keep: impl FnMut(TraceLayer, EventKind) -> bool,
+    ) -> impl Iterator<Item = EventRef<'_>> {
+        let kept: Vec<bool> = self.templates.iter().map(|t| keep(t.layer, t.kind)).collect();
+        (0..self.len()).filter(move |&i| kept[self.template[i] as usize]).map(|i| self.event(i))
     }
 
     /// Moves every event of `other` to the end of `self`, leaving `other`
-    /// empty. Names keep their ids in `self`, and `other`'s new names get
-    /// the next ids in `other`'s order: one lookup per distinct name.
+    /// empty. Names and templates keep their ids in `self`, and `other`'s
+    /// new ones get the next ids in `other`'s order: one lookup per
+    /// distinct name and template.
     ///
     /// When `other` holds more events, `self` adopts `other`'s columns and
     /// moves its own events in front of them, so the longer store is never
-    /// copied: `other`'s name ids are remapped and its arg offsets shifted
-    /// in place.
+    /// copied: `other`'s template ids are remapped in place.
     pub fn append(&mut self, other: &mut TraceStore) {
         self.touch();
         other.touch();
         let remap: Vec<u32> = if self.names.is_empty() {
-            // Nothing is named yet, so `self` holds no event either.
+            // Nothing is named yet, so `self` holds no template or event
+            // either.
             std::mem::swap(&mut self.names, &mut other.names);
             std::mem::swap(&mut self.index, &mut other.index);
+            std::mem::swap(&mut self.last, &mut other.last);
+            std::mem::swap(&mut self.templates, &mut other.templates);
+            std::mem::swap(&mut self.template_index, &mut other.template_index);
             Vec::new()
         } else {
             other.index.clear();
-            other.names.drain(..).map(|name| self.intern(name)).collect()
+            other.last.clear();
+            other.template_index.clear();
+            let names: Vec<u32> = other.names.drain(..).map(|name| self.intern(name)).collect();
+            let templates = std::mem::take(&mut other.templates);
+            templates
+                .into_iter()
+                .map(|mut template| {
+                    template.name = names[template.name as usize];
+                    self.intern_template(&template)
+                })
+                .collect()
         };
-        let shift = u32::try_from(self.args.len()).expect("fewer than 2^32 args");
         if other.len() <= self.len() {
-            self.name.extend(other.name.drain(..).map(|id| remap[id as usize]));
-            self.args_at.extend(other.args_at.drain(..).map(|at| at + shift));
-            self.layer.append(&mut other.layer);
-            self.kind.append(&mut other.kind);
+            self.template.extend(other.template.drain(..).map(|id| remap[id as usize]));
             self.start_us.append(&mut other.start_us);
             self.dur_us.append(&mut other.dur_us);
-            self.track.append(&mut other.track);
-            self.deterministic.append(&mut other.deterministic);
-            self.args.append(&mut other.args);
             return;
         }
         if !remap.is_empty() {
-            other.name.iter_mut().for_each(|id| *id = remap[*id as usize]);
+            other.template.iter_mut().for_each(|id| *id = remap[*id as usize]);
         }
-        other.args_at.iter_mut().for_each(|at| *at += shift);
-        adopt(&mut self.name, &mut other.name);
-        adopt(&mut self.args_at, &mut other.args_at);
-        adopt(&mut self.layer, &mut other.layer);
-        adopt(&mut self.kind, &mut other.kind);
+        adopt(&mut self.template, &mut other.template);
         adopt(&mut self.start_us, &mut other.start_us);
         adopt(&mut self.dur_us, &mut other.dur_us);
-        adopt(&mut self.track, &mut other.track);
-        adopt(&mut self.deterministic, &mut other.deterministic);
-        adopt(&mut self.args, &mut other.args);
     }
 
-    /// Keeps the first `len` events and drops the rest (and their args).
+    /// Keeps the first `len` events and drops the rest.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.len() {
             return;
         }
         self.touch();
-        self.args.truncate(self.args_at[len] as usize);
-        self.name.truncate(len);
-        self.layer.truncate(len);
-        self.kind.truncate(len);
+        self.template.truncate(len);
         self.start_us.truncate(len);
         self.dur_us.truncate(len);
-        self.track.truncate(len);
-        self.deterministic.truncate(len);
-        self.args_at.truncate(len);
     }
 
     /// Keeps only the events `keep` accepts, in order.
@@ -827,46 +910,30 @@ impl TraceStore {
             return;
         }
         self.touch();
-        // Where each event's args end in the old arena.
-        let ends: Vec<usize> =
-            self.args_at.iter().skip(1).map(|&at| at as usize).chain([self.args.len()]).collect();
-        let mut args = std::mem::take(&mut self.args).into_iter();
-        let mut args_at = Vec::with_capacity(self.len());
-        let mut start = 0;
-        for (&k, &end) in kept.iter().zip(&ends) {
-            let own = (&mut args).take(end - start);
-            if k {
-                args_at.push(u32::try_from(self.args.len()).expect("fewer than 2^32 args"));
-                self.args.extend(own);
-            } else {
-                own.for_each(drop);
-            }
-            start = end;
-        }
-        self.args_at = args_at;
-        retain_column(&mut self.name, &kept);
-        retain_column(&mut self.layer, &kept);
-        retain_column(&mut self.kind, &kept);
+        retain_column(&mut self.template, &kept);
         retain_column(&mut self.start_us, &kept);
         retain_column(&mut self.dur_us, &kept);
-        retain_column(&mut self.track, &kept);
-        retain_column(&mut self.deterministic, &kept);
     }
 
     /// Events per layer, indexed by [`TraceLayer::index`].
     pub fn layer_counts(&self) -> [u64; 5] {
         let mut counts = [0u64; 5];
-        for layer in &self.layer {
-            counts[layer.index()] += 1;
+        for &id in &self.template {
+            counts[self.templates[id as usize].layer.index()] += 1;
         }
         counts
     }
 
-    /// Modelled bytes of the events ([`approx_event_bytes`] summed), from
-    /// the columns: `64·n + Σ name.len() + 16·args`.
+    /// Modelled bytes of the events ([`approx_event_bytes`] summed): the
+    /// logical row `64·n + Σ name.len() + 16·args`, whatever the layout.
     pub fn approx_bytes(&self) -> u64 {
-        let names: u64 = self.name.iter().map(|&id| self.names[id as usize].len() as u64).sum();
-        64 * self.len() as u64 + names + 16 * self.args.len() as u64
+        let per_row: Vec<u64> = self
+            .templates
+            .iter()
+            .map(|t| self.names[t.name as usize].len() as u64 + 16 * t.args.len() as u64)
+            .collect();
+        let named: u64 = self.template.iter().map(|&id| per_row[id as usize]).sum();
+        64 * self.len() as u64 + named
     }
 
     /// FNV-1a over `seed` followed by `'\n'` + the canonical line
@@ -893,61 +960,36 @@ impl TraceStore {
     /// preceded by `'\n'` (the first one only when `newline_first`): the
     /// one fold under [`TraceStore::digest_after`] and [`events_digest`].
     ///
-    /// Recurring strings go through [`Run`]s: each line head
-    /// `"\n{layer}|{kind}|{name}"` (plus `"|t:"` when deterministic) keyed
-    /// by name id and `(layer, kind, deterministic)`, each `"|{key}={tag}"`
-    /// and each borrowed `Str` value. Times, numbers and owned strings
-    /// are folded byte by byte.
+    /// A line is its template's text before the times, the times, and its
+    /// template's text after them; each template's two texts are folded
+    /// through one [`Run`] each, and only the times byte by byte.
     fn fold_lines(&self, mut h: u64, newline_first: bool) -> u64 {
-        let mut heads: Vec<Vec<(HeadKey, Run)>> =
-            (0..self.names.len()).map(|_| Vec::new()).collect();
-        let mut statics = StaticRuns::new();
-        for i in 0..self.len() {
-            let (id, layer, kind, deterministic) =
-                (self.name[i] as usize, self.layer[i], self.kind[i], self.deterministic[i]);
-            let head: [&[u8]; 7] = [
-                b"\n",
-                layer.as_str().as_bytes(),
-                b"|",
-                kind.as_str().as_bytes(),
-                b"|",
-                self.names[id].as_bytes(),
-                if deterministic { b"|t:" } else { b"" },
-            ];
+        let texts: Vec<(String, String)> = self
+            .templates
+            .iter()
+            .map(|t| {
+                let (mut head, mut tail) = ("\n".to_string(), String::new());
+                let name = &self.names[t.name as usize];
+                let _ = write_line_head(&mut head, t.layer, t.kind, name, t.deterministic);
+                let _ = write_line_tail(&mut tail, t.deterministic, t.track, &t.args);
+                (head, tail)
+            })
+            .collect();
+        let mut runs: Vec<[Run; 2]> = texts.iter().map(|_| Default::default()).collect();
+        for (i, &id) in self.template.iter().enumerate() {
+            let ((head, tail), [head_run, tail_run]) =
+                (&texts[id as usize], &mut runs[id as usize]);
             h = if i == 0 && !newline_first {
-                fold_pieces(h, &head[1..])
+                fold(h, &head.as_bytes()[1..])
             } else {
-                let runs = &mut heads[id];
-                let key = (layer, kind, deterministic);
-                let at = runs.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
-                    runs.push((key, Run::default()));
-                    runs.len() - 1
-                });
-                runs[at].1.fold(h, &head)
+                head_run.fold(h, head.as_bytes())
             };
-            if deterministic {
+            if self.templates[id as usize].deterministic {
                 h = fold(h, &hex16(self.start_us[i].to_bits()));
                 h = fold(h, b"+");
                 h = fold(h, &hex16(self.dur_us[i].to_bits()));
-                h = fold(h, b"@");
-                h = fold_decimal(h, self.track[i].into());
             }
-            for (key, value) in &self.args[self.args_range(i)] {
-                h = match value {
-                    ArgValue::Str(s) => {
-                        let h = statics.fold(h, key, Tag::Str);
-                        match s {
-                            Cow::Borrowed(s) => statics.fold(h, s, Tag::Value),
-                            Cow::Owned(s) => fold(h, s.as_bytes()),
-                        }
-                    }
-                    ArgValue::F64(v) => fold(statics.fold(h, key, Tag::F64), &hex16(v.to_bits())),
-                    ArgValue::U64(v) => fold_decimal(statics.fold(h, key, Tag::U64), *v),
-                    ArgValue::Bool(b) => {
-                        statics.fold(h, key, if *b { Tag::True } else { Tag::False })
-                    }
-                };
-            }
+            h = tail_run.fold(h, tail.as_bytes());
         }
         h
     }
@@ -962,17 +1004,6 @@ fn fold(mut h: u64, bytes: &[u8]) -> u64 {
         h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-fn fold_pieces(h: u64, pieces: &[&[u8]]) -> u64 {
-    pieces.iter().fold(h, |h, piece| fold(h, piece))
-}
-
-/// [`fold`] of `v` in decimal ([`write_decimal`]).
-fn fold_decimal(h: u64, v: u64) -> u64 {
-    let mut buf = [0u8; DIGITS_CAP];
-    let start = digits_before(&mut buf, DIGITS_CAP, v, 1);
-    fold(h, &buf[start..])
 }
 
 /// One string's FNV-1a in a single step, from any state.
@@ -995,10 +1026,10 @@ struct RunTable {
 }
 
 impl RunTable {
-    fn new(pieces: &[&[u8]]) -> Self {
+    fn new(s: &[u8]) -> Self {
         let mut low: [u64; 256] = std::array::from_fn(|l| l as u64);
         let mut mul = 1u64;
-        for &b in pieces.iter().flat_map(|piece| piece.iter()) {
+        for &b in s {
             for h in &mut low {
                 *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
             }
@@ -1032,82 +1063,16 @@ struct Run {
 }
 
 impl Run {
-    /// `fold(h, s)` for the string `s` the `pieces` spell.
-    fn fold(&mut self, h: u64, pieces: &[&[u8]]) -> u64 {
+    /// `fold(h, s)`, where `s` is the run's string at every use.
+    fn fold(&mut self, h: u64, s: &[u8]) -> u64 {
         if let Some(table) = &self.table {
             return table.apply(h);
         }
         self.uses += 1;
         if self.uses < TABLE_AT_USE {
-            return fold_pieces(h, pieces);
+            return fold(h, s);
         }
-        self.table.insert(Box::new(RunTable::new(pieces))).apply(h)
-    }
-}
-
-/// The `(layer, kind, deterministic)` a line head is keyed by, next to its
-/// name id.
-type HeadKey = (TraceLayer, EventKind, bool);
-
-/// What a [`StaticRuns`] string spells: an arg key with the tag of its
-/// value, or a borrowed `Str` value itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    Str,
-    F64,
-    U64,
-    True,
-    False,
-    Value,
-}
-
-/// The runs of `&'static str` arg keys and values in one digest, found by
-/// the string's address and length (equal for equal `'static` text) in a
-/// small open-addressed table: no string hashing per arg. Once the table
-/// is full, a new string is folded byte by byte.
-struct StaticRuns {
-    slots: Vec<Option<(usize, usize, Tag, Run)>>,
-}
-
-impl StaticRuns {
-    /// One per value of a hash's top byte: far more than the distinct
-    /// static keys and values a trace carries.
-    const SLOTS: usize = 256;
-
-    fn new() -> Self {
-        StaticRuns { slots: (0..Self::SLOTS).map(|_| None).collect() }
-    }
-
-    /// `fold(h, …)` of `"|{text}={tag}"` for an arg key, of `text` for a
-    /// [`Tag::Value`].
-    fn fold(&mut self, h: u64, text: &'static str, tag: Tag) -> u64 {
-        let tag_text: &[u8] = match tag {
-            Tag::Str => b"s:",
-            Tag::F64 => b"f:",
-            Tag::U64 => b"u:",
-            Tag::True => b"b:true",
-            Tag::False => b"b:false",
-            Tag::Value => b"",
-        };
-        let pieces: [&[u8]; 4] = if tag == Tag::Value {
-            [text.as_bytes(), b"", b"", b""]
-        } else {
-            [b"|", text.as_bytes(), b"=", tag_text]
-        };
-        let (at, len) = (text.as_ptr() as usize, text.len());
-        let mix = (at as u64 ^ (len as u64) << 40 ^ tag as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let home = (mix >> 56) as usize;
-        for probe in 0..Self::SLOTS {
-            let slot = &mut self.slots[(home + probe) % Self::SLOTS];
-            match slot {
-                Some((a, l, t, run)) if (*a, *l, *t) == (at, len, tag) => {
-                    return run.fold(h, &pieces)
-                }
-                Some(_) => {}
-                None => return slot.insert((at, len, tag, Run::default())).3.fold(h, &pieces),
-            }
-        }
-        fold_pieces(h, &pieces)
+        self.table.insert(Box::new(RunTable::new(s))).apply(h)
     }
 }
 
@@ -1154,30 +1119,39 @@ impl<'a> Iterator for Events<'a> {
 
 impl ExactSizeIterator for Events<'_> {}
 
-/// Sets the track, clock and args of the event [`TraceStore::span`] just
-/// appended.
+/// Sets the track, clock and args of the row [`TraceStore::span`]
+/// started, and appends the row when it drops.
 #[derive(Debug)]
 pub struct EventWriter<'a> {
     store: &'a mut TraceStore,
+    row: Template,
+    start_us: f64,
+    dur_us: f64,
 }
 
 impl EventWriter<'_> {
     /// Sets the track.
-    pub fn on_track(self, track: u32) -> Self {
-        *self.store.track.last_mut().expect("an event was just appended") = track;
+    pub fn on_track(mut self, track: u32) -> Self {
+        self.row.track = track;
         self
     }
 
     /// Marks the timing fields as host wall-clock (excluded from digests).
-    pub fn wall_clock(self) -> Self {
-        *self.store.deterministic.last_mut().expect("an event was just appended") = false;
+    pub fn wall_clock(mut self) -> Self {
+        self.row.deterministic = false;
         self
     }
 
     /// Attaches an argument.
-    pub fn with_arg(self, key: &'static str, value: impl Into<ArgValue>) -> Self {
-        self.store.args.push((key, value.into()));
+    pub fn with_arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
+        self.row.args.push((key, value.into()));
         self
+    }
+}
+
+impl Drop for EventWriter<'_> {
+    fn drop(&mut self) {
+        self.store.push_row(&mut self.row, self.start_us, self.dur_us);
     }
 }
 
@@ -1710,16 +1684,22 @@ mod tests {
         rows.iter().map(|(_, line)| line.clone()).collect()
     }
 
+    /// The args each event carries, read through the template column.
+    fn args_per_event(store: &TraceStore) -> Vec<usize> {
+        store.template_ids().iter().map(|&id| store.templates()[id as usize].args.len()).collect()
+    }
+
     #[test]
     fn store_interns_each_name_once() {
         let store = numbered(200, 40);
         let rows: Vec<_> = (0..200).map(|i| numbered_line(i, 40)).collect();
         assert_eq!(store.names().len(), 40, "one entry per distinct name");
+        assert_eq!(store.templates().len(), 120, "one per distinct (name, args)");
         assert_eq!(lines(&store), expected_lines(&rows));
         for (i, e) in store.iter().enumerate() {
             assert_eq!(e.name_id as usize, i % 40);
         }
-        assert_eq!(store.args_arena().len(), (0..200).map(|i| i % 3).sum::<usize>());
+        assert_eq!(args_per_event(&store), (0..200).map(|i| i % 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1737,7 +1717,7 @@ mod tests {
         store.truncate(9);
         all.truncate(9);
         assert_eq!(lines(&store), expected_lines(&all));
-        assert_eq!(store.args_arena().len(), all.iter().map(|(i, _)| i % 3).sum::<usize>());
+        assert_eq!(args_per_event(&store), all.iter().map(|(i, _)| i % 3).collect::<Vec<_>>());
         // A store that has named nothing takes the other's columns whole.
         let mut fresh = TraceStore::new();
         fresh.append(&mut store);
@@ -1753,11 +1733,11 @@ mod tests {
         marker.span(name, TraceLayer::Profiler, EventKind::Phase, 0.0, 0.0).with_arg("batch", 5u64);
         recorder.record_batch(marker);
         let batch = numbered(10_000, 50);
-        let (args, names) = (batch.args_arena().as_ptr(), batch.name_ids().as_ptr());
+        let (templates, starts) = (batch.template_ids().as_ptr(), batch.start_column().as_ptr());
         recorder.record_batch(batch);
         let store = recorder.drain();
-        assert_eq!(store.args_arena().as_ptr(), args, "the args arena is the batch's");
-        assert_eq!(store.name_ids().as_ptr(), names, "the name-id column is the batch's");
+        assert_eq!(store.template_ids().as_ptr(), templates, "the template column is the batch's");
+        assert_eq!(store.start_column().as_ptr(), starts, "the start column is the batch's");
         let mut all =
             vec!["profiler|phase|capture|t:0000000000000000+0000000000000000@0|batch=u:5"
                 .to_string()];
@@ -1806,10 +1786,7 @@ mod tests {
         let mut state = 7;
         for len in (0..40).chain([255, 256, 1000]) {
             let s: Vec<u8> = (0..len).map(|_| splitmix(&mut state) as u8).collect();
-            // Split the string into up to three pieces; the table folds their
-            // concatenation.
-            let (a, b) = (len / 3, 2 * len / 3);
-            let table = RunTable::new(&[&s[..a], &s[a..b], &s[b..]]);
+            let table = RunTable::new(&s);
             for h in [0, 0xff, 0x100, u64::MAX, Fnv1a::new().finish()]
                 .into_iter()
                 .chain((0..64).map(|_| splitmix(&mut state)))
@@ -1817,17 +1794,17 @@ mod tests {
                 assert_eq!(table.apply(h), fold(h, &s), "len {len}, h {h:#x}");
             }
         }
-        assert_eq!(RunTable::new(&[]).apply(0x1234_5678_9abc_def0), 0x1234_5678_9abc_def0);
+        assert_eq!(RunTable::new(b"").apply(0x1234_5678_9abc_def0), 0x1234_5678_9abc_def0);
     }
 
     #[test]
     fn a_run_builds_its_table_at_the_64th_use() {
-        let pieces: [&[u8]; 2] = [b"\ngpusim|kernel|", b"sgemm"];
+        let head = b"\ngpusim|kernel|sgemm";
         let mut run = Run::default();
         let mut state = 3;
         for use_ in 1..=TABLE_AT_USE + 2 {
             let h = splitmix(&mut state);
-            assert_eq!(run.fold(h, &pieces), fold_pieces(h, &pieces), "use {use_}");
+            assert_eq!(run.fold(h, head), fold(h, head), "use {use_}");
             assert_eq!(run.table.is_some(), use_ >= TABLE_AT_USE, "use {use_}");
         }
     }

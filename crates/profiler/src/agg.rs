@@ -489,42 +489,6 @@ fn arg_str<'e>(event: EventRef<'e>, key: &str) -> Option<&'e str> {
     })
 }
 
-/// The args a device span folds, each read from its key's first
-/// occurrence as [`EventRef::arg`] would, in one pass over the args.
-/// `Some(None)`: the key came with a value of another type.
-#[derive(Debug, Default)]
-struct DeviceArgs<'a> {
-    fp32_util: Option<Option<f64>>,
-    flops: Option<Option<f64>>,
-    class: Option<Option<&'a str>>,
-    bound: Option<Option<&'a str>>,
-}
-
-impl<'a> DeviceArgs<'a> {
-    fn of(event: EventRef<'a>) -> Self {
-        let number = |v: &ArgValue| match v {
-            ArgValue::F64(x) => Some(*x),
-            ArgValue::U64(x) => Some(*x as f64),
-            _ => None,
-        };
-        let text = |v: &'a ArgValue| match v {
-            ArgValue::Str(s) => Some(s.as_ref()),
-            _ => None,
-        };
-        let mut args = DeviceArgs::default();
-        for (key, value) in event.args {
-            match *key {
-                "fp32_util" => _ = args.fp32_util.get_or_insert(number(value)),
-                "flops" => _ = args.flops.get_or_insert(number(value)),
-                "class" => _ = args.class.get_or_insert(text(value)),
-                "bound" => _ = args.bound.get_or_insert(text(value)),
-                _ => {}
-            }
-        }
-        args
-    }
-}
-
 /// The kernel series a device-span name folds into.
 #[derive(Debug, Clone, Copy)]
 enum KernelSlot {
@@ -534,32 +498,40 @@ enum KernelSlot {
     Overflow(usize),
 }
 
-/// What one name id of the batch being folded resolved to: its kernel
-/// series, and the class series of the last class it came with. A name
-/// resolves once per batch; later events of it fold by integer index.
-#[derive(Debug, Clone, Copy, Default)]
-struct NameSlot<'a> {
-    kernel: Option<KernelSlot>,
-    class: Option<(&'a str, Option<usize>)>,
+/// What one template of the batch being folded resolved to on its first
+/// device span: the args it folds, read once, its kernel series, and its
+/// class series once a row has counted into it. Later rows of the
+/// template fold by integer index.
+#[derive(Debug, Clone, Copy)]
+struct DeviceSlot<'a> {
+    fp32: f64,
+    flops: f64,
+    class: &'a str,
+    bound: Option<&'a str>,
+    kernel: KernelSlot,
+    /// `None` until a row counted into the class series; then the
+    /// series, if the table had room for it.
+    class_series: Option<Option<usize>>,
 }
 
 impl AggState {
-    /// Folds every event of `events`, in order. Spans that fold only
-    /// their timing are read from the columns; an [`EventRef`] is built
-    /// only for events whose name or args are read.
+    /// Folds every event of `events`, in order, classified by its
+    /// template. Spans that fold only their timing read the template and
+    /// the duration column; an [`EventRef`] is built only for events whose
+    /// name or args are read, and a device span's args are read once per
+    /// template.
     fn fold_all(&mut self, events: &TraceStore) {
-        let mut slots = vec![NameSlot::default(); events.names().len()];
-        let (layers, kinds) = (events.layer_column(), events.kind_column());
-        let (durs, tracks) = (events.dur_column(), events.track_column());
-        for i in 0..events.len() {
-            let (layer, dur_us) = (layers[i], durs[i]);
+        let mut slots: Vec<Option<DeviceSlot<'_>>> = vec![None; events.templates().len()];
+        let (templates, durs) = (events.templates(), events.dur_column());
+        for (i, &id) in events.template_ids().iter().enumerate() {
+            let (template, dur_us) = (&templates[id as usize], durs[i]);
             self.events_total += 1;
-            self.events_by_layer[layer.index()] += 1;
-            match (layer, kinds[i]) {
+            self.events_by_layer[template.layer.index()] += 1;
+            match (template.layer, template.kind) {
                 (TraceLayer::Executor, EventKind::NodeExec) => {
                     self.host_node_us += dur_us;
                     self.host_nodes += 1;
-                    self.host_threads = self.host_threads.max(tracks[i] + 1);
+                    self.host_threads = self.host_threads.max(template.track + 1);
                     self.node_hist.observe(dur_us);
                 }
                 (TraceLayer::Executor, EventKind::Phase) => self.host_phase_us += dur_us,
@@ -572,14 +544,18 @@ impl AggState {
                     self.sync_us += dur_us;
                     self.sync_calls += 1;
                 }
-                _ => self.fold(events.event(i), &mut slots),
+                (TraceLayer::GpuSim, EventKind::KernelExec)
+                | (TraceLayer::GpuSim, EventKind::Memcpy) => {
+                    self.fold_device_span(events.event(i), &mut slots[id as usize]);
+                }
+                _ => self.fold(events.event(i)),
             }
         }
     }
 
     /// Folds one event that reads its name or args (the rest of
     /// [`AggState::fold_all`]).
-    fn fold<'a>(&mut self, event: EventRef<'a>, slots: &mut [NameSlot<'a>]) {
+    fn fold(&mut self, event: EventRef<'_>) {
         match (event.layer, event.kind) {
             (TraceLayer::Executor, EventKind::Fault) => {
                 self.faults_total += 1;
@@ -618,10 +594,6 @@ impl AggState {
                 if let Some(throughput) = arg_f64(event, "throughput") {
                     self.chaos_throughput = throughput;
                 }
-            }
-            (TraceLayer::GpuSim, EventKind::KernelExec)
-            | (TraceLayer::GpuSim, EventKind::Memcpy) => {
-                self.fold_device_span(event, &mut slots[event.name_id as usize]);
             }
             (TraceLayer::GpuSim, EventKind::Iteration) => {
                 self.sim_iteration_us = event.dur_us;
@@ -744,12 +716,10 @@ impl AggState {
         }
     }
 
-    fn fold_device_span<'a>(&mut self, event: EventRef<'a>, slot: &mut NameSlot<'a>) {
+    fn fold_device_span<'a>(&mut self, event: EventRef<'a>, slot: &mut Option<DeviceSlot<'a>>) {
         let memcpy = event.kind == EventKind::Memcpy;
-        let args = DeviceArgs::of(event);
-        let fp32 = args.fp32_util.flatten().unwrap_or(0.0);
-        let flops = args.flops.flatten().unwrap_or(0.0);
-        let class = args.class.flatten().unwrap_or(if memcpy { "Memcpy" } else { "Kernel" });
+        let slot = slot.get_or_insert_with(|| self.device_slot(event, memcpy));
+        let DeviceSlot { fp32, flops, class, bound, kernel, .. } = *slot;
         if memcpy {
             self.memcpy_us += event.dur_us;
             self.memcpy_calls += 1;
@@ -760,28 +730,12 @@ impl AggState {
             self.fp32_weighted_us += fp32 * event.dur_us;
             self.total_flops += flops;
             self.kernel_hist.observe(event.dur_us);
-            match args.bound.flatten() {
+            match bound {
                 Some("compute") => self.bound_us[0] += event.dur_us,
                 Some("memory") => self.bound_us[1] += event.dur_us,
                 _ => {}
             }
         }
-        // Hot path: the name resolved earlier in the batch folds by index;
-        // the `to_string`s only run on a series' first event.
-        let kernel = *slot.kernel.get_or_insert_with(|| {
-            if let Some(&index) = self.kernel_index.get(event.name) {
-                KernelSlot::Own(index)
-            } else if self.kernels.len() < MAX_KERNEL_SERIES {
-                let fold = KernelFold { class: class.to_string(), memcpy, ..KernelFold::default() };
-                KernelSlot::Own(self.add_kernel(event.name, fold))
-            } else {
-                let index = match self.kernel_index.get(OVERFLOW_SERIES) {
-                    Some(&index) => index,
-                    None => self.add_kernel(OVERFLOW_SERIES, KernelFold::default()),
-                };
-                KernelSlot::Overflow(index)
-            }
-        });
         let fold = match kernel {
             KernelSlot::Own(index) => &mut self.kernels[index].1,
             KernelSlot::Overflow(index) => {
@@ -798,10 +752,7 @@ impl AggState {
         fold.total_us += event.dur_us;
         fold.flops += flops;
         fold.fp32_weighted_us += fp32 * event.dur_us;
-        let index = match slot.class {
-            Some((seen, index)) if seen == class => index,
-            _ => self.class_index.get(class).copied(),
-        };
+        let index = slot.class_series.unwrap_or_else(|| self.class_index.get(class).copied());
         let index = match index {
             Some(index) => {
                 let (_, calls, total_us) = &mut self.classes[index];
@@ -816,7 +767,55 @@ impl AggState {
             }
             None => None,
         };
-        slot.class = Some((class, index));
+        slot.class_series = Some(index);
+    }
+
+    /// The [`DeviceSlot`] of `event`'s template: its args, each read from
+    /// its key's first occurrence as [`EventRef::arg`] would, and its
+    /// kernel series, added on the name's first span. The `to_string`s run
+    /// only on a series' first span.
+    fn device_slot<'a>(&mut self, event: EventRef<'a>, memcpy: bool) -> DeviceSlot<'a> {
+        let number = |v: &ArgValue| match v {
+            ArgValue::F64(x) => Some(*x),
+            ArgValue::U64(x) => Some(*x as f64),
+            _ => None,
+        };
+        let text = |v: &'a ArgValue| match v {
+            ArgValue::Str(s) => Some(s.as_ref()),
+            _ => None,
+        };
+        // `Some(None)`: the key came with a value of another type.
+        let (mut fp32, mut flops, mut class, mut bound) = (None, None, None, None);
+        for (key, value) in event.args {
+            match *key {
+                "fp32_util" => _ = fp32.get_or_insert(number(value)),
+                "flops" => _ = flops.get_or_insert(number(value)),
+                "class" => _ = class.get_or_insert(text(value)),
+                "bound" => _ = bound.get_or_insert(text(value)),
+                _ => {}
+            }
+        }
+        let class = class.flatten().unwrap_or(if memcpy { "Memcpy" } else { "Kernel" });
+        let kernel = if let Some(&index) = self.kernel_index.get(event.name) {
+            KernelSlot::Own(index)
+        } else if self.kernels.len() < MAX_KERNEL_SERIES {
+            let fold = KernelFold { class: class.to_string(), memcpy, ..KernelFold::default() };
+            KernelSlot::Own(self.add_kernel(event.name, fold))
+        } else {
+            let index = match self.kernel_index.get(OVERFLOW_SERIES) {
+                Some(&index) => index,
+                None => self.add_kernel(OVERFLOW_SERIES, KernelFold::default()),
+            };
+            KernelSlot::Overflow(index)
+        };
+        DeviceSlot {
+            fp32: fp32.flatten().unwrap_or(0.0),
+            flops: flops.flatten().unwrap_or(0.0),
+            class,
+            bound: bound.flatten(),
+            kernel,
+            class_series: None,
+        }
     }
 
     fn add_kernel(&mut self, name: &str, fold: KernelFold) -> usize {

@@ -979,7 +979,7 @@ pub mod scenarios {
     /// Allocator-thrash scenario: cyclic alloc/free ping-pong on the
     /// dynamic category with no kernel stream to amortise it.
     pub fn allocator_thrash(pairs: usize) -> TraceStore {
-        let mut events = TraceStore::with_capacity(2 * pairs, 2 * pairs);
+        let mut events = TraceStore::with_capacity(2 * pairs);
         let name = events.intern("dynamic");
         for i in 0..pairs {
             let t = i as f64 * 2.0;

@@ -117,7 +117,7 @@ pub fn observe(
     if let Some(profile) = &capture.profile {
         let run = synthesize_run(profile.iteration.wall_time_s, 150, 200, 600, 42);
         let mut t_us = 0.0;
-        let mut events = TraceStore::with_capacity(run.iteration_s.len(), run.iteration_s.len());
+        let mut events = TraceStore::with_capacity(run.iteration_s.len());
         let name = events.intern("training iteration");
         for &s in &run.iteration_s {
             events

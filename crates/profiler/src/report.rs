@@ -267,16 +267,14 @@ impl ReportContext<'_> {
              by the determinism contract.</p>\n",
         );
         let events = self.events;
-        let (names, name_ids) = (events.names(), events.name_ids());
-        let (start, dur, tracks_of) =
-            (events.start_column(), events.dur_column(), events.track_column());
-        let (layers, kinds, deterministic) =
-            (events.layer_column(), events.kind_column(), events.deterministic_column());
+        let (names, templates, ids) = (events.names(), events.templates(), events.template_ids());
+        let (start, dur) = (events.start_column(), events.dur_column());
+        let template_of = |i: u32| &templates[ids[i as usize] as usize];
         let start_of = |i: u32| start[i as usize];
         let dur_of = |i: u32| dur[i as usize];
         // Names by id: equal ids need no string comparison.
         let cmp_names = |i: u32, j: u32| {
-            let (a, b) = (name_ids[i as usize], name_ids[j as usize]);
+            let (a, b) = (template_of(i).name, template_of(j).name);
             if a == b {
                 std::cmp::Ordering::Equal
             } else {
@@ -284,9 +282,12 @@ impl ReportContext<'_> {
             }
         };
         for layer in [TraceLayer::GpuSim, TraceLayer::Framework, TraceLayer::Distrib] {
-            // Store positions of the layer's spans, read from the columns.
+            // Store positions of the layer's spans: rows of a deterministic
+            // template of the layer, with a duration.
+            let in_layer: Vec<bool> =
+                templates.iter().map(|t| t.layer == layer && t.deterministic).collect();
             let spans: Vec<u32> = (0..events.len())
-                .filter(|&i| layers[i] == layer && deterministic[i] && dur[i] > 0.0)
+                .filter(|&i| in_layer[ids[i] as usize] && dur[i] > 0.0)
                 .map(|i| i as u32)
                 .collect();
             if spans.is_empty() {
@@ -296,7 +297,7 @@ impl ReportContext<'_> {
             let t1 =
                 spans.iter().map(|&i| start_of(i) + dur_of(i)).fold(f64::NEG_INFINITY, f64::max);
             let range = (t1 - t0).max(1e-9);
-            let mut tracks: Vec<u32> = spans.iter().map(|&i| tracks_of[i as usize]).collect();
+            let mut tracks: Vec<u32> = spans.iter().map(|&i| template_of(i).track).collect();
             tracks.sort_unstable();
             tracks.dedup();
             let height = tracks.len() as f64 * LANE_H + 4.0;
@@ -316,7 +317,7 @@ impl ReportContext<'_> {
                 // Positions are ascending, so a position is its own last
                 // tie-break.
                 let mut lane: Vec<u32> =
-                    spans.iter().copied().filter(|&i| tracks_of[i as usize] == *track).collect();
+                    spans.iter().copied().filter(|&i| template_of(i).track == *track).collect();
                 if lane.len() > MAX_LANE_EVENTS {
                     // Keep the longest spans; ties broken by start, name and
                     // position so the selection is deterministic. Selecting
@@ -340,7 +341,7 @@ impl ReportContext<'_> {
                     let x = (start_of(i) - t0) / range * SVG_W;
                     let w = (dur_of(i) / range * SVG_W).max(0.5);
                     out.push_str("<rect class=\"");
-                    out.push_str(kind_class(kinds[i as usize]));
+                    out.push_str(kind_class(template_of(i).kind));
                     out.push_str("\" x=\"");
                     write_fixed(out, x, 2);
                     out.push_str("\" y=\"");
@@ -350,7 +351,7 @@ impl ReportContext<'_> {
                     out.push_str("\" height=\"");
                     write_fixed(out, LANE_H - 4.0, 1);
                     out.push_str("\"><title>");
-                    esc_into(out, &names[name_ids[i as usize] as usize]);
+                    esc_into(out, &names[template_of(i).name as usize]);
                     out.push_str(" — ");
                     fmt_us_into(out, dur_of(i));
                     out.push_str(" (track ");

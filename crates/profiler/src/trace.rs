@@ -30,7 +30,7 @@ use tbd_tensor::{Precision, Tensor};
 
 pub use tbd_graph::trace::{
     events_digest, fnv1a, value_hash, write_fixed, write_u64, ArgValue, EventKind, EventRef, Fnv1a,
-    TraceLayer, TraceRecorder, TraceStore,
+    Template, TraceLayer, TraceRecorder, TraceStore,
 };
 
 /// A merged recording of one workload run across every layer.
@@ -105,11 +105,16 @@ impl Trace {
     /// and zero-duration events become `ph:"i"` instants.
     ///
     /// Every record is written straight into one growing output buffer.
-    /// A record's opening `{"name":"…","ph":"` is rendered once per
-    /// distinct name. A non-finite `ts`/`dur` is written as `null` (JSON
+    /// The text around a record's times is rendered once per
+    /// [`Template`]. A non-finite `ts`/`dur` is written as `null` (JSON
     /// has no NaN or infinity), like a non-finite float arg.
     pub fn to_chrome_json(&self) -> String {
-        let (heads, head_at) = self.record_heads();
+        let events = &self.events;
+        let texts: Vec<(String, String)> = events
+            .templates()
+            .iter()
+            .map(|t| record_text(t, &events.names()[t.name as usize]))
+            .collect();
         let mut out = String::new();
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut separator = "";
@@ -126,34 +131,23 @@ impl Trace {
                 out.push_str("\"}}");
             }
         }
-        // The fixed text around `tid` and the `kind` arg, per layer and kind.
-        let pids = TraceLayer::ALL.map(|layer| format!(",\"pid\":{},\"tid\":", layer.pid()));
-        let kinds = EventKind::ALL.map(|kind| format!(",\"args\":{{\"kind\":\"{kind}\""));
-        for event in &self.events {
+        let (starts, durs) = (events.start_column(), events.dur_column());
+        for (i, &id) in events.template_ids().iter().enumerate() {
             out.push_str(separator);
             separator = ",";
-            let id = event.name_id as usize;
-            out.push_str(&heads[head_at[id]..head_at[id + 1]]);
-            if event.dur_us > 0.0 {
+            let (head, tail) = &texts[id as usize];
+            out.push_str(head);
+            if durs[i] > 0.0 {
                 out.push_str("X\",\"ts\":");
-                write_us(&mut out, event.start_us);
+                write_us(&mut out, starts[i]);
                 out.push_str(",\"dur\":");
-                write_us(&mut out, event.dur_us);
+                write_us(&mut out, durs[i]);
             } else {
                 out.push_str("i\",\"ts\":");
-                write_us(&mut out, event.start_us);
+                write_us(&mut out, starts[i]);
                 out.push_str(",\"s\":\"t\"");
             }
-            out.push_str(&pids[event.layer.index()]);
-            write_u64(&mut out, event.track.into());
-            out.push_str(&kinds[event.kind as usize]);
-            for (key, value) in event.args {
-                out.push_str(",\"");
-                json::escape_into(&mut out, key);
-                out.push_str("\":");
-                value.write_json(&mut out);
-            }
-            out.push_str("}}");
+            out.push_str(tail);
         }
         out.push_str("],\"otherData\":{\"model\":\"");
         json::escape_into(&mut out, self.model.name());
@@ -163,25 +157,6 @@ impl Trace {
         out
     }
 
-    /// The opening `{"name":"<escaped name>","ph":"` of a record, for
-    /// every name of the store's table, in one string: name `id`'s is
-    /// `heads[head_at[id]..head_at[id + 1]]`.
-    fn record_heads(&self) -> (String, Vec<usize>) {
-        const OPEN: &str = "{\"name\":\"";
-        const CLOSE: &str = "\",\"ph\":\"";
-        let table = self.events.names();
-        let mut heads = String::new();
-        let mut head_at = Vec::with_capacity(table.len() + 1);
-        head_at.push(0);
-        for name in table {
-            heads.push_str(OPEN);
-            json::escape_into(&mut heads, name);
-            heads.push_str(CLOSE);
-            head_at.push(heads.len());
-        }
-        (heads, head_at)
-    }
-
     /// Full activity aggregation for the nvprof-style table: kernel,
     /// memcpy *and* communication rows, sorted by total time descending,
     /// with per-row and cumulative shares (nvprof's `Time(%)` column plus
@@ -189,20 +164,22 @@ impl Trace {
     pub fn summary_rows(&self) -> Vec<SummaryRow> {
         const CATEGORIES: [&str; 3] = ["comm", "kernel", "memcpy"];
         // `(count, µs)` per (category, name id), folded in event order.
-        let names = self.events.names();
-        let mut folds = vec![[(0usize, 0.0f64); 3]; names.len()];
         let events = &self.events;
-        let columns = events.layer_column().iter().zip(events.kind_column());
-        for ((layer, kind), (&id, &dur_us)) in
-            columns.zip(events.name_ids().iter().zip(events.dur_column()))
-        {
-            let category = match (layer, kind) {
-                (TraceLayer::GpuSim, EventKind::KernelExec) => 1,
-                (TraceLayer::GpuSim, EventKind::Memcpy) => 2,
-                (TraceLayer::Distrib, EventKind::Communication) => 0,
-                _ => continue,
-            };
-            let slot = &mut folds[id as usize][category];
+        let names = events.names();
+        let mut folds = vec![[(0usize, 0.0f64); 3]; names.len()];
+        let categories: Vec<Option<usize>> = events
+            .templates()
+            .iter()
+            .map(|t| match (t.layer, t.kind) {
+                (TraceLayer::GpuSim, EventKind::KernelExec) => Some(1),
+                (TraceLayer::GpuSim, EventKind::Memcpy) => Some(2),
+                (TraceLayer::Distrib, EventKind::Communication) => Some(0),
+                _ => None,
+            })
+            .collect();
+        for (&id, &dur_us) in events.template_ids().iter().zip(events.dur_column()) {
+            let Some(category) = categories[id as usize] else { continue };
+            let slot = &mut folds[events.templates()[id as usize].name as usize][category];
             slot.0 += 1;
             slot.1 += dur_us;
         }
@@ -279,6 +256,29 @@ impl Trace {
         }
         out
     }
+}
+
+/// A template's Chrome record around a row's times: the opening
+/// `{"name":"…","ph":"` and the closing
+/// `,"pid":…,"tid":…,"args":{"kind":"…",…}}`.
+fn record_text(template: &Template, name: &str) -> (String, String) {
+    let mut head = "{\"name\":\"".to_string();
+    json::escape_into(&mut head, name);
+    head.push_str("\",\"ph\":\"");
+    let mut tail = format!(
+        ",\"pid\":{},\"tid\":{},\"args\":{{\"kind\":\"{}\"",
+        template.layer.pid(),
+        template.track,
+        template.kind
+    );
+    for (key, value) in &template.args {
+        tail.push_str(",\"");
+        json::escape_into(&mut tail, key);
+        tail.push_str("\":");
+        value.write_json(&mut tail);
+    }
+    tail.push_str("}}");
+    (head, tail)
 }
 
 /// Writes a Chrome-trace microsecond timestamp: three decimals, or `null`

@@ -1140,10 +1140,10 @@ proptest! {
 
     /// `a.append(&mut b)` equals writing `a`'s rows and then `b`'s into one
     /// store, whichever side is longer and when `a` is empty (it then takes
-    /// `b`'s columns and names whole): every `EventRef` field, each event's
-    /// range of the args arena, the name table's order, the modelled bytes
-    /// and the digest. A row written after the append gets the reference's
-    /// name id.
+    /// `b`'s columns, names and templates whole): every `EventRef` field,
+    /// the name and template tables and the template column, the modelled
+    /// bytes and the digest. A row written after the append gets the
+    /// reference's name and template ids.
     #[test]
     fn append_equals_writing_both_stores_row_by_row(
         a_words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 12), 0..24),
@@ -1156,15 +1156,13 @@ proptest! {
         let (mut a, mut b) = (store_of(&a_rows), store_of(&b_rows));
         a.append(&mut b);
         later.write(&mut a);
-        prop_assert!(b.is_empty() && b.names().is_empty() && b.args_arena().is_empty());
+        prop_assert!(b.is_empty() && b.names().is_empty() && b.templates().is_empty());
         let mut reference = store_of(&[a_rows, b_rows].concat());
         later.write(&mut reference);
         prop_assert_eq!(a.len(), reference.len());
         prop_assert_eq!(a.names(), reference.names());
-        let offset = |store: &TraceStore, event: &EventRef<'_>| {
-            (event.args.as_ptr() as usize - store.args_arena().as_ptr() as usize)
-                / std::mem::size_of::<(&str, ArgValue)>()
-        };
+        prop_assert_eq!(a.templates(), reference.templates());
+        prop_assert_eq!(a.template_ids(), reference.template_ids());
         for (event, expected) in a.iter().zip(reference.iter()) {
             prop_assert_eq!(event.name_id, expected.name_id);
             prop_assert_eq!(event.name, expected.name);
@@ -1174,16 +1172,146 @@ proptest! {
             prop_assert_eq!(event.dur_us.to_bits(), expected.dur_us.to_bits());
             prop_assert_eq!(event.track, expected.track);
             prop_assert_eq!(event.deterministic, expected.deterministic);
-            prop_assert_eq!(offset(&a, &event), offset(&reference, &expected));
             prop_assert_eq!(event.args.len(), expected.args.len());
             for ((key, value), (ekey, evalue)) in event.args.iter().zip(expected.args) {
                 prop_assert_eq!(key, ekey);
                 prop_assert!(same_arg(value, evalue), "{value:?} != {evalue:?}");
             }
         }
-        prop_assert_eq!(a.args_arena().len(), reference.args_arena().len());
         prop_assert_eq!(a.approx_bytes(), reference.approx_bytes());
         prop_assert_eq!(events_digest(&a), events_digest(&reference));
+    }
+}
+
+/// An arg of a template row: equal text borrowed and owned, and floats
+/// that compare equal with different bits (`0.0`, `-0.0`) or compare
+/// unequal with equal bits (NaN).
+fn template_arg(word: u64) -> (&'static str, ArgValue) {
+    let value = match word % 7 {
+        0 => ArgValue::Str(Cow::Borrowed("forward")),
+        1 => ArgValue::Str(Cow::Owned("forward".to_string())),
+        2 => ArgValue::F64(0.0),
+        3 => ArgValue::F64(-0.0),
+        4 => ArgValue::F64(f64::NAN),
+        5 => ArgValue::U64(7),
+        _ => ArgValue::Bool(true),
+    };
+    (KEYS[(word >> 3) as usize % 2], value)
+}
+
+/// A row drawn from few templates, from five random words: one of three
+/// pooled names, two layers, two kinds, two tracks, either clock and up
+/// to two pooled args; any times.
+fn template_row(words: &[u64]) -> Row {
+    let w = words[0];
+    let layer = [TraceLayer::GpuSim, TraceLayer::Executor][(w >> 2) as usize % 2];
+    let kind = [EventKind::KernelExec, EventKind::Memcpy][(w >> 3) as usize % 2];
+    let (start_us, dur_us) = (any_time(words[1]), any_time(words[2]));
+    Row {
+        track: (w >> 4) as u32 % 2,
+        deterministic: (w >> 5) & 1 == 0,
+        args: words[3..].iter().take((w >> 6) as usize % 3).map(|&a| template_arg(a)).collect(),
+        ..Row::span(POOLED_NAMES[w as usize % 3], layer, kind, start_us, dur_us)
+    }
+}
+
+/// The distinct names of `rows`, in order of first use.
+fn names_of(rows: &[Row]) -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for row in rows {
+        if !names.iter().any(|n| *n == row.name) {
+            names.push(row.name.to_string());
+        }
+    }
+    names
+}
+
+/// `true` when `a` and `b` differ at most in their times.
+fn same_template(a: &Row, b: &Row) -> bool {
+    (&a.name, a.layer, a.kind, a.track, a.deterministic)
+        == (&b.name, b.layer, b.kind, b.track, b.deterministic)
+        && a.args.len() == b.args.len()
+        && a.args.iter().zip(&b.args).all(|((ka, va), (kb, vb))| ka == kb && same_arg(va, vb))
+}
+
+/// Asserts that `store` holds exactly `rows` and names `names`, in order,
+/// with equal templates under one id, and that its modelled bytes, both
+/// digests and its Chrome export equal the references and those of a
+/// store written row by row.
+fn assert_store_holds(store: &TraceStore, rows: &[Row], names: &[String]) {
+    assert_eq!(store.len(), rows.len());
+    assert!(store.names().iter().map(|n| n.as_ref()).eq(names), "{:?}", store.names());
+    for (event, row) in store.iter().zip(rows) {
+        assert_eq!(event.name, row.name.as_ref());
+        assert_eq!(store.names()[event.name_id as usize], row.name);
+        assert_eq!(event.layer, row.layer);
+        assert_eq!(event.kind, row.kind);
+        assert_eq!(event.start_us.to_bits(), row.start_us.to_bits());
+        assert_eq!(event.dur_us.to_bits(), row.dur_us.to_bits());
+        assert_eq!(event.track, row.track);
+        assert_eq!(event.deterministic, row.deterministic);
+        assert_eq!(event.args.len(), row.args.len());
+        for ((key, value), (rkey, rvalue)) in event.args.iter().zip(&row.args) {
+            assert_eq!(key, rkey);
+            assert!(same_arg(value, rvalue), "{value:?} != {rvalue:?}");
+        }
+    }
+    let ids = store.template_ids();
+    for i in 0..rows.len() {
+        for j in 0..i {
+            assert_eq!(ids[i] == ids[j], same_template(&rows[i], &rows[j]), "rows {j} and {i}");
+        }
+    }
+    let bytes = rows.iter().map(|r| 64 + r.name.len() as u64 + 16 * r.args.len() as u64);
+    assert_eq!(store.approx_bytes(), bytes.sum::<u64>());
+    let reference = store_of(rows);
+    let lines: String = rows.iter().map(|r| reference_canonical(r) + "\n").collect();
+    assert_eq!(events_digest(store), fnv1a(lines.as_bytes()));
+    assert_eq!(events_digest(store), events_digest(&reference));
+    let mut seed = Fnv1a::new();
+    seed.update(b"header");
+    let text: String = rows.iter().map(|r| "\n".to_string() + &reference_canonical(r)).collect();
+    assert_eq!(store.digest_after(&seed), fnv1a(format!("header{text}").as_bytes()));
+    assert_eq!(store.digest_after(&seed), reference.digest_after(&seed));
+    let trace = |events| Trace { model: ModelKind::Wgan, framework: "MX\"Net", batch: 3, events };
+    let (ours, theirs) = (trace(store.clone()), trace(reference));
+    assert_eq!(ours.to_chrome_json(), reference_chrome_json(&ours));
+    assert_eq!(ours.to_chrome_json(), theirs.to_chrome_json());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Rows that repeat a few templates, recorded in random batch splits,
+    /// then an `append` (either side longer), a `truncate` and a `retain`,
+    /// leave the store equal to the same operations on the owned rows,
+    /// after every step ([`assert_store_holds`]).
+    #[test]
+    fn template_store_equals_a_row_by_row_reference(
+        words in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 5), 0..48),
+        more in prop::collection::vec(prop::collection::vec(0u64..u64::MAX, 5), 0..48),
+        splits in prop::collection::vec(0usize..64, 0..8),
+        cut in 0usize..96,
+        drop in 0u64..4,
+    ) {
+        let mut rows: Vec<Row> = words.iter().map(|w| template_row(w)).collect();
+        let more_rows: Vec<Row> = more.iter().map(|w| template_row(w)).collect();
+        let first = names_of(&rows);
+        let names = names_of(&[rows.clone(), more_rows.clone()].concat());
+        let mut store = record_split(&rows, &splits);
+        assert_store_holds(&store, &rows, &first);
+        store.append(&mut record_split(&more_rows, &splits));
+        rows.extend(more_rows.iter().cloned());
+        assert_store_holds(&store, &rows, &names);
+        store.truncate(cut);
+        rows.truncate(cut);
+        assert_store_holds(&store, &rows, &names);
+        let keep = |track: u32, args: usize, start_us: f64| {
+            (u64::from(track) + args as u64 + start_us.to_bits()) % 4 != drop
+        };
+        store.retain(|e| keep(e.track, e.args.len(), e.start_us));
+        rows.retain(|r| keep(r.track, r.args.len(), r.start_us));
+        assert_store_holds(&store, &rows, &names);
     }
 }
 
