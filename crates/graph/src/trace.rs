@@ -30,10 +30,11 @@ use std::time::Instant;
 
 /// Which layer of the toolchain emitted an event. Maps to a Chrome-trace
 /// process so each layer gets its own swim-lane group in Perfetto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum TraceLayer {
     /// The functional graph executor (`tbd-graph::exec`), host wall-clock.
+    #[default]
     Executor,
     /// The analytic device model (`tbd-gpusim`), simulated device time.
     GpuSim,
@@ -103,10 +104,11 @@ impl fmt::Display for TraceLayer {
 }
 
 /// What kind of work a span or instant event describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EventKind {
     /// Execution of one graph node (executor layer).
+    #[default]
     NodeExec,
     /// A kernel resident on the simulated device.
     KernelExec,
@@ -593,7 +595,7 @@ fn write_line_tail(
 /// Two templates are equal when their fields are, float args compared by
 /// bit pattern, so a template fixes the canonical text and the Chrome
 /// JSON around a row's times.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Template {
     /// Id of the name in the owning store's name table.
     pub name: u32,
@@ -619,10 +621,13 @@ impl Template {
 impl PartialEq for Template {
     fn eq(&self, other: &Template) -> bool {
         let same = |((ka, a), (kb, b)): (&(&str, ArgValue), &(&str, ArgValue))| {
-            ka == kb
+            same_text(ka, kb)
                 && match (a, b) {
+                    (ArgValue::Str(x), ArgValue::Str(y)) => same_text(x, y),
                     (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
-                    _ => a == b,
+                    (ArgValue::U64(x), ArgValue::U64(y)) => x == y,
+                    (ArgValue::Bool(x), ArgValue::Bool(y)) => x == y,
+                    _ => false,
                 }
         };
         self.fixed() == other.fixed()
@@ -632,6 +637,13 @@ impl PartialEq for Template {
 }
 
 impl Eq for Template {}
+
+/// `a == b`, without comparing bytes when both are one slice: a
+/// repeated row's `'static` keys and labels.
+#[inline]
+fn same_text(a: &str, b: &str) -> bool {
+    (a.as_ptr(), a.len()) == (b.as_ptr(), b.len()) || a == b
+}
 
 impl Hash for Template {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -680,8 +692,9 @@ pub struct TraceStore {
     template: Vec<u32>,
     start_us: Vec<f64>,
     dur_us: Vec<f64>,
-    /// The emptied args of the last row, kept for their capacity.
-    spare_args: Vec<(&'static str, ArgValue)>,
+    /// The template of the row an [`EventWriter`] is writing; between
+    /// rows, its emptied args keep their capacity.
+    pending: Template,
     /// `(hasher state before the events, digest)` of the last
     /// [`TraceStore::digest_after`].
     digest: OnceLock<(u64, u64)>,
@@ -761,19 +774,19 @@ impl TraceStore {
     }
 
     /// The id of `template`, added to the template table on first use.
-    fn intern_template(&mut self, template: &Template) -> u32 {
-        if let Some(&id) = self.template_index.get(template) {
+    fn intern_template(&mut self, template: Template) -> u32 {
+        if let Some(&id) = self.template_index.get(&template) {
             return id;
         }
         let id = u32::try_from(self.templates.len()).expect("fewer than 2^32 templates");
         self.template_index.insert(template.clone(), id);
-        self.templates.push(template.clone());
+        self.templates.push(template);
         id
     }
 
     /// Starts a deterministic span named by the id `name` (from
     /// [`TraceStore::intern`]) on track 0; the returned writer sets its
-    /// track, clock and args, and appends the row when it drops.
+    /// track, clock and args, and completes the row when it drops.
     pub fn span(
         &mut self,
         name: u32,
@@ -784,28 +797,33 @@ impl TraceStore {
     ) -> EventWriter<'_> {
         debug_assert!((name as usize) < self.names.len(), "name id from this store");
         self.touch();
-        let args = std::mem::take(&mut self.spare_args);
-        let row = Template { name, layer, kind, track: 0, deterministic: true, args };
-        EventWriter { store: self, row, start_us, dur_us }
-    }
-
-    /// Appends a row of `row`'s template — the one place a row is added.
-    /// The template of the name's last row is checked before the table is
-    /// hashed. Leaves `row`'s args empty.
-    fn push_row(&mut self, row: &mut Template, start_us: f64, dur_us: f64) {
-        let last = self.last[row.name as usize];
-        let id = if self.templates.get(last as usize) == Some(row) {
-            last
-        } else {
-            let id = self.intern_template(row);
-            self.last[row.name as usize] = id;
-            id
-        };
-        row.args.clear();
-        self.spare_args = std::mem::take(&mut row.args);
-        self.template.push(id);
+        let row = &mut self.pending;
+        (row.name, row.layer, row.kind, row.track, row.deterministic) =
+            (name, layer, kind, 0, true);
         self.start_us.push(start_us);
         self.dur_us.push(dur_us);
+        EventWriter { store: self }
+    }
+
+    /// Completes the row [`TraceStore::span`] started with the id of the
+    /// pending template — the one place a row gets its template. The
+    /// template of the name's last row is compared before the table is
+    /// hashed.
+    fn finish_row(&mut self) {
+        let name = self.pending.name as usize;
+        let last = self.last[name];
+        let id = if self.templates.get(last as usize) == Some(&self.pending) {
+            last
+        } else {
+            let id = match self.template_index.get(&self.pending) {
+                Some(&id) => id,
+                None => self.intern_template(self.pending.clone()),
+            };
+            self.last[name] = id;
+            id
+        };
+        self.pending.args.clear();
+        self.template.push(id);
     }
 
     /// The event at `index`.
@@ -874,7 +892,7 @@ impl TraceStore {
                 .into_iter()
                 .map(|mut template| {
                     template.name = names[template.name as usize];
-                    self.intern_template(&template)
+                    self.intern_template(template)
                 })
                 .collect()
         };
@@ -1120,38 +1138,38 @@ impl<'a> Iterator for Events<'a> {
 impl ExactSizeIterator for Events<'_> {}
 
 /// Sets the track, clock and args of the row [`TraceStore::span`]
-/// started, and appends the row when it drops.
+/// started, and completes the row when it drops.
 #[derive(Debug)]
 pub struct EventWriter<'a> {
     store: &'a mut TraceStore,
-    row: Template,
-    start_us: f64,
-    dur_us: f64,
 }
 
 impl EventWriter<'_> {
     /// Sets the track.
-    pub fn on_track(mut self, track: u32) -> Self {
-        self.row.track = track;
+    #[inline]
+    pub fn on_track(self, track: u32) -> Self {
+        self.store.pending.track = track;
         self
     }
 
     /// Marks the timing fields as host wall-clock (excluded from digests).
-    pub fn wall_clock(mut self) -> Self {
-        self.row.deterministic = false;
+    #[inline]
+    pub fn wall_clock(self) -> Self {
+        self.store.pending.deterministic = false;
         self
     }
 
     /// Attaches an argument.
-    pub fn with_arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
-        self.row.args.push((key, value.into()));
+    pub fn with_arg(self, key: &'static str, value: impl Into<ArgValue>) -> Self {
+        self.store.pending.args.push((key, value.into()));
         self
     }
 }
 
 impl Drop for EventWriter<'_> {
+    #[inline]
     fn drop(&mut self) {
-        self.store.push_row(&mut self.row, self.start_us, self.dur_us);
+        self.store.finish_row();
     }
 }
 
