@@ -23,7 +23,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::hash::{Hash, Hasher};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -537,55 +537,44 @@ impl<'a> EventRef<'a> {
     ///
     /// Propagates the writer's error.
     pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        write_line_head(out, self.layer, self.kind, self.name, self.deterministic)?;
+        self.write_head(out)?;
         if self.deterministic {
             write_hex16(out, self.start_us.to_bits())?;
             out.write_char('+')?;
             write_hex16(out, self.dur_us.to_bits())?;
         }
-        write_line_tail(out, self.deterministic, self.track, self.args)
+        self.write_tail(out)
     }
-}
 
-/// The canonical line before a row's times: `{layer}|{kind}|{name}`, then
-/// `|t:` when the times are digested.
-fn write_line_head(
-    out: &mut impl fmt::Write,
-    layer: TraceLayer,
-    kind: EventKind,
-    name: &str,
-    deterministic: bool,
-) -> fmt::Result {
-    out.write_str(layer.as_str())?;
-    out.write_char('|')?;
-    out.write_str(kind.as_str())?;
-    out.write_char('|')?;
-    out.write_str(name)?;
-    if deterministic {
-        out.write_str("|t:")?;
-    }
-    Ok(())
-}
-
-/// The canonical line after a row's times: `@{track}` when they are
-/// digested, then `|{key}={value}` per arg.
-fn write_line_tail(
-    out: &mut impl fmt::Write,
-    deterministic: bool,
-    track: u32,
-    args: &[(&'static str, ArgValue)],
-) -> fmt::Result {
-    if deterministic {
-        out.write_char('@')?;
-        write_decimal(out, track.into())?;
-    }
-    for (key, value) in args {
+    /// The canonical line before the times: `{layer}|{kind}|{name}`, then
+    /// `|t:` when the times are digested.
+    fn write_head(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(self.layer.as_str())?;
         out.write_char('|')?;
-        out.write_str(key)?;
-        out.write_char('=')?;
-        value.write_canonical(out)?;
+        out.write_str(self.kind.as_str())?;
+        out.write_char('|')?;
+        out.write_str(self.name)?;
+        if self.deterministic {
+            out.write_str("|t:")?;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// The canonical line after the times: `@{track}` when they are
+    /// digested, then `|{key}={value}` per arg.
+    fn write_tail(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        if self.deterministic {
+            out.write_char('@')?;
+            write_decimal(out, self.track.into())?;
+        }
+        for (key, value) in self.args {
+            out.write_char('|')?;
+            out.write_str(key)?;
+            out.write_char('=')?;
+            value.write_canonical(out)?;
+        }
+        Ok(())
+    }
 }
 
 /// The fixed part of a trace row: all of it but the times. Every iteration
@@ -616,6 +605,22 @@ impl Template {
     fn fixed(&self) -> (u32, TraceLayer, EventKind, u32, bool) {
         (self.name, self.layer, self.kind, self.track, self.deterministic)
     }
+
+    /// A hash that equal templates share: the fixed fields and the arg
+    /// values (keys mostly follow from the name).
+    fn key(&self) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        self.fixed().hash(&mut hasher);
+        for (_, value) in &self.args {
+            match value {
+                ArgValue::Str(s) => s.hash(&mut hasher),
+                ArgValue::F64(v) => v.to_bits().hash(&mut hasher),
+                ArgValue::U64(v) => v.hash(&mut hasher),
+                ArgValue::Bool(b) => b.hash(&mut hasher),
+            }
+        }
+        hasher.finish()
+    }
 }
 
 impl PartialEq for Template {
@@ -625,9 +630,7 @@ impl PartialEq for Template {
                 && match (a, b) {
                     (ArgValue::Str(x), ArgValue::Str(y)) => same_text(x, y),
                     (ArgValue::F64(x), ArgValue::F64(y)) => x.to_bits() == y.to_bits(),
-                    (ArgValue::U64(x), ArgValue::U64(y)) => x == y,
-                    (ArgValue::Bool(x), ArgValue::Bool(y)) => x == y,
-                    _ => false,
+                    _ => a == b,
                 }
         };
         self.fixed() == other.fixed()
@@ -644,24 +647,6 @@ impl Eq for Template {}
 fn same_text(a: &str, b: &str) -> bool {
     (a.as_ptr(), a.len()) == (b.as_ptr(), b.len()) || a == b
 }
-
-impl Hash for Template {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.fixed().hash(state);
-        for (key, value) in &self.args {
-            key.hash(state);
-            match value {
-                ArgValue::Str(s) => s.hash(state),
-                ArgValue::F64(v) => v.to_bits().hash(state),
-                ArgValue::U64(v) => v.hash(state),
-                ArgValue::Bool(b) => b.hash(state),
-            }
-        }
-    }
-}
-
-/// The template id of a name no row has used yet.
-const NO_TEMPLATE: u32 = u32::MAX;
 
 /// A trace stored as columns: the storage of every recording.
 ///
@@ -688,7 +673,7 @@ pub struct TraceStore {
     /// repeated row matches it without hashing.
     last: Vec<u32>,
     templates: Vec<Template>,
-    template_index: HashMap<Template, u32>,
+    template_index: HashMap<u64, u32>,
     template: Vec<u32>,
     start_us: Vec<f64>,
     dur_us: Vec<f64>,
@@ -769,17 +754,27 @@ impl TraceStore {
         let id = u32::try_from(self.names.len()).expect("fewer than 2^32 distinct names");
         self.index.insert(name.clone(), id);
         self.names.push(name);
-        self.last.push(NO_TEMPLATE);
+        // No row has a template yet.
+        self.last.push(u32::MAX);
         id
     }
 
-    /// The id of `template`, added to the template table on first use.
-    fn intern_template(&mut self, template: Template) -> u32 {
-        if let Some(&id) = self.template_index.get(&template) {
-            return id;
+    /// The id of a template equal to `template`, whose [`Template::key`]
+    /// is `key`. The index maps a key to the first template with it; one
+    /// that shares its key with another is found by a scan.
+    fn find_template(&self, template: &Template, key: u64) -> Option<u32> {
+        let id = *self.template_index.get(&key)?;
+        let same = |t: &Template| t == template;
+        if same(&self.templates[id as usize]) {
+            return Some(id);
         }
+        self.templates.iter().position(same).map(|i| i as u32)
+    }
+
+    /// Adds `template`, which the table lacks, with its key.
+    fn add_template(&mut self, template: Template, key: u64) -> u32 {
         let id = u32::try_from(self.templates.len()).expect("fewer than 2^32 templates");
-        self.template_index.insert(template.clone(), id);
+        self.template_index.entry(key).or_insert(id);
         self.templates.push(template);
         id
     }
@@ -795,7 +790,8 @@ impl TraceStore {
         start_us: f64,
         dur_us: f64,
     ) -> EventWriter<'_> {
-        debug_assert!((name as usize) < self.names.len(), "name id from this store");
+        // Checked here, so that completing the row on drop cannot panic.
+        assert!((name as usize) < self.names.len(), "name id from this store");
         self.touch();
         let row = &mut self.pending;
         (row.name, row.layer, row.kind, row.track, row.deterministic) =
@@ -815,9 +811,10 @@ impl TraceStore {
         let id = if self.templates.get(last as usize) == Some(&self.pending) {
             last
         } else {
-            let id = match self.template_index.get(&self.pending) {
-                Some(&id) => id,
-                None => self.intern_template(self.pending.clone()),
+            let key = self.pending.key();
+            let id = match self.find_template(&self.pending, key) {
+                Some(id) => id,
+                None => self.add_template(self.pending.clone(), key),
             };
             self.last[name] = id;
             id
@@ -832,14 +829,19 @@ impl TraceStore {
     ///
     /// Panics when `index >= len()`.
     pub fn event(&self, index: usize) -> EventRef<'_> {
-        let template = &self.templates[self.template[index] as usize];
+        self.row(self.template[index], self.start_us[index], self.dur_us[index])
+    }
+
+    /// A row of template `id` at the given times.
+    fn row(&self, id: u32, start_us: f64, dur_us: f64) -> EventRef<'_> {
+        let template = &self.templates[id as usize];
         EventRef {
             name_id: template.name,
             name: &self.names[template.name as usize],
             layer: template.layer,
             kind: template.kind,
-            start_us: self.start_us[index],
-            dur_us: self.dur_us[index],
+            start_us,
+            dur_us,
             track: template.track,
             deterministic: template.deterministic,
             args: &template.args,
@@ -892,7 +894,9 @@ impl TraceStore {
                 .into_iter()
                 .map(|mut template| {
                     template.name = names[template.name as usize];
-                    self.intern_template(template)
+                    let key = template.key();
+                    let found = self.find_template(&template, key);
+                    found.unwrap_or_else(|| self.add_template(template, key))
                 })
                 .collect()
         };
@@ -982,32 +986,29 @@ impl TraceStore {
     /// template's text after them; each template's two texts are folded
     /// through one [`Run`] each, and only the times byte by byte.
     fn fold_lines(&self, mut h: u64, newline_first: bool) -> u64 {
-        let texts: Vec<(String, String)> = self
-            .templates
-            .iter()
-            .map(|t| {
-                let (mut head, mut tail) = ("\n".to_string(), String::new());
-                let name = &self.names[t.name as usize];
-                let _ = write_line_head(&mut head, t.layer, t.kind, name, t.deterministic);
-                let _ = write_line_tail(&mut tail, t.deterministic, t.track, &t.args);
-                (head, tail)
-            })
-            .collect();
-        let mut runs: Vec<[Run; 2]> = texts.iter().map(|_| Default::default()).collect();
+        // Each template's text before and after the times, back to back:
+        // template `id`'s are parts `2·id` and `2·id + 1`.
+        let (mut text, mut at) = (String::new(), vec![0]);
+        for id in 0..self.templates.len() as u32 {
+            let row = self.row(id, 0.0, 0.0);
+            text.push('\n');
+            let _ = row.write_head(&mut text);
+            at.push(text.len());
+            let _ = row.write_tail(&mut text);
+            at.push(text.len());
+        }
+        let part = |k: usize| &text.as_bytes()[at[k]..at[k + 1]];
+        let mut runs: Vec<[Run; 2]> = self.templates.iter().map(|_| Default::default()).collect();
         for (i, &id) in self.template.iter().enumerate() {
-            let ((head, tail), [head_run, tail_run]) =
-                (&texts[id as usize], &mut runs[id as usize]);
-            h = if i == 0 && !newline_first {
-                fold(h, &head.as_bytes()[1..])
-            } else {
-                head_run.fold(h, head.as_bytes())
-            };
+            let (head, tail) = (part(2 * id as usize), part(2 * id as usize + 1));
+            let [head_run, tail_run] = &mut runs[id as usize];
+            h = if i == 0 && !newline_first { fold(h, &head[1..]) } else { head_run.fold(h, head) };
             if self.templates[id as usize].deterministic {
                 h = fold(h, &hex16(self.start_us[i].to_bits()));
                 h = fold(h, b"+");
                 h = fold(h, &hex16(self.dur_us[i].to_bits()));
             }
-            h = tail_run.fold(h, tail.as_bytes());
+            h = tail_run.fold(h, tail);
         }
         h
     }
@@ -1146,14 +1147,12 @@ pub struct EventWriter<'a> {
 
 impl EventWriter<'_> {
     /// Sets the track.
-    #[inline]
     pub fn on_track(self, track: u32) -> Self {
         self.store.pending.track = track;
         self
     }
 
     /// Marks the timing fields as host wall-clock (excluded from digests).
-    #[inline]
     pub fn wall_clock(self) -> Self {
         self.store.pending.deterministic = false;
         self
@@ -1167,7 +1166,6 @@ impl EventWriter<'_> {
 }
 
 impl Drop for EventWriter<'_> {
-    #[inline]
     fn drop(&mut self) {
         self.store.finish_row();
     }
@@ -1844,6 +1842,25 @@ mod tests {
         assert_eq!(store.approx_bytes(), per_event(&store));
         store.truncate(20);
         assert_eq!(store.approx_bytes(), per_event(&store), "names past the cut are not counted");
+    }
+
+    #[test]
+    fn a_template_that_shares_a_key_with_another_is_found_by_a_scan() {
+        let mut store = numbered(6, 2);
+        let (a, b) = (store.templates()[0].clone(), store.templates()[1].clone());
+        // Point `b`'s key at `a`, as a hash collision would.
+        store.template_index.insert(b.key(), 0);
+        assert_eq!(store.find_template(&b, b.key()), Some(1), "found past the collision");
+        let mut c = b.clone();
+        c.track = 9;
+        store.template_index.insert(c.key(), 0);
+        assert_eq!(store.find_template(&c, c.key()), None, "a new template is not `a`");
+        assert_eq!(store.find_template(&a, a.key()), Some(0));
+        let before = lines(&store);
+        let mut other = numbered(6, 2);
+        store.append(&mut other);
+        assert_eq!(store.templates().len(), 6, "the appended templates are the same six");
+        assert_eq!(lines(&store)[..6], before[..]);
     }
 
     #[test]

@@ -499,8 +499,8 @@ enum KernelSlot {
 }
 
 /// What one template of the batch being folded resolved to on its first
-/// device span: the args it folds, read once, its kernel series, and its
-/// class series once a row has counted into it. Later rows of the
+/// device span: the args it folds, read once, and its kernel and class
+/// series (none when the class table was full). Later rows of the
 /// template fold by integer index.
 #[derive(Debug, Clone, Copy)]
 struct DeviceSlot<'a> {
@@ -509,9 +509,7 @@ struct DeviceSlot<'a> {
     class: &'a str,
     bound: Option<&'a str>,
     kernel: KernelSlot,
-    /// `None` until a row counted into the class series; then the
-    /// series, if the table had room for it.
-    class_series: Option<Option<usize>>,
+    class_series: Option<usize>,
 }
 
 impl AggState {
@@ -718,8 +716,8 @@ impl AggState {
 
     fn fold_device_span<'a>(&mut self, event: EventRef<'a>, slot: &mut Option<DeviceSlot<'a>>) {
         let memcpy = event.kind == EventKind::Memcpy;
-        let slot = slot.get_or_insert_with(|| self.device_slot(event, memcpy));
-        let DeviceSlot { fp32, flops, class, bound, kernel, .. } = *slot;
+        let DeviceSlot { fp32, flops, class, bound, kernel, class_series } =
+            *slot.get_or_insert_with(|| self.device_slot(event, memcpy));
         if memcpy {
             self.memcpy_us += event.dur_us;
             self.memcpy_calls += 1;
@@ -752,50 +750,18 @@ impl AggState {
         fold.total_us += event.dur_us;
         fold.flops += flops;
         fold.fp32_weighted_us += fp32 * event.dur_us;
-        let index = slot.class_series.unwrap_or_else(|| self.class_index.get(class).copied());
-        let index = match index {
-            Some(index) => {
-                let (_, calls, total_us) = &mut self.classes[index];
-                *calls += 1;
-                *total_us += event.dur_us;
-                Some(index)
-            }
-            None if self.classes.len() < MAX_CLASS_SERIES => {
-                self.class_index.insert(class.to_string(), self.classes.len());
-                self.classes.push((class.to_string(), 1, event.dur_us));
-                Some(self.classes.len() - 1)
-            }
-            None => None,
-        };
-        slot.class_series = Some(index);
+        if let Some(index) = class_series {
+            let (_, calls, total_us) = &mut self.classes[index];
+            *calls += 1;
+            *total_us += event.dur_us;
+        }
     }
 
-    /// The [`DeviceSlot`] of `event`'s template: its args, each read from
-    /// its key's first occurrence as [`EventRef::arg`] would, and its
-    /// kernel series, added on the name's first span. The `to_string`s run
-    /// only on a series' first span.
+    /// The [`DeviceSlot`] of `event`'s template: its args, and its kernel
+    /// and class series, each added on its first span. The `to_string`s
+    /// run only on a series' first span.
     fn device_slot<'a>(&mut self, event: EventRef<'a>, memcpy: bool) -> DeviceSlot<'a> {
-        let number = |v: &ArgValue| match v {
-            ArgValue::F64(x) => Some(*x),
-            ArgValue::U64(x) => Some(*x as f64),
-            _ => None,
-        };
-        let text = |v: &'a ArgValue| match v {
-            ArgValue::Str(s) => Some(s.as_ref()),
-            _ => None,
-        };
-        // `Some(None)`: the key came with a value of another type.
-        let (mut fp32, mut flops, mut class, mut bound) = (None, None, None, None);
-        for (key, value) in event.args {
-            match *key {
-                "fp32_util" => _ = fp32.get_or_insert(number(value)),
-                "flops" => _ = flops.get_or_insert(number(value)),
-                "class" => _ = class.get_or_insert(text(value)),
-                "bound" => _ = bound.get_or_insert(text(value)),
-                _ => {}
-            }
-        }
-        let class = class.flatten().unwrap_or(if memcpy { "Memcpy" } else { "Kernel" });
+        let class = arg_str(event, "class").unwrap_or(if memcpy { "Memcpy" } else { "Kernel" });
         let kernel = if let Some(&index) = self.kernel_index.get(event.name) {
             KernelSlot::Own(index)
         } else if self.kernels.len() < MAX_KERNEL_SERIES {
@@ -808,13 +774,23 @@ impl AggState {
             };
             KernelSlot::Overflow(index)
         };
+        let class_series = match self.class_index.get(class) {
+            Some(&index) => Some(index),
+            None if self.classes.len() < MAX_CLASS_SERIES => {
+                self.class_index.insert(class.to_string(), self.classes.len());
+                // `-0.0 + d` is `d` for every duration, `-0.0` included.
+                self.classes.push((class.to_string(), 0, -0.0));
+                Some(self.classes.len() - 1)
+            }
+            None => None,
+        };
         DeviceSlot {
-            fp32: fp32.flatten().unwrap_or(0.0),
-            flops: flops.flatten().unwrap_or(0.0),
+            fp32: arg_f64(event, "fp32_util").unwrap_or(0.0),
+            flops: arg_f64(event, "flops").unwrap_or(0.0),
             class,
-            bound: bound.flatten(),
+            bound: arg_str(event, "bound"),
             kernel,
-            class_series: None,
+            class_series,
         }
     }
 

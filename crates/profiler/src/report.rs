@@ -27,12 +27,12 @@
 //! hosts, thread counts and build profiles, and is pinned by
 //! `tests/golden/report-baseline.digest` in CI.
 
-use crate::agg::MetricsRegistry;
+use crate::agg::{arg_f64, MetricsRegistry};
 use crate::diagnose::DiagnosisReport;
 use std::fmt::Write as _;
 use std::ops::Range;
 use tbd_graph::trace::{
-    write_fixed, write_u64, ArgValue, EventKind, Fnv1a, RecorderOverhead, TraceLayer, TraceStore,
+    write_fixed, write_u64, EventKind, Fnv1a, RecorderOverhead, TraceLayer, TraceStore,
     SINK_LATENCY_BUCKETS,
 };
 
@@ -379,14 +379,7 @@ impl ReportContext<'_> {
                 && matches!(kind, EventKind::Alloc | EventKind::Free | EventKind::AllocFail)
         };
         for event in self.events.iter_where(allocator) {
-            let bytes = event
-                .arg("bytes")
-                .and_then(|v| match v {
-                    ArgValue::U64(b) => Some(*b as f64),
-                    ArgValue::F64(b) => Some(*b),
-                    _ => None,
-                })
-                .unwrap_or(0.0);
+            let bytes = arg_f64(event, "bytes").unwrap_or(0.0);
             match event.kind {
                 EventKind::Alloc => {
                     current += bytes;

@@ -265,12 +265,8 @@ fn record_text(template: &Template, name: &str) -> (String, String) {
     let mut head = "{\"name\":\"".to_string();
     json::escape_into(&mut head, name);
     head.push_str("\",\"ph\":\"");
-    let mut tail = format!(
-        ",\"pid\":{},\"tid\":{},\"args\":{{\"kind\":\"{}\"",
-        template.layer.pid(),
-        template.track,
-        template.kind
-    );
+    let (pid, tid, kind) = (template.layer.pid(), template.track, template.kind);
+    let mut tail = format!(",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"kind\":\"{kind}\"");
     for (key, value) in &template.args {
         tail.push_str(",\"");
         json::escape_into(&mut tail, key);
