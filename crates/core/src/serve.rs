@@ -20,15 +20,14 @@
 //! the repo's deterministic number formatting. No wall clock, no
 //! counter, and no configuration knob of the *server* (worker count,
 //! shard count, queue depth) ever reaches the response bytes — which is
-//! exactly what makes the three cache layers safe:
+//! exactly what makes the two cache layers safe:
 //!
 //! * **profile/lowering cache** — one worker model ([`DataParallelSim`]:
 //!   iteration time plus per-layer backward profile, derived from one
 //!   [`profile_workload`]) per (model, framework, batch, fuse, precision),
-//!   which every cluster replay reuses.
-//! * **memoized rooflines** — `tbd-gpusim` answers repeated per-kernel
-//!   timings from a thread-local table
-//!   ([`tbd_gpusim::kernel_timing_memoized`]), bit-identical to cold.
+//!   which every cluster replay reuses. A miss times each distinct kernel
+//!   of the stream once (`tbd_gpusim::simulate_iteration`'s per-stream
+//!   table).
 //! * **sharded result cache** — finished response strings keyed by the
 //!   query's FNV-1a digest, `digest % shards` picking the shard. Each
 //!   shard holds `Ready` results and `Pending` flights: the first query

@@ -406,6 +406,7 @@ fn bench_one(
         return Ok(None);
     }
     let profile = cap.profile.expect("no OOM implies a profile");
+    let agg = agg.lock().expect("aggregator lock");
     let class_time_us: BTreeMap<String, f64> =
         agg.class_times().into_iter().map(|(class, _, us)| (class, us)).collect();
     let memory_peak_bytes: BTreeMap<String, u64> = MemoryCategory::ALL

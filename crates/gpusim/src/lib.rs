@@ -36,8 +36,7 @@ pub mod timing;
 
 pub use memory::{DeviceMemory, MemoryBreakdown, MemoryCategory, OutOfMemory};
 pub use spec::{CpuSpec, GpuSpec, Interconnect};
-pub use timeline::{simulate_iteration, ExecutionParams, IterationProfile, KernelRecord};
-pub use timing::{
-    is_matrix_class, kernel_timing, kernel_timing_memoized, kernel_timing_mixed,
-    roofline_memo_stats, Bound, KernelTiming,
+pub use timeline::{
+    roofline_memo_stats, simulate_iteration, ExecutionParams, IterationProfile, KernelRecord,
 };
+pub use timing::{is_matrix_class, kernel_timing, kernel_timing_mixed, Bound, KernelTiming};

@@ -93,27 +93,6 @@ impl GpuSpec {
     pub fn memory_bw_bytes(&self) -> f64 {
         self.memory_bw_gbs * 1e9
     }
-
-    /// 64-bit FNV-1a fingerprint of every timing-relevant field — the
-    /// device part of the memoized roofline-table key. Two specs with the
-    /// same fingerprint time every kernel identically, so a memo entry
-    /// computed under one is valid under the other.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        };
-        eat(&u64::from(self.cuda_cores).to_le_bytes());
-        eat(&u64::from(self.max_clock_mhz).to_le_bytes());
-        eat(&self.memory_bw_gbs.to_bits().to_le_bytes());
-        eat(&self.half_rate.to_bits().to_le_bytes());
-        eat(&self.bus.bandwidth_bytes.to_bits().to_le_bytes());
-        eat(&self.bus.latency_s.to_bits().to_le_bytes());
-        h
-    }
 }
 
 const MIB: u64 = 1024 * 1024;
@@ -207,19 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn prices_and_fingerprints_are_stable_constants() {
+    fn prices_are_stable_constants() {
         let p = GpuSpec::quadro_p4000();
         let t = GpuSpec::titan_xp();
         assert!(p.price_per_hour > 0.0 && t.price_per_hour > p.price_per_hour);
-        // Fingerprint covers timing-relevant knobs only: a price change
-        // keeps it, a clock change moves it.
-        let mut repriced = p.clone();
-        repriced.price_per_hour = 99.0;
-        assert_eq!(repriced.fingerprint(), p.fingerprint());
-        let mut clocked = p.clone();
-        clocked.max_clock_mhz += 1;
-        assert_ne!(clocked.fingerprint(), p.fingerprint());
-        assert_ne!(p.fingerprint(), t.fingerprint());
     }
 
     #[test]

@@ -201,71 +201,6 @@ pub fn kernel_timing(spec: &KernelSpec, gpu: &GpuSpec) -> KernelTiming {
     kernel_timing_mixed(spec, gpu, 1.0, Precision::F32)
 }
 
-/// Upper bound on entries each thread's roofline memo retains. A model's
-/// kernel stream repeats a few hundred distinct (class, flops, bytes)
-/// shapes, so the table saturates far below this; the cap only guards a
-/// pathological query mix in a long-running `tbd serve` process.
-pub const ROOFLINE_MEMO_CAP: usize = 1 << 16;
-
-/// Memo key: (device fingerprint, class, flops bits, bytes bits, speedup
-/// bits, precision tag).
-type RooflineKey = (u64, KernelClass, u64, u64, u64, u8);
-
-thread_local! {
-    static ROOFLINE_MEMO: std::cell::RefCell<std::collections::HashMap<RooflineKey, KernelTiming>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
-}
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Memoized [`kernel_timing_mixed`]: identical result bit for bit, but a
-/// repeated (device, class, flops, bytes, speedup, precision) key is
-/// answered from a per-thread roofline table instead of recomputed — the
-/// per-kernel cache behind `tbd serve`'s hot query path, where the same
-/// model's kernel stream is timed over and over. The table is
-/// thread-local, so worker counts never race on it and can never be
-/// observed through it.
-pub fn kernel_timing_memoized(
-    spec: &KernelSpec,
-    gpu: &GpuSpec,
-    compute_speedup: f64,
-    precision: Precision,
-) -> KernelTiming {
-    // F16 and Bf16 share storage width and the matrix roof, so they share
-    // memo entries; F32 gets tag 0 (the exact-baseline path).
-    let tag = if precision == Precision::F32 { 0 } else { precision.bytes_per_elem() as u8 };
-    let key = (
-        gpu.fingerprint(),
-        spec.class,
-        spec.flops.to_bits(),
-        spec.bytes.to_bits(),
-        compute_speedup.to_bits(),
-        tag,
-    );
-    ROOFLINE_MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        if let Some(&t) = memo.get(&key) {
-            MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-            return t;
-        }
-        MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-        let t = kernel_timing_mixed(spec, gpu, compute_speedup, precision);
-        if memo.len() < ROOFLINE_MEMO_CAP {
-            memo.insert(key, t);
-        }
-        t
-    })
-}
-
-/// Process-wide (hits, misses) counters of the memoized roofline table,
-/// summed across threads. Diagnostics only — never part of any digest.
-pub fn roofline_memo_stats() -> (u64, u64) {
-    (MEMO_HITS.load(Ordering::Relaxed), MEMO_MISSES.load(Ordering::Relaxed))
-}
-
 /// The nvprof-style executed-instruction multiplier for a kernel class
 /// (used to aggregate iteration-level FP32 utilisation).
 pub fn instruction_factor(class: KernelClass) -> f64 {
@@ -367,36 +302,6 @@ mod tests {
         assert_eq!(ew32.bound, Bound::Memory);
         assert!(ew16.duration_s < ew32.duration_s * 0.6);
         assert!(ew16.duration_s > ew32.duration_s * 0.4);
-    }
-
-    #[test]
-    fn memoized_timing_is_bitwise_identical_and_hits_on_repeats() {
-        let p4000 = GpuSpec::quadro_p4000();
-        let xp = GpuSpec::titan_xp();
-        let specs: Vec<KernelSpec> = (5..11)
-            .map(|e| gemm(10f64.powi(e)))
-            .chain(std::iter::once(KernelSpec::new(KernelClass::Elementwise, 1e6, 1e9, "ew")))
-            .collect();
-        for gpu in [&p4000, &xp] {
-            for spec in &specs {
-                for prec in [Precision::F32, Precision::F16, Precision::Bf16] {
-                    for speedup in [0.8, 1.0, 1.33] {
-                        let cold = kernel_timing_mixed(spec, gpu, speedup, prec);
-                        let memo1 = kernel_timing_memoized(spec, gpu, speedup, prec);
-                        let memo2 = kernel_timing_memoized(spec, gpu, speedup, prec);
-                        assert_eq!(cold.duration_s.to_bits(), memo1.duration_s.to_bits());
-                        assert_eq!(
-                            cold.fp32_utilization.to_bits(),
-                            memo1.fp32_utilization.to_bits()
-                        );
-                        assert_eq!(cold.bound, memo1.bound);
-                        assert_eq!(memo1, memo2);
-                    }
-                }
-            }
-        }
-        let (hits, _) = roofline_memo_stats();
-        assert!(hits > 0, "repeat lookups must hit the memo");
     }
 
     #[test]

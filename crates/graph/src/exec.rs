@@ -759,8 +759,8 @@ impl Session {
                     .and_then(|p| p.group_of(NodeId(i)).map(|g| &p.groups()[g]));
                 let span_name = match group {
                     Some(g) if NodeId(i) != g.root() => None,
-                    Some(g) => Some(crate::fuse::intern_name(format!("{}.grad", g.name()))),
-                    None => Some(crate::fuse::intern_name(format!("{}.grad", node.op.mnemonic()))),
+                    Some(g) => Some(format!("{}.grad", g.name())),
+                    None => Some(format!("{}.grad", node.op.mnemonic())),
                 };
                 if let Some(name) = span_name {
                     let t1 = tracer.now_us();
@@ -1185,22 +1185,22 @@ mod tests {
         use std::sync::Mutex;
         /// A copy of every published batch.
         #[derive(Debug, Default)]
-        struct Batches(Mutex<Vec<TraceStore>>);
+        struct Batches(Vec<TraceStore>);
         impl TraceSink for Batches {
-            fn consume(&self, events: &TraceStore) {
-                self.0.lock().expect("batches lock").push(events.clone());
+            fn consume(&mut self, events: &TraceStore) {
+                self.0.push(events.clone());
             }
         }
         let (graph, x, _, _, t, loss) = small_net();
         let exec = ExecConfig { intra_op_threads: 1, inter_op_parallel: false };
         let mut session = Session::with_exec(graph, 1, exec);
-        let sink = Arc::new(Batches::default());
+        let sink = Arc::new(Mutex::new(Batches::default()));
         session.set_tracer(Some(TraceRecorder::shared_with_sink(sink.clone())));
         let feeds = [(x, Tensor::ones([4, 3])), (t, Tensor::from_slice(&[0.0, 1.0, 2.0, 3.0]))];
         let run = session.forward(&feeds).unwrap();
-        let forward_batches = sink.0.lock().unwrap().len();
+        let forward_batches = sink.lock().unwrap().0.len();
         let grads = session.backward(&run, loss, Tensor::scalar(1.0)).unwrap();
-        let batches = sink.0.lock().unwrap();
+        let batches = &sink.lock().unwrap().0;
         assert_eq!(batches.len(), forward_batches + 1, "backward publishes one batch");
         let backward = batches.last().unwrap();
         // The reverse sweep visits every node with inputs, from the loss down.

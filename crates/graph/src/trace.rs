@@ -1178,13 +1178,14 @@ impl Drop for EventWriter<'_> {
 /// the order the recorder stores them — the contract that lets a streaming
 /// aggregator (`tbd-profiler::agg`) fold an unbounded event stream into
 /// bounded-memory metrics while the run is still executing, instead of
-/// draining the whole trace afterwards. `consume` is called with the
-/// recorder's lock held so ordering is serialised; implementations
-/// must be fast, must not panic, and must never call back into the
-/// recorder.
-pub trait TraceSink: Send + Sync + std::fmt::Debug {
+/// draining the whole trace afterwards. A sink is a plain fold over
+/// `&mut self`: the recorder owns its lock and calls `consume` with its
+/// own lock held, so ordering is serialised and no sink carries a lock
+/// of its own. Implementations must be fast, must not panic, and must
+/// never call back into the recorder.
+pub trait TraceSink: Send + std::fmt::Debug {
     /// Observes a batch of events that were just recorded, in order.
-    fn consume(&self, events: &TraceStore);
+    fn consume(&mut self, events: &TraceStore);
 }
 
 /// Number of log2 buckets in the sink-latency histogram: bucket `i` counts
@@ -1288,12 +1289,12 @@ struct Recorded {
 #[derive(Debug)]
 pub struct TraceRecorder {
     recorded: Mutex<Recorded>,
-    sink: Option<Arc<dyn TraceSink>>,
+    sink: Option<Arc<Mutex<dyn TraceSink>>>,
     epoch: Instant,
 }
 
 impl TraceRecorder {
-    fn new(sink: Option<Arc<dyn TraceSink>>) -> Self {
+    fn new(sink: Option<Arc<Mutex<dyn TraceSink>>>) -> Self {
         TraceRecorder {
             recorded: Mutex::new(Recorded {
                 events: TraceStore::new(),
@@ -1315,8 +1316,9 @@ impl TraceRecorder {
     }
 
     /// Creates a shared recorder with a live [`TraceSink`] attached: every
-    /// event it records is forwarded to the sink in recording order.
-    pub fn shared_with_sink(sink: Arc<dyn TraceSink>) -> Arc<Self> {
+    /// event it records is forwarded to the sink in recording order. The
+    /// caller keeps its own handle to read the sink after the run.
+    pub fn shared_with_sink(sink: Arc<Mutex<dyn TraceSink>>) -> Arc<Self> {
         Arc::new(TraceRecorder::new(Some(sink)))
     }
 
@@ -1357,7 +1359,7 @@ impl TraceRecorder {
         let overhead = &mut recorded.overhead;
         if let Some(sink) = &self.sink {
             let s0 = Instant::now();
-            sink.consume(&batch);
+            sink.lock().expect("sink lock").consume(&batch);
             let ns = s0.elapsed().as_nanos() as u64;
             overhead.sink_batches_total += 1;
             overhead.sink_ns_total += ns;
@@ -1476,7 +1478,6 @@ pub fn value_hash(data: &[f32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A store holding one instant per name, in order, on `layer`.
     fn instants(layer: TraceLayer, names: &[&'static str]) -> TraceStore {
@@ -1621,13 +1622,13 @@ mod tests {
     #[test]
     fn retain_cap_drops_storage_but_sink_sees_everything() {
         #[derive(Debug, Default)]
-        struct Counting(AtomicU64);
+        struct Counting(u64);
         impl TraceSink for Counting {
-            fn consume(&self, events: &TraceStore) {
-                self.0.fetch_add(events.len() as u64, Ordering::Relaxed);
+            fn consume(&mut self, events: &TraceStore) {
+                self.0 += events.len() as u64;
             }
         }
-        let sink = Arc::new(Counting::default());
+        let sink = Arc::new(Mutex::new(Counting::default()));
         let rec = TraceRecorder::shared_with_sink(sink.clone());
         rec.set_retain_cap(3);
         for name in ["e0", "e1", "e2", "e3", "e4"] {
@@ -1635,7 +1636,7 @@ mod tests {
         }
         rec.record_batch(instants(TraceLayer::Profiler, &["f", "g"]));
         assert_eq!(rec.len(), 3, "storage is capped");
-        assert_eq!(sink.0.load(Ordering::Relaxed), 7, "sink observed every event");
+        assert_eq!(sink.lock().unwrap().0, 7, "sink observed every event");
         let oh = rec.overhead();
         assert_eq!(oh.events_dropped_total, 4);
         assert_eq!(oh.events_total(), 7, "dropped events still counted per layer");

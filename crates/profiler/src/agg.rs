@@ -15,11 +15,13 @@
 //!
 //! # Determinism contract
 //!
-//! Aggregation is a left fold over the event sequence. The recorder calls
-//! the sink under its event lock, so the fold order equals the storage
-//! order regardless of how events were split across `record_batch` calls
-//! — which makes streaming aggregation *bit-identical* to post-hoc
-//! aggregation of the drained trace (asserted by
+//! Aggregation is a left fold over the event sequence: the aggregator is
+//! plain state that [`TraceSink::consume`] folds into through `&mut self`,
+//! with no lock of its own. The recorder owns the sink's lock and takes it
+//! under its event lock, so the fold order equals the storage order
+//! regardless of how events were split across `record_batch` calls —
+//! which makes streaming aggregation *bit-identical* to post-hoc
+//! aggregation of the drained trace ([`aggregate`]; asserted by
 //! `crates/profiler/tests/agg_props.rs` via [`MetricsRegistry::canonical`],
 //! which encodes every float by exact bit pattern).
 //!
@@ -325,7 +327,7 @@ impl MetricsRegistry {
 
 /// One row of the Fig. 5 per-kernel attribution table.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KernelAttribution {
+struct KernelAttribution {
     /// Kernel label (`origin::Class`, or [`OVERFLOW_SERIES`]).
     pub name: String,
     /// Kernel class tag (from the gpusim `class` arg).
@@ -346,7 +348,7 @@ pub struct KernelAttribution {
 
 /// One row of the Fig. 9 memory breakdown.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MemoryAttribution {
+struct MemoryAttribution {
     /// Category label (matches `MemoryCategory`'s display form).
     pub category: &'static str,
     /// Peak bytes ever resident in the category.
@@ -372,8 +374,17 @@ struct KernelFold {
 const MEMORY_CATEGORIES: [&str; 5] =
     ["feature maps", "weights", "weight gradients", "dynamic", "workspace"];
 
+/// The streaming aggregator: a [`TraceSink`] folding event batches into
+/// bounded state, snapshotting on demand into a [`MetricsRegistry`].
+///
+/// Attach it at recorder creation
+/// (`TraceRecorder::shared_with_sink(agg.clone())` over
+/// [`StreamingAggregator::shared`]) and read it through the same handle
+/// after the run; [`aggregate`] folds a drained trace with the same type,
+/// which is exactly what the equivalence property test exploits.
 #[derive(Debug, Default)]
-struct AggState {
+pub struct StreamingAggregator {
+    config: SamplingConfig,
     events_total: u64,
     events_by_layer: [u64; 5],
     // Fig. 5: per-kernel attribution (bounded table) + per-class totals,
@@ -512,13 +523,13 @@ struct DeviceSlot<'a> {
     class_series: Option<usize>,
 }
 
-impl AggState {
+impl TraceSink for StreamingAggregator {
     /// Folds every event of `events`, in order, classified by its
     /// template. Spans that fold only their timing read the template and
     /// the duration column; an [`EventRef`] is built only for events whose
     /// name or args are read, and a device span's args are read once per
     /// template.
-    fn fold_all(&mut self, events: &TraceStore) {
+    fn consume(&mut self, events: &TraceStore) {
         let mut slots: Vec<Option<DeviceSlot<'_>>> = vec![None; events.templates().len()];
         let (templates, durs) = (events.templates(), events.dur_column());
         for (i, &id) in events.template_ids().iter().enumerate() {
@@ -550,9 +561,21 @@ impl AggState {
             }
         }
     }
+}
+
+impl StreamingAggregator {
+    /// Creates an aggregator with the default sampling config.
+    pub fn new() -> Self {
+        StreamingAggregator::default()
+    }
+
+    /// Creates a shared aggregator ready for `TraceRecorder::shared_with_sink`.
+    pub fn shared() -> Arc<Mutex<Self>> {
+        Arc::new(Mutex::new(StreamingAggregator::new()))
+    }
 
     /// Folds one event that reads its name or args (the rest of
-    /// [`AggState::fold_all`]).
+    /// [`TraceSink::consume`]).
     fn fold(&mut self, event: EventRef<'_>) {
         match (event.layer, event.kind) {
             (TraceLayer::Executor, EventKind::Fault) => {
@@ -800,6 +823,12 @@ impl AggState {
         self.kernels.len() - 1
     }
 
+    /// Per-kernel-class `(calls, total device microseconds)`, sorted by
+    /// class name — the BENCH trajectory's wall-time-per-class map.
+    pub fn class_times(&self) -> Vec<(String, u64, f64)> {
+        self.sorted_classes().into_iter().cloned().collect()
+    }
+
     /// Class series sorted by name.
     fn sorted_classes(&self) -> Vec<&(String, u64, f64)> {
         let mut classes: Vec<_> = self.classes.iter().collect();
@@ -857,14 +886,16 @@ impl AggState {
             .collect()
     }
 
-    fn stable_throughput(&self, cfg: &SamplingConfig) -> Option<(usize, usize, f64)> {
-        let window = detect_stable_window(&self.iteration_s, cfg)?;
+    fn stable_throughput(&self) -> Option<(usize, usize, f64)> {
+        let window = detect_stable_window(&self.iteration_s, &self.config)?;
         let throughput =
             window_throughput(&self.iteration_s, window, self.iteration_batch as usize)?;
         Some((window.0, window.1, throughput))
     }
 
-    fn registry(&self, cfg: &SamplingConfig) -> MetricsRegistry {
+    /// Snapshots the folded state into a registry. Derived ratios are
+    /// computed here, deterministically, from the raw folds.
+    pub fn registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::default();
         reg.inc("events_total", self.events_total);
         for layer in TraceLayer::ALL {
@@ -1003,7 +1034,7 @@ impl AggState {
         // Rolling stable-window throughput (§3.4.2, online).
         if self.iterations_total > 0 {
             reg.inc("iterations_total", self.iterations_total);
-            if let Some((start, end, throughput)) = self.stable_throughput(cfg) {
+            if let Some((start, end, throughput)) = self.stable_throughput() {
                 reg.set_gauge("stable_throughput", throughput);
                 reg.set_gauge("stable_window_start", start as f64);
                 reg.set_gauge("stable_window_len", (end - start) as f64);
@@ -1050,7 +1081,8 @@ impl AggState {
         reg
     }
 
-    fn markdown(&self, cfg: &SamplingConfig) -> String {
+    /// Human-readable markdown report.
+    pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# Metrics report\n");
         let _ = writeln!(out, "{} events across {} layers\n", self.events_total, {
@@ -1074,7 +1106,7 @@ impl AggState {
                     self.framework_throughput
                 );
             }
-            match self.stable_throughput(cfg) {
+            match self.stable_throughput() {
                 Some((start, end, throughput)) => {
                     let _ = writeln!(
                         out,
@@ -1246,90 +1278,10 @@ impl AggState {
     }
 }
 
-/// The streaming aggregator: a [`TraceSink`] folding event batches into
-/// bounded state, snapshotting on demand into a [`MetricsRegistry`].
-///
-/// Attach it at recorder creation
-/// (`TraceRecorder::shared_with_sink(agg.clone())`); the same type also
-/// serves as the post-hoc aggregator ([`StreamingAggregator::consume_all`]
-/// over a drained trace), which is exactly what the equivalence property
-/// test exploits.
-#[derive(Debug, Default)]
-pub struct StreamingAggregator {
-    state: Mutex<AggState>,
-    config: SamplingConfig,
-}
-
-impl StreamingAggregator {
-    /// Creates an aggregator with the default sampling config.
-    pub fn new() -> Self {
-        StreamingAggregator::default()
-    }
-
-    /// Creates an aggregator with a custom stable-window config.
-    pub fn with_config(config: SamplingConfig) -> Self {
-        StreamingAggregator { state: Mutex::new(AggState::default()), config }
-    }
-
-    /// Creates a shared aggregator ready for `TraceRecorder::shared_with_sink`.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(StreamingAggregator::new())
-    }
-
-    /// Folds a store of events — the post-hoc path over a drained trace.
-    pub fn consume_all(&self, events: &TraceStore) {
-        self.state.lock().expect("agg lock").fold_all(events);
-    }
-
-    /// Snapshots the folded state into a registry. Derived ratios are
-    /// computed here, deterministically, from the raw folds.
-    pub fn registry(&self) -> MetricsRegistry {
-        self.state.lock().expect("agg lock").registry(&self.config)
-    }
-
-    /// The Fig. 5 per-kernel attribution table, sorted by total time.
-    pub fn kernel_attribution(&self) -> Vec<KernelAttribution> {
-        self.state.lock().expect("agg lock").kernel_attribution()
-    }
-
-    /// The Fig. 9 memory breakdown, in paper plot order.
-    pub fn memory_attribution(&self) -> Vec<MemoryAttribution> {
-        self.state.lock().expect("agg lock").memory_attribution()
-    }
-
-    /// Per-kernel-class `(calls, total device microseconds)`, sorted by
-    /// class name — the BENCH trajectory's wall-time-per-class map.
-    pub fn class_times(&self) -> Vec<(String, u64, f64)> {
-        let state = self.state.lock().expect("agg lock");
-        state.sorted_classes().into_iter().map(|(c, n, us)| (c.clone(), *n, *us)).collect()
-    }
-
-    /// Rolling stable-window throughput, when the window has stabilised.
-    pub fn stable_throughput(&self) -> Option<f64> {
-        self.state.lock().expect("agg lock").stable_throughput(&self.config).map(|(_, _, t)| t)
-    }
-
-    /// Human-readable markdown report.
-    pub fn to_markdown(&self) -> String {
-        self.state.lock().expect("agg lock").markdown(&self.config)
-    }
-
-    /// Total events folded so far.
-    pub fn events_seen(&self) -> u64 {
-        self.state.lock().expect("agg lock").events_total
-    }
-}
-
-impl TraceSink for StreamingAggregator {
-    fn consume(&self, events: &TraceStore) {
-        self.consume_all(events);
-    }
-}
-
 /// Post-hoc convenience: aggregates a finished event stream in one call.
 pub fn aggregate(events: &TraceStore, config: &SamplingConfig) -> MetricsRegistry {
-    let agg = StreamingAggregator::with_config(*config);
-    agg.consume_all(events);
+    let mut agg = StreamingAggregator { config: *config, ..StreamingAggregator::default() };
+    agg.consume(events);
     agg.registry()
 }
 
@@ -1382,7 +1334,7 @@ mod tests {
 
     #[test]
     fn kernel_table_overflow_is_bounded_and_deterministic() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let mut events = TraceStore::new();
         for i in 0..MAX_KERNEL_SERIES + 50 {
             let name = events.intern(format!("k{i}"));
@@ -1392,12 +1344,12 @@ mod tests {
                 .with_arg("flops", 1.0)
                 .with_arg("fp32_util", 0.5);
         }
-        agg.consume_all(&events);
-        let rows = agg.kernel_attribution();
-        assert_eq!(rows.len(), MAX_KERNEL_SERIES + 1, "capped series plus overflow row");
-        let other = rows.iter().find(|r| r.name == OVERFLOW_SERIES).expect("overflow row");
-        assert_eq!(other.calls, 50);
+        agg.consume(&events);
         let reg = agg.registry();
+        let rows = reg.counters().filter(|(s, _)| s.starts_with("kernel_calls_total{")).count();
+        assert_eq!(rows, MAX_KERNEL_SERIES + 1, "capped series plus overflow row");
+        let other = series("kernel_calls_total", "kernel", OVERFLOW_SERIES);
+        assert_eq!(reg.counter(&other), Some(50));
         assert_eq!(reg.counter("agg_kernel_series_overflow_total"), Some(50));
         assert_eq!(reg.counter("agg_window_dropped_total"), Some(0), "no window eviction");
         let md = agg.to_markdown();
@@ -1407,11 +1359,11 @@ mod tests {
 
     #[test]
     fn loss_counters_are_present_even_at_zero_in_every_exporter() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let mut events = TraceStore::new();
         let name = events.intern("sgemm");
         events.span(name, TraceLayer::GpuSim, EventKind::KernelExec, 0.0, 1.0);
-        agg.consume_all(&events);
+        agg.consume(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("agg_kernel_series_overflow_total"), Some(0));
         assert_eq!(reg.counter("agg_window_dropped_total"), Some(0));
@@ -1429,7 +1381,7 @@ mod tests {
 
     #[test]
     fn window_eviction_is_counted() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let extra = 10;
         for i in 0..(ITERATION_WINDOW_CAP + extra) {
             let mut event = TraceStore::new();
@@ -1465,7 +1417,7 @@ mod tests {
 
     #[test]
     fn memory_fold_tracks_peaks_per_category() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let mut events = TraceStore::new();
         for (kind, name, bytes) in [
             (EventKind::Alloc, "feature maps", 700u64),
@@ -1477,20 +1429,20 @@ mod tests {
             let name = events.intern(name);
             events.span(name, TraceLayer::GpuSim, kind, 0.0, 0.0).with_arg("bytes", bytes);
         }
-        agg.consume_all(&events);
-        let mem = agg.memory_attribution();
-        assert_eq!(mem[0].category, "feature maps");
-        assert_eq!(mem[0].peak_bytes, 700);
-        assert_eq!(mem[1].peak_bytes, 200);
-        assert!((mem[0].fraction - 700.0 / 900.0).abs() < 1e-12);
+        agg.consume(&events);
         let reg = agg.registry();
+        let peak = |category| reg.gauge(&series("memory_peak_bytes", "category", category));
+        assert_eq!(peak("feature maps"), Some(700.0));
+        assert_eq!(peak("weights"), Some(200.0));
+        let fraction = reg.gauge(&series("memory_fraction", "category", "feature maps")).unwrap();
+        assert!((fraction - 700.0 / 900.0).abs() < 1e-12);
         assert_eq!(reg.counter("alloc_failures_total"), Some(1));
         assert_eq!(reg.gauge("alloc_fail_bytes"), Some(4096.0));
     }
 
     #[test]
     fn chaos_events_fold_into_resilience_metrics() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let mut events = TraceStore::new();
         let name = events.intern("fault/worker-crash");
         events
@@ -1517,7 +1469,7 @@ mod tests {
             .span(name, TraceLayer::Executor, EventKind::Iteration, 0.0, 3e6)
             .with_arg("goodput", 96.0)
             .with_arg("throughput", 128.0);
-        agg.consume_all(&events);
+        agg.consume(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("faults_injected_total"), Some(2));
         assert_eq!(reg.counter(&series("faults_injected_total", "fault", "worker-crash")), Some(1));
@@ -1528,14 +1480,14 @@ mod tests {
         assert_eq!(reg.gauge("checkpoint_bytes"), Some(1_000_000.0));
         assert_eq!(reg.gauge("goodput"), Some(96.0));
         assert_eq!(reg.gauge("chaos_throughput"), Some(128.0));
-        let md = agg.state.lock().unwrap().markdown(&SamplingConfig::default());
+        let md = agg.to_markdown();
         assert!(md.contains("Faults and recovery"), "{md}");
         assert!(md.contains("goodput"), "{md}");
     }
 
     #[test]
     fn elastic_events_fold_into_membership_metrics() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let mut events = TraceStore::new();
         let name = events.intern("membership/evict");
         events
@@ -1568,7 +1520,7 @@ mod tests {
             .with_arg("rejoin_catchup_s", 0.5)
             .with_arg("goodput", 200.0)
             .with_arg("healthy_goodput", 250.0);
-        agg.consume_all(&events);
+        agg.consume(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("membership_epochs_total"), Some(3));
         assert_eq!(reg.counter("evictions_total"), Some(1));
@@ -1578,20 +1530,20 @@ mod tests {
         assert_eq!(reg.gauge("rejoin_catchup_s"), Some(0.5));
         assert_eq!(reg.gauge("elastic_goodput"), Some(200.0));
         assert_eq!(reg.gauge("churn_goodput_fraction"), Some(0.8));
-        let md = agg.state.lock().unwrap().markdown(&SamplingConfig::default());
+        let md = agg.to_markdown();
         assert!(md.contains("Elastic membership"), "{md}");
         assert!(md.contains("churn-adjusted goodput"), "{md}");
     }
 
     #[test]
     fn churn_free_traces_emit_no_membership_series() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         let mut events = TraceStore::new();
         let name = events.intern("1M2G iteration");
         events
             .span(name, TraceLayer::Distrib, EventKind::Iteration, 0.0, 4e5)
             .with_arg("throughput", 128.0);
-        agg.consume_all(&events);
+        agg.consume(&events);
         let reg = agg.registry();
         assert_eq!(reg.counter("membership_epochs_total"), None);
         assert_eq!(reg.counter("evictions_total"), None);
@@ -1600,7 +1552,7 @@ mod tests {
 
     #[test]
     fn rolling_window_stabilises_live() {
-        let agg = StreamingAggregator::new();
+        let mut agg = StreamingAggregator::new();
         // Warm-up then steady iterations, fed one batch at a time.
         for i in 0..400u64 {
             let dur_s = if i < 100 { 0.5 * (1.0 + (100 - i) as f64 / 50.0) } else { 0.5 };
@@ -1611,13 +1563,13 @@ mod tests {
                 .with_arg("batch", 16u64);
             agg.consume(&event);
             if i < 50 {
-                assert!(agg.stable_throughput().is_none(), "too few iterations at {i}");
+                let reg = agg.registry();
+                assert!(reg.gauge("stable_throughput").is_none(), "too few iterations at {i}");
             }
         }
-        let throughput = agg.stable_throughput().expect("steady tail stabilises");
-        assert!((throughput - 32.0).abs() / 32.0 < 0.05, "{throughput}");
         let reg = agg.registry();
+        let throughput = reg.gauge("stable_throughput").expect("steady tail stabilises");
+        assert!((throughput - 32.0).abs() / 32.0 < 0.05, "{throughput}");
         assert_eq!(reg.counter("iterations_total"), Some(400));
-        assert!(reg.gauge("stable_throughput").is_some());
     }
 }

@@ -48,10 +48,7 @@ pub mod report;
 pub mod sampling;
 pub mod trace;
 
-pub use agg::{
-    aggregate, KernelAttribution, Log2Histogram, MemoryAttribution, MetricsRegistry,
-    StreamingAggregator,
-};
+pub use agg::{aggregate, Log2Histogram, MetricsRegistry, StreamingAggregator};
 pub use diagnose::{
     diagnose, diagnose_events, diagnose_named, BottleneckClass, Diagnosis, DiagnosisReport,
     Evidence, DIAGNOSE_SCHEMA_VERSION,

@@ -5,13 +5,15 @@
 //! # One capture path, two front-ends
 //!
 //! [`observe`] is the single function both `tbd metrics` and the watch
-//! worker call: it attaches a [`StreamingAggregator`] to a fresh
-//! [`TraceRecorder`], runs [`capture_into`], streams the synthesised
-//! training run through the same sink, and snapshots the registry —
-//! augmented with the recorder's deterministic `internal_*` overhead
-//! counters. Because both front-ends share this function, `GET /metrics`
-//! is byte-identical to `tbd metrics --format prom` for the same
-//! model/seed by construction (pinned by `tests/report.rs`).
+//! worker call: it attaches a shared [`StreamingAggregator`] to a fresh
+//! [`TraceRecorder`] (the recorder locks it for each batch), runs
+//! [`capture_into`], streams the synthesised training run through the
+//! same sink, and then reads the registry and the markdown through its
+//! own handle — the registry augmented with the recorder's deterministic
+//! `internal_*` overhead counters. Because both front-ends share this
+//! function, `GET /metrics` is byte-identical to `tbd metrics --format
+//! prom` for the same model/seed by construction (pinned by
+//! `tests/report.rs`).
 //!
 //! # Server shape
 //!
@@ -128,6 +130,7 @@ pub fn observe(
         recorder.record_batch(events);
     }
     let overhead = recorder.overhead();
+    let agg = agg.lock().expect("aggregator lock");
     let mut registry = agg.registry();
     fold_internal_metrics(&mut registry, &overhead);
     let markdown = agg.to_markdown();

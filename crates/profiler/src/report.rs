@@ -721,8 +721,9 @@ rows[i].style.display=rows[i].textContent.toLowerCase().indexOf(q)>=0?'':'none';
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::{series, StreamingAggregator};
+    use crate::agg::{aggregate, series};
     use crate::diagnose::diagnose_events;
+    use crate::sampling::SamplingConfig;
     use tbd_graph::trace::fnv1a;
 
     #[test]
@@ -789,9 +790,7 @@ mod tests {
 
     fn context_pieces() -> (TraceStore, MetricsRegistry, DiagnosisReport) {
         let events = tiny_events();
-        let agg = StreamingAggregator::new();
-        agg.consume_all(&events);
-        let registry = agg.registry();
+        let registry = aggregate(&events, &SamplingConfig::default());
         let diagnosis = diagnose_events("toy", "tensorflow", 4, &events);
         (events, registry, diagnosis)
     }

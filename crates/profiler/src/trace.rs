@@ -297,8 +297,6 @@ pub struct TraceOptions {
     /// Run the miniature functional training step through the executor
     /// (adds executor-layer spans). Disable for simulation-only traces.
     pub functional: bool,
-    /// RNG seed of the functional session.
-    pub seed: u64,
     /// Speed tier of the functional executor and the lowered kernel
     /// stream. The default, [`SpeedOptions::fused`] at f32, fuses
     /// elementwise/activation/bias/norm chains (bitwise identical to
@@ -312,7 +310,6 @@ impl Default for TraceOptions {
         TraceOptions {
             intra_op_threads: 1,
             functional: true,
-            seed: 42,
             speed: SpeedOptions::fused(Precision::F32),
         }
     }
@@ -455,6 +452,10 @@ pub fn capture_into(
     Ok(Capture { trace, profile, oom, worker, wall })
 }
 
+/// RNG seed of the functional session. Every value hash in a trace, and so
+/// every golden digest, depends on it.
+const FUNCTIONAL_SEED: u64 = 42;
+
 /// Runs one miniature functional training step (forward + backward at tiny
 /// scale) with the recorder attached to the executor.
 fn functional_step(
@@ -468,7 +469,7 @@ fn functional_step(
     let loss = model.loss();
     let mut exec = framework.host_threading();
     exec.intra_op_threads = options.intra_op_threads;
-    let mut session = Session::with_exec(model.graph, options.seed, exec);
+    let mut session = Session::with_exec(model.graph, FUNCTIONAL_SEED, exec);
     session.set_fusion_enabled(options.speed.fuse);
     session.set_precision(options.speed.precision);
     session.set_tracer(Some(Arc::clone(recorder)));

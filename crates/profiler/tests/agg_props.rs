@@ -78,7 +78,8 @@ fn stream_with_splits(events: &TraceStore, raw_splits: &[usize]) -> String {
     }
     // The recorder stored exactly the stream; the sink saw it in batches.
     assert_eq!(recorder.len(), events.len());
-    agg.registry().canonical()
+    let registry = agg.lock().unwrap().registry();
+    registry.canonical()
 }
 
 proptest! {
@@ -133,11 +134,12 @@ fn live_capture_sink_matches_posthoc_for_each_thread_count() {
         )
         .expect("capture succeeds");
         let posthoc = aggregate(&cap.trace.events, &SamplingConfig::default());
+        let live = agg.lock().unwrap().registry();
         assert_eq!(
-            agg.registry().canonical(),
+            live.canonical(),
             posthoc.canonical(),
             "live sink diverged from post-hoc at threads={threads}"
         );
-        assert_eq!(agg.events_seen(), cap.trace.events.len() as u64);
+        assert_eq!(live.counter("events_total"), Some(cap.trace.events.len() as u64));
     }
 }

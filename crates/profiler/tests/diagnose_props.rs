@@ -289,7 +289,7 @@ proptest! {
                 start = end;
             }
         }
-        let streamed = diagnose_named("proxy", "chaos", 4, events, &agg.registry());
+        let streamed = diagnose_named("proxy", "chaos", 4, events, &agg.lock().unwrap().registry());
         prop_assert_eq!(streamed.digest_hex(), baseline.digest_hex());
         prop_assert_eq!(&streamed, &baseline);
     }

@@ -28,8 +28,8 @@ use tbd_profiler::trace::{
     TraceRecorder, TraceStore,
 };
 use tbd_profiler::{
-    capture, capture_into, diagnose_events, MetricsRegistry, ReportContext, StreamingAggregator,
-    Trace, TraceOptions, DIGEST_TIMESTAMP,
+    aggregate, capture, capture_into, diagnose_events, MetricsRegistry, ReportContext,
+    SamplingConfig, Trace, TraceOptions, DIGEST_TIMESTAMP,
 };
 
 /// Arg keys must be `'static`; these cover the characters JSON escapes.
@@ -962,9 +962,7 @@ fn timestamp_of(stamp: &[u8]) -> String {
 /// Calls `f` with a report context over `trace`: its registry, diagnosis
 /// and digest folded as the pipeline folds them.
 fn with_report<R>(trace: &Trace, f: impl FnOnce(&ReportContext<'_>) -> R) -> R {
-    let agg = StreamingAggregator::new();
-    agg.consume_all(&trace.events);
-    let registry = agg.registry();
+    let registry = aggregate(&trace.events, &SamplingConfig::default());
     let diagnosis = diagnose_events("toy", trace.framework, trace.batch, &trace.events);
     let trace_digest = trace.digest_hex();
     f(&ReportContext {

@@ -125,7 +125,7 @@ fn metric_registry_json_export_round_trips() {
         &recorder,
     )
     .expect("capture succeeds");
-    let registry = agg.registry();
+    let registry = agg.lock().unwrap().registry();
     let json = registry.to_json();
     let text = json.to_string();
     let reparsed = parse(&text).expect("metric export must be valid JSON");

@@ -275,11 +275,6 @@ pub mod distributions {
         pub fn new(lo: T, hi: T) -> Self {
             Uniform { lo, hi }
         }
-
-        /// Creates the uniform distribution over `[lo, hi]`.
-        pub fn new_inclusive(lo: T, hi: T) -> Self {
-            Uniform { lo, hi }
-        }
     }
 
     impl<T: SampleUniform> Distribution<T> for Uniform<T> {
