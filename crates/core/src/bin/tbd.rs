@@ -696,6 +696,7 @@ fn cmd_elastic(args: &[&str]) -> Result<(), String> {
 /// replay-exact bit-exactness verdict.
 fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     use tbd_core::{ChaosReport, FaultPreset};
+    use tbd_train::RecoveryPolicy;
     // `--churn` swaps the fault-injection proxy for the elastic-membership
     // sweep: node loss instead of kernel faults.
     if args.contains(&"--churn") {
@@ -710,7 +711,11 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     let steps = opts.steps(20)?;
     let seed = opts.int("--seed", 42)?;
     let preset = FaultPreset::parse(opts.value("--faults").unwrap_or("mild"))?;
-    let replay_exact = opts.choice("--policy")? == "replay-exact";
+    // The grammar admits only the two policy names; replay-exact is first.
+    let policy = match opts.choice("--policy")? {
+        name if name == RecoveryPolicy::Default.name() => RecoveryPolicy::Default,
+        _ => RecoveryPolicy::ReplayExact,
+    };
     let threads = opts.int("--threads", 1)?;
     let gpu = opts.gpu()?;
     let format = opts.choice("--format")?;
@@ -719,19 +724,10 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
         model.name(),
         framework.name(),
         preset.name(),
-        if replay_exact { "replay-exact" } else { "default" },
+        policy.name(),
     );
-    let report = ChaosReport::run(
-        model,
-        framework,
-        batch,
-        &gpu,
-        seed,
-        steps,
-        preset,
-        replay_exact,
-        threads,
-    )?;
+    let report =
+        ChaosReport::run(model, framework, batch, &gpu, seed, steps, preset, policy, threads)?;
     let rendered =
         if format == "json" { report.to_json().to_string() } else { report.to_markdown() };
     opts.emit(&rendered, |path| {
@@ -744,13 +740,13 @@ fn cmd_chaos(args: &[&str]) -> Result<(), String> {
     })?;
     // The headline invariant: under the replay-exact policy a faulted run
     // must finish bitwise identical to its fault-free twin.
-    if replay_exact && !report.replay_exact {
-        return Err(format!(
-            "replay-exact violated: faulted params {} != fault-free {}",
-            report.param_hash, report.fault_free_hash
-        ));
-    }
-    if replay_exact {
+    if policy == RecoveryPolicy::ReplayExact {
+        if !report.replay_exact {
+            return Err(format!(
+                "replay-exact violated: faulted params {} != fault-free {}",
+                report.param_hash, report.fault_free_hash
+            ));
+        }
         eprintln!(
             "replay-exact holds: faulted and fault-free runs agree on param hash {}",
             report.param_hash

@@ -1,18 +1,20 @@
 //! `tbd chaos`: the cross-layer fault-injection report (DESIGN.md §5f).
 //!
-//! The command wraps a deterministic proxy trainer (a tiny dropout MLP —
-//! the dropout node makes bit-exactness sensitive to the session step
-//! counter) in the `tbd-train` resilience loop, parameterised by the
-//! *named* workload: the simulated iteration time and the OOM degradation
-//! ladder come from the model/framework/device triple via `tbd-memopt`, so
-//! the goodput numbers reflect the workload the user asked about while the
-//! replay machinery (which is model-independent) stays cheap enough for
-//! CI.
+//! The command wraps the deterministic proxy trainer
+//! ([`tbd_train::proxy_session`], a tiny dropout MLP — the dropout node
+//! makes bit-exactness sensitive to the session step counter) in the
+//! `tbd-train` resilience loop, parameterised by the *named* workload: the
+//! simulated iteration time and the OOM degradation ladder come from the
+//! model/framework/device triple via `tbd-memopt`, so the goodput numbers
+//! reflect the workload the user asked about while the replay machinery
+//! (which is model-independent) stays cheap enough for CI.
 //!
-//! Two runs share one seed: the faulted run under the requested policy and
-//! its fault-free twin. Under the replay-exact policy the two must finish
-//! with bitwise-identical parameter hashes — the report records both
-//! digests and the verdict. Everything in the report is a pure function of
+//! Two runs share one seed: the faulted run under the requested
+//! [`RecoveryPolicy`] and its fault-free twin, both through `run_proxy`,
+//! the helper `tbd diagnose --faults` also uses. Under
+//! [`RecoveryPolicy::ReplayExact`] the two must finish with
+//! bitwise-identical parameter hashes — the report records both digests
+//! and the verdict. Everything in the report is a pure function of
 //! `(model, framework, batch, seed, steps, preset, policy)`: fault draws
 //! are counter-based, time is a logical clock, and every kernel is
 //! bit-stable across thread counts, so the report digest is identical for
@@ -20,19 +22,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tbd_distrib::unit;
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_graph::trace::{events_digest, TraceRecorder};
-use tbd_graph::{ExecConfig, GraphBuilder, Init, NodeId, Session};
+use tbd_graph::ExecConfig;
 use tbd_memopt::Strategy;
 use tbd_models::ModelKind;
 use tbd_profiler::json::{self, Canonical};
 use tbd_profiler::DiagnosisReport;
-use tbd_tensor::Tensor;
 use tbd_train::{
-    plan_degradation, DefaultPolicy, DegradationLadder, DegradationOutcome, FaultKind, FaultSpec,
-    ReplayExactPolicy, ResilienceConfig, ResilientTrainer, RunOutcome, Sgd,
+    plan_degradation, proxy_feeds, proxy_session, DegradationLadder, DegradationOutcome, FaultKind,
+    FaultSpec, RecoveryPolicy, ResilienceConfig, ResilientTrainer, RunOutcome, Sgd,
 };
 
 /// Version stamp of the chaos-report JSON schema.
@@ -139,7 +139,7 @@ pub struct ChaosReport {
     pub steps: u64,
     /// Fault preset name.
     pub preset: String,
-    /// Recovery policy name (`replay-exact` or `default`).
+    /// Recovery policy name ([`RecoveryPolicy::name`]).
     pub policy: String,
     /// Simulated cost of one training step of the named workload, seconds.
     pub iteration_s: f64,
@@ -203,39 +203,25 @@ tbd_profiler::json_record!(ChaosReport, "chaos report", schema = CHAOS_SCHEMA_VE
     }
     derived { digest = ChaosReport::digest_hex });
 
-/// The deterministic proxy workload: a tiny dropout MLP whose bitwise
-/// parameter trajectory depends on the session step counter — exactly the
-/// state replay must preserve.
-pub(crate) fn proxy_session(seed: u64, exec: ExecConfig) -> (Session, NodeId, NodeId, NodeId) {
-    let mut g = GraphBuilder::new();
-    let x = g.input("x", [4, 8]);
-    let w1 = g.parameter("fc1/w", [8, 16], Init::Xavier { fan_in: 8, fan_out: 16 });
-    let b1 = g.parameter("fc1/b", [16], Init::Zeros);
-    let h = g.matmul(x, w1).expect("proxy graph");
-    let h = g.add_bias(h, b1).expect("proxy graph");
-    let h = g.relu(h).expect("proxy graph");
-    let h = g.dropout(h, 0.25).expect("proxy graph");
-    let w2 = g.parameter("fc2/w", [16, 4], Init::Xavier { fan_in: 16, fan_out: 4 });
-    let b2 = g.parameter("fc2/b", [4], Init::Zeros);
-    let logits = g.matmul(h, w2).expect("proxy graph");
-    let logits = g.add_bias(logits, b2).expect("proxy graph");
-    let t = g.input("t", [4]);
-    let loss = g.cross_entropy(logits, t).expect("proxy graph");
-    (Session::with_exec(g.finish(), seed, exec), x, t, loss)
-}
-
-/// Feeds as a pure function of the logical step index (the replay
-/// contract), drawn from a counter-based stream rooted at `seed`.
-pub(crate) fn proxy_feeds(
+/// Trains the chaos proxy ([`proxy_session`] with its session and feeds
+/// both rooted at `seed`) for `steps` logical steps under `config` and
+/// `policy`.
+///
+/// # Errors
+///
+/// Returns the message of a genuine graph error.
+pub(crate) fn run_proxy(
     seed: u64,
-    x: NodeId,
-    t: NodeId,
-) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
-    move |step| {
-        let xs: Vec<f32> = (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
-        let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-        vec![(x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")), (t, Tensor::from_slice(&ts))]
-    }
+    exec: ExecConfig,
+    config: ResilienceConfig,
+    policy: RecoveryPolicy,
+    steps: u64,
+    tracer: Option<&TraceRecorder>,
+) -> Result<RunOutcome, String> {
+    let (session, x, t, loss) = proxy_session(seed, exec);
+    ResilientTrainer::new(session, loss, Sgd::new(0.1), config, policy)
+        .run(steps, proxy_feeds(seed, x, t), tracer)
+        .map_err(|e| e.to_string())
 }
 
 impl ChaosReport {
@@ -259,7 +245,7 @@ impl ChaosReport {
         seed: u64,
         steps: u64,
         preset: FaultPreset,
-        replay_exact: bool,
+        policy: RecoveryPolicy,
         intra_op_threads: usize,
     ) -> Result<ChaosReport, String> {
         let ladder = DegradationLadder { kind, framework, gpu: gpu.clone(), batch };
@@ -276,32 +262,10 @@ impl ChaosReport {
         config.ladder = Some(ladder);
         let exec = ExecConfig { intra_op_threads, inter_op_parallel: false };
 
-        let run_once = |faults: FaultSpec,
-                        tracer: Option<&TraceRecorder>|
-         -> Result<RunOutcome, String> {
-            let (session, x, t, loss) = proxy_session(seed, exec);
-            let feeds = proxy_feeds(seed, x, t);
-            let cfg = ResilienceConfig { faults, ..config.clone() };
-            if replay_exact {
-                ResilientTrainer::new(
-                    session,
-                    loss,
-                    Sgd::new(0.1),
-                    cfg,
-                    ReplayExactPolicy::default(),
-                )
-                .run(steps, feeds, tracer)
-                .map_err(|e| e.to_string())
-            } else {
-                ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, DefaultPolicy::default())
-                    .run(steps, feeds, tracer)
-                    .map_err(|e| e.to_string())
-            }
-        };
-
-        let clean = run_once(FaultSpec::none(seed), None)?;
+        let clean_config = ResilienceConfig { faults: FaultSpec::none(seed), ..config.clone() };
+        let clean = run_proxy(seed, exec, clean_config, policy, steps, None)?;
         let tracer = TraceRecorder::shared();
-        let faulted = run_once(preset.spec(seed), Some(&tracer))?;
+        let faulted = run_proxy(seed, exec, config, policy, steps, Some(&tracer))?;
         let events = tracer.drain();
         let diagnosis =
             tbd_profiler::diagnose_events(kind.name(), framework.name(), batch, &events);
@@ -320,7 +284,7 @@ impl ChaosReport {
             seed,
             steps,
             preset: preset.name().to_string(),
-            policy: if replay_exact { "replay-exact" } else { "default" }.to_string(),
+            policy: policy.name().to_string(),
             iteration_s,
             faults_injected: faulted.faults_injected,
             faults_by_kind,
@@ -486,7 +450,7 @@ mod tests {
             7,
             12,
             FaultPreset::Heavy,
-            true,
+            RecoveryPolicy::ReplayExact,
             1,
         )
         .expect("A3C fits")

@@ -14,7 +14,8 @@
 //!   first so the requested cluster's exchange is the only one the miner
 //!   sees — keeping both would double-fold the communication gauges.
 //! * **faults** — run the chaos proxy trainer under a fault preset
-//!   (`--faults mild|heavy`), appending the resilience events
+//!   (`--faults mild|heavy`) and the default recovery policy, through the
+//!   same helper as `tbd chaos`, appending the resilience events
 //!   (`Fault`/`Recovery`/`Checkpoint` plus the logical-clock run span).
 //!
 //! Everything is simulated time, so the resulting report digest is
@@ -27,9 +28,9 @@ use tbd_graph::trace::{TraceLayer, TraceRecorder};
 use tbd_graph::ExecConfig;
 use tbd_models::ModelKind;
 use tbd_profiler::{capture, DiagnosisReport, TraceOptions};
-use tbd_train::{DefaultPolicy, ResilienceConfig, ResilientTrainer, Sgd};
+use tbd_train::{RecoveryPolicy, ResilienceConfig};
 
-use crate::chaos::{proxy_feeds, proxy_session, FaultPreset};
+use crate::chaos::{run_proxy, FaultPreset};
 
 /// What to fold into the diagnosed trace beyond the base capture.
 #[derive(Debug, Clone)]
@@ -153,13 +154,9 @@ pub fn run_diagnose(
 
     if opts.faults != FaultPreset::None {
         let exec = ExecConfig { intra_op_threads: opts.intra_op_threads, inter_op_parallel: false };
-        let (session, x, t, loss) = proxy_session(opts.seed, exec);
-        let feeds = proxy_feeds(opts.seed, x, t);
         let cfg = ResilienceConfig::with_faults(opts.faults.spec(opts.seed));
         let tracer = TraceRecorder::shared();
-        ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, DefaultPolicy::default())
-            .run(opts.steps, feeds, Some(&tracer))
-            .map_err(|e| e.to_string())?;
+        run_proxy(opts.seed, exec, cfg, RecoveryPolicy::Default, opts.steps, Some(&tracer))?;
         events.append(&mut tracer.drain());
     }
 

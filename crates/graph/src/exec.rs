@@ -87,14 +87,10 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient of the seed with respect to the given parameter node.
+    /// Gradient of the seed with respect to the given node: a parameter,
+    /// or any other node the reverse sweep reached.
     pub fn param_grad(&self, id: NodeId) -> Option<&Tensor> {
         self.grads.get(id.index()).and_then(|g| g.as_ref())
-    }
-
-    /// Gradient with respect to any node (inputs included, when reachable).
-    pub fn grad(&self, id: NodeId) -> Option<&Tensor> {
-        self.param_grad(id)
     }
 
     /// Global L2 norm across all parameter gradients of `graph`.
@@ -1213,7 +1209,7 @@ mod tests {
         assert_eq!(backward.len(), swept.len() + 1);
         for (event, &i) in backward.iter().zip(&swept) {
             assert_eq!(event.name, format!("{}.grad", graph.node(NodeId(i)).op.mnemonic()));
-            let dy = grads.grad(NodeId(i)).expect("swept nodes have a gradient");
+            let dy = grads.param_grad(NodeId(i)).expect("swept nodes have a gradient");
             let grad_hash = ArgValue::U64(value_hash(dy.data()));
             let expected = [("node", ArgValue::U64(i as u64)), ("grad_hash", grad_hash)];
             assert_eq!(event.args, expected);

@@ -49,8 +49,6 @@ use tbd_graph::trace::{EventKind, RecorderOverhead, TraceLayer, TraceRecorder, T
 use tbd_graph::GraphError;
 use tbd_models::ModelKind;
 
-pub use crate::http::{parse_request_line, write_response, MAX_REQUEST_LINE};
-
 /// Connection-handling threads behind the watch HTTP front.
 pub const HTTP_POOL_WORKERS: usize = 4;
 
@@ -236,7 +234,7 @@ pub struct WatchConfig {
     pub batch: usize,
     /// Simulated device.
     pub gpu: GpuSpec,
-    /// Capture options (threads, speed tier, seed).
+    /// Capture options (threads, functional stage, speed tier).
     pub options: TraceOptions,
     /// Stop the worker after this many captures; `0` runs until shutdown.
     pub max_captures: u64,
@@ -450,6 +448,7 @@ fn route(shared: &Shared, path: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::parse_request_line;
 
     /// Overload shedding under a large request body: the 503 must reach
     /// the client even when its request is far bigger than one socket

@@ -22,7 +22,7 @@ use tbd_profiler::{
     StreamingAggregator,
 };
 use tbd_tensor::Tensor;
-use tbd_train::{DefaultPolicy, FaultSpec, ResilienceConfig, ResilientTrainer, Sgd};
+use tbd_train::{FaultSpec, RecoveryPolicy, ResilienceConfig, ResilientTrainer, Sgd};
 
 const SHAPES: [&WorkloadShape; 2] = [&RESNET50, &SEQ2SEQ];
 
@@ -62,7 +62,7 @@ fn chaos_events(seed: u64, threads: usize, tweak: impl Fn(&mut FaultSpec)) -> Tr
         vec![(x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")), (t, Tensor::from_slice(&ts))]
     };
     let tracer = TraceRecorder::shared();
-    ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, DefaultPolicy::default())
+    ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, RecoveryPolicy::Default)
         .run(40, feeds, Some(&tracer))
         .expect("proxy run succeeds");
     tracer.drain()

@@ -63,7 +63,7 @@ fn rejects_bad_requests_with_the_right_status_codes() {
 
     // A request line past MAX_REQUEST_LINE is answered 414, not buffered.
     let long =
-        format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(tbd_profiler::live::MAX_REQUEST_LINE));
+        format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(tbd_profiler::http::MAX_REQUEST_LINE));
     assert_eq!(send_raw(&addr, long.as_bytes()).status, 414);
 
     server.shutdown();

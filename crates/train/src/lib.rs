@@ -30,8 +30,8 @@ pub use convergence::{ConvergenceCurve, ConvergenceModel};
 pub use metrics::{bleu, edit_distance, top_k_accuracy, word_error_rate};
 pub use optim::{Adam, Momentum, Optimizer, Sgd};
 pub use resilience::{
-    param_hash, plan_degradation, DefaultPolicy, DegradationLadder, DegradationOutcome, FaultKind,
-    FaultSpec, RecoveryAction, RecoveryPolicy, ReplayExactPolicy, ResilienceConfig,
+    param_hash, plan_degradation, proxy_feeds, proxy_session, DegradationLadder,
+    DegradationOutcome, FaultKind, FaultSpec, RecoveryAction, RecoveryPolicy, ResilienceConfig,
     ResilientTrainer, RunOutcome,
 };
 pub use schedule::{Constant, InverseSqrt, Schedule, WarmupStepDecay};

@@ -4,9 +4,9 @@
 //! The paper's apparatus measures healthy runs; this module exercises the
 //! failure modes a production stack must survive (worker crashes, allocator
 //! OOM, non-finite losses, data-loader stalls, corrupted checkpoints) and
-//! proves the recovery machinery correct by *bit-exactness*: under the
-//! [`ReplayExactPolicy`] a faulted run finishes with parameters bitwise
-//! identical to the fault-free run.
+//! proves the recovery machinery correct by *bit-exactness*: under
+//! [`RecoveryPolicy::ReplayExact`] a faulted run finishes with parameters
+//! bitwise identical to the fault-free run.
 //!
 //! # Determinism
 //!
@@ -37,23 +37,27 @@
 //! hardened checkpoint (see [`crate::checkpoint`]); recompute rewinds only
 //! the counter; degrade/wait/rewrite never touch parameters. Skipping a
 //! batch intentionally diverges (the update is dropped), which is why the
-//! headline bit-exactness test runs under [`ReplayExactPolicy`].
+//! headline bit-exactness test runs under [`RecoveryPolicy::ReplayExact`].
 //!
 //! Time is simulated: every execution, checkpoint write, restore, replay,
 //! stall and backoff charges a deterministic number of seconds to a logical
-//! clock, which also timestamps the events the harness emits on
-//! the spine (`EventKind::Fault` / `Recovery` / `Checkpoint`, executor
-//! layer, track [`RESILIENCE_TRACK`]). **Goodput** — useful samples over
+//! clock. The step cost comes from [`ResilienceConfig`]; the loop's fixed
+//! costs (checkpoint interval and I/O bandwidth, stall base, re-planning,
+//! backoff, the retry budget) are constants of this module. The clock also
+//! timestamps the events the harness emits on the spine (`EventKind::Fault`
+//! / `Recovery` / `Checkpoint`, executor layer, track
+//! [`RESILIENCE_TRACK`]). **Goodput** — useful samples over
 //! total simulated time — is throughput net of replayed, skipped and
 //! wasted work, and can never exceed it.
 
 use crate::checkpoint::{self, CheckpointError};
+use crate::trainer::train_step;
 use crate::Optimizer;
 use tbd_distrib::{mix64, unit};
 use tbd_frameworks::Framework;
 use tbd_gpusim::GpuSpec;
 use tbd_graph::trace::{value_hash, EventKind, TraceLayer, TraceRecorder, TraceStore};
-use tbd_graph::{GraphError, NodeId, Op, Session};
+use tbd_graph::{ExecConfig, GraphBuilder, GraphError, Init, NodeId, Op, Session};
 use tbd_memopt::{profile_with_strategy, OptimizedProfile, Strategy};
 use tbd_models::ModelKind;
 use tbd_tensor::Tensor;
@@ -115,6 +119,28 @@ impl FaultKind {
 /// Extra streams for fault parameters (not occurrence).
 const STREAM_STALL_DURATION: u64 = 21;
 const STREAM_CORRUPT_SITE: u64 = 22;
+
+// The loop's fixed costs. All times are *simulated* seconds — they drive
+// the logical clock and the goodput accounting, never wall time.
+
+/// Useful steps between checkpoints.
+const CHECKPOINT_INTERVAL: u64 = 5;
+/// Faulted attempts tolerated per step before the fault draw is ignored
+/// and the step forced through (TCP-style eventual progress — the loop can
+/// never live-lock, even at rate 1.0).
+const MAX_RETRIES: u32 = 8;
+/// Checkpoint write bandwidth, bytes/second.
+const CHECKPOINT_WRITE_BPS: f64 = 1e9;
+/// Checkpoint read (restore) bandwidth, bytes/second.
+const RESTORE_READ_BPS: f64 = 2e9;
+/// Base data-loader stall, seconds (actual stall in `[base, 2·base)`).
+const STALL_BASE_S: f64 = 0.2;
+/// Cost of one memopt re-planning pass, seconds per rung.
+const REPLAN_S: f64 = 0.05;
+/// Backoff before the first retry, seconds.
+const BACKOFF_BASE_S: f64 = 0.05;
+/// Backoff multiplier per successive retry.
+const BACKOFF_FACTOR: f64 = 2.0;
 
 /// Seeded per-kind fault rates. All draws are pure functions of
 /// `(seed, kind, step, retry)`.
@@ -250,66 +276,42 @@ impl RecoveryAction {
     }
 }
 
-/// Maps faults to recovery actions and paces retries. Policies are pure
-/// (no internal state), so runs stay deterministic.
-pub trait RecoveryPolicy {
-    /// Action for `fault` on its `retry`-th attempt at the current step.
-    fn decide(&self, fault: FaultKind, retry: u32) -> RecoveryAction;
-
-    /// Backoff charged before the retried attempt, seconds. Exponential by
-    /// default via the implementor's own base/factor.
-    fn backoff_s(&self, retry: u32) -> f64;
+/// Maps faults to recovery actions. A policy is a plain value, so runs
+/// stay deterministic; every retry is paced by the same exponential
+/// backoff.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryPolicy {
+    /// Production-shaped: restore on crash, memopt degradation on OOM,
+    /// batch skipping on non-finite loss.
+    Default,
+    /// Like [`RecoveryPolicy::Default`] but recomputes a poisoned batch
+    /// instead of skipping it, so *every* recovery preserves the bitwise
+    /// parameter trajectory — the policy under which a faulted run must
+    /// finish with parameters identical to the fault-free run.
+    ReplayExact,
 }
 
-/// Production-shaped policy: bounded-retry restore with exponential
-/// backoff, batch skipping on non-finite loss, memopt degradation on OOM.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DefaultPolicy {
-    /// Backoff before the first retry, seconds.
-    pub backoff_base_s: f64,
-    /// Multiplier per successive retry.
-    pub backoff_factor: f64,
-}
-
-impl Default for DefaultPolicy {
-    fn default() -> Self {
-        DefaultPolicy { backoff_base_s: 0.05, backoff_factor: 2.0 }
-    }
-}
-
-impl RecoveryPolicy for DefaultPolicy {
-    fn decide(&self, fault: FaultKind, _retry: u32) -> RecoveryAction {
+impl RecoveryPolicy {
+    /// Action for `fault`.
+    pub fn decide(self, fault: FaultKind) -> RecoveryAction {
         match fault {
             FaultKind::WorkerCrash => RecoveryAction::RestoreReplay,
             FaultKind::AllocOom => RecoveryAction::Degrade,
-            FaultKind::LossSpike => RecoveryAction::SkipBatch,
+            FaultKind::LossSpike => match self {
+                RecoveryPolicy::Default => RecoveryAction::SkipBatch,
+                RecoveryPolicy::ReplayExact => RecoveryAction::Recompute,
+            },
             FaultKind::DataStall => RecoveryAction::Wait,
             FaultKind::CorruptCheckpoint => RecoveryAction::RewriteCheckpoint,
         }
     }
 
-    fn backoff_s(&self, retry: u32) -> f64 {
-        self.backoff_base_s * self.backoff_factor.powi(retry as i32)
-    }
-}
-
-/// Like [`DefaultPolicy`] but replaces batch skipping with deterministic
-/// recomputation, so *every* recovery preserves the bitwise parameter
-/// trajectory — the policy under which a faulted run must finish with
-/// parameters identical to the fault-free run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReplayExactPolicy(pub DefaultPolicy);
-
-impl RecoveryPolicy for ReplayExactPolicy {
-    fn decide(&self, fault: FaultKind, retry: u32) -> RecoveryAction {
-        match fault {
-            FaultKind::LossSpike => RecoveryAction::Recompute,
-            other => self.0.decide(other, retry),
+    /// Stable name used in reports and by the CLI's `--policy` flag.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecoveryPolicy::Default => "default",
+            RecoveryPolicy::ReplayExact => "replay-exact",
         }
-    }
-
-    fn backoff_s(&self, retry: u32) -> f64 {
-        self.0.backoff_s(retry)
     }
 }
 
@@ -377,28 +379,14 @@ pub fn plan_degradation(ladder: &DegradationLadder) -> Option<DegradationOutcome
     }
 }
 
-/// Knobs of the resilience loop. All times are *simulated* seconds — they
-/// drive the logical clock and the goodput accounting, never wall time.
+/// What a caller chooses about a resilience run; the loop's fixed costs
+/// are constants of this module.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Fault schedule.
     pub faults: FaultSpec,
-    /// Useful steps between checkpoints.
-    pub checkpoint_interval: u64,
-    /// Faulted attempts tolerated per step before the fault draw is
-    /// ignored and the step forced through (TCP-style eventual progress —
-    /// the loop can never live-lock, even at rate 1.0).
-    pub max_retries: u32,
     /// Simulated cost of one training step, seconds.
     pub iteration_s: f64,
-    /// Checkpoint write bandwidth, bytes/second.
-    pub checkpoint_write_bps: f64,
-    /// Checkpoint read (restore) bandwidth, bytes/second.
-    pub restore_read_bps: f64,
-    /// Base data-loader stall, seconds (actual stall in `[base, 2·base)`).
-    pub stall_base_s: f64,
-    /// Simulated cost of one memopt re-planning pass, seconds per rung.
-    pub replan_s: f64,
     /// Samples a step consumes (the throughput/goodput numerator unit).
     pub samples_per_step: u64,
     /// Model-level context for OOM degradation (optional: without it the
@@ -413,18 +401,12 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Sensible defaults around a fault schedule: checkpoint every 5
-    /// steps, 8 retries, 100 ms steps, 1 GB/s checkpoint I/O.
+    /// Defaults around a fault schedule: 100 ms steps of 32 samples, no
+    /// degradation ladder, corrupt checkpoints healed on the spot.
     pub fn with_faults(faults: FaultSpec) -> Self {
         ResilienceConfig {
             faults,
-            checkpoint_interval: 5,
-            max_retries: 8,
             iteration_s: 0.1,
-            checkpoint_write_bps: 1e9,
-            restore_read_bps: 2e9,
-            stall_base_s: 0.2,
-            replan_s: 0.05,
             samples_per_step: 32,
             ladder: None,
             defer_corrupt_heal: false,
@@ -455,7 +437,7 @@ pub struct RunOutcome {
     pub faults_by_kind: [u64; 5],
     /// Recovery actions taken (one per fault; the loop never aborts).
     pub recoveries: u64,
-    /// Steps that exhausted `max_retries` and were forced through.
+    /// Steps that exhausted the retry budget and were forced through.
     pub forced_through: u64,
     /// Restores that skipped past a corrupt newest checkpoint to an older
     /// valid one in the history (each costs extra replayed steps).
@@ -537,6 +519,39 @@ pub fn param_hash(session: &Session) -> u64 {
     h
 }
 
+/// The chaos harness's deterministic proxy workload: a tiny dropout MLP
+/// whose bitwise parameter trajectory depends on the session step counter
+/// — exactly the state replay must preserve. Returns the session (seeded
+/// with `seed`), the `x` and `t` input nodes and the scalar loss.
+pub fn proxy_session(seed: u64, exec: ExecConfig) -> (Session, NodeId, NodeId, NodeId) {
+    let mut g = GraphBuilder::new();
+    let x = g.input("x", [4, 8]);
+    let w1 = g.parameter("fc1/w", [8, 16], Init::Xavier { fan_in: 8, fan_out: 16 });
+    let b1 = g.parameter("fc1/b", [16], Init::Zeros);
+    let h = g.matmul(x, w1).expect("proxy graph");
+    let h = g.add_bias(h, b1).expect("proxy graph");
+    let h = g.relu(h).expect("proxy graph");
+    let h = g.dropout(h, 0.25).expect("proxy graph");
+    let w2 = g.parameter("fc2/w", [16, 4], Init::Xavier { fan_in: 16, fan_out: 4 });
+    let b2 = g.parameter("fc2/b", [4], Init::Zeros);
+    let logits = g.matmul(h, w2).expect("proxy graph");
+    let logits = g.add_bias(logits, b2).expect("proxy graph");
+    let t = g.input("t", [4]);
+    let loss = g.cross_entropy(logits, t).expect("proxy graph");
+    (Session::with_exec(g.finish(), seed, exec), x, t, loss)
+}
+
+/// Feeds of [`proxy_session`] as a pure function of the logical step index
+/// (the replay contract), drawn from a counter-based stream rooted at
+/// `seed`.
+pub fn proxy_feeds(seed: u64, x: NodeId, t: NodeId) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
+    move |step| {
+        let xs: Vec<f32> = (0..32u64).map(|i| unit(seed, 77, step * 64 + i) as f32 - 0.5).collect();
+        let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
+        vec![(x, Tensor::from_vec(xs, [4, 8]).expect("proxy batch")), (t, Tensor::from_slice(&ts))]
+    }
+}
+
 /// In-memory checkpoint: serialized bytes plus the optimizer state cloned
 /// at the same instant (optimizer state is not part of the v2 file format;
 /// the harness snapshots it beside the bytes).
@@ -549,15 +564,15 @@ struct Stored<O> {
 /// A fault-injecting, self-recovering training loop around a [`Session`].
 ///
 /// See the module docs for the fault taxonomy and determinism contract.
-pub struct ResilientTrainer<O: Optimizer + Clone, P: RecoveryPolicy = DefaultPolicy> {
+pub struct ResilientTrainer<O: Optimizer + Clone> {
     session: Session,
     loss: NodeId,
     optimizer: O,
     config: ResilienceConfig,
-    policy: P,
+    policy: RecoveryPolicy,
 }
 
-impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
+impl<O: Optimizer + Clone> ResilientTrainer<O> {
     /// Wraps a session, its scalar loss node, an optimizer, the chaos
     /// configuration and a recovery policy.
     pub fn new(
@@ -565,7 +580,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
         loss: NodeId,
         optimizer: O,
         config: ResilienceConfig,
-        policy: P,
+        policy: RecoveryPolicy,
     ) -> Self {
         ResilientTrainer { session, loss, optimizer, config, policy }
     }
@@ -623,25 +638,23 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
         for step in 0..target_steps {
             let mut retry = 0u32;
             loop {
-                let forced = retry >= cfg.max_retries;
+                let forced = retry >= MAX_RETRIES;
                 let fault = if forced { None } else { cfg.faults.fault_at(step, retry) };
                 let Some(kind) = fault else {
                     if forced {
                         out.forced_through += 1;
                     }
                     // Clean (or forced) execution of the step.
-                    let batch = feeds(step);
-                    let run = self.session.forward(&batch)?;
-                    let loss = run
-                        .scalar(self.loss)
-                        .ok_or(GraphError::ValueNotComputed(self.loss.index()))?;
-                    let grads = self.session.backward(&run, self.loss, Tensor::scalar(1.0))?;
-                    self.optimizer.step(&mut self.session, &grads);
+                    out.final_loss = train_step(
+                        &mut self.session,
+                        self.loss,
+                        &mut self.optimizer,
+                        &feeds(step),
+                    )?;
                     clock_s += cfg.iteration_s;
                     out.executed_steps += 1;
                     out.useful_steps += 1;
-                    out.final_loss = loss;
-                    if cfg.checkpoint_interval > 0 && (step + 1) % cfg.checkpoint_interval == 0 {
+                    if (step + 1) % CHECKPOINT_INTERVAL == 0 {
                         let fresh = self.write_checkpoint(&mut clock_s, &mut out, tracer);
                         retain_history(&mut history, fresh);
                     }
@@ -660,7 +673,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                         .with_arg("retry", u64::from(retry));
                 });
 
-                let action = self.policy.decide(kind, retry);
+                let action = self.policy.decide(kind);
                 let recovery_start_s = clock_s;
                 let mut replayed_now = 0u64;
                 match action {
@@ -690,19 +703,16 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                         checkpoint::load(&mut self.session, restored.bytes.as_slice())
                             .expect("verified checkpoint loads");
                         self.optimizer = restored.optimizer.clone();
-                        clock_s += restored.bytes.len() as f64 / cfg.restore_read_bps;
+                        clock_s += restored.bytes.len() as f64 / RESTORE_READ_BPS;
                         let restored_step = restored.step;
                         // Replay the steps lost since that checkpoint.
                         for lost in restored_step..step {
-                            let batch = feeds(lost);
-                            let run = self.session.forward(&batch)?;
-                            let loss = run
-                                .scalar(self.loss)
-                                .ok_or(GraphError::ValueNotComputed(self.loss.index()))?;
-                            let grads =
-                                self.session.backward(&run, self.loss, Tensor::scalar(1.0))?;
-                            self.optimizer.step(&mut self.session, &grads);
-                            out.final_loss = loss;
+                            out.final_loss = train_step(
+                                &mut self.session,
+                                self.loss,
+                                &mut self.optimizer,
+                                &feeds(lost),
+                            )?;
                             clock_s += cfg.iteration_s;
                             out.executed_steps += 1;
                             out.replayed_steps += 1;
@@ -738,13 +748,13 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                                 out.degraded = plan_degradation(ladder);
                             }
                             let rungs = out.degraded.as_ref().map_or(1, |d| d.rungs_tried).max(1);
-                            clock_s += cfg.replan_s * f64::from(rungs);
+                            clock_s += REPLAN_S * f64::from(rungs);
                         } else {
-                            clock_s += cfg.replan_s;
+                            clock_s += REPLAN_S;
                         }
                     }
                     RecoveryAction::Wait => {
-                        clock_s += cfg.faults.stall_duration_s(cfg.stall_base_s, step, retry);
+                        clock_s += cfg.faults.stall_duration_s(STALL_BASE_S, step, retry);
                     }
                     RecoveryAction::RewriteCheckpoint => {
                         // Corrupt the newest stored bytes at a
@@ -758,7 +768,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
                             matches!(verified, Err(CheckpointError::ChecksumMismatch { .. })),
                             "injected corruption must be caught by the checksum"
                         );
-                        clock_s += newest.bytes.len() as f64 / cfg.restore_read_bps;
+                        clock_s += newest.bytes.len() as f64 / RESTORE_READ_BPS;
                         if !cfg.defer_corrupt_heal {
                             let fresh = self.write_checkpoint(&mut clock_s, &mut out, tracer);
                             retain_history(&mut history, fresh);
@@ -768,7 +778,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
 
                 let retries_again = !matches!(action, RecoveryAction::SkipBatch);
                 if retries_again {
-                    clock_s += self.policy.backoff_s(retry);
+                    clock_s += BACKOFF_BASE_S * BACKOFF_FACTOR.powi(retry as i32);
                 }
                 out.recoveries += 1;
                 let recovery_s = clock_s - recovery_start_s;
@@ -826,7 +836,7 @@ impl<O: Optimizer + Clone, P: RecoveryPolicy> ResilientTrainer<O, P> {
         tracer: Option<&TraceRecorder>,
     ) -> Stored<O> {
         let bytes = checkpoint::to_bytes(&self.session);
-        *clock_s += bytes.len() as f64 / self.config.checkpoint_write_bps;
+        *clock_s += bytes.len() as f64 / CHECKPOINT_WRITE_BPS;
         out.checkpoints_written += 1;
         out.checkpoint_bytes = bytes.len() as u64;
         emit(tracer, |event| {
@@ -877,53 +887,40 @@ fn corrupt(bytes: &mut [u8], seed: u64, step: u64, retry: u32) {
 mod tests {
     use super::*;
     use crate::Sgd;
-    use tbd_graph::{GraphBuilder, Init};
 
-    /// Tiny dropout MLP: the dropout node makes bit-exactness sensitive to
-    /// the session step counter, which is exactly what replay must
-    /// preserve.
-    fn build() -> (Session, NodeId, NodeId, NodeId) {
-        let mut g = GraphBuilder::new();
-        let x = g.input("x", [4, 8]);
-        let w1 = g.parameter("fc1/w", [8, 16], Init::Xavier { fan_in: 8, fan_out: 16 });
-        let b1 = g.parameter("fc1/b", [16], Init::Zeros);
-        let h = g.matmul(x, w1).unwrap();
-        let h = g.add_bias(h, b1).unwrap();
-        let h = g.relu(h).unwrap();
-        let h = g.dropout(h, 0.25).unwrap();
-        let w2 = g.parameter("fc2/w", [16, 4], Init::Xavier { fan_in: 16, fan_out: 4 });
-        let b2 = g.parameter("fc2/b", [4], Init::Zeros);
-        let logits = g.matmul(h, w2).unwrap();
-        let logits = g.add_bias(logits, b2).unwrap();
-        let t = g.input("t", [4]);
-        let loss = g.cross_entropy(logits, t).unwrap();
-        let s = Session::new(g.finish(), 42);
-        (s, x, t, loss)
+    /// The proxy with session seed 42, its feeds rooted at 1234.
+    fn proxy_trainer(
+        cfg: ResilienceConfig,
+        policy: RecoveryPolicy,
+    ) -> (ResilientTrainer<Sgd>, impl Fn(u64) -> Vec<(NodeId, Tensor)>) {
+        let (session, x, t, loss) = proxy_session(42, ExecConfig::default());
+        (ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, policy), proxy_feeds(1234, x, t))
     }
 
-    /// Feeds as a pure function of the step index — the replay contract.
-    fn feeds(x: NodeId, t: NodeId) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
-        move |step| {
-            let mut xs = Vec::with_capacity(32);
-            for i in 0..32u64 {
-                let v = unit(1234, 77, step * 64 + i) as f32 - 0.5;
-                xs.push(v);
+    fn run_with(spec: FaultSpec, policy: RecoveryPolicy, steps: u64) -> RunOutcome {
+        let (mut trainer, feeds) = proxy_trainer(ResilienceConfig::with_faults(spec), policy);
+        trainer.run(steps, feeds, None).unwrap()
+    }
+
+    #[test]
+    fn policies_differ_only_on_loss_spikes() {
+        for kind in FaultKind::ALL {
+            let (default, exact) =
+                (RecoveryPolicy::Default.decide(kind), RecoveryPolicy::ReplayExact.decide(kind));
+            if kind == FaultKind::LossSpike {
+                assert_eq!(
+                    (default, exact),
+                    (RecoveryAction::SkipBatch, RecoveryAction::Recompute)
+                );
+            } else {
+                assert_eq!(default, exact, "{}", kind.label());
             }
-            let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-            vec![(x, Tensor::from_vec(xs, [4, 8]).unwrap()), (t, Tensor::from_slice(&ts))]
         }
-    }
-
-    fn run_with(spec: FaultSpec, policy: impl RecoveryPolicy, steps: u64) -> RunOutcome {
-        let (session, x, t, loss) = build();
-        let cfg = ResilienceConfig::with_faults(spec);
-        let mut trainer = ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, policy);
-        trainer.run(steps, feeds(x, t), None).unwrap()
     }
 
     #[test]
     fn fault_free_run_trains_and_counts_nothing() {
-        let out = run_with(FaultSpec::none(7), DefaultPolicy::default(), 12);
+        let out = run_with(FaultSpec::none(7), RecoveryPolicy::Default, 12);
         assert_eq!(out.useful_steps, 12);
         assert_eq!(out.executed_steps, 12);
         assert_eq!(out.faults_injected, 0);
@@ -935,8 +932,8 @@ mod tests {
 
     #[test]
     fn replay_exact_recovery_is_bitwise_identical() {
-        let clean = run_with(FaultSpec::none(7), ReplayExactPolicy::default(), 20);
-        let faulted = run_with(FaultSpec::heavy(7), ReplayExactPolicy::default(), 20);
+        let clean = run_with(FaultSpec::none(7), RecoveryPolicy::ReplayExact, 20);
+        let faulted = run_with(FaultSpec::heavy(7), RecoveryPolicy::ReplayExact, 20);
         assert!(faulted.faults_injected > 0, "heavy schedule must fault");
         assert_eq!(faulted.recoveries, faulted.faults_injected);
         assert_eq!(
@@ -951,8 +948,8 @@ mod tests {
     fn skip_batch_policy_diverges_but_completes() {
         let mut spec = FaultSpec::none(3);
         spec.spike_rate = 0.4;
-        let clean = run_with(FaultSpec::none(3), DefaultPolicy::default(), 16);
-        let faulted = run_with(spec, DefaultPolicy::default(), 16);
+        let clean = run_with(FaultSpec::none(3), RecoveryPolicy::Default, 16);
+        let faulted = run_with(spec, RecoveryPolicy::Default, 16);
         assert!(faulted.skipped_steps > 0);
         assert_eq!(faulted.useful_steps, 16, "skipped batches still complete the step");
         assert_ne!(clean.param_hash, faulted.param_hash, "dropping updates intentionally diverges");
@@ -960,23 +957,23 @@ mod tests {
 
     #[test]
     fn same_seed_same_outcome_bitwise() {
-        let a = run_with(FaultSpec::heavy(99), ReplayExactPolicy::default(), 15);
-        let b = run_with(FaultSpec::heavy(99), ReplayExactPolicy::default(), 15);
+        let a = run_with(FaultSpec::heavy(99), RecoveryPolicy::ReplayExact, 15);
+        let b = run_with(FaultSpec::heavy(99), RecoveryPolicy::ReplayExact, 15);
         assert_eq!(a, b, "chaos runs are pure functions of the seed");
     }
 
     #[test]
     fn rate_one_terminates_via_forced_progress() {
         let spec = FaultSpec::mild(5).scaled(1e9); // every rate clamps to 1.0
-        let out = run_with(spec, ReplayExactPolicy::default(), 4);
+        let out = run_with(spec, RecoveryPolicy::ReplayExact, 4);
         assert_eq!(out.useful_steps, 4);
-        assert!(out.forced_through > 0, "max_retries must force progress");
+        assert!(out.forced_through > 0, "the retry budget must force progress");
     }
 
     #[test]
     fn goodput_never_exceeds_throughput() {
         for seed in 0..6 {
-            let out = run_with(FaultSpec::heavy(seed), DefaultPolicy::default(), 10);
+            let out = run_with(FaultSpec::heavy(seed), RecoveryPolicy::Default, 10);
             assert!(
                 out.goodput() <= out.throughput() + 1e-12,
                 "seed {seed}: goodput {} > throughput {}",
@@ -998,18 +995,11 @@ mod tests {
             let mut spec = FaultSpec::none(seed);
             spec.corrupt_rate = 0.25;
             spec.crash_rate = 0.25;
-            let clean = run_with(FaultSpec::none(seed), ReplayExactPolicy::default(), 20);
-            let (session, x, t, loss) = build();
+            let clean = run_with(FaultSpec::none(seed), RecoveryPolicy::ReplayExact, 20);
             let mut cfg = ResilienceConfig::with_faults(spec);
             cfg.defer_corrupt_heal = true;
-            let mut trainer = ResilientTrainer::new(
-                session,
-                loss,
-                Sgd::new(0.1),
-                cfg,
-                ReplayExactPolicy::default(),
-            );
-            let faulted = trainer.run(20, feeds(x, t), None).unwrap();
+            let (mut trainer, feeds) = proxy_trainer(cfg, RecoveryPolicy::ReplayExact);
+            let faulted = trainer.run(20, feeds, None).unwrap();
             fallbacks_seen += faulted.fallback_restores;
             assert_eq!(
                 clean.param_hash, faulted.param_hash,
@@ -1027,7 +1017,7 @@ mod tests {
         // The production default (heal on detection) keeps the newest
         // checkpoint valid, so restores never walk back.
         for seed in 0..8 {
-            let out = run_with(FaultSpec::heavy(seed), ReplayExactPolicy::default(), 15);
+            let out = run_with(FaultSpec::heavy(seed), RecoveryPolicy::ReplayExact, 15);
             assert_eq!(out.fallback_restores, 0, "seed {seed}");
         }
     }
@@ -1037,8 +1027,8 @@ mod tests {
         let mut spec = FaultSpec::none(11);
         spec.corrupt_rate = 0.5;
         spec.crash_rate = 0.2;
-        let clean = run_with(FaultSpec::none(11), ReplayExactPolicy::default(), 20);
-        let faulted = run_with(spec, ReplayExactPolicy::default(), 20);
+        let clean = run_with(FaultSpec::none(11), RecoveryPolicy::ReplayExact, 20);
+        let faulted = run_with(spec, RecoveryPolicy::ReplayExact, 20);
         assert!(faulted.faults_by_kind[FaultKind::CorruptCheckpoint.index()] > 0);
         assert_eq!(clean.param_hash, faulted.param_hash);
     }
@@ -1069,12 +1059,12 @@ mod tests {
 
     #[test]
     fn fault_events_land_on_the_spine() {
-        let (session, x, t, loss) = build();
-        let cfg = ResilienceConfig::with_faults(FaultSpec::heavy(21));
-        let mut trainer =
-            ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, ReplayExactPolicy::default());
+        let (mut trainer, feeds) = proxy_trainer(
+            ResilienceConfig::with_faults(FaultSpec::heavy(21)),
+            RecoveryPolicy::ReplayExact,
+        );
         let rec = TraceRecorder::shared();
-        let out = trainer.run(10, feeds(x, t), Some(&rec)).unwrap();
+        let out = trainer.run(10, feeds, Some(&rec)).unwrap();
         let events = rec.drain();
         let faults = events.iter().filter(|e| e.kind == EventKind::Fault).count() as u64;
         let recoveries = events.iter().filter(|e| e.kind == EventKind::Recovery).count() as u64;

@@ -85,10 +85,7 @@ impl<O: Optimizer> Trainer<O> {
     ///
     /// Propagates graph-execution errors (bad feeds, kernel failures).
     pub fn step(&mut self, feeds: &[(NodeId, Tensor)]) -> Result<f32, GraphError> {
-        let run = self.session.forward(feeds)?;
-        let loss = run.scalar(self.loss).ok_or(GraphError::ValueNotComputed(self.loss.index()))?;
-        let grads = self.session.backward(&run, self.loss, Tensor::scalar(1.0))?;
-        self.optimizer.step(&mut self.session, &grads);
+        let loss = train_step(&mut self.session, self.loss, &mut self.optimizer, feeds)?;
         self.last_loss = loss;
         self.steps += 1;
         Ok(loss)
@@ -112,6 +109,21 @@ impl<O: Optimizer> Trainer<O> {
         }
         Ok(losses)
     }
+}
+
+/// One training step: forward on `feeds`, read the scalar `loss`, backward
+/// from it and apply `optimizer`. Returns the loss.
+pub(crate) fn train_step(
+    session: &mut Session,
+    loss: NodeId,
+    optimizer: &mut impl Optimizer,
+    feeds: &[(NodeId, Tensor)],
+) -> Result<f32, GraphError> {
+    let run = session.forward(feeds)?;
+    let value = run.scalar(loss).ok_or(GraphError::ValueNotComputed(loss.index()))?;
+    let grads = session.backward(&run, loss, Tensor::scalar(1.0))?;
+    optimizer.step(session, &grads);
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -4,47 +4,20 @@
 //! never exceed throughput.
 
 use proptest::prelude::*;
-use tbd_graph::{GraphBuilder, Init, NodeId, Session};
-use tbd_tensor::Tensor;
+use tbd_graph::ExecConfig;
 use tbd_train::{
-    DefaultPolicy, FaultSpec, RecoveryPolicy, ReplayExactPolicy, ResilienceConfig,
-    ResilientTrainer, RunOutcome, Sgd,
+    proxy_feeds, proxy_session, FaultSpec, RecoveryPolicy, ResilienceConfig, ResilientTrainer,
+    RunOutcome, Sgd,
 };
 
-/// The same tiny dropout MLP the resilience unit tests train: cheap enough
-/// for proptest cases, dropout-sensitive to the step counter.
-fn build() -> (Session, NodeId, NodeId, NodeId) {
-    let mut g = GraphBuilder::new();
-    let x = g.input("x", [4, 8]);
-    let w1 = g.parameter("fc1/w", [8, 16], Init::Xavier { fan_in: 8, fan_out: 16 });
-    let b1 = g.parameter("fc1/b", [16], Init::Zeros);
-    let h = g.matmul(x, w1).unwrap();
-    let h = g.add_bias(h, b1).unwrap();
-    let h = g.relu(h).unwrap();
-    let h = g.dropout(h, 0.25).unwrap();
-    let w2 = g.parameter("fc2/w", [16, 4], Init::Xavier { fan_in: 16, fan_out: 4 });
-    let b2 = g.parameter("fc2/b", [4], Init::Zeros);
-    let logits = g.matmul(h, w2).unwrap();
-    let logits = g.add_bias(logits, b2).unwrap();
-    let t = g.input("t", [4]);
-    let loss = g.cross_entropy(logits, t).unwrap();
-    (Session::new(g.finish(), 42), x, t, loss)
-}
-
-fn feeds(x: NodeId, t: NodeId) -> impl Fn(u64) -> Vec<(NodeId, Tensor)> {
-    move |step| {
-        let xs: Vec<f32> =
-            (0..32u64).map(|i| tbd_distrib::unit(1234, 77, step * 64 + i) as f32 - 0.5).collect();
-        let ts: Vec<f32> = (0..4u64).map(|i| ((step + i) % 4) as f32).collect();
-        vec![(x, Tensor::from_vec(xs, [4, 8]).unwrap()), (t, Tensor::from_slice(&ts))]
-    }
-}
-
-fn run_with(spec: FaultSpec, policy: impl RecoveryPolicy, steps: u64) -> RunOutcome {
-    let (session, x, t, loss) = build();
+/// The chaos proxy the resilience unit tests train (session seed 42, feeds
+/// rooted at 1234): cheap enough for proptest cases, dropout-sensitive to
+/// the step counter.
+fn run_with(spec: FaultSpec, policy: RecoveryPolicy, steps: u64) -> RunOutcome {
+    let (session, x, t, loss) = proxy_session(42, ExecConfig::default());
     let cfg = ResilienceConfig::with_faults(spec);
     let mut trainer = ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, policy);
-    trainer.run(steps, feeds(x, t), None).unwrap()
+    trainer.run(steps, proxy_feeds(1234, x, t), None).unwrap()
 }
 
 fn spec_from(seed: u64, rates: &[f64]) -> FaultSpec {
@@ -119,8 +92,8 @@ proptest! {
         factor in 1.0f64..3.0,
     ) {
         let base = spec_from(seed, &rates);
-        let low = run_with(base, ReplayExactPolicy::default(), 10);
-        let high = run_with(base.scaled(factor), ReplayExactPolicy::default(), 10);
+        let low = run_with(base, RecoveryPolicy::ReplayExact, 10);
+        let high = run_with(base.scaled(factor), RecoveryPolicy::ReplayExact, 10);
         prop_assert!(high.recoveries >= low.recoveries,
             "recoveries fell from {} to {} when rates scaled {factor}x", low.recoveries, high.recoveries);
         prop_assert_eq!(low.recoveries, low.faults_injected);
@@ -136,11 +109,9 @@ proptest! {
         policy_pick in 0u8..2,
     ) {
         let spec = spec_from(seed, &rates);
-        let out = if policy_pick == 1 {
-            run_with(spec, ReplayExactPolicy::default(), 8)
-        } else {
-            run_with(spec, DefaultPolicy::default(), 8)
-        };
+        let policy =
+            if policy_pick == 1 { RecoveryPolicy::ReplayExact } else { RecoveryPolicy::Default };
+        let out = run_with(spec, policy, 8);
         prop_assert!(out.goodput() <= out.throughput() + 1e-12,
             "goodput {} > throughput {}", out.goodput(), out.throughput());
         prop_assert_eq!(out.useful_steps, 8, "the loop always completes every step");

@@ -8,14 +8,15 @@ use tbd_graph::{GraphBuilder, Init, NodeId, Session};
 use tbd_profiler::json::Canonical;
 use tbd_tensor::Tensor;
 use tbd_train::{
-    DegradationLadder, FaultSpec, ReplayExactPolicy, ResilienceConfig, ResilientTrainer, Sgd,
+    DegradationLadder, FaultSpec, RecoveryPolicy, ResilienceConfig, ResilientTrainer, Sgd,
 };
 
-/// The CI invocation: `tbd chaos resnet-50 --seed 7 --check ...` — CLI
-/// defaults are largest paper batch (32), 20 steps, mild faults,
-/// replay-exact policy, the first framework supporting the model
-/// (TensorFlow) and one intra-op thread.
-fn ci_report(threads: usize) -> ChaosReport {
+/// The CI invocation `tbd chaos resnet-50 --seed 7` under `--policy
+/// policy --threads threads`. The other CLI defaults are the largest paper
+/// batch (32), 20 steps, mild faults and the first framework supporting
+/// the model (TensorFlow); the CI gate runs `--policy replay-exact` (the
+/// CLI's default) at one thread.
+fn ci_report(policy: RecoveryPolicy, threads: usize) -> ChaosReport {
     ChaosReport::run(
         ModelKind::ResNet50,
         Framework::tensorflow(),
@@ -24,7 +25,7 @@ fn ci_report(threads: usize) -> ChaosReport {
         7,
         20,
         FaultPreset::Mild,
-        true,
+        policy,
         threads,
     )
     .expect("chaos run completes")
@@ -35,11 +36,11 @@ fn ci_report(threads: usize) -> ChaosReport {
 /// digests identically across `intra_op_threads` 1 and 4.
 #[test]
 fn replay_exact_report_is_digest_stable_across_thread_counts() {
-    let one = ci_report(1);
+    let one = ci_report(RecoveryPolicy::ReplayExact, 1);
     assert!(one.faults_injected > 0, "the mild schedule at seed 7 must fault");
     assert!(one.replay_exact, "faulted params must match the fault-free twin");
     assert_eq!(one.param_hash, one.fault_free_hash);
-    let four = ci_report(4);
+    let four = ci_report(RecoveryPolicy::ReplayExact, 4);
     assert_eq!(one.digest_hex(), four.digest_hex(), "digest must not depend on threads");
     assert_eq!(one, four, "every report field must be thread-invariant");
 }
@@ -69,7 +70,7 @@ fn oom_degradation_replans_until_the_footprint_fits() {
     });
     let feeds = feeds_for(x, t);
     let mut trainer =
-        ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, ReplayExactPolicy::default());
+        ResilientTrainer::new(session, loss, Sgd::new(0.1), cfg, RecoveryPolicy::ReplayExact);
     let out = trainer.run(16, feeds, None).expect("the loop never aborts on injected OOM");
 
     assert_eq!(out.useful_steps, 16, "every step completes despite OOM faults");
@@ -100,8 +101,20 @@ fn golden_chaos_baseline_is_reproduced() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/chaos-baseline.json");
     let text = std::fs::read_to_string(path).expect("pinned baseline exists");
     let baseline = ChaosReport::from_json_text(&text).expect("baseline parses");
-    let fresh = ci_report(1);
+    let fresh = ci_report(RecoveryPolicy::ReplayExact, 1);
     fresh.check_drift(&baseline).expect("deterministic run matches the pinned baseline");
     assert_eq!(fresh.digest_hex(), baseline.digest_hex(), "bit-stable report digest");
     assert!(baseline.replay_exact, "the pinned baseline records a replay-exact run");
+}
+
+/// The skip-batch arm, pinned byte for byte: the CI invocation under
+/// `--policy default` (`tbd chaos resnet-50 --seed 7 --policy default`)
+/// reproduces this report digest at 1 and 4 intra-op threads.
+#[test]
+fn default_policy_report_is_pinned() {
+    for threads in [1, 4] {
+        let report = ci_report(RecoveryPolicy::Default, threads);
+        assert_eq!(report.policy, "default");
+        assert_eq!(report.digest_hex(), "2ba33decdd4a312d", "{threads} threads");
+    }
 }

@@ -25,7 +25,7 @@ use tbd_profiler::diagnose::scenarios::{self, RESNET50, SEQ2SEQ};
 use tbd_profiler::diagnose_events;
 use tbd_profiler::json::Canonical;
 use tbd_tensor::Tensor;
-use tbd_train::{DefaultPolicy, FaultSpec, ResilienceConfig, ResilientTrainer, Sgd};
+use tbd_train::{FaultSpec, RecoveryPolicy, ResilienceConfig, ResilientTrainer, Sgd};
 
 /// Rows: injected ground truth. Columns: top-1 diagnosis label.
 type Matrix = BTreeMap<&'static str, BTreeMap<String, usize>>;
@@ -75,7 +75,7 @@ fn chaos_events(seed: u64, tweak: impl Fn(&mut FaultSpec)) -> TraceStore {
         loss,
         Sgd::new(0.1),
         ResilienceConfig::with_faults(spec),
-        DefaultPolicy::default(),
+        RecoveryPolicy::Default,
     )
     .run(40, feeds, Some(&tracer))
     .expect("chaos proxy runs");
